@@ -10,9 +10,7 @@ import argparse
 import os
 import sys
 
-from relaysense.cli import main as cli_main
-
-FIGURES = ("fig3", "fig4", "fig6", "fig7", "fig8", "table1")
+from relaysense.cli import FIGURES, main as cli_main
 
 
 def main(argv=None):

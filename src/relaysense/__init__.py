@@ -12,9 +12,8 @@ from .harvest import HarvestReport, avg_harvested_power
 from .transmission import (CsiModel, TransCoeffs, build_trans_coeffs,
                            outage_probability, relay_selection_prob,
                            rho_from_doppler, trans_e2e_cdf, trans_powers)
-from .energy_opt import (EnergyBreakdown, EnergyModel, FrameTiming,
-                         InfeasibleDataError, SensingOptimum, ecg,
-                         energy_breakdown, expected_data,
+from .energy_opt import (EnergyBreakdown, EnergyModel, InfeasibleDataError,
+                         SensingOptimum, ecg, energy_breakdown, expected_data,
                          necessary_condition, optimize_sensing_time,
                          total_energy, total_energy_nonharvesting,
                          transformed_constraint)

@@ -21,50 +21,41 @@ from .fading import LinkSet, PrimaryModel
 from .harvest import harvest_mean_power
 from .sensing import (SecondaryPolicy, build_report_gain, report_power,
                       sample_miss_probability)
-from .transmission import build_trans_coeffs, relay_selection_prob
+from .transmission import TransCoeffs, build_trans_coeffs, relay_selection_prob
 
 TIME_TOL = 1e-7       # sensing-time resolution, s
 CONSTRAINT_TOL = 1e-9  # activity tolerance on the SNR-form data constraint
 LN2 = math.log(2.0)
 
 
-@dataclass
-class FrameTiming:
-    """Frame split: total length, report slot, sensing slot (seconds)."""
+@dataclass(frozen=True)
+class Frame:
+    """One frame at a fixed sensing time: every quantity of the energy and
+    data expressions that moves with t_sense, evaluated once.
 
-    t_total: float
-    t_report: float
+    The transmission coefficients do not depend on the relay, so one build
+    serves every relay's selection probability (prr), transmit-slot power
+    (e_transmit, W) and sensing-plus-reporting energy (e_listen, J).
+    """
+
     t_sense: float
-
-    def __post_init__(self):
-        if self.t_report <= 0.0:
-            raise ValueError("report slot must be positive")
-        if not 0.0 < self.t_sense < self.t_total - self.t_report:
-            raise ValueError("sensing time must lie strictly inside the listen window")
-
-    @property
-    def t_listen(self) -> float:
-        return self.t_total - self.t_report
-
-    @property
-    def t_data(self) -> float:
-        return self.t_listen - self.t_sense
-
-    def samples(self, bandwidth: float) -> int:
-        u = round(self.t_sense * bandwidth)
-        if u < 1:
-            raise ValueError("sensing slot shorter than one sample period")
-        return int(u)
+    t_data: float
+    miss: float
+    p_detect: float
+    coeffs: TransCoeffs
+    prr: tuple
+    e_transmit: tuple
+    e_listen: tuple
 
 
 class EnergyModel:
     """Scenario-level cache for the frame-energy expressions.
 
-    Holds everything that does not move with the sensing time (miss
-    probability per sample, report powers and gains, harvest means,
-    interference expectations) and exposes the t_sense-dependent pieces as
-    methods. Detection-dependent transmit powers and selection odds are
-    always evaluated at the same sensing time as the energy they enter.
+    Holds what does not move with the sensing time (miss probability per
+    sample, report powers and gains, harvest means); `frame` evaluates the
+    t_sense-dependent pieces, so detection-dependent transmit powers and
+    selection odds are always taken at the same sensing time as the energy
+    they enter.
     """
 
     def __init__(self, links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
@@ -103,68 +94,73 @@ class EnergyModel:
     def p_detect(self, t_sense: float) -> float:
         return 1.0 - self.miss(t_sense)
 
-    def trans_coeffs(self, t_sense: float):
-        return build_trans_coeffs(self.links, self.primary, self.policy,
-                                  self.p_detect(t_sense))
-
-    def selection_prob(self, i: int, t_sense: float) -> float:
-        return relay_selection_prob(self.trans_coeffs(t_sense).snr_means, i)
-
-    def e_transmit(self, i: int, t_sense: float) -> float:
-        coeffs = self.trans_coeffs(t_sense)
-        return coeffs.p_relay[i] + self.policy.p_circuit_tx
-
-    def _check_t(self, t_sense: float):
+    def frame(self, t_sense: float) -> Frame:
+        """The frame at sensing time t_sense, which must lie strictly inside
+        the listen window."""
         if not 0.0 < t_sense < self.t_listen:
             raise ValueError("sensing time must lie strictly inside (0, %g) s" % self.t_listen)
+        p_detect = self.p_detect(t_sense)
+        coeffs = build_trans_coeffs(self.links, self.primary, self.policy, p_detect)
+        w = self.policy.bandwidth
+        return Frame(
+            t_sense=t_sense,
+            t_data=self.t_listen - t_sense,
+            miss=self.miss(t_sense),
+            p_detect=p_detect,
+            coeffs=coeffs,
+            prr=tuple(relay_selection_prob(coeffs.snr_means, i)
+                      for i in range(self.n_relays)),
+            e_transmit=tuple(p + self.policy.p_circuit_tx for p in coeffs.p_relay),
+            e_listen=tuple(self.e_sense * t_sense * t_sense * w + e * self.t_report * t_sense * w
+                           for e in self.e_report),
+        )
+
+
+def _energy_nonharvesting(f: Frame, i: int) -> float:
+    return f.e_listen[i] + f.miss * f.prr[i] * f.e_transmit[i] * f.t_data
+
+
+def _energy(model: EnergyModel, f: Frame, i: int) -> float:
+    return _energy_nonharvesting(f, i) - f.p_detect * model.harvest_mean[i] * f.t_data
+
+
+def _data(model: EnergyModel, f: Frame, i: int) -> float:
+    return f.miss * f.prr[i] * model.rate * f.t_data
 
 
 def total_energy_nonharvesting(model: EnergyModel, i: int, t_sense: float) -> float:
     """Expected frame energy of relay i with the harvester disabled."""
-    model._check_t(t_sense)
-    w = model.policy.bandwidth
-    miss = model.miss(t_sense)
-    prr = model.selection_prob(i, t_sense)
-    e_t = model.e_transmit(i, t_sense)
-    t_data = model.t_listen - t_sense
-    return (model.e_sense * t_sense * t_sense * w
-            + model.e_report[i] * model.t_report * t_sense * w
-            + miss * prr * e_t * t_data)
+    return _energy_nonharvesting(model.frame(t_sense), i)
 
 
 def total_energy(model: EnergyModel, i: int, t_sense: float) -> float:
     """Expected frame energy of relay i, harvesting credited on detection."""
-    t_data = model.t_listen - t_sense
-    return (total_energy_nonharvesting(model, i, t_sense)
-            - model.p_detect(t_sense) * model.harvest_mean[i] * t_data)
+    return _energy(model, model.frame(t_sense), i)
 
 
 def expected_data(model: EnergyModel, i: int, t_sense: float) -> float:
     """Expected bits moved through relay i in one frame."""
-    model._check_t(t_sense)
-    miss = model.miss(t_sense)
-    prr = model.selection_prob(i, t_sense)
-    return miss * prr * model.rate * (model.t_listen - t_sense)
+    return _data(model, model.frame(t_sense), i)
 
 
 def transformed_constraint(model: EnergyModel, i: int, t_sense: float,
                            d_star: float) -> float:
     """SNR-form data constraint; non-positive iff the expected data per
     frame reaches d_star bits. Strictly increasing and convex in t_sense."""
-    if t_sense >= model.t_listen:
-        raise ValueError("sensing time must leave a data slot")
+    return _constraint(model, model.frame(t_sense), i, d_star)
+
+
+def _constraint(model: EnergyModel, f: Frame, i: int, d_star: float) -> float:
     if d_star < 0.0:
         raise ValueError("data floor must be non-negative")
     gamma_rate = math.expm1(LN2 * model.rate / model.policy.bandwidth)
     if d_star == 0.0:
         return -gamma_rate
-    w = model.policy.bandwidth
-    prr = model.selection_prob(i, t_sense)
-    t_data = model.t_listen - t_sense
     if model.delta <= 0.0:
         return math.inf
-    ln_g = (math.log(d_star) - math.log(t_data * w * prr)
-            - t_sense * w * model.log_delta)
+    w = model.policy.bandwidth
+    ln_g = (math.log(d_star) - math.log(f.t_data * w * f.prr[i])
+            - f.t_sense * w * model.log_delta)
     if ln_g > 700.0:
         return math.inf
     g = math.exp(ln_g)
@@ -178,58 +174,51 @@ def energy_slope(model: EnergyModel, i: int, t_sense: float) -> float:
     """Derivative of the expected frame energy in t_sense, holding the
     detection-dependent transmit power and selection odds at their local
     values (the stationarity form the multiplier identity is built on)."""
-    model._check_t(t_sense)
+    return _slope(model, model.frame(t_sense), i)
+
+
+def _slope(model: EnergyModel, f: Frame, i: int) -> float:
     w = model.policy.bandwidth
-    miss = model.miss(t_sense)
-    prr = model.selection_prob(i, t_sense)
-    e_t = model.e_transmit(i, t_sense)
-    t_data = model.t_listen - t_sense
     h = model.harvest_mean[i]
-    if miss == 0.0:
+    if f.miss == 0.0:
         bracket = 0.0
     else:
-        bracket = miss * (1.0 - t_data * w * model.log_delta)
-    return (2.0 * model.e_sense * t_sense * w
+        bracket = f.miss * (1.0 - f.t_data * w * model.log_delta)
+    return (2.0 * model.e_sense * f.t_sense * w
             + model.e_report[i] * model.t_report * w
-            + h - (prr * e_t + h) * bracket)
+            + h - (f.prr[i] * f.e_transmit[i] + h) * bracket)
 
 
 def necessary_condition(model: EnergyModel, i: int, t_sense: float) -> bool:
     """Closed-form check that the energy slope is non-negative at t_sense:
     the transmit-side pull must not exceed the sensing-side push."""
-    model._check_t(t_sense)
+    f = model.frame(t_sense)
     w = model.policy.bandwidth
     if model.delta <= 0.0:
         return True
-    prr = model.selection_prob(i, t_sense)
-    e_t = model.e_transmit(i, t_sense)
-    t_data = model.t_listen - t_sense
     h = model.harvest_mean[i]
-    lhs = h + e_t * prr
+    lhs = h + f.e_transmit[i] * f.prr[i]
     expo = -t_sense * w * model.log_delta
     if expo > 700.0:
         return True
     num = (h + 2.0 * model.e_sense * t_sense * w
            + model.e_report[i] * model.t_report * w)
-    rhs = math.exp(expo) * num / (1.0 - t_data * w * model.log_delta)
+    rhs = math.exp(expo) * num / (1.0 - f.t_data * w * model.log_delta)
     return lhs <= rhs
 
 
-def _multiplier(model: EnergyModel, i: int, t_sense: float, d_star: float) -> float:
+def _multiplier(model: EnergyModel, f: Frame, i: int, d_star: float) -> float:
     # stationarity identity for the active data constraint
     w = model.policy.bandwidth
-    miss = model.miss(t_sense)
-    prr = model.selection_prob(i, t_sense)
-    t_data = model.t_listen - t_sense
-    if miss == 0.0:
+    if f.miss == 0.0:
         return 0.0
-    g = d_star / (miss * t_data * w * prr)
+    g = d_star / (f.miss * f.t_data * w * f.prr[i])
     if g > 1e6:
         # 2**-g underflows far before this; the constraint cannot be active here
         return 0.0
-    pref = (2.0 ** (-g) * miss * prr * t_data * t_data * w
-            / (d_star * LN2 * (1.0 - t_data * w * model.log_delta)))
-    return pref * energy_slope(model, i, t_sense)
+    pref = (2.0 ** (-g) * f.miss * f.prr[i] * f.t_data * f.t_data * w
+            / (d_star * LN2 * (1.0 - f.t_data * w * model.log_delta)))
+    return pref * _slope(model, f, i)
 
 
 class InfeasibleDataError(ValueError):
@@ -316,16 +305,17 @@ def optimize_sensing_time(model: EnergyModel, i: int, d_star: float) -> SensingO
                 t_star = cand
                 break
 
+    f = model.frame(t_star)
     active = (d_star > 0.0
               and t_max < hi
-              and abs(transformed_constraint(model, i, t_star, d_star)) <= max(
+              and abs(_constraint(model, f, i, d_star)) <= max(
                   CONSTRAINT_TOL, 1e-6 * abs(transformed_constraint(model, i, lo, d_star))))
-    mu = _multiplier(model, i, t_star, d_star) if active else 0.0
+    mu = _multiplier(model, f, i, d_star) if active else 0.0
     return SensingOptimum(
         t_sense=t_star,
         multiplier=mu,
-        energy=total_energy(model, i, t_star),
-        data=expected_data(model, i, t_star),
+        energy=_energy(model, f, i),
+        data=_data(model, f, i),
         constraint_active=active,
     )
 
@@ -336,20 +326,19 @@ def ecg(model: EnergyModel, i: int, t_sense: float) -> float:
     Uses the conventional account where listening charges linearly in the
     sensing time. Undetectable primaries harvest nothing, which makes the
     ratio infinite; that is reported as a division error."""
-    model._check_t(t_sense)
-    w = model.policy.bandwidth
-    pd = model.p_detect(t_sense)
-    t_data = model.t_listen - t_sense
+    return _ecg(model, model.frame(t_sense), i)
+
+
+def _ecg(model: EnergyModel, f: Frame, i: int) -> float:
+    pd = f.p_detect
     if pd == 0.0:
         raise ZeroDivisionError(
             "detection probability is zero: nothing is ever harvested and the "
             "energy conversion gain is infinite")
-    prr = model.selection_prob(i, t_sense)
-    e_t = model.e_transmit(i, t_sense)
-    consumed = (model.e_sense * t_sense
-                + model.e_report[i] * model.t_report * t_sense * w
-                + (1.0 - pd) * prr * e_t * t_data)
-    return consumed / (pd * model.harvest_mean[i] * t_data)
+    consumed = (model.e_sense * f.t_sense
+                + model.e_report[i] * model.t_report * f.t_sense * model.policy.bandwidth
+                + (1.0 - pd) * f.prr[i] * f.e_transmit[i] * f.t_data)
+    return consumed / (pd * model.harvest_mean[i] * f.t_data)
 
 
 @dataclass
@@ -377,22 +366,23 @@ class EnergyBreakdown:
 def energy_breakdown(model: EnergyModel, t_sense: float, d_star: float = 0.0,
                      mu: float = 0.0) -> EnergyBreakdown:
     """Evaluate every relay's energy figures at one sensing time."""
+    f = model.frame(t_sense)
+    relays = range(model.n_relays)
     ecgs = []
-    for i in range(model.n_relays):
+    for i in relays:
         try:
-            ecgs.append(ecg(model, i, t_sense))
+            ecgs.append(_ecg(model, f, i))
         except ZeroDivisionError:
             ecgs.append(math.inf)
     return EnergyBreakdown(
         t_sense=t_sense,
         e_sense=model.e_sense,
         e_report=model.e_report,
-        e_transmit=tuple(model.e_transmit(i, t_sense) for i in range(model.n_relays)),
-        e_total=tuple(total_energy(model, i, t_sense) for i in range(model.n_relays)),
-        e_total_nonharvesting=tuple(total_energy_nonharvesting(model, i, t_sense)
-                                    for i in range(model.n_relays)),
+        e_transmit=f.e_transmit,
+        e_total=tuple(_energy(model, f, i) for i in relays),
+        e_total_nonharvesting=tuple(_energy_nonharvesting(f, i) for i in relays),
         ecg=tuple(ecgs),
-        data=tuple(expected_data(model, i, t_sense) for i in range(model.n_relays)),
+        data=tuple(_data(model, f, i) for i in relays),
         d_star=d_star,
         mu=mu,
     )

@@ -71,8 +71,9 @@ def _chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(seed, stream, chunk)))
 
 
-def _reduce_mean(sampler, trials: int, seed: int, stream: int = 0, workers: int = 1):
-    """Mean and standard error of sampler(rng, n) over `trials` draws."""
+def _reduce(sampler, trials: int, seed: int, stream: int, workers: int = 1):
+    """Per-column sums and cross-products of sampler(rng, n) -> columns over
+    `trials` draws: ([sum_a], [[sum_a*b]]) as plain floats."""
     trials = int(trials)
     if trials < 2:
         raise ValueError("need at least two trials")
@@ -80,62 +81,30 @@ def _reduce_mean(sampler, trials: int, seed: int, stream: int = 0, workers: int 
 
     def one(ci):
         n = min(CHUNK, trials - ci * CHUNK)
-        v = np.asarray(sampler(_chunk_rng(seed, stream, ci), n), dtype=float)
-        return float(v.sum()), float(np.dot(v, v))
+        cols = [np.asarray(c, dtype=float) for c in sampler(_chunk_rng(seed, stream, ci), n)]
+        return (np.array([c.sum() for c in cols]),
+                np.array([[np.dot(x, y) for y in cols] for x in cols]))
 
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(one, range(n_chunks)))
     else:
         partials = [one(ci) for ci in range(n_chunks)]
-    total = 0.0
-    sumsq = 0.0
-    for s, s2 in partials:
-        total += s
-        sumsq += s2
-    mean = total / trials
-    var = max(sumsq - trials * mean * mean, 0.0) / (trials - 1)
-    return mean, math.sqrt(var / trials)
+    sums = np.zeros_like(partials[0][0])
+    cross = np.zeros_like(partials[0][1])
+    for s, c in partials:
+        sums += s
+        cross += c
+    return sums.tolist(), cross.tolist()
 
 
-def _reduce_ratio(sampler, trials: int, seed: int, stream: int = 0, workers: int = 1):
-    """Ratio-of-means estimate for sampler(rng, n) -> (num, den) with a
-    delta-method standard error."""
-    trials = int(trials)
-    if trials < 2:
-        raise ValueError("need at least two trials")
-    n_chunks = (trials + CHUNK - 1) // CHUNK
-
-    def one(ci):
-        n = min(CHUNK, trials - ci * CHUNK)
-        c, h = sampler(_chunk_rng(seed, stream, ci), n)
-        c = np.asarray(c, dtype=float)
-        h = np.asarray(h, dtype=float)
-        return (float(c.sum()), float(h.sum()), float(np.dot(c, c)),
-                float(np.dot(h, h)), float(np.dot(c, h)))
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(one, range(n_chunks)))
-    else:
-        partials = [one(ci) for ci in range(n_chunks)]
-    sc = sh = scc = shh = sch = 0.0
-    for a, b, aa, bb, ab in partials:
-        sc += a
-        sh += b
-        scc += aa
-        shh += bb
-        sch += ab
-    n = trials
-    cbar, hbar = sc / n, sh / n
-    if hbar == 0.0:
-        raise ZeroDivisionError("ratio denominator averaged to zero")
-    var_c = max(scc - n * cbar * cbar, 0.0) / (n - 1)
-    var_h = max(shh - n * hbar * hbar, 0.0) / (n - 1)
-    cov = (sch - n * cbar * hbar) / (n - 1)
-    r = cbar / hbar
-    var_r = max(var_c - 2.0 * r * cov + r * r * var_h, 0.0) / (n * hbar * hbar)
-    return r, math.sqrt(var_r)
+def _mean(sampler, trials: int, seed: int, stream: int, workers: int):
+    """Sample mean of a one-column sampler and its standard error."""
+    (total,), ((sumsq,),) = _reduce(sampler, trials, seed, stream, workers)
+    n = int(trials)
+    mean = total / n
+    var = max(sumsq - n * mean * mean, 0.0) / (n - 1)
+    return mean, math.sqrt(var / n)
 
 
 # --- detection ------------------------------------------------------------
@@ -166,7 +135,7 @@ def _sample_exceed_sampler(links: LinkSet, primary: PrimaryModel, policy: Second
             second = rng.exponential(b[i], n)
             e2e = first * second / (second + u[i])
             exceed |= e2e > lam_norm
-        return exceed.astype(float)
+        return (exceed.astype(float),)
 
     return sampler
 
@@ -183,15 +152,21 @@ def mc_detection(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
     """
     sampler = _sample_exceed_sampler(links, primary, policy,
                                      lam / policy.noise_power, report, powers)
-    p_hit, se = _reduce_mean(sampler, trials, seed, stream=0, workers=workers)
-    p_hit = min(max(p_hit, 0.0), 1.0)
+    p_hit, se = _mean(sampler, trials, seed, stream=0, workers=workers)
     if p_hit == 0.0:
         # no hits at all: quote the one-count scale, not a zero error bar
         se = 1.0 / trials
-    miss = 1.0 - p_hit
-    mean = 1.0 - miss**n_samples
-    se_frame = n_samples * miss ** (n_samples - 1.0) * se if miss > 0.0 else 0.0
+    mean, se_frame = _frame_lift(p_hit, se, n_samples)
     return MCEstimate(mean=mean, stderr=se_frame, trials=int(trials), seed=int(seed))
+
+
+def _frame_lift(p_hit: float, se: float, n_samples: float):
+    """Frame detection probability under the OR rule over n_samples
+    single-sample hit rates, with the delta-method standard error."""
+    miss = 1.0 - min(max(p_hit, 0.0), 1.0)
+    p_det = 1.0 - miss**n_samples
+    se_det = n_samples * miss ** (n_samples - 1.0) * se if miss > 0.0 else 0.0
+    return p_det, se_det
 
 
 # --- transmission ---------------------------------------------------------
@@ -232,9 +207,9 @@ def mc_outage(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
         second = true[rows, sel]
         first = rng.exponential(1.0, n) * a[sel]
         e2e = first * second / (second + u[sel])
-        return (e2e <= x).astype(float)
+        return ((e2e <= x).astype(float),)
 
-    mean, se = _reduce_mean(sampler, trials, seed, stream=3, workers=workers)
+    mean, se = _mean(sampler, trials, seed, stream=3, workers=workers)
     if mean in (0.0, 1.0):
         # all-or-nothing outcome: one-count floor keeps z-tests meaningful
         se = max(se, 1.0 / trials)
@@ -268,9 +243,9 @@ def mc_harvest(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
     base = _harvest_power_sampler(links, primary, policy, i)
 
     def sampler(rng, n):
-        return p_detect * base(rng, n)
+        return (p_detect * base(rng, n),)
 
-    mean, se = _reduce_mean(sampler, trials, seed, stream=5, workers=workers)
+    mean, se = _mean(sampler, trials, seed, stream=5, workers=workers)
     return MCEstimate(mean=mean, stderr=se, trials=int(trials), seed=int(seed))
 
 
@@ -289,26 +264,41 @@ def mc_clipped_gain(links: LinkSet, primary: PrimaryModel, policy: SecondaryPoli
         theta = rng.random((n, n_pu)) < duty
         draws = rng.exponential(1.0, (n, n_pu)) * g
         lvl = mix_scale * np.sum(theta * draws, axis=1)
-        return np.where(lvl <= threshold_t, 1.0 / u, 1.0 / (lvl + 1.0))
+        return (np.where(lvl <= threshold_t, 1.0 / u, 1.0 / (lvl + 1.0)),)
 
-    mean, se = _reduce_mean(sampler, trials, seed, stream=7, workers=workers)
+    mean, se = _mean(sampler, trials, seed, stream=7, workers=workers)
     return MCEstimate(mean=mean, stderr=se, trials=int(trials), seed=int(seed))
 
 
 # --- frame energy ---------------------------------------------------------
 
-def _detect_prob_hat(model: EnergyModel, n_samples: float, trials: int, seed: int,
-                     workers: int):
-    sampler = _sample_exceed_sampler(
+def _frame_draws(model: EnergyModel, i: int, t_sense: float, trials: int, seed: int,
+                 workers: int):
+    """Set-up shared by the frame-level simulators of relay i.
+
+    Returns the frame at t_sense, the simulated frame detection probability
+    with its standard error, and draw(rng, n) -> (detected, harvested power,
+    pays), where `pays` marks the missed frames in which relay i wins
+    selection and so pays the transmit slot."""
+    f = model.frame(t_sense)
+    n_samples = max(round(t_sense * model.policy.bandwidth), 1)
+    hit = _sample_exceed_sampler(
         model.links, model.primary, model.policy,
         model.policy.threshold / model.policy.noise_power,
         report=model.report, powers=list(model.p_report))
-    p_hit, se = _reduce_mean(sampler, trials, seed, stream=11, workers=workers)
-    p_hit = min(max(p_hit, 0.0), 1.0)
-    miss = 1.0 - p_hit
-    p_det = 1.0 - miss**n_samples
-    se_det = n_samples * miss ** (n_samples - 1.0) * se if miss > 0.0 else 0.0
-    return p_det, se_det
+    p_det_hat, se_det = _frame_lift(*_mean(hit, trials, seed, stream=11, workers=workers),
+                                    n_samples)
+    m = np.asarray(f.coeffs.snr_means, dtype=float)
+    harv = _harvest_power_sampler(model.links, model.primary, model.policy, i)
+
+    def draw(rng, n):
+        u01 = rng.random(n)
+        p_h = harv(rng, n)
+        est = rng.exponential(1.0, (n, m.size)) * m
+        detected = u01 < p_det_hat
+        return detected, p_h, (~detected) & (np.argmax(est, axis=1) == i)
+
+    return f, p_det_hat, se_det, draw
 
 
 def mc_frame_energy(model: EnergyModel, i: int, t_sense: float, trials: int,
@@ -320,66 +310,49 @@ def mc_frame_energy(model: EnergyModel, i: int, t_sense: float, trials: int,
     pay the transmit slot of whichever relay wins selection. The standard
     error folds the detection-estimate uncertainty in quadrature.
     """
-    model._check_t(t_sense)
-    w = model.policy.bandwidth
-    n_samples = max(round(t_sense * w), 1)
-    t_data = model.t_listen - t_sense
-    p_det_hat, se_det = _detect_prob_hat(model, n_samples, trials, seed, workers)
-
-    coeffs = model.trans_coeffs(t_sense)
-    m = np.asarray(coeffs.snr_means, dtype=float)
-    e_t = coeffs.p_relay[i] + model.policy.p_circuit_tx
-    base = (model.e_sense * t_sense * t_sense * w
-            + model.e_report[i] * model.t_report * t_sense * w)
-    harv = _harvest_power_sampler(model.links, model.primary, model.policy, i)
+    f, _, se_det, draw = _frame_draws(model, i, t_sense, trials, seed, workers)
 
     def sampler(rng, n):
-        u01 = rng.random(n)
-        p_h = harv(rng, n)
-        est = rng.exponential(1.0, (n, m.size)) * m
-        sel = np.argmax(est, axis=1)
-        detected = u01 < p_det_hat
-        val = np.full(n, base)
+        detected, p_h, pays = draw(rng, n)
+        val = np.full(n, f.e_listen[i])
         if harvesting:
-            val[detected] -= p_h[detected] * t_data
-        val[(~detected) & (sel == i)] += e_t * t_data
-        return val
+            val[detected] -= p_h[detected] * f.t_data
+        val[pays] += f.e_transmit[i] * f.t_data
+        return (val,)
 
-    mean, se = _reduce_mean(sampler, trials, seed, stream=13, workers=workers)
-    prr = model.selection_prob(i, t_sense)
-    sens = t_data * (prr * e_t + (model.harvest_mean[i] if harvesting else 0.0))
+    mean, se = _mean(sampler, trials, seed, stream=13, workers=workers)
+    sens = f.t_data * (f.prr[i] * f.e_transmit[i]
+                       + (model.harvest_mean[i] if harvesting else 0.0))
     se_total = math.sqrt(se * se + (sens * se_det) ** 2)
     return MCEstimate(mean=mean, stderr=se_total, trials=int(trials), seed=int(seed))
 
 
 def mc_ecg(model: EnergyModel, i: int, t_sense: float, trials: int, seed: int,
            workers: int = 1) -> MCEstimate:
-    """Simulated consumed-to-harvested ratio at the frame level for relay i."""
-    model._check_t(t_sense)
-    w = model.policy.bandwidth
-    n_samples = max(round(t_sense * w), 1)
-    t_data = model.t_listen - t_sense
-    p_det_hat, _ = _detect_prob_hat(model, n_samples, trials, seed, workers)
+    """Simulated consumed-to-harvested ratio at the frame level for relay i,
+    a ratio of means with a delta-method standard error."""
+    f, p_det_hat, _, draw = _frame_draws(model, i, t_sense, trials, seed, workers)
     if p_det_hat == 0.0:
         raise ZeroDivisionError("no detections in simulation: ratio is infinite")
-
-    coeffs = model.trans_coeffs(t_sense)
-    m = np.asarray(coeffs.snr_means, dtype=float)
-    e_t = coeffs.p_relay[i] + model.policy.p_circuit_tx
     listen = (model.e_sense * t_sense
-              + model.e_report[i] * model.t_report * t_sense * w)
-    harv = _harvest_power_sampler(model.links, model.primary, model.policy, i)
+              + model.e_report[i] * model.t_report * t_sense * model.policy.bandwidth)
 
     def sampler(rng, n):
-        u01 = rng.random(n)
-        p_h = harv(rng, n)
-        est = rng.exponential(1.0, (n, m.size)) * m
-        sel = np.argmax(est, axis=1)
-        detected = u01 < p_det_hat
+        detected, p_h, pays = draw(rng, n)
         consumed = np.full(n, listen)
-        consumed[(~detected) & (sel == i)] += e_t * t_data
-        harvested = np.where(detected, p_h * t_data, 0.0)
+        consumed[pays] += f.e_transmit[i] * f.t_data
+        harvested = np.where(detected, p_h * f.t_data, 0.0)
         return consumed, harvested
 
-    mean, se = _reduce_ratio(sampler, trials, seed, stream=17, workers=workers)
-    return MCEstimate(mean=mean, stderr=se, trials=int(trials), seed=int(seed))
+    (sc, sh), ((scc, sch), (_, shh)) = _reduce(sampler, trials, seed, stream=17,
+                                               workers=workers)
+    n = int(trials)
+    cbar, hbar = sc / n, sh / n
+    if hbar == 0.0:
+        raise ZeroDivisionError("ratio denominator averaged to zero")
+    var_c = max(scc - n * cbar * cbar, 0.0) / (n - 1)
+    var_h = max(shh - n * hbar * hbar, 0.0) / (n - 1)
+    cov = (sch - n * cbar * hbar) / (n - 1)
+    r = cbar / hbar
+    var_r = max(var_c - 2.0 * r * cov + r * r * var_h, 0.0) / (n * hbar * hbar)
+    return MCEstimate(mean=r, stderr=math.sqrt(var_r), trials=n, seed=int(seed))

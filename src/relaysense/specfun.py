@@ -7,38 +7,13 @@ rely on it; the numerics themselves are scipy's.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy import special as sp
-
-# i0 overflows double precision near exp(x) for x ~ 710
-_I0_OVERFLOW = 709.0
 
 
 def bessel_j0(x):
     """Bessel function of the first kind, order zero."""
     return sp.j0(x)
-
-
-def bessel_i0(x):
-    """Modified Bessel function of the first kind, order zero.
-
-    Raises OverflowError once exp(x) leaves double range instead of
-    returning inf.
-    """
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa > _I0_OVERFLOW):
-        raise OverflowError("bessel_i0 overflows double precision for x > %g" % _I0_OVERFLOW)
-    return sp.i0(x)
-
-
-def bessel_k1(x):
-    """Modified Bessel function of the second kind, order one. Requires x > 0."""
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa <= 0.0):
-        raise ValueError("bessel_k1 requires x > 0")
-    return sp.k1(x)
 
 
 def bessel_k1_scaled(x):
@@ -47,22 +22,6 @@ def bessel_k1_scaled(x):
     if np.any(xa <= 0.0):
         raise ValueError("bessel_k1_scaled requires x > 0")
     return sp.k1e(x)
-
-
-def gamma_upper_0(x):
-    """Upper incomplete gamma Gamma(0, x) = E1(x). Requires x > 0."""
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa <= 0.0):
-        raise ValueError("gamma_upper_0 requires x > 0")
-    return sp.exp1(x)
-
-
-def ei(x):
-    """Exponential integral Ei(x). Requires x != 0."""
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa == 0.0):
-        raise ValueError("ei is singular at x = 0")
-    return sp.expi(x)
 
 
 def exp_scaled_gamma_upper_0(x):
@@ -107,10 +66,3 @@ def _e1_scaled_cf(x):
         if abs(delta - 1.0) < 1e-16:
             break
     return h
-
-
-def log_expm1(y):
-    """log(exp(y) - 1) without overflow for large y."""
-    if y > 36.0:
-        return y + math.log1p(-math.exp(-y))
-    return math.log(math.expm1(y))

@@ -12,18 +12,9 @@ from scipy import integrate
 
 from relaysense.fading import activity_mixture, hypoexp_cdf
 
-EULER_GAMMA = 0.5772156649015328606
-
 
 def quad_j0(x):
     val, _ = integrate.quad(lambda t: math.cos(x * math.sin(t)), 0.0, math.pi,
-                            limit=400, epsabs=1e-14, epsrel=1e-14)
-    return val / math.pi
-
-
-def quad_i0_scaled(x):
-    """exp(-x) * I0(x), integrated in the scaled form to dodge overflow."""
-    val, _ = integrate.quad(lambda t: math.exp(x * (math.cos(t) - 1.0)), 0.0, math.pi,
                             limit=400, epsabs=1e-14, epsrel=1e-14)
     return val / math.pi
 
@@ -45,18 +36,6 @@ def quad_gamma_upper_0(x):
     val, _ = integrate.quad(lambda t: math.exp(-x * t) / t, 1.0, np.inf,
                             limit=400, epsabs=1e-300, epsrel=1e-13)
     return val
-
-
-def ei_series(x):
-    """Ei(x) for x != 0 through the everywhere-convergent power series."""
-    acc = EULER_GAMMA + math.log(abs(x))
-    term = 1.0
-    for k in range(1, 200):
-        term *= x / k
-        acc += term / k
-        if abs(term / k) < 1e-18 * max(abs(acc), 1e-30):
-            break
-    return acc
 
 
 def quad_mean_inv_plus1(means, scale, duty):

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from relaysense import energy_opt, mcsim
 from relaysense.energy_opt import (
     CONSTRAINT_TOL,
     TIME_TOL,
     EnergyBreakdown,
     EnergyModel,
-    FrameTiming,
     InfeasibleDataError,
     ecg,
     energy_breakdown,
@@ -20,7 +20,8 @@ from relaysense.energy_opt import (
     total_energy_nonharvesting,
     transformed_constraint,
 )
-from relaysense.scenario import apply_overrides, preset, scenario_from_conf
+from relaysense.scenario import (apply_overrides, ladder_conf, preset,
+                                 relay_ladder_conf, scenario_from_conf)
 
 
 def model_for(name, overrides=()):
@@ -38,29 +39,30 @@ def fig7_model():
     return model_for("fig7")
 
 
+@pytest.fixture(scope="module")
+def split_model():
+    # table1 links in a 0.1 s frame with a 1 ms report slot
+    scn = scenario_from_conf(preset("table1"))
+    return EnergyModel(scn.links, scn.primary, scn.policy, 0.9, 0.1, 0.001, 1e5)
+
+
 class TestFrameTiming:
-    def test_slots(self):
-        ft = FrameTiming(t_total=0.1, t_report=0.001, t_sense=0.02)
-        assert ft.t_listen == pytest.approx(0.099)
-        assert ft.t_data == pytest.approx(0.079)
-        assert ft.samples(1e6) == 20000
+    def test_slots(self, split_model):
+        m = split_model
+        f = m.frame(0.02)
+        assert m.t_listen == pytest.approx(0.099)
+        assert f.t_data == pytest.approx(0.079)
+        assert f.miss == m.miss(0.02)
+        assert f.p_detect == m.p_detect(0.02)
 
-    def test_sample_rounding(self):
-        ft = FrameTiming(t_total=0.1, t_report=0.001, t_sense=2.6e-6)
-        assert ft.samples(1e6) == 3
-
-    def test_rejects_subsample_slot(self):
-        ft = FrameTiming(t_total=0.1, t_report=0.001, t_sense=4e-7)
+    def test_rejects_bad_split(self, split_model):
+        m = split_model
         with pytest.raises(ValueError):
-            ft.samples(1e6)
-
-    def test_rejects_bad_split(self):
+            m.frame(0.2)
         with pytest.raises(ValueError):
-            FrameTiming(t_total=0.1, t_report=0.001, t_sense=0.2)
+            EnergyModel(m.links, m.primary, m.policy, 0.9, 0.1, 0.0, 1e5)
         with pytest.raises(ValueError):
-            FrameTiming(t_total=0.1, t_report=0.0, t_sense=0.02)
-        with pytest.raises(ValueError):
-            FrameTiming(t_total=0.1, t_report=0.001, t_sense=0.0)
+            m.frame(0.0)
 
 
 class TestEnergyModel:
@@ -85,6 +87,13 @@ class TestEnergyModel:
         assert ms[0] > 0.0
         assert ms[-1] == 0.0
 
+    def test_one_coefficient_set_serves_every_relay(self, fig7_model):
+        f = fig7_model.frame(0.02)
+        assert len(f.prr) == len(f.e_transmit) == fig7_model.n_relays
+        assert sum(f.prr) == pytest.approx(1.0, rel=1e-12)
+        p_tx = fig7_model.policy.p_circuit_tx
+        assert f.e_transmit == tuple(p + p_tx for p in f.coeffs.p_relay)
+
     def test_rejects_out_of_window_time(self, table1_model):
         with pytest.raises(ValueError):
             total_energy(table1_model, 0, 0.0)
@@ -106,12 +115,9 @@ class TestTotalEnergy:
         m = table1_model
         t = 1e-5
         w = m.policy.bandwidth
-        miss = m.miss(t)
-        prr = m.selection_prob(0, t)
-        e_t = m.e_transmit(0, t)
-        t_data = m.t_listen - t
+        f = m.frame(t)
         want = (m.e_sense * t * t * w + m.e_report[0] * m.t_report * t * w
-                + miss * prr * e_t * t_data)
+                + f.miss * f.prr[0] * f.e_transmit[0] * f.t_data)
         assert total_energy_nonharvesting(m, 0, t) == pytest.approx(want, rel=1e-14)
 
     def test_harvesting_never_costs(self, fig7_model):
@@ -140,7 +146,7 @@ class TestExpectedData:
     def test_formula(self, table1_model):
         m = table1_model
         t = 2e-6
-        want = m.miss(t) * m.selection_prob(0, t) * m.rate * (m.t_listen - t)
+        want = m.miss(t) * m.frame(t).prr[0] * m.rate * (m.t_listen - t)
         assert expected_data(m, 0, t) == pytest.approx(want, rel=1e-14)
 
     def test_vanishes_with_data_slot(self, table1_model):
@@ -282,10 +288,9 @@ class TestEcg:
         t = 0.02
         pd = m.p_detect(t)
         t_data = m.t_listen - t
-        prr = m.selection_prob(0, t)
-        e_t = m.e_transmit(0, t)
+        f = m.frame(t)
         consumed = (m.e_sense * t + m.e_report[0] * m.t_report * t * m.policy.bandwidth
-                    + (1.0 - pd) * prr * e_t * t_data)
+                    + (1.0 - pd) * f.prr[0] * f.e_transmit[0] * t_data)
         want = consumed / (pd * m.harvest_mean[0] * t_data)
         assert ecg(m, 0, t) == pytest.approx(want, rel=1e-14)
 
@@ -319,3 +324,43 @@ class TestEnergyBreakdown:
                             e_transmit=(1.0,), e_total=(2.0,),
                             e_total_nonharvesting=(1.0,), ecg=(1.0,),
                             data=(1.0,), d_star=0.0, mu=0.0)
+
+
+class TestCoefficientBuilds:
+    """Every evaluation at one sensing time shares a single frame, and so a
+    single transmission-coefficient build for all relays."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        real = energy_opt.build_trans_coeffs
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(energy_opt, "build_trans_coeffs", counted)
+        return calls
+
+    def test_one_build_per_evaluation(self, fig7_model, builds):
+        for fn in (total_energy, ecg, energy_slope):
+            builds.clear()
+            fn(fig7_model, 0, 0.02)
+            assert len(builds) == 1, fn.__name__
+        for fn in (mcsim.mc_frame_energy, mcsim.mc_ecg):
+            builds.clear()
+            fn(fig7_model, 0, 0.02, trials=1000, seed=1)
+            assert len(builds) == 1, fn.__name__
+
+    def test_one_build_per_breakdown(self, builds):
+        m = model_for("default")
+        assert m.n_relays == 2
+        energy_breakdown(m, 0.02)
+        assert len(builds) == 1
+
+    def test_table1_optimise_budget(self, builds):
+        c = relay_ladder_conf(ladder_conf(preset("table1"), 1.0, 4, 0.01),
+                              0.5, 0.5, 4, 0.005)
+        scn = scenario_from_conf(c)
+        optimize_sensing_time(scn.energy_model(), scn.relay, scn.d_star)
+        assert len(builds) <= 38

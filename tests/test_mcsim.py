@@ -8,13 +8,17 @@ from relaysense.mcsim import (
     MCEstimate,
     _chunk_rng,
     _pair_exponentials,
+    _reduce,
     mc_clipped_gain,
     mc_detection,
+    mc_ecg,
     mc_frame_energy,
     mc_harvest,
     mc_outage,
 )
-from relaysense.scenario import preset, scenario_from_conf
+from relaysense.cli import Z_LIMIT
+from relaysense.energy_opt import ecg
+from relaysense.scenario import ladder_conf, preset, scenario_from_conf
 
 from test_sensing import fig3_setup, rel_noise_db, N0
 from test_transmission import fig4_setup
@@ -68,10 +72,11 @@ class TestDeterminism:
 
     def test_worker_count_is_invisible_for_frame_energy(self):
         m = scenario_from_conf(preset("fig7")).energy_model()
-        serial = mc_frame_energy(m, 0, 0.02, trials=100_000, seed=3, workers=1)
-        pooled = mc_frame_energy(m, 0, 0.02, trials=100_000, seed=3, workers=3)
-        assert serial.mean == pooled.mean
-        assert serial.stderr == pooled.stderr
+        for sim in (mc_frame_energy, mc_ecg):
+            serial = sim(m, 0, 0.02, trials=100_000, seed=3, workers=1)
+            pooled = sim(m, 0, 0.02, trials=100_000, seed=3, workers=3)
+            assert serial.mean == pooled.mean, sim.__name__
+            assert serial.stderr == pooled.stderr, sim.__name__
 
     def test_partial_tail_chunk(self):
         # trials deliberately not a multiple of the chunk size
@@ -80,6 +85,28 @@ class TestDeterminism:
                            trials=CHUNK + 17, seed=5)
         assert est.trials == CHUNK + 17
         assert 0.0 <= est.mean <= 1.0
+
+
+class TestReducer:
+    def test_moments_match_direct_sums(self):
+        # per-column sums and cross-products over a partial tail chunk
+        def sampler(rng, n):
+            x = rng.random(n)
+            return x, 2.0 * x + rng.random(n)
+
+        trials = CHUNK + 17
+        sums, cross = _reduce(sampler, trials, seed=4, stream=1)
+        cols = [np.concatenate(parts) for parts in zip(*(
+            sampler(_chunk_rng(4, 1, ci), n) for ci, n in ((0, CHUNK), (1, 17))))]
+        assert sums == pytest.approx([c.sum() for c in cols], rel=1e-12)
+        for a in range(2):
+            for b in range(2):
+                assert cross[a][b] == pytest.approx(float(np.dot(cols[a], cols[b])), rel=1e-12)
+        assert cross[0][1] == cross[1][0]
+
+    def test_rejects_single_trial(self):
+        with pytest.raises(ValueError):
+            _reduce(lambda rng, n: (rng.random(n),), 1, seed=1, stream=0)
 
 
 class TestStderrScaling:
@@ -161,3 +188,15 @@ class TestEstimatorRanges:
         harv = mc_frame_energy(m, 0, 0.02, trials=100_000, seed=23, harvesting=True)
         bare = mc_frame_energy(m, 0, 0.02, trials=100_000, seed=23, harvesting=False)
         assert harv.mean < bare.mean
+
+
+class TestEcgAgreement:
+    # 2 us leaves detection unsaturated (p_detect ~ 0.93), so both missed and
+    # detected frames occur; 5 ms is fig8's first grid point
+    @pytest.mark.parametrize("t_sense", [2e-6, 0.005])
+    def test_ecg_agrees_with_closed_form(self, t_sense):
+        scn = scenario_from_conf(ladder_conf(preset("fig8"), 0.5, 1))
+        m = scn.energy_model()
+        est = mc_ecg(m, scn.relay, t_sense, trials=200_000, seed=scn.seed)
+        assert est.stderr > 0.0
+        assert abs(est.z_score(ecg(m, scn.relay, t_sense))) <= Z_LIMIT

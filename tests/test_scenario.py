@@ -139,6 +139,19 @@ class TestScenarioFromConf:
         scn = scenario_from_conf(preset("fig3"))
         assert scn.n_samples == 200
 
+    def test_sample_count_rounds_to_nearest(self):
+        conf = apply_overrides(preset("fig3"), ["frame.t_sense=2.6 us"])
+        scn = scenario_from_conf(conf)
+        assert scn.policy.bandwidth == 1e6
+        assert scn.n_samples == 3
+
+    def test_subsample_slot_rejected(self):
+        conf = apply_overrides(preset("fig3"), ["frame.t_sense=0.4 us"])
+        scn = scenario_from_conf(conf)
+        assert scn.policy.bandwidth == 1e6
+        with pytest.raises(ValueError, match="shorter than one sample"):
+            scn.n_samples
+
     def test_rho_resolution(self):
         scn = scenario_from_conf(preset("fig4"))
         assert scn.rho == 0.9
