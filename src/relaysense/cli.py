@@ -1,8 +1,12 @@
 """Command-line front end: stock figures, MC validation, and one-off queries.
 
-Every figure writes a CSV with a header row, one row per swept point, and
-both the closed-form and simulated values (the latter with standard
-errors), formatted to nine significant digits so reruns diff cleanly.
+Each checked quantity has one pair function returning its closed form and
+its Monte Carlo estimate (None under --no-mc); the figures, `validate` and
+the single-quantity commands all read those. Figure grids are declared only
+in FIGURES. Every figure writes a CSV with a header row and one row per
+swept point: the swept values, then analytic, mc and stderr per pair (the
+MC cells empty under --no-mc), formatted to nine significant digits so
+reruns diff cleanly. Bad configuration values exit with code 2.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from . import energy_opt, harvest, mcsim, sensing, transmission
 from .scenario import (ConfigError, Scenario, apply_overrides, ladder_conf,
                        load_config, preset, relay_ladder_conf, scenario_from_conf)
 
-FIGURES = ("fig3", "fig4", "fig6", "fig7", "fig8", "table1")
 Z_LIMIT = 4.0
 
 
@@ -56,144 +59,131 @@ def _base_conf(args, figure_name=None):
     return conf
 
 
-def _scenario(args, figure_name=None) -> Scenario:
-    return scenario_from_conf(_base_conf(args, figure_name))
+def _scenario(args) -> Scenario:
+    return scenario_from_conf(_base_conf(args))
 
 
-def _analytic_detection(scn: Scenario, n_samples=None):
-    return sensing.detection_probability(
-        scn.policy.threshold, n_samples if n_samples is not None else scn.n_samples,
-        scn.links, scn.primary, scn.policy)
+# --- analytic/MC pairs ----------------------------------------------------------
+# Each returns (closed form, MCEstimate or None when no_mc is set).
+
+def _detection(scn: Scenario, no_mc, lam=None, seed_offset=0):
+    lam = scn.policy.threshold if lam is None else lam
+    pd = sensing.detection_probability(lam, scn.n_samples, scn.links, scn.primary,
+                                       scn.policy)
+    return pd, None if no_mc else mcsim.mc_detection(
+        scn.links, scn.primary, scn.policy, lam, scn.n_samples, scn.trials,
+        scn.seed + seed_offset, workers=scn.workers)
 
 
-# --- figure runners ---------------------------------------------------------
+def _outage(scn: Scenario, no_mc, p_detect):
+    p_out = transmission.outage_probability(scn.gamma_th, scn.links, scn.primary,
+                                            scn.policy, p_detect, scn.rho)
+    return p_out, None if no_mc else mcsim.mc_outage(
+        scn.links, scn.primary, scn.policy, scn.gamma_th, p_detect, scn.rho,
+        scn.trials, scn.seed, workers=scn.workers)
 
-def _run_fig3(conf, no_mc):
-    header = ["d_pu_first_km", "n_primary", "p_detect_analytic", "p_detect_mc", "stderr"]
-    rows = []
+
+def _harvest(scn: Scenario, no_mc, p_detect):
+    """The closed form here is the whole HarvestReport."""
+    rep = harvest.avg_harvested_power(scn.links, scn.primary, scn.policy, scn.relay,
+                                      p_detect)
+    return rep, None if no_mc else mcsim.mc_harvest(
+        scn.links, scn.primary, scn.policy, scn.relay, p_detect, scn.trials, scn.seed,
+        workers=scn.workers)
+
+
+def _frame_energy(scn: Scenario, model, t_sense, no_mc, harvesting=True):
+    closed = energy_opt.total_energy if harvesting else energy_opt.total_energy_nonharvesting
+    return closed(model, scn.relay, t_sense), None if no_mc else mcsim.mc_frame_energy(
+        model, scn.relay, t_sense, scn.trials, scn.seed, workers=scn.workers,
+        harvesting=harvesting)
+
+
+def _ecg(scn: Scenario, model, t_sense, no_mc):
+    return energy_opt.ecg(model, scn.relay, t_sense), None if no_mc else mcsim.mc_ecg(
+        model, scn.relay, t_sense, scn.trials, scn.seed, workers=scn.workers)
+
+
+# --- figures ------------------------------------------------------------------------
+# points(conf, no_mc) yields (swept values, pairs) per row.
+
+def _distances(n):
+    return [round(0.1 * (k + 1), 10) for k in range(n)]
+
+
+_T_GRID = [round(0.005 * (k + 1), 10) for k in range(19)]
+
+
+def _fig3(conf, no_mc):
     for n_pu in (1, 2, 3):
-        for k in range(15):
-            d = round(0.1 * (k + 1), 10)
+        for d in _distances(15):
             scn = scenario_from_conf(ladder_conf(conf, d, n_pu))
-            pd = _analytic_detection(scn)
-            if no_mc:
-                rows.append([d, n_pu, pd, None, None])
-            else:
-                est = mcsim.mc_detection(scn.links, scn.primary, scn.policy,
-                                         scn.policy.threshold, scn.n_samples,
-                                         scn.trials, scn.seed, workers=scn.workers)
-                rows.append([d, n_pu, pd, est.mean, est.stderr])
-    return header, rows
+            yield (d, n_pu), [_detection(scn, no_mc)]
 
 
-def _run_fig4(conf, no_mc):
-    header = ["p_max_db", "rho", "p_out_analytic", "p_out_mc", "stderr"]
-    rows = []
+def _fig4(conf, no_mc):
     for rho in (0.5, 0.9, 1.0):
         for db in range(0, 31, 2):
-            c = apply_overrides(conf, ["policy.p_max=%d dB" % db, "csi.rho=%g" % rho])
-            scn = scenario_from_conf(c)
-            pd = _analytic_detection(scn)
-            p_out = transmission.outage_probability(
-                scn.gamma_th, scn.links, scn.primary, scn.policy, pd, rho)
-            if no_mc:
-                rows.append([db, rho, p_out, None, None])
-            else:
-                est = mcsim.mc_outage(scn.links, scn.primary, scn.policy,
-                                      scn.gamma_th, pd, rho, scn.trials, scn.seed,
-                                      workers=scn.workers)
-                rows.append([db, rho, p_out, est.mean, est.stderr])
-    return header, rows
+            scn = scenario_from_conf(
+                apply_overrides(conf, ["policy.p_max=%d dB" % db, "csi.rho=%g" % rho]))
+            yield (db, rho), [_outage(scn, no_mc, _detection(scn, True)[0])]
 
 
-def _run_fig6(conf, no_mc):
-    header = ["d_pu_first_km", "n_primary", "energy_analytic_j", "energy_mc_j", "stderr"]
-    rows = []
+def _fig6(conf, no_mc):
     for n_pu in (1, 3):
-        for k in range(10):
-            d = round(0.1 * (k + 1), 10)
+        for d in _distances(10):
             scn = scenario_from_conf(ladder_conf(conf, d, n_pu))
-            model = scn.energy_model()
-            e = energy_opt.total_energy(model, scn.relay, scn.t_sense)
-            if no_mc:
-                rows.append([d, n_pu, e, None, None])
-            else:
-                est = mcsim.mc_frame_energy(model, scn.relay, scn.t_sense,
-                                            scn.trials, scn.seed, workers=scn.workers)
-                rows.append([d, n_pu, e, est.mean, est.stderr])
-    return header, rows
+            yield (d, n_pu), [_frame_energy(scn, scn.energy_model(), scn.t_sense, no_mc)]
 
 
-def _run_fig7(conf, no_mc):
-    header = ["t_sense_s", "energy_harv_analytic_j", "energy_harv_mc_j", "stderr_harv",
-              "energy_noharv_analytic_j", "energy_noharv_mc_j", "stderr_noharv"]
-    rows = []
-    scn0 = scenario_from_conf(conf)
-    model = scn0.energy_model()
-    for k in range(19):
-        t_s = round(0.005 * (k + 1), 10)
-        eh = energy_opt.total_energy(model, scn0.relay, t_s)
-        en = energy_opt.total_energy_nonharvesting(model, scn0.relay, t_s)
-        if no_mc:
-            rows.append([t_s, eh, None, None, en, None, None])
-        else:
-            est_h = mcsim.mc_frame_energy(model, scn0.relay, t_s, scn0.trials,
-                                          scn0.seed, workers=scn0.workers)
-            est_n = mcsim.mc_frame_energy(model, scn0.relay, t_s, scn0.trials,
-                                          scn0.seed, workers=scn0.workers,
-                                          harvesting=False)
-            rows.append([t_s, eh, est_h.mean, est_h.stderr,
-                         en, est_n.mean, est_n.stderr])
-    return header, rows
+def _fig7(conf, no_mc):
+    scn = scenario_from_conf(conf)
+    model = scn.energy_model()
+    for t_s in _T_GRID:
+        yield (t_s,), [_frame_energy(scn, model, t_s, no_mc),
+                       _frame_energy(scn, model, t_s, no_mc, harvesting=False)]
 
 
-def _run_fig8(conf, no_mc):
-    header = ["t_sense_s", "n_primary", "ecg_analytic", "ecg_mc", "stderr"]
-    rows = []
+def _fig8(conf, no_mc):
     for n_pu in (1, 2):
         scn = scenario_from_conf(ladder_conf(conf, 0.5, n_pu))
         model = scn.energy_model()
-        for k in range(19):
-            t_s = round(0.005 * (k + 1), 10)
-            val = energy_opt.ecg(model, scn.relay, t_s)
-            if no_mc:
-                rows.append([t_s, n_pu, val, None, None])
-            else:
-                est = mcsim.mc_ecg(model, scn.relay, t_s, scn.trials, scn.seed,
-                                   workers=scn.workers)
-                rows.append([t_s, n_pu, val, est.mean, est.stderr])
-    return header, rows
+        for t_s in _T_GRID:
+            yield (t_s, n_pu), [_ecg(scn, model, t_s, no_mc)]
 
 
-def _run_table1(conf, no_mc):
-    header = ["n_relays", "n_primary", "t_sense_star_s", "multiplier",
-              "energy_j", "data_bits", "constraint_active"]
-    rows = []
+def _table1(conf, no_mc):
     for n_relays in (1, 2, 3, 4):
         for n_pu in (1, 2, 3, 4):
-            c = relay_ladder_conf(ladder_conf(conf, 1.0, n_pu, 0.01),
-                                  0.5, 0.5, n_relays, 0.005)
-            scn = scenario_from_conf(c)
-            model = scn.energy_model()
-            opt = energy_opt.optimize_sensing_time(model, scn.relay, scn.d_star)
-            rows.append([n_relays, n_pu, opt.t_sense, opt.multiplier, opt.energy,
-                         opt.data, opt.constraint_active])
-    return header, rows
+            scn = scenario_from_conf(relay_ladder_conf(ladder_conf(conf, 1.0, n_pu, 0.01),
+                                                       0.5, 0.5, n_relays, 0.005))
+            opt = energy_opt.optimize_sensing_time(scn.energy_model(), scn.relay, scn.d_star)
+            yield (n_relays, n_pu, opt.t_sense, opt.multiplier, opt.energy, opt.data,
+                   opt.constraint_active), []
 
 
-_RUNNERS = {
-    "fig3": _run_fig3,
-    "fig4": _run_fig4,
-    "fig6": _run_fig6,
-    "fig7": _run_fig7,
-    "fig8": _run_fig8,
-    "table1": _run_table1,
+FIGURES = {
+    "fig3": (["d_pu_first_km", "n_primary", "p_detect_analytic", "p_detect_mc", "stderr"],
+             _fig3),
+    "fig4": (["p_max_db", "rho", "p_out_analytic", "p_out_mc", "stderr"], _fig4),
+    "fig6": (["d_pu_first_km", "n_primary", "energy_analytic_j", "energy_mc_j", "stderr"],
+             _fig6),
+    "fig7": (["t_sense_s", "energy_harv_analytic_j", "energy_harv_mc_j", "stderr_harv",
+              "energy_noharv_analytic_j", "energy_noharv_mc_j", "stderr_noharv"], _fig7),
+    "fig8": (["t_sense_s", "n_primary", "ecg_analytic", "ecg_mc", "stderr"], _fig8),
+    "table1": (["n_relays", "n_primary", "t_sense_star_s", "multiplier",
+                "energy_j", "data_bits", "constraint_active"], _table1),
 }
 
 
 def cmd_figure(args):
-    conf = _base_conf(args, args.name)
-    header, rows = _RUNNERS[args.name](conf, args.no_mc)
+    header, points = FIGURES[args.name]
+    rows = []
+    for swept, pairs in points(_base_conf(args, args.name), args.no_mc):
+        row = list(swept)
+        for ana, est in pairs:
+            row += [ana, None, None] if est is None else [ana, est.mean, est.stderr]
+        rows.append(row)
     out = args.out or ("%s.csv" % args.name)
     write_csv(out, header, rows)
     print("wrote %s (%d rows)" % (out, len(rows)))
@@ -203,45 +193,22 @@ def cmd_figure(args):
 # --- validation --------------------------------------------------------------
 
 def _validate_pairs(scn: Scenario):
-    """Yield (name, analytic, MCEstimate) pairs across every simulator."""
-    pairs = []
-    lam0 = scn.policy.threshold
-    for off, (fac, tag) in enumerate(((0.5, "lo"), (1.0, "mid"), (2.0, "hi"))):
-        lam = lam0 * fac
-        pd = sensing.detection_probability(lam, scn.n_samples, scn.links,
-                                           scn.primary, scn.policy)
-        est = mcsim.mc_detection(scn.links, scn.primary, scn.policy, lam,
-                                 scn.n_samples, scn.trials, scn.seed + off,
-                                 workers=scn.workers)
-        pairs.append(("detection_%s" % tag, pd, est))
-
-    pd0 = _analytic_detection(scn)
-    rho = scn.rho
-    p_out = transmission.outage_probability(scn.gamma_th, scn.links, scn.primary,
-                                            scn.policy, pd0, rho)
-    pairs.append(("outage", p_out,
-                  mcsim.mc_outage(scn.links, scn.primary, scn.policy, scn.gamma_th,
-                                  pd0, rho, scn.trials, scn.seed, workers=scn.workers)))
-
-    rep = harvest.avg_harvested_power(scn.links, scn.primary, scn.policy,
-                                      scn.relay, pd0)
-    pairs.append(("harvest", rep.usable_power,
-                  mcsim.mc_harvest(scn.links, scn.primary, scn.policy, scn.relay,
-                                   pd0, scn.trials, scn.seed, workers=scn.workers)))
+    """(name, analytic, MCEstimate) triples across every simulator."""
+    pairs = [("detection_%s" % tag,) + _detection(scn, False, scn.policy.threshold * fac, off)
+             for off, (fac, tag) in enumerate(((0.5, "lo"), (1.0, "mid"), (2.0, "hi")))]
+    pd0 = pairs[1][1]
+    pairs.append(("outage",) + _outage(scn, False, pd0))
+    rep, est = _harvest(scn, False, pd0)
+    pairs.append(("harvest", rep.usable_power, est))
 
     model = scn.energy_model()
-    e_h = energy_opt.total_energy(model, scn.relay, scn.t_sense)
-    pairs.append(("frame_energy", e_h,
-                  mcsim.mc_frame_energy(model, scn.relay, scn.t_sense, scn.trials,
-                                        scn.seed, workers=scn.workers)))
-    e_n = energy_opt.total_energy_nonharvesting(model, scn.relay, scn.t_sense)
-    pairs.append(("frame_energy_noharv", e_n,
-                  mcsim.mc_frame_energy(model, scn.relay, scn.t_sense, scn.trials,
-                                        scn.seed, workers=scn.workers, harvesting=False)))
+    pairs.append(("frame_energy",) + _frame_energy(scn, model, scn.t_sense, False))
+    pairs.append(("frame_energy_noharv",)
+                 + _frame_energy(scn, model, scn.t_sense, False, harvesting=False))
 
     u0 = model.report.u_report[scn.relay]
-    k_clip, thr = sensing.solve_saturation_gain(scn.links, scn.primary, scn.policy,
-                                                scn.relay, u=u0)
+    _, thr = sensing.solve_saturation_gain(scn.links, scn.primary, scn.policy,
+                                           scn.relay, u=u0)
     pairs.append(("clipped_gain", 1.0 / u0,
                   mcsim.mc_clipped_gain(scn.links, scn.primary, scn.policy, scn.relay,
                                         thr, u0, scn.trials, scn.seed,
@@ -251,10 +218,9 @@ def _validate_pairs(scn: Scenario):
 
 def cmd_validate(args):
     scn = _scenario(args)
-    pairs = _validate_pairs(scn)
     rows = []
     worst = 0.0
-    for name, ana, est in pairs:
+    for name, ana, est in _validate_pairs(scn):
         z = est.z_score(ana)
         worst = max(worst, abs(z))
         status = "pass" if abs(z) <= Z_LIMIT else "FAIL"
@@ -272,47 +238,37 @@ def cmd_validate(args):
 
 # --- single-quantity commands -------------------------------------------------
 
+def _print_mc(label, est, ref):
+    if est is not None:
+        print("%s = %.9g +/- %.3g  (z=%+.2f)" % (label, est.mean, est.stderr,
+                                                 est.z_score(ref)))
+
+
 def cmd_detect(args):
     scn = _scenario(args)
-    pd = _analytic_detection(scn)
+    pd, est = _detection(scn, args.no_mc)
     print("p_detect_analytic = %.9g  (samples=%d, threshold=%.6g W)"
           % (pd, scn.n_samples, scn.policy.threshold))
-    if not args.no_mc:
-        est = mcsim.mc_detection(scn.links, scn.primary, scn.policy,
-                                 scn.policy.threshold, scn.n_samples, scn.trials,
-                                 scn.seed, workers=scn.workers)
-        print("p_detect_mc       = %.9g +/- %.3g  (z=%+.2f)"
-              % (est.mean, est.stderr, est.z_score(pd)))
+    _print_mc("p_detect_mc      ", est, pd)
     return 0
 
 
 def cmd_outage(args):
     scn = _scenario(args)
-    pd = _analytic_detection(scn)
-    p_out = transmission.outage_probability(scn.gamma_th, scn.links, scn.primary,
-                                            scn.policy, pd, scn.rho)
+    p_out, est = _outage(scn, args.no_mc, _detection(scn, True)[0])
     print("p_outage_analytic = %.9g  (rho=%.4g, gamma_th=%.6g W)"
           % (p_out, scn.rho, scn.gamma_th))
-    if not args.no_mc:
-        est = mcsim.mc_outage(scn.links, scn.primary, scn.policy, scn.gamma_th,
-                              pd, scn.rho, scn.trials, scn.seed, workers=scn.workers)
-        print("p_outage_mc       = %.9g +/- %.3g  (z=%+.2f)"
-              % (est.mean, est.stderr, est.z_score(p_out)))
+    _print_mc("p_outage_mc      ", est, p_out)
     return 0
 
 
 def cmd_harvest(args):
     scn = _scenario(args)
-    pd = _analytic_detection(scn)
-    rep = harvest.avg_harvested_power(scn.links, scn.primary, scn.policy,
-                                      scn.relay, pd)
+    pd = _detection(scn, True)[0]
+    rep, est = _harvest(scn, args.no_mc, pd)
     print("harvest_mean_w   = %.9g" % rep.mean_power)
     print("harvest_usable_w = %.9g  (p_detect=%.6g)" % (rep.usable_power, pd))
-    if not args.no_mc:
-        est = mcsim.mc_harvest(scn.links, scn.primary, scn.policy, scn.relay, pd,
-                               scn.trials, scn.seed, workers=scn.workers)
-        print("harvest_mc_w     = %.9g +/- %.3g  (z=%+.2f)"
-              % (est.mean, est.stderr, est.z_score(rep.usable_power)))
+    _print_mc("harvest_mc_w    ", est, rep.usable_power)
     return 0
 
 
@@ -326,9 +282,7 @@ def cmd_energy(args):
         print("%-6d %-14.6g %-14.6g %-14.6g %-12.6g"
               % (i, bd.e_total[i], bd.e_total_nonharvesting[i], bd.ecg[i], bd.data[i]))
     if not args.no_mc:
-        est = mcsim.mc_frame_energy(model, scn.relay, scn.t_sense, scn.trials,
-                                    scn.seed, workers=scn.workers)
-        ref = bd.e_total[scn.relay]
+        ref, est = _frame_energy(scn, model, scn.t_sense, False)
         print("relay %d mc: E_total = %.9g +/- %.3g (z=%+.2f)"
               % (scn.relay, est.mean, est.stderr, est.z_score(ref)))
     return 0

@@ -52,6 +52,10 @@ class LinkSet:
     secondary-side distances may repeat (identical relays are a valid
     deployment); the primary-side gain families feeding partial-fraction
     expansions must be pairwise distinct per receiver.
+
+    peak_pu_src and peak_pu_relay[i] are the mean strongest primary gains
+    E[max_l |h_l|^2] seen from the source and from relay i; they depend on
+    the geometry only, so they are computed once here.
     """
 
     d_src_relay: tuple
@@ -60,6 +64,8 @@ class LinkSet:
     d_pu_relay: tuple
     d_pu_dst: tuple
     alpha: float = 4.0
+    peak_pu_src: float = field(init=False, repr=False, compare=False)
+    peak_pu_relay: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.d_src_relay = tuple(float(d) for d in self.d_src_relay)
@@ -92,6 +98,9 @@ class LinkSet:
         _check_distinct(self.gain_pu_dst(), "primary->destination")
         for i in range(self.n_relays):
             _check_distinct(self.gain_pu_relay(i), "primary->relay %d" % i)
+        self.peak_pu_src = max_exp_expectation(self.gain_pu_src())
+        self.peak_pu_relay = tuple(max_exp_expectation(self.gain_pu_relay(i))
+                                   for i in range(self.n_relays))
 
     @property
     def n_relays(self):
@@ -163,7 +172,8 @@ def activity_mixture(means, duty):
 
     Returns (atom, parts) where atom is the probability that nothing is
     active and parts is a list of (prob, sub_means, pf_weights) over the
-    non-empty active subsets.
+    non-empty active subsets that have positive probability (none at duty 0,
+    only the full set at duty 1).
     """
     m = np.asarray(means, dtype=float)
     n = m.size
@@ -177,6 +187,8 @@ def activity_mixture(means, duty):
     parts = []
     for size in range(1, n + 1):
         p_sub = duty**size * (1.0 - duty) ** (n - size)
+        if p_sub == 0.0:
+            continue
         for idx in itertools.combinations(range(n), size):
             sub = m[list(idx)]
             parts.append((p_sub, sub, partial_fraction_weights(sub)))

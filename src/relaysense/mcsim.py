@@ -142,7 +142,7 @@ def _sample_exceed_sampler(links: LinkSet, primary: PrimaryModel, policy: Second
 
 def mc_detection(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
                  lam: float, n_samples: float, trials: int, seed: int,
-                 workers: int = 1, report=None, powers=None) -> MCEstimate:
+                 workers: int = 1) -> MCEstimate:
     """Simulated frame detection probability.
 
     Draws single observation rounds (every path sees fresh activity and
@@ -150,8 +150,7 @@ def mc_detection(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
     to the frame level through the OR rule, with the matching delta-method
     standard error.
     """
-    sampler = _sample_exceed_sampler(links, primary, policy,
-                                     lam / policy.noise_power, report, powers)
+    sampler = _sample_exceed_sampler(links, primary, policy, lam / policy.noise_power)
     p_hit, se = _mean(sampler, trials, seed, stream=0, workers=workers)
     if p_hit == 0.0:
         # no hits at all: quote the one-count scale, not a zero error bar
@@ -189,11 +188,10 @@ def _pair_exponentials(rng, n, m, rho):
 
 def mc_outage(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
               gamma_th: float, p_detect: float, rho: float, trials: int,
-              seed: int, workers: int = 1, coeffs=None) -> MCEstimate:
+              seed: int, workers: int = 1) -> MCEstimate:
     """Simulated outage probability of best-estimate relay selection with
     outdated CSI. gamma_th is the absolute threshold in watts."""
-    if coeffs is None:
-        coeffs = build_trans_coeffs(links, primary, policy, p_detect)
+    coeffs = build_trans_coeffs(links, primary, policy, p_detect)
     m = np.asarray(coeffs.snr_means, dtype=float)
     a = np.array([coeffs.p_src * links.gain_src_relay(i) / policy.noise_power
                   for i in range(links.n_relays)])
@@ -330,8 +328,9 @@ def mc_frame_energy(model: EnergyModel, i: int, t_sense: float, trials: int,
 def mc_ecg(model: EnergyModel, i: int, t_sense: float, trials: int, seed: int,
            workers: int = 1) -> MCEstimate:
     """Simulated consumed-to-harvested ratio at the frame level for relay i,
-    a ratio of means with a delta-method standard error."""
-    f, p_det_hat, _, draw = _frame_draws(model, i, t_sense, trials, seed, workers)
+    a ratio of means with a delta-method standard error that also carries
+    the detection-estimate uncertainty."""
+    f, p_det_hat, se_det, draw = _frame_draws(model, i, t_sense, trials, seed, workers)
     if p_det_hat == 0.0:
         raise ZeroDivisionError("no detections in simulation: ratio is infinite")
     listen = (model.e_sense * t_sense
@@ -355,4 +354,7 @@ def mc_ecg(model: EnergyModel, i: int, t_sense: float, trials: int, seed: int,
     cov = (sch - n * cbar * hbar) / (n - 1)
     r = cbar / hbar
     var_r = max(var_c - 2.0 * r * cov + r * r * var_h, 0.0) / (n * hbar * hbar)
+    # d r / d p_det: a detection moves the transmit cost into the harvest
+    sens = f.t_data * (f.prr[i] * f.e_transmit[i] + r * model.harvest_mean[i]) / hbar
+    var_r += (sens * se_det) ** 2
     return MCEstimate(mean=r, stderr=math.sqrt(var_r), trials=n, seed=int(seed))

@@ -132,7 +132,28 @@ class Scenario:
 
 
 def scenario_from_conf(conf: dict) -> Scenario:
-    """Build a Scenario out of a {section: {key: string}} tree."""
+    """Build a Scenario out of a {section: {key: string}} tree.
+
+    Every bad value raises ConfigError: a quantity that does not parse, a
+    value the model objects reject, a sensing slot shorter than one sample,
+    fewer than two simulation trials, or a relay index out of range.
+    """
+    try:
+        scn = _parse_scenario(conf)
+        scn.n_samples  # raises on a sensing slot shorter than one sample
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if scn.trials < 2:
+        raise ConfigError("sim.trials must be at least 2, got %d" % scn.trials)
+    if not 0 <= scn.relay < scn.links.n_relays:
+        raise ConfigError("sim.relay %d out of range: the scenario has %d relay(s)"
+                          % (scn.relay, scn.links.n_relays))
+    return scn
+
+
+def _parse_scenario(conf: dict) -> Scenario:
     _check_keys(conf)
 
     def get(section, key, default=None):

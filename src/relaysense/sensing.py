@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fading
-from .fading import LinkSet, PrimaryModel, activity_mixture, max_exp_expectation
+from .fading import LinkSet, PrimaryModel, activity_mixture
 from .specfun import bessel_k1_scaled, exp_scaled_gamma_upper_0
 
 
@@ -51,40 +51,40 @@ class SecondaryPolicy:
 
 @dataclass
 class ReportGain:
-    """Per-relay fixed AF gain constants for the reporting phase.
-
+    """Per-relay fixed AF gain constants for the reporting phase:
     u_report[i] is the dimensionless gain normaliser of relay i's report
-    link; when the saturation constants are solved, k_report[i] is the
-    amplifier clipping level (W) and sat_threshold[i] the received level
-    (normalised) above which the amplifier leaves the fixed-gain branch.
-    """
+    link."""
 
     u_report: tuple
-    k_report: tuple = None
-    sat_threshold: tuple = None
 
     def __post_init__(self):
         if any(u <= 0.0 for u in self.u_report):
             raise ValueError("fixed gains must be positive")
-        if self.k_report is not None and any(k <= 0.0 for k in self.k_report):
-            raise ValueError("solved clipping constants must be positive")
+
+
+def _capped_power(policy: SecondaryPolicy, peak: float, miss: float = 1.0) -> float:
+    """Transmit power under both power limits. The amplifier cap and the
+    average-interference cap combine harmonically,
+    p = 1 / (1/p_max + miss * peak / cap), where peak is the mean strongest
+    gain to a primary and miss the chance the primary is on unnoticed
+    (1 while reporting)."""
+    return 1.0 / (1.0 / policy.p_max + miss * peak / policy.interference_cap)
 
 
 def report_power(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy, i: int):
-    """Reporting-phase transmit power of relay i under both power limits.
-
-    The amplifier cap and the average-interference cap combine
-    harmonically: p = 1 / (1/p_max + E[peak gain to a primary]/cap).
-    """
-    eq = max_exp_expectation(links.gain_pu_relay(i))
-    return 1.0 / (1.0 / policy.p_max + eq / policy.interference_cap)
+    """Reporting-phase transmit power of relay i under both power limits."""
+    return _capped_power(policy, links.peak_pu_relay[i])
 
 
 def fixed_gain_report(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy, i: int):
     """Fixed AF gain normaliser of relay i: 1 / E[1/(x+1)] under the
-    continuous part of the received interference-to-noise ratio x."""
+    continuous part of the received interference-to-noise ratio x. With no
+    continuous part (duty 0) the normaliser is infinite: nothing is
+    forwarded."""
     mix_scale = primary.tx_power / policy.noise_power
     _, parts = activity_mixture(links.gain_pu_relay(i), primary.duty)
+    if not parts:
+        return math.inf
     acc = 0.0
     for prob, sub, w in parts:
         c = 1.0 / (mix_scale * sub)
@@ -146,8 +146,7 @@ def sample_miss_probability(lam_norm, links: LinkSet, primary: PrimaryModel,
 
 
 def detection_probability(lam, n_samples, links: LinkSet, primary: PrimaryModel,
-                          policy: SecondaryPolicy, report: ReportGain = None,
-                          powers=None):
+                          policy: SecondaryPolicy):
     """Frame detection probability with OR fusion over n_samples samples.
 
     lam is the absolute threshold in watts; n_samples may be fractional
@@ -155,23 +154,15 @@ def detection_probability(lam, n_samples, links: LinkSet, primary: PrimaryModel,
     """
     if n_samples <= 0:
         raise ValueError("need a positive sample count")
-    delta = sample_miss_probability(lam / policy.noise_power, links, primary,
-                                    policy, report=report, powers=powers)
+    delta = sample_miss_probability(lam / policy.noise_power, links, primary, policy)
     return 1.0 - delta**n_samples
 
 
-def build_report_gain(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
-                      solve_clipping: bool = False) -> ReportGain:
-    """Assemble the per-relay fixed gains, optionally with clipping levels."""
-    us = tuple(fixed_gain_report(links, primary, policy, i) for i in range(links.n_relays))
-    if not solve_clipping:
-        return ReportGain(u_report=us)
-    ks, ts = [], []
-    for i, u in enumerate(us):
-        k, t = solve_saturation_gain(links, primary, policy, i, u=u)
-        ks.append(k)
-        ts.append(t)
-    return ReportGain(u_report=us, k_report=tuple(ks), sat_threshold=tuple(ts))
+def build_report_gain(links: LinkSet, primary: PrimaryModel,
+                      policy: SecondaryPolicy) -> ReportGain:
+    """Assemble the per-relay fixed gains."""
+    return ReportGain(u_report=tuple(fixed_gain_report(links, primary, policy, i)
+                                     for i in range(links.n_relays)))
 
 
 # --- amplifier saturation -------------------------------------------------

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fading import LinkSet, PrimaryModel, max_exp_expectation
-from .sensing import SecondaryPolicy
+from .fading import LinkSet, PrimaryModel
+from .sensing import SecondaryPolicy, _capped_power
 from .specfun import bessel_j0, bessel_k1_scaled, exp_scaled_gamma_upper_0
 
 
@@ -77,13 +77,8 @@ def trans_powers(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
     if not 0.0 <= p_detect <= 1.0:
         raise ValueError("detection probability must lie in [0, 1]")
     miss = 1.0 - p_detect
-    eq_src = max_exp_expectation(links.gain_pu_src())
-    p_src = 1.0 / (1.0 / policy.p_max + miss * eq_src / policy.interference_cap)
-    p_rel = []
-    for i in range(links.n_relays):
-        eq = max_exp_expectation(links.gain_pu_relay(i))
-        p_rel.append(1.0 / (1.0 / policy.p_max + miss * eq / policy.interference_cap))
-    return p_src, tuple(p_rel)
+    return (_capped_power(policy, links.peak_pu_src, miss),
+            tuple(_capped_power(policy, peak, miss) for peak in links.peak_pu_relay))
 
 
 def fixed_gain_trans(links: LinkSet, policy: SecondaryPolicy, i: int, p_src: float) -> float:
@@ -102,7 +97,7 @@ def build_trans_coeffs(links: LinkSet, primary: PrimaryModel, policy: SecondaryP
     return TransCoeffs(p_src=p_src, p_relay=p_rel, u_trans=u, snr_means=means)
 
 
-def _subset_terms(snr_means, i, rho, exclude=()):
+def _subset_terms(snr_means, i, rho):
     """Inclusion-exclusion terms of relay i's selection event.
 
     Yields (psi, phi, amp, rate) per subset of competitors, where the
@@ -112,7 +107,7 @@ def _subset_terms(snr_means, i, rho, exclude=()):
     m = np.asarray(snr_means, dtype=float)
     if np.any(m <= 0.0):
         raise ValueError("estimated SNR means must be positive")
-    others = [j for j in range(m.size) if j != i and j not in exclude]
+    others = [j for j in range(m.size) if j != i]
     one_minus = 1.0 - rho * rho
     out = []
     for size in range(len(others) + 1):
@@ -124,13 +119,13 @@ def _subset_terms(snr_means, i, rho, exclude=()):
     return out
 
 
-def relay_selection_prob(snr_means, i: int, exclude=()) -> float:
+def relay_selection_prob(snr_means, i: int) -> float:
     """Probability that relay i has the largest estimated SNR."""
-    terms = _subset_terms(snr_means, i, 0.0, exclude=exclude)
+    terms = _subset_terms(snr_means, i, 0.0)
     return float(sum(psi / phi for psi, phi, _, _ in terms))
 
 
-def _selected_cdf_weighted(x, links, policy, i, u, a_mean, terms):
+def _selected_cdf_weighted(x, u, a_mean, terms):
     # Pr[selected] * CDF of the end-to-end SNR given selection, at x >= 0
     scalar = np.isscalar(x) or np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -149,34 +144,29 @@ def _selected_cdf_weighted(x, links, policy, i, u, a_mean, terms):
 
 
 def trans_e2e_cdf(x, links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
-                  i: int, p_detect: float, rho: float, coeffs: TransCoeffs = None):
+                  i: int, p_detect: float, rho: float):
     """CDF of the end-to-end data SNR given that relay i was selected.
 
     x is noise-normalised. With a single relay this collapses to the plain
     fixed-gain dual-hop CDF and rho drops out.
     """
-    if coeffs is None:
-        coeffs = build_trans_coeffs(links, primary, policy, p_detect)
+    coeffs = build_trans_coeffs(links, primary, policy, p_detect)
     terms = _subset_terms(coeffs.snr_means, i, rho)
     a_mean = coeffs.p_src * links.gain_src_relay(i) / policy.noise_power
-    weighted, prr = _selected_cdf_weighted(x, links, policy, i, coeffs.u_trans[i],
-                                           a_mean, terms)
+    weighted, prr = _selected_cdf_weighted(x, coeffs.u_trans[i], a_mean, terms)
     return weighted / prr
 
 
 def outage_probability(gamma_th, links: LinkSet, primary: PrimaryModel,
-                       policy: SecondaryPolicy, p_detect: float, rho: float,
-                       coeffs: TransCoeffs = None) -> float:
+                       policy: SecondaryPolicy, p_detect: float, rho: float) -> float:
     """Probability that the selected relay's end-to-end SNR falls below the
     absolute threshold gamma_th (W at the detector input)."""
-    if coeffs is None:
-        coeffs = build_trans_coeffs(links, primary, policy, p_detect)
+    coeffs = build_trans_coeffs(links, primary, policy, p_detect)
     x = gamma_th / policy.noise_power
     total = 0.0
     for i in range(links.n_relays):
         terms = _subset_terms(coeffs.snr_means, i, rho)
         a_mean = coeffs.p_src * links.gain_src_relay(i) / policy.noise_power
-        weighted, _ = _selected_cdf_weighted(x, links, policy, i, coeffs.u_trans[i],
-                                             a_mean, terms)
+        weighted, _ = _selected_cdf_weighted(x, coeffs.u_trans[i], a_mean, terms)
         total += weighted
     return total

@@ -64,6 +64,21 @@ class TestFigureCommand:
         with pytest.raises(SystemExit):
             run(["figure", "fig99"])
 
+    @pytest.mark.parametrize("name", sorted(cli.FIGURES))
+    def test_every_figure_with_simulation(self, name, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        base = ["--trials", "2000", "--seed", "5"]
+        assert run(base + ["--workers", "1", "--out", str(a), "figure", name]) == 0
+        assert run(base + ["--workers", "2", "--out", str(b), "figure", name]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        header, *rows = (line.split(",") for line in a.read_text().splitlines())
+        assert rows
+        for row in rows:
+            assert len(row) == len(header)
+            # every cell is filled: table1 has no MC columns, the rest
+            # carry analytic, mc and stderr per pair
+            assert all(row)
+
     def test_bad_override_key(self, tmp_path, capsys):
         rc = run(["--no-mc", "--out", str(tmp_path / "x.csv"),
                   "--set", "policy.thresh=1", "figure", "fig3"])
@@ -106,10 +121,29 @@ class TestValidateCommand:
         assert "validation FAILED" in capsys.readouterr().out
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("override", [
+        "primary.duty=1.5",
+        "policy.p_max=abc",
+        "frame.t_sense=0.1 us",
+        "sim.trials=1",
+        "sim.relay=7",
+    ])
+    def test_exits_2_with_message(self, override, capsys):
+        assert run(["--no-mc", "--set", override, "optimize"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "Traceback" not in err
+
+
 class TestSingleQuantityCommands:
     def test_detect(self, capsys):
         assert run(["--no-mc", "detect"]) == 0
         assert "p_detect_analytic" in capsys.readouterr().out
+
+    def test_detect_idle_primary(self, capsys):
+        assert run(["--no-mc", "--set", "primary.duty=0", "detect"]) == 0
+        assert "p_detect_analytic = 0  " in capsys.readouterr().out
 
     def test_outage(self, capsys):
         assert run(["--no-mc", "outage"]) == 0

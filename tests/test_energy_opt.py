@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from relaysense import energy_opt, mcsim
+from relaysense import energy_opt, fading, mcsim, sensing, transmission
 from relaysense.energy_opt import (
     CONSTRAINT_TOL,
     TIME_TOL,
@@ -357,6 +357,20 @@ class TestCoefficientBuilds:
         assert m.n_relays == 2
         energy_breakdown(m, 0.02)
         assert len(builds) == 1
+
+    def test_frame_reuses_peak_gains(self, monkeypatch):
+        # the peak-gain expectations depend on the geometry only: once the
+        # model is built, evaluating a frame must not recompute them
+        m = model_for("default")
+
+        def forbidden(means):
+            raise AssertionError("max_exp_expectation called in a frame evaluation")
+
+        for mod in (fading, sensing, transmission, energy_opt):
+            if hasattr(mod, "max_exp_expectation"):
+                monkeypatch.setattr(mod, "max_exp_expectation", forbidden)
+        for t in (1e-6, 0.02, 0.05):
+            m.frame(t)
 
     def test_table1_optimise_budget(self, builds):
         c = relay_ladder_conf(ladder_conf(preset("table1"), 1.0, 4, 0.01),

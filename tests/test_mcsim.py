@@ -190,6 +190,19 @@ class TestEstimatorRanges:
         assert harv.mean < bare.mean
 
 
+class TestEcgStderr:
+    def test_stderr_matches_seed_spread(self):
+        # 1 us leaves detection far from saturation (p_detect ~ 0.73), so the
+        # quoted error must carry the detection estimate's share: over fixed
+        # seeds the spread of the means should match the quoted errors
+        scn = scenario_from_conf(ladder_conf(preset("fig8"), 0.5, 1))
+        m = scn.energy_model()
+        ests = [mc_ecg(m, scn.relay, 1e-6, trials=50_000, seed=s) for s in range(150)]
+        means = np.array([e.mean for e in ests])
+        ratio = means.std(ddof=1) / np.median([e.stderr for e in ests])
+        assert 0.9 <= ratio <= 1.1
+
+
 class TestEcgAgreement:
     # 2 us leaves detection unsaturated (p_detect ~ 0.93), so both missed and
     # detected frames occur; 5 ms is fig8's first grid point

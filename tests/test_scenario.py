@@ -146,11 +146,10 @@ class TestScenarioFromConf:
         assert scn.n_samples == 3
 
     def test_subsample_slot_rejected(self):
+        # 0.4 samples at 1 MHz: rejected when the scenario is built
         conf = apply_overrides(preset("fig3"), ["frame.t_sense=0.4 us"])
-        scn = scenario_from_conf(conf)
-        assert scn.policy.bandwidth == 1e6
-        with pytest.raises(ValueError, match="shorter than one sample"):
-            scn.n_samples
+        with pytest.raises(ConfigError, match="shorter than one sample"):
+            scenario_from_conf(conf)
 
     def test_rho_resolution(self):
         scn = scenario_from_conf(preset("fig4"))

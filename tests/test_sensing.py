@@ -191,6 +191,13 @@ class TestDetection:
                for n in (1, 10, 100, 1000)]
         assert all(b >= a for a, b in zip(pds, pds[1:]))
 
+    def test_idle_primary_is_never_detected(self):
+        # duty 0 leaves no continuous part: p_detect is exactly 0, not NaN
+        links, _, policy = fig3_setup()
+        idle = PrimaryModel(count=3, tx_power=rel_noise_db(10.0), duty=0.0)
+        assert fixed_gain_report(links, idle, policy, 0) == math.inf
+        assert detection_probability(policy.threshold, 200, links, idle, policy) == 0.0
+
     def test_rejects_zero_samples(self):
         links, primary, policy = fig3_setup()
         with pytest.raises(ValueError):
@@ -277,13 +284,6 @@ class TestBuildReportGain:
         links, primary, policy = fig3_setup()
         rg = build_report_gain(links, primary, policy)
         assert len(rg.u_report) == 1
-        assert rg.k_report is None
-
-    def test_with_clipping(self):
-        links, primary, policy = fig3_setup()
-        rg = build_report_gain(links, primary, policy, solve_clipping=True)
-        assert len(rg.k_report) == 1
-        assert rg.sat_threshold[0] >= 0.0
 
     def test_gain_validation(self):
         with pytest.raises(ValueError):

@@ -78,12 +78,11 @@ class TestTransPowers:
 
     def test_zero_detection_matches_reporting_power(self):
         # with the band always misread the relay interference weighting is
-        # identical to the reporting phase
+        # identical to the reporting phase, down to the last bit
         links, primary, policy = fig4_setup()
         _, p_rel = trans_powers(links, primary, policy, p_detect=0.0)
         for i in range(links.n_relays):
-            assert p_rel[i] == pytest.approx(report_power(links, primary, policy, i),
-                                             rel=1e-14)
+            assert p_rel[i] == report_power(links, primary, policy, i)
 
     def test_monotone_in_detection(self):
         links, primary, policy = fig4_setup()
@@ -115,11 +114,6 @@ class TestRelaySelection:
         means = (1.0, 2.5, 7.0)
         probs = [relay_selection_prob(means, i) for i in range(3)]
         assert probs[0] < probs[1] < probs[2]
-
-    def test_exclusion_renormalises(self):
-        means = (1.0, 2.5, 7.0)
-        total = sum(relay_selection_prob(means, i, exclude=(1,)) for i in (0, 2))
-        assert total == pytest.approx(1.0, rel=1e-9)
 
     def test_matches_empirical_frequencies(self):
         means = np.array([1.0, 2.5, 7.0])
