@@ -56,6 +56,11 @@ class EnergyModel:
     t_sense-dependent pieces, so detection-dependent transmit powers and
     selection odds are always taken at the same sensing time as the energy
     they enter.
+
+    The inputs are fixed after construction: `delta`, `report`, `p_report`
+    and `harvest_mean` are computed once here, and the frame simulators
+    memoise their simulated per-sample hit rate in `_hit_rates`, keyed by
+    (trials, seed). Build a new model rather than mutating one.
     """
 
     def __init__(self, links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
@@ -83,6 +88,7 @@ class EnergyModel:
         self.e_report = tuple(p + policy.p_circuit_tx for p in self.p_report)
         self.harvest_mean = tuple(harvest_mean_power(links, primary, policy, i)
                                   for i in range(links.n_relays))
+        self._hit_rates = {}  # (trials, seed) -> (p_hit, se), filled by mcsim
 
     @property
     def n_relays(self):

@@ -280,12 +280,16 @@ def _frame_draws(model: EnergyModel, i: int, t_sense: float, trials: int, seed: 
     selection and so pays the transmit slot."""
     f = model.frame(t_sense)
     n_samples = max(round(t_sense * model.policy.bandwidth), 1)
-    hit = _sample_exceed_sampler(
-        model.links, model.primary, model.policy,
-        model.policy.threshold / model.policy.noise_power,
-        report=model.report, powers=list(model.p_report))
-    p_det_hat, se_det = _frame_lift(*_mean(hit, trials, seed, stream=11, workers=workers),
-                                    n_samples)
+    # the per-sample hit rate does not move with t_sense: draw it once per
+    # (trials, seed); the chunked reduction makes it the same for any workers
+    key = (int(trials), int(seed))
+    if key not in model._hit_rates:
+        hit = _sample_exceed_sampler(
+            model.links, model.primary, model.policy,
+            model.policy.threshold / model.policy.noise_power,
+            report=model.report, powers=list(model.p_report))
+        model._hit_rates[key] = _mean(hit, trials, seed, stream=11, workers=workers)
+    p_det_hat, se_det = _frame_lift(*model._hit_rates[key], n_samples)
     m = np.asarray(f.coeffs.snr_means, dtype=float)
     harv = _harvest_power_sampler(model.links, model.primary, model.policy, i)
 

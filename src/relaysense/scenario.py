@@ -135,12 +135,23 @@ def scenario_from_conf(conf: dict) -> Scenario:
     """Build a Scenario out of a {section: {key: string}} tree.
 
     Every bad value raises ConfigError: a quantity that does not parse, a
-    value the model objects reject, a sensing slot shorter than one sample,
-    fewer than two simulation trials, or a relay index out of range.
+    value the model objects reject, a CSI correlation outside [0, 1], a
+    report slot outside the frame, a non-positive data rate, a sensing slot
+    shorter than one sample or beyond the listen window, fewer than two
+    simulation trials, or a relay index out of range.
     """
     try:
         scn = _parse_scenario(conf)
         scn.n_samples  # raises on a sensing slot shorter than one sample
+        scn.rho  # raises on a correlation outside [0, 1]
+        if not 0.0 < scn.t_report < scn.t_total:
+            raise ConfigError("need 0 < frame.t_report < frame.t_total, got %g s and %g s"
+                              % (scn.t_report, scn.t_total))
+        if scn.rate <= 0.0:
+            raise ConfigError("traffic.rate must be positive, got %g" % scn.rate)
+        if scn.t_sense >= scn.t_total - scn.t_report:
+            raise ConfigError("frame.t_sense must lie inside the listen window (0, %g) s, "
+                              "got %g s" % (scn.t_total - scn.t_report, scn.t_sense))
     except ConfigError:
         raise
     except ValueError as exc:

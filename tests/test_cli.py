@@ -1,9 +1,16 @@
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from relaysense import cli
 from relaysense.harvest import HarvestReport, avg_harvested_power
+
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run(argv):
@@ -122,15 +129,22 @@ class TestValidateCommand:
 
 
 class TestBadInput:
-    @pytest.mark.parametrize("override", [
-        "primary.duty=1.5",
-        "policy.p_max=abc",
-        "frame.t_sense=0.1 us",
-        "sim.trials=1",
-        "sim.relay=7",
+    @pytest.mark.parametrize("override, command", [
+        pytest.param(override, command, id=override) for override, command in (
+            ("primary.duty=1.5", "optimize"),
+            ("policy.p_max=abc", "optimize"),
+            ("frame.t_sense=0.1 us", "optimize"),
+            ("sim.trials=1", "optimize"),
+            ("sim.relay=7", "optimize"),
+            # values that only the energy model or the CSI model would reject
+            ("frame.t_report=200 ms", "optimize"),
+            ("traffic.rate=0", "optimize"),
+            ("csi.rho=1.5", "optimize"),
+            ("frame.t_sense=99 ms", "energy"),
+        )
     ])
-    def test_exits_2_with_message(self, override, capsys):
-        assert run(["--no-mc", "--set", override, "optimize"]) == 2
+    def test_exits_2_with_message(self, override, command, capsys):
+        assert run(["--no-mc", "--set", override, command]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert "Traceback" not in err
@@ -192,3 +206,16 @@ class TestSingleQuantityCommands:
             "eta = 0.35\np_circuit_tx = 10 dBm\np_circuit_rx = 9 dBm\n")
         assert run(["--no-mc", "--config", str(path), "detect"]) == 0
         assert "p_detect_analytic" in capsys.readouterr().out
+
+
+class TestReproduceFiguresScript:
+    def test_writes_every_figure(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "reproduce_figures.py"),
+             "--no-mc", "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        for name in cli.FIGURES:
+            csv = tmp_path / ("%s.csv" % name)
+            assert len(csv.read_text().splitlines()) > 1, name

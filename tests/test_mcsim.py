@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from relaysense import mcsim
 from relaysense.mcsim import (
     CHUNK,
     MCEstimate,
@@ -71,10 +72,12 @@ class TestDeterminism:
         assert serial.stderr == pooled.stderr
 
     def test_worker_count_is_invisible_for_frame_energy(self):
-        m = scenario_from_conf(preset("fig7")).energy_model()
+        # a fresh model per call, so each worker count draws the per-sample
+        # hit rate itself instead of reading the first call's cached one
+        conf = preset("fig7")
         for sim in (mc_frame_energy, mc_ecg):
-            serial = sim(m, 0, 0.02, trials=100_000, seed=3, workers=1)
-            pooled = sim(m, 0, 0.02, trials=100_000, seed=3, workers=3)
+            serial, pooled = (sim(scenario_from_conf(conf).energy_model(), 0, 0.02,
+                                  trials=100_000, seed=3, workers=w) for w in (1, 3))
             assert serial.mean == pooled.mean, sim.__name__
             assert serial.stderr == pooled.stderr, sim.__name__
 
@@ -85,6 +88,46 @@ class TestDeterminism:
                            trials=CHUNK + 17, seed=5)
         assert est.trials == CHUNK + 17
         assert 0.0 <= est.mean <= 1.0
+
+
+class TestHitRateCache:
+    def test_one_draw_per_trials_and_seed(self, monkeypatch):
+        conf = preset("fig7")
+        sims = {
+            "harv": lambda m, t, **kw: mc_frame_energy(m, 0, t, **kw),
+            "noharv": lambda m, t, **kw: mc_frame_energy(m, 0, t, harvesting=False, **kw),
+            "ecg": lambda m, t, **kw: mc_ecg(m, 0, t, **kw),
+        }
+        grid = (1e-6, 0.005, 0.02, 0.095)
+        run = dict(trials=20_000, seed=3)
+
+        def bits(est):
+            return repr(est.mean), repr(est.stderr)
+
+        fresh = {(name, t): bits(sim(scenario_from_conf(conf).energy_model(), t, **run))
+                 for name, sim in sims.items() for t in grid}
+
+        draws = []
+        real = mcsim._reduce
+
+        def counting(sampler, trials, seed, stream, workers=1):
+            if stream == 11:
+                draws.append((trials, seed))
+            return real(sampler, trials, seed, stream, workers)
+
+        monkeypatch.setattr(mcsim, "_reduce", counting)
+        m = scenario_from_conf(conf).energy_model()
+        for t in grid:
+            for name, sim in sims.items():
+                assert bits(sim(m, t, **run)) == fresh[name, t], (name, t)
+        assert draws == [(20_000, 3)]
+
+        # a new seed or trial count draws again; a repeated key does not
+        for t in grid:
+            sims["harv"](m, t, trials=20_000, seed=4)
+            sims["ecg"](m, t, trials=30_000, seed=3)
+            sims["noharv"](m, t, **run)
+        assert draws == [(20_000, 3), (20_000, 4), (30_000, 3)]
 
 
 class TestReducer:
