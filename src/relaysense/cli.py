@@ -12,6 +12,7 @@ reruns diff cleanly. Bad configuration values exit with code 2.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import energy_opt, harvest, mcsim, sensing, transmission
@@ -193,7 +194,7 @@ def cmd_figure(args):
 # --- validation --------------------------------------------------------------
 
 def _validate_pairs(scn: Scenario):
-    """(name, analytic, MCEstimate) triples across every simulator."""
+    """(name, analytic, MCEstimate) per check; (name, None, None) if it does not apply."""
     pairs = [("detection_%s" % tag,) + _detection(scn, False, scn.policy.threshold * fac, off)
              for off, (fac, tag) in enumerate(((0.5, "lo"), (1.0, "mid"), (2.0, "hi")))]
     pd0 = pairs[1][1]
@@ -207,6 +208,9 @@ def _validate_pairs(scn: Scenario):
                  + _frame_energy(scn, model, scn.t_sense, False, harvesting=False))
 
     u0 = model.report.u_report[scn.relay]
+    if math.isinf(u0):
+        # no continuous report (duty 0): there is no amplifier level to clip
+        return pairs + [("clipped_gain", None, None)]
     _, thr = sensing.solve_saturation_gain(scn.links, scn.primary, scn.policy,
                                            scn.relay, u=u0)
     pairs.append(("clipped_gain", 1.0 / u0,
@@ -221,6 +225,10 @@ def cmd_validate(args):
     rows = []
     worst = 0.0
     for name, ana, est in _validate_pairs(scn):
+        if est is None:
+            rows.append([name, None, None, None, None, "n/a"])
+            print("%-22s not applicable" % name)
+            continue
         z = est.z_score(ana)
         worst = max(worst, abs(z))
         status = "pass" if abs(z) <= Z_LIMIT else "FAIL"

@@ -155,44 +155,70 @@ def partial_fraction_weights(means):
 
     For pairwise-distinct means m_k the density is
     sum_k w_k * exp(-x/m_k) / m_k with w_k = prod_{j!=k} m_k / (m_k - m_j);
-    the weights sum to one.
+    the weights sum to one. A (..., r) stack of mean sets gives its weights.
     """
     m = np.asarray(means, dtype=float)
-    if m.size == 1:
-        return np.ones(1)
-    diff = m[:, None] - m[None, :]
-    np.fill_diagonal(diff, 1.0)
-    ratios = m[:, None] / diff
-    np.fill_diagonal(ratios, 1.0)
-    return np.prod(ratios, axis=1)
+    r = m.shape[-1]
+    diff = m[..., :, None] - m[..., None, :]
+    diff.reshape(-1, r * r)[:, :: r + 1] = 1.0  # every diagonal, through a view
+    ratios = m[..., :, None] / diff
+    ratios.reshape(-1, r * r)[:, :: r + 1] = 1.0
+    return np.prod(ratios, axis=-1)
+
+
+def _points(x, message):
+    """(whether x is a scalar, x as a 1-D float array); negative x raise `message`."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(arr < 0.0):
+        raise ValueError(message)
+    return np.ndim(x) == 0, arr
+
+
+def _positive_means(means):
+    m = np.asarray(means, dtype=float)
+    if m.size == 0:
+        raise ValueError("need at least one mean")
+    if m.size > MAX_POPULATION:
+        raise ValueError("exact subset enumeration capped at %d transmitters" % MAX_POPULATION)
+    if np.any(m <= 0.0):
+        raise ValueError("means must be positive")
+    return m
+
+
+def _subsets(n, size):
+    """Index rows of the size-subsets of range(n), in itertools.combinations order."""
+    idx = itertools.chain.from_iterable(itertools.combinations(range(n), size))
+    return np.fromiter(idx, dtype=np.intp).reshape(-1, size)
+
+
+def _add_in_order(total, terms):
+    """total + terms[..., 0] + terms[..., 1] + ..., one addition at a time:
+    np.sum adds pairwise, which moves the last bits of a saturated 1 - delta**n."""
+    total = np.asarray(total, dtype=float)[..., None]
+    running = np.add.accumulate(np.concatenate((total, terms), axis=-1), axis=-1)
+    return running[..., -1][()]
 
 
 def activity_mixture(means, duty):
     """Decompose the thinned interference sum into weighted hypoexponential parts.
 
-    Returns (atom, parts) where atom is the probability that nothing is
-    active and parts is a list of (prob, sub_means, pf_weights) over the
-    non-empty active subsets that have positive probability (none at duty 0,
-    only the full set at duty 1).
+    Returns (atom, groups): atom is the probability that nothing is active,
+    and groups holds one (prob, subs, weights) per active count r with
+    positive probability (none at duty 0, only r = L at duty 1). prob is the
+    probability of each r-subset; subs and weights are (C(L, r), r), one row
+    per subset in itertools.combinations order.
     """
-    m = np.asarray(means, dtype=float)
+    m = _positive_means(means)
     n = m.size
-    if n == 0:
-        raise ValueError("need at least one mean")
-    if n > MAX_POPULATION:
-        raise ValueError("exact subset enumeration capped at %d transmitters" % MAX_POPULATION)
-    if np.any(m <= 0.0):
-        raise ValueError("means must be positive")
     atom = (1.0 - duty) ** n
-    parts = []
+    groups = []
     for size in range(1, n + 1):
         p_sub = duty**size * (1.0 - duty) ** (n - size)
         if p_sub == 0.0:
             continue
-        for idx in itertools.combinations(range(n), size):
-            sub = m[list(idx)]
-            parts.append((p_sub, sub, partial_fraction_weights(sub)))
-    return atom, parts
+        subs = m[_subsets(n, size)]
+        groups.append((p_sub, subs, partial_fraction_weights(subs)))
+    return atom, groups
 
 
 def hypoexp_pdf(x, means, scale=1.0, duty=1.0):
@@ -202,56 +228,40 @@ def hypoexp_pdf(x, means, scale=1.0, duty=1.0):
     power-to-noise factor applied to each. Integrates to 1 - (1-duty)**L;
     the missing mass is the all-off atom at zero.
     """
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x < 0.0):
-        raise ValueError("interference power cannot be negative")
-    _, parts = activity_mixture(means, duty)
+    scalar, x = _points(x, "interference power cannot be negative")
+    _, groups = activity_mixture(means, duty)
     out = np.zeros_like(x)
-    for prob, sub, w in parts:
-        mm = scale * sub
-        out += prob * np.sum((w / mm) * np.exp(-x[:, None] / mm), axis=-1)
+    for prob, subs, w in groups:
+        mm = scale * subs
+        out = _add_in_order(out, prob * np.sum(w / mm * np.exp(-x[:, None, None] / mm), axis=-1))
     return float(out[0]) if scalar else out
 
 
 def hypoexp_cdf(x, means, scale=1.0, duty=1.0):
     """CDF of the thinned interference sum, including the atom at zero."""
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x < 0.0):
-        raise ValueError("interference power cannot be negative")
-    atom, parts = activity_mixture(means, duty)
+    scalar, x = _points(x, "interference power cannot be negative")
+    atom, groups = activity_mixture(means, duty)
     out = np.full_like(x, atom)
-    for prob, sub, w in parts:
-        mm = scale * sub
-        out += prob * (1.0 - np.sum(w * np.exp(-x[:, None] / mm), axis=-1))
+    for prob, subs, w in groups:
+        mm = scale * subs
+        out = _add_in_order(out, prob * (1.0 - np.sum(w * np.exp(-x[:, None, None] / mm),
+                                                      axis=-1)))
     return float(out[0]) if scalar else out
 
 
 def max_exp_expectation(means):
     """Mean of the maximum of independent exponentials by inclusion-exclusion."""
-    m = np.asarray(means, dtype=float)
-    if m.size == 0:
-        raise ValueError("need at least one mean")
-    if m.size > MAX_POPULATION:
-        raise ValueError("exact subset enumeration capped at %d terms" % MAX_POPULATION)
-    if np.any(m <= 0.0):
-        raise ValueError("means must be positive")
-    rates = 1.0 / m
+    rates = 1.0 / _positive_means(means)
     total = 0.0
-    for size in range(1, m.size + 1):
+    for size in range(1, rates.size + 1):
         sign = 1.0 if size % 2 == 1 else -1.0
-        for idx in itertools.combinations(range(m.size), size):
-            total += sign / rates[list(idx)].sum()
+        total = _add_in_order(total, sign / rates[_subsets(rates.size, size)].sum(axis=-1))
     return total
 
 
 def max_exp_pdf(x, means):
     """Density of the maximum of independent exponentials with the given means."""
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x < 0.0):
-        raise ValueError("the maximum of exponentials is non-negative")
+    scalar, x = _points(x, "the maximum of exponentials is non-negative")
     m = np.asarray(means, dtype=float)
     if m.size == 0 or np.any(m <= 0.0):
         raise ValueError("means must be a non-empty positive list")

@@ -279,7 +279,6 @@ def _frame_draws(model: EnergyModel, i: int, t_sense: float, trials: int, seed: 
     pays), where `pays` marks the missed frames in which relay i wins
     selection and so pays the transmit slot."""
     f = model.frame(t_sense)
-    n_samples = max(round(t_sense * model.policy.bandwidth), 1)
     # the per-sample hit rate does not move with t_sense: draw it once per
     # (trials, seed); the chunked reduction makes it the same for any workers
     key = (int(trials), int(seed))
@@ -289,7 +288,8 @@ def _frame_draws(model: EnergyModel, i: int, t_sense: float, trials: int, seed: 
             model.policy.threshold / model.policy.noise_power,
             report=model.report, powers=list(model.p_report))
         model._hit_rates[key] = _mean(hit, trials, seed, stream=11, workers=workers)
-    p_det_hat, se_det = _frame_lift(*model._hit_rates[key], n_samples)
+    # the same fractional sample count as EnergyModel.miss
+    p_det_hat, se_det = _frame_lift(*model._hit_rates[key], t_sense * model.policy.bandwidth)
     m = np.asarray(f.coeffs.snr_means, dtype=float)
     harv = _harvest_power_sampler(model.links, model.primary, model.policy, i)
 

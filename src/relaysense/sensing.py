@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fading
-from .fading import LinkSet, PrimaryModel, activity_mixture
+from .fading import LinkSet, PrimaryModel, _add_in_order, _points, activity_mixture
 from .specfun import bessel_k1_scaled, exp_scaled_gamma_upper_0
 
 
@@ -82,43 +82,39 @@ def fixed_gain_report(links: LinkSet, primary: PrimaryModel, policy: SecondaryPo
     continuous part (duty 0) the normaliser is infinite: nothing is
     forwarded."""
     mix_scale = primary.tx_power / policy.noise_power
-    _, parts = activity_mixture(links.gain_pu_relay(i), primary.duty)
-    if not parts:
+    _, groups = activity_mixture(links.gain_pu_relay(i), primary.duty)
+    if not groups:
         return math.inf
     acc = 0.0
-    for prob, sub, w in parts:
-        c = 1.0 / (mix_scale * sub)
-        acc += prob * np.sum(w * c * exp_scaled_gamma_upper_0(c))
+    for prob, subs, w in groups:
+        c = 1.0 / (mix_scale * subs)
+        acc = _add_in_order(acc, prob * np.sum(w * c * exp_scaled_gamma_upper_0(c), axis=-1))
     return 1.0 / acc
 
 
 def report_e2e_cdf(x, links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
-                   i: int, u: float = None, p_rep: float = None):
-    """CDF of the end-to-end forwarded interference SNR of relay i.
+                   i: int, u: float, p_rep: float):
+    """CDF of the end-to-end forwarded interference SNR of relay i, whose
+    fixed gain normaliser is u and reporting power p_rep.
 
     x is in noise-normalised units. The distribution has an atom at zero
     (no primary active during the sample) and a continuous part shaped by
     the dual-hop fixed-gain chain.
     """
-    if u is None:
-        u = fixed_gain_report(links, primary, policy, i)
-    if p_rep is None:
-        p_rep = report_power(links, primary, policy, i)
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x < 0.0):
-        raise ValueError("SNR threshold must be non-negative")
+    scalar, x = _points(x, "SNR threshold must be non-negative")
     mix_scale = primary.tx_power / policy.noise_power
     b = p_rep * links.gain_relay_dst(i) / policy.noise_power
-    atom, parts = activity_mixture(links.gain_pu_relay(i), primary.duty)
+    atom, groups = activity_mixture(links.gain_pu_relay(i), primary.duty)
     out = np.full_like(x, atom)
     pos = x > 0.0
-    xp = x[pos]
-    for prob, sub, w in parts:
-        mm = mix_scale * sub
-        s = 2.0 * np.sqrt(xp[:, None] * u / (mm * b))
-        kernel = np.exp(-xp[:, None] / mm - s) * s * bessel_k1_scaled(np.maximum(s, 1e-300))
-        out[pos] += prob * (1.0 - np.sum(w * kernel, axis=-1))
+    xp = x[pos][:, None, None]
+    for prob, subs, w in groups:
+        mm = mix_scale * subs
+        # clipped so that an overflowing gain (u = inf: nothing is forwarded)
+        # gives a zero kernel, not 0 * inf
+        s = np.clip(2.0 * np.sqrt(xp * u / (mm * b)), 1e-300, 1e300)
+        kernel = np.exp(-xp / mm - s) * s * bessel_k1_scaled(s)
+        out[pos] = _add_in_order(out[pos], prob * (1.0 - np.sum(w * kernel, axis=-1)))
     return float(out[0]) if scalar else out
 
 
@@ -168,17 +164,15 @@ def build_report_gain(links: LinkSet, primary: PrimaryModel,
 # --- amplifier saturation -------------------------------------------------
 
 def avg_clipped_gain(threshold_t, links: LinkSet, primary: PrimaryModel,
-                     policy: SecondaryPolicy, i: int, u: float = None):
+                     policy: SecondaryPolicy, i: int, u: float):
     """Mean squared gain of the clipped amplifier.
 
     Below the received level threshold_t (normalised) the amplifier applies
     the constant squared gain 1/u; above it the gain follows 1/(x+1).
     """
-    if u is None:
-        u = fixed_gain_report(links, primary, policy, i)
     t = max(float(threshold_t), 0.0)
     mix_scale = primary.tx_power / policy.noise_power
-    atom, parts = activity_mixture(links.gain_pu_relay(i), primary.duty)
+    atom, groups = activity_mixture(links.gain_pu_relay(i), primary.duty)
     if threshold_t < 0.0:
         # clipping region empty: the zero atom rides the 1/(x+1) branch
         head = atom
@@ -186,15 +180,16 @@ def avg_clipped_gain(threshold_t, links: LinkSet, primary: PrimaryModel,
         head = fading.hypoexp_cdf(t, links.gain_pu_relay(i), scale=mix_scale,
                                   duty=primary.duty) / u
     tail = 0.0
-    for prob, sub, w in parts:
-        mm = mix_scale * sub
+    for prob, subs, w in groups:
+        mm = mix_scale * subs
         c = (t + 1.0) / mm
-        tail += prob * np.sum(w * np.exp(-t / mm) * exp_scaled_gamma_upper_0(c) / mm)
+        tail = _add_in_order(tail, prob * np.sum(w * np.exp(-t / mm)
+                                                 * exp_scaled_gamma_upper_0(c) / mm, axis=-1))
     return head + tail
 
 
 def solve_saturation_gain(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
-                          i: int, u: float = None, bracket=(1e-6, 1e6)):
+                          i: int, u: float, bracket=(1e-6, 1e6)):
     """Clipping level K (W) at which the clipped amplifier's mean squared
     gain equals the fixed-gain value 1/u. Returns (K, threshold_t).
 
@@ -202,8 +197,6 @@ def solve_saturation_gain(links: LinkSet, primary: PrimaryModel, policy: Seconda
     avg_clipped_gain(t) - 1/u starts at atom/u for t = 0 and decreases
     through zero exactly once, so a coarse scan plus bisection is safe.
     """
-    if u is None:
-        u = fixed_gain_report(links, primary, policy, i)
     n0 = policy.noise_power
     k_lo, k_hi = bracket[0] * n0, bracket[1] * n0
 

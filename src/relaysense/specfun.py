@@ -39,8 +39,7 @@ def exp_scaled_gamma_upper_0(x):
     out = np.empty_like(xa)
     small = xa <= 30.0
     out[small] = np.exp(xa[small]) * sp.exp1(xa[small])
-    for i in np.nonzero(~small)[0]:
-        out[i] = _e1_scaled_cf(float(xa[i]))
+    out[~small] = [_e1_scaled_cf(v) for v in xa[~small].tolist()]
     return float(out[0]) if scalar else out
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fading import LinkSet, PrimaryModel
+from .fading import LinkSet, PrimaryModel, _points
 from .sensing import SecondaryPolicy, _capped_power
 from .specfun import bessel_j0, bessel_k1_scaled, exp_scaled_gamma_upper_0
 
@@ -127,10 +127,7 @@ def relay_selection_prob(snr_means, i: int) -> float:
 
 def _selected_cdf_weighted(x, u, a_mean, terms):
     # Pr[selected] * CDF of the end-to-end SNR given selection, at x >= 0
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(x < 0.0):
-        raise ValueError("SNR threshold must be non-negative")
+    scalar, x = _points(x, "SNR threshold must be non-negative")
     prr = float(sum(psi / phi for psi, phi, _, _ in terms))
     out = np.full_like(x, prr)
     pos = x > 0.0

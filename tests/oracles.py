@@ -5,12 +5,14 @@ force, never by the closed forms under test. Nothing in this module is
 imported by the library.
 """
 
+import itertools
 import math
 
 import numpy as np
 from scipy import integrate
 
-from relaysense.fading import activity_mixture, hypoexp_cdf
+from relaysense.fading import hypoexp_cdf
+from relaysense.specfun import bessel_k1_scaled, exp_scaled_gamma_upper_0
 
 
 def quad_j0(x):
@@ -40,7 +42,7 @@ def quad_gamma_upper_0(x):
 
 def quad_mean_inv_plus1(means, scale, duty):
     """E[1/(x+1)] over the continuous part of the thinned interference sum."""
-    _, parts = activity_mixture(means, duty)
+    _, parts = subset_mixture(means, duty)
 
     def pdf(x):
         total = 0.0
@@ -110,3 +112,100 @@ def ks_distance(samples, cdf, atom0=0.0):
     f = np.asarray(cdf(vals), dtype=float)
     f_left = f - np.where(vals == 0.0, atom0, 0.0)
     return float(max(np.max(np.abs(f - ecdf_hi)), np.max(np.abs(f_left - ecdf_lo))))
+
+
+# --- the interference mixture, one active subset at a time -------------------
+# Literal loops over the 2^L - 1 active subsets, adding each subset's term to
+# the running total in itertools.combinations order. The library groups the
+# subsets by active count but must add the same terms in the same order, so
+# these agree with it bit for bit.
+
+def subset_weights(sub):
+    """Partial-fraction weights of one subset of pairwise-distinct means."""
+    m = np.asarray(sub, dtype=float)
+    diff = m[:, None] - m[None, :]
+    np.fill_diagonal(diff, 1.0)
+    ratios = m[:, None] / diff
+    np.fill_diagonal(ratios, 1.0)
+    return np.prod(ratios, axis=1)
+
+
+def subset_mixture(means, duty):
+    """(atom, [(prob, sub_means, weights)]) over the active subsets of
+    positive probability."""
+    m = np.asarray(means, dtype=float)
+    n = m.size
+    parts = []
+    for size in range(1, n + 1):
+        p_sub = duty**size * (1.0 - duty) ** (n - size)
+        if p_sub == 0.0:
+            continue
+        for idx in itertools.combinations(range(n), size):
+            sub = m[list(idx)]
+            parts.append((p_sub, sub, subset_weights(sub)))
+    return (1.0 - duty) ** n, parts
+
+
+def subset_hypoexp_cdf(x, means, scale, duty):
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    atom, parts = subset_mixture(means, duty)
+    out = np.full_like(x, atom)
+    for prob, sub, w in parts:
+        mm = scale * sub
+        out += prob * (1.0 - np.sum(w * np.exp(-x[:, None] / mm), axis=-1))
+    return out
+
+
+def subset_fixed_gain_report(links, primary, policy, i):
+    mix_scale = primary.tx_power / policy.noise_power
+    _, parts = subset_mixture(links.gain_pu_relay(i), primary.duty)
+    if not parts:
+        return math.inf
+    acc = 0.0
+    for prob, sub, w in parts:
+        c = 1.0 / (mix_scale * sub)
+        acc += prob * np.sum(w * c * exp_scaled_gamma_upper_0(c))
+    return 1.0 / acc
+
+
+def subset_report_e2e_cdf(x, links, primary, policy, i, u, p_rep):
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    mix_scale = primary.tx_power / policy.noise_power
+    b = p_rep * links.gain_relay_dst(i) / policy.noise_power
+    atom, parts = subset_mixture(links.gain_pu_relay(i), primary.duty)
+    out = np.full_like(x, atom)
+    pos = x > 0.0
+    xp = x[pos]
+    for prob, sub, w in parts:
+        mm = mix_scale * sub
+        s = 2.0 * np.sqrt(xp[:, None] * u / (mm * b))
+        kernel = np.exp(-xp[:, None] / mm - s) * s * bessel_k1_scaled(np.maximum(s, 1e-300))
+        out[pos] += prob * (1.0 - np.sum(w * kernel, axis=-1))
+    return out
+
+
+def subset_avg_clipped_gain(threshold_t, links, primary, policy, i, u):
+    t = max(float(threshold_t), 0.0)
+    mix_scale = primary.tx_power / policy.noise_power
+    means = links.gain_pu_relay(i)
+    atom, parts = subset_mixture(means, primary.duty)
+    if threshold_t < 0.0:
+        head = atom
+    else:
+        head = float(subset_hypoexp_cdf(t, means, mix_scale, primary.duty)[0]) / u
+    tail = 0.0
+    for prob, sub, w in parts:
+        mm = mix_scale * sub
+        c = (t + 1.0) / mm
+        tail += prob * np.sum(w * np.exp(-t / mm) * exp_scaled_gamma_upper_0(c) / mm)
+    return head + tail
+
+
+def subset_max_exp_expectation(means):
+    rates = 1.0 / np.asarray(means, dtype=float)
+    total = 0.0
+    for size in range(1, rates.size + 1):
+        sign = 1.0 if size % 2 == 1 else -1.0
+        for idx in itertools.combinations(range(rates.size), size):
+            total += sign / rates[list(idx)].sum()
+    return total

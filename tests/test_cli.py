@@ -127,6 +127,18 @@ class TestValidateCommand:
         assert rc == 1
         assert "validation FAILED" in capsys.readouterr().out
 
+    def test_idle_primary_clipped_gain_not_applicable(self, tmp_path, capsys):
+        # duty 0 forwards nothing, so the clipped-gain check has no
+        # amplifier level to test: it must say so rather than pass or raise
+        out = tmp_path / "val.csv"
+        rc = run(["--trials", "20000", "--seed", "7", "--set", "primary.duty=0",
+                  "--out", str(out), "validate"])
+        assert rc == 0
+        assert "clipped_gain           not applicable" in capsys.readouterr().out
+        rows = out.read_text().splitlines()
+        assert len(rows) == 1 + 8
+        assert rows[-1] == "clipped_gain,,,,,n/a"
+
 
 class TestBadInput:
     @pytest.mark.parametrize("override, command", [

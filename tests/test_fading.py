@@ -83,22 +83,32 @@ class TestPartialFractionWeights:
 
 class TestActivityMixture:
     def test_atom_mass(self):
-        atom, parts = activity_mixture([1.0, 2.0, 3.0], 0.5)
+        atom, groups = activity_mixture([1.0, 2.0, 3.0], 0.5)
         assert atom == pytest.approx(0.125, rel=1e-14)
-        assert len(parts) == 7
+        assert sum(len(subs) for _, subs, _ in groups) == 7
 
     def test_probabilities_total_one(self):
-        atom, parts = activity_mixture([1.0, 2.0, 4.0, 8.0], 0.3)
-        total = atom + sum(p for p, _, _ in parts)
+        atom, groups = activity_mixture([1.0, 2.0, 4.0, 8.0], 0.3)
+        total = atom + sum(p * len(subs) for p, subs, _ in groups)
         assert total == pytest.approx(1.0, rel=1e-12)
 
     def test_always_on(self):
-        atom, parts = activity_mixture([1.0, 2.0], 1.0)
+        atom, groups = activity_mixture([1.0, 2.0], 1.0)
         assert atom == 0.0
-        live = [(p, list(sub)) for p, sub, _ in parts if p > 0.0]
-        assert len(live) == 1
-        assert live[0][0] == pytest.approx(1.0)
-        assert live[0][1] == [1.0, 2.0]
+        assert len(groups) == 1
+        p, subs, _ = groups[0]
+        assert p == pytest.approx(1.0)
+        assert subs.tolist() == [[1.0, 2.0]]
+
+    def test_groups_follow_combinations_order(self):
+        means = [1.0, 2.0, 4.0, 8.0]
+        _, groups = activity_mixture(means, 0.3)
+        for r, (_, subs, w) in enumerate(groups, start=1):
+            idx = list(itertools.combinations(range(len(means)), r))
+            assert subs.tolist() == [[means[k] for k in row] for row in idx]
+            assert w.shape == (len(idx), r)
+            for row, sub in zip(w, subs):
+                assert row.tolist() == partial_fraction_weights(sub).tolist()
 
 
 class TestHypoexp:

@@ -18,7 +18,7 @@ from relaysense.mcsim import (
     mc_outage,
 )
 from relaysense.cli import Z_LIMIT
-from relaysense.energy_opt import ecg
+from relaysense.energy_opt import ecg, total_energy
 from relaysense.scenario import ladder_conf, preset, scenario_from_conf
 
 from test_sensing import fig3_setup, rel_noise_db, N0
@@ -256,3 +256,14 @@ class TestEcgAgreement:
         est = mc_ecg(m, scn.relay, t_sense, trials=200_000, seed=scn.seed)
         assert est.stderr > 0.0
         assert abs(est.z_score(ecg(m, scn.relay, t_sense))) <= Z_LIMIT
+
+    # sensing slots that are not a whole number of 1 us samples: the closed
+    # forms raise the per-sample miss to the fractional power t_sense * W
+    @pytest.mark.parametrize("t_sense", [1.4e-6, 1.5e-6, 2.5e-6])
+    def test_fractional_sample_counts(self, t_sense):
+        scn = scenario_from_conf(ladder_conf(preset("fig8"), 0.5, 1))
+        m = scn.energy_model()
+        est = mc_ecg(m, scn.relay, t_sense, trials=200_000, seed=scn.seed)
+        assert abs(est.z_score(ecg(m, scn.relay, t_sense))) <= Z_LIMIT
+        est = mc_frame_energy(m, scn.relay, t_sense, trials=200_000, seed=scn.seed)
+        assert abs(est.z_score(total_energy(m, scn.relay, t_sense))) <= Z_LIMIT
