@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 from .fading import LinkSet, PrimaryModel
 from .harvest import harvest_mean_power
-from .sensing import (SecondaryPolicy, build_report_gain, report_power,
-                      sample_miss_probability)
+from .sensing import SecondaryPolicy, build_report_gain, sample_miss_probability
 from .transmission import TransCoeffs, build_trans_coeffs, relay_selection_prob
 
 TIME_TOL = 1e-7       # sensing-time resolution, s
@@ -57,8 +56,8 @@ class EnergyModel:
     selection odds are always taken at the same sensing time as the energy
     they enter.
 
-    The inputs are fixed after construction: `delta`, `report`, `p_report`
-    and `harvest_mean` are computed once here, and the frame simulators
+    The inputs are fixed after construction: `delta`, `report` and
+    `harvest_mean` are computed once here, and the frame simulators
     memoise their simulated per-sample hit rate in `_hit_rates`, keyed by
     (trials, seed). Build a new model rather than mutating one.
     """
@@ -78,14 +77,11 @@ class EnergyModel:
         self.t_listen = float(t_total) - float(t_report)
         self.rate = float(rate)
         self.report = build_report_gain(links, primary, policy)
-        self.p_report = tuple(report_power(links, primary, policy, i)
-                              for i in range(links.n_relays))
         self.delta = sample_miss_probability(
-            policy.threshold / policy.noise_power, links, primary, policy,
-            report=self.report, powers=list(self.p_report))
+            policy.threshold / policy.noise_power, links, primary, policy, self.report)
         self.log_delta = math.log(self.delta) if self.delta > 0.0 else -math.inf
         self.e_sense = policy.p_circuit_rx
-        self.e_report = tuple(p + policy.p_circuit_tx for p in self.p_report)
+        self.e_report = tuple(p + policy.p_circuit_tx for p in self.report.p_report)
         self.harvest_mean = tuple(harvest_mean_power(links, primary, policy, i)
                                   for i in range(links.n_relays))
         self._hit_rates = {}  # (trials, seed) -> (p_hit, se), filled by mcsim
@@ -197,20 +193,14 @@ def _slope(model: EnergyModel, f: Frame, i: int) -> float:
 
 def necessary_condition(model: EnergyModel, i: int, t_sense: float) -> bool:
     """Closed-form check that the energy slope is non-negative at t_sense:
-    the transmit-side pull must not exceed the sensing-side push."""
-    f = model.frame(t_sense)
-    w = model.policy.bandwidth
-    if model.delta <= 0.0:
-        return True
-    h = model.harvest_mean[i]
-    lhs = h + f.e_transmit[i] * f.prr[i]
-    expo = -t_sense * w * model.log_delta
-    if expo > 700.0:
-        return True
-    num = (h + 2.0 * model.e_sense * t_sense * w
-           + model.e_report[i] * model.t_report * w)
-    rhs = math.exp(expo) * num / (1.0 - f.t_data * w * model.log_delta)
-    return lhs <= rhs
+    the transmit-side pull must not exceed the sensing-side push,
+
+        h + prr*e_transmit <= delta**(-t_sense*W)
+                              * (h + 2*e_sense*t_sense*W + e_report*t_report*W)
+                              / (1 - t_data*W*ln(delta)),
+
+    with h the mean harvested power. That is the sign of `energy_slope`."""
+    return _slope(model, model.frame(t_sense), i) >= 0.0
 
 
 def _multiplier(model: EnergyModel, f: Frame, i: int, d_star: float) -> float:

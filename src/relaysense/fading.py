@@ -11,7 +11,6 @@ plus a point mass at zero when no transmitter is on.
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -141,13 +140,6 @@ class PrimaryModel:
             raise ValueError("primary transmit power must be positive")
         if not 0.0 <= self.duty <= 1.0:
             raise ValueError("duty cycle must lie in [0, 1]")
-
-
-def active_count_pmf(r, count, duty):
-    """Probability that exactly r of `count` independent transmitters are on."""
-    if not 0 <= r <= count:
-        raise ValueError("active count r must lie in 0..count")
-    return math.comb(count, r) * duty**r * (1.0 - duty) ** (count - r)
 
 
 def partial_fraction_weights(means):

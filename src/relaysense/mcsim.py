@@ -20,7 +20,7 @@ import numpy as np
 
 from .energy_opt import EnergyModel
 from .fading import LinkSet, PrimaryModel
-from .sensing import SecondaryPolicy, build_report_gain, report_power
+from .sensing import ReportGain, SecondaryPolicy, build_report_gain
 from .transmission import build_trans_coeffs
 
 CHUNK = 1 << 16
@@ -107,31 +107,29 @@ def _mean(sampler, trials: int, seed: int, stream: int, workers: int):
     return mean, math.sqrt(var / n)
 
 
+def _thinned(rng, n, gains, duty):
+    """n draws of each primary's received power: an exponential fade on its
+    mean gain, zeroed when the primary is off. Returns the (n, L) array."""
+    on = rng.random((n, len(gains))) < duty
+    return on * (rng.exponential(1.0, (n, len(gains))) * gains)
+
+
 # --- detection ------------------------------------------------------------
 
 def _sample_exceed_sampler(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
-                           lam_norm: float, report=None, powers=None):
-    if report is None:
-        report = build_report_gain(links, primary, policy)
-    if powers is None:
-        powers = [report_power(links, primary, policy, i) for i in range(links.n_relays)]
+                           lam_norm: float, report: ReportGain):
     mix_scale = primary.tx_power / policy.noise_power
     g_dst = links.gain_pu_dst()
     g_rel = [links.gain_pu_relay(i) for i in range(links.n_relays)]
-    b = [powers[i] * links.gain_relay_dst(i) / policy.noise_power
+    b = [report.p_report[i] * links.gain_relay_dst(i) / policy.noise_power
          for i in range(links.n_relays)]
     u = report.u_report
     duty = primary.duty
-    n_pu = links.n_primary
 
     def sampler(rng, n):
-        theta = rng.random((n, n_pu)) < duty
-        draws = rng.exponential(1.0, (n, n_pu)) * g_dst
-        exceed = mix_scale * np.sum(theta * draws, axis=1) > lam_norm
+        exceed = mix_scale * np.sum(_thinned(rng, n, g_dst, duty), axis=1) > lam_norm
         for i in range(links.n_relays):
-            theta_i = rng.random((n, n_pu)) < duty
-            draws_i = rng.exponential(1.0, (n, n_pu)) * g_rel[i]
-            first = mix_scale * np.sum(theta_i * draws_i, axis=1)
+            first = mix_scale * np.sum(_thinned(rng, n, g_rel[i], duty), axis=1)
             second = rng.exponential(b[i], n)
             e2e = first * second / (second + u[i])
             exceed |= e2e > lam_norm
@@ -150,7 +148,8 @@ def mc_detection(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
     to the frame level through the OR rule, with the matching delta-method
     standard error.
     """
-    sampler = _sample_exceed_sampler(links, primary, policy, lam / policy.noise_power)
+    sampler = _sample_exceed_sampler(links, primary, policy, lam / policy.noise_power,
+                                     build_report_gain(links, primary, policy))
     p_hit, se = _mean(sampler, trials, seed, stream=0, workers=workers)
     if p_hit == 0.0:
         # no hits at all: quote the one-count scale, not a zero error bar
@@ -220,13 +219,10 @@ def _harvest_power_sampler(links: LinkSet, primary: PrimaryModel, policy: Second
                            i: int):
     g = links.gain_pu_relay(i)
     duty = primary.duty
-    n_pu = links.n_primary
     eta_pp = policy.eta * primary.tx_power
 
     def sampler(rng, n):
-        theta = rng.random((n, n_pu)) < duty
-        draws = rng.exponential(1.0, (n, n_pu)) * g
-        return eta_pp * np.sum(theta * draws * g, axis=1)
+        return eta_pp * np.sum(_thinned(rng, n, g, duty) * g, axis=1)
 
     return sampler
 
@@ -256,12 +252,9 @@ def mc_clipped_gain(links: LinkSet, primary: PrimaryModel, policy: SecondaryPoli
     mix_scale = primary.tx_power / policy.noise_power
     g = links.gain_pu_relay(i)
     duty = primary.duty
-    n_pu = links.n_primary
 
     def sampler(rng, n):
-        theta = rng.random((n, n_pu)) < duty
-        draws = rng.exponential(1.0, (n, n_pu)) * g
-        lvl = mix_scale * np.sum(theta * draws, axis=1)
+        lvl = mix_scale * np.sum(_thinned(rng, n, g, duty), axis=1)
         return (np.where(lvl <= threshold_t, 1.0 / u, 1.0 / (lvl + 1.0)),)
 
     mean, se = _mean(sampler, trials, seed, stream=7, workers=workers)
@@ -285,8 +278,7 @@ def _frame_draws(model: EnergyModel, i: int, t_sense: float, trials: int, seed: 
     if key not in model._hit_rates:
         hit = _sample_exceed_sampler(
             model.links, model.primary, model.policy,
-            model.policy.threshold / model.policy.noise_power,
-            report=model.report, powers=list(model.p_report))
+            model.policy.threshold / model.policy.noise_power, model.report)
         model._hit_rates[key] = _mean(hit, trials, seed, stream=11, workers=workers)
     # the same fractional sample count as EnergyModel.miss
     p_det_hat, se_det = _frame_lift(*model._hit_rates[key], t_sense * model.policy.bandwidth)

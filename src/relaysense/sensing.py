@@ -51,11 +51,12 @@ class SecondaryPolicy:
 
 @dataclass
 class ReportGain:
-    """Per-relay fixed AF gain constants for the reporting phase:
+    """Per-relay design constants of the fixed-gain AF reporting chain:
     u_report[i] is the dimensionless gain normaliser of relay i's report
-    link."""
+    link and p_report[i] its reporting transmit power (W)."""
 
     u_report: tuple
+    p_report: tuple
 
     def __post_init__(self):
         if any(u <= 0.0 for u in self.u_report):
@@ -69,11 +70,6 @@ def _capped_power(policy: SecondaryPolicy, peak: float, miss: float = 1.0) -> fl
     gain to a primary and miss the chance the primary is on unnoticed
     (1 while reporting)."""
     return 1.0 / (1.0 / policy.p_max + miss * peak / policy.interference_cap)
-
-
-def report_power(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy, i: int):
-    """Reporting-phase transmit power of relay i under both power limits."""
-    return _capped_power(policy, links.peak_pu_relay[i])
 
 
 def fixed_gain_report(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy, i: int):
@@ -126,18 +122,13 @@ def direct_cdf(x, links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy
 
 
 def sample_miss_probability(lam_norm, links: LinkSet, primary: PrimaryModel,
-                            policy: SecondaryPolicy, report: ReportGain = None,
-                            powers=None):
+                            policy: SecondaryPolicy, report: ReportGain):
     """Probability that one sample's observations all stay below the
     normalised threshold, across the direct path and every relay report."""
-    if report is None:
-        report = build_report_gain(links, primary, policy)
-    if powers is None:
-        powers = [report_power(links, primary, policy, i) for i in range(links.n_relays)]
     miss = float(direct_cdf(lam_norm, links, primary, policy))
     for i in range(links.n_relays):
         miss *= float(report_e2e_cdf(lam_norm, links, primary, policy, i,
-                                     u=report.u_report[i], p_rep=powers[i]))
+                                     u=report.u_report[i], p_rep=report.p_report[i]))
     return miss
 
 
@@ -150,15 +141,19 @@ def detection_probability(lam, n_samples, links: LinkSet, primary: PrimaryModel,
     """
     if n_samples <= 0:
         raise ValueError("need a positive sample count")
-    delta = sample_miss_probability(lam / policy.noise_power, links, primary, policy)
+    delta = sample_miss_probability(lam / policy.noise_power, links, primary, policy,
+                                    build_report_gain(links, primary, policy))
     return 1.0 - delta**n_samples
 
 
 def build_report_gain(links: LinkSet, primary: PrimaryModel,
                       policy: SecondaryPolicy) -> ReportGain:
-    """Assemble the per-relay fixed gains."""
-    return ReportGain(u_report=tuple(fixed_gain_report(links, primary, policy, i)
-                                     for i in range(links.n_relays)))
+    """Assemble the per-relay fixed gains and reporting powers; the power
+    meets both limits with the primary taken as always on (miss = 1)."""
+    relays = range(links.n_relays)
+    return ReportGain(
+        u_report=tuple(fixed_gain_report(links, primary, policy, i) for i in relays),
+        p_report=tuple(_capped_power(policy, links.peak_pu_relay[i]) for i in relays))
 
 
 # --- amplifier saturation -------------------------------------------------
@@ -189,42 +184,35 @@ def avg_clipped_gain(threshold_t, links: LinkSet, primary: PrimaryModel,
 
 
 def solve_saturation_gain(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
-                          i: int, u: float, bracket=(1e-6, 1e6)):
+                          i: int, u: float):
     """Clipping level K (W) at which the clipped amplifier's mean squared
     gain equals the fixed-gain value 1/u. Returns (K, threshold_t).
 
-    The received-level threshold is t = K*u/noise - 1. The residual
-    avg_clipped_gain(t) - 1/u starts at atom/u for t = 0 and decreases
-    through zero exactly once, so a coarse scan plus bisection is safe.
+    The received-level threshold is t = K*u/noise - 1. The relative residual
+    r(t) = u*avg_clipped_gain(t) - 1 starts at the all-off atom for t = 0,
+    since 1/u is by definition E[1/(X+1); X>0]. Its slope is
+    r'(t) = u*f(t)*(1/u - 1/(t+1)) for the interference density f, so r
+    falls on (0, u-1) and then rises toward 0 from below. There is hence
+    exactly one root, inside (0, u-1), and none when u <= 1. It is bisected
+    on s = log1p(t) over [0, log u], whose end signs are known.
     """
+    if not 1.0 < u < math.inf:
+        raise ValueError("clipped-gain residual has no sign change for fixed gain "
+                         "u = %g: a root needs 1 < u < inf" % u)
     n0 = policy.noise_power
-    k_lo, k_hi = bracket[0] * n0, bracket[1] * n0
-
-    def resid(k):
-        t = k * u / n0 - 1.0
-        return avg_clipped_gain(t, links, primary, policy, i, u=u) - 1.0 / u
-
     atom = (1.0 - primary.duty) ** links.n_primary
     if atom == 0.0:
         # residual is exactly zero on the whole branch t <= 0: the root is
         # the plateau edge where clipping first bites
-        k = n0 / u
-        if not k_lo <= k <= k_hi:
-            raise ValueError("saturation root %g W outside bracket [%g, %g] W" % (k, k_lo, k_hi))
-        return k, 0.0
-
-    grid = np.geomspace(k_lo, k_hi, 200)
-    vals = np.array([resid(k) for k in grid])
-    idx = np.nonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0))[0]
-    if idx.size == 0:
-        raise ValueError(
-            "clipped-gain residual has no sign change for K in [%g, %g] W" % (k_lo, k_hi))
-    lo, hi = grid[idx[0]], grid[idx[0] + 1]
+        return n0 / u, 0.0
+    lo, hi = 0.0, math.log(u)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if resid(mid) > 0.0:
+        if not lo < mid < hi:
+            break
+        if u * avg_clipped_gain(math.expm1(mid), links, primary, policy, i, u=u) > 1.0:
             lo = mid
         else:
             hi = mid
-    k = 0.5 * (lo + hi)
-    return k, k * u / n0 - 1.0
+    t = math.expm1(0.5 * (lo + hi))
+    return n0 * (t + 1.0) / u, t

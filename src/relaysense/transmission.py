@@ -137,21 +137,7 @@ def _selected_cdf_weighted(x, u, a_mean, terms):
         kernel = np.exp(-xp / a_mean - s) * s * bessel_k1_scaled(s)
         out[pos] -= (amp / rate) * kernel
     out[x == 0.0] = 0.0
-    return (float(out[0]) if scalar else out), prr
-
-
-def trans_e2e_cdf(x, links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
-                  i: int, p_detect: float, rho: float):
-    """CDF of the end-to-end data SNR given that relay i was selected.
-
-    x is noise-normalised. With a single relay this collapses to the plain
-    fixed-gain dual-hop CDF and rho drops out.
-    """
-    coeffs = build_trans_coeffs(links, primary, policy, p_detect)
-    terms = _subset_terms(coeffs.snr_means, i, rho)
-    a_mean = coeffs.p_src * links.gain_src_relay(i) / policy.noise_power
-    weighted, prr = _selected_cdf_weighted(x, coeffs.u_trans[i], a_mean, terms)
-    return weighted / prr
+    return float(out[0]) if scalar else out
 
 
 def outage_probability(gamma_th, links: LinkSet, primary: PrimaryModel,
@@ -164,6 +150,5 @@ def outage_probability(gamma_th, links: LinkSet, primary: PrimaryModel,
     for i in range(links.n_relays):
         terms = _subset_terms(coeffs.snr_means, i, rho)
         a_mean = coeffs.p_src * links.gain_src_relay(i) / policy.noise_power
-        weighted, _ = _selected_cdf_weighted(x, coeffs.u_trans[i], a_mean, terms)
-        total += weighted
+        total += _selected_cdf_weighted(x, coeffs.u_trans[i], a_mean, terms)
     return total

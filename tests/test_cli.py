@@ -8,6 +8,7 @@ import pytest
 
 from relaysense import cli
 from relaysense.harvest import HarvestReport, avg_harvested_power
+from relaysense.scenario import FIG3_THRESHOLD_DB
 
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -218,6 +219,30 @@ class TestSingleQuantityCommands:
             "eta = 0.35\np_circuit_tx = 10 dBm\np_circuit_rx = 9 dBm\n")
         assert run(["--no-mc", "--config", str(path), "detect"]) == 0
         assert "p_detect_analytic" in capsys.readouterr().out
+
+
+class TestCalibrateThresholdScript:
+    def test_reports_the_stock_threshold(self):
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "calibrate_detection_threshold.py")],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.rstrip().endswith(": %s" % FIG3_THRESHOLD_DB)
+
+
+class TestImportCost:
+    def test_cli_loads_no_scipy_subpackage_but_special(self):
+        # importing scipy.optimize adds about 0.3 s to start-up (2-vCPU VM, scipy 1.17)
+        code = ("import sys, relaysense.cli\n"
+                "print(' '.join(sorted({m.split('.')[1] for m, mod in sys.modules.items()\n"
+                "    if m.startswith('scipy.') and hasattr(mod, '__path__')\n"
+                "    and not m.split('.')[1].startswith('_')})))")
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["special"]
 
 
 class TestReproduceFiguresScript:

@@ -9,7 +9,6 @@ from scipy import integrate
 from relaysense.fading import (
     LinkSet,
     PrimaryModel,
-    active_count_pmf,
     activity_mixture,
     hypoexp_cdf,
     hypoexp_pdf,
@@ -41,26 +40,6 @@ class TestMeanChannelGain:
             mean_channel_gain(0.0, 4.0)
         with pytest.raises(ValueError):
             mean_channel_gain(-1.0, 4.0)
-
-
-class TestActiveCountPmf:
-    def test_frozen_binomial_value(self):
-        # 4 sources, activity 0.3, exactly 2 on: C(4,2) 0.09 * 0.49
-        assert active_count_pmf(2, 4, 0.3) == pytest.approx(0.2646, abs=1e-12)
-
-    def test_sums_to_one(self):
-        total = sum(active_count_pmf(r, 5, 0.37) for r in range(6))
-        assert total == pytest.approx(1.0, rel=1e-14)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            active_count_pmf(5, 4, 0.3)
-        with pytest.raises(ValueError):
-            active_count_pmf(-1, 4, 0.3)
-
-    def test_degenerate_duty(self):
-        assert active_count_pmf(0, 3, 0.0) == 1.0
-        assert active_count_pmf(3, 3, 1.0) == 1.0
 
 
 class TestPartialFractionWeights:

@@ -18,7 +18,6 @@ from relaysense.sensing import (
     direct_cdf,
     fixed_gain_report,
     report_e2e_cdf,
-    report_power,
     sample_miss_probability,
     solve_saturation_gain,
 )
@@ -50,7 +49,7 @@ def relay_cdf(x, links, primary, policy, i=0):
     """report_e2e_cdf at relay i's own fixed gain and reporting power."""
     return report_e2e_cdf(x, links, primary, policy, i,
                           u=fixed_gain_report(links, primary, policy, i),
-                          p_rep=report_power(links, primary, policy, i))
+                          p_rep=build_report_gain(links, primary, policy).p_report[i])
 
 
 class TestSecondaryPolicy:
@@ -86,21 +85,22 @@ class TestReportPower:
     def test_equal_caps_unit_gain(self):
         # single transmitter at unit distance: E[peak gain] = 1, so
         # p = 1/(1/1 + 1/1)
-        assert report_power(*self.unit_setup(1.0, 1.0), 0) == pytest.approx(0.5, rel=1e-14)
+        p = build_report_gain(*self.unit_setup(1.0, 1.0)).p_report[0]
+        assert p == pytest.approx(0.5, rel=1e-14)
 
     def test_loose_interference_cap(self):
-        p = report_power(*self.unit_setup(2.0, 1e12), 0)
+        p = build_report_gain(*self.unit_setup(2.0, 1e12)).p_report[0]
         assert p == pytest.approx(2.0, rel=1e-9)
 
     def test_loose_amplifier_cap(self):
-        p = report_power(*self.unit_setup(1e12, 3.0), 0)
+        p = build_report_gain(*self.unit_setup(1e12, 3.0)).p_report[0]
         assert p == pytest.approx(3.0, rel=1e-9)
 
     def test_never_exceeds_either_cap(self):
         links, primary, policy = fig3_setup()
         from relaysense.fading import max_exp_expectation
         eq = max_exp_expectation(links.gain_pu_relay(0))
-        p = report_power(links, primary, policy, 0)
+        p = build_report_gain(links, primary, policy).p_report[0]
         assert p <= policy.p_max
         assert p * eq <= policy.interference_cap * (1 + 1e-12)
 
@@ -146,7 +146,7 @@ class TestReportE2eCdf:
     def test_matches_dualhop_quadrature(self):
         links, primary, policy = fig3_setup()
         u = fixed_gain_report(links, primary, policy, 0)
-        p_rep = report_power(links, primary, policy, 0)
+        p_rep = build_report_gain(links, primary, policy).p_report[0]
         b = p_rep * links.gain_relay_dst(0) / N0
         for x in (0.01, 1.0, 30.0, 300.0, 3000.0):
             closed = report_e2e_cdf(x, links, primary, policy, 0, u=u, p_rep=p_rep)
@@ -168,7 +168,8 @@ class TestDetection:
         links, primary, policy = fig3_setup()
         atom_dst, _ = activity_mixture(links.gain_pu_dst(), primary.duty)
         atom_rel, _ = activity_mixture(links.gain_pu_relay(0), primary.duty)
-        miss0 = sample_miss_probability(0.0, links, primary, policy)
+        miss0 = sample_miss_probability(0.0, links, primary, policy,
+                                        build_report_gain(links, primary, policy))
         assert miss0 == pytest.approx(atom_dst * atom_rel, rel=1e-12)
         pd = detection_probability(0.0, 50, links, primary, policy)
         assert pd == pytest.approx(1.0 - miss0**50, rel=1e-12)
@@ -281,6 +282,35 @@ class TestClippedGain:
         links, primary, policy = fig3_setup()
         with pytest.raises(ValueError, match="sign change"):
             solve_saturation_gain(links, primary, policy, 0, u=1e-6)
+        # duty 0 forwards nothing (u = inf): the residual is identically zero
+        with pytest.raises(ValueError, match="sign change"):
+            solve_saturation_gain(links, primary, policy, 0, u=math.inf)
+
+    @pytest.mark.parametrize("name", ["fig6", "fig8"])
+    def test_stock_root_inside_bracket(self, name):
+        # u is about 1e15 on these geometries, far outside a fixed K bracket
+        scn = scenario_from_conf(preset(name))
+        links, primary, policy, i = scn.links, scn.primary, scn.policy, scn.relay
+        u = fixed_gain_report(links, primary, policy, i)
+        _, t = solve_saturation_gain(links, primary, policy, i, u=u)
+        assert 0.0 < t < u - 1.0
+        assert abs(u * avg_clipped_gain(t, links, primary, policy, i, u=u) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["default", "fig3", "fig6", "fig8", "table1"])
+    def test_at_most_80_residual_evaluations(self, name, monkeypatch):
+        scn = scenario_from_conf(preset(name))
+        links, primary, policy, i = scn.links, scn.primary, scn.policy, scn.relay
+        u = fixed_gain_report(links, primary, policy, i)
+        calls = []
+        real = sensing.avg_clipped_gain
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sensing, "avg_clipped_gain", counted)
+        solve_saturation_gain(links, primary, policy, i, u=u)
+        assert 1 <= len(calls) <= 80
 
     def test_against_simulation(self):
         links, primary, policy = fig3_setup()
@@ -299,7 +329,7 @@ class TestBuildReportGain:
 
     def test_gain_validation(self):
         with pytest.raises(ValueError):
-            ReportGain(u_report=(0.0,))
+            ReportGain(u_report=(0.0,), p_report=(1.0,))
 
 
 def ladder_scenario(n_pu):
@@ -329,7 +359,7 @@ class TestSubsetOracle:
         for i in range(links.n_relays):
             u = fixed_gain_report(links, primary, policy, i)
             assert hexes(u) == hexes(oracles.subset_fixed_gain_report(links, primary, policy, i))
-            p_rep = report_power(links, primary, policy, i)
+            p_rep = build_report_gain(links, primary, policy).p_report[i]
             assert hexes(report_e2e_cdf(xs, links, primary, policy, i, u=u, p_rep=p_rep)) \
                 == hexes(oracles.subset_report_e2e_cdf(xs, links, primary, policy, i, u, p_rep))
             for t in (-1.0, 0.0, lam, 10.0 * lam):
@@ -362,8 +392,8 @@ class TestKernelCalls:
         scn = ladder_scenario(n_pu)
         u = fixed_gain_report(scn.links, scn.primary, scn.policy, 0)
         assert 1 <= len(kernel_calls) <= n_pu
+        p_rep = build_report_gain(scn.links, scn.primary, scn.policy).p_report[0]
         kernel_calls.clear()
-        p_rep = report_power(scn.links, scn.primary, scn.policy, 0)
         report_e2e_cdf(np.array([1.0, 10.0]), scn.links, scn.primary, scn.policy, 0,
                        u=u, p_rep=p_rep)
         assert 1 <= len(kernel_calls) <= n_pu
@@ -421,4 +451,4 @@ class TestMixtureProperties:
             assert u == math.inf
         xs = np.concatenate([[0.0], np.geomspace(1e-3, 1e7, 60)])
         assert_cdf(report_e2e_cdf(xs, links, primary, policy, 0, u=u,
-                                  p_rep=report_power(links, primary, policy, 0)))
+                                  p_rep=build_report_gain(links, primary, policy).p_report[0]))

@@ -5,14 +5,13 @@ import pytest
 
 from relaysense.fading import LinkSet, PrimaryModel
 from relaysense.mcsim import mc_outage
-from relaysense.sensing import SecondaryPolicy, report_power
+from relaysense.sensing import SecondaryPolicy, build_report_gain
 from relaysense.transmission import (
     CsiModel,
     build_trans_coeffs,
     outage_probability,
     relay_selection_prob,
     rho_from_doppler,
-    trans_e2e_cdf,
     trans_powers,
 )
 
@@ -81,8 +80,7 @@ class TestTransPowers:
         # identical to the reporting phase, down to the last bit
         links, primary, policy = fig4_setup()
         _, p_rel = trans_powers(links, primary, policy, p_detect=0.0)
-        for i in range(links.n_relays):
-            assert p_rel[i] == report_power(links, primary, policy, i)
+        assert p_rel == build_report_gain(links, primary, policy).p_report
 
     def test_monotone_in_detection(self):
         links, primary, policy = fig4_setup()
@@ -129,14 +127,9 @@ class TestRelaySelection:
 
 
 class TestTransE2eCdf:
-    def test_zero_at_origin(self):
-        links, primary, policy = fig4_setup()
-        assert trans_e2e_cdf(0.0, links, primary, policy, 0, 0.95, 0.9) == 0.0
-
-    def test_upper_limit(self):
-        links, primary, policy = fig4_setup()
-        assert trans_e2e_cdf(1e9, links, primary, policy, 0, 0.95, 0.9) == pytest.approx(
-            1.0, abs=1e-6)
+    """The end-to-end data CDF of the selected relay, read through
+    outage_probability: with one relay, or with identical relays, the
+    selection-weighted sum it returns is that CDF."""
 
     def test_single_relay_matches_quadrature(self):
         primary = fig4_setup()[1]
@@ -150,7 +143,7 @@ class TestTransE2eCdf:
             co = build_trans_coeffs(links, primary, policy, p_detect)
             a = co.p_src * links.gain_src_relay(0) / N0
             for x in (0.5, 2.0, 10.0):
-                closed = trans_e2e_cdf(x, links, primary, policy, 0, p_detect, 0.7)
+                closed = outage_probability(x * N0, links, primary, policy, p_detect, 0.7)
                 quad = oracles.dualhop_exp_cdf(x, a, co.u_trans[0], co.snr_means[0])
                 assert closed == pytest.approx(quad, abs=1e-8)
 
@@ -159,8 +152,8 @@ class TestTransE2eCdf:
                         d_pu_relay=[[0.3], [0.31]], d_pu_dst=[0.4, 0.41])
         primary, policy = fig4_setup()[1:]
         for x in (0.5, 2.0, 50.0):
-            lo = trans_e2e_cdf(x, links, primary, policy, 0, 0.95, 0.0)
-            hi = trans_e2e_cdf(x, links, primary, policy, 0, 0.95, 1.0)
+            lo = outage_probability(x * N0, links, primary, policy, 0.95, 0.0)
+            hi = outage_probability(x * N0, links, primary, policy, 0.95, 1.0)
             assert abs(lo - hi) <= 1e-12
 
     def test_uncorrelated_selection_is_unconditional(self):
@@ -170,21 +163,21 @@ class TestTransE2eCdf:
         co = build_trans_coeffs(links, primary, policy, 0.95)
         a = co.p_src * links.gain_src_relay(0) / N0
         for x in (0.5, 2.0, 10.0):
-            cond = trans_e2e_cdf(x, links, primary, policy, 0, 0.95, 0.0)
+            cond = outage_probability(x * N0, links, primary, policy, 0.95, 0.0)
             quad = oracles.dualhop_exp_cdf(x, a, co.u_trans[0], co.snr_means[0])
             assert cond == pytest.approx(quad, abs=1e-8)
 
     def test_full_correlation_continuity(self):
         links, primary, policy = fig4_setup()
-        xs = np.geomspace(0.01, 100.0, 30)
-        at_one = trans_e2e_cdf(xs, links, primary, policy, 0, 0.95, 1.0)
-        near_one = trans_e2e_cdf(xs, links, primary, policy, 0, 0.95, 1.0 - 1e-6)
+        xs = np.geomspace(0.01, 100.0, 30) * N0
+        at_one = outage_probability(xs, links, primary, policy, 0.95, 1.0)
+        near_one = outage_probability(xs, links, primary, policy, 0.95, 1.0 - 1e-6)
         assert float(np.max(np.abs(at_one - near_one))) < 1e-4
 
     def test_monotone_grid(self):
         links, primary, policy = fig4_setup()
-        xs = np.geomspace(1e-3, 1e5, 50)
-        vals = trans_e2e_cdf(xs, links, primary, policy, 0, 0.95, 0.9)
+        xs = np.geomspace(1e-3, 1e5, 50) * N0
+        vals = outage_probability(xs, links, primary, policy, 0.95, 0.9)
         assert np.all(np.diff(vals) >= -1e-12)
         assert np.all((vals >= -1e-15) & (vals <= 1.0 + 1e-12))
 
