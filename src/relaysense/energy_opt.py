@@ -57,9 +57,21 @@ class EnergyModel:
     they enter.
 
     The inputs are fixed after construction: `delta`, `report` and
-    `harvest_mean` are computed once here, and the frame simulators
-    memoise their simulated per-sample hit rate in `_hit_rates`, keyed by
-    (trials, seed). Build a new model rather than mutating one.
+    `harvest_mean` are computed once here. Build a new model rather than
+    mutating one.
+
+    `_mc_memo` is the one Monte Carlo memo of the frame simulators
+    (`mcsim.mc_frame_energy`, `mcsim.mc_ecg`), filled by `mcsim` and keyed
+    by (stream, relay, trials, seed). It holds what those simulators draw
+    independently of the sensing time: the per-sample hit rate under
+    (11, None, trials, seed), and under (13 or 17, relay, trials, seed) each
+    chunk's raw draws (uniforms, harvested power, unscaled selection
+    exponentials), stored as the chunk is first used. It lives as long as
+    the model, so one figure run draws once per key and reuses the draws at
+    every sensing time. The raw draws take trials * (2 + n_relays) * 8
+    bytes per (relay, stream) key: at 1e6 trials, 48 MB for `figure fig7`
+    (4 relays, one key) and 24 MB for each of the two `figure fig8` models
+    (1 relay).
     """
 
     def __init__(self, links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
@@ -84,7 +96,7 @@ class EnergyModel:
         self.e_report = tuple(p + policy.p_circuit_tx for p in self.report.p_report)
         self.harvest_mean = tuple(harvest_mean_power(links, primary, policy, i)
                                   for i in range(links.n_relays))
-        self._hit_rates = {}  # (trials, seed) -> (p_hit, se), filled by mcsim
+        self._mc_memo = {}  # (stream, relay, trials, seed) -> draws, filled by mcsim
 
     @property
     def n_relays(self):
@@ -118,6 +130,14 @@ class EnergyModel:
         )
 
 
+def _frame(model: EnergyModel, i: int, t_sense: float) -> Frame:
+    """The frame at t_sense for a per-relay function of relay i. The index
+    is checked first, as the frame's per-relay tuples would alias a negative
+    one."""
+    model.links.check_relay(i)
+    return model.frame(t_sense)
+
+
 def _energy_nonharvesting(f: Frame, i: int) -> float:
     return f.e_listen[i] + f.miss * f.prr[i] * f.e_transmit[i] * f.t_data
 
@@ -132,24 +152,24 @@ def _data(model: EnergyModel, f: Frame, i: int) -> float:
 
 def total_energy_nonharvesting(model: EnergyModel, i: int, t_sense: float) -> float:
     """Expected frame energy of relay i with the harvester disabled."""
-    return _energy_nonharvesting(model.frame(t_sense), i)
+    return _energy_nonharvesting(_frame(model, i, t_sense), i)
 
 
 def total_energy(model: EnergyModel, i: int, t_sense: float) -> float:
     """Expected frame energy of relay i, harvesting credited on detection."""
-    return _energy(model, model.frame(t_sense), i)
+    return _energy(model, _frame(model, i, t_sense), i)
 
 
 def expected_data(model: EnergyModel, i: int, t_sense: float) -> float:
     """Expected bits moved through relay i in one frame."""
-    return _data(model, model.frame(t_sense), i)
+    return _data(model, _frame(model, i, t_sense), i)
 
 
 def transformed_constraint(model: EnergyModel, i: int, t_sense: float,
                            d_star: float) -> float:
     """SNR-form data constraint; non-positive iff the expected data per
     frame reaches d_star bits. Strictly increasing and convex in t_sense."""
-    return _constraint(model, model.frame(t_sense), i, d_star)
+    return _constraint(model, _frame(model, i, t_sense), i, d_star)
 
 
 def _constraint(model: EnergyModel, f: Frame, i: int, d_star: float) -> float:
@@ -176,7 +196,7 @@ def energy_slope(model: EnergyModel, i: int, t_sense: float) -> float:
     """Derivative of the expected frame energy in t_sense, holding the
     detection-dependent transmit power and selection odds at their local
     values (the stationarity form the multiplier identity is built on)."""
-    return _slope(model, model.frame(t_sense), i)
+    return _slope(model, _frame(model, i, t_sense), i)
 
 
 def _slope(model: EnergyModel, f: Frame, i: int) -> float:
@@ -200,7 +220,7 @@ def necessary_condition(model: EnergyModel, i: int, t_sense: float) -> bool:
                               / (1 - t_data*W*ln(delta)),
 
     with h the mean harvested power. That is the sign of `energy_slope`."""
-    return _slope(model, model.frame(t_sense), i) >= 0.0
+    return _slope(model, _frame(model, i, t_sense), i) >= 0.0
 
 
 def _multiplier(model: EnergyModel, f: Frame, i: int, d_star: float) -> float:
@@ -322,7 +342,7 @@ def ecg(model: EnergyModel, i: int, t_sense: float) -> float:
     Uses the conventional account where listening charges linearly in the
     sensing time. Undetectable primaries harvest nothing, which makes the
     ratio infinite; that is reported as a division error."""
-    return _ecg(model, model.frame(t_sense), i)
+    return _ecg(model, _frame(model, i, t_sense), i)
 
 
 def _ecg(model: EnergyModel, f: Frame, i: int) -> float:

@@ -109,11 +109,20 @@ class LinkSet:
     def n_primary(self):
         return len(self.d_pu_src)
 
+    def check_relay(self, i):
+        """Return relay index i if it names one of the relays, else raise
+        ValueError: a negative index would silently alias a relay from the
+        end of every per-relay tuple."""
+        if not 0 <= i < self.n_relays:
+            raise ValueError("relay index %r out of range: the network has %d relay(s)"
+                             % (i, self.n_relays))
+        return i
+
     def gain_src_relay(self, i):
-        return float(mean_channel_gain(self.d_src_relay[i], self.alpha))
+        return float(mean_channel_gain(self.d_src_relay[self.check_relay(i)], self.alpha))
 
     def gain_relay_dst(self, i):
-        return float(mean_channel_gain(self.d_relay_dst[i], self.alpha))
+        return float(mean_channel_gain(self.d_relay_dst[self.check_relay(i)], self.alpha))
 
     def gain_pu_src(self):
         return mean_channel_gain(np.array(self.d_pu_src), self.alpha)
@@ -122,6 +131,7 @@ class LinkSet:
         return mean_channel_gain(np.array(self.d_pu_dst), self.alpha)
 
     def gain_pu_relay(self, i):
+        i = self.check_relay(i)
         return mean_channel_gain(np.array([row[i] for row in self.d_pu_relay]), self.alpha)
 
 

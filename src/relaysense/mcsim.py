@@ -4,6 +4,17 @@ Estimates are built from counter-based Philox streams keyed by
 (seed, stream, chunk), with per-chunk partial sums reduced in chunk order.
 That makes every estimate bit-identical for a given seed no matter how many
 worker threads run the chunks, which the validation harness relies on.
+`_map_chunks` is the one chunk loop (and the one place threads start), and
+`_reduce` the one moment reduction on top of it.
+
+The frame simulators (`mc_frame_energy`, `mc_ecg`) run on one
+`EnergyModel` across a sensing-time grid. What they draw does not depend on
+the sensing time, so they memoise it on the model (`EnergyModel._mc_memo`,
+keyed by (stream, relay, trials, seed)): the per-sample hit rate, and each
+chunk's raw draws. Every later sensing time only redoes the comparisons
+that move with it, and gives the same bits as a fresh model would. The memo
+lives as long as the model, one figure run, and its raw draws take
+trials * (2 + n_relays) * 8 bytes per (relay, stream) key.
 
 The simulators share the analytic layer's power allocations and gain
 constants (those are design choices of the network, not outputs being
@@ -71,25 +82,38 @@ def _chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(seed, stream, chunk)))
 
 
-def _reduce(sampler, trials: int, seed: int, stream: int, workers: int = 1):
-    """Per-column sums and cross-products of sampler(rng, n) -> columns over
-    `trials` draws: ([sum_a], [[sum_a*b]]) as plain floats."""
+def _seeded(sampler, seed: int, stream: int):
+    """The chunk function fn(ci, n) = sampler(rng, n) on chunk ci's own
+    Philox stream of (seed, stream)."""
+    return lambda ci, n: sampler(_chunk_rng(seed, stream, ci), n)
+
+
+def _map_chunks(fn, trials: int, workers: int = 1):
+    """[fn(ci, n) for each chunk ci of n draws] over `trials` draws, in chunk
+    order. With workers > 1 the chunks run on a thread pool; each result
+    depends on (ci, n) alone, so the worker count changes no bit."""
     trials = int(trials)
     if trials < 2:
         raise ValueError("need at least two trials")
-    n_chunks = (trials + CHUNK - 1) // CHUNK
+    chunks = [(ci, min(CHUNK, trials - ci * CHUNK))
+              for ci in range((trials + CHUNK - 1) // CHUNK)]
+    if workers and workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(lambda c: fn(*c), chunks))
+    return [fn(ci, n) for ci, n in chunks]
 
-    def one(ci):
-        n = min(CHUNK, trials - ci * CHUNK)
-        cols = [np.asarray(c, dtype=float) for c in sampler(_chunk_rng(seed, stream, ci), n)]
+
+def _reduce(fn, trials: int, workers: int = 1):
+    """Per-column sums and cross-products of fn(ci, n) -> columns over
+    `trials` draws: ([sum_a], [[sum_a*b]]) as plain floats, the per-chunk
+    partials added in chunk order."""
+
+    def moments(ci, n):
+        cols = [np.asarray(c, dtype=float) for c in fn(ci, n)]
         return (np.array([c.sum() for c in cols]),
                 np.array([[np.dot(x, y) for y in cols] for x in cols]))
 
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(one, range(n_chunks)))
-    else:
-        partials = [one(ci) for ci in range(n_chunks)]
+    partials = _map_chunks(moments, trials, workers)
     sums = np.zeros_like(partials[0][0])
     cross = np.zeros_like(partials[0][1])
     for s, c in partials:
@@ -98,9 +122,9 @@ def _reduce(sampler, trials: int, seed: int, stream: int, workers: int = 1):
     return sums.tolist(), cross.tolist()
 
 
-def _mean(sampler, trials: int, seed: int, stream: int, workers: int):
-    """Sample mean of a one-column sampler and its standard error."""
-    (total,), ((sumsq,),) = _reduce(sampler, trials, seed, stream, workers)
+def _mean(fn, trials: int, workers: int):
+    """Sample mean of a one-column chunk function and its standard error."""
+    (total,), ((sumsq,),) = _reduce(fn, trials, workers)
     n = int(trials)
     mean = total / n
     var = max(sumsq - n * mean * mean, 0.0) / (n - 1)
@@ -150,7 +174,7 @@ def mc_detection(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
     """
     sampler = _sample_exceed_sampler(links, primary, policy, lam / policy.noise_power,
                                      build_report_gain(links, primary, policy))
-    p_hit, se = _mean(sampler, trials, seed, stream=0, workers=workers)
+    p_hit, se = _mean(_seeded(sampler, seed, 0), trials, workers)
     if p_hit == 0.0:
         # no hits at all: quote the one-count scale, not a zero error bar
         se = 1.0 / trials
@@ -206,7 +230,7 @@ def mc_outage(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
         e2e = first * second / (second + u[sel])
         return ((e2e <= x).astype(float),)
 
-    mean, se = _mean(sampler, trials, seed, stream=3, workers=workers)
+    mean, se = _mean(_seeded(sampler, seed, 3), trials, workers)
     if mean in (0.0, 1.0):
         # all-or-nothing outcome: one-count floor keeps z-tests meaningful
         se = max(se, 1.0 / trials)
@@ -239,7 +263,7 @@ def mc_harvest(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
     def sampler(rng, n):
         return (p_detect * base(rng, n),)
 
-    mean, se = _mean(sampler, trials, seed, stream=5, workers=workers)
+    mean, se = _mean(_seeded(sampler, seed, 5), trials, workers)
     return MCEstimate(mean=mean, stderr=se, trials=int(trials), seed=int(seed))
 
 
@@ -257,40 +281,58 @@ def mc_clipped_gain(links: LinkSet, primary: PrimaryModel, policy: SecondaryPoli
         lvl = mix_scale * np.sum(_thinned(rng, n, g, duty), axis=1)
         return (np.where(lvl <= threshold_t, 1.0 / u, 1.0 / (lvl + 1.0)),)
 
-    mean, se = _mean(sampler, trials, seed, stream=7, workers=workers)
+    mean, se = _mean(_seeded(sampler, seed, 7), trials, workers)
     return MCEstimate(mean=mean, stderr=se, trials=int(trials), seed=int(seed))
 
 
 # --- frame energy ---------------------------------------------------------
 
 def _frame_draws(model: EnergyModel, i: int, t_sense: float, trials: int, seed: int,
-                 workers: int):
+                 workers: int, stream: int):
     """Set-up shared by the frame-level simulators of relay i.
 
     Returns the frame at t_sense, the simulated frame detection probability
-    with its standard error, and draw(rng, n) -> (detected, harvested power,
-    pays), where `pays` marks the missed frames in which relay i wins
-    selection and so pays the transmit slot."""
+    with its standard error, and draw(ci, n) -> (detected, harvested power,
+    pays) for chunk ci of n draws, where `pays` marks the missed frames in
+    which relay i wins selection and so pays the transmit slot.
+
+    Nothing drawn here depends on t_sense, so it is memoised on the model
+    (see `EnergyModel`): the per-sample hit rate under
+    (11, None, trials, seed), and, under (stream, i, trials, seed), a dict
+    from chunk index to that chunk's uniforms u01, harvested power and
+    unscaled selection exponentials, drawn in that order from the chunk's own
+    stream. A chunk is drawn on its first use, inside the reduction that
+    consumes it. Only the comparisons move with t_sense: u01 < p_det_hat and
+    the argmax of the exponentials times the frame's SNR means, the same
+    product the draws made before they were memoised. The raw draws take
+    trials * (2 + n_relays) * 8 bytes per key.
+    """
+    i = int(model.links.check_relay(i))
+    trials, seed = int(trials), int(seed)
     f = model.frame(t_sense)
-    # the per-sample hit rate does not move with t_sense: draw it once per
-    # (trials, seed); the chunked reduction makes it the same for any workers
-    key = (int(trials), int(seed))
-    if key not in model._hit_rates:
+    memo = model._mc_memo
+    key = (11, None, trials, seed)
+    if key not in memo:
         hit = _sample_exceed_sampler(
             model.links, model.primary, model.policy,
             model.policy.threshold / model.policy.noise_power, model.report)
-        model._hit_rates[key] = _mean(hit, trials, seed, stream=11, workers=workers)
+        memo[key] = _mean(_seeded(hit, seed, 11), trials, workers)
     # the same fractional sample count as EnergyModel.miss
-    p_det_hat, se_det = _frame_lift(*model._hit_rates[key], t_sense * model.policy.bandwidth)
-    m = np.asarray(f.coeffs.snr_means, dtype=float)
+    p_det_hat, se_det = _frame_lift(*memo[key], t_sense * model.policy.bandwidth)
+    chunks = memo.setdefault((stream, i, trials, seed), {})
     harv = _harvest_power_sampler(model.links, model.primary, model.policy, i)
+    m = np.asarray(f.coeffs.snr_means, dtype=float)
 
-    def draw(rng, n):
-        u01 = rng.random(n)
-        p_h = harv(rng, n)
-        est = rng.exponential(1.0, (n, m.size)) * m
+    def draw(ci, n):
+        raw = chunks.get(ci)
+        if raw is None:
+            # each chunk is one key, written by the one worker that maps it
+            rng = _chunk_rng(seed, stream, ci)
+            raw = chunks[ci] = (rng.random(n), harv(rng, n),
+                                rng.exponential(1.0, (n, m.size)))
+        u01, p_h, est = raw
         detected = u01 < p_det_hat
-        return detected, p_h, (~detected) & (np.argmax(est, axis=1) == i)
+        return detected, p_h, (~detected) & (np.argmax(est * m, axis=1) == i)
 
     return f, p_det_hat, se_det, draw
 
@@ -304,17 +346,17 @@ def mc_frame_energy(model: EnergyModel, i: int, t_sense: float, trials: int,
     pay the transmit slot of whichever relay wins selection. The standard
     error folds the detection-estimate uncertainty in quadrature.
     """
-    f, _, se_det, draw = _frame_draws(model, i, t_sense, trials, seed, workers)
+    f, _, se_det, draw = _frame_draws(model, i, t_sense, trials, seed, workers, stream=13)
 
-    def sampler(rng, n):
-        detected, p_h, pays = draw(rng, n)
+    def sampler(ci, n):
+        detected, p_h, pays = draw(ci, n)
         val = np.full(n, f.e_listen[i])
         if harvesting:
             val[detected] -= p_h[detected] * f.t_data
         val[pays] += f.e_transmit[i] * f.t_data
         return (val,)
 
-    mean, se = _mean(sampler, trials, seed, stream=13, workers=workers)
+    mean, se = _mean(sampler, trials, workers)
     sens = f.t_data * (f.prr[i] * f.e_transmit[i]
                        + (model.harvest_mean[i] if harvesting else 0.0))
     se_total = math.sqrt(se * se + (sens * se_det) ** 2)
@@ -326,21 +368,21 @@ def mc_ecg(model: EnergyModel, i: int, t_sense: float, trials: int, seed: int,
     """Simulated consumed-to-harvested ratio at the frame level for relay i,
     a ratio of means with a delta-method standard error that also carries
     the detection-estimate uncertainty."""
-    f, p_det_hat, se_det, draw = _frame_draws(model, i, t_sense, trials, seed, workers)
+    f, p_det_hat, se_det, draw = _frame_draws(model, i, t_sense, trials, seed, workers,
+                                              stream=17)
     if p_det_hat == 0.0:
         raise ZeroDivisionError("no detections in simulation: ratio is infinite")
     listen = (model.e_sense * t_sense
               + model.e_report[i] * model.t_report * t_sense * model.policy.bandwidth)
 
-    def sampler(rng, n):
-        detected, p_h, pays = draw(rng, n)
+    def sampler(ci, n):
+        detected, p_h, pays = draw(ci, n)
         consumed = np.full(n, listen)
         consumed[pays] += f.e_transmit[i] * f.t_data
         harvested = np.where(detected, p_h * f.t_data, 0.0)
         return consumed, harvested
 
-    (sc, sh), ((scc, sch), (_, shh)) = _reduce(sampler, trials, seed, stream=17,
-                                               workers=workers)
+    (sc, sh), ((scc, sch), (_, shh)) = _reduce(sampler, trials, workers)
     n = int(trials)
     cbar, hbar = sc / n, sh / n
     if hbar == 0.0:

@@ -196,6 +196,7 @@ def solve_saturation_gain(links: LinkSet, primary: PrimaryModel, policy: Seconda
     exactly one root, inside (0, u-1), and none when u <= 1. It is bisected
     on s = log1p(t) over [0, log u], whose end signs are known.
     """
+    links.check_relay(i)
     if not 1.0 < u < math.inf:
         raise ValueError("clipped-gain residual has no sign change for fixed gain "
                          "u = %g: a root needs 1 < u < inf" % u)

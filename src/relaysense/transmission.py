@@ -107,6 +107,9 @@ def _subset_terms(snr_means, i, rho):
     m = np.asarray(snr_means, dtype=float)
     if np.any(m <= 0.0):
         raise ValueError("estimated SNR means must be positive")
+    if not 0 <= i < m.size:
+        raise ValueError("relay index %r out of range: the network has %d relay(s)"
+                         % (i, m.size))
     others = [j for j in range(m.size) if j != i]
     one_minus = 1.0 - rho * rho
     out = []

@@ -41,7 +41,13 @@ def quad_gamma_upper_0(x):
 
 
 def quad_mean_inv_plus1(means, scale, duty):
-    """E[1/(x+1)] over the continuous part of the thinned interference sum."""
+    """E[1/(x+1)] over the continuous part of the thinned interference sum.
+
+    Integrated over s = log1p(x), where dx / (x+1) = ds turns the integrand
+    into pdf(expm1(s)). Over x, the decades far below huge means carry most
+    of the value but are a sliver of the range, and quadrature misses them;
+    over s each decade gets the same width. The range splits at the largest
+    mean, s = log1p(scale * max(means))."""
     _, parts = subset_mixture(means, duty)
 
     def pdf(x):
@@ -51,9 +57,14 @@ def quad_mean_inv_plus1(means, scale, duty):
             total += prob * float(np.sum((w / mm) * np.exp(-x / mm)))
         return total
 
-    val, _ = integrate.quad(lambda x: pdf(x) / (x + 1.0), 0.0, np.inf,
-                            limit=400, epsabs=1e-14, epsrel=1e-12)
-    return val
+    def integrand(s):
+        # expm1 overflows past s ~ 710; the density is dead long before
+        return 0.0 if s > 700.0 else pdf(math.expm1(s))
+
+    split = math.log1p(scale * float(np.max(means)))
+    head, _ = integrate.quad(integrand, 0.0, split, limit=400, epsabs=0.0, epsrel=1e-12)
+    tail, _ = integrate.quad(integrand, split, np.inf, limit=400, epsabs=0.0, epsrel=1e-12)
+    return head + tail
 
 
 def dualhop_report_cdf(x, means, scale, duty, u, b):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from relaysense import energy_opt, fading, mcsim, sensing, transmission
+from relaysense import energy_opt, fading, harvest, mcsim, sensing, transmission
 from relaysense.energy_opt import (
     CONSTRAINT_TOL,
     TIME_TOL,
@@ -378,3 +378,53 @@ class TestCoefficientBuilds:
         scn = scenario_from_conf(c)
         optimize_sensing_time(scn.energy_model(), scn.relay, scn.d_star)
         assert len(builds) <= 38
+
+
+# every public entry point that takes a relay index, called on relay i of m
+RELAY_ENTRY_POINTS = {
+    "LinkSet.gain_src_relay": lambda m, i: m.links.gain_src_relay(i),
+    "LinkSet.gain_relay_dst": lambda m, i: m.links.gain_relay_dst(i),
+    "LinkSet.gain_pu_relay": lambda m, i: m.links.gain_pu_relay(i),
+    "fixed_gain_report": lambda m, i: sensing.fixed_gain_report(
+        m.links, m.primary, m.policy, i),
+    "report_e2e_cdf": lambda m, i: sensing.report_e2e_cdf(
+        1.0, m.links, m.primary, m.policy, i, u=2.0, p_rep=1.0),
+    "avg_clipped_gain": lambda m, i: sensing.avg_clipped_gain(
+        1.0, m.links, m.primary, m.policy, i, u=2.0),
+    "solve_saturation_gain": lambda m, i: sensing.solve_saturation_gain(
+        m.links, m.primary, m.policy, i, u=2.0),
+    "harvest_mean_power": lambda m, i: harvest.harvest_mean_power(
+        m.links, m.primary, m.policy, i),
+    "avg_harvested_power": lambda m, i: harvest.avg_harvested_power(
+        m.links, m.primary, m.policy, i, 0.5),
+    "fixed_gain_trans": lambda m, i: transmission.fixed_gain_trans(m.links, m.policy, i, 1.0),
+    "relay_selection_prob": lambda m, i: transmission.relay_selection_prob(
+        m.frame(0.02).coeffs.snr_means, i),
+    "mc_harvest": lambda m, i: mcsim.mc_harvest(
+        m.links, m.primary, m.policy, i, 0.5, trials=100, seed=1),
+    "mc_clipped_gain": lambda m, i: mcsim.mc_clipped_gain(
+        m.links, m.primary, m.policy, i, 1.0, 2.0, trials=100, seed=1),
+    "mc_frame_energy": lambda m, i: mcsim.mc_frame_energy(m, i, 0.02, trials=100, seed=1),
+    "mc_ecg": lambda m, i: mcsim.mc_ecg(m, i, 0.02, trials=100, seed=1),
+    "total_energy": lambda m, i: total_energy(m, i, 0.02),
+    "total_energy_nonharvesting": lambda m, i: total_energy_nonharvesting(m, i, 0.02),
+    "expected_data": lambda m, i: expected_data(m, i, 0.02),
+    "transformed_constraint": lambda m, i: transformed_constraint(m, i, 0.02, 1.0),
+    "energy_slope": lambda m, i: energy_slope(m, i, 0.02),
+    "necessary_condition": lambda m, i: necessary_condition(m, i, 0.02),
+    "optimize_sensing_time": lambda m, i: optimize_sensing_time(m, i, 0.0),
+    "ecg": lambda m, i: ecg(m, i, 0.02),
+}
+
+
+class TestRelayIndex:
+    @pytest.mark.parametrize("name", sorted(RELAY_ENTRY_POINTS))
+    def test_out_of_range_index_is_rejected(self, name, fig7_model):
+        # -1 would otherwise alias the last of fig7's four relays
+        call = RELAY_ENTRY_POINTS[name]
+        call(fig7_model, fig7_model.n_relays - 1)
+        for bad in (-1, fig7_model.n_relays):
+            with pytest.raises(ValueError, match=r"relay index %d out of range: "
+                               r"the network has 4 relay\(s\)" % bad):
+                call(fig7_model, bad)
+        assert not any(key[1] in (-1, fig7_model.n_relays) for key in fig7_model._mc_memo)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from relaysense.mcsim import (
     _chunk_rng,
     _pair_exponentials,
     _reduce,
+    _seeded,
     mc_clipped_gain,
     mc_detection,
     mc_ecg,
@@ -91,43 +94,97 @@ class TestDeterminism:
 
 
 class TestHitRateCache:
-    def test_one_draw_per_trials_and_seed(self, monkeypatch):
-        conf = preset("fig7")
-        sims = {
-            "harv": lambda m, t, **kw: mc_frame_energy(m, 0, t, **kw),
-            "noharv": lambda m, t, **kw: mc_frame_energy(m, 0, t, harvesting=False, **kw),
-            "ecg": lambda m, t, **kw: mc_ecg(m, 0, t, **kw),
-        }
-        grid = (1e-6, 0.005, 0.02, 0.095)
-        run = dict(trials=20_000, seed=3)
+    # one model swept over sensing times reads each draw from its memo
+    SIMS = {
+        "harv": lambda m, i, t, **kw: mc_frame_energy(m, i, t, **kw),
+        "noharv": lambda m, i, t, **kw: mc_frame_energy(m, i, t, harvesting=False, **kw),
+        "ecg": lambda m, i, t, **kw: mc_ecg(m, i, t, **kw),
+    }
+    GRID = (1e-6, 2.5e-6, 0.005, 0.02, 0.095)
+    TRIALS = CHUNK + 4_000  # a full chunk and a partial tail chunk
 
-        def bits(est):
-            return repr(est.mean), repr(est.stderr)
+    @staticmethod
+    def bits(est):
+        return est.mean.hex(), est.stderr.hex()
 
-        fresh = {(name, t): bits(sim(scenario_from_conf(conf).energy_model(), t, **run))
-                 for name, sim in sims.items() for t in grid}
+    def fresh(self, name, t, relay=0, **run):
+        model = scenario_from_conf(preset("fig7")).energy_model()
+        return self.bits(self.SIMS[name](model, relay, t, **run))
 
-        draws = []
-        real = mcsim._reduce
+    @pytest.fixture
+    def rng_keys(self, monkeypatch):
+        """Every (seed, stream, chunk) Philox stream opened, in order."""
+        keys = []
+        real = mcsim._chunk_rng
 
-        def counting(sampler, trials, seed, stream, workers=1):
-            if stream == 11:
-                draws.append((trials, seed))
-            return real(sampler, trials, seed, stream, workers)
+        def counting(seed, stream, chunk):
+            keys.append((seed, stream, chunk))
+            return real(seed, stream, chunk)
 
-        monkeypatch.setattr(mcsim, "_reduce", counting)
-        m = scenario_from_conf(conf).energy_model()
-        for t in grid:
-            for name, sim in sims.items():
-                assert bits(sim(m, t, **run)) == fresh[name, t], (name, t)
-        assert draws == [(20_000, 3)]
+        monkeypatch.setattr(mcsim, "_chunk_rng", counting)
+        return keys
 
-        # a new seed or trial count draws again; a repeated key does not
-        for t in grid:
-            sims["harv"](m, t, trials=20_000, seed=4)
-            sims["ecg"](m, t, trials=30_000, seed=3)
-            sims["noharv"](m, t, **run)
-        assert draws == [(20_000, 3), (20_000, 4), (30_000, 3)]
+    def test_one_draw_per_trials_and_seed(self, rng_keys):
+        run = dict(trials=self.TRIALS, seed=3)
+        points = [(name, t) for name in self.SIMS for t in self.GRID]
+        np.random.default_rng(0).shuffle(points)
+        want = {p: self.fresh(*p, **run) for p in points}
+        want_relay1 = {t: self.fresh("harv", t, relay=1, **run) for t in self.GRID}
+        rng_keys.clear()
+
+        m = scenario_from_conf(preset("fig7")).energy_model()
+        for name, t in points:
+            assert self.bits(self.SIMS[name](m, 0, t, **run)) == want[name, t], (name, t)
+        # harv and noharv share stream 13; each chunk of each stream opens once
+        assert sorted(rng_keys) == [(3, s, ci) for s in (11, 13, 17) for ci in (0, 1)]
+
+        # a new relay, trial count or seed draws again; a repeated key does not
+        rng_keys.clear()
+        for t in self.GRID:
+            assert self.bits(self.SIMS["harv"](m, 1, t, **run)) == want_relay1[t]
+            self.SIMS["ecg"](m, 0, t, trials=20_000, seed=3)
+            self.SIMS["noharv"](m, 0, t, trials=self.TRIALS, seed=4)
+            self.SIMS["noharv"](m, 0, t, **run)
+        assert sorted(rng_keys) == sorted(
+            [(3, 13, 0), (3, 13, 1)]                            # relay 1
+            + [(3, 11, 0), (3, 17, 0)]                          # 20000 trials
+            + [(4, s, ci) for s in (11, 13) for ci in (0, 1)])  # seed 4
+
+    def test_filled_by_threads_read_serially(self):
+        run = dict(trials=self.TRIALS, seed=5)
+        m = scenario_from_conf(preset("fig7")).energy_model()
+        for name in self.SIMS:
+            self.SIMS[name](m, 0, 0.02, workers=3, **run)
+        for name in self.SIMS:
+            for t in (0.02, 0.005):
+                assert self.bits(self.SIMS[name](m, 0, t, workers=1, **run)) == \
+                    self.fresh(name, t, **run), (name, t)
+
+    def test_concurrent_callers_share_one_memo(self):
+        # more callers than cores race to fill the same keys on one model
+        run = dict(trials=20_000, seed=6)
+        want = {name: self.fresh(name, 0.02, **run) for name in self.SIMS}
+        m = scenario_from_conf(preset("fig7")).energy_model()
+        got = []
+
+        def call(name):
+            got.append((name, self.bits(self.SIMS[name](m, 0, 0.02, **run))))
+
+        threads = [threading.Thread(target=call, args=(name,))
+                   for name in list(self.SIMS) * 3]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert sorted(got) == sorted((name, want[name]) for name in list(self.SIMS) * 3)
+        assert sorted(m._mc_memo, key=repr) == sorted(
+            [(11, None, 20_000, 6), (13, 0, 20_000, 6), (17, 0, 20_000, 6)], key=repr)
 
 
 class TestReducer:
@@ -138,7 +195,7 @@ class TestReducer:
             return x, 2.0 * x + rng.random(n)
 
         trials = CHUNK + 17
-        sums, cross = _reduce(sampler, trials, seed=4, stream=1)
+        sums, cross = _reduce(_seeded(sampler, 4, 1), trials)
         cols = [np.concatenate(parts) for parts in zip(*(
             sampler(_chunk_rng(4, 1, ci), n) for ci, n in ((0, CHUNK), (1, 17))))]
         assert sums == pytest.approx([c.sum() for c in cols], rel=1e-12)
@@ -149,7 +206,7 @@ class TestReducer:
 
     def test_rejects_single_trial(self):
         with pytest.raises(ValueError):
-            _reduce(lambda rng, n: (rng.random(n),), 1, seed=1, stream=0)
+            _reduce(_seeded(lambda rng, n: (rng.random(n),), 1, 0), 1)
 
 
 class TestStderrScaling:
