@@ -283,16 +283,17 @@ def cmd_harvest(args):
 def cmd_energy(args):
     scn = _scenario(args)
     model = scn.energy_model()
-    bd = energy_opt.energy_breakdown(model, scn.t_sense, d_star=scn.d_star)
-    print("t_sense = %.6g s, p_detect = %.9g" % (scn.t_sense, model.p_detect(scn.t_sense)))
+    f = model.frame(scn.t_sense)
+    print("t_sense = %.6g s, p_detect = %.9g" % (scn.t_sense, f.p_detect))
     print("%-6s %-14s %-14s %-14s %-12s" % ("relay", "E_total_J", "E_noharv_J", "ECG", "data_bits"))
     for i in range(model.n_relays):
         print("%-6d %-14.6g %-14.6g %-14.6g %-12.6g"
-              % (i, bd.e_total[i], bd.e_total_nonharvesting[i], bd.ecg[i], bd.data[i]))
+              % (i, f.energy(i), f.energy_nonharvesting(i), f.ecg(i), f.data(i)))
     if not args.no_mc:
-        ref, est = _frame_energy(scn, model, scn.t_sense, False)
+        est = mcsim.mc_frame_energy(model, scn.relay, scn.t_sense, scn.trials, scn.seed,
+                                    workers=scn.workers)
         print("relay %d mc: E_total = %.9g +/- %.3g (z=%+.2f)"
-              % (scn.relay, est.mean, est.stderr, est.z_score(ref)))
+              % (scn.relay, est.mean, est.stderr, est.z_score(f.energy(scn.relay))))
     return 0
 
 

@@ -14,8 +14,9 @@ multiplier bookkeeping elementary.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .fading import LinkSet, PrimaryModel
 from .harvest import harvest_mean_power
@@ -30,11 +31,18 @@ LN2 = math.log(2.0)
 @dataclass(frozen=True)
 class Frame:
     """One frame at a fixed sensing time: every quantity of the energy and
-    data expressions that moves with t_sense, evaluated once.
+    data expressions that moves with t_sense, evaluated once, and the one
+    ledger of per-relay figures read from them.
 
     The transmission coefficients do not depend on the relay, so one build
-    serves every relay's selection probability (prr), transmit-slot power
-    (e_transmit, W) and sensing-plus-reporting energy (e_listen, J).
+    serves every relay's selection probability (prr) and transmit-slot power
+    (e_transmit, W). Listening is charged in two accounts: the frame energy
+    takes e_listen (J), quadratic in t_sense (listen power times sample
+    count times slot), and the ECG takes `listen_linear`, the conventional
+    account linear in t_sense.
+
+    The methods take a relay index unchecked; the public functions below
+    check it first.
     """
 
     t_sense: float
@@ -45,6 +53,36 @@ class Frame:
     prr: tuple
     e_transmit: tuple
     e_listen: tuple
+    model: EnergyModel = field(repr=False, compare=False)
+
+    def energy_nonharvesting(self, i: int) -> float:
+        """Expected frame energy of relay i with the harvester disabled."""
+        return self.e_listen[i] + self.miss * self.prr[i] * self.e_transmit[i] * self.t_data
+
+    def energy(self, i: int) -> float:
+        """Expected frame energy of relay i, harvesting credited on detection."""
+        return (self.energy_nonharvesting(i)
+                - self.p_detect * self.model.harvest_mean[i] * self.t_data)
+
+    def data(self, i: int) -> float:
+        """Expected bits moved through relay i in one frame."""
+        return self.miss * self.prr[i] * self.model.rate * self.t_data
+
+    def listen_linear(self, i: int) -> float:
+        """Sensing-plus-reporting energy of relay i, linear in t_sense."""
+        m = self.model
+        return (m.e_sense * self.t_sense
+                + m.e_report[i] * m.t_report * self.t_sense * m.policy.bandwidth)
+
+    def ecg(self, i: int) -> float:
+        """Consumed-to-harvested energy ratio of relay i; inf when nothing is
+        harvested, as at p_detect == 0."""
+        harvested = self.p_detect * self.model.harvest_mean[i] * self.t_data
+        if harvested == 0.0:
+            return math.inf
+        consumed = (self.listen_linear(i)
+                    + (1.0 - self.p_detect) * self.prr[i] * self.e_transmit[i] * self.t_data)
+        return consumed / harvested
 
 
 class EnergyModel:
@@ -60,18 +98,8 @@ class EnergyModel:
     `harvest_mean` are computed once here. Build a new model rather than
     mutating one.
 
-    `_mc_memo` is the one Monte Carlo memo of the frame simulators
-    (`mcsim.mc_frame_energy`, `mcsim.mc_ecg`), filled by `mcsim` and keyed
-    by (stream, relay, trials, seed). It holds what those simulators draw
-    independently of the sensing time: the per-sample hit rate under
-    (11, None, trials, seed), and under (13 or 17, relay, trials, seed) each
-    chunk's raw draws (uniforms, harvested power, unscaled selection
-    exponentials), stored as the chunk is first used. It lives as long as
-    the model, so one figure run draws once per key and reuses the draws at
-    every sensing time. The raw draws take trials * (2 + n_relays) * 8
-    bytes per (relay, stream) key: at 1e6 trials, 48 MB for `figure fig7`
-    (4 relays, one key) and 24 MB for each of the two `figure fig8` models
-    (1 relay).
+    `_mc_memo` holds the frame simulators' draws for the model's lifetime;
+    `mcsim` documents its keys and size.
     """
 
     def __init__(self, links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
@@ -113,13 +141,14 @@ class EnergyModel:
         the listen window."""
         if not 0.0 < t_sense < self.t_listen:
             raise ValueError("sensing time must lie strictly inside (0, %g) s" % self.t_listen)
-        p_detect = self.p_detect(t_sense)
+        miss = self.miss(t_sense)
+        p_detect = 1.0 - miss
         coeffs = build_trans_coeffs(self.links, self.primary, self.policy, p_detect)
         w = self.policy.bandwidth
         return Frame(
             t_sense=t_sense,
             t_data=self.t_listen - t_sense,
-            miss=self.miss(t_sense),
+            miss=miss,
             p_detect=p_detect,
             coeffs=coeffs,
             prr=tuple(relay_selection_prob(coeffs.snr_means, i)
@@ -127,6 +156,7 @@ class EnergyModel:
             e_transmit=tuple(p + self.policy.p_circuit_tx for p in coeffs.p_relay),
             e_listen=tuple(self.e_sense * t_sense * t_sense * w + e * self.t_report * t_sense * w
                            for e in self.e_report),
+            model=self,
         )
 
 
@@ -138,31 +168,19 @@ def _frame(model: EnergyModel, i: int, t_sense: float) -> Frame:
     return model.frame(t_sense)
 
 
-def _energy_nonharvesting(f: Frame, i: int) -> float:
-    return f.e_listen[i] + f.miss * f.prr[i] * f.e_transmit[i] * f.t_data
-
-
-def _energy(model: EnergyModel, f: Frame, i: int) -> float:
-    return _energy_nonharvesting(f, i) - f.p_detect * model.harvest_mean[i] * f.t_data
-
-
-def _data(model: EnergyModel, f: Frame, i: int) -> float:
-    return f.miss * f.prr[i] * model.rate * f.t_data
-
-
 def total_energy_nonharvesting(model: EnergyModel, i: int, t_sense: float) -> float:
     """Expected frame energy of relay i with the harvester disabled."""
-    return _energy_nonharvesting(_frame(model, i, t_sense), i)
+    return _frame(model, i, t_sense).energy_nonharvesting(i)
 
 
 def total_energy(model: EnergyModel, i: int, t_sense: float) -> float:
     """Expected frame energy of relay i, harvesting credited on detection."""
-    return _energy(model, _frame(model, i, t_sense), i)
+    return _frame(model, i, t_sense).energy(i)
 
 
 def expected_data(model: EnergyModel, i: int, t_sense: float) -> float:
     """Expected bits moved through relay i in one frame."""
-    return _data(model, _frame(model, i, t_sense), i)
+    return _frame(model, i, t_sense).data(i)
 
 
 def transformed_constraint(model: EnergyModel, i: int, t_sense: float,
@@ -269,28 +287,31 @@ def optimize_sensing_time(model: EnergyModel, i: int, d_star: float) -> SensingO
     """
     if d_star < 0.0:
         raise ValueError("data floor must be non-negative")
+    model.links.check_relay(i)
     lo = TIME_TOL
     hi = model.t_listen - TIME_TOL
     if hi <= lo:
         raise ValueError("listen window too short to split")
+    # the search revisits lo, hi and the bracket ends: build each frame once
+    frame = functools.lru_cache(maxsize=None)(model.frame)
 
     t_max = hi
     if d_star > 0.0:
-        d_lo = expected_data(model, i, lo)
+        d_lo = frame(lo).data(i)
         if d_lo < d_star:
             raise InfeasibleDataError(d_star, d_lo)
-        if expected_data(model, i, hi) < d_star:
+        if frame(hi).data(i) < d_star:
             a, b = lo, hi
             for _ in range(80):
                 mid = 0.5 * (a + b)
-                if expected_data(model, i, mid) >= d_star:
+                if frame(mid).data(i) >= d_star:
                     a = mid
                 else:
                     b = mid
             t_max = a
 
     def obj(t):
-        return total_energy(model, i, t)
+        return frame(t).energy(i)
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, t_max
@@ -317,21 +338,21 @@ def optimize_sensing_time(model: EnergyModel, i: int, d_star: float) -> SensingO
         # settle on the grid point where the analytic slope turns non-negative,
         # so the stationarity checks downstream are deterministic
         for cand in (a, 0.5 * (a + b), b):
-            if lo < cand < t_max and energy_slope(model, i, cand) >= 0.0:
+            if lo < cand < t_max and _slope(model, frame(cand), i) >= 0.0:
                 t_star = cand
                 break
 
-    f = model.frame(t_star)
+    f = frame(t_star)
     active = (d_star > 0.0
               and t_max < hi
               and abs(_constraint(model, f, i, d_star)) <= max(
-                  CONSTRAINT_TOL, 1e-6 * abs(transformed_constraint(model, i, lo, d_star))))
+                  CONSTRAINT_TOL, 1e-6 * abs(_constraint(model, frame(lo), i, d_star))))
     mu = _multiplier(model, f, i, d_star) if active else 0.0
     return SensingOptimum(
         t_sense=t_star,
         multiplier=mu,
-        energy=_energy(model, f, i),
-        data=_data(model, f, i),
+        energy=f.energy(i),
+        data=f.data(i),
         constraint_active=active,
     )
 
@@ -342,63 +363,9 @@ def ecg(model: EnergyModel, i: int, t_sense: float) -> float:
     Uses the conventional account where listening charges linearly in the
     sensing time. Undetectable primaries harvest nothing, which makes the
     ratio infinite; that is reported as a division error."""
-    return _ecg(model, _frame(model, i, t_sense), i)
-
-
-def _ecg(model: EnergyModel, f: Frame, i: int) -> float:
-    pd = f.p_detect
-    if pd == 0.0:
+    f = _frame(model, i, t_sense)
+    if f.p_detect == 0.0:
         raise ZeroDivisionError(
             "detection probability is zero: nothing is ever harvested and the "
             "energy conversion gain is infinite")
-    consumed = (model.e_sense * f.t_sense
-                + model.e_report[i] * model.t_report * f.t_sense * model.policy.bandwidth
-                + (1.0 - pd) * f.prr[i] * f.e_transmit[i] * f.t_data)
-    return consumed / (pd * model.harvest_mean[i] * f.t_data)
-
-
-@dataclass
-class EnergyBreakdown:
-    """Per-relay energy ledger at a chosen sensing time."""
-
-    t_sense: float
-    e_sense: float
-    e_report: tuple
-    e_transmit: tuple
-    e_total: tuple
-    e_total_nonharvesting: tuple
-    ecg: tuple
-    data: tuple
-    d_star: float
-    mu: float
-
-    def __post_init__(self):
-        scale = max(abs(e) for e in self.e_total_nonharvesting) + 1e-30
-        if any(eh > enh + 1e-12 * scale
-               for eh, enh in zip(self.e_total, self.e_total_nonharvesting)):
-            raise ValueError("harvesting cannot raise the frame energy")
-
-
-def energy_breakdown(model: EnergyModel, t_sense: float, d_star: float = 0.0,
-                     mu: float = 0.0) -> EnergyBreakdown:
-    """Evaluate every relay's energy figures at one sensing time."""
-    f = model.frame(t_sense)
-    relays = range(model.n_relays)
-    ecgs = []
-    for i in relays:
-        try:
-            ecgs.append(_ecg(model, f, i))
-        except ZeroDivisionError:
-            ecgs.append(math.inf)
-    return EnergyBreakdown(
-        t_sense=t_sense,
-        e_sense=model.e_sense,
-        e_report=model.e_report,
-        e_transmit=f.e_transmit,
-        e_total=tuple(_energy(model, f, i) for i in relays),
-        e_total_nonharvesting=tuple(_energy_nonharvesting(f, i) for i in relays),
-        ecg=tuple(ecgs),
-        data=tuple(_data(model, f, i) for i in relays),
-        d_star=d_star,
-        mu=mu,
-    )
+    return f.ecg(i)

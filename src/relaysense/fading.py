@@ -11,6 +11,7 @@ plus a point mass at zero when no transmitter is on.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -91,6 +92,9 @@ class LinkSet:
                 raise ValueError("%s distances must be positive" % name)
         if any(d <= 0.0 for row in self.d_pu_relay for d in row):
             raise ValueError("d_pu_relay distances must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
+            raise ValueError("path-loss exponent must be finite and positive, got %g"
+                             % self.alpha)
         if not 2.0 <= self.alpha <= 6.0:
             warnings.warn("path-loss exponent %g outside the usual 2..6 range" % self.alpha)
         _check_distinct(self.gain_pu_src(), "primary->source")

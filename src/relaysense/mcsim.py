@@ -9,12 +9,17 @@ worker threads run the chunks, which the validation harness relies on.
 
 The frame simulators (`mc_frame_energy`, `mc_ecg`) run on one
 `EnergyModel` across a sensing-time grid. What they draw does not depend on
-the sensing time, so they memoise it on the model (`EnergyModel._mc_memo`,
-keyed by (stream, relay, trials, seed)): the per-sample hit rate, and each
-chunk's raw draws. Every later sensing time only redoes the comparisons
-that move with it, and gives the same bits as a fresh model would. The memo
-lives as long as the model, one figure run, and its raw draws take
-trials * (2 + n_relays) * 8 bytes per (relay, stream) key.
+the sensing time, so they memoise it on the model, in `EnergyModel._mc_memo`,
+keyed by (stream, relay, trials, seed): the per-sample hit rate under
+(11, None, trials, seed), and under (13 or 17, relay, trials, seed) a dict
+from chunk index to that chunk's raw draws (uniforms, harvested power,
+unscaled selection exponentials; stream 13 for `mc_frame_energy` with and
+without harvesting, 17 for `mc_ecg`), stored as the chunk is first used.
+Every later sensing time only redoes the comparisons that move with it, and
+gives the same bits as a fresh model would. The memo lives as long as the
+model, one figure run, and its raw draws take trials * (2 + n_relays) * 8
+bytes per (relay, stream) key: at 1e6 trials, 48 MB for `figure fig7`
+(4 relays, one key) and 24 MB for each of the two `figure fig8` models.
 
 The simulators share the analytic layer's power allocations and gain
 constants (those are design choices of the network, not outputs being
@@ -297,15 +302,11 @@ def _frame_draws(model: EnergyModel, i: int, t_sense: float, trials: int, seed: 
     which relay i wins selection and so pays the transmit slot.
 
     Nothing drawn here depends on t_sense, so it is memoised on the model
-    (see `EnergyModel`): the per-sample hit rate under
-    (11, None, trials, seed), and, under (stream, i, trials, seed), a dict
-    from chunk index to that chunk's uniforms u01, harvested power and
-    unscaled selection exponentials, drawn in that order from the chunk's own
-    stream. A chunk is drawn on its first use, inside the reduction that
-    consumes it. Only the comparisons move with t_sense: u01 < p_det_hat and
-    the argmax of the exponentials times the frame's SNR means, the same
-    product the draws made before they were memoised. The raw draws take
-    trials * (2 + n_relays) * 8 bytes per key.
+    (see the module docstring). A chunk's uniforms u01, harvested power and
+    exponentials are drawn in that order from its own stream, on the
+    chunk's first use, inside the reduction that consumes it. Only the
+    comparisons move with t_sense: u01 < p_det_hat and the argmax of the
+    exponentials times the frame's SNR means.
     """
     i = int(model.links.check_relay(i))
     trials, seed = int(trials), int(seed)
@@ -372,8 +373,7 @@ def mc_ecg(model: EnergyModel, i: int, t_sense: float, trials: int, seed: int,
                                               stream=17)
     if p_det_hat == 0.0:
         raise ZeroDivisionError("no detections in simulation: ratio is infinite")
-    listen = (model.e_sense * t_sense
-              + model.e_report[i] * model.t_report * t_sense * model.policy.bandwidth)
+    listen = f.listen_linear(i)
 
     def sampler(ci, n):
         detected, p_h, pays = draw(ci, n)

@@ -79,6 +79,17 @@ VALID_KEYS = {
 }
 
 
+# the value of every optional key; preset() builds on the same tree
+DEFAULTS = {
+    "links": {"alpha": "4"},
+    "policy": {"eta": "0.35"},
+    "csi": {"rho": "0.75"},
+    "frame": {"t_total": "100 ms", "t_report": "1 ms", "t_sense": "20 ms"},
+    "traffic": {"rate": "100 kbps", "gamma_th": "3 dB", "d_star": "0"},
+    "sim": {"trials": "1000000", "seed": "1234", "workers": "1", "relay": "0"},
+}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -137,8 +148,9 @@ def scenario_from_conf(conf: dict) -> Scenario:
     Every bad value raises ConfigError: a quantity that does not parse, a
     value the model objects reject, a CSI correlation outside [0, 1], a
     report slot outside the frame, a non-positive data rate, a sensing slot
-    shorter than one sample or beyond the listen window, fewer than two
-    simulation trials, or a relay index out of range.
+    shorter than one sample or beyond the listen window, a data floor that
+    is negative or not finite, a trial count that is not a whole number of
+    at least two, fewer than one worker, or a relay index out of range.
     """
     try:
         scn = _parse_scenario(conf)
@@ -156,8 +168,13 @@ def scenario_from_conf(conf: dict) -> Scenario:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if not 0.0 <= scn.d_star < math.inf:
+        raise ConfigError("traffic.d_star must be finite and non-negative, got %g"
+                          % scn.d_star)
     if scn.trials < 2:
         raise ConfigError("sim.trials must be at least 2, got %d" % scn.trials)
+    if scn.workers < 1:
+        raise ConfigError("sim.workers must be at least 1, got %d" % scn.workers)
     if not 0 <= scn.relay < scn.links.n_relays:
         raise ConfigError("sim.relay %d out of range: the scenario has %d relay(s)"
                           % (scn.relay, scn.links.n_relays))
@@ -167,8 +184,8 @@ def scenario_from_conf(conf: dict) -> Scenario:
 def _parse_scenario(conf: dict) -> Scenario:
     _check_keys(conf)
 
-    def get(section, key, default=None):
-        v = conf.get(section, {}).get(key, default)
+    def get(section, key):
+        v = conf.get(section, {}).get(key, DEFAULTS.get(section, {}).get(key))
         if v is None:
             raise ConfigError("missing required key %s.%s" % (section, key))
         return v
@@ -178,8 +195,8 @@ def _parse_scenario(conf: dict) -> Scenario:
         raise ConfigError("missing required key policy.noise_power")
     n0 = parse_quantity(pol["noise_power"])
 
-    def qty(section, key, default=None):
-        return parse_quantity(get(section, key, default), n0)
+    def qty(section, key):
+        return parse_quantity(get(section, key), n0)
 
     d_sr = parse_list(get("links", "d_src_relay"))
     d_rd = parse_list(get("links", "d_relay_dst"))
@@ -206,7 +223,7 @@ def _parse_scenario(conf: dict) -> Scenario:
         d_pu_src=d_pu_src,
         d_pu_relay=d_pu_relay,
         d_pu_dst=d_pu_dst,
-        alpha=float(get("links", "alpha", "4")),
+        alpha=float(get("links", "alpha")),
     )
     primary = PrimaryModel(
         count=links.n_primary,
@@ -219,7 +236,7 @@ def _parse_scenario(conf: dict) -> Scenario:
         noise_power=n0,
         bandwidth=qty("policy", "bandwidth"),
         threshold=qty("policy", "threshold"),
-        eta=float(get("policy", "eta", "0.35")),
+        eta=float(get("policy", "eta")),
         p_circuit_tx=qty("policy", "p_circuit_tx"),
         p_circuit_rx=qty("policy", "p_circuit_rx"),
     )
@@ -230,23 +247,31 @@ def _parse_scenario(conf: dict) -> Scenario:
         t_diff=parse_quantity(csi_conf["t_diff"]) if "t_diff" in csi_conf else None,
     )
     if csi.rho is None and csi.doppler_hz is None:
-        csi = CsiModel(rho=0.75)
+        csi = CsiModel(rho=float(DEFAULTS["csi"]["rho"]))
     return Scenario(
         links=links,
         primary=primary,
         policy=policy,
         csi=csi,
-        t_total=qty("frame", "t_total", "100 ms"),
-        t_report=qty("frame", "t_report", "1 ms"),
-        t_sense=qty("frame", "t_sense", "20 ms"),
-        rate=qty("traffic", "rate", "100 kbps"),
-        gamma_th=qty("traffic", "gamma_th", "3 dB"),
-        d_star=float(get("traffic", "d_star", "0")),
-        trials=int(float(get("sim", "trials", "1000000"))),
-        seed=int(get("sim", "seed", "1234")),
-        workers=int(get("sim", "workers", "1")),
-        relay=int(get("sim", "relay", "0")),
+        t_total=qty("frame", "t_total"),
+        t_report=qty("frame", "t_report"),
+        t_sense=qty("frame", "t_sense"),
+        rate=qty("traffic", "rate"),
+        gamma_th=qty("traffic", "gamma_th"),
+        d_star=float(get("traffic", "d_star")),
+        trials=_whole(get("sim", "trials"), "sim.trials"),
+        seed=int(get("sim", "seed")),
+        workers=int(get("sim", "workers")),
+        relay=int(get("sim", "relay")),
     )
+
+
+def _whole(text: str, name: str) -> int:
+    """A count that may be written as a float ('1e6'), but must be whole."""
+    v = float(text)
+    if not v.is_integer():
+        raise ConfigError("%s must be a whole number, got %s" % (name, text))
+    return int(v)
 
 
 def load_config(path: str) -> dict:
@@ -290,18 +315,14 @@ def preset(name: str) -> dict:
         "policy": {
             "p_max": "20 dBm", "interference_cap": "17 dBm",
             "noise_power": "-131 dBm", "bandwidth": "1 MHz",
-            "threshold": "17 dBm", "eta": "0.35",
+            "threshold": "17 dBm",
             "p_circuit_tx": "10 dBm", "p_circuit_rx": "9 dBm",
         },
-        "csi": {"rho": "0.75"},
-        "frame": {"t_total": "100 ms", "t_report": "1 ms", "t_sense": "20 ms"},
-        "traffic": {"rate": "100 kbps", "gamma_th": "3 dB", "d_star": "0"},
-        "sim": {"trials": "1000000", "seed": "1234", "workers": "1", "relay": "0"},
     }
 
     def merged(**sections):
-        out = {s: dict(kv) for s, kv in base.items()}
-        for s, kv in sections.items():
+        out = {s: dict(kv) for s, kv in DEFAULTS.items()}
+        for s, kv in list(base.items()) + list(sections.items()):
             out.setdefault(s, {}).update(kv)
         return out
 
@@ -310,7 +331,7 @@ def preset(name: str) -> dict:
         # three-interferer curve clears 0.9 at 0.4 km
         return merged(
             links={"d_src_relay": "0.1", "d_relay_dst": "0.1",
-                   "d_pu": _ladder(0.4, 0.01, 3), "alpha": "4"},
+                   "d_pu": _ladder(0.4, 0.01, 3)},
             primary={"tx_power": "10 dB"},
             policy={"p_max": "10 dB", "interference_cap": "2 dB",
                     "threshold": FIG3_THRESHOLD_DB},
@@ -321,7 +342,7 @@ def preset(name: str) -> dict:
             links={"d_src_relay": "0.1, 0.1", "d_relay_dst": "0.1, 0.1",
                    "d_pu_src": _ladder(0.3, 0.01, 2),
                    "d_pu_relay": "%s; %s" % ("0.3, 0.3", "0.31, 0.31"),
-                   "d_pu_dst": _ladder(0.4, 0.01, 2), "alpha": "4"},
+                   "d_pu_dst": _ladder(0.4, 0.01, 2)},
             primary={"tx_power": "30 dB"},
             policy={"p_max": "10 dB", "interference_cap": "6 dB", "threshold": "3 dB"},
             frame={"t_sense": "0.2 ms"},
@@ -331,19 +352,19 @@ def preset(name: str) -> dict:
         return merged(
             links={"d_src_relay": "0.1, 0.1, 0.1, 0.1",
                    "d_relay_dst": "0.1, 0.1, 0.1, 0.1",
-                   "d_pu": _ladder(0.4, 0.01, 3), "alpha": "4"},
+                   "d_pu": _ladder(0.4, 0.01, 3)},
         )
     if name == "fig7":
         return preset("fig6")
     if name == "fig8":
         return merged(
             links={"d_src_relay": "0.2", "d_relay_dst": "0.2",
-                   "d_pu": _ladder(0.5, 0.01, 1), "alpha": "4"},
+                   "d_pu": _ladder(0.5, 0.01, 1)},
         )
     if name == "table1":
         return merged(
             links={"d_src_relay": "0.5", "d_relay_dst": "0.5",
-                   "d_pu": "1.0", "alpha": "4"},
+                   "d_pu": "1.0"},
             primary={"tx_power": "30 dB"},
             policy={"p_max": "30 dB", "interference_cap": "7 dB", "threshold": "7 dB"},
         )

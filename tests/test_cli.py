@@ -154,12 +154,21 @@ class TestBadInput:
             ("traffic.rate=0", "optimize"),
             ("csi.rho=1.5", "optimize"),
             ("frame.t_sense=99 ms", "energy"),
+            # values that used to run on, warn, or end in a traceback
+            ("links.alpha=nan", "detect"),
+            ("links.alpha=-1", "detect"),
+            ("sim.trials=inf", "detect"),
+            ("sim.trials=2.5", "detect"),
+            ("traffic.d_star=-1", "optimize"),
+            ("traffic.d_star=nan", "optimize"),
+            ("sim.workers=-3", "detect"),
         )
     ])
     def test_exits_2_with_message(self, override, command, capsys):
         assert run(["--no-mc", "--set", override, command]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
+        assert err.count("\n") == 1
         assert "Traceback" not in err
 
 

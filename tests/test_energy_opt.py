@@ -1,17 +1,17 @@
+import configparser
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from relaysense import energy_opt, fading, harvest, mcsim, sensing, transmission
+from relaysense import cli, energy_opt, fading, harvest, mcsim, sensing, transmission
 from relaysense.energy_opt import (
     CONSTRAINT_TOL,
     TIME_TOL,
-    EnergyBreakdown,
     EnergyModel,
     InfeasibleDataError,
     ecg,
-    energy_breakdown,
     energy_slope,
     expected_data,
     necessary_condition,
@@ -304,26 +304,60 @@ class TestEcg:
             ecg(m, 0, 0.02)
 
 
-class TestEnergyBreakdown:
-    def test_helper_shapes(self, fig7_model):
-        bd = energy_breakdown(fig7_model, 0.02)
-        n = fig7_model.n_relays
-        assert len(bd.e_total) == n
-        assert len(bd.ecg) == n
-        assert len(bd.data) == n
-        assert bd.t_sense == 0.02
+STOCK_PRESETS = ("fig3", "fig4", "fig6", "fig7", "fig8", "table1", "default")
+
+
+class TestFrameLedger:
+    """`EnergyModel.frame(t)` is the one per-relay ledger at a sensing time."""
+
+    def test_per_relay_figures(self, fig7_model):
+        f = fig7_model.frame(0.02)
+        for i in range(fig7_model.n_relays):
+            figures = (f.energy(i), f.energy_nonharvesting(i), f.data(i),
+                       f.listen_linear(i), f.ecg(i))
+            assert all(math.isfinite(v) for v in figures)
+            assert f.listen_linear(i) > 0.0
+        assert f.t_sense == 0.02
 
     def test_undetectable_band_reports_infinite_ratio(self):
+        # the ledger reports the infinite ratio; the public function raises
         m = model_for("table1", ["policy.threshold=400 dB"])
-        bd = energy_breakdown(m, 0.02)
-        assert bd.ecg[0] == math.inf
+        assert m.frame(0.02).ecg(0) == math.inf
+        with pytest.raises(ZeroDivisionError):
+            ecg(m, 0, 0.02)
 
-    def test_ledger_rejects_harvest_gain(self):
-        with pytest.raises(ValueError):
-            EnergyBreakdown(t_sense=0.02, e_sense=1.0, e_report=(1.0,),
-                            e_transmit=(1.0,), e_total=(2.0,),
-                            e_total_nonharvesting=(1.0,), ecg=(1.0,),
-                            data=(1.0,), d_star=0.0, mu=0.0)
+    @given(frac=st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
+           duty=st.floats(min_value=0.0, max_value=1.0),
+           relay=st.integers(min_value=0, max_value=3))
+    @settings(max_examples=60, deadline=None)
+    def test_harvesting_never_raises_energy(self, frac, duty, relay):
+        m = model_for("fig7", ["primary.duty=%r" % duty])
+        t = frac * m.t_listen
+        assert total_energy(m, relay, t) <= total_energy_nonharvesting(m, relay, t)
+        ratio = m.frame(t).ecg(relay)
+        assert ratio > 0.0 or ratio == math.inf
+
+    @pytest.mark.parametrize("name", STOCK_PRESETS)
+    def test_methods_wrappers_and_cli_rows_agree(self, name, tmp_path, capsys):
+        conf = preset(name)
+        scn = scenario_from_conf(conf)
+        m, t = scn.energy_model(), scn.t_sense
+        f = m.frame(t)
+        rows = []
+        for i in range(m.n_relays):
+            row = (f.energy(i), f.energy_nonharvesting(i), f.ecg(i), f.data(i))
+            assert row == (total_energy(m, i, t), total_energy_nonharvesting(m, i, t),
+                           ecg(m, i, t), expected_data(m, i, t))
+            rows.append("%-6d %-14.6g %-14.6g %-14.6g %-12.6g" % ((i,) + row))
+        cp = configparser.ConfigParser()
+        cp.read_dict(conf)
+        path = tmp_path / "scenario.ini"
+        with open(path, "w") as fh:
+            cp.write(fh)
+        assert cli.main(["--no-mc", "--config", str(path), "energy"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0] == "t_sense = %.6g s, p_detect = %.9g" % (t, f.p_detect)
+        assert printed[2:] == rows
 
 
 class TestCoefficientBuilds:
@@ -352,10 +386,10 @@ class TestCoefficientBuilds:
             fn(fig7_model, 0, 0.02, trials=1000, seed=1)
             assert len(builds) == 1, fn.__name__
 
-    def test_one_build_per_breakdown(self, builds):
-        m = model_for("default")
-        assert m.n_relays == 2
-        energy_breakdown(m, 0.02)
+    def test_one_build_per_breakdown(self, builds, capsys):
+        # `energy` prints both relays of the default preset from one frame
+        assert cli.main(["--no-mc", "energy"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2 + 2
         assert len(builds) == 1
 
     def test_frame_reuses_peak_gains(self, monkeypatch):

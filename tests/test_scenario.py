@@ -13,6 +13,7 @@ from relaysense.scenario import (
     relay_ladder_conf,
     scenario_from_conf,
 )
+from relaysense.transmission import rho_from_doppler
 
 N0 = 10 ** (-131.0 / 10.0) * 1e-3
 
@@ -156,6 +157,32 @@ class TestScenarioFromConf:
         assert scn.rho == 0.9
         conf = apply_overrides(preset("fig4"), ["csi.rho=0.5"])
         assert scenario_from_conf(conf).rho == 0.5
+
+    REQUIRED_ONLY = (
+        "[links]\nd_src_relay = 0.2\nd_relay_dst = 0.2\nd_pu = 0.5\n"
+        "[primary]\ntx_power = 20 dBm\nduty = 0.5\n"
+        "[policy]\np_max = 20 dBm\ninterference_cap = 17 dBm\n"
+        "noise_power = -131 dBm\nbandwidth = 1 MHz\nthreshold = 17 dBm\n"
+        "p_circuit_tx = 10 dBm\np_circuit_rx = 9 dBm\n")
+
+    def test_required_keys_only_take_the_defaults(self, tmp_path):
+        path = tmp_path / "scn.ini"
+        path.write_text(self.REQUIRED_ONLY)
+        conf = load_config(str(path))
+        # every optional key spelled out with its documented default
+        spelled = apply_overrides(conf, [
+            "links.alpha=4", "policy.eta=0.35", "csi.rho=0.75",
+            "frame.t_total=100 ms", "frame.t_report=1 ms", "frame.t_sense=20 ms",
+            "traffic.rate=100 kbps", "traffic.gamma_th=3 dB", "traffic.d_star=0",
+            "sim.trials=1000000", "sim.seed=1234", "sim.workers=1", "sim.relay=0"])
+        assert scenario_from_conf(conf) == scenario_from_conf(spelled)
+
+    def test_explicit_doppler_is_not_overridden_by_default_rho(self, tmp_path):
+        path = tmp_path / "scn.ini"
+        path.write_text(self.REQUIRED_ONLY + "[csi]\ndoppler_hz = 10 Hz\nt_diff = 10 ms\n")
+        scn = scenario_from_conf(load_config(str(path)))
+        assert scn.csi.rho is None
+        assert scn.rho == rho_from_doppler(10.0, 0.01)
 
     def test_energy_model_roundtrip(self):
         scn = scenario_from_conf(preset("table1"))
