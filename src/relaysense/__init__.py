@@ -1,15 +1,14 @@
 """Green cognitive relaying: closed forms, Monte Carlo checks, and the
 sensing-time optimiser for an RF-harvesting AF relay network."""
 
-from .fading import (LinkSet, PrimaryModel, hypoexp_cdf, hypoexp_pdf,
-                     max_exp_expectation, max_exp_pdf, mean_channel_gain)
+from .fading import (LinkSet, PrimaryModel, hypoexp_cdf, max_exp_expectation,
+                     mean_channel_gain)
 from .sensing import (ReportGain, SecondaryPolicy, avg_clipped_gain,
                       build_report_gain, detection_probability,
                       fixed_gain_report, report_e2e_cdf, solve_saturation_gain)
 from .harvest import HarvestReport, avg_harvested_power
-from .transmission import (CsiModel, TransCoeffs, build_trans_coeffs,
-                           outage_probability, relay_selection_prob,
-                           rho_from_doppler, trans_powers)
+from .transmission import (TransCoeffs, build_trans_coeffs, outage_probability,
+                           relay_selection_prob, rho_from_doppler, trans_powers)
 from .energy_opt import (EnergyModel, InfeasibleDataError, SensingOptimum, ecg,
                          expected_data, necessary_condition, optimize_sensing_time,
                          total_energy, total_energy_nonharvesting,

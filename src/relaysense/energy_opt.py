@@ -103,7 +103,7 @@ class EnergyModel:
     """
 
     def __init__(self, links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
-                 rho: float, t_total: float, t_report: float, rate: float):
+                 t_total: float, t_report: float, rate: float):
         if t_report <= 0.0 or t_total <= t_report:
             raise ValueError("need 0 < t_report < t_total")
         if rate <= 0.0:
@@ -111,7 +111,6 @@ class EnergyModel:
         self.links = links
         self.primary = primary
         self.policy = policy
-        self.rho = float(rho)
         self.t_total = float(t_total)
         self.t_report = float(t_report)
         self.t_listen = float(t_total) - float(t_report)
@@ -132,9 +131,6 @@ class EnergyModel:
 
     def miss(self, t_sense: float) -> float:
         return self.delta ** (t_sense * self.policy.bandwidth)
-
-    def p_detect(self, t_sense: float) -> float:
-        return 1.0 - self.miss(t_sense)
 
     def frame(self, t_sense: float) -> Frame:
         """The frame at sensing time t_sense, which must lie strictly inside

@@ -141,15 +141,13 @@ class LinkSet:
 
 @dataclass
 class PrimaryModel:
-    """Primary network: transmitter count, common transmit power (W), duty cycle."""
+    """Primary network: common transmit power (W) and duty cycle. The
+    transmitter count is the LinkSet's (`LinkSet.n_primary`)."""
 
-    count: int
     tx_power: float
     duty: float
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("need at least one primary transmitter")
         if self.tx_power <= 0.0:
             raise ValueError("primary transmit power must be positive")
         if not 0.0 <= self.duty <= 1.0:
@@ -227,22 +225,6 @@ def activity_mixture(means, duty):
     return atom, groups
 
 
-def hypoexp_pdf(x, means, scale=1.0, duty=1.0):
-    """Density of the continuous part of the thinned interference sum.
-
-    `means` are the per-transmitter channel gains and `scale` the common
-    power-to-noise factor applied to each. Integrates to 1 - (1-duty)**L;
-    the missing mass is the all-off atom at zero.
-    """
-    scalar, x = _points(x, "interference power cannot be negative")
-    _, groups = activity_mixture(means, duty)
-    out = np.zeros_like(x)
-    for prob, subs, w in groups:
-        mm = scale * subs
-        out = _add_in_order(out, prob * np.sum(w / mm * np.exp(-x[:, None, None] / mm), axis=-1))
-    return float(out[0]) if scalar else out
-
-
 def hypoexp_cdf(x, means, scale=1.0, duty=1.0):
     """CDF of the thinned interference sum, including the atom at zero."""
     scalar, x = _points(x, "interference power cannot be negative")
@@ -263,17 +245,3 @@ def max_exp_expectation(means):
         sign = 1.0 if size % 2 == 1 else -1.0
         total = _add_in_order(total, sign / rates[_subsets(rates.size, size)].sum(axis=-1))
     return total
-
-
-def max_exp_pdf(x, means):
-    """Density of the maximum of independent exponentials with the given means."""
-    scalar, x = _points(x, "the maximum of exponentials is non-negative")
-    m = np.asarray(means, dtype=float)
-    if m.size == 0 or np.any(m <= 0.0):
-        raise ValueError("means must be a non-empty positive list")
-    out = np.zeros_like(x)
-    cdfs = 1.0 - np.exp(-x[:, None] / m)
-    for j in range(m.size):
-        others = np.prod(np.delete(cdfs, j, axis=-1), axis=-1)
-        out += (1.0 / m[j]) * np.exp(-x / m[j]) * others
-    return float(out[0]) if scalar else out

@@ -11,12 +11,12 @@ from __future__ import annotations
 import configparser
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .energy_opt import EnergyModel
 from .fading import LinkSet, PrimaryModel
 from .sensing import SecondaryPolicy
-from .transmission import CsiModel
+from .transmission import rho_from_doppler
 
 _UNIT_RE = re.compile(r"^\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([a-zA-Z]*)\s*$")
 
@@ -34,24 +34,33 @@ def parse_quantity(text: str, noise_power: float = None) -> float:
     """Parse '20 dBm', '3 dB', '100 kbps', '0.4 km', '1 MHz', or a bare number.
 
     Distances come back in km, everything else in SI base units. 'dB' is
-    relative to the noise floor and needs noise_power.
+    relative to the noise floor and needs noise_power. A number or result
+    that is not finite ('1e999', '4000 dBW') is rejected.
     """
     m = _UNIT_RE.match(str(text))
     if not m:
         raise ValueError("cannot parse quantity %r" % text)
     val = float(m.group(1))
     unit = m.group(2).lower()
-    if unit == "dbm":
-        return 10.0 ** ((val - 30.0) / 10.0)
-    if unit == "dbw":
-        return 10.0 ** (val / 10.0)
-    if unit == "db":
-        if noise_power is None:
-            raise ValueError("dB values are relative to the noise floor, which is not set yet")
-        return noise_power * 10.0 ** (val / 10.0)
-    if unit in _SCALES:
-        return val * _SCALES[unit]
-    raise ValueError("unknown unit %r in %r" % (m.group(2), text))
+    try:
+        if unit == "dbm":
+            out = 10.0 ** ((val - 30.0) / 10.0)
+        elif unit == "dbw":
+            out = 10.0 ** (val / 10.0)
+        elif unit == "db":
+            if noise_power is None:
+                raise ValueError("dB values are relative to the noise floor, "
+                                 "which is not set yet")
+            out = noise_power * 10.0 ** (val / 10.0)
+        elif unit in _SCALES:
+            out = val * _SCALES[unit]
+        else:
+            raise ValueError("unknown unit %r in %r" % (m.group(2), text))
+    except OverflowError:
+        out = math.inf
+    if not (math.isfinite(val) and math.isfinite(out)):
+        raise ValueError("quantity %r is not finite" % text)
+    return out
 
 
 def parse_list(text: str, noise_power: float = None):
@@ -114,7 +123,7 @@ class Scenario:
     links: LinkSet
     primary: PrimaryModel
     policy: SecondaryPolicy
-    csi: CsiModel
+    rho: float
     t_total: float
     t_report: float
     t_sense: float
@@ -127,10 +136,6 @@ class Scenario:
     relay: int
 
     @property
-    def rho(self) -> float:
-        return self.csi.correlation()
-
-    @property
     def n_samples(self) -> int:
         u = round(self.t_sense * self.policy.bandwidth)
         if u < 1:
@@ -138,7 +143,7 @@ class Scenario:
         return int(u)
 
     def energy_model(self) -> EnergyModel:
-        return EnergyModel(self.links, self.primary, self.policy, self.rho,
+        return EnergyModel(self.links, self.primary, self.policy,
                            self.t_total, self.t_report, self.rate)
 
 
@@ -155,7 +160,6 @@ def scenario_from_conf(conf: dict) -> Scenario:
     try:
         scn = _parse_scenario(conf)
         scn.n_samples  # raises on a sensing slot shorter than one sample
-        scn.rho  # raises on a correlation outside [0, 1]
         if not 0.0 < scn.t_report < scn.t_total:
             raise ConfigError("need 0 < frame.t_report < frame.t_total, got %g s and %g s"
                               % (scn.t_report, scn.t_total))
@@ -226,7 +230,6 @@ def _parse_scenario(conf: dict) -> Scenario:
         alpha=float(get("links", "alpha")),
     )
     primary = PrimaryModel(
-        count=links.n_primary,
         tx_power=qty("primary", "tx_power"),
         duty=float(get("primary", "duty")),
     )
@@ -240,19 +243,24 @@ def _parse_scenario(conf: dict) -> Scenario:
         p_circuit_tx=qty("policy", "p_circuit_tx"),
         p_circuit_rx=qty("policy", "p_circuit_rx"),
     )
-    csi_conf = conf.get("csi", {})
-    csi = CsiModel(
-        rho=float(csi_conf["rho"]) if "rho" in csi_conf else None,
-        doppler_hz=parse_quantity(csi_conf["doppler_hz"]) if "doppler_hz" in csi_conf else None,
-        t_diff=parse_quantity(csi_conf["t_diff"]) if "t_diff" in csi_conf else None,
-    )
-    if csi.rho is None and csi.doppler_hz is None:
-        csi = CsiModel(rho=float(DEFAULTS["csi"]["rho"]))
+    # an explicit csi.rho wins, then the Jakes value of doppler_hz and
+    # t_diff, then the default rho
+    csi = conf.get("csi", {})
+    jakes = {k: parse_quantity(csi[k]) for k in ("doppler_hz", "t_diff") if k in csi}
+    if "rho" in csi or "doppler_hz" not in jakes:
+        rho = float(get("csi", "rho"))
+        if not 0.0 <= rho <= 1.0:
+            raise ConfigError("csi.rho must lie in [0, 1], got %g" % rho)
+    elif "t_diff" not in jakes:
+        raise ConfigError("missing required key csi.t_diff: csi.doppler_hz needs the "
+                          "estimation lag")
+    else:
+        rho = rho_from_doppler(jakes["doppler_hz"], jakes["t_diff"])
     return Scenario(
         links=links,
         primary=primary,
         policy=policy,
-        csi=csi,
+        rho=rho,
         t_total=qty("frame", "t_total"),
         t_report=qty("frame", "t_report"),
         t_sense=qty("frame", "t_sense"),
@@ -379,20 +387,20 @@ def preset(name: str) -> dict:
 FIG3_THRESHOLD_DB = "33 dB"
 
 
-def ladder_conf(conf: dict, d_first: float, count: int, step: float = 0.01) -> dict:
+def ladder_conf(conf: dict, d_first: float, n_primary: int, step: float = 0.01) -> dict:
     """Rewrite the shared primary distance ladder of a config tree."""
     out = {s: dict(kv) for s, kv in conf.items()}
-    out["links"]["d_pu"] = _ladder(d_first, step, count)
+    out["links"]["d_pu"] = _ladder(d_first, step, n_primary)
     out["links"].pop("d_pu_src", None)
     out["links"].pop("d_pu_dst", None)
     out["links"].pop("d_pu_relay", None)
     return out
 
 
-def relay_ladder_conf(conf: dict, d_sr_first: float, d_rd_first: float, count: int,
+def relay_ladder_conf(conf: dict, d_sr_first: float, d_rd_first: float, n_relays: int,
                       step: float = 0.005) -> dict:
     """Rewrite the relay chain ladder of a config tree."""
     out = {s: dict(kv) for s, kv in conf.items()}
-    out["links"]["d_src_relay"] = _ladder(d_sr_first, step, count)
-    out["links"]["d_relay_dst"] = _ladder(d_rd_first, step, count)
+    out["links"]["d_src_relay"] = _ladder(d_sr_first, step, n_relays)
+    out["links"]["d_relay_dst"] = _ladder(d_rd_first, step, n_relays)
     return out

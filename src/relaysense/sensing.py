@@ -75,17 +75,16 @@ def _capped_power(policy: SecondaryPolicy, peak: float, miss: float = 1.0) -> fl
 def fixed_gain_report(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy, i: int):
     """Fixed AF gain normaliser of relay i: 1 / E[1/(x+1)] under the
     continuous part of the received interference-to-noise ratio x. With no
-    continuous part (duty 0) the normaliser is infinite: nothing is
-    forwarded."""
+    continuous part (duty 0), or one too small to invert, the normaliser is
+    infinite: nothing is forwarded."""
     mix_scale = primary.tx_power / policy.noise_power
     _, groups = activity_mixture(links.gain_pu_relay(i), primary.duty)
-    if not groups:
-        return math.inf
     acc = 0.0
     for prob, subs, w in groups:
         c = 1.0 / (mix_scale * subs)
         acc = _add_in_order(acc, prob * np.sum(w * c * exp_scaled_gamma_upper_0(c), axis=-1))
-    return 1.0 / acc
+    acc = float(acc)
+    return 1.0 / acc if acc > 0.0 else math.inf
 
 
 def report_e2e_cdf(x, links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
@@ -104,13 +103,15 @@ def report_e2e_cdf(x, links: LinkSet, primary: PrimaryModel, policy: SecondaryPo
     out = np.full_like(x, atom)
     pos = x > 0.0
     xp = x[pos][:, None, None]
-    for prob, subs, w in groups:
-        mm = mix_scale * subs
-        # clipped so that an overflowing gain (u = inf: nothing is forwarded)
-        # gives a zero kernel, not 0 * inf
-        s = np.clip(2.0 * np.sqrt(xp * u / (mm * b)), 1e-300, 1e300)
-        kernel = np.exp(-xp / mm - s) * s * bessel_k1_scaled(s)
-        out[pos] = _add_in_order(out[pos], prob * (1.0 - np.sum(w * kernel, axis=-1)))
+    # an overflow here (u = inf, or a finite u near the float limit: nothing
+    # is forwarded) only ever drives the kernel to zero, so it is not warned
+    with np.errstate(over="ignore"):
+        for prob, subs, w in groups:
+            mm = mix_scale * subs
+            # clipped so that an overflowing argument gives a zero kernel, not 0 * inf
+            s = np.clip(2.0 * np.sqrt(xp * u / (mm * b)), 1e-300, 1e300)
+            kernel = np.exp(-xp / mm - s) * s * bessel_k1_scaled(s)
+            out[pos] = _add_in_order(out[pos], prob * (1.0 - np.sum(w * kernel, axis=-1)))
     return float(out[0]) if scalar else out
 
 
@@ -164,16 +165,15 @@ def avg_clipped_gain(threshold_t, links: LinkSet, primary: PrimaryModel,
 
     Below the received level threshold_t (normalised) the amplifier applies
     the constant squared gain 1/u; above it the gain follows 1/(x+1).
+    threshold_t must be non-negative.
     """
-    t = max(float(threshold_t), 0.0)
+    t = float(threshold_t)
+    if t < 0.0:
+        raise ValueError("clipping threshold must be non-negative, got %g" % t)
     mix_scale = primary.tx_power / policy.noise_power
-    atom, groups = activity_mixture(links.gain_pu_relay(i), primary.duty)
-    if threshold_t < 0.0:
-        # clipping region empty: the zero atom rides the 1/(x+1) branch
-        head = atom
-    else:
-        head = fading.hypoexp_cdf(t, links.gain_pu_relay(i), scale=mix_scale,
-                                  duty=primary.duty) / u
+    _, groups = activity_mixture(links.gain_pu_relay(i), primary.duty)
+    head = fading.hypoexp_cdf(t, links.gain_pu_relay(i), scale=mix_scale,
+                              duty=primary.duty) / u
     tail = 0.0
     for prob, subs, w in groups:
         mm = mix_scale * subs

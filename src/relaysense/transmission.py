@@ -22,28 +22,6 @@ from .sensing import SecondaryPolicy, _capped_power
 from .specfun import bessel_j0, bessel_k1_scaled, exp_scaled_gamma_upper_0
 
 
-@dataclass
-class CsiModel:
-    """Correlation between the selection-time estimate and the true channel.
-
-    Either give rho directly, or give a Doppler spread and estimation lag
-    and let the Jakes model fill it in. An explicit rho wins.
-    """
-
-    rho: float = None
-    doppler_hz: float = None
-    t_diff: float = None
-
-    def correlation(self) -> float:
-        if self.rho is not None:
-            if not 0.0 <= self.rho <= 1.0:
-                raise ValueError("rho must lie in [0, 1]")
-            return float(self.rho)
-        if self.doppler_hz is None or self.t_diff is None:
-            raise ValueError("need either rho or (doppler_hz, t_diff)")
-        return rho_from_doppler(self.doppler_hz, self.t_diff)
-
-
 def rho_from_doppler(doppler_hz: float, t_diff: float) -> float:
     """Jakes correlation magnitude |J0(2 pi f_D tau)| clamped into [0, 1]."""
     if doppler_hz < 0.0 or t_diff < 0.0:

@@ -196,14 +196,11 @@ def subset_report_e2e_cdf(x, links, primary, policy, i, u, p_rep):
 
 
 def subset_avg_clipped_gain(threshold_t, links, primary, policy, i, u):
-    t = max(float(threshold_t), 0.0)
+    t = float(threshold_t)
     mix_scale = primary.tx_power / policy.noise_power
     means = links.gain_pu_relay(i)
-    atom, parts = subset_mixture(means, primary.duty)
-    if threshold_t < 0.0:
-        head = atom
-    else:
-        head = float(subset_hypoexp_cdf(t, means, mix_scale, primary.duty)[0]) / u
+    _, parts = subset_mixture(means, primary.duty)
+    head = float(subset_hypoexp_cdf(t, means, mix_scale, primary.duty)[0]) / u
     tail = 0.0
     for prob, sub, w in parts:
         mm = mix_scale * sub

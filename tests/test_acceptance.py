@@ -16,7 +16,7 @@ import conftest
 import oracles
 from relaysense import energy_opt, harvest, mcsim, sensing, specfun, transmission
 from relaysense.cli import main as cli_main
-from relaysense.fading import hypoexp_cdf, hypoexp_pdf, max_exp_pdf
+from relaysense.fading import hypoexp_cdf, max_exp_expectation
 from relaysense.scenario import (apply_overrides, ladder_conf, preset,
                                  relay_ladder_conf, scenario_from_conf)
 
@@ -240,7 +240,7 @@ def test_criterion_5_energy_sign_flip():
             en = energy_opt.total_energy_nonharvesting(model, scn.relay, t_s)
             assert en > 0.0
             # the harvesting account is exactly the baseline minus the credit
-            credit = (model.p_detect(t_s) * model.harvest_mean[scn.relay]
+            credit = (model.frame(t_s).p_detect * model.harvest_mean[scn.relay]
                       * (model.t_listen - t_s))
             assert eh == en - credit
 
@@ -248,16 +248,17 @@ def test_criterion_5_energy_sign_flip():
 # --- 6: distribution sanity ----------------------------------------------------
 
 def test_criterion_6_distribution_sanity():
-    with criterion(6, "PDF normalisation, CDF limits, and KS vs 1e6 empirical samples") as notes:
+    with criterion(6, "survival-integral means, CDF limits, KS vs 1e6 empirical samples") as notes:
         scn = scenario_from_conf(ladder_conf(preset("fig3"), 0.4, 3))
         means = scn.links.gain_pu_dst()
         scale = scn.primary.tx_power / scn.policy.noise_power
         duty = scn.primary.duty
         atom = (1.0 - duty) ** len(means)
 
-        mass = quad(lambda x: float(hypoexp_pdf(x, means, scale, duty)),
+        # E[X] = duty * scale * sum(means) is the integral of the survival function
+        mean = quad(lambda x: 1.0 - float(hypoexp_cdf(x, means, scale, duty)),
                     0.0, np.inf, limit=200)[0]
-        assert mass == pytest.approx(1.0 - atom, rel=1e-6)
+        assert mean == pytest.approx(duty * scale * float(np.sum(means)), rel=1e-6)
 
         grid = np.geomspace(1e-6, 1e6, 400) * scale * float(np.max(means))
         cdf = hypoexp_cdf(grid, means, scale, duty)
@@ -269,8 +270,9 @@ def test_criterion_6_distribution_sanity():
         coeffs = transmission.build_trans_coeffs(scn4.links, scn4.primary,
                                                  scn4.policy, 0.95)
         mmax = np.asarray(coeffs.snr_means, dtype=float)
-        mass = quad(lambda x: float(max_exp_pdf(x, mmax)), 0.0, np.inf, limit=200)[0]
-        assert mass == pytest.approx(1.0, rel=1e-6)
+        mean = quad(lambda x: 1.0 - float(np.prod(-np.expm1(-x / mmax))),
+                    0.0, np.inf, limit=200)[0]
+        assert mean == pytest.approx(max_exp_expectation(mmax), rel=1e-6)
 
         n = 10**6
         ks_crit = 1.6276 / math.sqrt(n)

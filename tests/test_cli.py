@@ -162,6 +162,12 @@ class TestBadInput:
             ("traffic.d_star=-1", "optimize"),
             ("traffic.d_star=nan", "optimize"),
             ("sim.workers=-3", "detect"),
+            # non-finite quantities
+            ("primary.tx_power=1e999", "energy"),
+            ("policy.bandwidth=1e999", "detect"),
+            ("policy.noise_power=1e999", "detect"),
+            ("traffic.gamma_th=1e999", "outage"),
+            ("traffic.rate=1e999", "energy"),
         )
     ])
     def test_exits_2_with_message(self, override, command, capsys):

@@ -43,7 +43,7 @@ def fig7_model():
 def split_model():
     # table1 links in a 0.1 s frame with a 1 ms report slot
     scn = scenario_from_conf(preset("table1"))
-    return EnergyModel(scn.links, scn.primary, scn.policy, 0.9, 0.1, 0.001, 1e5)
+    return EnergyModel(scn.links, scn.primary, scn.policy, 0.1, 0.001, 1e5)
 
 
 class TestFrameTiming:
@@ -53,14 +53,14 @@ class TestFrameTiming:
         assert m.t_listen == pytest.approx(0.099)
         assert f.t_data == pytest.approx(0.079)
         assert f.miss == m.miss(0.02)
-        assert f.p_detect == m.p_detect(0.02)
+        assert f.p_detect == 1.0 - m.miss(0.02)
 
     def test_rejects_bad_split(self, split_model):
         m = split_model
         with pytest.raises(ValueError):
             m.frame(0.2)
         with pytest.raises(ValueError):
-            EnergyModel(m.links, m.primary, m.policy, 0.9, 0.1, 0.0, 1e5)
+            EnergyModel(m.links, m.primary, m.policy, 0.1, 0.0, 1e5)
         with pytest.raises(ValueError):
             m.frame(0.0)
 
@@ -69,16 +69,16 @@ class TestEnergyModel:
     def test_validation(self):
         scn = scenario_from_conf(preset("table1"))
         with pytest.raises(ValueError):
-            EnergyModel(scn.links, scn.primary, scn.policy, 0.9, 0.1, 0.2, 1e5)
+            EnergyModel(scn.links, scn.primary, scn.policy, 0.1, 0.2, 1e5)
         with pytest.raises(ValueError):
-            EnergyModel(scn.links, scn.primary, scn.policy, 0.9, 0.1, 0.001, 0.0)
+            EnergyModel(scn.links, scn.primary, scn.policy, 0.1, 0.001, 0.0)
 
     def test_per_sample_miss_in_unit_interval(self, table1_model):
         assert 0.0 < table1_model.delta < 1.0
 
     def test_miss_detect_complement(self, table1_model):
         for t in (1e-6, 1e-5, 1e-3):
-            assert table1_model.miss(t) + table1_model.p_detect(t) == pytest.approx(1.0)
+            assert table1_model.miss(t) + table1_model.frame(t).p_detect == pytest.approx(1.0)
 
     def test_miss_decreases_with_sensing(self, table1_model):
         # strictly falling until it underflows to an exact zero
@@ -108,7 +108,7 @@ class TestTotalEnergy:
         m = fig7_model
         for t in (1e-5, 1e-3, 0.02, 0.09):
             t_data = m.t_listen - t
-            credit = m.p_detect(t) * m.harvest_mean[0] * t_data
+            credit = m.frame(t).p_detect * m.harvest_mean[0] * t_data
             assert total_energy(m, 0, t) == total_energy_nonharvesting(m, 0, t) - credit
 
     def test_component_formula(self, table1_model):
@@ -131,7 +131,7 @@ class TestTotalEnergy:
         m = model_for("table1", ["policy.threshold=400 dB"])
         assert m.delta == 1.0
         for t in (1e-5, 1e-3):
-            assert m.p_detect(t) == 0.0
+            assert m.frame(t).p_detect == 0.0
             assert total_energy(m, 0, t) == total_energy_nonharvesting(m, 0, t)
 
     def test_convex_on_window(self, table1_model):
@@ -219,7 +219,7 @@ class TestEnergySlope:
         # above the bar, so the per-sample miss is exactly zero
         m = model_for("table1", ["primary.duty=1", "policy.threshold=0 W"])
         assert m.delta == 0.0
-        assert m.p_detect(1e-6) == 1.0
+        assert m.frame(1e-6).p_detect == 1.0
         assert necessary_condition(m, 0, 1e-5)
         assert energy_slope(m, 0, 1e-5) > 0.0
 
@@ -286,7 +286,7 @@ class TestEcg:
     def test_formula(self, fig7_model):
         m = fig7_model
         t = 0.02
-        pd = m.p_detect(t)
+        pd = 1.0 - m.miss(t)
         t_data = m.t_listen - t
         f = m.frame(t)
         consumed = (m.e_sense * t + m.e_report[0] * m.t_report * t * m.policy.bandwidth

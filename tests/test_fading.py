@@ -11,9 +11,7 @@ from relaysense.fading import (
     PrimaryModel,
     activity_mixture,
     hypoexp_cdf,
-    hypoexp_pdf,
     max_exp_expectation,
-    max_exp_pdf,
     mean_channel_gain,
     partial_fraction_weights,
 )
@@ -95,17 +93,16 @@ class TestHypoexp:
         means, duty = [1.0, 2.0, 3.0], 0.5
         assert hypoexp_cdf(0.0, means, duty=duty) == pytest.approx((1 - duty) ** 3, rel=1e-14)
 
-    def test_pdf_integrates_to_continuous_mass(self):
+    def test_survival_integrates_to_mean(self):
+        # E[X] = duty * sum(means) for the thinned sum
         means, duty = [0.7, 1.3, 2.9], 0.4
-        val, _ = integrate.quad(lambda x: hypoexp_pdf(x, means, duty=duty),
+        val, _ = integrate.quad(lambda x: 1.0 - hypoexp_cdf(x, means, duty=duty),
                                 0.0, np.inf, limit=400)
-        assert val == pytest.approx(1.0 - (1 - duty) ** 3, rel=1e-8)
+        assert val == pytest.approx(duty * sum(means), rel=1e-8)
 
     def test_single_source_always_on_is_exponential(self):
         m = 1.7
         for x in (0.1, 1.0, 5.0):
-            assert hypoexp_pdf(x, [m], duty=1.0) == pytest.approx(
-                math.exp(-x / m) / m, rel=1e-12)
             assert hypoexp_cdf(x, [m], duty=1.0) == pytest.approx(
                 -math.expm1(-x / m), rel=1e-12)
 
@@ -138,7 +135,7 @@ class TestHypoexp:
 
     def test_rejects_negative_argument(self):
         with pytest.raises(ValueError):
-            hypoexp_pdf(-0.1, [1.0, 2.0], duty=0.5)
+            hypoexp_cdf(-0.1, [1.0, 2.0], duty=0.5)
 
     def test_vector_argument(self):
         x = np.array([0.0, 1.0, 2.0])
@@ -170,14 +167,11 @@ class TestMaxExp:
         with pytest.raises(ValueError):
             max_exp_expectation([1.0] * 21)
 
-    def test_pdf_normalizes(self):
-        means = [0.8, 1.7, 3.1]
-        val, _ = integrate.quad(lambda x: max_exp_pdf(x, means), 0.0, np.inf, limit=400)
-        assert val == pytest.approx(1.0, rel=1e-8)
-
-    def test_pdf_mean_consistency(self):
-        means = [0.5, 1.1, 2.3, 4.7]
-        val, _ = integrate.quad(lambda x: x * max_exp_pdf(x, means), 0.0, np.inf, limit=400)
+    def test_survival_integrates_to_mean(self):
+        # E[max] = integral of 1 - prod(1 - exp(-x/m))
+        means = np.array([0.5, 1.1, 2.3, 4.7])
+        val, _ = integrate.quad(lambda x: 1.0 - np.prod(-np.expm1(-x / means)),
+                                0.0, np.inf, limit=400)
         assert val == pytest.approx(max_exp_expectation(means), rel=1e-8)
 
     @given(distinct_means)
@@ -259,10 +253,8 @@ class TestLinkSet:
 
 class TestPrimaryModel:
     def test_validation(self):
-        PrimaryModel(count=3, tx_power=0.1, duty=0.5)
+        PrimaryModel(tx_power=0.1, duty=0.5)
         with pytest.raises(ValueError):
-            PrimaryModel(count=0, tx_power=0.1, duty=0.5)
+            PrimaryModel(tx_power=-0.1, duty=0.5)
         with pytest.raises(ValueError):
-            PrimaryModel(count=3, tx_power=-0.1, duty=0.5)
-        with pytest.raises(ValueError):
-            PrimaryModel(count=3, tx_power=0.1, duty=1.5)
+            PrimaryModel(tx_power=0.1, duty=1.5)

@@ -13,7 +13,7 @@ from test_sensing import N0, fig3_setup, rel_noise_db
 def single_pu_setup(d_pu=0.5, duty=0.5):
     links = LinkSet(d_src_relay=[0.1], d_relay_dst=[0.1], d_pu_src=[d_pu],
                     d_pu_relay=[[d_pu]], d_pu_dst=[d_pu])
-    primary = PrimaryModel(count=1, tx_power=rel_noise_db(20.0), duty=duty)
+    primary = PrimaryModel(tx_power=rel_noise_db(20.0), duty=duty)
     policy = fig3_setup()[2]
     return links, primary, policy
 
@@ -58,8 +58,7 @@ class TestHarvestMeanPower:
         for d in links.d_pu_src:
             sub = LinkSet(d_src_relay=[0.1], d_relay_dst=[0.1], d_pu_src=[d],
                           d_pu_relay=[[d]], d_pu_dst=[d])
-            parts += harvest_mean_power(sub, dataclasses.replace(primary, count=1),
-                                        policy, 0)
+            parts += harvest_mean_power(sub, primary, policy, 0)
         assert total == pytest.approx(parts, rel=1e-12)
 
 

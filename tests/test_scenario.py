@@ -53,6 +53,11 @@ class TestParseQuantity:
         with pytest.raises(ValueError):
             parse_quantity("3 parsecs")
 
+    @pytest.mark.parametrize("text", ["1e999", "-1e999 dBm", "4000 dBW", "1e308 kbps"])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(ValueError, match="not finite"):
+            parse_quantity(text, N0)
+
 
 class TestParseList:
     def test_comma_separated(self):
@@ -181,8 +186,25 @@ class TestScenarioFromConf:
         path = tmp_path / "scn.ini"
         path.write_text(self.REQUIRED_ONLY + "[csi]\ndoppler_hz = 10 Hz\nt_diff = 10 ms\n")
         scn = scenario_from_conf(load_config(str(path)))
-        assert scn.csi.rho is None
         assert scn.rho == rho_from_doppler(10.0, 0.01)
+
+    def test_explicit_rho_wins(self, tmp_path):
+        path = tmp_path / "scn.ini"
+        path.write_text(self.REQUIRED_ONLY
+                        + "[csi]\nrho = 0.3\ndoppler_hz = 1 kHz\nt_diff = 1 s\n")
+        assert scenario_from_conf(load_config(str(path))).rho == 0.3
+
+    def test_doppler_needs_t_diff(self, tmp_path):
+        path = tmp_path / "scn.ini"
+        path.write_text(self.REQUIRED_ONLY + "[csi]\ndoppler_hz = 10 Hz\n")
+        with pytest.raises(ConfigError, match="csi.t_diff"):
+            scenario_from_conf(load_config(str(path)))
+
+    def test_rejects_out_of_range_rho(self):
+        for rho in ("1.2", "-0.1", "nan"):
+            conf = apply_overrides(preset("fig4"), ["csi.rho=" + rho])
+            with pytest.raises(ConfigError, match=r"csi\.rho must lie in \[0, 1\]"):
+                scenario_from_conf(conf)
 
     def test_energy_model_roundtrip(self):
         scn = scenario_from_conf(preset("table1"))

@@ -1,9 +1,10 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relaysense import sensing
 from relaysense.fading import (LinkSet, PrimaryModel, activity_mixture, hypoexp_cdf,
@@ -37,7 +38,7 @@ def fig3_setup(n_primary=3, d_first=0.4, threshold_db=33.0):
     d_pu = [d_first + 0.01 * k for k in range(n_primary)]
     links = LinkSet(d_src_relay=[0.1], d_relay_dst=[0.1], d_pu_src=d_pu,
                     d_pu_relay=[[d] for d in d_pu], d_pu_dst=d_pu)
-    primary = PrimaryModel(count=n_primary, tx_power=rel_noise_db(10.0), duty=0.5)
+    primary = PrimaryModel(tx_power=rel_noise_db(10.0), duty=0.5)
     policy = SecondaryPolicy(p_max=rel_noise_db(10.0), interference_cap=rel_noise_db(2.0),
                              noise_power=N0, bandwidth=1e6,
                              threshold=rel_noise_db(threshold_db), eta=0.35,
@@ -76,7 +77,7 @@ class TestReportPower:
     def unit_setup(self, p_max, cap):
         links = LinkSet(d_src_relay=[1.0], d_relay_dst=[1.0], d_pu_src=[1.0],
                         d_pu_relay=[[1.0]], d_pu_dst=[1.0])
-        primary = PrimaryModel(count=1, tx_power=1.0, duty=0.5)
+        primary = PrimaryModel(tx_power=1.0, duty=0.5)
         policy = SecondaryPolicy(p_max=p_max, interference_cap=cap, noise_power=1.0,
                                  bandwidth=1.0, threshold=0.1, eta=0.5,
                                  p_circuit_tx=1.0, p_circuit_rx=1.0)
@@ -120,7 +121,7 @@ class TestFixedGainReport:
     def test_single_always_on_closed_form(self):
         links = LinkSet(d_src_relay=[0.1], d_relay_dst=[0.1], d_pu_src=[0.4],
                         d_pu_relay=[[0.4]], d_pu_dst=[0.4])
-        primary = PrimaryModel(count=1, tx_power=rel_noise_db(10.0), duty=1.0)
+        primary = PrimaryModel(tx_power=rel_noise_db(10.0), duty=1.0)
         policy = fig3_setup()[2]
         c = N0 / (primary.tx_power * links.gain_pu_relay(0)[0])
         want = 1.0 / (c * exp_scaled_gamma_upper_0(c))
@@ -130,6 +131,17 @@ class TestFixedGainReport:
         # E[1/(x+1)] <= 1 with equality only in degenerate cases
         links, primary, policy = fig3_setup()
         assert fixed_gain_report(links, primary, policy, 0) > 1.0
+
+    @pytest.mark.parametrize("duty", [0.0, 5e-324, 1e-300])
+    def test_vanishing_duty_is_a_plain_infinity(self, duty):
+        # on fig7 the mixture sum E[1/(x+1); x>0] is 0 or subnormal at these
+        # duties: nothing is forwarded, and inverting it must not warn
+        scn = scenario_from_conf(preset("fig7"))
+        primary = PrimaryModel(tx_power=scn.primary.tx_power, duty=duty)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = fixed_gain_report(scn.links, primary, scn.policy, 0)
+        assert type(u) is float and u == math.inf
 
 
 class TestReportE2eCdf:
@@ -211,7 +223,7 @@ class TestDetection:
     def test_idle_primary_is_never_detected(self):
         # duty 0 leaves no continuous part: p_detect is exactly 0, not NaN
         links, _, policy = fig3_setup()
-        idle = PrimaryModel(count=3, tx_power=rel_noise_db(10.0), duty=0.0)
+        idle = PrimaryModel(tx_power=rel_noise_db(10.0), duty=0.0)
         assert fixed_gain_report(links, idle, policy, 0) == math.inf
         assert detection_probability(policy.threshold, 200, links, idle, policy) == 0.0
 
@@ -275,12 +287,18 @@ class TestClippedGain:
     def test_always_on_plateau_edge(self):
         links = LinkSet(d_src_relay=[0.1], d_relay_dst=[0.1], d_pu_src=[0.4],
                         d_pu_relay=[[0.4]], d_pu_dst=[0.4])
-        primary = PrimaryModel(count=1, tx_power=rel_noise_db(10.0), duty=1.0)
+        primary = PrimaryModel(tx_power=rel_noise_db(10.0), duty=1.0)
         policy = fig3_setup()[2]
         u = fixed_gain_report(links, primary, policy, 0)
         k, t = solve_saturation_gain(links, primary, policy, 0, u=u)
         assert t == 0.0
         assert k == pytest.approx(N0 / u, rel=1e-14)
+
+    def test_rejects_negative_threshold(self):
+        links, primary, policy = fig3_setup()
+        u = fixed_gain_report(links, primary, policy, 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            avg_clipped_gain(-1e-3, links, primary, policy, 0, u=u)
 
     def test_no_root_raises(self):
         links, primary, policy = fig3_setup()
@@ -366,7 +384,7 @@ class TestSubsetOracle:
             p_rep = build_report_gain(links, primary, policy).p_report[i]
             assert hexes(report_e2e_cdf(xs, links, primary, policy, i, u=u, p_rep=p_rep)) \
                 == hexes(oracles.subset_report_e2e_cdf(xs, links, primary, policy, i, u, p_rep))
-            for t in (-1.0, 0.0, lam, 10.0 * lam):
+            for t in (0.0, lam, 10.0 * lam):
                 assert hexes(avg_clipped_gain(t, links, primary, policy, i, u=u)) \
                     == hexes(oracles.subset_avg_clipped_gain(t, links, primary, policy, i, u))
             assert hexes(max_exp_expectation(links.gain_pu_relay(i))) \
@@ -443,12 +461,15 @@ class TestMixtureProperties:
         assert_cdf(hypoexp_cdf(xs, means, duty=duty))
 
     @given(well_separated_distances, any_duty)
+    # a finite fixed gain near the float limit: the report kernel's argument
+    # overflows and is clipped, without a warning
+    @example(d_pu=[1.5], duty=2.2250738585072014e-308)
     @settings(max_examples=60, deadline=None)
     def test_report_quantities(self, d_pu, duty):
         _, fig3_primary, policy = fig3_setup()
         links = LinkSet(d_src_relay=[0.1], d_relay_dst=[0.1], d_pu_src=d_pu,
                         d_pu_relay=[[d] for d in d_pu], d_pu_dst=d_pu)
-        primary = PrimaryModel(count=len(d_pu), tx_power=fig3_primary.tx_power, duty=duty)
+        primary = PrimaryModel(tx_power=fig3_primary.tx_power, duty=duty)
         u = fixed_gain_report(links, primary, policy, 0)
         assert u > 0.0
         if duty == 0.0:

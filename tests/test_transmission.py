@@ -5,9 +5,9 @@ import pytest
 
 from relaysense.fading import LinkSet, PrimaryModel
 from relaysense.mcsim import mc_outage
+from relaysense.scenario import apply_overrides, preset, scenario_from_conf
 from relaysense.sensing import SecondaryPolicy, build_report_gain
 from relaysense.transmission import (
-    CsiModel,
     build_trans_coeffs,
     outage_probability,
     relay_selection_prob,
@@ -26,7 +26,7 @@ def fig4_setup(n_relays=2):
     links = LinkSet(d_src_relay=d, d_relay_dst=d, d_pu_src=[0.3, 0.31],
                     d_pu_relay=[[0.3] * n_relays, [0.31] * n_relays],
                     d_pu_dst=[0.4, 0.41])
-    primary = PrimaryModel(count=2, tx_power=rel_noise_db(30.0), duty=0.5)
+    primary = PrimaryModel(tx_power=rel_noise_db(30.0), duty=0.5)
     policy = SecondaryPolicy(p_max=rel_noise_db(10.0), interference_cap=rel_noise_db(6.0),
                              noise_power=N0, bandwidth=1e6, threshold=rel_noise_db(3.0),
                              eta=0.35, p_circuit_tx=0.01, p_circuit_rx=0.0079)
@@ -50,22 +50,11 @@ class TestCsi:
         with pytest.raises(ValueError):
             rho_from_doppler(-1.0, 1.0)
 
-    def test_explicit_rho_wins(self):
-        model = CsiModel(rho=0.3, doppler_hz=1000.0, t_diff=1.0)
-        assert model.correlation() == 0.3
-
     def test_doppler_fallback(self):
-        model = CsiModel(doppler_hz=10.0, t_diff=0.001)
-        assert model.correlation() == pytest.approx(
+        conf = apply_overrides(preset("fig6"), ["csi.doppler_hz=10 Hz", "csi.t_diff=1 ms"])
+        del conf["csi"]["rho"]
+        assert scenario_from_conf(conf).rho == pytest.approx(
             rho_from_doppler(10.0, 0.001), rel=1e-14)
-
-    def test_requires_some_input(self):
-        with pytest.raises(ValueError):
-            CsiModel().correlation()
-
-    def test_rejects_out_of_range_rho(self):
-        with pytest.raises(ValueError):
-            CsiModel(rho=1.2).correlation()
 
 
 class TestTransPowers:
