@@ -5,8 +5,9 @@ its Monte Carlo estimate (None under --no-mc); the figures, `validate` and
 the single-quantity commands all read those. Figure grids are declared only
 in FIGURES. Every figure writes a CSV with a header row and one row per
 swept point: the swept values, then analytic, mc and stderr per pair (the
-MC cells empty under --no-mc), formatted to nine significant digits so
-reruns diff cleanly. Bad configuration values exit with code 2.
+MC cells empty under --no-mc or for an infinite ECG), formatted to nine
+significant digits so reruns diff cleanly. Bad configuration values exit
+with code 2.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import math
 import sys
 
 from . import energy_opt, harvest, mcsim, sensing, transmission
-from .scenario import (ConfigError, Scenario, apply_overrides, ladder_conf,
-                       load_config, preset, relay_ladder_conf, scenario_from_conf)
+from .scenario import (ConfigError, Scenario, apply_overrides, ladder_conf, load_config,
+                       merge_layer, preset, relay_ladder_conf, scenario_from_conf)
 
 Z_LIMIT = 4.0
 
@@ -43,8 +44,7 @@ def _base_conf(args, figure_name=None):
     if figure_name is not None:
         conf = preset(figure_name)
         if args.config:
-            for section, entries in load_config(args.config).items():
-                conf.setdefault(section, {}).update(entries)
+            conf = merge_layer(conf, load_config(args.config))
     elif args.config:
         conf = load_config(args.config)
     else:
@@ -101,7 +101,9 @@ def _frame_energy(scn: Scenario, model, t_sense, no_mc, harvesting=True):
 
 
 def _ecg(scn: Scenario, model, t_sense, no_mc):
-    return energy_opt.ecg(model, scn.relay, t_sense), None if no_mc else mcsim.mc_ecg(
+    # nothing is harvested (as at duty 0): the ratio is inf and has no MC estimate
+    ratio = energy_opt.ecg(model, scn.relay, t_sense)
+    return ratio, None if no_mc or math.isinf(ratio) else mcsim.mc_ecg(
         model, scn.relay, t_sense, scn.trials, scn.seed, workers=scn.workers)
 
 

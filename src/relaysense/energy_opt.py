@@ -41,8 +41,8 @@ class Frame:
     count times slot), and the ECG takes `listen_linear`, the conventional
     account linear in t_sense.
 
-    The methods take a relay index unchecked; the public functions below
-    check it first.
+    Each method checks its relay index first, as the per-relay tuples would
+    alias a negative one.
     """
 
     t_sense: float
@@ -57,6 +57,7 @@ class Frame:
 
     def energy_nonharvesting(self, i: int) -> float:
         """Expected frame energy of relay i with the harvester disabled."""
+        self.model.links.check_relay(i)
         return self.e_listen[i] + self.miss * self.prr[i] * self.e_transmit[i] * self.t_data
 
     def energy(self, i: int) -> float:
@@ -66,23 +67,79 @@ class Frame:
 
     def data(self, i: int) -> float:
         """Expected bits moved through relay i in one frame."""
+        self.model.links.check_relay(i)
         return self.miss * self.prr[i] * self.model.rate * self.t_data
 
     def listen_linear(self, i: int) -> float:
         """Sensing-plus-reporting energy of relay i, linear in t_sense."""
         m = self.model
+        m.links.check_relay(i)
         return (m.e_sense * self.t_sense
                 + m.e_report[i] * m.t_report * self.t_sense * m.policy.bandwidth)
 
     def ecg(self, i: int) -> float:
         """Consumed-to-harvested energy ratio of relay i; inf when nothing is
         harvested, as at p_detect == 0."""
+        self.model.links.check_relay(i)
         harvested = self.p_detect * self.model.harvest_mean[i] * self.t_data
         if harvested == 0.0:
             return math.inf
         consumed = (self.listen_linear(i)
                     + (1.0 - self.p_detect) * self.prr[i] * self.e_transmit[i] * self.t_data)
         return consumed / harvested
+
+    def slope(self, i: int) -> float:
+        """Derivative of relay i's expected frame energy in t_sense, holding the
+        detection-dependent transmit power and selection odds at their local
+        values (the stationarity form the multiplier identity is built on)."""
+        m = self.model
+        m.links.check_relay(i)
+        w = m.policy.bandwidth
+        h = m.harvest_mean[i]
+        if self.miss == 0.0:
+            bracket = 0.0
+        else:
+            bracket = self.miss * (1.0 - self.t_data * w * m.log_delta)
+        return (2.0 * m.e_sense * self.t_sense * w
+                + m.e_report[i] * m.t_report * w
+                + h - (self.prr[i] * self.e_transmit[i] + h) * bracket)
+
+    def constraint(self, i: int, d_star: float) -> float:
+        """SNR-form data constraint of relay i; non-positive iff the expected data
+        per frame reaches d_star bits. Strictly increasing and convex in t_sense."""
+        m = self.model
+        m.links.check_relay(i)
+        if d_star < 0.0:
+            raise ValueError("data floor must be non-negative")
+        gamma_rate = math.expm1(LN2 * m.rate / m.policy.bandwidth)
+        if d_star == 0.0:
+            return -gamma_rate
+        if m.delta <= 0.0:
+            return math.inf
+        w = m.policy.bandwidth
+        ln_g = (math.log(d_star) - math.log(self.t_data * w * self.prr[i])
+                - self.t_sense * w * m.log_delta)
+        if ln_g > 700.0:
+            return math.inf
+        g = math.exp(ln_g)
+        try:
+            return math.expm1(LN2 * g) - gamma_rate
+        except OverflowError:
+            return math.inf
+
+    def multiplier(self, i: int, d_star: float) -> float:
+        """Multiplier of relay i's active data constraint (stationarity identity)."""
+        self.model.links.check_relay(i)
+        w = self.model.policy.bandwidth
+        if self.miss == 0.0:
+            return 0.0
+        g = d_star / (self.miss * self.t_data * w * self.prr[i])
+        if g > 1e6:
+            # 2**-g underflows far before this; the constraint cannot be active here
+            return 0.0
+        pref = (2.0 ** (-g) * self.miss * self.prr[i] * self.t_data * self.t_data * w
+                / (d_star * LN2 * (1.0 - self.t_data * w * self.model.log_delta)))
+        return pref * self.slope(i)
 
 
 class EnergyModel:
@@ -156,73 +213,14 @@ class EnergyModel:
         )
 
 
-def _frame(model: EnergyModel, i: int, t_sense: float) -> Frame:
-    """The frame at t_sense for a per-relay function of relay i. The index
-    is checked first, as the frame's per-relay tuples would alias a negative
-    one."""
-    model.links.check_relay(i)
-    return model.frame(t_sense)
-
-
 def total_energy_nonharvesting(model: EnergyModel, i: int, t_sense: float) -> float:
     """Expected frame energy of relay i with the harvester disabled."""
-    return _frame(model, i, t_sense).energy_nonharvesting(i)
+    return model.frame(t_sense).energy_nonharvesting(i)
 
 
 def total_energy(model: EnergyModel, i: int, t_sense: float) -> float:
     """Expected frame energy of relay i, harvesting credited on detection."""
-    return _frame(model, i, t_sense).energy(i)
-
-
-def expected_data(model: EnergyModel, i: int, t_sense: float) -> float:
-    """Expected bits moved through relay i in one frame."""
-    return _frame(model, i, t_sense).data(i)
-
-
-def transformed_constraint(model: EnergyModel, i: int, t_sense: float,
-                           d_star: float) -> float:
-    """SNR-form data constraint; non-positive iff the expected data per
-    frame reaches d_star bits. Strictly increasing and convex in t_sense."""
-    return _constraint(model, _frame(model, i, t_sense), i, d_star)
-
-
-def _constraint(model: EnergyModel, f: Frame, i: int, d_star: float) -> float:
-    if d_star < 0.0:
-        raise ValueError("data floor must be non-negative")
-    gamma_rate = math.expm1(LN2 * model.rate / model.policy.bandwidth)
-    if d_star == 0.0:
-        return -gamma_rate
-    if model.delta <= 0.0:
-        return math.inf
-    w = model.policy.bandwidth
-    ln_g = (math.log(d_star) - math.log(f.t_data * w * f.prr[i])
-            - f.t_sense * w * model.log_delta)
-    if ln_g > 700.0:
-        return math.inf
-    g = math.exp(ln_g)
-    try:
-        return math.expm1(LN2 * g) - gamma_rate
-    except OverflowError:
-        return math.inf
-
-
-def energy_slope(model: EnergyModel, i: int, t_sense: float) -> float:
-    """Derivative of the expected frame energy in t_sense, holding the
-    detection-dependent transmit power and selection odds at their local
-    values (the stationarity form the multiplier identity is built on)."""
-    return _slope(model, _frame(model, i, t_sense), i)
-
-
-def _slope(model: EnergyModel, f: Frame, i: int) -> float:
-    w = model.policy.bandwidth
-    h = model.harvest_mean[i]
-    if f.miss == 0.0:
-        bracket = 0.0
-    else:
-        bracket = f.miss * (1.0 - f.t_data * w * model.log_delta)
-    return (2.0 * model.e_sense * f.t_sense * w
-            + model.e_report[i] * model.t_report * w
-            + h - (f.prr[i] * f.e_transmit[i] + h) * bracket)
+    return model.frame(t_sense).energy(i)
 
 
 def necessary_condition(model: EnergyModel, i: int, t_sense: float) -> bool:
@@ -233,22 +231,17 @@ def necessary_condition(model: EnergyModel, i: int, t_sense: float) -> bool:
                               * (h + 2*e_sense*t_sense*W + e_report*t_report*W)
                               / (1 - t_data*W*ln(delta)),
 
-    with h the mean harvested power. That is the sign of `energy_slope`."""
-    return _slope(model, _frame(model, i, t_sense), i) >= 0.0
+    with h the mean harvested power. That is the sign of `Frame.slope`."""
+    return model.frame(t_sense).slope(i) >= 0.0
 
 
-def _multiplier(model: EnergyModel, f: Frame, i: int, d_star: float) -> float:
-    # stationarity identity for the active data constraint
-    w = model.policy.bandwidth
-    if f.miss == 0.0:
-        return 0.0
-    g = d_star / (f.miss * f.t_data * w * f.prr[i])
-    if g > 1e6:
-        # 2**-g underflows far before this; the constraint cannot be active here
-        return 0.0
-    pref = (2.0 ** (-g) * f.miss * f.prr[i] * f.t_data * f.t_data * w
-            / (d_star * LN2 * (1.0 - f.t_data * w * model.log_delta)))
-    return pref * _slope(model, f, i)
+def ecg(model: EnergyModel, i: int, t_sense: float) -> float:
+    """Consumed-to-harvested energy ratio of relay i at the given split.
+
+    Uses the conventional account where listening charges linearly in the
+    sensing time. Undetectable primaries harvest nothing, which makes the
+    ratio infinite."""
+    return model.frame(t_sense).ecg(i)
 
 
 class InfeasibleDataError(ValueError):
@@ -283,7 +276,6 @@ def optimize_sensing_time(model: EnergyModel, i: int, d_star: float) -> SensingO
     """
     if d_star < 0.0:
         raise ValueError("data floor must be non-negative")
-    model.links.check_relay(i)
     lo = TIME_TOL
     hi = model.t_listen - TIME_TOL
     if hi <= lo:
@@ -334,16 +326,16 @@ def optimize_sensing_time(model: EnergyModel, i: int, d_star: float) -> SensingO
         # settle on the grid point where the analytic slope turns non-negative,
         # so the stationarity checks downstream are deterministic
         for cand in (a, 0.5 * (a + b), b):
-            if lo < cand < t_max and _slope(model, frame(cand), i) >= 0.0:
+            if lo < cand < t_max and frame(cand).slope(i) >= 0.0:
                 t_star = cand
                 break
 
     f = frame(t_star)
     active = (d_star > 0.0
               and t_max < hi
-              and abs(_constraint(model, f, i, d_star)) <= max(
-                  CONSTRAINT_TOL, 1e-6 * abs(_constraint(model, frame(lo), i, d_star))))
-    mu = _multiplier(model, f, i, d_star) if active else 0.0
+              and abs(f.constraint(i, d_star)) <= max(
+                  CONSTRAINT_TOL, 1e-6 * abs(frame(lo).constraint(i, d_star))))
+    mu = f.multiplier(i, d_star) if active else 0.0
     return SensingOptimum(
         t_sense=t_star,
         multiplier=mu,
@@ -351,17 +343,3 @@ def optimize_sensing_time(model: EnergyModel, i: int, d_star: float) -> SensingO
         data=f.data(i),
         constraint_active=active,
     )
-
-
-def ecg(model: EnergyModel, i: int, t_sense: float) -> float:
-    """Consumed-to-harvested energy ratio of relay i at the given split.
-
-    Uses the conventional account where listening charges linearly in the
-    sensing time. Undetectable primaries harvest nothing, which makes the
-    ratio infinite; that is reported as a division error."""
-    f = _frame(model, i, t_sense)
-    if f.p_detect == 0.0:
-        raise ZeroDivisionError(
-            "detection probability is zero: nothing is ever harvested and the "
-            "energy conversion gain is infinite")
-    return f.ecg(i)

@@ -194,30 +194,32 @@ def _parse_scenario(conf: dict) -> Scenario:
             raise ConfigError("missing required key %s.%s" % (section, key))
         return v
 
-    pol = conf.get("policy", {})
-    if "noise_power" not in pol:
-        raise ConfigError("missing required key policy.noise_power")
-    n0 = parse_quantity(pol["noise_power"])
+    def parsed(convert, section, key, *args):
+        """convert(section.key's value, *args); a failure names the key."""
+        text = get(section, key)
+        try:
+            return convert(text, *args)
+        except ValueError as exc:
+            raise ConfigError("%s.%s: %s" % (section, key, exc)) from exc
+
+    n0 = parsed(parse_quantity, "policy", "noise_power")
 
     def qty(section, key):
-        return parse_quantity(get(section, key), n0)
+        return parsed(parse_quantity, section, key, n0)
 
-    d_sr = parse_list(get("links", "d_src_relay"))
-    d_rd = parse_list(get("links", "d_relay_dst"))
+    d_sr = parsed(parse_list, "links", "d_src_relay")
+    d_rd = parsed(parse_list, "links", "d_relay_dst")
     n_relays = len(d_sr)
-    if "d_pu" in conf.get("links", {}):
-        d_pu = parse_list(conf["links"]["d_pu"])
-        d_pu_src = d_pu
-        d_pu_dst = d_pu
-        d_pu_relay = [[d] * n_relays for d in d_pu]
+    # a per-side key overrides the shared d_pu ladder
+    given = conf.get("links", {})
+    d_pu = parsed(parse_list, "links", "d_pu") if "d_pu" in given else None
+    d_pu_src = parsed(parse_list, "links", "d_pu_src") if "d_pu_src" in given else d_pu
+    d_pu_dst = parsed(parse_list, "links", "d_pu_dst") if "d_pu_dst" in given else d_pu
+    if "d_pu_relay" in given:
+        d_pu_relay = parsed(lambda text: [parse_list(row) for row in text.split(";")],
+                            "links", "d_pu_relay")
     else:
-        d_pu_src = d_pu_dst = d_pu_relay = None
-    if "d_pu_src" in conf.get("links", {}):
-        d_pu_src = parse_list(conf["links"]["d_pu_src"])
-    if "d_pu_dst" in conf.get("links", {}):
-        d_pu_dst = parse_list(conf["links"]["d_pu_dst"])
-    if "d_pu_relay" in conf.get("links", {}):
-        d_pu_relay = [parse_list(row) for row in conf["links"]["d_pu_relay"].split(";")]
+        d_pu_relay = None if d_pu is None else [[d] * n_relays for d in d_pu]
     if d_pu_src is None or d_pu_dst is None or d_pu_relay is None:
         raise ConfigError("links needs d_pu or the explicit d_pu_src/d_pu_dst/d_pu_relay")
 
@@ -227,11 +229,11 @@ def _parse_scenario(conf: dict) -> Scenario:
         d_pu_src=d_pu_src,
         d_pu_relay=d_pu_relay,
         d_pu_dst=d_pu_dst,
-        alpha=float(get("links", "alpha")),
+        alpha=parsed(float, "links", "alpha"),
     )
     primary = PrimaryModel(
         tx_power=qty("primary", "tx_power"),
-        duty=float(get("primary", "duty")),
+        duty=parsed(float, "primary", "duty"),
     )
     policy = SecondaryPolicy(
         p_max=qty("policy", "p_max"),
@@ -239,16 +241,16 @@ def _parse_scenario(conf: dict) -> Scenario:
         noise_power=n0,
         bandwidth=qty("policy", "bandwidth"),
         threshold=qty("policy", "threshold"),
-        eta=float(get("policy", "eta")),
+        eta=parsed(float, "policy", "eta"),
         p_circuit_tx=qty("policy", "p_circuit_tx"),
         p_circuit_rx=qty("policy", "p_circuit_rx"),
     )
     # an explicit csi.rho wins, then the Jakes value of doppler_hz and
     # t_diff, then the default rho
     csi = conf.get("csi", {})
-    jakes = {k: parse_quantity(csi[k]) for k in ("doppler_hz", "t_diff") if k in csi}
+    jakes = {k: parsed(parse_quantity, "csi", k) for k in ("doppler_hz", "t_diff") if k in csi}
     if "rho" in csi or "doppler_hz" not in jakes:
-        rho = float(get("csi", "rho"))
+        rho = parsed(float, "csi", "rho")
         if not 0.0 <= rho <= 1.0:
             raise ConfigError("csi.rho must lie in [0, 1], got %g" % rho)
     elif "t_diff" not in jakes:
@@ -266,19 +268,19 @@ def _parse_scenario(conf: dict) -> Scenario:
         t_sense=qty("frame", "t_sense"),
         rate=qty("traffic", "rate"),
         gamma_th=qty("traffic", "gamma_th"),
-        d_star=float(get("traffic", "d_star")),
-        trials=_whole(get("sim", "trials"), "sim.trials"),
-        seed=int(get("sim", "seed")),
-        workers=int(get("sim", "workers")),
-        relay=int(get("sim", "relay")),
+        d_star=parsed(float, "traffic", "d_star"),
+        trials=parsed(_whole, "sim", "trials"),
+        seed=parsed(int, "sim", "seed"),
+        workers=parsed(int, "sim", "workers"),
+        relay=parsed(int, "sim", "relay"),
     )
 
 
-def _whole(text: str, name: str) -> int:
+def _whole(text: str) -> int:
     """A count that may be written as a float ('1e6'), but must be whole."""
     v = float(text)
     if not v.is_integer():
-        raise ConfigError("%s must be a whole number, got %s" % (name, text))
+        raise ValueError("must be a whole number, got %s" % text)
     return int(v)
 
 
@@ -289,9 +291,27 @@ def load_config(path: str) -> dict:
     return {s: dict(cp.items(s)) for s in cp.sections()}
 
 
-def apply_overrides(conf: dict, pairs) -> dict:
-    """Apply 'section.key=value' strings on top of a config tree."""
+def merge_layer(conf: dict, layer: dict) -> dict:
+    """A copy of conf with a later {section: {key: value}} layer on top.
+
+    A layer that sets csi.doppler_hz or csi.t_diff but not csi.rho drops
+    the rho it inherits whenever the merged tree has a doppler_hz, so the
+    Jakes value applies; within one layer an explicit rho still wins.
+    """
     out = {s: dict(kv) for s, kv in conf.items()}
+    for section, entries in layer.items():
+        out.setdefault(section, {}).update(entries)
+    csi = layer.get("csi", {})
+    if "rho" not in csi and csi.keys() & {"doppler_hz", "t_diff"}:
+        if "doppler_hz" in out["csi"]:
+            out["csi"].pop("rho", None)
+    return out
+
+
+def apply_overrides(conf: dict, pairs) -> dict:
+    """Apply 'section.key=value' strings on top of a config tree; together
+    they form one layer for `merge_layer`."""
+    layer = {}
     for pair in pairs or ():
         if "=" not in pair or "." not in pair.split("=", 1)[0]:
             raise ConfigError("override %r is not of the form section.key=value" % pair)
@@ -302,8 +322,8 @@ def apply_overrides(conf: dict, pairs) -> dict:
             valid = ", ".join(
                 "%s.%s" % (s, k) for s in sorted(VALID_KEYS) for k in sorted(VALID_KEYS[s]))
             raise ConfigError("unknown override %s.%s; valid keys: %s" % (section, key, valid))
-        out.setdefault(section, {})[key] = value.strip()
-    return out
+        layer.setdefault(section, {})[key] = value.strip()
+    return merge_layer(conf, layer)
 
 
 # --- presets ---------------------------------------------------------------

@@ -304,31 +304,28 @@ def test_criterion_7_convexity_and_kkt():
             # exponent overflows; probe the widest finite window of this cell
             t_hi = 3e-6
             while True:
-                d_star = energy_opt.expected_data(model, scn.relay, 0.5 * t_hi)
-                if math.isfinite(energy_opt.transformed_constraint(
-                        model, scn.relay, t_hi, d_star)):
+                d_star = model.frame(0.5 * t_hi).data(scn.relay)
+                if math.isfinite(model.frame(t_hi).constraint(scn.relay, d_star)):
                     break
                 t_hi *= 0.6
             window = np.linspace(0.1 * t_hi, t_hi, 60)
-            cons = np.array([energy_opt.transformed_constraint(model, scn.relay, t, d_star)
-                             for t in window])
+            cons = np.array([model.frame(t).constraint(scn.relay, d_star) for t in window])
             assert np.all(np.isfinite(cons))
             cscale = np.max(np.abs(cons))
             assert np.all(np.diff(cons, 2) >= -1e-9 * cscale)
 
             opt = energy_opt.optimize_sensing_time(model, scn.relay, scn.d_star)
-            slack = abs(opt.multiplier * energy_opt.transformed_constraint(
-                model, scn.relay, opt.t_sense, scn.d_star))
+            slack = abs(opt.multiplier
+                        * model.frame(opt.t_sense).constraint(scn.relay, scn.d_star))
             worst_cs = max(worst_cs, slack)
             assert slack <= 1e-6
 
         # a genuinely active floor must also close the slackness product
         _, _, scn, model = _table1_models()[5]
         free = energy_opt.optimize_sensing_time(model, scn.relay, 0.0)
-        d_star = energy_opt.expected_data(model, scn.relay, 0.5 * free.t_sense)
+        d_star = model.frame(0.5 * free.t_sense).data(scn.relay)
         opt = energy_opt.optimize_sensing_time(model, scn.relay, d_star)
-        slack = abs(opt.multiplier * energy_opt.transformed_constraint(
-            model, scn.relay, opt.t_sense, d_star))
+        slack = abs(opt.multiplier * model.frame(opt.t_sense).constraint(scn.relay, d_star))
         assert opt.constraint_active
         assert slack <= 1e-6
         worst_cs = max(worst_cs, slack)

@@ -87,6 +87,19 @@ class TestFigureCommand:
             # carry analytic, mc and stderr per pair
             assert all(row)
 
+    def test_fig8_idle_primary_writes_infinite_ratios(self, tmp_path):
+        # duty 0 harvests nothing: the ECG is inf and has no MC estimate
+        for no_mc in ([], ["--no-mc"]):
+            out = tmp_path / "fig8.csv"
+            assert run(no_mc + ["--trials", "2000", "--set", "primary.duty=0",
+                                "--out", str(out), "figure", "fig8"]) == 0
+            header, *rows = (line.split(",") for line in out.read_text().splitlines())
+            assert len(rows) == 38
+            for row in rows:
+                cells = dict(zip(header, row))
+                assert cells["ecg_analytic"] == "inf"
+                assert cells["ecg_mc"] == cells["stderr"] == ""
+
     def test_bad_override_key(self, tmp_path, capsys):
         rc = run(["--no-mc", "--out", str(tmp_path / "x.csv"),
                   "--set", "policy.thresh=1", "figure", "fig3"])
@@ -141,6 +154,14 @@ class TestValidateCommand:
         assert rows[-1] == "clipped_gain,,,,,n/a"
 
 
+# the overrides above whose value does not convert: the message names the key
+PARSE_FAILURES = {
+    "policy.p_max=abc", "sim.trials=inf", "sim.trials=2.5", "primary.tx_power=1e999",
+    "policy.bandwidth=1e999", "policy.noise_power=1e999", "traffic.gamma_th=1e999",
+    "traffic.rate=1e999", "primary.duty=abc", "sim.seed=1.5",
+}
+
+
 class TestBadInput:
     @pytest.mark.parametrize("override, command", [
         pytest.param(override, command, id=override) for override, command in (
@@ -168,6 +189,9 @@ class TestBadInput:
             ("policy.noise_power=1e999", "detect"),
             ("traffic.gamma_th=1e999", "outage"),
             ("traffic.rate=1e999", "energy"),
+            # conversions that do not parse
+            ("primary.duty=abc", "detect"),
+            ("sim.seed=1.5", "detect"),
         )
     ])
     def test_exits_2_with_message(self, override, command, capsys):
@@ -176,6 +200,8 @@ class TestBadInput:
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+        if override in PARSE_FAILURES:
+            assert override.split("=")[0] in err
 
 
 class TestSingleQuantityCommands:

@@ -12,13 +12,10 @@ from relaysense.energy_opt import (
     EnergyModel,
     InfeasibleDataError,
     ecg,
-    energy_slope,
-    expected_data,
     necessary_condition,
     optimize_sensing_time,
     total_energy,
     total_energy_nonharvesting,
-    transformed_constraint,
 )
 from relaysense.scenario import (apply_overrides, ladder_conf, preset,
                                  relay_ladder_conf, scenario_from_conf)
@@ -147,15 +144,15 @@ class TestExpectedData:
         m = table1_model
         t = 2e-6
         want = m.miss(t) * m.frame(t).prr[0] * m.rate * (m.t_listen - t)
-        assert expected_data(m, 0, t) == pytest.approx(want, rel=1e-14)
+        assert m.frame(t).data(0) == pytest.approx(want, rel=1e-14)
 
     def test_vanishes_with_data_slot(self, table1_model):
         m = table1_model
-        tail = expected_data(m, 0, m.t_listen - 1e-9)
+        tail = m.frame(m.t_listen - 1e-9).data(0)
         assert tail < 1e-2
 
     def test_decreasing_in_sensing_time(self, table1_model):
-        ds = [expected_data(table1_model, 0, t) for t in np.geomspace(1e-6, 1e-3, 12)]
+        ds = [table1_model.frame(t).data(0) for t in np.geomspace(1e-6, 1e-3, 12)]
         assert all(b < a for a, b in zip(ds, ds[1:]))
 
 
@@ -163,34 +160,34 @@ class TestTransformedConstraint:
     def test_zero_floor_is_slack_constant(self, table1_model):
         m = table1_model
         gamma_rate = math.expm1(math.log(2.0) * m.rate / m.policy.bandwidth)
-        assert transformed_constraint(m, 0, 1e-5, 0.0) == pytest.approx(-gamma_rate)
+        assert m.frame(1e-5).constraint(0, 0.0) == pytest.approx(-gamma_rate)
 
     def test_rejects_negative_floor(self, table1_model):
         with pytest.raises(ValueError):
-            transformed_constraint(table1_model, 0, 1e-5, -1.0)
+            table1_model.frame(1e-5).constraint(0, -1.0)
 
     def test_rejects_exhausted_window(self, table1_model):
         with pytest.raises(ValueError):
-            transformed_constraint(table1_model, 0, table1_model.t_listen, 10.0)
+            table1_model.frame(table1_model.t_listen).constraint(0, 10.0)
 
     def test_sign_matches_data_side(self, table1_model):
         # non-positive exactly when the expected data reaches the floor
         m = table1_model
-        d_star = expected_data(m, 0, 1e-6)
+        d_star = m.frame(1e-6).data(0)
         for t in np.geomspace(2e-7, 3e-4, 15):
-            c = transformed_constraint(m, 0, t, d_star)
-            d = expected_data(m, 0, t)
+            c = m.frame(t).constraint(0, d_star)
+            d = m.frame(t).data(0)
             assert (c <= 0.0) == (d >= d_star), f"t = {t}"
 
     def test_deep_infeasibility_saturates(self, table1_model):
-        d_star = expected_data(table1_model, 0, 1e-6)
-        assert transformed_constraint(table1_model, 0, 1e-3, d_star) == math.inf
+        d_star = table1_model.frame(1e-6).data(0)
+        assert table1_model.frame(1e-3).constraint(0, d_star) == math.inf
 
     def test_increasing_and_convex_where_finite(self, table1_model):
         m = table1_model
-        d_star = expected_data(m, 0, 1.5e-6)
+        d_star = m.frame(1.5e-6).data(0)
         ts = np.linspace(3e-7, 3e-6, 60)
-        vals = np.array([transformed_constraint(m, 0, t, d_star) for t in ts])
+        vals = np.array([m.frame(t).constraint(0, d_star) for t in ts])
         assert np.all(np.isfinite(vals))
         assert np.all(np.diff(vals) > 0.0)
         second = np.diff(vals, 2)
@@ -203,13 +200,13 @@ class TestEnergySlope:
         for t in (1e-6, 5e-6, 1e-4, 1e-2):
             h = 1e-4 * t
             fd = (total_energy(m, 0, t + h) - total_energy(m, 0, t - h)) / (2 * h)
-            assert energy_slope(m, 0, t) == pytest.approx(fd, rel=1e-4, abs=1e-12)
+            assert m.frame(t).slope(0) == pytest.approx(fd, rel=1e-4, abs=1e-12)
 
     def test_sign_agrees_with_closed_form_check(self, table1_model):
         m = table1_model
-        scale = abs(energy_slope(m, 0, 1e-4))
+        scale = abs(m.frame(1e-4).slope(0))
         for t in np.geomspace(3e-7, 1e-2, 25):
-            s = energy_slope(m, 0, t)
+            s = m.frame(t).slope(0)
             if abs(s) < 1e-9 * scale:
                 continue
             assert necessary_condition(m, 0, t) == (s >= 0.0), f"t = {t}"
@@ -221,7 +218,7 @@ class TestEnergySlope:
         assert m.delta == 0.0
         assert m.frame(1e-6).p_detect == 1.0
         assert necessary_condition(m, 0, 1e-5)
-        assert energy_slope(m, 0, 1e-5) > 0.0
+        assert m.frame(1e-5).slope(0) > 0.0
 
 
 class TestOptimize:
@@ -230,7 +227,7 @@ class TestOptimize:
         assert opt.t_sense == pytest.approx(3.737e-06, abs=2e-7)
         assert not opt.constraint_active
         assert opt.multiplier == 0.0
-        assert energy_slope(table1_model, 0, opt.t_sense) >= 0.0
+        assert table1_model.frame(opt.t_sense).slope(0) >= 0.0
 
     def test_beats_dense_grid(self, table1_model):
         opt = optimize_sensing_time(table1_model, 0, 0.0)
@@ -245,12 +242,12 @@ class TestOptimize:
 
     def test_active_floor_pins_the_edge(self, table1_model):
         m = table1_model
-        d_star = expected_data(m, 0, 1e-6)
+        d_star = m.frame(1e-6).data(0)
         opt = optimize_sensing_time(m, 0, d_star)
         assert opt.constraint_active
         assert opt.t_sense == pytest.approx(1e-6, rel=1e-6)
         assert opt.data == pytest.approx(d_star, rel=1e-9)
-        c = transformed_constraint(m, 0, opt.t_sense, d_star)
+        c = m.frame(opt.t_sense).constraint(0, d_star)
         assert abs(c) <= 1e-6
         assert opt.multiplier != 0.0
         assert abs(opt.multiplier * c) <= 1e-12
@@ -258,14 +255,14 @@ class TestOptimize:
     def test_slack_floor_changes_nothing(self, table1_model):
         m = table1_model
         free = optimize_sensing_time(m, 0, 0.0)
-        eased = optimize_sensing_time(m, 0, expected_data(m, 0, 1e-5))
+        eased = optimize_sensing_time(m, 0, m.frame(1e-5).data(0))
         assert not eased.constraint_active
         assert eased.multiplier == 0.0
         assert eased.t_sense == pytest.approx(free.t_sense, abs=2 * TIME_TOL)
 
     def test_unreachable_floor_raises(self, table1_model):
         m = table1_model
-        d_star = 100.0 * expected_data(m, 0, TIME_TOL)
+        d_star = 100.0 * m.frame(TIME_TOL).data(0)
         with pytest.raises(InfeasibleDataError) as err:
             optimize_sensing_time(m, 0, d_star)
         assert err.value.d_star == d_star
@@ -279,7 +276,7 @@ class TestOptimize:
         opt = optimize_sensing_time(fig7_model, 0, 0.0)
         assert 0.0 < opt.t_sense < fig7_model.t_listen
         assert opt.energy < 0.0
-        assert energy_slope(fig7_model, 0, opt.t_sense) >= 0.0
+        assert fig7_model.frame(opt.t_sense).slope(0) >= 0.0
 
 
 class TestEcg:
@@ -298,10 +295,12 @@ class TestEcg:
         for t in (1e-4, 0.02, 0.08):
             assert ecg(fig7_model, 0, t) > 0.0
 
-    def test_undetectable_band_raises(self):
-        m = model_for("table1", ["policy.threshold=400 dB"])
-        with pytest.raises(ZeroDivisionError):
-            ecg(m, 0, 0.02)
+    def test_undetectable_band_is_infinite(self):
+        # p_detect == 0 harvests nothing: the ratio is inf, as in the ledger
+        for override in ("policy.threshold=400 dB", "primary.duty=0"):
+            m = model_for("table1", [override])
+            assert m.frame(0.02).p_detect == 0.0
+            assert ecg(m, 0, 0.02) == math.inf, override
 
 
 STOCK_PRESETS = ("fig3", "fig4", "fig6", "fig7", "fig8", "table1", "default")
@@ -320,11 +319,11 @@ class TestFrameLedger:
         assert f.t_sense == 0.02
 
     def test_undetectable_band_reports_infinite_ratio(self):
-        # the ledger reports the infinite ratio; the public function raises
-        m = model_for("table1", ["policy.threshold=400 dB"])
-        assert m.frame(0.02).ecg(0) == math.inf
-        with pytest.raises(ZeroDivisionError):
-            ecg(m, 0, 0.02)
+        # the ledger and the public function report the same infinite ratio
+        m = model_for("fig7", ["policy.threshold=400 dB"])
+        for i in range(m.n_relays):
+            for t in (1e-5, 0.02, 0.09):
+                assert m.frame(t).ecg(i) == ecg(m, i, t) == math.inf
 
     @given(frac=st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
            duty=st.floats(min_value=0.0, max_value=1.0),
@@ -346,8 +345,8 @@ class TestFrameLedger:
         rows = []
         for i in range(m.n_relays):
             row = (f.energy(i), f.energy_nonharvesting(i), f.ecg(i), f.data(i))
-            assert row == (total_energy(m, i, t), total_energy_nonharvesting(m, i, t),
-                           ecg(m, i, t), expected_data(m, i, t))
+            assert row[:3] == (total_energy(m, i, t), total_energy_nonharvesting(m, i, t),
+                               ecg(m, i, t))
             rows.append("%-6d %-14.6g %-14.6g %-14.6g %-12.6g" % ((i,) + row))
         cp = configparser.ConfigParser()
         cp.read_dict(conf)
@@ -377,7 +376,7 @@ class TestCoefficientBuilds:
         return calls
 
     def test_one_build_per_evaluation(self, fig7_model, builds):
-        for fn in (total_energy, ecg, energy_slope):
+        for fn in (total_energy, ecg, necessary_condition):
             builds.clear()
             fn(fig7_model, 0, 0.02)
             assert len(builds) == 1, fn.__name__
@@ -442,9 +441,14 @@ RELAY_ENTRY_POINTS = {
     "mc_ecg": lambda m, i: mcsim.mc_ecg(m, i, 0.02, trials=100, seed=1),
     "total_energy": lambda m, i: total_energy(m, i, 0.02),
     "total_energy_nonharvesting": lambda m, i: total_energy_nonharvesting(m, i, 0.02),
-    "expected_data": lambda m, i: expected_data(m, i, 0.02),
-    "transformed_constraint": lambda m, i: transformed_constraint(m, i, 0.02, 1.0),
-    "energy_slope": lambda m, i: energy_slope(m, i, 0.02),
+    "Frame.energy": lambda m, i: m.frame(0.02).energy(i),
+    "Frame.energy_nonharvesting": lambda m, i: m.frame(0.02).energy_nonharvesting(i),
+    "Frame.data": lambda m, i: m.frame(0.02).data(i),
+    "Frame.listen_linear": lambda m, i: m.frame(0.02).listen_linear(i),
+    "Frame.ecg": lambda m, i: m.frame(0.02).ecg(i),
+    "Frame.slope": lambda m, i: m.frame(0.02).slope(i),
+    "Frame.constraint": lambda m, i: m.frame(0.02).constraint(i, 1.0),
+    "Frame.multiplier": lambda m, i: m.frame(0.02).multiplier(i, 1.0),
     "necessary_condition": lambda m, i: necessary_condition(m, i, 0.02),
     "optimize_sensing_time": lambda m, i: optimize_sensing_time(m, i, 0.0),
     "ecg": lambda m, i: ecg(m, i, 0.02),

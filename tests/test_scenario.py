@@ -13,6 +13,7 @@ from relaysense.scenario import (
     relay_ladder_conf,
     scenario_from_conf,
 )
+from relaysense import cli
 from relaysense.transmission import rho_from_doppler
 
 N0 = 10 ** (-131.0 / 10.0) * 1e-3
@@ -193,6 +194,25 @@ class TestScenarioFromConf:
         path.write_text(self.REQUIRED_ONLY
                         + "[csi]\nrho = 0.3\ndoppler_hz = 1 kHz\nt_diff = 1 s\n")
         assert scenario_from_conf(load_config(str(path))).rho == 0.3
+
+    def test_later_doppler_replaces_inherited_rho(self, tmp_path):
+        # every preset spells out a rho; a later layer that sets the Doppler
+        # inputs without a rho must get the Jakes value, not that rho
+        jakes = rho_from_doppler(100.0, 1e-3)
+        doppler = ["csi.doppler_hz=100 Hz", "csi.t_diff=1 ms"]
+        for name in ("default", "fig3", "fig4", "fig6"):
+            conf = apply_overrides(preset(name), doppler)
+            assert scenario_from_conf(conf).rho == jakes, name
+        path = tmp_path / "csi.ini"
+        path.write_text("[csi]\ndoppler_hz = 100 Hz\nt_diff = 1 ms\n")
+        args = cli.build_parser().parse_args(["--config", str(path), "figure", "fig6"])
+        assert scenario_from_conf(cli._base_conf(args, "fig6")).rho == jakes
+        # within one layer an explicit rho still wins, and a t_diff with no
+        # doppler_hz anywhere leaves the inherited rho in force
+        conf = apply_overrides(preset("fig4"), ["csi.rho=0.3"] + doppler)
+        assert scenario_from_conf(conf).rho == 0.3
+        conf = apply_overrides(preset("fig4"), ["csi.t_diff=1 ms"])
+        assert scenario_from_conf(conf).rho == 0.9
 
     def test_doppler_needs_t_diff(self, tmp_path):
         path = tmp_path / "scn.ini"

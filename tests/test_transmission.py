@@ -52,7 +52,6 @@ class TestCsi:
 
     def test_doppler_fallback(self):
         conf = apply_overrides(preset("fig6"), ["csi.doppler_hz=10 Hz", "csi.t_diff=1 ms"])
-        del conf["csi"]["rho"]
         assert scenario_from_conf(conf).rho == pytest.approx(
             rho_from_doppler(10.0, 0.001), rel=1e-14)
 
