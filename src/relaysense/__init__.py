@@ -1,7 +1,7 @@
 """Green cognitive relaying: closed forms, Monte Carlo checks, and the
 sensing-time optimiser for an RF-harvesting AF relay network."""
 
-from .fading import (LinkSet, PrimaryModel, hypoexp_cdf, max_exp_expectation,
+from .fading import (InterferenceLaw, LinkSet, PrimaryModel, max_exp_expectation,
                      mean_channel_gain)
 from .sensing import (ReportGain, SecondaryPolicy, avg_clipped_gain,
                       build_report_gain, detection_probability,

@@ -49,15 +49,9 @@ def _base_conf(args, figure_name=None):
         conf = load_config(args.config)
     else:
         conf = preset("default")
-    conf = apply_overrides(conf, args.set)
-    sim = conf.setdefault("sim", {})
-    if args.seed is not None:
-        sim["seed"] = str(args.seed)
-    if args.trials is not None:
-        sim["trials"] = str(args.trials)
-    if args.workers is not None:
-        sim["workers"] = str(args.workers)
-    return conf
+    flags = {"seed": args.seed, "trials": args.trials, "workers": args.workers}
+    return merge_layer(apply_overrides(conf, args.set),
+                       {"sim": {k: str(v) for k, v in flags.items() if v is not None}})
 
 
 def _scenario(args) -> Scenario:
@@ -213,8 +207,7 @@ def _validate_pairs(scn: Scenario):
     if math.isinf(u0):
         # no continuous report (duty 0): there is no amplifier level to clip
         return pairs + [("clipped_gain", None, None)]
-    _, thr = sensing.solve_saturation_gain(scn.links, scn.primary, scn.policy,
-                                           scn.relay, u=u0)
+    thr = sensing.solve_saturation_gain(model.report.relays[scn.relay], u0)
     pairs.append(("clipped_gain", 1.0 / u0,
                   mcsim.mc_clipped_gain(scn.links, scn.primary, scn.policy, scn.relay,
                                         thr, u0, scn.trials, scn.seed,

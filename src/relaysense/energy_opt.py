@@ -173,8 +173,8 @@ class EnergyModel:
         self.t_listen = float(t_total) - float(t_report)
         self.rate = float(rate)
         self.report = build_report_gain(links, primary, policy)
-        self.delta = sample_miss_probability(
-            policy.threshold / policy.noise_power, links, primary, policy, self.report)
+        self.delta = sample_miss_probability(policy.threshold / policy.noise_power,
+                                             self.report)
         self.log_delta = math.log(self.delta) if self.delta > 0.0 else -math.inf
         self.e_sense = policy.p_circuit_rx
         self.e_report = tuple(p + policy.p_circuit_tx for p in self.report.p_report)

@@ -5,7 +5,8 @@ mean equal to the path-loss gain d**(-alpha) (distances in km, normalised to
 a 1 km reference). The aggregate interference seen from L randomly active
 primary transmitters is a Bernoulli-thinned sum of non-identical
 exponentials: a mixture, over active subsets, of hypoexponential densities
-plus a point mass at zero when no transmitter is on.
+plus a point mass at zero when no transmitter is on. `activity_mixture`
+expands it once per receiver into an `InterferenceLaw`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,8 +95,7 @@ class LinkSet:
         if any(d <= 0.0 for row in self.d_pu_relay for d in row):
             raise ValueError("d_pu_relay distances must be positive")
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError("path-loss exponent must be finite and positive, got %g"
-                             % self.alpha)
+            raise ValueError("links.alpha must be finite and positive, got %g" % self.alpha)
         if not 2.0 <= self.alpha <= 6.0:
             warnings.warn("path-loss exponent %g outside the usual 2..6 range" % self.alpha)
         _check_distinct(self.gain_pu_src(), "primary->source")
@@ -114,13 +115,8 @@ class LinkSet:
         return len(self.d_pu_src)
 
     def check_relay(self, i):
-        """Return relay index i if it names one of the relays, else raise
-        ValueError: a negative index would silently alias a relay from the
-        end of every per-relay tuple."""
-        if not 0 <= i < self.n_relays:
-            raise ValueError("relay index %r out of range: the network has %d relay(s)"
-                             % (i, self.n_relays))
-        return i
+        """Return relay index i if it names one of the relays (`_check_index`)."""
+        return _check_index(i, self.n_relays)
 
     def gain_src_relay(self, i):
         return float(mean_channel_gain(self.d_src_relay[self.check_relay(i)], self.alpha))
@@ -139,6 +135,16 @@ class LinkSet:
         return mean_channel_gain(np.array([row[i] for row in self.d_pu_relay]), self.alpha)
 
 
+def _check_index(i, n_relays):
+    """Return relay index i if it names one of n_relays relays, else raise
+    ValueError: a negative index would silently alias a relay from the end
+    of every per-relay tuple."""
+    if not 0 <= i < n_relays:
+        raise ValueError("relay index %r out of range: the network has %d relay(s)"
+                         % (i, n_relays))
+    return i
+
+
 @dataclass
 class PrimaryModel:
     """Primary network: common transmit power (W) and duty cycle. The
@@ -149,9 +155,9 @@ class PrimaryModel:
 
     def __post_init__(self):
         if self.tx_power <= 0.0:
-            raise ValueError("primary transmit power must be positive")
+            raise ValueError("primary.tx_power must be positive, got %g" % self.tx_power)
         if not 0.0 <= self.duty <= 1.0:
-            raise ValueError("duty cycle must lie in [0, 1]")
+            raise ValueError("primary.duty must lie in [0, 1], got %g" % self.duty)
 
 
 def partial_fraction_weights(means):
@@ -203,14 +209,52 @@ def _add_in_order(total, terms):
     return running[..., -1][()]
 
 
-def activity_mixture(means, duty):
-    """Decompose the thinned interference sum into weighted hypoexponential parts.
+def _exp_survival(x, mm):
+    """P[Exp(mm) > x], the survival of one exponential component."""
+    return np.exp(-x / mm)
 
-    Returns (atom, groups): atom is the probability that nothing is active,
-    and groups holds one (prob, subs, weights) per active count r with
-    positive probability (none at duty 0, only r = L at duty 1). prob is the
-    probability of each r-subset; subs and weights are (C(L, r), r), one row
-    per subset in itertools.combinations order.
+
+class InterferenceLaw(NamedTuple):
+    """The thinned interference sum at one receiver, as `activity_mixture`
+    expands it. `cdf` and `expect` are the only readers of the groups; both
+    add the per-subset terms one at a time, in subset order."""
+
+    atom: float
+    groups: tuple
+
+    def cdf(self, x, survival=_exp_survival):
+        """P[Y <= x], x >= 0, for a Y that is 0 when nothing is active and
+        has survival(x, mm) per exponential component of mean mm; the default
+        makes Y the interference. Only x > 0 is evaluated (as an (n, 1, 1)
+        array), so the CDF at 0 is exactly the atom."""
+        scalar, x = _points(x, "SNR threshold must be non-negative")
+        out = np.full_like(x, self.atom)
+        pos = x > 0.0
+        xp = x[pos][:, None, None]
+        for prob, mm, w in self.groups:
+            out[pos] = _add_in_order(out[pos], prob * (1.0 - np.sum(w * survival(xp, mm),
+                                                                   axis=-1)))
+        return float(out[0]) if scalar else out
+
+    def expect(self, term):
+        """E[g(X); X > 0] over the continuous part, where term(w, mm) gives
+        w * E[g(Exp(mm))] for each component of a group."""
+        total = 0.0
+        for prob, mm, w in self.groups:
+            total = _add_in_order(total, prob * np.sum(term(w, mm), axis=-1))
+        return float(total)
+
+
+def activity_mixture(means, duty, scale):
+    """Decompose scale * the thinned interference sum into weighted
+    hypoexponential parts.
+
+    Returns the InterferenceLaw (atom, groups): atom is the probability that
+    nothing is active, and groups holds one (prob, mm, weights) per active
+    count r with positive probability (none at duty 0, only r = L at duty 1).
+    prob is the probability of each r-subset; mm (scale times the subset
+    means) and weights are (C(L, r), r), one row per subset in
+    itertools.combinations order.
     """
     m = _positive_means(means)
     n = m.size
@@ -221,20 +265,8 @@ def activity_mixture(means, duty):
         if p_sub == 0.0:
             continue
         subs = m[_subsets(n, size)]
-        groups.append((p_sub, subs, partial_fraction_weights(subs)))
-    return atom, groups
-
-
-def hypoexp_cdf(x, means, scale=1.0, duty=1.0):
-    """CDF of the thinned interference sum, including the atom at zero."""
-    scalar, x = _points(x, "interference power cannot be negative")
-    atom, groups = activity_mixture(means, duty)
-    out = np.full_like(x, atom)
-    for prob, subs, w in groups:
-        mm = scale * subs
-        out = _add_in_order(out, prob * (1.0 - np.sum(w * np.exp(-x[:, None, None] / mm),
-                                                      axis=-1)))
-    return float(out[0]) if scalar else out
+        groups.append((p_sub, scale * subs, partial_fraction_weights(subs)))
+    return InterferenceLaw(atom, tuple(groups))
 
 
 def max_exp_expectation(means):

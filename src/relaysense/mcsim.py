@@ -150,9 +150,7 @@ def _sample_exceed_sampler(links: LinkSet, primary: PrimaryModel, policy: Second
     mix_scale = primary.tx_power / policy.noise_power
     g_dst = links.gain_pu_dst()
     g_rel = [links.gain_pu_relay(i) for i in range(links.n_relays)]
-    b = [report.p_report[i] * links.gain_relay_dst(i) / policy.noise_power
-         for i in range(links.n_relays)]
-    u = report.u_report
+    b, u = report.snr_report, report.u_report
     duty = primary.duty
 
     def sampler(rng, n):

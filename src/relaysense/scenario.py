@@ -203,6 +203,9 @@ def _parse_scenario(conf: dict) -> Scenario:
             raise ConfigError("%s.%s: %s" % (section, key, exc)) from exc
 
     n0 = parsed(parse_quantity, "policy", "noise_power")
+    if n0 <= 0.0:
+        # every dB-relative power would be zero and blamed on its own key
+        raise ConfigError("policy.noise_power must be positive, got %g" % n0)
 
     def qty(section, key):
         return parsed(parse_quantity, section, key, n0)
@@ -294,13 +297,20 @@ def load_config(path: str) -> dict:
 def merge_layer(conf: dict, layer: dict) -> dict:
     """A copy of conf with a later {section: {key: value}} layer on top.
 
-    A layer that sets csi.doppler_hz or csi.t_diff but not csi.rho drops
-    the rho it inherits whenever the merged tree has a doppler_hz, so the
-    Jakes value applies; within one layer an explicit rho still wins.
+    A layer that sets links.d_pu but no per-side d_pu_* key drops the
+    per-side keys it inherits. A layer that sets csi.doppler_hz or
+    csi.t_diff but not csi.rho drops the rho it inherits whenever the merged
+    tree has a doppler_hz, so the Jakes value applies. Within one layer the
+    specific key (per-side, rho) still wins.
     """
     out = {s: dict(kv) for s, kv in conf.items()}
     for section, entries in layer.items():
         out.setdefault(section, {}).update(entries)
+    sides = ("d_pu_src", "d_pu_dst", "d_pu_relay")
+    links = layer.get("links", {})
+    if "d_pu" in links and not links.keys() & set(sides):
+        for key in sides:
+            out["links"].pop(key, None)
     csi = layer.get("csi", {})
     if "rho" not in csi and csi.keys() & {"doppler_hz", "t_diff"}:
         if "doppler_hz" in out["csi"]:
@@ -349,10 +359,7 @@ def preset(name: str) -> dict:
     }
 
     def merged(**sections):
-        out = {s: dict(kv) for s, kv in DEFAULTS.items()}
-        for s, kv in list(base.items()) + list(sections.items()):
-            out.setdefault(s, {}).update(kv)
-        return out
+        return merge_layer(merge_layer(DEFAULTS, base), sections)
 
     if name == "fig3":
         # single relay reporting at 200 samples; threshold tuned so the
@@ -409,18 +416,11 @@ FIG3_THRESHOLD_DB = "33 dB"
 
 def ladder_conf(conf: dict, d_first: float, n_primary: int, step: float = 0.01) -> dict:
     """Rewrite the shared primary distance ladder of a config tree."""
-    out = {s: dict(kv) for s, kv in conf.items()}
-    out["links"]["d_pu"] = _ladder(d_first, step, n_primary)
-    out["links"].pop("d_pu_src", None)
-    out["links"].pop("d_pu_dst", None)
-    out["links"].pop("d_pu_relay", None)
-    return out
+    return merge_layer(conf, {"links": {"d_pu": _ladder(d_first, step, n_primary)}})
 
 
 def relay_ladder_conf(conf: dict, d_sr_first: float, d_rd_first: float, n_relays: int,
                       step: float = 0.005) -> dict:
     """Rewrite the relay chain ladder of a config tree."""
-    out = {s: dict(kv) for s, kv in conf.items()}
-    out["links"]["d_src_relay"] = _ladder(d_sr_first, step, n_relays)
-    out["links"]["d_relay_dst"] = _ladder(d_rd_first, step, n_relays)
-    return out
+    return merge_layer(conf, {"links": {"d_src_relay": _ladder(d_sr_first, step, n_relays),
+                                        "d_relay_dst": _ladder(d_rd_first, step, n_relays)}})

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fading
-from .fading import LinkSet, PrimaryModel, _add_in_order, _points, activity_mixture
+from .fading import InterferenceLaw, LinkSet, PrimaryModel, _check_index, activity_mixture
 from .specfun import bessel_k1_scaled, exp_scaled_gamma_upper_0
 
 
@@ -43,20 +42,26 @@ class SecondaryPolicy:
     def __post_init__(self):
         for name in ("p_max", "interference_cap", "noise_power", "bandwidth",
                      "threshold", "p_circuit_tx", "p_circuit_rx"):
-            if getattr(self, name) < 0.0 or (name != "threshold" and getattr(self, name) == 0.0):
-                raise ValueError("%s must be positive" % name)
+            value = getattr(self, name)
+            if value < 0.0 or (name != "threshold" and value == 0.0):
+                raise ValueError("policy.%s must be positive, got %g" % (name, value))
         if not 0.0 < self.eta <= 1.0:
-            raise ValueError("harvest efficiency must lie in (0, 1]")
+            raise ValueError("policy.eta must lie in (0, 1], got %g" % self.eta)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ReportGain:
-    """Per-relay design constants of the fixed-gain AF reporting chain:
-    u_report[i] is the dimensionless gain normaliser of relay i's report
-    link and p_report[i] its reporting transmit power (W)."""
+    """The detector side of one scenario: the interference laws at the
+    destination (direct) and at each relay (relays[i]), in noise-normalised
+    SNR units, and the design constants of relay i's fixed-gain AF report:
+    its gain normaliser u_report[i], reporting power p_report[i] (W) and the
+    mean SNR snr_report[i] of its report hop at the destination."""
 
+    direct: InterferenceLaw
+    relays: tuple
     u_report: tuple
     p_report: tuple
+    snr_report: tuple
 
     def __post_init__(self):
         if any(u <= 0.0 for u in self.u_report):
@@ -72,64 +77,39 @@ def _capped_power(policy: SecondaryPolicy, peak: float, miss: float = 1.0) -> fl
     return 1.0 / (1.0 / policy.p_max + miss * peak / policy.interference_cap)
 
 
-def fixed_gain_report(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy, i: int):
-    """Fixed AF gain normaliser of relay i: 1 / E[1/(x+1)] under the
-    continuous part of the received interference-to-noise ratio x. With no
-    continuous part (duty 0), or one too small to invert, the normaliser is
-    infinite: nothing is forwarded."""
-    mix_scale = primary.tx_power / policy.noise_power
-    _, groups = activity_mixture(links.gain_pu_relay(i), primary.duty)
-    acc = 0.0
-    for prob, subs, w in groups:
-        c = 1.0 / (mix_scale * subs)
-        acc = _add_in_order(acc, prob * np.sum(w * c * exp_scaled_gamma_upper_0(c), axis=-1))
-    acc = float(acc)
+def fixed_gain_report(law: InterferenceLaw) -> float:
+    """Fixed AF gain normaliser of a relay whose received
+    interference-to-noise ratio x has this law: 1 / E[1/(x+1); x>0]. With
+    no continuous part (duty 0), or one too small to invert, the normaliser
+    is infinite: nothing is forwarded."""
+    acc = law.expect(lambda w, mm: w * (1.0 / mm) * exp_scaled_gamma_upper_0(1.0 / mm))
     return 1.0 / acc if acc > 0.0 else math.inf
 
 
-def report_e2e_cdf(x, links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
-                   i: int, u: float, p_rep: float):
-    """CDF of the end-to-end forwarded interference SNR of relay i, whose
-    fixed gain normaliser is u and reporting power p_rep.
+def report_e2e_cdf(x, report: ReportGain, i: int):
+    """CDF of the end-to-end forwarded interference SNR of relay i, at x in
+    noise-normalised units: the all-off atom at zero plus a continuous part
+    shaped by the dual-hop fixed-gain chain."""
+    i = _check_index(i, len(report.relays))
+    u, b = report.u_report[i], report.snr_report[i]
 
-    x is in noise-normalised units. The distribution has an atom at zero
-    (no primary active during the sample) and a continuous part shaped by
-    the dual-hop fixed-gain chain.
-    """
-    scalar, x = _points(x, "SNR threshold must be non-negative")
-    mix_scale = primary.tx_power / policy.noise_power
-    b = p_rep * links.gain_relay_dst(i) / policy.noise_power
-    atom, groups = activity_mixture(links.gain_pu_relay(i), primary.duty)
-    out = np.full_like(x, atom)
-    pos = x > 0.0
-    xp = x[pos][:, None, None]
+    def survival(xp, mm):
+        # clipped so that an overflowing argument gives a zero kernel, not 0 * inf
+        s = np.clip(2.0 * np.sqrt(xp * u / (mm * b)), 1e-300, 1e300)
+        return np.exp(-xp / mm - s) * s * bessel_k1_scaled(s)
+
     # an overflow here (u = inf, or a finite u near the float limit: nothing
     # is forwarded) only ever drives the kernel to zero, so it is not warned
     with np.errstate(over="ignore"):
-        for prob, subs, w in groups:
-            mm = mix_scale * subs
-            # clipped so that an overflowing argument gives a zero kernel, not 0 * inf
-            s = np.clip(2.0 * np.sqrt(xp * u / (mm * b)), 1e-300, 1e300)
-            kernel = np.exp(-xp / mm - s) * s * bessel_k1_scaled(s)
-            out[pos] = _add_in_order(out[pos], prob * (1.0 - np.sum(w * kernel, axis=-1)))
-    return float(out[0]) if scalar else out
+        return report.relays[i].cdf(x, survival)
 
 
-def direct_cdf(x, links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy):
-    """CDF of the primary SNR observed directly at the destination."""
-    return fading.hypoexp_cdf(
-        x, links.gain_pu_dst(), scale=primary.tx_power / policy.noise_power,
-        duty=primary.duty)
-
-
-def sample_miss_probability(lam_norm, links: LinkSet, primary: PrimaryModel,
-                            policy: SecondaryPolicy, report: ReportGain):
+def sample_miss_probability(lam_norm, report: ReportGain):
     """Probability that one sample's observations all stay below the
     normalised threshold, across the direct path and every relay report."""
-    miss = float(direct_cdf(lam_norm, links, primary, policy))
-    for i in range(links.n_relays):
-        miss *= float(report_e2e_cdf(lam_norm, links, primary, policy, i,
-                                     u=report.u_report[i], p_rep=report.p_report[i]))
+    miss = report.direct.cdf(lam_norm)
+    for i in range(len(report.relays)):
+        miss *= report_e2e_cdf(lam_norm, report, i)
     return miss
 
 
@@ -142,78 +122,72 @@ def detection_probability(lam, n_samples, links: LinkSet, primary: PrimaryModel,
     """
     if n_samples <= 0:
         raise ValueError("need a positive sample count")
-    delta = sample_miss_probability(lam / policy.noise_power, links, primary, policy,
+    delta = sample_miss_probability(lam / policy.noise_power,
                                     build_report_gain(links, primary, policy))
     return 1.0 - delta**n_samples
 
 
 def build_report_gain(links: LinkSet, primary: PrimaryModel,
                       policy: SecondaryPolicy) -> ReportGain:
-    """Assemble the per-relay fixed gains and reporting powers; the power
-    meets both limits with the primary taken as always on (miss = 1)."""
-    relays = range(links.n_relays)
+    """Expand each receiver's interference law once and assemble the
+    per-relay fixed gains and reporting powers; the power meets both limits
+    with the primary taken as always on (miss = 1)."""
+    scale = primary.tx_power / policy.noise_power
+    relays = tuple(activity_mixture(links.gain_pu_relay(i), primary.duty, scale)
+                   for i in range(links.n_relays))
+    p_report = tuple(_capped_power(policy, peak) for peak in links.peak_pu_relay)
     return ReportGain(
-        u_report=tuple(fixed_gain_report(links, primary, policy, i) for i in relays),
-        p_report=tuple(_capped_power(policy, links.peak_pu_relay[i]) for i in relays))
+        direct=activity_mixture(links.gain_pu_dst(), primary.duty, scale),
+        relays=relays,
+        u_report=tuple(fixed_gain_report(law) for law in relays),
+        p_report=p_report,
+        snr_report=tuple(p * links.gain_relay_dst(i) / policy.noise_power
+                         for i, p in enumerate(p_report)))
 
 
 # --- amplifier saturation -------------------------------------------------
 
-def avg_clipped_gain(threshold_t, links: LinkSet, primary: PrimaryModel,
-                     policy: SecondaryPolicy, i: int, u: float):
-    """Mean squared gain of the clipped amplifier.
+def avg_clipped_gain(threshold_t, law: InterferenceLaw, u: float):
+    """Mean squared gain of the clipped amplifier of a relay whose received
+    level (normalised) has this law.
 
-    Below the received level threshold_t (normalised) the amplifier applies
-    the constant squared gain 1/u; above it the gain follows 1/(x+1).
-    threshold_t must be non-negative.
+    Below the level threshold_t the amplifier applies the constant squared
+    gain 1/u; above it the gain follows 1/(x+1). threshold_t must be
+    non-negative.
     """
     t = float(threshold_t)
     if t < 0.0:
         raise ValueError("clipping threshold must be non-negative, got %g" % t)
-    mix_scale = primary.tx_power / policy.noise_power
-    _, groups = activity_mixture(links.gain_pu_relay(i), primary.duty)
-    head = fading.hypoexp_cdf(t, links.gain_pu_relay(i), scale=mix_scale,
-                              duty=primary.duty) / u
-    tail = 0.0
-    for prob, subs, w in groups:
-        mm = mix_scale * subs
-        c = (t + 1.0) / mm
-        tail = _add_in_order(tail, prob * np.sum(w * np.exp(-t / mm)
-                                                 * exp_scaled_gamma_upper_0(c) / mm, axis=-1))
-    return head + tail
+
+    return law.cdf(t) / u + law.expect(
+        lambda w, mm: w * np.exp(-t / mm) * exp_scaled_gamma_upper_0((t + 1.0) / mm) / mm)
 
 
-def solve_saturation_gain(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
-                          i: int, u: float):
-    """Clipping level K (W) at which the clipped amplifier's mean squared
-    gain equals the fixed-gain value 1/u. Returns (K, threshold_t).
+def solve_saturation_gain(law: InterferenceLaw, u: float) -> float:
+    """Received-level threshold t at which the clipped amplifier's mean
+    squared gain equals the fixed-gain value 1/u.
 
-    The received-level threshold is t = K*u/noise - 1. The relative residual
-    r(t) = u*avg_clipped_gain(t) - 1 starts at the all-off atom for t = 0,
-    since 1/u is by definition E[1/(X+1); X>0]. Its slope is
-    r'(t) = u*f(t)*(1/u - 1/(t+1)) for the interference density f, so r
-    falls on (0, u-1) and then rises toward 0 from below. There is hence
-    exactly one root, inside (0, u-1), and none when u <= 1. It is bisected
-    on s = log1p(t) over [0, log u], whose end signs are known.
+    The relative residual r(t) = u*avg_clipped_gain(t) - 1 starts at the
+    all-off atom for t = 0, since 1/u is by definition E[1/(X+1); X>0]. Its
+    slope is r'(t) = u*f(t)*(1/u - 1/(t+1)) for the interference density f,
+    so r falls on (0, u-1) and then rises toward 0 from below. There is
+    hence exactly one root, inside (0, u-1), and none when u <= 1. It is
+    bisected on s = log1p(t) over [0, log u], whose end signs are known.
     """
-    links.check_relay(i)
     if not 1.0 < u < math.inf:
         raise ValueError("clipped-gain residual has no sign change for fixed gain "
                          "u = %g: a root needs 1 < u < inf" % u)
-    n0 = policy.noise_power
-    atom = (1.0 - primary.duty) ** links.n_primary
-    if atom == 0.0:
+    if law.atom == 0.0:
         # residual is exactly zero on the whole branch t <= 0: the root is
         # the plateau edge where clipping first bites
-        return n0 / u, 0.0
+        return 0.0
     lo, hi = 0.0, math.log(u)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if u * avg_clipped_gain(math.expm1(mid), links, primary, policy, i, u=u) > 1.0:
+        if u * avg_clipped_gain(math.expm1(mid), law, u) > 1.0:
             lo = mid
         else:
             hi = mid
-    t = math.expm1(0.5 * (lo + hi))
-    return n0 * (t + 1.0) / u, t
+    return math.expm1(0.5 * (lo + hi))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fading import LinkSet, PrimaryModel, _points
+from .fading import LinkSet, PrimaryModel, _check_index, _points
 from .sensing import SecondaryPolicy, _capped_power
 from .specfun import bessel_j0, bessel_k1_scaled, exp_scaled_gamma_upper_0
 
@@ -85,9 +85,7 @@ def _subset_terms(snr_means, i, rho):
     m = np.asarray(snr_means, dtype=float)
     if np.any(m <= 0.0):
         raise ValueError("estimated SNR means must be positive")
-    if not 0 <= i < m.size:
-        raise ValueError("relay index %r out of range: the network has %d relay(s)"
-                         % (i, m.size))
+    _check_index(i, m.size)
     others = [j for j in range(m.size) if j != i]
     one_minus = 1.0 - rho * rho
     out = []

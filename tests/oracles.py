@@ -11,7 +11,6 @@ import math
 import numpy as np
 from scipy import integrate
 
-from relaysense.fading import hypoexp_cdf
 from relaysense.specfun import bessel_k1_scaled, exp_scaled_gamma_upper_0
 
 
@@ -74,7 +73,7 @@ def dualhop_report_cdf(x, means, scale, duty, u, b):
         return (1.0 - duty) ** len(means)
 
     def integrand(y):
-        return hypoexp_cdf(x + x * u / y, means, scale=scale, duty=duty) \
+        return float(subset_hypoexp_cdf(x + x * u / y, means, scale, duty)[0]) \
             * math.exp(-y / b) / b
 
     val, _ = integrate.quad(integrand, 0.0, np.inf, limit=600,
@@ -158,12 +157,15 @@ def subset_mixture(means, duty):
 
 
 def subset_hypoexp_cdf(x, means, scale, duty):
+    """The CDF is the atom at x = 0; only x > 0 adds the subset terms."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     atom, parts = subset_mixture(means, duty)
     out = np.full_like(x, atom)
+    pos = x > 0.0
+    xp = x[pos]
     for prob, sub, w in parts:
         mm = scale * sub
-        out += prob * (1.0 - np.sum(w * np.exp(-x[:, None] / mm), axis=-1))
+        out[pos] += prob * (1.0 - np.sum(w * np.exp(-xp[:, None] / mm), axis=-1))
     return out
 
 

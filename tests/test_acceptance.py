@@ -16,7 +16,7 @@ import conftest
 import oracles
 from relaysense import energy_opt, harvest, mcsim, sensing, specfun, transmission
 from relaysense.cli import main as cli_main
-from relaysense.fading import hypoexp_cdf, max_exp_expectation
+from relaysense.fading import activity_mixture, max_exp_expectation
 from relaysense.scenario import (apply_overrides, ladder_conf, preset,
                                  relay_ladder_conf, scenario_from_conf)
 
@@ -254,15 +254,16 @@ def test_criterion_6_distribution_sanity():
         scale = scn.primary.tx_power / scn.policy.noise_power
         duty = scn.primary.duty
         atom = (1.0 - duty) ** len(means)
+        law = activity_mixture(means, duty, scale)
 
         # E[X] = duty * scale * sum(means) is the integral of the survival function
-        mean = quad(lambda x: 1.0 - float(hypoexp_cdf(x, means, scale, duty)),
+        mean = quad(lambda x: 1.0 - float(law.cdf(x)),
                     0.0, np.inf, limit=200)[0]
         assert mean == pytest.approx(duty * scale * float(np.sum(means)), rel=1e-6)
 
         grid = np.geomspace(1e-6, 1e6, 400) * scale * float(np.max(means))
-        cdf = hypoexp_cdf(grid, means, scale, duty)
-        assert float(hypoexp_cdf(0.0, means, scale, duty)) == pytest.approx(atom, rel=1e-12)
+        cdf = law.cdf(grid)
+        assert float(law.cdf(0.0)) == pytest.approx(atom, rel=1e-12)
         assert np.all(np.diff(cdf) >= -1e-15)
         assert cdf[-1] == pytest.approx(1.0, abs=1e-9)
 
@@ -279,7 +280,7 @@ def test_criterion_6_distribution_sanity():
         rng = np.random.default_rng(20240915)
         ks_sum = oracles.ks_distance(
             oracles.sample_thinned_sum(rng, n, means, scale, duty),
-            lambda x: hypoexp_cdf(x, means, scale, duty), atom0=atom)
+            law.cdf, atom0=atom)
         assert ks_sum < ks_crit
 
         ks_max = oracles.ks_distance(

@@ -204,6 +204,21 @@ class TestBadInput:
             assert override.split("=")[0] in err
 
 
+    @pytest.mark.parametrize("override", [
+        # a zero noise floor zeroes every dB-relative power, which used to
+        # be reported against the first of them
+        "policy.noise_power=0",
+        # values that parse but that a model object rejects
+        "primary.duty=1.5", "links.alpha=-1", "policy.bandwidth=0",
+    ])
+    def test_rejected_value_names_its_key(self, override, capsys):
+        assert run(["--no-mc", "--set", override, "detect"]) == 2
+        key, value = override.split("=")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: %s must " % key)
+        assert err.endswith(", got %s\n" % value) and err.count("\n") == 1
+
+
 class TestSingleQuantityCommands:
     def test_detect(self, capsys):
         assert run(["--no-mc", "detect"]) == 0

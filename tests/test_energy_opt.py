@@ -418,14 +418,7 @@ RELAY_ENTRY_POINTS = {
     "LinkSet.gain_src_relay": lambda m, i: m.links.gain_src_relay(i),
     "LinkSet.gain_relay_dst": lambda m, i: m.links.gain_relay_dst(i),
     "LinkSet.gain_pu_relay": lambda m, i: m.links.gain_pu_relay(i),
-    "fixed_gain_report": lambda m, i: sensing.fixed_gain_report(
-        m.links, m.primary, m.policy, i),
-    "report_e2e_cdf": lambda m, i: sensing.report_e2e_cdf(
-        1.0, m.links, m.primary, m.policy, i, u=2.0, p_rep=1.0),
-    "avg_clipped_gain": lambda m, i: sensing.avg_clipped_gain(
-        1.0, m.links, m.primary, m.policy, i, u=2.0),
-    "solve_saturation_gain": lambda m, i: sensing.solve_saturation_gain(
-        m.links, m.primary, m.policy, i, u=2.0),
+    "report_e2e_cdf": lambda m, i: sensing.report_e2e_cdf(1.0, m.report, i),
     "harvest_mean_power": lambda m, i: harvest.harvest_mean_power(
         m.links, m.primary, m.policy, i),
     "avg_harvested_power": lambda m, i: harvest.avg_harvested_power(

@@ -10,7 +10,6 @@ from relaysense.fading import (
     LinkSet,
     PrimaryModel,
     activity_mixture,
-    hypoexp_cdf,
     max_exp_expectation,
     mean_channel_gain,
     partial_fraction_weights,
@@ -23,6 +22,11 @@ distinct_means = st.lists(
     st.floats(min_value=0.05, max_value=20.0), min_size=1, max_size=6,
 ).filter(lambda m: min(abs(a - b) for a, b in itertools.combinations(m + [0.0], 2)) > 1e-3
          if len(m) > 1 else True)
+
+
+def thinned_cdf(x, means, scale=1.0, duty=1.0):
+    """CDF of the thinned interference sum, through its expanded law."""
+    return activity_mixture(means, duty, scale).cdf(x)
 
 
 class TestMeanChannelGain:
@@ -60,17 +64,17 @@ class TestPartialFractionWeights:
 
 class TestActivityMixture:
     def test_atom_mass(self):
-        atom, groups = activity_mixture([1.0, 2.0, 3.0], 0.5)
+        atom, groups = activity_mixture([1.0, 2.0, 3.0], 0.5, 1.0)
         assert atom == pytest.approx(0.125, rel=1e-14)
         assert sum(len(subs) for _, subs, _ in groups) == 7
 
     def test_probabilities_total_one(self):
-        atom, groups = activity_mixture([1.0, 2.0, 4.0, 8.0], 0.3)
+        atom, groups = activity_mixture([1.0, 2.0, 4.0, 8.0], 0.3, 1.0)
         total = atom + sum(p * len(subs) for p, subs, _ in groups)
         assert total == pytest.approx(1.0, rel=1e-12)
 
     def test_always_on(self):
-        atom, groups = activity_mixture([1.0, 2.0], 1.0)
+        atom, groups = activity_mixture([1.0, 2.0], 1.0, 1.0)
         assert atom == 0.0
         assert len(groups) == 1
         p, subs, _ = groups[0]
@@ -78,11 +82,13 @@ class TestActivityMixture:
         assert subs.tolist() == [[1.0, 2.0]]
 
     def test_groups_follow_combinations_order(self):
+        # the subset means come scaled; the weights are those of the raw means
         means = [1.0, 2.0, 4.0, 8.0]
-        _, groups = activity_mixture(means, 0.3)
-        for r, (_, subs, w) in enumerate(groups, start=1):
+        _, groups = activity_mixture(means, 0.3, 3.0)
+        for r, (_, mm, w) in enumerate(groups, start=1):
             idx = list(itertools.combinations(range(len(means)), r))
-            assert subs.tolist() == [[means[k] for k in row] for row in idx]
+            subs = [[means[k] for k in row] for row in idx]
+            assert mm.tolist() == [[3.0 * m for m in sub] for sub in subs]
             assert w.shape == (len(idx), r)
             for row, sub in zip(w, subs):
                 assert row.tolist() == partial_fraction_weights(sub).tolist()
@@ -91,26 +97,32 @@ class TestActivityMixture:
 class TestHypoexp:
     def test_cdf_at_zero_equals_atom(self):
         means, duty = [1.0, 2.0, 3.0], 0.5
-        assert hypoexp_cdf(0.0, means, duty=duty) == pytest.approx((1 - duty) ** 3, rel=1e-14)
+        assert thinned_cdf(0.0, means, duty=duty) == pytest.approx((1 - duty) ** 3, rel=1e-14)
+        # six means 1.2x apart: evaluating the cancelling partial-fraction sum
+        # at x = 0 gave -8.5e-14, a negative probability; the atom is exact
+        law = activity_mixture(1.2 ** np.arange(6), 1.0, 1.0)
+        assert law.atom == 0.0
+        assert law.cdf(0.0) == law.atom
+        assert thinned_cdf(np.zeros(3), [1.0, 2.0, 3.0], duty=0.3).tolist() == [0.7**3] * 3
 
     def test_survival_integrates_to_mean(self):
         # E[X] = duty * sum(means) for the thinned sum
         means, duty = [0.7, 1.3, 2.9], 0.4
-        val, _ = integrate.quad(lambda x: 1.0 - hypoexp_cdf(x, means, duty=duty),
+        val, _ = integrate.quad(lambda x: 1.0 - thinned_cdf(x, means, duty=duty),
                                 0.0, np.inf, limit=400)
         assert val == pytest.approx(duty * sum(means), rel=1e-8)
 
     def test_single_source_always_on_is_exponential(self):
         m = 1.7
         for x in (0.1, 1.0, 5.0):
-            assert hypoexp_cdf(x, [m], duty=1.0) == pytest.approx(
+            assert thinned_cdf(x, [m], duty=1.0) == pytest.approx(
                 -math.expm1(-x / m), rel=1e-12)
 
     def test_scale_parameter(self):
         means, duty, s = [1.0, 2.0], 0.6, 3.5
         for x in (0.5, 2.0, 10.0):
-            assert hypoexp_cdf(x, means, scale=s, duty=duty) == pytest.approx(
-                hypoexp_cdf(x / s, means, duty=duty), rel=1e-12)
+            assert thinned_cdf(x, means, scale=s, duty=duty) == pytest.approx(
+                thinned_cdf(x / s, means, duty=duty), rel=1e-12)
 
     def test_matches_empirical_two_sources(self):
         means, duty, n = [1.0, 2.5], 0.5, 10**6
@@ -119,27 +131,27 @@ class TestHypoexp:
         for x in (0.5, 1.5, 4.0):
             emp = float(np.mean(draws <= x))
             se = math.sqrt(emp * (1 - emp) / n)
-            assert abs(hypoexp_cdf(x, means, duty=duty) - emp) < 3 * se
+            assert abs(thinned_cdf(x, means, duty=duty) - emp) < 3 * se
 
     def test_cdf_limits(self):
         means = [0.5, 1.5, 3.0]
-        assert hypoexp_cdf(200.0, means, duty=0.5) == pytest.approx(1.0, abs=1e-9)
+        assert thinned_cdf(200.0, means, duty=0.5) == pytest.approx(1.0, abs=1e-9)
 
     @given(distinct_means, st.floats(min_value=0.05, max_value=0.95),
            st.floats(min_value=0.01, max_value=20.0))
     @settings(max_examples=60, deadline=None)
     def test_cdf_monotone(self, means, duty, x):
-        lo = hypoexp_cdf(x, means, duty=duty)
-        hi = hypoexp_cdf(x * 1.1, means, duty=duty)
+        lo = thinned_cdf(x, means, duty=duty)
+        hi = thinned_cdf(x * 1.1, means, duty=duty)
         assert 0.0 <= lo <= hi <= 1.0 + 1e-12
 
     def test_rejects_negative_argument(self):
         with pytest.raises(ValueError):
-            hypoexp_cdf(-0.1, [1.0, 2.0], duty=0.5)
+            thinned_cdf(-0.1, [1.0, 2.0], duty=0.5)
 
     def test_vector_argument(self):
         x = np.array([0.0, 1.0, 2.0])
-        out = hypoexp_cdf(x, [1.0, 2.0], duty=0.5)
+        out = thinned_cdf(x, [1.0, 2.0], duty=0.5)
         assert out.shape == (3,)
         assert out[0] == pytest.approx(0.25)
 

@@ -214,6 +214,24 @@ class TestScenarioFromConf:
         conf = apply_overrides(preset("fig4"), ["csi.t_diff=1 ms"])
         assert scenario_from_conf(conf).rho == 0.9
 
+    def test_later_d_pu_replaces_inherited_sides(self, tmp_path):
+        # default spells out d_pu_src, d_pu_dst and d_pu_relay; a later layer
+        # that sets only the shared ladder must place every primary on it
+        conf = apply_overrides(preset("default"), ["links.d_pu=0.9, 0.95"])
+        links = scenario_from_conf(conf).links
+        assert links.d_pu_src == links.d_pu_dst == (0.9, 0.95)
+        assert links.d_pu_relay == ((0.9, 0.9), (0.95, 0.95))
+        path = tmp_path / "ladder.ini"
+        path.write_text("[links]\nd_pu = 0.9, 0.95\n")
+        args = cli.build_parser().parse_args(["--config", str(path), "figure", "fig4"])
+        assert scenario_from_conf(cli._base_conf(args, "fig4")).links == links
+        # within one layer a per-side key still wins over d_pu
+        conf = apply_overrides(preset("default"), ["links.d_pu=0.9, 0.95",
+                                                   "links.d_pu_src=0.5, 0.6"])
+        links = scenario_from_conf(conf).links
+        assert links.d_pu_src == (0.5, 0.6)
+        assert links.d_pu_dst == (0.4, 0.41)
+
     def test_doppler_needs_t_diff(self, tmp_path):
         path = tmp_path / "scn.ini"
         path.write_text(self.REQUIRED_ONLY + "[csi]\ndoppler_hz = 10 Hz\n")

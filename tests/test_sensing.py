@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from relaysense import sensing
-from relaysense.fading import (LinkSet, PrimaryModel, activity_mixture, hypoexp_cdf,
-                               max_exp_expectation)
+from relaysense import fading, sensing
+from relaysense.fading import LinkSet, PrimaryModel, activity_mixture, max_exp_expectation
 from relaysense.mcsim import mc_clipped_gain, mc_detection
 from relaysense.sensing import (
     ReportGain,
@@ -16,7 +15,6 @@ from relaysense.sensing import (
     avg_clipped_gain,
     build_report_gain,
     detection_probability,
-    direct_cdf,
     fixed_gain_report,
     report_e2e_cdf,
     sample_miss_probability,
@@ -47,10 +45,13 @@ def fig3_setup(n_primary=3, d_first=0.4, threshold_db=33.0):
 
 
 def relay_cdf(x, links, primary, policy, i=0):
-    """report_e2e_cdf at relay i's own fixed gain and reporting power."""
-    return report_e2e_cdf(x, links, primary, policy, i,
-                          u=fixed_gain_report(links, primary, policy, i),
-                          p_rep=build_report_gain(links, primary, policy).p_report[i])
+    """report_e2e_cdf of relay i in the scenario's own reporting chain."""
+    return report_e2e_cdf(x, build_report_gain(links, primary, policy), i)
+
+
+def relay_law(links, primary, policy, i=0):
+    """Relay i's interference law, as the scenario's reporting chain holds it."""
+    return build_report_gain(links, primary, policy).relays[i]
 
 
 class TestSecondaryPolicy:
@@ -113,7 +114,7 @@ class TestFixedGainReport:
     def test_matches_quadrature(self, name):
         scn = scenario_from_conf(preset(name))
         links, primary, policy, i = scn.links, scn.primary, scn.policy, scn.relay
-        u = fixed_gain_report(links, primary, policy, i)
+        u = fixed_gain_report(relay_law(links, primary, policy, i))
         q = oracles.quad_mean_inv_plus1(links.gain_pu_relay(i),
                                         primary.tx_power / policy.noise_power, primary.duty)
         assert u == pytest.approx(1.0 / q, rel=1e-6)
@@ -125,12 +126,13 @@ class TestFixedGainReport:
         policy = fig3_setup()[2]
         c = N0 / (primary.tx_power * links.gain_pu_relay(0)[0])
         want = 1.0 / (c * exp_scaled_gamma_upper_0(c))
-        assert fixed_gain_report(links, primary, policy, 0) == pytest.approx(want, rel=1e-12)
+        assert fixed_gain_report(relay_law(links, primary, policy)) == pytest.approx(
+            want, rel=1e-12)
 
     def test_gain_exceeds_one(self):
         # E[1/(x+1)] <= 1 with equality only in degenerate cases
         links, primary, policy = fig3_setup()
-        assert fixed_gain_report(links, primary, policy, 0) > 1.0
+        assert fixed_gain_report(relay_law(links, primary, policy)) > 1.0
 
     @pytest.mark.parametrize("duty", [0.0, 5e-324, 1e-300])
     def test_vanishing_duty_is_a_plain_infinity(self, duty):
@@ -140,15 +142,15 @@ class TestFixedGainReport:
         primary = PrimaryModel(tx_power=scn.primary.tx_power, duty=duty)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            u = fixed_gain_report(scn.links, primary, scn.policy, 0)
+            u = fixed_gain_report(relay_law(scn.links, primary, scn.policy))
         assert type(u) is float and u == math.inf
 
 
 class TestReportE2eCdf:
     def test_atom_at_zero(self):
         links, primary, policy = fig3_setup()
-        atom, _ = activity_mixture(links.gain_pu_relay(0), primary.duty)
-        assert relay_cdf(0.0, links, primary, policy) == pytest.approx(atom, rel=1e-14)
+        atom, _ = activity_mixture(links.gain_pu_relay(0), primary.duty, 1.0)
+        assert relay_cdf(0.0, links, primary, policy) == atom
 
     def test_rejects_negative(self):
         links, primary, policy = fig3_setup()
@@ -161,11 +163,12 @@ class TestReportE2eCdf:
 
     def test_matches_dualhop_quadrature(self):
         links, primary, policy = fig3_setup()
-        u = fixed_gain_report(links, primary, policy, 0)
-        p_rep = build_report_gain(links, primary, policy).p_report[0]
-        b = p_rep * links.gain_relay_dst(0) / N0
+        report = build_report_gain(links, primary, policy)
+        u = report.u_report[0]
+        b = report.p_report[0] * links.gain_relay_dst(0) / N0
+        assert report.snr_report[0] == b
         for x in (0.01, 1.0, 30.0, 300.0, 3000.0):
-            closed = report_e2e_cdf(x, links, primary, policy, 0, u=u, p_rep=p_rep)
+            closed = report_e2e_cdf(x, report, 0)
             quad = oracles.dualhop_report_cdf(x, links.gain_pu_relay(0),
                                               primary.tx_power / N0, primary.duty,
                                               u, b)
@@ -182,18 +185,17 @@ class TestReportE2eCdf:
 class TestDetection:
     def test_zero_threshold_consistency(self):
         links, primary, policy = fig3_setup()
-        atom_dst, _ = activity_mixture(links.gain_pu_dst(), primary.duty)
-        atom_rel, _ = activity_mixture(links.gain_pu_relay(0), primary.duty)
-        miss0 = sample_miss_probability(0.0, links, primary, policy,
-                                        build_report_gain(links, primary, policy))
+        atom_dst, _ = activity_mixture(links.gain_pu_dst(), primary.duty, 1.0)
+        atom_rel, _ = activity_mixture(links.gain_pu_relay(0), primary.duty, 1.0)
+        miss0 = sample_miss_probability(0.0, build_report_gain(links, primary, policy))
         assert miss0 == pytest.approx(atom_dst * atom_rel, rel=1e-12)
         pd = detection_probability(0.0, 50, links, primary, policy)
         assert pd == pytest.approx(1.0 - miss0**50, rel=1e-12)
 
     def test_direct_cdf_at_zero(self):
         links, primary, policy = fig3_setup()
-        atom, _ = activity_mixture(links.gain_pu_dst(), primary.duty)
-        assert direct_cdf(0.0, links, primary, policy) == pytest.approx(atom, rel=1e-14)
+        atom, _ = activity_mixture(links.gain_pu_dst(), primary.duty, 1.0)
+        assert build_report_gain(links, primary, policy).direct.cdf(0.0) == atom
 
     def test_sample_doubling_squares_miss(self):
         links, primary, policy = fig3_setup()
@@ -224,7 +226,7 @@ class TestDetection:
         # duty 0 leaves no continuous part: p_detect is exactly 0, not NaN
         links, _, policy = fig3_setup()
         idle = PrimaryModel(tx_power=rel_noise_db(10.0), duty=0.0)
-        assert fixed_gain_report(links, idle, policy, 0) == math.inf
+        assert fixed_gain_report(relay_law(links, idle, policy)) == math.inf
         assert detection_probability(policy.threshold, 200, links, idle, policy) == 0.0
 
     def test_rejects_zero_samples(self):
@@ -252,20 +254,20 @@ class TestDetection:
 
 class TestClippedGain:
     def test_matches_fixed_gain_at_zero_threshold(self):
-        links, primary, policy = fig3_setup()
-        u = fixed_gain_report(links, primary, policy, 0)
+        law = relay_law(*fig3_setup())
+        u = fixed_gain_report(law)
         # at t = 0 the clipped branch holds only the atom (weight atom/u)
         # and the 1/(x+1) branch contributes the full fixed-gain average 1/u
-        got = avg_clipped_gain(0.0, links, primary, policy, 0, u=u)
-        atom, _ = activity_mixture(links.gain_pu_relay(0), primary.duty)
+        got = avg_clipped_gain(0.0, law, u)
+        atom = law.atom
         assert got == pytest.approx((atom + 1.0) / u, rel=1e-10)
 
     def test_shape_and_limits(self):
-        links, primary, policy = fig3_setup()
-        u = fixed_gain_report(links, primary, policy, 0)
-        atom, _ = activity_mixture(links.gain_pu_relay(0), primary.duty)
+        law = relay_law(*fig3_setup())
+        u = fixed_gain_report(law)
+        atom = law.atom
         ts = np.geomspace(1e-3, 1e6, 30)
-        vals = np.array([avg_clipped_gain(t, links, primary, policy, 0, u=u) for t in ts])
+        vals = np.array([avg_clipped_gain(t, law, u) for t in ts])
         assert np.all(vals > 0.0)
         # t = 0 is the global maximum; unbounded t disables clipping entirely
         assert np.all(vals <= (atom + 1.0) / u + 1e-15)
@@ -276,12 +278,11 @@ class TestClippedGain:
         assert flips.size == 1
 
     def test_solver_residual(self):
-        links, primary, policy = fig3_setup()
-        u = fixed_gain_report(links, primary, policy, 0)
-        k, t = solve_saturation_gain(links, primary, policy, 0, u=u)
+        law = relay_law(*fig3_setup())
+        u = fixed_gain_report(law)
+        t = solve_saturation_gain(law, u)
         assert t >= 0.0
-        assert k == pytest.approx(N0 * (t + 1.0) / u, rel=1e-12)
-        resid = avg_clipped_gain(t, links, primary, policy, 0, u=u) - 1.0 / u
+        resid = avg_clipped_gain(t, law, u) - 1.0 / u
         assert abs(resid) <= 1e-9 / u
 
     def test_always_on_plateau_edge(self):
@@ -289,40 +290,37 @@ class TestClippedGain:
                         d_pu_relay=[[0.4]], d_pu_dst=[0.4])
         primary = PrimaryModel(tx_power=rel_noise_db(10.0), duty=1.0)
         policy = fig3_setup()[2]
-        u = fixed_gain_report(links, primary, policy, 0)
-        k, t = solve_saturation_gain(links, primary, policy, 0, u=u)
-        assert t == 0.0
-        assert k == pytest.approx(N0 / u, rel=1e-14)
+        law = relay_law(links, primary, policy)
+        assert solve_saturation_gain(law, fixed_gain_report(law)) == 0.0
 
     def test_rejects_negative_threshold(self):
-        links, primary, policy = fig3_setup()
-        u = fixed_gain_report(links, primary, policy, 0)
+        law = relay_law(*fig3_setup())
         with pytest.raises(ValueError, match="non-negative"):
-            avg_clipped_gain(-1e-3, links, primary, policy, 0, u=u)
+            avg_clipped_gain(-1e-3, law, fixed_gain_report(law))
 
     def test_no_root_raises(self):
-        links, primary, policy = fig3_setup()
+        law = relay_law(*fig3_setup())
         with pytest.raises(ValueError, match="sign change"):
-            solve_saturation_gain(links, primary, policy, 0, u=1e-6)
+            solve_saturation_gain(law, 1e-6)
         # duty 0 forwards nothing (u = inf): the residual is identically zero
         with pytest.raises(ValueError, match="sign change"):
-            solve_saturation_gain(links, primary, policy, 0, u=math.inf)
+            solve_saturation_gain(law, math.inf)
 
     @pytest.mark.parametrize("name", ["fig6", "fig8"])
     def test_stock_root_inside_bracket(self, name):
         # u is about 1e15 on these geometries, far outside a fixed K bracket
         scn = scenario_from_conf(preset(name))
-        links, primary, policy, i = scn.links, scn.primary, scn.policy, scn.relay
-        u = fixed_gain_report(links, primary, policy, i)
-        _, t = solve_saturation_gain(links, primary, policy, i, u=u)
+        law = relay_law(scn.links, scn.primary, scn.policy, scn.relay)
+        u = fixed_gain_report(law)
+        t = solve_saturation_gain(law, u)
         assert 0.0 < t < u - 1.0
-        assert abs(u * avg_clipped_gain(t, links, primary, policy, i, u=u) - 1.0) <= 1e-12
+        assert abs(u * avg_clipped_gain(t, law, u) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("name", ["default", "fig3", "fig6", "fig8", "table1"])
     def test_at_most_80_residual_evaluations(self, name, monkeypatch):
         scn = scenario_from_conf(preset(name))
-        links, primary, policy, i = scn.links, scn.primary, scn.policy, scn.relay
-        u = fixed_gain_report(links, primary, policy, i)
+        law = relay_law(scn.links, scn.primary, scn.policy, scn.relay)
+        u = fixed_gain_report(law)
         calls = []
         real = sensing.avg_clipped_gain
 
@@ -331,13 +329,14 @@ class TestClippedGain:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(sensing, "avg_clipped_gain", counted)
-        solve_saturation_gain(links, primary, policy, i, u=u)
+        solve_saturation_gain(law, u)
         assert 1 <= len(calls) <= 80
 
     def test_against_simulation(self):
         links, primary, policy = fig3_setup()
-        u = fixed_gain_report(links, primary, policy, 0)
-        _, t = solve_saturation_gain(links, primary, policy, 0, u=u)
+        law = relay_law(links, primary, policy)
+        u = fixed_gain_report(law)
+        t = solve_saturation_gain(law, u)
         got = mc_clipped_gain(links, primary, policy, 0, t, u,
                               trials=400_000, seed=77)
         assert abs(got.mean - 1.0 / u) < 3.0 * got.stderr
@@ -350,8 +349,10 @@ class TestBuildReportGain:
         assert len(rg.u_report) == 1
 
     def test_gain_validation(self):
+        law = relay_law(*fig3_setup())
         with pytest.raises(ValueError):
-            ReportGain(u_report=(0.0,), p_report=(1.0,))
+            ReportGain(direct=law, relays=(law,), u_report=(0.0,), p_report=(1.0,),
+                       snr_report=(1.0,))
 
 
 def ladder_scenario(n_pu):
@@ -376,19 +377,53 @@ class TestSubsetOracle:
         scale = primary.tx_power / policy.noise_power
         lam = policy.threshold / policy.noise_power
         xs = np.array([0.0, 0.25 * lam, lam, 4.0 * lam])
-        assert hexes(hypoexp_cdf(xs, links.gain_pu_dst(), scale=scale, duty=primary.duty)) \
+        report = build_report_gain(links, primary, policy)
+        assert hexes(report.direct.cdf(xs)) \
             == hexes(oracles.subset_hypoexp_cdf(xs, links.gain_pu_dst(), scale, primary.duty))
         for i in range(links.n_relays):
-            u = fixed_gain_report(links, primary, policy, i)
+            u, p_rep, law = report.u_report[i], report.p_report[i], report.relays[i]
             assert hexes(u) == hexes(oracles.subset_fixed_gain_report(links, primary, policy, i))
-            p_rep = build_report_gain(links, primary, policy).p_report[i]
-            assert hexes(report_e2e_cdf(xs, links, primary, policy, i, u=u, p_rep=p_rep)) \
+            assert hexes(report_e2e_cdf(xs, report, i)) \
                 == hexes(oracles.subset_report_e2e_cdf(xs, links, primary, policy, i, u, p_rep))
             for t in (0.0, lam, 10.0 * lam):
-                assert hexes(avg_clipped_gain(t, links, primary, policy, i, u=u)) \
+                assert hexes(avg_clipped_gain(t, law, u)) \
                     == hexes(oracles.subset_avg_clipped_gain(t, links, primary, policy, i, u))
             assert hexes(max_exp_expectation(links.gain_pu_relay(i))) \
                 == hexes(oracles.subset_max_exp_expectation(links.gain_pu_relay(i)))
+
+
+class TestOneExpansionPerReceiver:
+    """Each receiver's interference law is expanded from `activity_mixture`
+    once per reporting chain; every closed form then reads the built law."""
+
+    @pytest.fixture
+    def expansions(self, monkeypatch):
+        calls = []
+        real = fading.activity_mixture
+
+        def counted(means, *args):
+            calls.append(len(means))
+            return real(means, *args)
+
+        for mod in (fading, sensing):
+            monkeypatch.setattr(mod, "activity_mixture", counted)
+        return calls
+
+    def test_detection_point(self, expansions):
+        # the destination and the two relays of the L = 12 ladder point
+        scn = ladder_scenario(12)
+        detection_probability(scn.policy.threshold, scn.n_samples, scn.links, scn.primary,
+                              scn.policy)
+        assert expansions == [12] * 3
+
+    def test_energy_model_and_clipping_solver(self, expansions):
+        # fig6: the destination and four relays, then none for the solver
+        scn = scenario_from_conf(preset("fig6"))
+        model = scn.energy_model()
+        assert expansions == [3] * 5
+        expansions.clear()
+        solve_saturation_gain(model.report.relays[scn.relay], model.report.u_report[scn.relay])
+        assert expansions == []
 
 
 class TestKernelCalls:
@@ -412,12 +447,12 @@ class TestKernelCalls:
     @pytest.mark.parametrize("n_pu", [1, 4, 12])
     def test_at_most_one_call_per_active_count(self, kernel_calls, n_pu):
         scn = ladder_scenario(n_pu)
-        u = fixed_gain_report(scn.links, scn.primary, scn.policy, 0)
-        assert 1 <= len(kernel_calls) <= n_pu
-        p_rep = build_report_gain(scn.links, scn.primary, scn.policy).p_report[0]
+        report = build_report_gain(scn.links, scn.primary, scn.policy)
         kernel_calls.clear()
-        report_e2e_cdf(np.array([1.0, 10.0]), scn.links, scn.primary, scn.policy, 0,
-                       u=u, p_rep=p_rep)
+        fixed_gain_report(report.relays[0])
+        assert 1 <= len(kernel_calls) <= n_pu
+        kernel_calls.clear()
+        report_e2e_cdf(np.array([1.0, 10.0]), report, 0)
         assert 1 <= len(kernel_calls) <= n_pu
 
 
@@ -452,13 +487,13 @@ class TestMixtureProperties:
     def test_cancellation_noise_is_visible(self):
         means = 1.2 ** np.arange(6)
         xs = np.concatenate([[0.0], np.geomspace(1e-3, 50.0 * means.sum(), 2000)])
-        assert_cdf(hypoexp_cdf(xs, means, duty=1.0), tol=0.0)
+        assert_cdf(activity_mixture(means, 1.0, 1.0).cdf(xs), tol=0.0)
 
     @given(well_separated_means, any_duty)
     @settings(max_examples=80, deadline=None)
     def test_hypoexp_cdf_is_a_cdf(self, means, duty):
         xs = np.concatenate([[0.0], np.geomspace(1e-3 * min(means), 50.0 * sum(means), 60)])
-        assert_cdf(hypoexp_cdf(xs, means, duty=duty))
+        assert_cdf(activity_mixture(means, duty, 1.0).cdf(xs))
 
     @given(well_separated_distances, any_duty)
     # a finite fixed gain near the float limit: the report kernel's argument
@@ -470,10 +505,10 @@ class TestMixtureProperties:
         links = LinkSet(d_src_relay=[0.1], d_relay_dst=[0.1], d_pu_src=d_pu,
                         d_pu_relay=[[d] for d in d_pu], d_pu_dst=d_pu)
         primary = PrimaryModel(tx_power=fig3_primary.tx_power, duty=duty)
-        u = fixed_gain_report(links, primary, policy, 0)
+        report = build_report_gain(links, primary, policy)
+        u = report.u_report[0]
         assert u > 0.0
         if duty == 0.0:
             assert u == math.inf
         xs = np.concatenate([[0.0], np.geomspace(1e-3, 1e7, 60)])
-        assert_cdf(report_e2e_cdf(xs, links, primary, policy, 0, u=u,
-                                  p_rep=build_report_gain(links, primary, policy).p_report[0]))
+        assert_cdf(report_e2e_cdf(xs, report, 0))
