@@ -5,7 +5,8 @@ its Monte Carlo estimate (None under --no-mc); the figures, `validate` and
 the single-quantity commands all read those. Figure grids are declared only
 in FIGURES. Every figure writes a CSV with a header row and one row per
 swept point: the swept values, then analytic, mc and stderr per pair (the
-MC cells empty under --no-mc or for an infinite ECG), formatted to nine
+MC cells empty under --no-mc, for an infinite ECG, or for an ECG whose
+draws hold no detection, which a note on stderr counts), formatted to nine
 significant digits so reruns diff cleanly. Bad configuration values exit
 with code 2.
 """
@@ -97,8 +98,14 @@ def _frame_energy(scn: Scenario, model, t_sense, no_mc, harvesting=True):
 def _ecg(scn: Scenario, model, t_sense, no_mc):
     # nothing is harvested (as at duty 0): the ratio is inf and has no MC estimate
     ratio = energy_opt.ecg(model, scn.relay, t_sense)
-    return ratio, None if no_mc or math.isinf(ratio) else mcsim.mc_ecg(
-        model, scn.relay, t_sense, scn.trials, scn.seed, workers=scn.workers)
+    if no_mc or math.isinf(ratio):
+        return ratio, None
+    try:
+        return ratio, mcsim.mc_ecg(model, scn.relay, t_sense, scn.trials, scn.seed,
+                                   workers=scn.workers)
+    except mcsim.NoDetectionError:
+        # the draws harvested nothing (no detection): the simulated ratio is undefined
+        return ratio, None
 
 
 # --- figures ------------------------------------------------------------------------
@@ -176,14 +183,20 @@ FIGURES = {
 def cmd_figure(args):
     header, points = FIGURES[args.name]
     rows = []
+    unsimulated = 0
     for swept, pairs in points(_base_conf(args, args.name), args.no_mc):
         row = list(swept)
         for ana, est in pairs:
             row += [ana, None, None] if est is None else [ana, est.mean, est.stderr]
+            if est is None and not args.no_mc and math.isfinite(ana):
+                unsimulated += 1
         rows.append(row)
     out = args.out or ("%s.csv" % args.name)
     write_csv(out, header, rows)
     print("wrote %s (%d rows)" % (out, len(rows)))
+    if unsimulated:
+        print("note: %d finite closed form(s) have empty MC cells: the simulation drew "
+              "no detection to harvest from" % unsimulated, file=sys.stderr)
     return 0
 
 

@@ -14,7 +14,6 @@ multiplier bookkeeping elementary.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -155,8 +154,10 @@ class EnergyModel:
     `harvest_mean` are computed once here. Build a new model rather than
     mutating one.
 
-    `_mc_memo` holds the frame simulators' draws for the model's lifetime;
-    `mcsim` documents its keys and size.
+    `frame` keeps each sensing time's fields for the model's lifetime, so
+    every reader at one sensing time shares one build. `_mc_memo` holds the
+    frame simulators' draws for the same lifetime; `mcsim` documents its
+    keys and size.
     """
 
     def __init__(self, links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
@@ -180,6 +181,7 @@ class EnergyModel:
         self.e_report = tuple(p + policy.p_circuit_tx for p in self.report.p_report)
         self.harvest_mean = tuple(harvest_mean_power(links, primary, policy, i)
                                   for i in range(links.n_relays))
+        self._frames = {}  # t_sense -> Frame fields, filled by `frame`
         self._mc_memo = {}  # (stream, relay, trials, seed) -> draws, filled by mcsim
 
     @property
@@ -191,14 +193,29 @@ class EnergyModel:
 
     def frame(self, t_sense: float) -> Frame:
         """The frame at sensing time t_sense, which must lie strictly inside
-        the listen window."""
-        if not 0.0 < t_sense < self.t_listen:
-            raise ValueError("sensing time must lie strictly inside (0, %g) s" % self.t_listen)
+        the listen window.
+
+        Its t_sense-dependent fields are computed on the first call for
+        t_sense and kept for the model's lifetime, so a later call builds
+        nothing and returns an equal Frame. Only the fields are kept, not
+        the Frame: it refers back to the model, and that cycle would hold
+        the model and its Monte Carlo memo until a full garbage collection.
+        """
+        fields = self._frames.get(t_sense)
+        if fields is None:
+            if not 0.0 < t_sense < self.t_listen:
+                raise ValueError("sensing time must lie strictly inside (0, %g) s"
+                                 % self.t_listen)
+            # a racing thread may compute them too; both read the one stored
+            fields = self._frames.setdefault(t_sense, self._frame_fields(t_sense))
+        return Frame(model=self, **fields)
+
+    def _frame_fields(self, t_sense: float) -> dict:
         miss = self.miss(t_sense)
         p_detect = 1.0 - miss
         coeffs = build_trans_coeffs(self.links, self.primary, self.policy, p_detect)
         w = self.policy.bandwidth
-        return Frame(
+        return dict(
             t_sense=t_sense,
             t_data=self.t_listen - t_sense,
             miss=miss,
@@ -209,7 +226,6 @@ class EnergyModel:
             e_transmit=tuple(p + self.policy.p_circuit_tx for p in coeffs.p_relay),
             e_listen=tuple(self.e_sense * t_sense * t_sense * w + e * self.t_report * t_sense * w
                            for e in self.e_report),
-            model=self,
         )
 
 
@@ -280,26 +296,23 @@ def optimize_sensing_time(model: EnergyModel, i: int, d_star: float) -> SensingO
     hi = model.t_listen - TIME_TOL
     if hi <= lo:
         raise ValueError("listen window too short to split")
-    # the search revisits lo, hi and the bracket ends: build each frame once
-    frame = functools.lru_cache(maxsize=None)(model.frame)
-
     t_max = hi
     if d_star > 0.0:
-        d_lo = frame(lo).data(i)
+        d_lo = model.frame(lo).data(i)
         if d_lo < d_star:
             raise InfeasibleDataError(d_star, d_lo)
-        if frame(hi).data(i) < d_star:
+        if model.frame(hi).data(i) < d_star:
             a, b = lo, hi
             for _ in range(80):
                 mid = 0.5 * (a + b)
-                if frame(mid).data(i) >= d_star:
+                if model.frame(mid).data(i) >= d_star:
                     a = mid
                 else:
                     b = mid
             t_max = a
 
     def obj(t):
-        return frame(t).energy(i)
+        return model.frame(t).energy(i)
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, t_max
@@ -326,15 +339,15 @@ def optimize_sensing_time(model: EnergyModel, i: int, d_star: float) -> SensingO
         # settle on the grid point where the analytic slope turns non-negative,
         # so the stationarity checks downstream are deterministic
         for cand in (a, 0.5 * (a + b), b):
-            if lo < cand < t_max and frame(cand).slope(i) >= 0.0:
+            if lo < cand < t_max and model.frame(cand).slope(i) >= 0.0:
                 t_star = cand
                 break
 
-    f = frame(t_star)
+    f = model.frame(t_star)
     active = (d_star > 0.0
               and t_max < hi
               and abs(f.constraint(i, d_star)) <= max(
-                  CONSTRAINT_TOL, 1e-6 * abs(frame(lo).constraint(i, d_star))))
+                  CONSTRAINT_TOL, 1e-6 * abs(model.frame(lo).constraint(i, d_star))))
     mu = f.multiplier(i, d_star) if active else 0.0
     return SensingOptimum(
         t_sense=t_star,

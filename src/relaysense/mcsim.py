@@ -21,6 +21,16 @@ model, one figure run, and its raw draws take trials * (2 + n_relays) * 8
 bytes per (relay, stream) key: at 1e6 trials, 48 MB for `figure fig7`
 (4 relays, one key) and 24 MB for each of the two `figure fig8` models.
 
+Bit identity covers the order of arithmetic as well as the draws. The
+per-chunk kernels work one column (primary or relay) at a time, because
+numpy reductions and broadcasts over an axis of 1-4 elements cost more
+than the arithmetic, but they keep the array forms' operations: `_thinned`
+adds its columns in np.sum(axis=1)'s order, and `_selects` reproduces
+np.argmax's choice, ties to the first index. With the draws memoised, one
+memo-warm sensing time of `mc_frame_energy` on fig7's 4 relays costs about
+0.025 s per 2^20 draws, the comparisons and the moment sums (2-vCPU Xeon
+VM, numpy 2.4.6; `scripts/bench.py`, `BENCH_1.json`).
+
 The simulators share the analytic layer's power allocations and gain
 constants (those are design choices of the network, not outputs being
 tested) but draw every random quantity themselves.
@@ -36,7 +46,7 @@ import numpy as np
 
 from .energy_opt import EnergyModel
 from .fading import LinkSet, PrimaryModel
-from .sensing import ReportGain, SecondaryPolicy, build_report_gain
+from .sensing import SecondaryPolicy, relay_reports
 from .transmission import build_trans_coeffs
 
 CHUNK = 1 << 16
@@ -44,6 +54,10 @@ CHUNK = 1 << 16
 _MIX_SEED = 0x9E3779B97F4A7C15
 _MIX_STREAM = 0xBF58476D1CE4E5B9
 _MASK64 = (1 << 64) - 1
+
+
+class NoDetectionError(ZeroDivisionError):
+    """`mc_ecg` drew no harvesting frame, so its simulated ratio is undefined."""
 
 
 @dataclass(frozen=True)
@@ -136,27 +150,52 @@ def _mean(fn, trials: int, workers: int):
     return mean, math.sqrt(var / n)
 
 
-def _thinned(rng, n, gains, duty):
-    """n draws of each primary's received power: an exponential fade on its
-    mean gain, zeroed when the primary is off. Returns the (n, L) array."""
-    on = rng.random((n, len(gains))) < duty
-    return on * (rng.exponential(1.0, (n, len(gains))) * gains)
+def _thinned(rng, n, gains, duty, weights=None):
+    """n draws of the total received power over L primaries: each primary's
+    exponential fade on its mean gain, zeroed when it is off, and multiplied
+    by weights[l] if given. Returns the (n,) vector of per-draw totals.
+
+    It draws rng.random((n, L)), then rng.exponential(1.0, (n, L)), and adds
+    the columns in the order np.sum(axis=1) uses on the C-ordered (n, L)
+    product, so the totals equal that sum bit for bit: left to right below 8
+    terms, numpy's own pairwise sum (8 interleaved accumulators) at 8 or
+    more, where per-column code measured slower than np.sum itself.
+    """
+    L = len(gains)
+    on = rng.random((n, L)) < duty
+    fade = rng.exponential(1.0, (n, L))
+    if L >= 8:
+        fade *= gains
+        fade *= on
+        if weights is not None:
+            fade *= weights
+        return np.sum(fade, axis=1)
+    total = 0.0
+    for l in range(L):
+        col = fade[:, l] * gains[l]
+        # copied first: multiplying by a strided boolean column is slow
+        col *= on[:, l].copy()
+        if weights is not None:
+            col *= weights[l]
+        total += col
+    return total
 
 
 # --- detection ------------------------------------------------------------
 
 def _sample_exceed_sampler(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
-                           lam_norm: float, report: ReportGain):
+                           lam_norm: float, u: tuple, b: tuple):
+    """Per-sample detector hits; relay i forwards with gain normaliser u[i]
+    over a report hop of mean SNR b[i]."""
     mix_scale = primary.tx_power / policy.noise_power
     g_dst = links.gain_pu_dst()
     g_rel = [links.gain_pu_relay(i) for i in range(links.n_relays)]
-    b, u = report.snr_report, report.u_report
     duty = primary.duty
 
     def sampler(rng, n):
-        exceed = mix_scale * np.sum(_thinned(rng, n, g_dst, duty), axis=1) > lam_norm
+        exceed = mix_scale * _thinned(rng, n, g_dst, duty) > lam_norm
         for i in range(links.n_relays):
-            first = mix_scale * np.sum(_thinned(rng, n, g_rel[i], duty), axis=1)
+            first = mix_scale * _thinned(rng, n, g_rel[i], duty)
             second = rng.exponential(b[i], n)
             e2e = first * second / (second + u[i])
             exceed |= e2e > lam_norm
@@ -175,8 +214,8 @@ def mc_detection(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
     to the frame level through the OR rule, with the matching delta-method
     standard error.
     """
-    sampler = _sample_exceed_sampler(links, primary, policy, lam / policy.noise_power,
-                                     build_report_gain(links, primary, policy))
+    _, u, _, b = relay_reports(links, primary, policy)
+    sampler = _sample_exceed_sampler(links, primary, policy, lam / policy.noise_power, u, b)
     p_hit, se = _mean(_seeded(sampler, seed, 0), trials, workers)
     if p_hit == 0.0:
         # no hits at all: quote the one-count scale, not a zero error bar
@@ -249,7 +288,7 @@ def _harvest_power_sampler(links: LinkSet, primary: PrimaryModel, policy: Second
     eta_pp = policy.eta * primary.tx_power
 
     def sampler(rng, n):
-        return eta_pp * np.sum(_thinned(rng, n, g, duty) * g, axis=1)
+        return eta_pp * _thinned(rng, n, g, duty, weights=g)
 
     return sampler
 
@@ -281,7 +320,7 @@ def mc_clipped_gain(links: LinkSet, primary: PrimaryModel, policy: SecondaryPoli
     duty = primary.duty
 
     def sampler(rng, n):
-        lvl = mix_scale * np.sum(_thinned(rng, n, g, duty), axis=1)
+        lvl = mix_scale * _thinned(rng, n, g, duty)
         return (np.where(lvl <= threshold_t, 1.0 / u, 1.0 / (lvl + 1.0)),)
 
     mean, se = _mean(_seeded(sampler, seed, 7), trials, workers)
@@ -289,6 +328,19 @@ def mc_clipped_gain(links: LinkSet, primary: PrimaryModel, policy: SecondaryPoli
 
 
 # --- frame energy ---------------------------------------------------------
+
+def _selects(est, m, i, mask):
+    """mask & (np.argmax(est * m, axis=1) == i) for est of shape (n, M), by
+    M - 1 column comparisons in place on the boolean mask. Ties go to the
+    first index, as in argmax: relay i wins when its column is strictly
+    above every earlier one and at least equal to every later one."""
+    mine = est[:, i] * m[i]
+    for j in range(m.size):
+        if j != i:
+            other = est[:, j] * m[j]
+            mask &= mine > other if j < i else mine >= other
+    return mask
+
 
 def _frame_draws(model: EnergyModel, i: int, t_sense: float, trials: int, seed: int,
                  workers: int, stream: int):
@@ -303,8 +355,8 @@ def _frame_draws(model: EnergyModel, i: int, t_sense: float, trials: int, seed: 
     (see the module docstring). A chunk's uniforms u01, harvested power and
     exponentials are drawn in that order from its own stream, on the
     chunk's first use, inside the reduction that consumes it. Only the
-    comparisons move with t_sense: u01 < p_det_hat and the argmax of the
-    exponentials times the frame's SNR means.
+    comparisons move with t_sense: u01 < p_det_hat and which relay has the
+    largest exponential times the frame's SNR mean (`_selects`).
     """
     i = int(model.links.check_relay(i))
     trials, seed = int(trials), int(seed)
@@ -314,7 +366,8 @@ def _frame_draws(model: EnergyModel, i: int, t_sense: float, trials: int, seed: 
     if key not in memo:
         hit = _sample_exceed_sampler(
             model.links, model.primary, model.policy,
-            model.policy.threshold / model.policy.noise_power, model.report)
+            model.policy.threshold / model.policy.noise_power,
+            model.report.u_report, model.report.snr_report)
         memo[key] = _mean(_seeded(hit, seed, 11), trials, workers)
     # the same fractional sample count as EnergyModel.miss
     p_det_hat, se_det = _frame_lift(*memo[key], t_sense * model.policy.bandwidth)
@@ -331,7 +384,7 @@ def _frame_draws(model: EnergyModel, i: int, t_sense: float, trials: int, seed: 
                                 rng.exponential(1.0, (n, m.size)))
         u01, p_h, est = raw
         detected = u01 < p_det_hat
-        return detected, p_h, (~detected) & (np.argmax(est * m, axis=1) == i)
+        return detected, p_h, _selects(est, m, i, ~detected)
 
     return f, p_det_hat, se_det, draw
 
@@ -349,10 +402,10 @@ def mc_frame_energy(model: EnergyModel, i: int, t_sense: float, trials: int,
 
     def sampler(ci, n):
         detected, p_h, pays = draw(ci, n)
-        val = np.full(n, f.e_listen[i])
+        # pays excludes detected frames, so the two updates never overlap
+        val = np.where(pays, f.e_listen[i] + f.e_transmit[i] * f.t_data, f.e_listen[i])
         if harvesting:
-            val[detected] -= p_h[detected] * f.t_data
-        val[pays] += f.e_transmit[i] * f.t_data
+            val = np.where(detected, f.e_listen[i] - p_h * f.t_data, val)
         return (val,)
 
     mean, se = _mean(sampler, trials, workers)
@@ -370,13 +423,12 @@ def mc_ecg(model: EnergyModel, i: int, t_sense: float, trials: int, seed: int,
     f, p_det_hat, se_det, draw = _frame_draws(model, i, t_sense, trials, seed, workers,
                                               stream=17)
     if p_det_hat == 0.0:
-        raise ZeroDivisionError("no detections in simulation: ratio is infinite")
+        raise NoDetectionError("no detections in simulation: ratio is infinite")
     listen = f.listen_linear(i)
 
     def sampler(ci, n):
         detected, p_h, pays = draw(ci, n)
-        consumed = np.full(n, listen)
-        consumed[pays] += f.e_transmit[i] * f.t_data
+        consumed = np.where(pays, listen + f.e_transmit[i] * f.t_data, listen)
         harvested = np.where(detected, p_h * f.t_data, 0.0)
         return consumed, harvested
 
@@ -384,7 +436,7 @@ def mc_ecg(model: EnergyModel, i: int, t_sense: float, trials: int, seed: int,
     n = int(trials)
     cbar, hbar = sc / n, sh / n
     if hbar == 0.0:
-        raise ZeroDivisionError("ratio denominator averaged to zero")
+        raise NoDetectionError("ratio denominator averaged to zero")
     var_c = max(scc - n * cbar * cbar, 0.0) / (n - 1)
     var_h = max(shh - n * hbar * hbar, 0.0) / (n - 1)
     cov = (sch - n * cbar * hbar) / (n - 1)

@@ -127,22 +127,31 @@ def detection_probability(lam, n_samples, links: LinkSet, primary: PrimaryModel,
     return 1.0 - delta**n_samples
 
 
-def build_report_gain(links: LinkSet, primary: PrimaryModel,
-                      policy: SecondaryPolicy) -> ReportGain:
-    """Expand each receiver's interference law once and assemble the
-    per-relay fixed gains and reporting powers; the power meets both limits
-    with the primary taken as always on (miss = 1)."""
+def relay_reports(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy):
+    """The relay half of the reporting chain: the tuple
+    (relays, u_report, p_report, snr_report) of `ReportGain`'s relay fields.
+    Expands each relay's interference law once; the reporting power meets
+    both limits with the primary taken as always on (miss = 1)."""
     scale = primary.tx_power / policy.noise_power
     relays = tuple(activity_mixture(links.gain_pu_relay(i), primary.duty, scale)
                    for i in range(links.n_relays))
     p_report = tuple(_capped_power(policy, peak) for peak in links.peak_pu_relay)
-    return ReportGain(
-        direct=activity_mixture(links.gain_pu_dst(), primary.duty, scale),
-        relays=relays,
-        u_report=tuple(fixed_gain_report(law) for law in relays),
-        p_report=p_report,
-        snr_report=tuple(p * links.gain_relay_dst(i) / policy.noise_power
-                         for i, p in enumerate(p_report)))
+    return (relays,
+            tuple(fixed_gain_report(law) for law in relays),
+            p_report,
+            tuple(p * links.gain_relay_dst(i) / policy.noise_power
+                  for i, p in enumerate(p_report)))
+
+
+def build_report_gain(links: LinkSet, primary: PrimaryModel,
+                      policy: SecondaryPolicy) -> ReportGain:
+    """The whole reporting chain: the destination's interference law on top
+    of `relay_reports`."""
+    direct = activity_mixture(links.gain_pu_dst(), primary.duty,
+                              primary.tx_power / policy.noise_power)
+    relays, u_report, p_report, snr_report = relay_reports(links, primary, policy)
+    return ReportGain(direct=direct, relays=relays, u_report=u_report,
+                      p_report=p_report, snr_report=snr_report)
 
 
 # --- amplifier saturation -------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import pathlib
 import subprocess
@@ -99,6 +100,30 @@ class TestFigureCommand:
                 cells = dict(zip(header, row))
                 assert cells["ecg_analytic"] == "inf"
                 assert cells["ecg_mc"] == cells["stderr"] == ""
+
+    def test_fig8_without_simulated_detection_keeps_closed_forms(self, tmp_path, capsys):
+        # at 175 dB the 2000 draws detect nothing, yet the closed form is finite
+        out = tmp_path / "fig8.csv"
+        assert run(["--trials", "2000", "--set", "policy.threshold=175dB",
+                    "--out", str(out), "figure", "fig8"]) == 0
+        header, *rows = (line.split(",") for line in out.read_text().splitlines())
+        assert len(rows) == 38
+        for row in rows:
+            cells = dict(zip(header, row))
+            assert math.isfinite(float(cells["ecg_analytic"]))
+            assert cells["ecg_mc"] == cells["stderr"] == ""
+        err = capsys.readouterr().err
+        assert err.startswith("note: 38 ") and err.count("\n") == 1
+
+    def test_fig8_other_zero_division_is_raised(self, tmp_path, monkeypatch):
+        # only "no detection" empties the MC cells; any other division by
+        # zero inside the simulator is a fault and must not be read as one
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(cli.mcsim, "mc_ecg", broken)
+        with pytest.raises(ZeroDivisionError):
+            run(["--trials", "2000", "--out", str(tmp_path / "fig8.csv"), "figure", "fig8"])
 
     def test_bad_override_key(self, tmp_path, capsys):
         rc = run(["--no-mc", "--out", str(tmp_path / "x.csv"),

@@ -375,21 +375,43 @@ class TestCoefficientBuilds:
         monkeypatch.setattr(energy_opt, "build_trans_coeffs", counted)
         return calls
 
-    def test_one_build_per_evaluation(self, fig7_model, builds):
+    def test_one_build_per_evaluation(self, builds):
+        # the model keeps each frame's fields: every later reader at 0.02 s shares them
+        m = model_for("fig7")
+        f = m.frame(0.02)
         for fn in (total_energy, ecg, necessary_condition):
-            builds.clear()
-            fn(fig7_model, 0, 0.02)
-            assert len(builds) == 1, fn.__name__
+            fn(m, 0, 0.02)
         for fn in (mcsim.mc_frame_energy, mcsim.mc_ecg):
-            builds.clear()
-            fn(fig7_model, 0, 0.02, trials=1000, seed=1)
-            assert len(builds) == 1, fn.__name__
+            fn(m, 0, 0.02, trials=1000, seed=1)
+        assert m.frame(0.02) == f
+        assert len(builds) == 1
+        m.frame(0.03)
+        assert len(builds) == 2
+
+    def test_one_build_per_optimisation_point(self, builds, monkeypatch):
+        # the search revisits its bracket ends: each distinct time builds once
+        m = model_for("table1")
+        asked = []
+        real = m.frame
+        monkeypatch.setattr(m, "frame", lambda t: asked.append(t) or real(t))
+        optimize_sensing_time(m, 0, 0.0)
+        assert len(builds) == len(set(asked)) < len(asked)
 
     def test_one_build_per_breakdown(self, builds, capsys):
-        # `energy` prints both relays of the default preset from one frame
-        assert cli.main(["--no-mc", "energy"]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 2 + 2
-        assert len(builds) == 1
+        # `energy` prints both relays of the default preset from one frame,
+        # which its simulation of relay 0 reads too
+        for no_mc in ([], ["--no-mc"]):
+            builds.clear()
+            assert cli.main(no_mc + ["--trials", "2000", "energy"]) == 0
+            assert len(capsys.readouterr().out.splitlines()) == 2 + 2 + (not no_mc)
+            assert len(builds) == 1, no_mc
+
+    @pytest.mark.parametrize("no_mc", [[], ["--no-mc"]])
+    def test_one_build_per_figure_row(self, builds, tmp_path, no_mc):
+        # fig7 reads four pairs per sensing time off one model
+        assert cli.main(no_mc + ["--trials", "2000", "--out", str(tmp_path / "f.csv"),
+                                 "figure", "fig7"]) == 0
+        assert len(builds) == 19
 
     def test_frame_reuses_peak_gains(self, monkeypatch):
         # the peak-gain expectations depend on the geometry only: once the

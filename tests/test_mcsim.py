@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from relaysense import mcsim
+from relaysense import cli, mcsim
 from relaysense.mcsim import (
     CHUNK,
     MCEstimate,
@@ -13,6 +13,8 @@ from relaysense.mcsim import (
     _pair_exponentials,
     _reduce,
     _seeded,
+    _selects,
+    _thinned,
     mc_clipped_gain,
     mc_detection,
     mc_ecg,
@@ -22,7 +24,8 @@ from relaysense.mcsim import (
 )
 from relaysense.cli import Z_LIMIT
 from relaysense.energy_opt import ecg, total_energy
-from relaysense.scenario import ladder_conf, preset, scenario_from_conf
+from relaysense.scenario import (apply_overrides, ladder_conf, preset, relay_ladder_conf,
+                                 scenario_from_conf)
 
 from test_sensing import fig3_setup, rel_noise_db, N0
 from test_transmission import fig4_setup
@@ -303,6 +306,16 @@ class TestEcgStderr:
         assert 0.9 <= ratio <= 1.1
 
 
+class TestEcgWithoutDetection:
+    def test_raises_no_detection_error(self):
+        # at 175 dB the closed form is finite but 2000 draws detect nothing
+        conf = apply_overrides(preset("fig8"), ["policy.threshold=175dB"])
+        scn = scenario_from_conf(conf)
+        with pytest.raises(mcsim.NoDetectionError):
+            mc_ecg(scn.energy_model(), scn.relay, 0.005, trials=2000, seed=scn.seed)
+        assert issubclass(mcsim.NoDetectionError, ZeroDivisionError)
+
+
 class TestEcgAgreement:
     # 2 us leaves detection unsaturated (p_detect ~ 0.93), so both missed and
     # detected frames occur; 5 ms is fig8's first grid point
@@ -324,3 +337,108 @@ class TestEcgAgreement:
         assert abs(est.z_score(ecg(m, scn.relay, t_sense))) <= Z_LIMIT
         est = mc_frame_energy(m, scn.relay, t_sense, trials=200_000, seed=scn.seed)
         assert abs(est.z_score(total_energy(m, scn.relay, t_sense))) <= Z_LIMIT
+
+
+class TestKernelBits:
+    """The per-chunk kernels work column by column in the order numpy's
+    array forms would, so they give the array forms' bits."""
+
+    @pytest.mark.parametrize("n_pu", range(1, 21))
+    def test_thinned_equals_row_sum(self, n_pu):
+        # gains spread over 24 decades in shuffled order, so any other
+        # summation order rounds differently
+        gains = np.random.default_rng(n_pu).permutation(np.logspace(-12, 12, n_pu))
+        n = 4096
+        for duty in (0.0, 0.3, 1.0):
+            for weights in (None, gains, gains[::-1].copy()):
+                got = _thinned(_chunk_rng(n_pu, 2, 0), n, gains, duty, weights)
+                rng = _chunk_rng(n_pu, 2, 0)
+                on = rng.random((n, n_pu)) < duty
+                x = on * (rng.exponential(1.0, (n, n_pu)) * gains)
+                want = np.sum(x if weights is None else x * weights, axis=1)
+                assert got.tobytes() == want.tobytes(), (duty, weights)
+
+    @pytest.mark.parametrize("n_relays", range(1, 7))
+    def test_selection_equals_argmax(self, n_relays):
+        rng = np.random.default_rng(n_relays)
+        n = 4000
+        est = rng.exponential(1.0, (n, n_relays))
+        # exact ties: half the rows repeat column 0 everywhere, a quarter
+        # repeat the last column in the first
+        tied = est.copy()
+        tied[::2] = tied[::2, :1]
+        tied[1::4, 0] = tied[1::4, -1]
+        mask = rng.random(n) < 0.7
+        for m in (rng.uniform(0.5, 2.0, n_relays), np.ones(n_relays)):
+            for e in (est, tied):
+                for i in range(n_relays):
+                    want = np.argmax(e * m, axis=1) == i
+                    assert np.array_equal(_selects(e, m, i, np.ones(n, bool)), want), i
+                    assert np.array_equal(_selects(e, m, i, mask.copy()), mask & want), i
+
+
+class TestPinnedMeans:
+    """Every mc_* mean keeps its bits for a fixed seed (float.hex recorded
+    before the column-wise kernels). The stderrs are pinned to 1e-9
+    relative, as their sums of squares go through np.dot, whose order
+    depends on the BLAS build."""
+
+    PINNED = {
+        "default": {
+            "detection_lo": ("0x1.0000000000000p+0", 0.0),
+            "detection_mid": ("0x1.0000000000000p+0", 0.0),
+            "detection_hi": ("0x1.0000000000000p+0", 0.0),
+            "outage": ("0x1.0000000000000p-15", 2.1579021798310503e-05),
+            "harvest": ("0x1.9f24ddfad9b74p-32", 1.8223293364204517e-12),
+            "frame_energy": ("0x1.2fca27e5c7455p-9", 4.099068501036507e-13),
+            "frame_energy_noharv": ("0x1.2fca28376254ep-9", 6.821262305596818e-13),
+            "clipped_gain": ("0x1.96e09af1a7040p-15", 1.6669792328703928e-06),
+            "detection_sample": ("0x1.f7cc000000000p-1", 0.000490468122964595),
+            "ecg": ("0x1.9b1e93fdcb2c0p+25", 260412.29047076628),
+        },
+        "fig7": {
+            "detection_lo": ("0x1.0000000000000p+0", 0.0),
+            "detection_mid": ("0x1.0000000000000p+0", 0.0),
+            "detection_hi": ("0x1.0000000000000p+0", 0.0),
+            "outage": ("0x0.0p+0", 1.52587890625e-05),
+            "harvest": ("0x1.0aecb9ae6c901p+6", 0.2632413450193354),
+            "frame_energy": ("-0x1.e972ceb17f484p+0", 0.020893814166519833),
+            "frame_energy_noharv": ("0x1.b23ed7d34b194p+1", 1.3969945201862284e-09),
+            "clipped_gain": ("0x1.24e6a2e74a132p-53", 7.169351263961035e-18),
+            "detection_sample": ("0x1.fffa000000000p-1", 2.6428594634491456e-05),
+            "ecg": ("0x1.4c24f06508e93p-5", 0.0001605452891294081),
+        },
+        "ladder12": {
+            "detection_lo": ("0x1.0000000000000p+0", 4.125376235301201e-27),
+            "detection_mid": ("0x1.7e8a4e9ea716bp-1", 0.01640718780859343),
+            "detection_hi": ("0x1.8f64b00d3b200p-9", 0.0030425051372691813),
+            "outage": ("0x1.2e00000000000p-9", 0.00018728843263541876),
+            "harvest": ("0x1.f2c6ea2ede156p-43", 4.850455159898523e-16),
+            "frame_energy": ("0x1.41210b2272804p-9", 8.836118726866322e-06),
+            "frame_energy_noharv": ("0x1.41210b227e982p-9", 8.83611872640715e-06),
+            "clipped_gain": ("0x1.05a5410d23e2fp-9", 2.3890778833379974e-05),
+            "detection_sample": ("0x1.de00000000000p-8", 0.000332389824259231),
+            "ecg": ("0x1.6f443a433d0bap+36", 2523409351.8323693),
+        },
+    }
+
+    CONFS = {
+        "default": lambda: preset("default"),
+        "fig7": lambda: preset("fig7"),
+        # 12 primaries: the pairwise-summed side of `_thinned`
+        "ladder12": lambda: relay_ladder_conf(ladder_conf(preset("fig3"), 0.48, 12),
+                                              0.1, 0.1, 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFS))
+    def test_means_keep_their_bits(self, name):
+        scn = scenario_from_conf(apply_overrides(self.CONFS[name](), ["sim.trials=65536"]))
+        got = {check: est for check, _, est in cli._validate_pairs(scn)}
+        got["detection_sample"] = mc_detection(scn.links, scn.primary, scn.policy,
+                                               scn.policy.threshold, 1, scn.trials, scn.seed)
+        got["ecg"] = mc_ecg(scn.energy_model(), scn.relay, scn.t_sense, scn.trials, scn.seed)
+        pins = self.PINNED[name]
+        assert sorted(got) == sorted(pins)
+        for check, (mean_hex, stderr) in pins.items():
+            assert got[check].mean.hex() == mean_hex, check
+            assert got[check].stderr == pytest.approx(stderr, rel=1e-9, abs=0.0), check

@@ -416,6 +416,14 @@ class TestOneExpansionPerReceiver:
                               scn.policy)
         assert expansions == [12] * 3
 
+    def test_simulated_detection_point(self, expansions):
+        # the simulation reads only the relays' report constants: no
+        # destination law
+        scn = ladder_scenario(12)
+        mc_detection(scn.links, scn.primary, scn.policy, scn.policy.threshold,
+                     scn.n_samples, 4096, scn.seed)
+        assert expansions == [12] * 2
+
     def test_energy_model_and_clipping_solver(self, expansions):
         # fig6: the destination and four relays, then none for the solver
         scn = scenario_from_conf(preset("fig6"))
