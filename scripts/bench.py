@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
 """Time every Monte Carlo sampler and write a BENCH_<n>.json file.
 
-    PYTHONPATH=src python3 scripts/bench.py --out BENCH_1.json
+    PYTHONPATH=src python3 scripts/bench.py --out BENCH_2.json
     PYTHONPATH=src python3 scripts/bench.py --trials 65536 --out results/bench.json
 
 Each `mcsim.mc_*` sampler runs on the `default` and `fig7` presets at a fixed
 seed, with 1 and 2 workers, `REPEAT` times; every time is reported per
-2^20 draws. The frame simulators (`mc_frame_energy` with and without
-harvesting, `mc_ecg`) are timed twice: memo-cold, the first call on a fresh
-`EnergyModel` (it draws and stores the raw draws), and memo-warm, a later
-call at a new sensing time on the same model (it redoes only the
-comparisons). Building the model is not timed. The file also records the
-line count and SHA-256 of the imported package's sources and the host. A
-markdown table of the same numbers goes to standard output.
+2^20 draws. Each one-shot repeat starts with `mcsim`'s held slot emptied, so
+it draws afresh. The four stateless samplers are also timed held: the third
+consecutive call with one key, which replays the draws the second recorded
+(the first two calls are not timed). The frame simulators
+(`mc_frame_energy` with and without harvesting, `mc_ecg`) are timed twice:
+memo-cold, the first call on a fresh `EnergyModel` (it draws and stores the
+raw draws), and memo-warm, a later call at a new sensing time on the same
+model (it redoes only the comparisons). Building the model is not timed.
+The file also records the line count and SHA-256 of the imported package's
+sources and the host. A markdown table of the same numbers goes to standard
+output.
 
 Only the Monte Carlo slice of the benchmark file is written here; the
 end-to-end figure timings and the closed-form layers are not measured yet.
@@ -81,6 +85,20 @@ def _timed(fn):
     return time.perf_counter() - t0
 
 
+def _fresh(fn):
+    """Time fn with the held slot emptied first, so it draws afresh."""
+    mcsim.clear_held()
+    return _timed(fn)
+
+
+def _replayed(fn):
+    """Time the third consecutive call of fn: it replays the second's draws."""
+    mcsim.clear_held()
+    fn()
+    fn()
+    return _timed(fn)
+
+
 def measure(trials):
     rows = []
 
@@ -94,13 +112,14 @@ def measure(trials):
         scn = scenario_from_conf(apply_overrides(preset(name), ["sim.trials=%d" % trials]))
         for sampler, fn in _one_shot(scn).items():
             for w in (1, 2):
-                add(name, sampler, None, w, [_timed(lambda: fn(w)) for _ in range(REPEAT)])
+                add(name, sampler, None, w, [_fresh(lambda: fn(w)) for _ in range(REPEAT)])
+                add(name, sampler, "held", w, [_replayed(lambda: fn(w)) for _ in range(REPEAT)])
         for sampler, fn in FRAME_SIMS.items():
             for w in (1, 2):
                 cold, warm = [], []
                 for r in range(REPEAT):
                     model = scn.energy_model()
-                    cold.append(_timed(lambda: fn(model, scn.relay, scn.t_sense, trials, w)))
+                    cold.append(_fresh(lambda: fn(model, scn.relay, scn.t_sense, trials, w)))
                     # a new sensing time on the same model: only the comparisons move
                     t_warm = scn.t_sense * (1.5 + 0.25 * r)
                     warm.append(_timed(lambda: fn(model, scn.relay, t_warm, trials, w)))
@@ -149,7 +168,7 @@ def table(rows):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--trials", type=int, default=UNIT, help="draws per sampler call")
-    ap.add_argument("--out", default="BENCH_1.json", help="output JSON path")
+    ap.add_argument("--out", default="BENCH_2.json", help="output JSON path")
     args = ap.parse_args(argv)
     if args.trials < 2:
         ap.error("need --trials >= 2")

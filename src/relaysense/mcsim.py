@@ -28,8 +28,28 @@ than the arithmetic, but they keep the array forms' operations: `_thinned`
 adds its columns in np.sum(axis=1)'s order, and `_selects` reproduces
 np.argmax's choice, ties to the first index. With the draws memoised, one
 memo-warm sensing time of `mc_frame_energy` on fig7's 4 relays costs about
-0.025 s per 2^20 draws, the comparisons and the moment sums (2-vCPU Xeon
-VM, numpy 2.4.6; `scripts/bench.py`, `BENCH_1.json`).
+0.02 s per 2^20 draws, the comparisons and the moment sums (2-vCPU Xeon
+VM, numpy 2.4.6; `scripts/bench.py`, `BENCH_2.json`).
+
+Every row of a figure sweep (fig3's distance ladders, fig4's power ladders)
+uses the preset's own seed, so consecutive calls of a stateless sampler draw
+the same Philox streams and differ only in the geometry applied after the
+draws: common random numbers. One held slot, `_held`, keeps them across
+such a run. Its key is (seed, stream, trials, draw shape), the draw shape
+being (L, M) for `mc_detection` (stream 0) and the frame hit rate (11),
+(M,) for `mc_outage` (3) and (L,) for `mc_harvest` (5) and
+`mc_clipped_gain` (7), with L primaries and M relays. A call whose key is
+not the held one only notes its key and draws as usual, so a one-off call
+costs what it did without the slot. The second consecutive call with the
+key records every chunk's `random`, `standard_normal` and `exponential`
+arrays, read-only (exponentials as standard draws, replayed as scale * e,
+which is Generator.exponential(scale) bit for bit). Every later
+consecutive call with the key replays them and skips the Philox draws. A
+new key drops the recorded draws before it draws its own. They take, per
+trial, 8 * (2L(M+1) + M) bytes for detection and the hit rate,
+8 * (4M + 1) for outage and 16 * L for harvest and clipped gain: at 1e6
+trials, 104 MB for fig3's three-primary, one-relay rows and 72 MB for
+fig4's two-relay rows. `clear_held()` empties the slot.
 
 The simulators share the analytic layer's power allocations and gain
 constants (those are design choices of the network, not outputs being
@@ -150,6 +170,94 @@ def _mean(fn, trials: int, workers: int):
     return mean, math.sqrt(var / n)
 
 
+# --- the held slot: one sweep's draws, replayed --------------------------
+
+class _Recorder:
+    """Generator stand-in that passes rng's draws through and appends each,
+    made read-only, to `tape` as (method, array). Exponentials are kept as
+    standard draws: Generator.exponential(scale, size) is scale times the
+    standard draw, bit for bit."""
+
+    def __init__(self, rng, tape):
+        self._rng, self._tape = rng, tape
+
+    def _kept(self, method, x):
+        x.flags.writeable = False
+        self._tape.append((method, x))
+        return x
+
+    def random(self, size):
+        return self._kept("random", self._rng.random(size))
+
+    def standard_normal(self, size):
+        return self._kept("standard_normal", self._rng.standard_normal(size))
+
+    def exponential(self, scale, size):
+        return scale * self._kept("exponential", self._rng.standard_exponential(size))
+
+
+class _Replayer:
+    """Generator stand-in that hands back a `_Recorder` tape's draws in
+    order. A request for another method or shape raises."""
+
+    def __init__(self, tape):
+        self._draws = iter(tape)
+
+    def _next(self, method, size):
+        shape = (size,) if np.isscalar(size) else tuple(size)
+        kept, x = next(self._draws, (None, None))
+        if kept != method or x.shape != shape:
+            raise RuntimeError("replay asked for %s%s, but the tape holds %s"
+                               % (method, shape, "nothing" if x is None
+                                  else "%s%s" % (kept, x.shape)))
+        return x
+
+    def random(self, size):
+        return self._next("random", size)
+
+    def standard_normal(self, size):
+        return self._next("standard_normal", size)
+
+    def exponential(self, scale, size):
+        return scale * self._next("exponential", size)
+
+
+# (key, {chunk: tape}), read and replaced as one tuple, so a caller never
+# sees one key's tapes under another's. Callers on other threads may
+# replace it between a read and a write; that can cost a replay, never a bit.
+_held = (None, None)
+
+
+def clear_held():
+    """Empty the held slot: the next call of each sampler draws afresh."""
+    global _held
+    _held = (None, None)
+
+
+def _held_mean(sampler, seed: int, stream: int, shape: tuple, trials: int, workers: int):
+    """`_mean` of sampler(rng, n) on the Philox streams of (seed, stream),
+    through the held slot (see the module docstring). `shape` must fix
+    every draw the sampler asks for at a given n."""
+    global _held
+    key = (int(seed), stream, int(trials), shape)
+    held_key, tapes = _held
+    if held_key != key:
+        # let go of the old key's draws before this call draws its own
+        _held, tapes = (key, None), None
+        return _mean(_seeded(sampler, seed, stream), trials, workers)
+    if tapes is not None:
+        return _mean(lambda ci, n: sampler(_Replayer(tapes[ci]), n), trials, workers)
+    tapes = {}
+
+    def record(ci, n):
+        tapes[ci] = tape = []
+        return sampler(_Recorder(_chunk_rng(seed, stream, ci), tape), n)
+
+    out = _mean(record, trials, workers)
+    _held = (key, tapes)
+    return out
+
+
 def _thinned(rng, n, gains, duty, weights=None):
     """n draws of the total received power over L primaries: each primary's
     exponential fade on its mean gain, zeroed when it is off, and multiplied
@@ -216,7 +324,8 @@ def mc_detection(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
     """
     _, u, _, b = relay_reports(links, primary, policy)
     sampler = _sample_exceed_sampler(links, primary, policy, lam / policy.noise_power, u, b)
-    p_hit, se = _mean(_seeded(sampler, seed, 0), trials, workers)
+    p_hit, se = _held_mean(sampler, seed, 0, (links.n_primary, links.n_relays),
+                           trials, workers)
     if p_hit == 0.0:
         # no hits at all: quote the one-count scale, not a zero error bar
         se = 1.0 / trials
@@ -235,22 +344,6 @@ def _frame_lift(p_hit: float, se: float, n_samples: float):
 
 # --- transmission ---------------------------------------------------------
 
-def _pair_exponentials(rng, n, m, rho):
-    """Correlated (estimate, truth) exponential pairs with common means m:
-    the underlying complex Gaussians satisfy est = rho*h + sqrt(1-rho^2)*w."""
-    k = m.size
-    hr = rng.standard_normal((n, k))
-    hi = rng.standard_normal((n, k))
-    wr = rng.standard_normal((n, k))
-    wi = rng.standard_normal((n, k))
-    mix = math.sqrt(max(1.0 - rho * rho, 0.0))
-    er = rho * hr + mix * wr
-    ei = rho * hi + mix * wi
-    true = 0.5 * (hr * hr + hi * hi) * m
-    est = 0.5 * (er * er + ei * ei) * m
-    return est, true
-
-
 def mc_outage(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
               gamma_th: float, p_detect: float, rho: float, trials: int,
               seed: int, workers: int = 1) -> MCEstimate:
@@ -262,17 +355,33 @@ def mc_outage(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
                   for i in range(links.n_relays)])
     u = np.asarray(coeffs.u_trans, dtype=float)
     x = gamma_th / policy.noise_power
+    k = m.size
+    mix = math.sqrt(max(1.0 - rho * rho, 0.0))
 
     def sampler(rng, n):
-        est, true = _pair_exponentials(rng, n, m, rho)
-        sel = np.argmax(est, axis=1)
-        rows = np.arange(n)
-        second = true[rows, sel]
-        first = rng.exponential(1.0, n) * a[sel]
-        e2e = first * second / (second + u[sel])
+        # relay j's (estimate, truth) pair of exponentials with mean m[j]
+        # comes from complex Gaussians with est = rho*h + sqrt(1-rho^2)*w
+        hr, hi, wr, wi = (rng.standard_normal((n, k)) for _ in range(4))
+        for j in range(k):
+            er = rho * hr[:, j] + mix * wr[:, j]
+            ei = rho * hi[:, j] + mix * wi[:, j]
+            true = 0.5 * (hr[:, j] * hr[:, j] + hi[:, j] * hi[:, j]) * m[j]
+            est = 0.5 * (er * er + ei * ei) * m[j]
+            if j == 0:
+                best, second, a_sel, u_sel = est, true, a[0], u[0]
+                continue
+            # strictly above the best so far: ties stay with the first
+            # index, as in np.argmax and `_selects`
+            win = est > best
+            best = np.where(win, est, best)
+            second = np.where(win, true, second)
+            a_sel = np.where(win, a[j], a_sel)
+            u_sel = np.where(win, u[j], u_sel)
+        first = rng.exponential(1.0, n) * a_sel
+        e2e = first * second / (second + u_sel)
         return ((e2e <= x).astype(float),)
 
-    mean, se = _mean(_seeded(sampler, seed, 3), trials, workers)
+    mean, se = _held_mean(sampler, seed, 3, (k,), trials, workers)
     if mean in (0.0, 1.0):
         # all-or-nothing outcome: one-count floor keeps z-tests meaningful
         se = max(se, 1.0 / trials)
@@ -305,7 +414,7 @@ def mc_harvest(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
     def sampler(rng, n):
         return (p_detect * base(rng, n),)
 
-    mean, se = _mean(_seeded(sampler, seed, 5), trials, workers)
+    mean, se = _held_mean(sampler, seed, 5, (links.n_primary,), trials, workers)
     return MCEstimate(mean=mean, stderr=se, trials=int(trials), seed=int(seed))
 
 
@@ -323,7 +432,7 @@ def mc_clipped_gain(links: LinkSet, primary: PrimaryModel, policy: SecondaryPoli
         lvl = mix_scale * _thinned(rng, n, g, duty)
         return (np.where(lvl <= threshold_t, 1.0 / u, 1.0 / (lvl + 1.0)),)
 
-    mean, se = _mean(_seeded(sampler, seed, 7), trials, workers)
+    mean, se = _held_mean(sampler, seed, 7, (links.n_primary,), trials, workers)
     return MCEstimate(mean=mean, stderr=se, trials=int(trials), seed=int(seed))
 
 
@@ -364,11 +473,13 @@ def _frame_draws(model: EnergyModel, i: int, t_sense: float, trials: int, seed: 
     memo = model._mc_memo
     key = (11, None, trials, seed)
     if key not in memo:
+        links = model.links
         hit = _sample_exceed_sampler(
-            model.links, model.primary, model.policy,
+            links, model.primary, model.policy,
             model.policy.threshold / model.policy.noise_power,
             model.report.u_report, model.report.snr_report)
-        memo[key] = _mean(_seeded(hit, seed, 11), trials, workers)
+        memo[key] = _held_mean(hit, seed, 11, (links.n_primary, links.n_relays),
+                               trials, workers)
     # the same fractional sample count as EnergyModel.miss
     p_det_hat, se_det = _frame_lift(*memo[key], t_sense * model.policy.bandwidth)
     chunks = memo.setdefault((stream, i, trials, seed), {})

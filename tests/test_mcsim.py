@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from relaysense.mcsim import (
     CHUNK,
     MCEstimate,
     _chunk_rng,
-    _pair_exponentials,
+    _held_mean,
+    _mean,
     _reduce,
     _seeded,
     _selects,
@@ -26,9 +28,24 @@ from relaysense.cli import Z_LIMIT
 from relaysense.energy_opt import ecg, total_energy
 from relaysense.scenario import (apply_overrides, ladder_conf, preset, relay_ladder_conf,
                                  scenario_from_conf)
+from relaysense.transmission import build_trans_coeffs, outage_probability
 
 from test_sensing import fig3_setup, rel_noise_db, N0
 from test_transmission import fig4_setup
+
+
+@pytest.fixture
+def rng_keys(monkeypatch):
+    """Every (seed, stream, chunk) Philox stream opened, in order."""
+    keys = []
+    real = mcsim._chunk_rng
+
+    def counting(seed, stream, chunk):
+        keys.append((seed, stream, chunk))
+        return real(seed, stream, chunk)
+
+    monkeypatch.setattr(mcsim, "_chunk_rng", counting)
+    return keys
 
 
 class TestMCEstimate:
@@ -114,19 +131,6 @@ class TestHitRateCache:
         model = scenario_from_conf(preset("fig7")).energy_model()
         return self.bits(self.SIMS[name](model, relay, t, **run))
 
-    @pytest.fixture
-    def rng_keys(self, monkeypatch):
-        """Every (seed, stream, chunk) Philox stream opened, in order."""
-        keys = []
-        real = mcsim._chunk_rng
-
-        def counting(seed, stream, chunk):
-            keys.append((seed, stream, chunk))
-            return real(seed, stream, chunk)
-
-        monkeypatch.setattr(mcsim, "_chunk_rng", counting)
-        return keys
-
     def test_one_draw_per_trials_and_seed(self, rng_keys):
         run = dict(trials=self.TRIALS, seed=3)
         points = [(name, t) for name in self.SIMS for t in self.GRID]
@@ -134,6 +138,9 @@ class TestHitRateCache:
         want = {p: self.fresh(*p, **run) for p in points}
         want_relay1 = {t: self.fresh("harv", t, relay=1, **run) for t in self.GRID}
         rng_keys.clear()
+        # the fresh models above left stream 11 held; emptied, the model
+        # below opens each of its streams itself
+        mcsim.clear_held()
 
         m = scenario_from_conf(preset("fig7")).energy_model()
         for name, t in points:
@@ -246,26 +253,40 @@ class TestDegenerateCases:
 
 
 class TestPairedExponentials:
+    # mc_outage draws each relay's (estimate, truth) exponential pair from
+    # complex Gaussians with est = rho*h + sqrt(1-rho^2)*w; its outage
+    # reads the pairs' law through the closed form. 25 dB puts the outage
+    # near 0.1, where one relay, blind and best selection differ
+    GAMMA = rel_noise_db(25.0)
+
+    def closed(self, n_relays, rho):
+        return outage_probability(self.GAMMA, *fig4_setup(n_relays), 0.95, rho)
+
+    def simulated(self, n_relays, rho, seed):
+        return mc_outage(*fig4_setup(n_relays), self.GAMMA, 0.95, rho,
+                         trials=400_000, seed=seed)
+
     def test_marginals_and_correlation(self):
-        rng = _chunk_rng(123, 1, 0)
-        m, rho, n = 2.5, 0.7, 1_000_000
-        est, true = _pair_exponentials(rng, n, m * np.ones(1), rho)
-        for v in (est, true):
-            assert float(np.mean(v)) == pytest.approx(m, rel=0.01)
-        corr = float(np.corrcoef(est.ravel(), true.ravel())[0, 1])
-        # squared-magnitude pairs correlate as rho^2
-        assert corr == pytest.approx(rho * rho, abs=0.005)
+        # one relay: the truth's exponential marginal alone; more relays:
+        # selection on the estimate reads its rho^2 correlation with the truth
+        for n_relays in (1, 2, 4):
+            got = self.simulated(n_relays, 0.7, 31)
+            assert abs(got.z_score(self.closed(n_relays, 0.7))) <= Z_LIMIT, n_relays
 
     def test_independent_at_zero(self):
-        rng = _chunk_rng(123, 1, 0)
-        est, true = _pair_exponentials(rng, 500_000, np.ones(1), 0.0)
-        corr = float(np.corrcoef(est.ravel(), true.ravel())[0, 1])
-        assert abs(corr) < 0.005
+        # a blind selection among identical relays is no better than one relay
+        lone = self.closed(1, 0.0)
+        for n_relays in (2, 4):
+            assert self.closed(n_relays, 0.0) == pytest.approx(lone, rel=1e-12)
+            assert abs(self.simulated(n_relays, 0.0, 32).z_score(lone)) <= Z_LIMIT, n_relays
 
     def test_locked_at_one(self):
-        rng = _chunk_rng(123, 1, 0)
-        est, true = _pair_exponentials(rng, 1000, np.ones(1), 1.0)
-        np.testing.assert_allclose(est, true, rtol=1e-10)
+        # the estimate is the truth: selection reaches the best relay's
+        # outage, well clear of what rho = 0.9 leaves
+        for n_relays in (2, 4):
+            got = self.simulated(n_relays, 1.0, 33)
+            assert abs(got.z_score(self.closed(n_relays, 1.0))) <= Z_LIMIT, n_relays
+            assert got.z_score(self.closed(n_relays, 0.9)) < -2.0 * Z_LIMIT, n_relays
 
 
 class TestEstimatorRanges:
@@ -375,6 +396,219 @@ class TestKernelBits:
                     want = np.argmax(e * m, axis=1) == i
                     assert np.array_equal(_selects(e, m, i, np.ones(n, bool)), want), i
                     assert np.array_equal(_selects(e, m, i, mask.copy()), mask & want), i
+
+    @pytest.mark.parametrize("n_relays", range(1, 6))
+    def test_outage_equals_array_form(self, n_relays, monkeypatch):
+        # fig4_setup's relays are identical, so at rho = 0 (estimate = w)
+        # repeating w's first column in every other row ties the estimates
+        # of relays whose truths differ, and only the tie rule picks one
+        links, primary, policy = fig4_setup(n_relays)
+        gamma = rel_noise_db(25.0)
+        coeffs = build_trans_coeffs(links, primary, policy, 0.95)
+        m = np.asarray(coeffs.snr_means, dtype=float)
+        a = np.array([coeffs.p_src * links.gain_src_relay(i) / policy.noise_power
+                      for i in range(n_relays)])
+        u = np.asarray(coeffs.u_trans, dtype=float)
+        x = gamma / policy.noise_power
+        real = mcsim._chunk_rng
+        monkeypatch.setattr(mcsim, "_chunk_rng", lambda *key: _TiedNoise(real(*key)))
+        for rho in (0.0, 0.9):
+            mix = math.sqrt(max(1.0 - rho * rho, 0.0))
+
+            def array_form(rng, n):
+                hr, hi, wr, wi = (rng.standard_normal((n, n_relays)) for _ in range(4))
+                er = rho * hr + mix * wr
+                ei = rho * hi + mix * wi
+                true = 0.5 * (hr * hr + hi * hi) * m
+                est = 0.5 * (er * er + ei * ei) * m
+                sel = np.argmax(est, axis=1)
+                second = true[np.arange(n), sel]
+                first = rng.exponential(1.0, n) * a[sel]
+                e2e = first * second / (second + u[sel])
+                return ((e2e <= x).astype(float),)
+
+            want = _mean(_seeded(array_form, 8, 3), 20_000, 1)
+            mcsim.clear_held()
+            got = mc_outage(links, primary, policy, gamma, 0.95, rho, 20_000, 8)
+            assert (got.mean.hex(), got.stderr.hex()) == tuple(v.hex() for v in want), rho
+
+
+class _TiedNoise:
+    """Generator stand-in whose third and fourth normal draws (mc_outage's
+    w) repeat their first column in every other row."""
+
+    def __init__(self, rng):
+        self._rng, self._normals = rng, 0
+
+    def standard_normal(self, size):
+        x = self._rng.standard_normal(size)
+        self._normals += 1
+        if self._normals in (3, 4):
+            x[::2] = x[::2, :1]
+        return x
+
+    def exponential(self, scale, size):
+        return self._rng.exponential(scale, size)
+
+
+class TestHeldSlot:
+    """Consecutive calls with one key, (seed, stream, trials, draw shape),
+    draw once and then replay the recorded draws, bit for bit."""
+
+    TRIALS = CHUNK + 4_000  # a full chunk and a partial tail chunk
+
+    @staticmethod
+    def bits(est):
+        return est.mean.hex(), est.stderr.hex()
+
+    @staticmethod
+    def samplers(trials=TRIALS, seed=3):
+        """stream -> fn(workers) for each sampler that goes through the slot."""
+        scn = scenario_from_conf(preset("fig7"))
+        links, primary, policy = scn.links, scn.primary, scn.policy
+        return {
+            0: lambda w: mc_detection(links, primary, policy, policy.threshold, 1,
+                                      trials, seed, workers=w),
+            3: lambda w: mc_outage(links, primary, policy, scn.gamma_th, 0.95, 0.9,
+                                   trials, seed, workers=w),
+            5: lambda w: mc_harvest(links, primary, policy, 1, 0.9, trials, seed, workers=w),
+            7: lambda w: mc_clipped_gain(links, primary, policy, 1, 5.0, 100.0,
+                                         trials, seed, workers=w),
+            # a fresh model per call, so its hit rate is not read from a memo
+            11: lambda w: mc_frame_energy(scn.energy_model(), 0, 0.02, trials, seed,
+                                          workers=w),
+        }
+
+    @pytest.mark.parametrize("stream", [0, 3, 5, 7, 11])
+    def test_fresh_recording_and_replaying_calls_agree(self, stream, rng_keys):
+        run = self.samplers()[stream]
+        fresh = set()
+        for w in (1, 2):
+            mcsim.clear_held()
+            fresh.add(self.bits(run(w)))
+        assert len(fresh) == 1
+        for workers in ((1, 2, 1, 2), (2, 1, 2, 1)):
+            mcsim.clear_held()
+            for call, w in enumerate(workers):
+                rng_keys.clear()
+                assert {self.bits(run(w))} == fresh, (call, w)
+                mine = sorted(k for k in rng_keys if k[1] == stream)
+                # noted, recorded, then replayed without opening a stream
+                assert mine == ([(3, stream, 0), (3, stream, 1)] if call < 2 else []), call
+                assert (mcsim._held[1] is None) == (call == 0), call
+
+    def test_alternating_keys_never_record(self, rng_keys):
+        run = self.samplers(trials=20_000)
+        want = {}
+        for stream in (0, 5):
+            mcsim.clear_held()
+            want[stream] = self.bits(run[stream](1))
+        mcsim.clear_held()
+        for stream in (0, 5) * 3:
+            rng_keys.clear()
+            assert self.bits(run[stream](1)) == want[stream]
+            assert rng_keys == [(3, stream, 0)]
+            assert mcsim._held[1] is None
+
+    def test_recorded_draws_are_read_only(self):
+        def doubled(rng, n):
+            x = rng.random(n)
+            x *= 2.0
+            return (x,)
+
+        # a one-off call gets writable draws, a recording call read-only ones
+        _held_mean(doubled, 1, 99, (), 1000, 1)
+        with pytest.raises(ValueError, match="read-only"):
+            _held_mean(doubled, 1, 99, (), 1000, 1)
+        run = self.samplers(trials=20_000)[5]
+        run(1)
+        run(1)
+        tapes = mcsim._held[1]
+        draws = [x for tape in tapes.values() for _, x in tape]
+        assert [method for method, _ in tapes[0]] == ["random", "exponential"]
+        assert draws and not any(x.flags.writeable for x in draws)
+        with pytest.raises(ValueError, match="read-only"):
+            draws[0][0] = 0.0
+
+    def test_new_key_lets_go_of_held_draws_before_drawing(self):
+        run = self.samplers(trials=20_000)[5]
+        run(1)
+        run(1)
+        held = [weakref.ref(x) for tape in mcsim._held[1].values() for _, x in tape]
+        alive = []
+
+        def sampler(rng, n):
+            alive.append(sum(ref() is not None for ref in held))
+            return (rng.random(n),)
+
+        _held_mean(sampler, 1, 99, (), 1000, 1)
+        assert held and alive == [0]
+
+    def test_replay_of_another_draw_raises(self):
+        ask = {"draw": lambda rng, n: rng.random(n)}
+
+        def sampler(rng, n):
+            return (ask["draw"](rng, n),)
+
+        want = [_held_mean(sampler, 1, 99, (), 1000, 1) for _ in range(2)]
+        assert mcsim._held[1] is not None
+        for other in (lambda rng, n: rng.exponential(1.0, n),
+                      lambda rng, n: rng.random((n, 1)),
+                      lambda rng, n: rng.random(n) + rng.random(n)):
+            ask["draw"] = other
+            with pytest.raises(RuntimeError, match="replay asked for"):
+                _held_mean(sampler, 1, 99, (), 1000, 1)
+        ask["draw"] = lambda rng, n: rng.random(n)
+        assert _held_mean(sampler, 1, 99, (), 1000, 1) == want[0] == want[1]
+
+    def test_concurrent_keys_each_get_fresh_bits(self):
+        # more callers than cores: three on one key, one on another
+        run = self.samplers(trials=20_000)
+        want = {}
+        for stream in (0, 5):
+            mcsim.clear_held()
+            want[stream] = self.bits(run[stream](1))
+        mcsim.clear_held()
+        got = []
+
+        def calls(stream):
+            for _ in range(6):
+                got.append((stream, self.bits(run[stream](1))))
+
+        threads = [threading.Thread(target=calls, args=(stream,)) for stream in (0, 0, 0, 5)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert sorted(got) == sorted((stream, want[stream]) for stream in (0, 0, 0, 5) * 6)
+
+    @pytest.mark.parametrize("name", ["fig3", "fig4"])
+    def test_figure_rows_equal_rows_drawn_afresh(self, name, tmp_path, monkeypatch):
+        argv = ["--trials", "4096", "--out"]
+        assert cli.main(argv + [str(tmp_path / "held.csv"), "figure", name]) == 0
+        assert mcsim._held[1] is not None
+        header, points = cli.FIGURES[name]
+
+        def cleared(conf, no_mc):
+            rows = points(conf, no_mc)
+            while True:
+                mcsim.clear_held()
+                row = next(rows, None)
+                if row is None:
+                    return
+                yield row
+
+        monkeypatch.setitem(cli.FIGURES, name, (header, cleared))
+        assert cli.main(argv + [str(tmp_path / "fresh.csv"), "figure", name]) == 0
+        held = (tmp_path / "held.csv").read_bytes()
+        assert held.count(b"\n") == (46 if name == "fig3" else 49)
+        assert held == (tmp_path / "fresh.csv").read_bytes()
 
 
 class TestPinnedMeans:
