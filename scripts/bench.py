@@ -1,12 +1,24 @@
 #!/usr/bin/env python3
-"""Time every Monte Carlo sampler and write a BENCH_<n>.json file.
+"""Time start-up, the special functions and every Monte Carlo sampler, and
+write a BENCH_<n>.json file.
 
-    PYTHONPATH=src python3 scripts/bench.py --out BENCH_2.json
+    PYTHONPATH=src python3 scripts/bench.py --out BENCH_3.json
     PYTHONPATH=src python3 scripts/bench.py --trials 65536 --out results/bench.json
+    PYTHONPATH=src python3 scripts/bench.py --only startup --out results/startup.json
 
-Each `mcsim.mc_*` sampler runs on the `default` and `fig7` presets at a fixed
-seed, with 1 and 2 workers, `REPEAT` times; every time is reported per
-2^20 draws. Each one-shot repeat starts with `mcsim`'s held slot emptied, so
+`startup`: the median wall time of `STARTUP_RUNS` fresh interpreters that
+run `import relaysense.cli`, and the `-X importtime` total of one more (the
+sum of every module's own import time).
+
+`specfun`: microseconds per call of each special-function kernel on one
+float and on an array of L values, L = 3 and 12 (what an interference law
+with L primaries hands it), the best of `REPEAT` timed loops; and
+milliseconds per `sensing.detection_probability` call on the fig3 ladder
+with L = 1..12 primaries.
+
+`mc`: each `mcsim.mc_*` sampler runs on the `default` and `fig7` presets at
+a fixed seed, with 1 and 2 workers, `REPEAT` times; every time is reported
+per 2^20 draws. Each one-shot repeat starts with `mcsim`'s held slot emptied, so
 it draws afresh. The four stateless samplers are also timed held: the third
 consecutive call with one key, which replays the draws the second recorded
 (the first two calls are not timed). The frame simulators
@@ -14,20 +26,22 @@ consecutive call with one key, which replays the draws the second recorded
 memo-cold, the first call on a fresh `EnergyModel` (it draws and stores the
 raw draws), and memo-warm, a later call at a new sensing time on the same
 model (it redoes only the comparisons). Building the model is not timed.
+
 The file also records the line count and SHA-256 of the imported package's
 sources and the host. A markdown table of the same numbers goes to standard
-output.
-
-Only the Monte Carlo slice of the benchmark file is written here; the
-end-to-end figure timings and the closed-form layers are not measured yet.
+output. The end-to-end figure timings are not measured here.
 """
 import argparse
 import gc
 import hashlib
+import importlib.metadata
 import json
+import math
 import os
 import platform
+import re
 import statistics
+import subprocess
 import sys
 import time
 
@@ -37,16 +51,85 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import numpy as np  # noqa: E402
-import scipy  # noqa: E402
 
 import relaysense  # noqa: E402
-from relaysense import mcsim, sensing  # noqa: E402
-from relaysense.scenario import apply_overrides, preset, scenario_from_conf  # noqa: E402
+from relaysense import mcsim, sensing, specfun  # noqa: E402
+from relaysense.scenario import (apply_overrides, ladder_conf, preset,  # noqa: E402
+                                 scenario_from_conf)
 
 UNIT = 1 << 20
 PRESETS = ("default", "fig7")
 SEED = 1
 REPEAT = 3
+STARTUP_RUNS = 5
+SECTIONS = ("startup", "specfun", "mc")
+
+# (name, kernel, a typical scalar argument)
+KERNELS = (("bessel_k1_scaled", specfun.bessel_k1_scaled, 3.0),
+           ("exp_scaled_gamma_upper_0", specfun.exp_scaled_gamma_upper_0, 0.5),
+           ("bessel_j0", specfun.bessel_j0, 2.0))
+ARRAY_SIZES = (3, 12)
+LADDER = tuple(range(1, 13))
+
+
+def startup():
+    """Fresh-interpreter import of the CLI: median wall seconds over
+    STARTUP_RUNS runs, and the -X importtime total of one more run."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(relaysense.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    cmd = [sys.executable, "-c", "import relaysense.cli"]
+    runs = []
+    for _ in range(STARTUP_RUNS):
+        t0 = time.perf_counter()
+        subprocess.run(cmd, env=env, check=True)
+        runs.append(time.perf_counter() - t0)
+    trace = subprocess.run(cmd[:1] + ["-X", "importtime"] + cmd[1:], env=env, check=True,
+                           capture_output=True, text=True).stderr
+    # "import time: <self us> | <cumulative us> | <module>", one line per module
+    own = [int(m) for m in re.findall(r"^import time:\s+(\d+)\s*\|", trace, re.M)]
+    return {"import_cli_s_median": statistics.median(runs), "runs_s": runs,
+            "importtime_total_s": sum(own) * 1e-6, "importtime_modules": len(own)}
+
+
+def _best_per_call(fn, arg):
+    """Best of REPEAT loops of fn(arg), in seconds per call; each loop runs
+    at least 0.05 s."""
+    loops = 1
+    while True:
+        t0 = time.perf_counter()
+        for _ in range(loops):
+            fn(arg)
+        if time.perf_counter() - t0 >= 0.05:
+            break
+        loops *= 4
+    best = math.inf
+    for _ in range(REPEAT):
+        t0 = time.perf_counter()
+        for _ in range(loops):
+            fn(arg)
+        best = min(best, (time.perf_counter() - t0) / loops)
+    return best
+
+
+def specfun_rows():
+    """(kernel rows, detection rows): us per kernel call, ms per
+    detection_probability call on the fig3 ladder."""
+    kernels = []
+    for name, fn, x in KERNELS:
+        kernels.append({"kernel": name, "size": None, "us_per_call": 1e6 * _best_per_call(fn, x)})
+        for size in ARRAY_SIZES:
+            xs = x * np.geomspace(0.1, 10.0, size)
+            kernels.append({"kernel": name, "size": size,
+                            "us_per_call": 1e6 * _best_per_call(fn, xs)})
+    detection = []
+    for n_pu in LADDER:
+        scn = scenario_from_conf(ladder_conf(preset("fig3"), 0.4, n_pu))
+        p = scn.policy
+        ms = 1e3 * _best_per_call(lambda s: sensing.detection_probability(
+            p.threshold, s.n_samples, s.links, s.primary, p), scn)
+        detection.append({"n_primary": n_pu, "ms_per_call": ms})
+    return kernels, detection
 
 
 def _one_shot(scn):
@@ -152,7 +235,33 @@ def host():
         pass
     return {"cpu": cpu, "nproc": os.cpu_count(), "platform": platform.platform(),
             "python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__}
+            "scipy": _version("scipy")}
+
+
+def _version(dist):
+    """Installed version of dist, or None; the package itself needs no scipy."""
+    try:
+        return importlib.metadata.version(dist)
+    except importlib.metadata.PackageNotFoundError:
+        return None
+
+
+def startup_table(st):
+    return ("| start-up | seconds |\n|---|---|\n"
+            "| `import relaysense.cli`, median of %d fresh interpreters | %.3f |\n"
+            "| `-X importtime` total (%d modules) | %.3f |"
+            % (len(st["runs_s"]), st["import_cli_s_median"], st["importtime_modules"],
+               st["importtime_total_s"]))
+
+
+def specfun_table(kernels, detection):
+    lines = ["| kernel | argument | us per call |", "|---|---|---|"]
+    for r in kernels:
+        lines.append("| %s | %s | %.2f |" % (r["kernel"], "float" if r["size"] is None
+                                              else "%d values" % r["size"], r["us_per_call"]))
+    lines += ["", "| L | detection_probability, ms per call |", "|---|---|"]
+    lines += ["| %d | %.3f |" % (r["n_primary"], r["ms_per_call"]) for r in detection]
+    return "\n".join(lines)
 
 
 def table(rows):
@@ -168,24 +277,37 @@ def table(rows):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--trials", type=int, default=UNIT, help="draws per sampler call")
-    ap.add_argument("--out", default="BENCH_2.json", help="output JSON path")
+    ap.add_argument("--out", default="BENCH_3.json", help="output JSON path")
+    ap.add_argument("--only", choices=SECTIONS, action="append",
+                    help="measure only this section (repeatable); default: all")
     args = ap.parse_args(argv)
     if args.trials < 2:
         ap.error("need --trials >= 2")
+    sections = args.only or SECTIONS
 
-    rows = measure(args.trials)
     loc, sha = src_stats()
     doc = {"trials": args.trials, "repeat": REPEAT, "seed": SEED, "unit_draws": UNIT,
-           "src_loc": loc, "src_sha256": sha, "host": host(), "mc": rows}
+           "src_loc": loc, "src_sha256": sha, "host": host()}
+    out = []
+    # start-up first, before this process has warmed any file cache further
+    if "startup" in sections:
+        doc["startup"] = startup()
+        out.append(startup_table(doc["startup"]))
+    if "specfun" in sections:
+        kernels, detection = specfun_rows()
+        doc["specfun"] = {"kernels": kernels, "detection": detection}
+        out.append(specfun_table(kernels, detection))
+    if "mc" in sections:
+        doc["mc"] = measure(args.trials)
+        out.append("Monte Carlo samplers, %d draws per call, best-of and median of %d\n\n%s"
+                   % (args.trials, REPEAT, table(doc["mc"])))
     out_dir = os.path.dirname(args.out)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    print("Monte Carlo samplers, %d draws per call, best-of and median of %d "
-          "(src/ %d lines)\n" % (args.trials, REPEAT, doc["src_loc"]))
-    print(table(rows))
+    print("src/ %d lines\n\n%s" % (loc, "\n\n".join(out)))
     return 0
 
 

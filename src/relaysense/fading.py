@@ -216,32 +216,44 @@ def _exp_survival(x, mm):
 
 class InterferenceLaw(NamedTuple):
     """The thinned interference sum at one receiver, as `activity_mixture`
-    expands it. `cdf` and `expect` are the only readers of the groups; both
-    add the per-subset terms one at a time, in subset order."""
+    expands it: the all-off atom, the L scaled means and the groups. `cdf`
+    and `expect` are the only readers of the groups. Both evaluate their
+    kernels once per mean and gather the values to each group's subsets,
+    then add the per-subset terms one at a time, in subset order."""
 
     atom: float
+    means: np.ndarray
     groups: tuple
 
     def cdf(self, x, survival=_exp_survival):
         """P[Y <= x], x >= 0, for a Y that is 0 when nothing is active and
         has survival(x, mm) per exponential component of mean mm; the default
-        makes Y the interference. Only x > 0 is evaluated (as an (n, 1, 1)
-        array), so the CDF at 0 is exactly the atom."""
+        makes Y the interference. survival is evaluated once per positive
+        point and mean, as an (n, L) array, so the CDF at 0 is exactly the
+        atom."""
         scalar, x = _points(x, "SNR threshold must be non-negative")
         out = np.full_like(x, self.atom)
         pos = x > 0.0
-        xp = x[pos][:, None, None]
-        for prob, mm, w in self.groups:
-            out[pos] = _add_in_order(out[pos], prob * (1.0 - np.sum(w * survival(xp, mm),
-                                                                   axis=-1)))
+        if self.groups:
+            surv = survival(x[pos][:, None], self.means)
+            for prob, idx, w in self.groups:
+                # gathered into a C-ordered (n, C(L, r), r) array: np.sum's
+                # pairwise order at r >= 8 depends on the layout
+                s = np.ascontiguousarray(surv[:, idx])
+                out[pos] = _add_in_order(out[pos], prob * (1.0 - np.sum(w * s, axis=-1)))
         return float(out[0]) if scalar else out
 
-    def expect(self, term):
-        """E[g(X); X > 0] over the continuous part, where term(w, mm) gives
-        w * E[g(Exp(mm))] for each component of a group."""
+    def expect(self, term, kernel):
+        """E[g(X); X > 0] over the continuous part. kernel(means) gives a
+        tuple of per-mean arrays on the L scaled means; term(w, *arrays),
+        with the arrays gathered to a group's subsets, gives w * E[g(Exp(mm))]
+        for each component mm of the group."""
         total = 0.0
-        for prob, mm, w in self.groups:
-            total = _add_in_order(total, prob * np.sum(term(w, mm), axis=-1))
+        if self.groups:
+            per_mean = kernel(self.means)
+            for prob, idx, w in self.groups:
+                total = _add_in_order(
+                    total, prob * np.sum(term(w, *(a[idx] for a in per_mean)), axis=-1))
         return float(total)
 
 
@@ -249,24 +261,24 @@ def activity_mixture(means, duty, scale):
     """Decompose scale * the thinned interference sum into weighted
     hypoexponential parts.
 
-    Returns the InterferenceLaw (atom, groups): atom is the probability that
-    nothing is active, and groups holds one (prob, mm, weights) per active
-    count r with positive probability (none at duty 0, only r = L at duty 1).
-    prob is the probability of each r-subset; mm (scale times the subset
-    means) and weights are (C(L, r), r), one row per subset in
-    itertools.combinations order.
+    Returns the InterferenceLaw (atom, means, groups): atom is the
+    probability that nothing is active, means is scale times the L means,
+    and groups holds one (prob, index, weights) per active count r with
+    positive probability (none at duty 0, only r = L at duty 1). prob is the
+    probability of each r-subset; index (rows of indices into means) and
+    weights are (C(L, r), r), one row per subset in itertools.combinations
+    order.
     """
     m = _positive_means(means)
     n = m.size
-    atom = (1.0 - duty) ** n
     groups = []
     for size in range(1, n + 1):
         p_sub = duty**size * (1.0 - duty) ** (n - size)
         if p_sub == 0.0:
             continue
-        subs = m[_subsets(n, size)]
-        groups.append((p_sub, scale * subs, partial_fraction_weights(subs)))
-    return InterferenceLaw(atom, tuple(groups))
+        idx = _subsets(n, size)
+        groups.append((p_sub, idx, partial_fraction_weights(m[idx])))
+    return InterferenceLaw((1.0 - duty) ** n, scale * m, tuple(groups))
 
 
 def max_exp_expectation(means):

@@ -35,21 +35,23 @@ Every row of a figure sweep (fig3's distance ladders, fig4's power ladders)
 uses the preset's own seed, so consecutive calls of a stateless sampler draw
 the same Philox streams and differ only in the geometry applied after the
 draws: common random numbers. One held slot, `_held`, keeps them across
-such a run. Its key is (seed, stream, trials, draw shape), the draw shape
-being (L, M) for `mc_detection` (stream 0) and the frame hit rate (11),
-(M,) for `mc_outage` (3) and (L,) for `mc_harvest` (5) and
-`mc_clipped_gain` (7), with L primaries and M relays. A call whose key is
-not the held one only notes its key and draws as usual, so a one-off call
-costs what it did without the slot. The second consecutive call with the
-key records every chunk's `random`, `standard_normal` and `exponential`
-arrays, read-only (exponentials as standard draws, replayed as scale * e,
-which is Generator.exponential(scale) bit for bit). Every later
-consecutive call with the key replays them and skips the Philox draws. A
-new key drops the recorded draws before it draws its own. They take, per
-trial, 8 * (2L(M+1) + M) bytes for detection and the hit rate,
-8 * (4M + 1) for outage and 16 * L for harvest and clipped gain: at 1e6
-trials, 104 MB for fig3's three-primary, one-relay rows and 72 MB for
-fig4's two-relay rows. `clear_held()` empties the slot.
+such a run. Its key is (seed, stream, trials, draw shape, duty), the draw
+shape being (L, M) for `mc_detection` (stream 0) and the frame hit rate
+(11), (M,) for `mc_outage` (3) and (L,) for `mc_harvest` (5) and
+`mc_clipped_gain` (7), with L primaries and M relays; outage draws no
+activity and keys no duty. A call whose key is not the held one only notes
+its key and draws as usual, so a one-off call costs what it did without the
+slot. The second consecutive call with the key records every chunk's
+`random`, `standard_normal` and `exponential` arrays, read-only
+(exponentials as standard draws, replayed as scale * e, which is
+Generator.exponential(scale) bit for bit; the activity uniforms only as
+their comparison with the duty, the boolean on-mask of `_thinned`). Every
+later consecutive call with the key replays them and skips the Philox
+draws. A new key drops the recorded draws before it draws its own. They
+take, per trial, 9L(M+1) + 8M bytes for detection and the hit rate,
+8(4M + 1) for outage and 9L for harvest and clipped gain: at 1e6 trials,
+62 MB for fig3's three-primary, one-relay rows and 72 MB for fig4's
+two-relay outage rows. `clear_held()` empties the slot.
 
 The simulators share the analytic layer's power allocations and gain
 constants (those are design choices of the network, not outputs being
@@ -189,6 +191,10 @@ class _Recorder:
     def random(self, size):
         return self._kept("random", self._rng.random(size))
 
+    def below(self, p, size):
+        # the uniforms are only ever compared with p, which the key fixes
+        return self._kept("random", self._rng.random(size) < p)
+
     def standard_normal(self, size):
         return self._kept("standard_normal", self._rng.standard_normal(size))
 
@@ -198,28 +204,39 @@ class _Recorder:
 
 class _Replayer:
     """Generator stand-in that hands back a `_Recorder` tape's draws in
-    order. A request for another method or shape raises."""
+    order. A request for another method, shape or dtype raises."""
 
     def __init__(self, tape):
         self._draws = iter(tape)
 
-    def _next(self, method, size):
+    def _next(self, method, size, dtype=np.float64):
         shape = (size,) if np.isscalar(size) else tuple(size)
         kept, x = next(self._draws, (None, None))
-        if kept != method or x.shape != shape:
-            raise RuntimeError("replay asked for %s%s, but the tape holds %s"
-                               % (method, shape, "nothing" if x is None
-                                  else "%s%s" % (kept, x.shape)))
+        if kept != method or x.shape != shape or x.dtype != dtype:
+            raise RuntimeError("replay asked for %s%s %s, but the tape holds %s"
+                               % (method, shape, np.dtype(dtype), "nothing" if x is None
+                                  else "%s%s %s" % (kept, x.shape, x.dtype)))
         return x
 
     def random(self, size):
         return self._next("random", size)
+
+    def below(self, p, size):
+        return self._next("random", size, np.bool_)
 
     def standard_normal(self, size):
         return self._next("standard_normal", size)
 
     def exponential(self, scale, size):
         return scale * self._next("exponential", size)
+
+
+def _below(rng, p, size):
+    """rng.random(size) < p. The held slot's stand-ins record and replay the
+    mask, one byte per draw, instead of the uniforms behind it."""
+    if isinstance(rng, np.random.Generator):
+        return rng.random(size) < p
+    return rng.below(p, size)
 
 
 # (key, {chunk: tape}), read and replaced as one tuple, so a caller never
@@ -234,12 +251,14 @@ def clear_held():
     _held = (None, None)
 
 
-def _held_mean(sampler, seed: int, stream: int, shape: tuple, trials: int, workers: int):
+def _held_mean(sampler, seed: int, stream: int, shape: tuple, trials: int, workers: int,
+               duty=None):
     """`_mean` of sampler(rng, n) on the Philox streams of (seed, stream),
     through the held slot (see the module docstring). `shape` must fix
-    every draw the sampler asks for at a given n."""
+    every draw the sampler asks for at a given n, and `duty` every
+    threshold it hands `_below`."""
     global _held
-    key = (int(seed), stream, int(trials), shape)
+    key = (int(seed), stream, int(trials), shape, duty)
     held_key, tapes = _held
     if held_key != key:
         # let go of the old key's draws before this call draws its own
@@ -263,14 +282,15 @@ def _thinned(rng, n, gains, duty, weights=None):
     exponential fade on its mean gain, zeroed when it is off, and multiplied
     by weights[l] if given. Returns the (n,) vector of per-draw totals.
 
-    It draws rng.random((n, L)), then rng.exponential(1.0, (n, L)), and adds
-    the columns in the order np.sum(axis=1) uses on the C-ordered (n, L)
-    product, so the totals equal that sum bit for bit: left to right below 8
-    terms, numpy's own pairwise sum (8 interleaved accumulators) at 8 or
-    more, where per-column code measured slower than np.sum itself.
+    It draws rng.random((n, L)) (through `_below`), then
+    rng.exponential(1.0, (n, L)), and adds the columns in the order
+    np.sum(axis=1) uses on the C-ordered (n, L) product, so the totals equal
+    that sum bit for bit: left to right below 8 terms, numpy's own pairwise
+    sum (8 interleaved accumulators) at 8 or more, where per-column code
+    measured slower than np.sum itself.
     """
     L = len(gains)
-    on = rng.random((n, L)) < duty
+    on = _below(rng, duty, (n, L))
     fade = rng.exponential(1.0, (n, L))
     if L >= 8:
         fade *= gains
@@ -325,7 +345,7 @@ def mc_detection(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
     _, u, _, b = relay_reports(links, primary, policy)
     sampler = _sample_exceed_sampler(links, primary, policy, lam / policy.noise_power, u, b)
     p_hit, se = _held_mean(sampler, seed, 0, (links.n_primary, links.n_relays),
-                           trials, workers)
+                           trials, workers, primary.duty)
     if p_hit == 0.0:
         # no hits at all: quote the one-count scale, not a zero error bar
         se = 1.0 / trials
@@ -414,7 +434,8 @@ def mc_harvest(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
     def sampler(rng, n):
         return (p_detect * base(rng, n),)
 
-    mean, se = _held_mean(sampler, seed, 5, (links.n_primary,), trials, workers)
+    mean, se = _held_mean(sampler, seed, 5, (links.n_primary,), trials, workers,
+                          primary.duty)
     return MCEstimate(mean=mean, stderr=se, trials=int(trials), seed=int(seed))
 
 
@@ -432,7 +453,8 @@ def mc_clipped_gain(links: LinkSet, primary: PrimaryModel, policy: SecondaryPoli
         lvl = mix_scale * _thinned(rng, n, g, duty)
         return (np.where(lvl <= threshold_t, 1.0 / u, 1.0 / (lvl + 1.0)),)
 
-    mean, se = _held_mean(sampler, seed, 7, (links.n_primary,), trials, workers)
+    mean, se = _held_mean(sampler, seed, 7, (links.n_primary,), trials, workers,
+                          duty)
     return MCEstimate(mean=mean, stderr=se, trials=int(trials), seed=int(seed))
 
 
@@ -479,7 +501,7 @@ def _frame_draws(model: EnergyModel, i: int, t_sense: float, trials: int, seed: 
             model.policy.threshold / model.policy.noise_power,
             model.report.u_report, model.report.snr_report)
         memo[key] = _held_mean(hit, seed, 11, (links.n_primary, links.n_relays),
-                               trials, workers)
+                               trials, workers, model.primary.duty)
     # the same fractional sample count as EnergyModel.miss
     p_det_hat, se_det = _frame_lift(*memo[key], t_sense * model.policy.bandwidth)
     chunks = memo.setdefault((stream, i, trials, seed), {})

@@ -82,7 +82,8 @@ def fixed_gain_report(law: InterferenceLaw) -> float:
     interference-to-noise ratio x has this law: 1 / E[1/(x+1); x>0]. With
     no continuous part (duty 0), or one too small to invert, the normaliser
     is infinite: nothing is forwarded."""
-    acc = law.expect(lambda w, mm: w * (1.0 / mm) * exp_scaled_gamma_upper_0(1.0 / mm))
+    acc = law.expect(lambda w, inv, e1: w * inv * e1,
+                     lambda m: (1.0 / m, exp_scaled_gamma_upper_0(1.0 / m)))
     return 1.0 / acc if acc > 0.0 else math.inf
 
 
@@ -169,7 +170,8 @@ def avg_clipped_gain(threshold_t, law: InterferenceLaw, u: float):
         raise ValueError("clipping threshold must be non-negative, got %g" % t)
 
     return law.cdf(t) / u + law.expect(
-        lambda w, mm: w * np.exp(-t / mm) * exp_scaled_gamma_upper_0((t + 1.0) / mm) / mm)
+        lambda w, decay, e1, mm: w * decay * e1 / mm,
+        lambda m: (np.exp(-t / m), exp_scaled_gamma_upper_0((t + 1.0) / m), m))
 
 
 def solve_saturation_gain(law: InterferenceLaw, u: float) -> float:

@@ -229,6 +229,14 @@ class TestBadInput:
             assert override.split("=")[0] in err
 
 
+    def test_overflowing_jakes_argument_exits_2(self, capsys):
+        # 2 pi f_D tau overflows to inf; J0 there used to give rho = nan and
+        # a nan outage with exit 0
+        argv = ["--no-mc", "--set", "csi.doppler_hz=1e200", "--set", "csi.t_diff=1e200 s"]
+        assert run(argv + ["outage"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "finite" in err
+
     @pytest.mark.parametrize("override", [
         # a zero noise floor zeroes every dB-relative power, which used to
         # be reported against the first of them
@@ -313,17 +321,37 @@ class TestCalibrateThresholdScript:
 
 
 class TestImportCost:
-    def test_cli_loads_no_scipy_subpackage_but_special(self):
-        # importing scipy.optimize adds about 0.3 s to start-up (2-vCPU VM, scipy 1.17)
+    def test_cli_loads_no_scipy(self):
+        # importing scipy.special alone cost about 0.29 s of start-up
+        # (2-vCPU VM, scipy 1.17); the special functions are ported instead
         code = ("import sys, relaysense.cli\n"
-                "print(' '.join(sorted({m.split('.')[1] for m, mod in sys.modules.items()\n"
-                "    if m.startswith('scipy.') and hasattr(mod, '__path__')\n"
-                "    and not m.split('.')[1].startswith('_')})))")
+                "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["special"]
+        assert proc.stdout.split() == []
+
+    COMMANDS = (["--no-mc", "detect"], ["--no-mc", "outage"], ["--no-mc", "energy"],
+                ["--no-mc", "optimize"], ["--trials", "2000", "validate"])
+
+    def test_commands_run_with_scipy_blocked(self, tmp_path, capsys):
+        # sys.modules['scipy'] = None makes every scipy import raise; each
+        # command must print exactly what it prints in this process
+        code = ("import sys\n"
+                "sys.modules['scipy'] = None\n"
+                "from relaysense import cli\n"
+                "for argv in %r:\n"
+                "    print(cli.main(argv), file=sys.stderr)\n" % (self.COMMANDS,))
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        codes = [run(argv) for argv in self.COMMANDS]
+        assert proc.stderr.split() == [str(rc) for rc in codes]
+        # validate exits 1 on the known clipped-gain oracle row at 2000 trials
+        assert codes[:4] == [0, 0, 0, 0] and codes[4] in (0, 1)
+        assert proc.stdout == capsys.readouterr().out
 
 
 class TestReproduceFiguresScript:

@@ -64,32 +64,34 @@ class TestPartialFractionWeights:
 
 class TestActivityMixture:
     def test_atom_mass(self):
-        atom, groups = activity_mixture([1.0, 2.0, 3.0], 0.5, 1.0)
-        assert atom == pytest.approx(0.125, rel=1e-14)
-        assert sum(len(subs) for _, subs, _ in groups) == 7
+        law = activity_mixture([1.0, 2.0, 3.0], 0.5, 1.0)
+        assert law.atom == pytest.approx(0.125, rel=1e-14)
+        assert sum(len(idx) for _, idx, _ in law.groups) == 7
 
     def test_probabilities_total_one(self):
-        atom, groups = activity_mixture([1.0, 2.0, 4.0, 8.0], 0.3, 1.0)
-        total = atom + sum(p * len(subs) for p, subs, _ in groups)
+        law = activity_mixture([1.0, 2.0, 4.0, 8.0], 0.3, 1.0)
+        total = law.atom + sum(p * len(idx) for p, idx, _ in law.groups)
         assert total == pytest.approx(1.0, rel=1e-12)
 
     def test_always_on(self):
-        atom, groups = activity_mixture([1.0, 2.0], 1.0, 1.0)
-        assert atom == 0.0
-        assert len(groups) == 1
-        p, subs, _ = groups[0]
+        law = activity_mixture([1.0, 2.0], 1.0, 1.0)
+        assert law.atom == 0.0
+        assert len(law.groups) == 1
+        p, idx, _ = law.groups[0]
         assert p == pytest.approx(1.0)
-        assert subs.tolist() == [[1.0, 2.0]]
+        assert law.means[idx].tolist() == [[1.0, 2.0]]
 
     def test_groups_follow_combinations_order(self):
-        # the subset means come scaled; the weights are those of the raw means
+        # the means come scaled; the weights are those of the raw means
         means = [1.0, 2.0, 4.0, 8.0]
-        _, groups = activity_mixture(means, 0.3, 3.0)
-        for r, (_, mm, w) in enumerate(groups, start=1):
-            idx = list(itertools.combinations(range(len(means)), r))
-            subs = [[means[k] for k in row] for row in idx]
-            assert mm.tolist() == [[3.0 * m for m in sub] for sub in subs]
-            assert w.shape == (len(idx), r)
+        law = activity_mixture(means, 0.3, 3.0)
+        assert law.means.tolist() == [3.0 * m for m in means]
+        for r, (_, idx, w) in enumerate(law.groups, start=1):
+            rows = list(itertools.combinations(range(len(means)), r))
+            subs = [[means[k] for k in row] for row in rows]
+            assert idx.tolist() == [list(row) for row in rows]
+            assert law.means[idx].tolist() == [[3.0 * m for m in sub] for sub in subs]
+            assert w.shape == (len(rows), r)
             for row, sub in zip(w, subs):
                 assert row.tolist() == partial_fraction_weights(sub).tolist()
 

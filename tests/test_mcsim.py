@@ -611,6 +611,53 @@ class TestHeldSlot:
         assert held == (tmp_path / "fresh.csv").read_bytes()
 
 
+class TestHeldMasks:
+    """The held slot keeps the activity draws as their on-mask, so the duty
+    they were compared with is part of the key."""
+
+    TRIALS = CHUNK + 4_000
+
+    @staticmethod
+    def samplers(duty, trials=TRIALS, seed=3):
+        """stream -> fn() for each sampler that thresholds activity draws."""
+        scn = scenario_from_conf(apply_overrides(preset("fig7"), ["primary.duty=%r" % duty]))
+        links, primary, policy = scn.links, scn.primary, scn.policy
+        return {
+            0: lambda: mc_detection(links, primary, policy, policy.threshold, 1, trials, seed),
+            5: lambda: mc_harvest(links, primary, policy, 1, 0.9, trials, seed),
+            7: lambda: mc_clipped_gain(links, primary, policy, 1, 5.0, 100.0, trials, seed),
+            11: lambda: mc_frame_energy(scn.energy_model(), 0, 0.02, trials, seed),
+        }
+
+    @pytest.mark.parametrize("stream", [0, 5, 7, 11])
+    def test_duty_change_draws_afresh(self, stream, rng_keys):
+        bits = TestHeldSlot.bits
+        fresh = bits(self.samplers(0.3)[stream]())
+        mcsim.clear_held()
+        run = self.samplers(0.5)[stream]
+        run()
+        run()
+        assert mcsim._held[1] is not None
+        rng_keys.clear()
+        # same seed, stream, trials and shape: only the duty moved
+        assert bits(self.samplers(0.3)[stream]()) == fresh
+        assert sorted(k for k in rng_keys if k[1] == stream) == [(3, stream, 0), (3, stream, 1)]
+        assert mcsim._held[0][4] == 0.3 and mcsim._held[1] is None
+
+    def test_tapes_hold_one_byte_per_activity_draw(self):
+        scn = scenario_from_conf(preset("fig7"))
+        L, M = scn.links.n_primary, scn.links.n_relays
+        run = self.samplers(scn.primary.duty)[0]
+        run()
+        run()
+        tapes = mcsim._held[1]
+        masks = [x for tape in tapes.values() for method, x in tape if x.dtype == bool]
+        assert masks and {x.shape[1] for x in masks} == {L}
+        assert len(masks) == len(tapes) * (M + 1)
+        held = sum(x.nbytes for tape in tapes.values() for _, x in tape)
+        assert held == self.TRIALS * (9 * L * (M + 1) + 8 * M)
+
+
 class TestPinnedMeans:
     """Every mc_* mean keeps its bits for a fixed seed (float.hex recorded
     before the column-wise kernels). The stderrs are pinned to 1e-9

@@ -149,7 +149,7 @@ class TestFixedGainReport:
 class TestReportE2eCdf:
     def test_atom_at_zero(self):
         links, primary, policy = fig3_setup()
-        atom, _ = activity_mixture(links.gain_pu_relay(0), primary.duty, 1.0)
+        atom = activity_mixture(links.gain_pu_relay(0), primary.duty, 1.0).atom
         assert relay_cdf(0.0, links, primary, policy) == atom
 
     def test_rejects_negative(self):
@@ -185,8 +185,8 @@ class TestReportE2eCdf:
 class TestDetection:
     def test_zero_threshold_consistency(self):
         links, primary, policy = fig3_setup()
-        atom_dst, _ = activity_mixture(links.gain_pu_dst(), primary.duty, 1.0)
-        atom_rel, _ = activity_mixture(links.gain_pu_relay(0), primary.duty, 1.0)
+        atom_dst = activity_mixture(links.gain_pu_dst(), primary.duty, 1.0).atom
+        atom_rel = activity_mixture(links.gain_pu_relay(0), primary.duty, 1.0).atom
         miss0 = sample_miss_probability(0.0, build_report_gain(links, primary, policy))
         assert miss0 == pytest.approx(atom_dst * atom_rel, rel=1e-12)
         pd = detection_probability(0.0, 50, links, primary, policy)
@@ -194,7 +194,7 @@ class TestDetection:
 
     def test_direct_cdf_at_zero(self):
         links, primary, policy = fig3_setup()
-        atom, _ = activity_mixture(links.gain_pu_dst(), primary.duty, 1.0)
+        atom = activity_mixture(links.gain_pu_dst(), primary.duty, 1.0).atom
         assert build_report_gain(links, primary, policy).direct.cdf(0.0) == atom
 
     def test_sample_doubling_squares_miss(self):
