@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Time start-up, the special functions and every Monte Carlo sampler, and
-write a BENCH_<n>.json file.
+"""Time start-up, the special functions, the data-phase chain and every Monte
+Carlo sampler, and write a BENCH_<n>.json file.
 
-    PYTHONPATH=src python3 scripts/bench.py --out BENCH_3.json
+    PYTHONPATH=src python3 scripts/bench.py --out BENCH_4.json
     PYTHONPATH=src python3 scripts/bench.py --trials 65536 --out results/bench.json
     PYTHONPATH=src python3 scripts/bench.py --only startup --out results/startup.json
+    PYTHONPATH=src python3 scripts/bench.py --only chain --out results/chain.json
 
 `startup`: the median wall time of `STARTUP_RUNS` fresh interpreters that
 run `import relaysense.cli`, and the `-X importtime` total of one more (the
@@ -15,6 +16,13 @@ float and on an array of L values, L = 3 and 12 (what an interference law
 with L primaries hands it), the best of `REPEAT` timed loops; and
 milliseconds per `sensing.detection_probability` call on the fig3 ladder
 with L = 1..12 primaries.
+
+`chain`: microseconds per call of the data-phase chain on the `default` (2
+relays) and `fig7` (4 relays) presets, the best of `REPEAT` timed loops:
+`LinkSet.gain_src_relay`, `transmission.build_trans_coeffs`,
+`EnergyModel.frame` at a sensing time the model has not seen (so it builds
+the frame), `transmission.outage_probability`, and `optimize_sensing_time`
+on a fresh `EnergyModel` (built before the timed loop).
 
 `mc`: each `mcsim.mc_*` sampler runs on the `default` and `fig7` presets at
 a fixed seed, with 1 and 2 workers, `REPEAT` times; every time is reported
@@ -35,6 +43,7 @@ import argparse
 import gc
 import hashlib
 import importlib.metadata
+import itertools
 import json
 import math
 import os
@@ -53,7 +62,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 import relaysense  # noqa: E402
-from relaysense import mcsim, sensing, specfun  # noqa: E402
+from relaysense import energy_opt, mcsim, sensing, specfun, transmission  # noqa: E402
 from relaysense.scenario import (apply_overrides, ladder_conf, preset,  # noqa: E402
                                  scenario_from_conf)
 
@@ -62,7 +71,7 @@ PRESETS = ("default", "fig7")
 SEED = 1
 REPEAT = 3
 STARTUP_RUNS = 5
-SECTIONS = ("startup", "specfun", "mc")
+SECTIONS = ("startup", "specfun", "chain", "mc")
 
 # (name, kernel, a typical scalar argument)
 KERNELS = (("bessel_k1_scaled", specfun.bessel_k1_scaled, 3.0),
@@ -92,21 +101,24 @@ def startup():
             "importtime_total_s": sum(own) * 1e-6, "importtime_modules": len(own)}
 
 
-def _best_per_call(fn, arg):
-    """Best of REPEAT loops of fn(arg), in seconds per call; each loop runs
-    at least 0.05 s."""
+def _best_per_call(fn, make):
+    """Best of REPEAT loops of fn(make()), in seconds per call; each loop
+    runs at least 0.05 s. The arguments of a loop are made before it
+    starts, so make() is not timed."""
     loops = 1
     while True:
+        args = [make() for _ in range(loops)]
         t0 = time.perf_counter()
-        for _ in range(loops):
+        for arg in args:
             fn(arg)
         if time.perf_counter() - t0 >= 0.05:
             break
         loops *= 4
     best = math.inf
     for _ in range(REPEAT):
+        args = [make() for _ in range(loops)]
         t0 = time.perf_counter()
-        for _ in range(loops):
+        for arg in args:
             fn(arg)
         best = min(best, (time.perf_counter() - t0) / loops)
     return best
@@ -117,19 +129,46 @@ def specfun_rows():
     detection_probability call on the fig3 ladder."""
     kernels = []
     for name, fn, x in KERNELS:
-        kernels.append({"kernel": name, "size": None, "us_per_call": 1e6 * _best_per_call(fn, x)})
+        kernels.append({"kernel": name, "size": None,
+                        "us_per_call": 1e6 * _best_per_call(fn, lambda: x)})
         for size in ARRAY_SIZES:
             xs = x * np.geomspace(0.1, 10.0, size)
             kernels.append({"kernel": name, "size": size,
-                            "us_per_call": 1e6 * _best_per_call(fn, xs)})
+                            "us_per_call": 1e6 * _best_per_call(fn, lambda: xs)})
     detection = []
     for n_pu in LADDER:
         scn = scenario_from_conf(ladder_conf(preset("fig3"), 0.4, n_pu))
         p = scn.policy
         ms = 1e3 * _best_per_call(lambda s: sensing.detection_probability(
-            p.threshold, s.n_samples, s.links, s.primary, p), scn)
+            p.threshold, s.n_samples, s.links, s.primary, p), lambda: scn)
         detection.append({"n_primary": n_pu, "ms_per_call": ms})
     return kernels, detection
+
+
+def chain_rows():
+    """us per call of each data-phase step on each preset."""
+    rows = []
+    for name in PRESETS:
+        scn = scenario_from_conf(preset(name))
+        links, primary, policy = scn.links, scn.primary, scn.policy
+        model = scn.energy_model()
+        pd = model.frame(scn.t_sense).p_detect
+        # each call gets a sensing time the model has not seen yet
+        fresh_t = (scn.t_sense * (1.0 + 1e-9 * k) for k in itertools.count(1))
+        steps = (
+            ("LinkSet.gain_src_relay", links.gain_src_relay, lambda: 0),
+            ("build_trans_coeffs", lambda p: transmission.build_trans_coeffs(
+                links, primary, policy, p), lambda: pd),
+            ("EnergyModel.frame", model.frame, lambda: next(fresh_t)),
+            ("outage_probability", lambda p: transmission.outage_probability(
+                scn.gamma_th, links, primary, policy, p, scn.rho), lambda: pd),
+            ("optimize_sensing_time", lambda m: energy_opt.optimize_sensing_time(
+                m, scn.relay, scn.d_star), scn.energy_model),
+        )
+        for step, fn, make in steps:
+            rows.append({"preset": name, "relays": links.n_relays, "step": step,
+                         "us_per_call": 1e6 * _best_per_call(fn, make)})
+    return rows
 
 
 def _one_shot(scn):
@@ -264,6 +303,13 @@ def specfun_table(kernels, detection):
     return "\n".join(lines)
 
 
+def chain_table(rows):
+    lines = ["| preset | relays | step | us per call |", "|---|---|---|---|"]
+    lines += ["| %s | %d | %s | %.1f |" % (r["preset"], r["relays"], r["step"], r["us_per_call"])
+              for r in rows]
+    return "\n".join(lines)
+
+
 def table(rows):
     lines = ["| preset | sampler | memo | workers | s per 2^20 draws (median) | min |",
              "|---|---|---|---|---|---|"]
@@ -277,7 +323,7 @@ def table(rows):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--trials", type=int, default=UNIT, help="draws per sampler call")
-    ap.add_argument("--out", default="BENCH_3.json", help="output JSON path")
+    ap.add_argument("--out", default="BENCH_4.json", help="output JSON path")
     ap.add_argument("--only", choices=SECTIONS, action="append",
                     help="measure only this section (repeatable); default: all")
     args = ap.parse_args(argv)
@@ -297,6 +343,9 @@ def main(argv=None):
         kernels, detection = specfun_rows()
         doc["specfun"] = {"kernels": kernels, "detection": detection}
         out.append(specfun_table(kernels, detection))
+    if "chain" in sections:
+        doc["chain"] = chain_rows()
+        out.append(chain_table(doc["chain"]))
     if "mc" in sections:
         doc["mc"] = measure(args.trials)
         out.append("Monte Carlo samplers, %d draws per call, best-of and median of %d\n\n%s"

@@ -8,7 +8,7 @@ from .sensing import (ReportGain, SecondaryPolicy, avg_clipped_gain,
                       fixed_gain_report, report_e2e_cdf, solve_saturation_gain)
 from .harvest import HarvestReport, avg_harvested_power
 from .transmission import (TransCoeffs, build_trans_coeffs, outage_probability,
-                           relay_selection_prob, rho_from_doppler, trans_powers)
+                           relay_selection_prob, rho_from_doppler)
 from .energy_opt import (EnergyModel, InfeasibleDataError, SensingOptimum, ecg,
                          necessary_condition, optimize_sensing_time, total_energy,
                          total_energy_nonharvesting)

@@ -2,11 +2,12 @@
 
 All links are Rayleigh, so squared channel magnitudes are exponential with
 mean equal to the path-loss gain d**(-alpha) (distances in km, normalised to
-a 1 km reference). The aggregate interference seen from L randomly active
-primary transmitters is a Bernoulli-thinned sum of non-identical
-exponentials: a mixture, over active subsets, of hypoexponential densities
-plus a point mass at zero when no transmitter is on. `activity_mixture`
-expands it once per receiver into an `InterferenceLaw`.
+a 1 km reference); `LinkSet` derives each one once, when it is built. The
+aggregate interference seen from L randomly active primary transmitters is
+a Bernoulli-thinned sum of non-identical exponentials: a mixture, over
+active subsets, of hypoexponential densities plus a point mass at zero when
+no transmitter is on. `activity_mixture` expands it once per receiver into
+an `InterferenceLaw`.
 """
 
 from __future__ import annotations
@@ -29,15 +30,13 @@ DISTINCT_RTOL = 1e-9
 def mean_channel_gain(d, alpha):
     """Mean squared channel magnitude of a link of length d km."""
     d = np.asarray(d, dtype=float)
-    if np.any(d <= 0.0):
+    if (d <= 0.0).any():
         raise ValueError("link distance must be positive")
     return d ** (-alpha)
 
 
 def _check_distinct(means, label):
     m = np.sort(np.asarray(means, dtype=float))
-    if m.size < 2:
-        return
     gaps = np.diff(m)
     if np.any(gaps <= DISTINCT_RTOL * m[1:]):
         raise ValueError(
@@ -55,9 +54,10 @@ class LinkSet:
     deployment); the primary-side gain families feeding partial-fraction
     expansions must be pairwise distinct per receiver.
 
-    peak_pu_src and peak_pu_relay[i] are the mean strongest primary gains
-    E[max_l |h_l|^2] seen from the source and from relay i; they depend on
-    the geometry only, so they are computed once here.
+    What the geometry alone fixes is computed once here, read-only: the
+    mean gains g_* of the five link families (g_pu_relay[i] is relay i's
+    primary family) and the mean strongest primary gains E[max_l |h_l|^2]
+    seen from the source (peak_pu_src) and from relay i (peak_pu_relay[i]).
     """
 
     d_src_relay: tuple
@@ -66,6 +66,11 @@ class LinkSet:
     d_pu_relay: tuple
     d_pu_dst: tuple
     alpha: float = 4.0
+    g_src_relay: np.ndarray = field(init=False, repr=False, compare=False)
+    g_relay_dst: np.ndarray = field(init=False, repr=False, compare=False)
+    g_pu_src: np.ndarray = field(init=False, repr=False, compare=False)
+    g_pu_relay: np.ndarray = field(init=False, repr=False, compare=False)
+    g_pu_dst: np.ndarray = field(init=False, repr=False, compare=False)
     peak_pu_src: float = field(init=False, repr=False, compare=False)
     peak_pu_relay: tuple = field(init=False, repr=False, compare=False)
 
@@ -84,27 +89,22 @@ class LinkSet:
         for row in self.d_pu_relay:
             if len(row) != len(self.d_src_relay):
                 raise ValueError("d_pu_relay rows must have one entry per relay")
-        for name, ds in (
-            ("d_src_relay", self.d_src_relay),
-            ("d_relay_dst", self.d_relay_dst),
-            ("d_pu_src", self.d_pu_src),
-            ("d_pu_dst", self.d_pu_dst),
-        ):
-            if any(d <= 0.0 for d in ds):
-                raise ValueError("%s distances must be positive" % name)
-        if any(d <= 0.0 for row in self.d_pu_relay for d in row):
-            raise ValueError("d_pu_relay distances must be positive")
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError("links.alpha must be finite and positive, got %g" % self.alpha)
         if not 2.0 <= self.alpha <= 6.0:
             warnings.warn("path-loss exponent %g outside the usual 2..6 range" % self.alpha)
-        _check_distinct(self.gain_pu_src(), "primary->source")
-        _check_distinct(self.gain_pu_dst(), "primary->destination")
+        # relay-major, so that each relay's primary family is one contiguous row
+        pu_relay = [[row[i] for row in self.d_pu_relay] for i in range(self.n_relays)]
+        for name, ds in (("src_relay", self.d_src_relay), ("relay_dst", self.d_relay_dst),
+                         ("pu_src", self.d_pu_src), ("pu_relay", pu_relay),
+                         ("pu_dst", self.d_pu_dst)):
+            setattr(self, "g_" + name, _stored_gains("d_" + name, ds, self.alpha))
+        _check_distinct(self.g_pu_src, "primary->source")
+        _check_distinct(self.g_pu_dst, "primary->destination")
         for i in range(self.n_relays):
-            _check_distinct(self.gain_pu_relay(i), "primary->relay %d" % i)
-        self.peak_pu_src = max_exp_expectation(self.gain_pu_src())
-        self.peak_pu_relay = tuple(max_exp_expectation(self.gain_pu_relay(i))
-                                   for i in range(self.n_relays))
+            _check_distinct(self.g_pu_relay[i], "primary->relay %d" % i)
+        self.peak_pu_src = max_exp_expectation(self.g_pu_src)
+        self.peak_pu_relay = tuple(max_exp_expectation(g) for g in self.g_pu_relay)
 
     @property
     def n_relays(self):
@@ -119,20 +119,34 @@ class LinkSet:
         return _check_index(i, self.n_relays)
 
     def gain_src_relay(self, i):
-        return float(mean_channel_gain(self.d_src_relay[self.check_relay(i)], self.alpha))
+        return float(self.g_src_relay[self.check_relay(i)])
 
     def gain_relay_dst(self, i):
-        return float(mean_channel_gain(self.d_relay_dst[self.check_relay(i)], self.alpha))
-
-    def gain_pu_src(self):
-        return mean_channel_gain(np.array(self.d_pu_src), self.alpha)
+        return float(self.g_relay_dst[self.check_relay(i)])
 
     def gain_pu_dst(self):
-        return mean_channel_gain(np.array(self.d_pu_dst), self.alpha)
+        return self.g_pu_dst
 
     def gain_pu_relay(self, i):
-        i = self.check_relay(i)
-        return mean_channel_gain(np.array([row[i] for row in self.d_pu_relay]), self.alpha)
+        return self.g_pu_relay[self.check_relay(i)]
+
+
+def _stored_gains(key, distances, alpha):
+    """Read-only mean gains of the links.<key> distances. Each gain and its square
+    (the harvest sums g**2) must be a positive normal float, or a nan or inf follows."""
+    d = np.array(distances, dtype=float)
+    bad = ~(d > 0.0)
+    if not bad.any():
+        with np.errstate(over="ignore", under="ignore"):
+            g = mean_channel_gain(d, alpha)
+            sq = g * g
+        bad = ~(np.isfinite(sq) & (sq >= np.finfo(float).tiny))
+    if bad.any():
+        raise ValueError("links.%s must be positive, with each mean gain d**-alpha and its "
+                         "square finite, normal and positive, got %g km at alpha %g"
+                         % (key, d[bad][0], alpha))
+    g.flags.writeable = False
+    return g
 
 
 def _check_index(i, n_relays):

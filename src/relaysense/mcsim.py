@@ -316,8 +316,7 @@ def _sample_exceed_sampler(links: LinkSet, primary: PrimaryModel, policy: Second
     """Per-sample detector hits; relay i forwards with gain normaliser u[i]
     over a report hop of mean SNR b[i]."""
     mix_scale = primary.tx_power / policy.noise_power
-    g_dst = links.gain_pu_dst()
-    g_rel = [links.gain_pu_relay(i) for i in range(links.n_relays)]
+    g_dst, g_rel = links.gain_pu_dst(), links.g_pu_relay
     duty = primary.duty
 
     def sampler(rng, n):
@@ -370,12 +369,9 @@ def mc_outage(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
     """Simulated outage probability of best-estimate relay selection with
     outdated CSI. gamma_th is the absolute threshold in watts."""
     coeffs = build_trans_coeffs(links, primary, policy, p_detect)
-    m = np.asarray(coeffs.snr_means, dtype=float)
-    a = np.array([coeffs.p_src * links.gain_src_relay(i) / policy.noise_power
-                  for i in range(links.n_relays)])
-    u = np.asarray(coeffs.u_trans, dtype=float)
+    m, a, u = coeffs.snr_means, coeffs.snr_first, coeffs.u_trans
     x = gamma_th / policy.noise_power
-    k = m.size
+    k = len(m)
     mix = math.sqrt(max(1.0 - rho * rho, 0.0))
 
     def sampler(rng, n):

@@ -87,22 +87,24 @@ def fixed_gain_report(law: InterferenceLaw) -> float:
     return 1.0 / acc if acc > 0.0 else math.inf
 
 
+def _af_tail(x, a, q):
+    """exp(-x/a - s) s K1e(s) at s = 2 sqrt(q), clipped so that an overflowing q
+    gives 0: the fixed-gain dual-hop AF tail over a first hop of mean a, q = x u / (a b)
+    for gain normaliser u and second-hop mean b (Hasna & Alouini, IEEE TWC 2004)."""
+    s = np.clip(2.0 * np.sqrt(q), 1e-300, 1e300)
+    return np.exp(-x / a - s) * s * bessel_k1_scaled(s)
+
+
 def report_e2e_cdf(x, report: ReportGain, i: int):
     """CDF of the end-to-end forwarded interference SNR of relay i, at x in
     noise-normalised units: the all-off atom at zero plus a continuous part
     shaped by the dual-hop fixed-gain chain."""
     i = _check_index(i, len(report.relays))
     u, b = report.u_report[i], report.snr_report[i]
-
-    def survival(xp, mm):
-        # clipped so that an overflowing argument gives a zero kernel, not 0 * inf
-        s = np.clip(2.0 * np.sqrt(xp * u / (mm * b)), 1e-300, 1e300)
-        return np.exp(-xp / mm - s) * s * bessel_k1_scaled(s)
-
     # an overflow here (u = inf, or a finite u near the float limit: nothing
     # is forwarded) only ever drives the kernel to zero, so it is not warned
     with np.errstate(over="ignore"):
-        return report.relays[i].cdf(x, survival)
+        return report.relays[i].cdf(x, lambda xp, mm: _af_tail(xp, mm, xp * u / (mm * b)))
 
 
 def sample_miss_probability(lam_norm, report: ReportGain):
@@ -134,8 +136,7 @@ def relay_reports(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy
     Expands each relay's interference law once; the reporting power meets
     both limits with the primary taken as always on (miss = 1)."""
     scale = primary.tx_power / policy.noise_power
-    relays = tuple(activity_mixture(links.gain_pu_relay(i), primary.duty, scale)
-                   for i in range(links.n_relays))
+    relays = tuple(activity_mixture(g, primary.duty, scale) for g in links.g_pu_relay)
     p_report = tuple(_capped_power(policy, peak) for peak in links.peak_pu_relay)
     return (relays,
             tuple(fixed_gain_report(law) for law in relays),

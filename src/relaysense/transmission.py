@@ -7,6 +7,9 @@ inclusion-exclusion over the competing relays, and conditioning the true
 SNR on the selected estimate turns each subset term into a single decaying
 exponential. The formulation never divides by mean differences, so
 identically placed relays are fine here.
+
+`build_trans_coeffs` derives every data-phase constant, in one place. The
+selected relay's dual-hop tail is the detector's AF kernel, `sensing._af_tail`.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fading import LinkSet, PrimaryModel, _check_index, _points
-from .sensing import SecondaryPolicy, _capped_power
-from .specfun import bessel_j0, bessel_k1_scaled, exp_scaled_gamma_upper_0
+from .sensing import SecondaryPolicy, _af_tail, _capped_power
+from .specfun import bessel_j0, exp_scaled_gamma_upper_0
 
 
 def rho_from_doppler(doppler_hz: float, t_diff: float) -> float:
@@ -31,48 +34,37 @@ def rho_from_doppler(doppler_hz: float, t_diff: float) -> float:
 
 @dataclass
 class TransCoeffs:
-    """Transmission-phase derived quantities.
-
-    p_src and p_relay are the interference-limited transmit powers (W),
-    u_trans the fixed AF gain normalisers, snr_means the per-relay mean
-    estimated SNRs driving selection.
-    """
+    """The data-phase constants, all derived by `build_trans_coeffs`: the
+    interference-limited transmit powers p_src and p_relay (W), whose
+    interference half scales with the miss probability 1 - p_detect (the
+    primaries only suffer while the band is misread), and per relay i the
+    mean first-hop SNR snr_first[i] = p_src * g_sr,i / N0, the fixed AF gain
+    normaliser u_trans[i] over that exponential hop and the mean estimated
+    relay->destination SNR snr_means[i], which drives selection."""
 
     p_src: float
     p_relay: tuple
     u_trans: tuple
     snr_means: tuple
-
-
-def trans_powers(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
-                 p_detect: float):
-    """Transmit powers of the source and each relay in the data phase.
-
-    Interference at the primaries only matters while the band is misread,
-    so the interference half of the harmonic combination scales with the
-    miss probability 1 - p_detect.
-    """
-    if not 0.0 <= p_detect <= 1.0:
-        raise ValueError("detection probability must lie in [0, 1]")
-    miss = 1.0 - p_detect
-    return (_capped_power(policy, links.peak_pu_src, miss),
-            tuple(_capped_power(policy, peak, miss) for peak in links.peak_pu_relay))
-
-
-def fixed_gain_trans(links: LinkSet, policy: SecondaryPolicy, i: int, p_src: float) -> float:
-    """Fixed AF gain normaliser of relay i for the data phase: the first hop
-    is the plain source->relay exponential SNR."""
-    c = policy.noise_power / (p_src * links.gain_src_relay(i))
-    return 1.0 / float(c * exp_scaled_gamma_upper_0(c))
+    snr_first: tuple
 
 
 def build_trans_coeffs(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
                        p_detect: float) -> TransCoeffs:
-    p_src, p_rel = trans_powers(links, primary, policy, p_detect)
-    u = tuple(fixed_gain_trans(links, policy, i, p_src) for i in range(links.n_relays))
-    means = tuple(p_rel[i] * links.gain_relay_dst(i) / policy.noise_power
-                  for i in range(links.n_relays))
-    return TransCoeffs(p_src=p_src, p_relay=p_rel, u_trans=u, snr_means=means)
+    if not 0.0 <= p_detect <= 1.0:
+        raise ValueError("detection probability must lie in [0, 1]")
+    miss = 1.0 - p_detect
+    n0 = policy.noise_power
+    p_src = _capped_power(policy, links.peak_pu_src, miss)
+    p_rel = tuple(_capped_power(policy, peak, miss) for peak in links.peak_pu_relay)
+    g_sr = [links.gain_src_relay(i) for i in range(links.n_relays)]
+    # not 1 / snr_first: the two differ in the last bit on about a quarter of inputs
+    c = [n0 / (p_src * g) for g in g_sr]
+    return TransCoeffs(
+        p_src=p_src, p_relay=p_rel,
+        u_trans=tuple(1.0 / float(ci * exp_scaled_gamma_upper_0(ci)) for ci in c),
+        snr_means=tuple(p * links.gain_relay_dst(i) / n0 for i, p in enumerate(p_rel)),
+        snr_first=tuple(p_src * g / n0 for g in g_sr))
 
 
 def _subset_terms(snr_means, i, rho):
@@ -112,9 +104,7 @@ def _selected_cdf_weighted(x, u, a_mean, terms):
     pos = x > 0.0
     xp = x[pos]
     for _, _, amp, rate in terms:
-        s = 2.0 * np.sqrt(np.maximum(xp * u * rate / a_mean, 1e-300))
-        kernel = np.exp(-xp / a_mean - s) * s * bessel_k1_scaled(s)
-        out[pos] -= (amp / rate) * kernel
+        out[pos] -= (amp / rate) * _af_tail(xp, a_mean, xp * u * rate / a_mean)
     out[x == 0.0] = 0.0
     return float(out[0]) if scalar else out
 
@@ -128,6 +118,5 @@ def outage_probability(gamma_th, links: LinkSet, primary: PrimaryModel,
     total = 0.0
     for i in range(links.n_relays):
         terms = _subset_terms(coeffs.snr_means, i, rho)
-        a_mean = coeffs.p_src * links.gain_src_relay(i) / policy.noise_power
-        total += _selected_cdf_weighted(x, coeffs.u_trans[i], a_mean, terms)
+        total += _selected_cdf_weighted(x, coeffs.u_trans[i], coeffs.snr_first[i], terms)
     return total

@@ -237,6 +237,22 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "finite" in err
 
+    @pytest.mark.parametrize("command", ["validate", "optimize", "detect", "outage",
+                                         "harvest", "energy"])
+    @pytest.mark.parametrize("override", [
+        # a mean gain d**-alpha, or its square (the harvest sums g**2), that
+        # leaves the normal float range used to print nan or inf, or end in
+        # a traceback
+        "links.d_src_relay=1e100, 1e100", "links.d_src_relay=1e-100, 1e-100",
+        "links.d_relay_dst=1e100, 1e100", "links.d_pu=1e-100, 2e-100",
+        "links.d_pu=1e-75, 2e-75", "links.d_pu=1e80, 2e80",
+    ])
+    def test_extreme_distance_names_its_key(self, override, command, capsys):
+        assert run(["--no-mc", "--set", override, command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: %s" % override.split("=")[0])
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("override", [
         # a zero noise floor zeroes every dB-relative power, which used to
         # be reported against the first of them

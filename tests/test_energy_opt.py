@@ -427,6 +427,25 @@ class TestCoefficientBuilds:
         for t in (1e-6, 0.02, 0.05):
             m.frame(t)
 
+    def test_gains_are_computed_once(self, monkeypatch):
+        # the mean gains depend on the geometry only: once the LinkSet is
+        # built, no closed form or simulator derives one again
+        scn = scenario_from_conf(preset("fig7"))
+        links, primary, policy = scn.links, scn.primary, scn.policy
+        calls = []
+        real = fading.mean_channel_gain
+        monkeypatch.setattr(fading, "mean_channel_gain",
+                            lambda d, alpha: calls.append(d) or real(d, alpha))
+        m = scn.energy_model()
+        for t in (0.01, 0.02, 0.05):
+            pd = m.frame(t).p_detect
+        transmission.outage_probability(scn.gamma_th, links, primary, policy, pd, scn.rho)
+        mcsim.mc_outage(links, primary, policy, scn.gamma_th, pd, scn.rho, 1000, 1)
+        mcsim.mc_detection(links, primary, policy, policy.threshold, scn.n_samples, 1000, 1)
+        mcsim.mc_harvest(links, primary, policy, scn.relay, pd, 1000, 1)
+        harvest.avg_harvested_power(links, primary, policy, scn.relay, pd)
+        assert calls == []
+
     def test_table1_optimise_budget(self, builds):
         c = relay_ladder_conf(ladder_conf(preset("table1"), 1.0, 4, 0.01),
                               0.5, 0.5, 4, 0.005)
@@ -445,7 +464,6 @@ RELAY_ENTRY_POINTS = {
         m.links, m.primary, m.policy, i),
     "avg_harvested_power": lambda m, i: harvest.avg_harvested_power(
         m.links, m.primary, m.policy, i, 0.5),
-    "fixed_gain_trans": lambda m, i: transmission.fixed_gain_trans(m.links, m.policy, i, 1.0),
     "relay_selection_prob": lambda m, i: transmission.relay_selection_prob(
         m.frame(0.02).coeffs.snr_means, i),
     "mc_harvest": lambda m, i: mcsim.mc_harvest(

@@ -406,8 +406,7 @@ class TestKernelBits:
         gamma = rel_noise_db(25.0)
         coeffs = build_trans_coeffs(links, primary, policy, 0.95)
         m = np.asarray(coeffs.snr_means, dtype=float)
-        a = np.array([coeffs.p_src * links.gain_src_relay(i) / policy.noise_power
-                      for i in range(n_relays)])
+        a = np.asarray(coeffs.snr_first, dtype=float)
         u = np.asarray(coeffs.u_trans, dtype=float)
         x = gamma / policy.noise_power
         real = mcsim._chunk_rng

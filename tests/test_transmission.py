@@ -12,7 +12,6 @@ from relaysense.transmission import (
     outage_probability,
     relay_selection_prob,
     rho_from_doppler,
-    trans_powers,
 )
 
 import oracles
@@ -57,9 +56,12 @@ class TestCsi:
 
 
 class TestTransPowers:
+    """The transmit powers, read from the fields of build_trans_coeffs."""
+
     def test_full_detection_hits_amplifier_cap(self):
         links, primary, policy = fig4_setup()
-        p_src, p_rel = trans_powers(links, primary, policy, p_detect=1.0)
+        co = build_trans_coeffs(links, primary, policy, p_detect=1.0)
+        p_src, p_rel = co.p_src, co.p_relay
         assert p_src == policy.p_max
         assert all(p == policy.p_max for p in p_rel)
 
@@ -67,18 +69,34 @@ class TestTransPowers:
         # with the band always misread the relay interference weighting is
         # identical to the reporting phase, down to the last bit
         links, primary, policy = fig4_setup()
-        _, p_rel = trans_powers(links, primary, policy, p_detect=0.0)
+        p_rel = build_trans_coeffs(links, primary, policy, p_detect=0.0).p_relay
         assert p_rel == build_report_gain(links, primary, policy).p_report
 
     def test_monotone_in_detection(self):
         links, primary, policy = fig4_setup()
-        ps = [trans_powers(links, primary, policy, p)[0] for p in (0.0, 0.5, 0.9, 1.0)]
+        ps = [build_trans_coeffs(links, primary, policy, p).p_src
+              for p in (0.0, 0.5, 0.9, 1.0)]
         assert all(b > a for a, b in zip(ps, ps[1:]))
 
     def test_rejects_bad_probability(self):
         links, primary, policy = fig4_setup()
         with pytest.raises(ValueError):
-            trans_powers(links, primary, policy, p_detect=-0.1)
+            build_trans_coeffs(links, primary, policy, p_detect=-0.1)
+
+
+class TestTransCoeffs:
+    @pytest.mark.parametrize("n_relays", (1, 2, 4))
+    def test_snr_first_is_the_first_hop_mean(self, n_relays):
+        rng = np.random.default_rng(n_relays)
+        for _ in range(20):
+            d = rng.uniform(0.05, 0.5, n_relays)
+            links = LinkSet(d_src_relay=d, d_relay_dst=d[::-1], d_pu_src=[0.3, 0.31],
+                            d_pu_relay=[[0.3] * n_relays, [0.31] * n_relays],
+                            d_pu_dst=[0.4, 0.41])
+            primary, policy = fig4_setup()[1:]
+            co = build_trans_coeffs(links, primary, policy, float(rng.uniform()))
+            assert co.snr_first == tuple(co.p_src * links.gain_src_relay(i) / N0
+                                         for i in range(n_relays))
 
 
 class TestRelaySelection:
@@ -129,7 +147,7 @@ class TestTransE2eCdf:
                                      bandwidth=1e6, threshold=rel_noise_db(3.0), eta=0.35,
                                      p_circuit_tx=0.01, p_circuit_rx=0.0079)
             co = build_trans_coeffs(links, primary, policy, p_detect)
-            a = co.p_src * links.gain_src_relay(0) / N0
+            a = co.snr_first[0]
             for x in (0.5, 2.0, 10.0):
                 closed = outage_probability(x * N0, links, primary, policy, p_detect, 0.7)
                 quad = oracles.dualhop_exp_cdf(x, a, co.u_trans[0], co.snr_means[0])
@@ -149,7 +167,7 @@ class TestTransE2eCdf:
         # so the conditional law equals the plain dual-hop law
         links, primary, policy = fig4_setup()
         co = build_trans_coeffs(links, primary, policy, 0.95)
-        a = co.p_src * links.gain_src_relay(0) / N0
+        a = co.snr_first[0]
         for x in (0.5, 2.0, 10.0):
             cond = outage_probability(x * N0, links, primary, policy, 0.95, 0.0)
             quad = oracles.dualhop_exp_cdf(x, a, co.u_trans[0], co.snr_means[0])
