@@ -2,7 +2,7 @@
 """Time start-up, the special functions, the data-phase chain and every Monte
 Carlo sampler, and write a BENCH_<n>.json file.
 
-    PYTHONPATH=src python3 scripts/bench.py --out BENCH_4.json
+    PYTHONPATH=src python3 scripts/bench.py --out BENCH_5.json
     PYTHONPATH=src python3 scripts/bench.py --trials 65536 --out results/bench.json
     PYTHONPATH=src python3 scripts/bench.py --only startup --out results/startup.json
     PYTHONPATH=src python3 scripts/bench.py --only chain --out results/chain.json
@@ -22,7 +22,9 @@ relays) and `fig7` (4 relays) presets, the best of `REPEAT` timed loops:
 `LinkSet.gain_src_relay`, `transmission.build_trans_coeffs`,
 `EnergyModel.frame` at a sensing time the model has not seen (so it builds
 the frame), `transmission.outage_probability`, and `optimize_sensing_time`
-on a fresh `EnergyModel` (built before the timed loop).
+on a fresh `EnergyModel` (built before the timed loop). Also the
+construction of a `LinkSet` (gains, checks and peak gains) on `default`,
+`fig3` and fig3's L = 12 ladder.
 
 `mc`: each `mcsim.mc_*` sampler runs on the `default` and `fig7` presets at
 a fixed seed, with 1 and 2 workers, `REPEAT` times; every time is reported
@@ -34,6 +36,9 @@ consecutive call with one key, which replays the draws the second recorded
 memo-cold, the first call on a fresh `EnergyModel` (it draws and stores the
 raw draws), and memo-warm, a later call at a new sensing time on the same
 model (it redoes only the comparisons). Building the model is not timed.
+`mc_frame_energy` is also timed held on `fig6`, as fig6's rows run it: on a
+fresh model per call, so no memo helps, the third consecutive call replays
+the hit-rate and frame draws the second recorded.
 
 The file also records the line count and SHA-256 of the imported package's
 sources and the host. A markdown table of the same numbers goes to standard
@@ -63,6 +68,7 @@ import numpy as np  # noqa: E402
 
 import relaysense  # noqa: E402
 from relaysense import energy_opt, mcsim, sensing, specfun, transmission  # noqa: E402
+from relaysense.fading import LinkSet  # noqa: E402
 from relaysense.scenario import (apply_overrides, ladder_conf, preset,  # noqa: E402
                                  scenario_from_conf)
 
@@ -72,6 +78,9 @@ SEED = 1
 REPEAT = 3
 STARTUP_RUNS = 5
 SECTIONS = ("startup", "specfun", "chain", "mc")
+# (name, config) of the geometries whose LinkSet construction is timed
+LINKSETS = (("default", lambda: preset("default")), ("fig3", lambda: preset("fig3")),
+            ("fig3-L12", lambda: ladder_conf(preset("fig3"), 0.4, 12)))
 
 # (name, kernel, a typical scalar argument)
 KERNELS = (("bessel_k1_scaled", specfun.bessel_k1_scaled, 3.0),
@@ -168,6 +177,13 @@ def chain_rows():
         for step, fn, make in steps:
             rows.append({"preset": name, "relays": links.n_relays, "step": step,
                          "us_per_call": 1e6 * _best_per_call(fn, make)})
+    for name, conf in LINKSETS:
+        links = scenario_from_conf(conf()).links
+        fields = (links.d_src_relay, links.d_relay_dst, links.d_pu_src, links.d_pu_relay,
+                  links.d_pu_dst, links.alpha)
+        rows.append({"preset": name, "relays": links.n_relays, "step": "LinkSet",
+                     "us_per_call": 1e6 * _best_per_call(lambda f: LinkSet(*f),
+                                                         lambda: fields)})
     return rows
 
 
@@ -248,6 +264,19 @@ def measure(trials):
                     del model
                 add(name, sampler, "cold", w, cold)
                 add(name, sampler, "warm", w, warm)
+    scn = scenario_from_conf(apply_overrides(preset("fig6"), ["sim.trials=%d" % trials]))
+    fn = FRAME_SIMS["mc_frame_energy"]
+    for w in (1, 2):
+        held = []
+        for _ in range(REPEAT):
+            mcsim.clear_held()
+            # a fresh model per call, built untimed; the third call replays
+            for _ in range(3):
+                model = scn.energy_model()
+                t = _timed(lambda: fn(model, scn.relay, scn.t_sense, trials, w))
+                del model
+            held.append(t)
+        add("fig6", "mc_frame_energy", "held", w, held)
     return rows
 
 
@@ -323,7 +352,7 @@ def table(rows):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--trials", type=int, default=UNIT, help="draws per sampler call")
-    ap.add_argument("--out", default="BENCH_4.json", help="output JSON path")
+    ap.add_argument("--out", default="BENCH_5.json", help="output JSON path")
     ap.add_argument("--only", choices=SECTIONS, action="append",
                     help="measure only this section (repeatable); default: all")
     args = ap.parse_args(argv)

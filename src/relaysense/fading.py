@@ -35,14 +35,10 @@ def mean_channel_gain(d, alpha):
     return d ** (-alpha)
 
 
-def _check_distinct(means, label):
-    m = np.sort(np.asarray(means, dtype=float))
-    gaps = np.diff(m)
-    if np.any(gaps <= DISTINCT_RTOL * m[1:]):
-        raise ValueError(
-            "%s means are not pairwise distinct at relative tolerance %g; "
-            "perturb the geometry instead of relying on tie-breaking" % (label, DISTINCT_RTOL)
-        )
+def _tied_rows(means):
+    """Which rows of the (k, L) means are not pairwise distinct at DISTINCT_RTOL."""
+    m = np.sort(means, axis=-1)
+    return np.any(np.diff(m, axis=-1) <= DISTINCT_RTOL * m[..., 1:], axis=-1)
 
 
 @dataclass
@@ -93,16 +89,27 @@ class LinkSet:
             raise ValueError("links.alpha must be finite and positive, got %g" % self.alpha)
         if not 2.0 <= self.alpha <= 6.0:
             warnings.warn("path-loss exponent %g outside the usual 2..6 range" % self.alpha)
-        # relay-major, so that each relay's primary family is one contiguous row
-        pu_relay = [[row[i] for row in self.d_pu_relay] for i in range(self.n_relays)]
-        for name, ds in (("src_relay", self.d_src_relay), ("relay_dst", self.d_relay_dst),
-                         ("pu_src", self.d_pu_src), ("pu_relay", pu_relay),
-                         ("pu_dst", self.d_pu_dst)):
-            setattr(self, "g_" + name, _stored_gains("d_" + name, ds, self.alpha))
-        _check_distinct(self.g_pu_src, "primary->source")
-        _check_distinct(self.g_pu_dst, "primary->destination")
-        for i in range(self.n_relays):
-            _check_distinct(self.g_pu_relay[i], "primary->relay %d" % i)
+        n, n_pu = self.n_relays, self.n_primary
+        # one flat array: src_relay, relay_dst, then the n + 2 primary
+        # families as rows of n_pu, pu_src, pu_relay relay-major (each
+        # relay's family one row) and pu_dst; every field is a view of it
+        g = _stored_gains(((n, "d_src_relay", self.d_src_relay),
+                           (n, "d_relay_dst", self.d_relay_dst),
+                           (n_pu, "d_pu_src", self.d_pu_src),
+                           (n * n_pu, "d_pu_relay",
+                            [row[i] for i in range(n) for row in self.d_pu_relay]),
+                           (n_pu, "d_pu_dst", self.d_pu_dst)), self.alpha)
+        self.g_src_relay, self.g_relay_dst = g[:n], g[n:2 * n]
+        primary = g[2 * n:].reshape(n + 2, n_pu)
+        self.g_pu_src, self.g_pu_relay, self.g_pu_dst = primary[0], primary[1:-1], primary[-1]
+        tied = _tied_rows(primary)
+        if tied.any():
+            labels = (["primary->source"] + ["primary->relay %d" % i for i in range(n)]
+                      + ["primary->destination"])
+            raise ValueError(
+                "%s means are not pairwise distinct at relative tolerance %g; "
+                "perturb the geometry instead of relying on tie-breaking"
+                % (labels[int(np.argmax(tied))], DISTINCT_RTOL))
         self.peak_pu_src = max_exp_expectation(self.g_pu_src)
         self.peak_pu_relay = tuple(max_exp_expectation(g) for g in self.g_pu_relay)
 
@@ -131,20 +138,31 @@ class LinkSet:
         return self.g_pu_relay[self.check_relay(i)]
 
 
-def _stored_gains(key, distances, alpha):
-    """Read-only mean gains of the links.<key> distances. Each gain and its square
-    (the harvest sums g**2) must be a positive normal float, or a nan or inf follows."""
-    d = np.array(distances, dtype=float)
+_TINY = np.finfo(float).tiny
+
+
+def _stored_gains(families, alpha):
+    """The read-only mean gains of every (count, key, distances) family of
+    links.<key> distances, in one flat array, family after family. Each
+    gain and its square (the harvest sums g**2) must be a positive normal
+    float, or a nan or inf follows; the error names the first family with a
+    distance that breaks this, and its first such distance."""
+    d = np.array([x for _, _, ds in families for x in ds], dtype=float)
     bad = ~(d > 0.0)
     if not bad.any():
         with np.errstate(over="ignore", under="ignore"):
             g = mean_channel_gain(d, alpha)
             sq = g * g
-        bad = ~(np.isfinite(sq) & (sq >= np.finfo(float).tiny))
+        bad = ~(np.isfinite(sq) & (sq >= _TINY))
     if bad.any():
+        first, end = int(np.argmax(bad)), 0
+        for count, key, _ in families:
+            end += count
+            if first < end:
+                break
         raise ValueError("links.%s must be positive, with each mean gain d**-alpha and its "
                          "square finite, normal and positive, got %g km at alpha %g"
-                         % (key, d[bad][0], alpha))
+                         % (key, d[first], alpha))
     g.flags.writeable = False
     return g
 

@@ -13,13 +13,16 @@ the sensing time, so they memoise it on the model, in `EnergyModel._mc_memo`,
 keyed by (stream, relay, trials, seed): the per-sample hit rate under
 (11, None, trials, seed), and under (13 or 17, relay, trials, seed) a dict
 from chunk index to that chunk's raw draws (uniforms, harvested power,
-unscaled selection exponentials; stream 13 for `mc_frame_energy` with and
-without harvesting, 17 for `mc_ecg`), stored as the chunk is first used.
-Every later sensing time only redoes the comparisons that move with it, and
-gives the same bits as a fresh model would. The memo lives as long as the
-model, one figure run, and its raw draws take trials * (2 + n_relays) * 8
-bytes per (relay, stream) key: at 1e6 trials, 48 MB for `figure fig7`
-(4 relays, one key) and 24 MB for each of the two `figure fig8` models.
+standard selection exponentials; stream 13 for `mc_frame_energy` with and
+without harvesting, 17 for `mc_ecg`). Every later sensing time only redoes
+the comparisons that move with it, and gives the same bits as a fresh model
+would. The memo lives as long as the model, one figure run. Of its raw
+draws only the harvested power, which the geometry fixes, is the model's
+own, trials * 8 bytes per (relay, stream) key; the uniforms and
+exponentials are the held slot's tapes (below) when the slot recorded or
+replayed them, and otherwise the model's too, trials * (2 + n_relays) * 8
+bytes in all: at 1e6 trials, 48 MB for `figure fig7` (4 relays, one key)
+and 24 MB for each of the two `figure fig8` models.
 
 Bit identity covers the order of arithmetic as well as the draws. The
 per-chunk kernels work one column (primary or relay) at a time, because
@@ -31,27 +34,34 @@ memo-warm sensing time of `mc_frame_energy` on fig7's 4 relays costs about
 0.02 s per 2^20 draws, the comparisons and the moment sums (2-vCPU Xeon
 VM, numpy 2.4.6; `scripts/bench.py`, `BENCH_2.json`).
 
-Every row of a figure sweep (fig3's distance ladders, fig4's power ladders)
-uses the preset's own seed, so consecutive calls of a stateless sampler draw
-the same Philox streams and differ only in the geometry applied after the
-draws: common random numbers. One held slot, `_held`, keeps them across
-such a run. Its key is (seed, stream, trials, draw shape, duty), the draw
-shape being (L, M) for `mc_detection` (stream 0) and the frame hit rate
-(11), (M,) for `mc_outage` (3) and (L,) for `mc_harvest` (5) and
+Every row of a figure sweep (fig3's distance ladders, fig4's power
+ladders, fig6's primary distances) uses the preset's own seed, so
+consecutive calls of a sampler draw the same Philox streams and differ only
+in the geometry applied after the draws: common random numbers. One held
+slot, `_held`, keeps them across such a run. Its key is (seed, stream,
+trials, draw shape, duty), the draw shape being (L, M) for `mc_detection`
+(stream 0), (M,) for `mc_outage` (3) and (L,) for `mc_harvest` (5) and
 `mc_clipped_gain` (7), with L primaries and M relays; outage draws no
-activity and keys no duty. A call whose key is not the held one only notes
+activity and keys no duty. A frame simulator on a model without a memoised
+hit rate (a fresh model, as each fig6 row builds) takes the hit sampler's
+draws and its own frame draws through one key, (seed, (11, s), trials,
+(L, M), duty) with s its stream, 13 or 17; a model with a memoised hit
+rate does not use the slot. A call whose key is not the held one only notes
 its key and draws as usual, so a one-off call costs what it did without the
 slot. The second consecutive call with the key records every chunk's
-`random`, `standard_normal` and `exponential` arrays, read-only
-(exponentials as standard draws, replayed as scale * e, which is
-Generator.exponential(scale) bit for bit; the activity uniforms only as
-their comparison with the duty, the boolean on-mask of `_thinned`). Every
-later consecutive call with the key replays them and skips the Philox
-draws. A new key drops the recorded draws before it draws its own. They
-take, per trial, 9L(M+1) + 8M bytes for detection and the hit rate,
-8(4M + 1) for outage and 9L for harvest and clipped gain: at 1e6 trials,
-62 MB for fig3's three-primary, one-relay rows and 72 MB for fig4's
-two-relay outage rows. `clear_held()` empties the slot.
+draws in one tape, read-only: the `random`, `standard_normal` and
+exponential arrays (as standard draws, replayed as scale * e, which is
+Generator.exponential(scale) bit for bit) and the masked fades of
+`_masked_fade` (each fade times its 0-or-1 on-mask, which the key's duty
+fixes, in place of the uniforms and fades behind it). Every later
+consecutive call with the key replays them and skips the Philox draws. A
+new key drops the recorded draws before it draws its own. They take, per
+trial, 8L(M+1) + 8M bytes for detection, 8(4M + 1) for outage, 8L for
+harvest and clipped gain, and 8L(M+1) + 8M + 8(1 + L + M) for a frame key
+(the hit rate's, then the uniform, harvest fades and selection
+exponentials): at 1e6 trials, 56 MB for fig3's three-primary, one-relay
+rows, 72 MB for fig4's two-relay outage rows and 216 MB for fig6's
+three-primary, four-relay rows. `clear_held()` empties the slot.
 
 The simulators share the analytic layer's power allocations and gain
 constants (those are design choices of the network, not outputs being
@@ -123,12 +133,6 @@ def _chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_key(seed, stream, chunk)))
 
 
-def _seeded(sampler, seed: int, stream: int):
-    """The chunk function fn(ci, n) = sampler(rng, n) on chunk ci's own
-    Philox stream of (seed, stream)."""
-    return lambda ci, n: sampler(_chunk_rng(seed, stream, ci), n)
-
-
 def _map_chunks(fn, trials: int, workers: int = 1):
     """[fn(ci, n) for each chunk ci of n draws] over `trials` draws, in chunk
     order. With workers > 1 the chunks run on a thread pool; each result
@@ -174,6 +178,19 @@ def _mean(fn, trials: int, workers: int):
 
 # --- the held slot: one sweep's draws, replayed --------------------------
 
+def _masked_fade(rng, p, size):
+    """rng.exponential(1.0, size) where rng.random(size) < p and 0 elsewhere,
+    the uniforms drawn first: the faded powers of primaries that are on with
+    probability p. The held slot's stand-ins record and replay the product,
+    which the key's duty fixes, instead of the uniforms and fades behind it."""
+    if not isinstance(rng, np.random.Generator):
+        return rng.masked_fade(p, size)
+    on = rng.random(size) < p
+    fade = rng.standard_exponential(size)
+    fade *= on
+    return fade
+
+
 class _Recorder:
     """Generator stand-in that passes rng's draws through and appends each,
     made read-only, to `tape` as (method, array). Exponentials are kept as
@@ -191,52 +208,49 @@ class _Recorder:
     def random(self, size):
         return self._kept("random", self._rng.random(size))
 
-    def below(self, p, size):
-        # the uniforms are only ever compared with p, which the key fixes
-        return self._kept("random", self._rng.random(size) < p)
+    def masked_fade(self, p, size):
+        return self._kept("masked_fade", _masked_fade(self._rng, p, size))
 
     def standard_normal(self, size):
         return self._kept("standard_normal", self._rng.standard_normal(size))
 
+    def standard_exponential(self, size):
+        return self._kept("exponential", self._rng.standard_exponential(size))
+
     def exponential(self, scale, size):
-        return scale * self._kept("exponential", self._rng.standard_exponential(size))
+        return scale * self.standard_exponential(size)
 
 
 class _Replayer:
     """Generator stand-in that hands back a `_Recorder` tape's draws in
-    order. A request for another method, shape or dtype raises."""
+    order. A request for another method or shape raises."""
 
     def __init__(self, tape):
         self._draws = iter(tape)
 
-    def _next(self, method, size, dtype=np.float64):
+    def _next(self, method, size):
         shape = (size,) if np.isscalar(size) else tuple(size)
         kept, x = next(self._draws, (None, None))
-        if kept != method or x.shape != shape or x.dtype != dtype:
-            raise RuntimeError("replay asked for %s%s %s, but the tape holds %s"
-                               % (method, shape, np.dtype(dtype), "nothing" if x is None
-                                  else "%s%s %s" % (kept, x.shape, x.dtype)))
+        if kept != method or x.shape != shape:
+            raise RuntimeError("replay asked for %s%s, but the tape holds %s"
+                               % (method, shape, "nothing" if x is None
+                                  else "%s%s" % (kept, x.shape)))
         return x
 
     def random(self, size):
         return self._next("random", size)
 
-    def below(self, p, size):
-        return self._next("random", size, np.bool_)
+    def masked_fade(self, p, size):
+        return self._next("masked_fade", size)
 
     def standard_normal(self, size):
         return self._next("standard_normal", size)
 
+    def standard_exponential(self, size):
+        return self._next("exponential", size)
+
     def exponential(self, scale, size):
         return scale * self._next("exponential", size)
-
-
-def _below(rng, p, size):
-    """rng.random(size) < p. The held slot's stand-ins record and replay the
-    mask, one byte per draw, instead of the uniforms behind it."""
-    if isinstance(rng, np.random.Generator):
-        return rng.random(size) < p
-    return rng.below(p, size)
 
 
 # (key, {chunk: tape}), read and replaced as one tuple, so a caller never
@@ -251,29 +265,48 @@ def clear_held():
     _held = (None, None)
 
 
-def _held_mean(sampler, seed: int, stream: int, shape: tuple, trials: int, workers: int,
-               duty=None):
-    """`_mean` of sampler(rng, n) on the Philox streams of (seed, stream),
-    through the held slot (see the module docstring). `shape` must fix
-    every draw the sampler asks for at a given n, and `duty` every
-    threshold it hands `_below`."""
+def _held_chunks(seed: int, stream, trials: int, shape: tuple, duty=None):
+    """One call's way through the held slot (see the module docstring):
+    (draws, commit), or (None, None) for a call whose key is not the held
+    one, which draws from the Philox streams as usual. draws(ci) gives
+    chunk ci's generator stand-ins, one per stream of (seed, s) for s in
+    `stream` (an int, or a tuple of them), and commit() ends the call once
+    every chunk has been drawn. `shape` must fix every draw asked for at a
+    given chunk size, and `duty` every threshold handed to `_masked_fade`.
+    The chunk function must ask for its draws in one fixed order, as all of
+    a chunk's streams share one tape."""
     global _held
     key = (int(seed), stream, int(trials), shape, duty)
+    streams = stream if isinstance(stream, tuple) else (stream,)
     held_key, tapes = _held
     if held_key != key:
         # let go of the old key's draws before this call draws its own
-        _held, tapes = (key, None), None
-        return _mean(_seeded(sampler, seed, stream), trials, workers)
+        _held = (key, None)
+        return None, None
     if tapes is not None:
-        return _mean(lambda ci, n: sampler(_Replayer(tapes[ci]), n), trials, workers)
+        return (lambda ci: [_Replayer(tapes[ci])] * len(streams)), lambda: None
     tapes = {}
 
-    def record(ci, n):
+    def record(ci):
         tapes[ci] = tape = []
-        return sampler(_Recorder(_chunk_rng(seed, stream, ci), tape), n)
+        return [_Recorder(_chunk_rng(seed, s, ci), tape) for s in streams]
 
-    out = _mean(record, trials, workers)
-    _held = (key, tapes)
+    def commit():
+        global _held
+        _held = (key, tapes)
+
+    return record, commit
+
+
+def _held_mean(sampler, seed: int, stream: int, shape: tuple, trials: int, workers: int,
+               duty=None):
+    """`_mean` of sampler(rng, n) on the Philox streams of (seed, stream),
+    through the held slot (`_held_chunks`)."""
+    draws, commit = _held_chunks(seed, stream, trials, shape, duty)
+    if draws is None:
+        return _mean(lambda ci, n: sampler(_chunk_rng(seed, stream, ci), n), trials, workers)
+    out = _mean(lambda ci, n: sampler(draws(ci)[0], n), trials, workers)
+    commit()
     return out
 
 
@@ -282,27 +315,25 @@ def _thinned(rng, n, gains, duty, weights=None):
     exponential fade on its mean gain, zeroed when it is off, and multiplied
     by weights[l] if given. Returns the (n,) vector of per-draw totals.
 
-    It draws rng.random((n, L)) (through `_below`), then
-    rng.exponential(1.0, (n, L)), and adds the columns in the order
-    np.sum(axis=1) uses on the C-ordered (n, L) product, so the totals equal
-    that sum bit for bit: left to right below 8 terms, numpy's own pairwise
-    sum (8 interleaved accumulators) at 8 or more, where per-column code
-    measured slower than np.sum itself.
+    It draws the (n, L) masked fades of `_masked_fade`, and adds the columns
+    in the order np.sum(axis=1) uses on the C-ordered (n, L) product, so the
+    totals equal that sum bit for bit: left to right below 8 terms, numpy's
+    own pairwise sum (8 interleaved accumulators) at 8 or more, where
+    per-column code measured slower than np.sum itself. Masking before the
+    gain keeps every bit, as the mask is 0 or 1 and each fade times its
+    gain is finite.
     """
     L = len(gains)
-    on = _below(rng, duty, (n, L))
-    fade = rng.exponential(1.0, (n, L))
+    fade = _masked_fade(rng, duty, (n, L))
     if L >= 8:
-        fade *= gains
-        fade *= on
+        # in place on fresh draws; a held tape is read-only
+        x = np.multiply(fade, gains, out=fade if fade.flags.writeable else None)
         if weights is not None:
-            fade *= weights
-        return np.sum(fade, axis=1)
+            x *= weights
+        return np.sum(x, axis=1)
     total = 0.0
     for l in range(L):
         col = fade[:, l] * gains[l]
-        # copied first: multiplying by a strided boolean column is slow
-        col *= on[:, l].copy()
         if weights is not None:
             col *= weights[l]
         total += col
@@ -479,38 +510,59 @@ def _frame_draws(model: EnergyModel, i: int, t_sense: float, trials: int, seed: 
     which relay i wins selection and so pays the transmit slot.
 
     Nothing drawn here depends on t_sense, so it is memoised on the model
-    (see the module docstring). A chunk's uniforms u01, harvested power and
-    exponentials are drawn in that order from its own stream, on the
-    chunk's first use, inside the reduction that consumes it. Only the
-    comparisons move with t_sense: u01 < p_det_hat and which relay has the
-    largest exponential times the frame's SNR mean (`_selects`).
+    (see the module docstring). Chunk ci's frame draws, its uniforms u01,
+    the harvest's masked fades and the standard selection exponentials, come
+    in that order from its own stream. A model without a memoised hit rate
+    takes its hit sampler's and frame draws through one key of the held
+    slot; when the slot records or replays them, each chunk's frame draws
+    are taken right after its hit draws, and the hit rate is reduced chunk
+    by chunk. Otherwise a chunk's frame draws come on its first use, inside
+    the reduction that consumes them. Only the comparisons move with
+    t_sense: u01 < p_det_hat and which relay has the largest exponential
+    times the frame's SNR mean (`_selects`).
     """
-    i = int(model.links.check_relay(i))
+    links, primary, policy = model.links, model.primary, model.policy
+    i = int(links.check_relay(i))
     trials, seed = int(trials), int(seed)
     f = model.frame(t_sense)
     memo = model._mc_memo
+    chunks = memo.setdefault((stream, i, trials, seed), {})
+    harv = _harvest_power_sampler(links, primary, policy, i)
+    n_relays = links.n_relays
+
+    def frame_raw(rng, n):
+        return rng.random(n), harv(rng, n), rng.standard_exponential((n, n_relays))
+
     key = (11, None, trials, seed)
     if key not in memo:
-        links = model.links
-        hit = _sample_exceed_sampler(
-            links, model.primary, model.policy,
-            model.policy.threshold / model.policy.noise_power,
-            model.report.u_report, model.report.snr_report)
-        memo[key] = _held_mean(hit, seed, 11, (links.n_primary, links.n_relays),
-                               trials, workers, model.primary.duty)
+        hit = _sample_exceed_sampler(links, primary, policy,
+                                     policy.threshold / policy.noise_power,
+                                     model.report.u_report, model.report.snr_report)
+        draws, commit = _held_chunks(seed, (11, stream), trials,
+                                     (links.n_primary, n_relays), primary.duty)
+        if draws is None:
+            # a one-off call: the frame draws come on each chunk's first use
+            memo[key] = _mean(lambda ci, n: hit(_chunk_rng(seed, 11, ci), n),
+                              trials, workers)
+        else:
+            def hits(ci, n):
+                rng_hit, rng_frame = draws(ci)
+                exceed = hit(rng_hit, n)
+                # once the hit sampler's arrays are freed; each chunk is one
+                # key, written by the one worker that maps it
+                chunks[ci] = frame_raw(rng_frame, n)
+                return exceed
+
+            memo[key] = _mean(hits, trials, workers)
+            commit()
     # the same fractional sample count as EnergyModel.miss
-    p_det_hat, se_det = _frame_lift(*memo[key], t_sense * model.policy.bandwidth)
-    chunks = memo.setdefault((stream, i, trials, seed), {})
-    harv = _harvest_power_sampler(model.links, model.primary, model.policy, i)
+    p_det_hat, se_det = _frame_lift(*memo[key], t_sense * policy.bandwidth)
     m = np.asarray(f.coeffs.snr_means, dtype=float)
 
     def draw(ci, n):
         raw = chunks.get(ci)
         if raw is None:
-            # each chunk is one key, written by the one worker that maps it
-            rng = _chunk_rng(seed, stream, ci)
-            raw = chunks[ci] = (rng.random(n), harv(rng, n),
-                                rng.exponential(1.0, (n, m.size)))
+            raw = chunks[ci] = frame_raw(_chunk_rng(seed, stream, ci), n)
         u01, p_h, est = raw
         detected = u01 < p_det_hat
         return detected, p_h, _selects(est, m, i, ~detected)

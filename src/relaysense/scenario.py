@@ -9,13 +9,15 @@ floor; times, rates, frequencies and distances take the usual suffixes.
 from __future__ import annotations
 
 import configparser
+import itertools
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 from .energy_opt import EnergyModel
 from .fading import LinkSet, PrimaryModel
-from .sensing import SecondaryPolicy
+from .sensing import SecondaryPolicy, _capped_power
 from .transmission import rho_from_doppler
 
 _UNIT_RE = re.compile(r"^\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([a-zA-Z]*)\s*$")
@@ -155,10 +157,13 @@ def scenario_from_conf(conf: dict) -> Scenario:
     report slot outside the frame, a non-positive data rate, a sensing slot
     shorter than one sample or beyond the listen window, a data floor that
     is negative or not finite, a trial count that is not a whole number of
-    at least two, fewer than one worker, or a relay index out of range.
+    at least two, fewer than one worker, a relay index out of range, or a
+    power whose noise-normalised means leave the float range
+    (`_check_snr_range`).
     """
     try:
         scn = _parse_scenario(conf)
+        _check_snr_range(scn.links, scn.primary, scn.policy)
         scn.n_samples  # raises on a sensing slot shorter than one sample
         if not 0.0 < scn.t_report < scn.t_total:
             raise ConfigError("need 0 < frame.t_report < frame.t_total, got %g s and %g s"
@@ -183,6 +188,42 @@ def scenario_from_conf(conf: dict) -> Scenario:
         raise ConfigError("sim.relay %d out of range: the scenario has %d relay(s)"
                           % (scn.relay, scn.links.n_relays))
     return scn
+
+
+def _normal(values) -> bool:
+    """Whether each value and its reciprocal are positive normal floats."""
+    return all(sys.float_info.min <= v <= 1.0 / sys.float_info.min for v in values)
+
+
+def _check_snr_range(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy):
+    """Reject a power that puts a noise-normalised mean, or its reciprocal,
+    outside the normal float range: the closed forms divide by both, and an
+    inf or a 0 there ends in a nan or a traceback. The means are the
+    interference tx_power * g / noise_power at every receiver, and each
+    secondary hop's SNR p * g / noise_power at both power limits: the cap
+    p_max alone (every primary detected) and its harmonic combination with
+    the interference cap (none detected)."""
+    n0 = policy.noise_power
+    scale = primary.tx_power / n0
+    # on Python floats, which overflow to inf without a warning
+    gains = links.g_pu_dst.tolist() + links.g_pu_relay.ravel().tolist()
+    if not _normal(scale * g for g in gains):
+        raise ConfigError("primary.tx_power must keep each interference mean "
+                          "tx_power * g / noise_power and its reciprocal normal floats, "
+                          "got %g W" % primary.tx_power)
+
+    def hops(miss):
+        p_src = _capped_power(policy, float(links.peak_pu_src), miss)
+        return itertools.chain(
+            (p_src * g / n0 for g in links.g_src_relay.tolist()),
+            (_capped_power(policy, float(peak), miss) * g / n0
+             for peak, g in zip(links.peak_pu_relay, links.g_relay_dst.tolist())))
+
+    for key, miss in (("p_max", 0.0), ("interference_cap", 1.0)):
+        if not _normal(hops(miss)):
+            raise ConfigError("policy.%s must keep each secondary hop's mean SNR "
+                              "p * g / noise_power and its reciprocal normal floats, got %g W"
+                              % (key, getattr(policy, key)))
 
 
 def _parse_scenario(conf: dict) -> Scenario:

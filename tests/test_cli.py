@@ -253,6 +253,22 @@ class TestBadInput:
         assert err.startswith("config error: %s" % override.split("=")[0])
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("override, command", [
+        # a noise-normalised mean, or its reciprocal, that leaves the normal
+        # float range used to end in a traceback (an interference mean of
+        # inf, so 1/m = 0 in the fixed-gain normaliser) or print nan with
+        # exit 0 (an SNR of inf in the selection terms)
+        ("primary.tx_power=1e300 W", command) for command in
+        ("validate", "optimize", "detect", "outage", "harvest", "energy")] + [
+        ("policy.p_max=1e300 W", "outage"), ("policy.p_max=1e300 W", "energy"),
+        ("policy.p_max=1e-310 W", "outage"), ("policy.interference_cap=1e-310 W", "optimize"),
+    ])
+    def test_out_of_range_power_names_its_key(self, override, command, capsys):
+        assert run(["--no-mc", "--set", override, command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: %s must " % override.split("=")[0])
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("override", [
         # a zero noise floor zeroes every dB-relative power, which used to
         # be reported against the first of them

@@ -14,7 +14,6 @@ from relaysense.mcsim import (
     _held_mean,
     _mean,
     _reduce,
-    _seeded,
     _selects,
     _thinned,
     mc_clipped_gain,
@@ -32,6 +31,13 @@ from relaysense.transmission import build_trans_coeffs, outage_probability
 
 from test_sensing import fig3_setup, rel_noise_db, N0
 from test_transmission import fig4_setup
+
+
+def _seeded(sampler, seed, stream):
+    """The chunk function fn(ci, n) = sampler(rng, n) on chunk ci's own
+    Philox stream of (seed, stream), looked up on the module so that a
+    patched `mcsim._chunk_rng` applies."""
+    return lambda ci, n: sampler(mcsim._chunk_rng(seed, stream, ci), n)
 
 
 @pytest.fixture
@@ -360,9 +366,46 @@ class TestEcgAgreement:
         assert abs(est.z_score(total_energy(m, scn.relay, t_sense))) <= Z_LIMIT
 
 
+def _mask_kernel(rng, n, gains, duty, weights=None):
+    """`_thinned` as it was before masked fades: the boolean on-mask and the
+    fades drawn apart, and the mask applied after the gain."""
+    L = len(gains)
+    on = rng.random((n, L)) < duty
+    fade = rng.exponential(1.0, (n, L))
+    if L >= 8:
+        fade *= gains
+        fade *= on
+        if weights is not None:
+            fade *= weights
+        return np.sum(fade, axis=1)
+    total = 0.0
+    for l in range(L):
+        col = fade[:, l] * gains[l]
+        col *= on[:, l].copy()
+        if weights is not None:
+            col *= weights[l]
+        total += col
+    return total
+
+
 class TestKernelBits:
     """The per-chunk kernels work column by column in the order numpy's
     array forms would, so they give the array forms' bits."""
+
+    @pytest.mark.parametrize("n_pu", range(1, 13))
+    def test_masked_fades_equal_the_mask_kernel(self, n_pu):
+        # masking the fade before its gain gives the bits of masking after
+        # it, from the tiniest to the largest gains a LinkSet admits
+        rng = np.random.default_rng(100 + n_pu)
+        n = 4096
+        for gains in (rng.permutation(np.logspace(-12, 12, n_pu)),
+                      np.exp(rng.uniform(-300.0, 300.0, n_pu)),
+                      np.exp(rng.uniform(-170.0, 170.0, n_pu))):
+            for duty in (0.0, 0.5, 1.0):
+                for weights in (None, gains):
+                    got = _thinned(_chunk_rng(n_pu, 2, 0), n, gains, duty, weights)
+                    want = _mask_kernel(_chunk_rng(n_pu, 2, 0), n, gains, duty, weights)
+                    assert got.tobytes() == want.tobytes(), (gains, duty, weights)
 
     @pytest.mark.parametrize("n_pu", range(1, 21))
     def test_thinned_equals_row_sum(self, n_pu):
@@ -524,7 +567,7 @@ class TestHeldSlot:
         run(1)
         tapes = mcsim._held[1]
         draws = [x for tape in tapes.values() for _, x in tape]
-        assert [method for method, _ in tapes[0]] == ["random", "exponential"]
+        assert [method for method, _ in tapes[0]] == ["masked_fade"]
         assert draws and not any(x.flags.writeable for x in draws)
         with pytest.raises(ValueError, match="read-only"):
             draws[0][0] = 0.0
@@ -561,10 +604,12 @@ class TestHeldSlot:
         assert _held_mean(sampler, 1, 99, (), 1000, 1) == want[0] == want[1]
 
     def test_concurrent_keys_each_get_fresh_bits(self):
-        # more callers than cores: three on one key, one on another
+        # more callers than cores: three on one key, one on another, and two
+        # frame simulators on fresh models, whose key spans two streams
+        callers = (0, 0, 0, 5, 11, 11)
         run = self.samplers(trials=20_000)
         want = {}
-        for stream in (0, 5):
+        for stream in (0, 5, 11):
             mcsim.clear_held()
             want[stream] = self.bits(run[stream](1))
         mcsim.clear_held()
@@ -574,7 +619,7 @@ class TestHeldSlot:
             for _ in range(6):
                 got.append((stream, self.bits(run[stream](1))))
 
-        threads = [threading.Thread(target=calls, args=(stream,)) for stream in (0, 0, 0, 5)]
+        threads = [threading.Thread(target=calls, args=(stream,)) for stream in callers]
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -585,13 +630,48 @@ class TestHeldSlot:
         finally:
             sys.setswitchinterval(old)
         assert not any(th.is_alive() for th in threads)
-        assert sorted(got) == sorted((stream, want[stream]) for stream in (0, 0, 0, 5) * 6)
+        assert sorted(got) == sorted((stream, want[stream]) for stream in callers * 6)
 
-    @pytest.mark.parametrize("name", ["fig3", "fig4"])
+    def test_fresh_models_on_one_seed_replay_their_frame_draws(self, rng_keys):
+        # fig6's rows: a new geometry, so a new model, per row, on one seed
+        scns = [scenario_from_conf(ladder_conf(preset("fig6"), d, 3))
+                for d in (0.1, 0.2, 0.3, 0.4)]
+
+        def run(scn):
+            return self.bits(mc_frame_energy(scn.energy_model(), scn.relay, scn.t_sense,
+                                             self.TRIALS, 3))
+
+        want = []
+        for scn in scns:
+            mcsim.clear_held()
+            want.append(run(scn))
+        mcsim.clear_held()
+        opened = []
+        for scn, bits in zip(scns, want):
+            rng_keys.clear()
+            assert run(scn) == bits
+            opened.append(sorted({stream for _, stream, _ in rng_keys}))
+        assert opened == [[11, 13], [11, 13], [], []]
+        L, M = scns[0].links.n_primary, scns[0].links.n_relays
+        assert mcsim._held[0] == (3, (11, 13), self.TRIALS, (L, M), scns[0].primary.duty)
+        # the hit rate's draws, then the uniforms, harvest fades and selection exponentials
+        held = sum(x.nbytes for tape in mcsim._held[1].values() for _, x in tape)
+        assert held == self.TRIALS * (8 * L * (M + 1) + 8 * M + 8 * (1 + L + M))
+
+    def test_validate_then_energy_records_nothing(self, capsys):
+        # one preset, default, as a cli-queries pass runs it
+        argv = ["--trials", "4096"]
+        assert cli.main(argv + ["validate"]) == 0
+        assert cli.main(argv + ["energy"]) == 0
+        assert mcsim._held[1] is None
+
+    @pytest.mark.parametrize("name", ["fig3", "fig4", "fig6", "fig8"])
     def test_figure_rows_equal_rows_drawn_afresh(self, name, tmp_path, monkeypatch):
         argv = ["--trials", "4096", "--out"]
         assert cli.main(argv + [str(tmp_path / "held.csv"), "figure", name]) == 0
-        assert mcsim._held[1] is not None
+        # fig8's rows share one model per primary count, whose memo keeps the
+        # draws, so only its first row of each goes through the slot
+        assert (mcsim._held[1] is None) == (name == "fig8")
         header, points = cli.FIGURES[name]
 
         def cleared(conf, no_mc):
@@ -606,13 +686,13 @@ class TestHeldSlot:
         monkeypatch.setitem(cli.FIGURES, name, (header, cleared))
         assert cli.main(argv + [str(tmp_path / "fresh.csv"), "figure", name]) == 0
         held = (tmp_path / "held.csv").read_bytes()
-        assert held.count(b"\n") == (46 if name == "fig3" else 49)
+        assert held.count(b"\n") == {"fig3": 46, "fig4": 49, "fig6": 21, "fig8": 39}[name]
         assert held == (tmp_path / "fresh.csv").read_bytes()
 
 
 class TestHeldMasks:
-    """The held slot keeps the activity draws as their on-mask, so the duty
-    they were compared with is part of the key."""
+    """The held slot keeps the activity draws as masked fades, zero where a
+    primary is off, so the duty they were compared with is part of the key."""
 
     TRIALS = CHUNK + 4_000
 
@@ -643,18 +723,19 @@ class TestHeldMasks:
         assert sorted(k for k in rng_keys if k[1] == stream) == [(3, stream, 0), (3, stream, 1)]
         assert mcsim._held[0][4] == 0.3 and mcsim._held[1] is None
 
-    def test_tapes_hold_one_byte_per_activity_draw(self):
+    def test_tapes_hold_one_masked_fade_per_activity_draw(self):
         scn = scenario_from_conf(preset("fig7"))
         L, M = scn.links.n_primary, scn.links.n_relays
         run = self.samplers(scn.primary.duty)[0]
         run()
         run()
         tapes = mcsim._held[1]
-        masks = [x for tape in tapes.values() for method, x in tape if x.dtype == bool]
-        assert masks and {x.shape[1] for x in masks} == {L}
-        assert len(masks) == len(tapes) * (M + 1)
+        assert {x.dtype for tape in tapes.values() for _, x in tape} == {np.dtype(float)}
+        masked = [x for tape in tapes.values() for method, x in tape if method == "masked_fade"]
+        assert masked and {x.shape[1] for x in masked} == {L}
+        assert len(masked) == len(tapes) * (M + 1)
         held = sum(x.nbytes for tape in tapes.values() for _, x in tape)
-        assert held == self.TRIALS * (9 * L * (M + 1) + 8 * M)
+        assert held == self.TRIALS * (8 * L * (M + 1) + 8 * M)
 
 
 class TestPinnedMeans:
