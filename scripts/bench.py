@@ -2,7 +2,7 @@
 """Time start-up, the special functions, the data-phase chain and every Monte
 Carlo sampler, and write a BENCH_<n>.json file.
 
-    PYTHONPATH=src python3 scripts/bench.py --out BENCH_5.json
+    PYTHONPATH=src python3 scripts/bench.py --out BENCH_6.json
     PYTHONPATH=src python3 scripts/bench.py --trials 65536 --out results/bench.json
     PYTHONPATH=src python3 scripts/bench.py --only startup --out results/startup.json
     PYTHONPATH=src python3 scripts/bench.py --only chain --out results/chain.json
@@ -22,9 +22,11 @@ relays) and `fig7` (4 relays) presets, the best of `REPEAT` timed loops:
 `LinkSet.gain_src_relay`, `transmission.build_trans_coeffs`,
 `EnergyModel.frame` at a sensing time the model has not seen (so it builds
 the frame), `transmission.outage_probability`, and `optimize_sensing_time`
-on a fresh `EnergyModel` (built before the timed loop). Also the
-construction of a `LinkSet` (gains, checks and peak gains) on `default`,
-`fig3` and fig3's L = 12 ladder.
+on a fresh `EnergyModel` (built before the timed loop). The last two of
+these, the fresh frame and the optimisation, also on the `figure table1`
+cell with 4 relays and 4 primaries (`table1-M4L4`), the largest of the 16
+optimisations. Also the construction of a `LinkSet` (gains, checks and
+peak gains) on `default`, `fig3` and fig3's L = 12 ladder.
 
 `mc`: each `mcsim.mc_*` sampler runs on the `default` and `fig7` presets at
 a fixed seed, with 1 and 2 workers, `REPEAT` times; every time is reported
@@ -70,7 +72,7 @@ import relaysense  # noqa: E402
 from relaysense import energy_opt, mcsim, sensing, specfun, transmission  # noqa: E402
 from relaysense.fading import LinkSet  # noqa: E402
 from relaysense.scenario import (apply_overrides, ladder_conf, preset,  # noqa: E402
-                                 scenario_from_conf)
+                                 relay_ladder_conf, scenario_from_conf)
 
 UNIT = 1 << 20
 PRESETS = ("default", "fig7")
@@ -81,6 +83,13 @@ SECTIONS = ("startup", "specfun", "chain", "mc")
 # (name, config) of the geometries whose LinkSet construction is timed
 LINKSETS = (("default", lambda: preset("default")), ("fig3", lambda: preset("fig3")),
             ("fig3-L12", lambda: ladder_conf(preset("fig3"), 0.4, 12)))
+# (name, config, the steps timed or None for all) of the data-phase chain's
+# geometries; table1-M4L4 is the `figure table1` cell with 4 relays and 4
+# primaries, timed on the optimiser's two steps
+CHAIN_CELLS = tuple((name, lambda name=name: preset(name), None) for name in PRESETS) + (
+    ("table1-M4L4", lambda: relay_ladder_conf(ladder_conf(preset("table1"), 1.0, 4, 0.01),
+                                              0.5, 0.5, 4, 0.005),
+     ("EnergyModel.frame", "optimize_sensing_time")),)
 
 # (name, kernel, a typical scalar argument)
 KERNELS = (("bessel_k1_scaled", specfun.bessel_k1_scaled, 3.0),
@@ -155,10 +164,11 @@ def specfun_rows():
 
 
 def chain_rows():
-    """us per call of each data-phase step on each preset."""
+    """us per call of each data-phase step on each preset, then of a fresh
+    frame and an optimisation on the table1 cell."""
     rows = []
-    for name in PRESETS:
-        scn = scenario_from_conf(preset(name))
+    for name, conf, only in CHAIN_CELLS:
+        scn = scenario_from_conf(conf())
         links, primary, policy = scn.links, scn.primary, scn.policy
         model = scn.energy_model()
         pd = model.frame(scn.t_sense).p_detect
@@ -175,6 +185,8 @@ def chain_rows():
                 m, scn.relay, scn.d_star), scn.energy_model),
         )
         for step, fn, make in steps:
+            if only and step not in only:
+                continue
             rows.append({"preset": name, "relays": links.n_relays, "step": step,
                          "us_per_call": 1e6 * _best_per_call(fn, make)})
     for name, conf in LINKSETS:
@@ -352,7 +364,7 @@ def table(rows):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--trials", type=int, default=UNIT, help="draws per sampler call")
-    ap.add_argument("--out", default="BENCH_5.json", help="output JSON path")
+    ap.add_argument("--out", default="BENCH_6.json", help="output JSON path")
     ap.add_argument("--only", choices=SECTIONS, action="append",
                     help="measure only this section (repeatable); default: all")
     args = ap.parse_args(argv)

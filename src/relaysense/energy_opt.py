@@ -10,6 +10,11 @@ energy has a genuine interior trade-off. The data-rate floor enters
 through an equivalent SNR-form constraint that is exactly monotone and
 convex in the sensing time, which keeps the one-dimensional search and the
 multiplier bookkeeping elementary.
+
+Each sensing time the search visits costs one frame build
+(`EnergyModel.frame`): a miss probability, one `build_trans_coeffs` and
+the relays' selection odds, all on Python floats and with no special
+function, since nothing here reads the outage's AF gain normaliser.
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ class Frame:
 
     The transmission coefficients do not depend on the relay, so one build
     serves every relay's selection probability (prr) and transmit-slot power
-    (e_transmit, W). Listening is charged in two accounts: the frame energy
+    (e_transmit, W). The frame never reads the coefficients' AF gain
+    normaliser, so building one evaluates no special function. Listening is charged in two accounts: the frame energy
     takes e_listen (J), quadratic in t_sense (listen power times sample
     count times slot), and the ECG takes `listen_linear`, the conventional
     account linear in t_sense.

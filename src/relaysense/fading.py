@@ -12,6 +12,7 @@ an `InterferenceLaw`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -228,9 +229,24 @@ def _positive_means(means):
 
 
 def _subsets(n, size):
-    """Index rows of the size-subsets of range(n), in itertools.combinations order."""
-    idx = itertools.chain.from_iterable(itertools.combinations(range(n), size))
-    return np.fromiter(idx, dtype=np.intp).reshape(-1, size)
+    """Index rows of the size-subsets of range(n), size >= 1, in
+    itertools.combinations order; read-only, shared by every caller."""
+    return _subset_rows(n)[size - 1]
+
+
+@functools.lru_cache(maxsize=1)
+def _subset_rows(n):
+    """The index rows of every size 1..n, built together and kept for the
+    last n only. One scenario asks for one n, and an interference law at n
+    holds these same rows, so the cache holds no more than one evaluation
+    at n allocates anyway."""
+    rows = []
+    for size in range(1, n + 1):
+        idx = itertools.chain.from_iterable(itertools.combinations(range(n), size))
+        a = np.fromiter(idx, dtype=np.intp).reshape(-1, size)
+        a.flags.writeable = False
+        rows.append(a)
+    return tuple(rows)
 
 
 def _add_in_order(total, terms):

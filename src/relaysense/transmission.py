@@ -8,7 +8,11 @@ SNR on the selected estimate turns each subset term into a single decaying
 exponential. The formulation never divides by mean differences, so
 identically placed relays are fine here.
 
-`build_trans_coeffs` derives every data-phase constant, in one place. The
+`build_trans_coeffs` derives every data-phase constant, in one place; the
+AF gain normaliser, the one constant that needs a special function (E1),
+is derived on its first read, which only the outage makes. `_subset_terms`
+is the one source of the selection odds and of the outage's subset terms;
+it runs on Python floats, since a frame needs a few dozen scalar terms. The
 selected relay's dual-hop tail is the detector's AF kernel, `sensing._af_tail`.
 """
 
@@ -17,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,15 +43,25 @@ class TransCoeffs:
     interference-limited transmit powers p_src and p_relay (W), whose
     interference half scales with the miss probability 1 - p_detect (the
     primaries only suffer while the band is misread), and per relay i the
-    mean first-hop SNR snr_first[i] = p_src * g_sr,i / N0, the fixed AF gain
-    normaliser u_trans[i] over that exponential hop and the mean estimated
-    relay->destination SNR snr_means[i], which drives selection."""
+    mean first-hop SNR snr_first[i] = p_src * g_sr,i / N0, its inverse as
+    the AF gain normaliser reads it, inv_first[i] = N0 / (p_src * g_sr,i),
+    and the mean estimated relay->destination SNR snr_means[i], which
+    drives selection.
+
+    The fixed AF gain normaliser u_trans[i] over the exponential first hop
+    is derived from inv_first on its first read: only the outage reads it,
+    so a frame never evaluates its E1."""
 
     p_src: float
     p_relay: tuple
-    u_trans: tuple
     snr_means: tuple
     snr_first: tuple
+    # not 1 / snr_first: the two differ in the last bit on about a quarter of inputs
+    inv_first: tuple
+
+    @cached_property
+    def u_trans(self) -> tuple:
+        return tuple(1.0 / float(c * exp_scaled_gamma_upper_0(c)) for c in self.inv_first)
 
 
 def build_trans_coeffs(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
@@ -57,54 +72,71 @@ def build_trans_coeffs(links: LinkSet, primary: PrimaryModel, policy: SecondaryP
     n0 = policy.noise_power
     p_src = _capped_power(policy, links.peak_pu_src, miss)
     p_rel = tuple(_capped_power(policy, peak, miss) for peak in links.peak_pu_relay)
-    g_sr = [links.gain_src_relay(i) for i in range(links.n_relays)]
-    # not 1 / snr_first: the two differ in the last bit on about a quarter of inputs
-    c = [n0 / (p_src * g) for g in g_sr]
+    g_sr = links.g_src_relay.tolist()
     return TransCoeffs(
         p_src=p_src, p_relay=p_rel,
-        u_trans=tuple(1.0 / float(ci * exp_scaled_gamma_upper_0(ci)) for ci in c),
-        snr_means=tuple(p * links.gain_relay_dst(i) / n0 for i, p in enumerate(p_rel)),
-        snr_first=tuple(p_src * g / n0 for g in g_sr))
+        snr_means=tuple(p * g / n0 for p, g in zip(p_rel, links.g_relay_dst.tolist())),
+        snr_first=tuple(p_src * g / n0 for g in g_sr),
+        inv_first=tuple(n0 / (p_src * g) for g in g_sr))
 
 
 def _subset_terms(snr_means, i, rho):
     """Inclusion-exclusion terms of relay i's selection event.
 
-    Yields (psi, phi, amp, rate) per subset of competitors, where the
-    selected-then-decorrelated density contribution is amp * exp(-rate * x).
-    Stable for rho in [0, 1] including both endpoints.
+    Yields (psi, phi, amp, rate) per subset of competitors, in
+    itertools.combinations order, where the selected-then-decorrelated
+    density contribution is amp * exp(-rate * x). Stable for rho in [0, 1]
+    including both endpoints. Works on Python floats, with each inverse
+    mean taken once and each competitor sum added left to right from 0
+    (written out: `sum` compensates float sums from Python 3.12 on).
     """
-    m = np.asarray(snr_means, dtype=float)
-    if np.any(m <= 0.0):
+    m = [float(v) for v in snr_means]
+    if any(v <= 0.0 for v in m):
         raise ValueError("estimated SNR means must be positive")
-    _check_index(i, m.size)
-    others = [j for j in range(m.size) if j != i]
-    one_minus = 1.0 - rho * rho
+    _check_index(i, len(m))
+    inv = [1.0 / v for v in m]
+    others = inv[:i] + inv[i + 1:]
+    m_i, inv_i = m[i], inv[i]
+    rho2 = rho * rho
+    one_minus = 1.0 - rho2
     out = []
     for size in range(len(others) + 1):
+        psi = -inv_i if size % 2 else inv_i
         for sub in itertools.combinations(others, size):
-            phi = 1.0 / m[i] + sum(1.0 / m[j] for j in sub)
-            psi = ((-1.0) ** size) / m[i]
-            d = one_minus * m[i] * phi + rho * rho
+            total = 0
+            for v in sub:
+                total += v
+            phi = inv_i + total
+            d = one_minus * m_i * phi + rho2
             out.append((psi, phi, psi / d, phi / d))
     return out
 
 
+def _selection_prob(terms):
+    """Sum of psi / phi over the terms, left to right from 0."""
+    total = 0
+    for psi, phi, _, _ in terms:
+        total += psi / phi
+    return float(total)
+
+
 def relay_selection_prob(snr_means, i: int) -> float:
     """Probability that relay i has the largest estimated SNR."""
-    terms = _subset_terms(snr_means, i, 0.0)
-    return float(sum(psi / phi for psi, phi, _, _ in terms))
+    return _selection_prob(_subset_terms(snr_means, i, 0.0))
 
 
 def _selected_cdf_weighted(x, u, a_mean, terms):
     # Pr[selected] * CDF of the end-to-end SNR given selection, at x >= 0
     scalar, x = _points(x, "SNR threshold must be non-negative")
-    prr = float(sum(psi / phi for psi, phi, _, _ in terms))
-    out = np.full_like(x, prr)
+    out = np.full_like(x, _selection_prob(terms))
     pos = x > 0.0
     xp = x[pos]
     for _, _, amp, rate in terms:
-        out[pos] -= (amp / rate) * _af_tail(xp, a_mean, xp * u * rate / a_mean)
+        # q overflows only where u is near the float limit (a tiny amplifier
+        # cap); `_af_tail` clips an infinite q to a zero tail, so it is not warned
+        with np.errstate(over="ignore"):
+            q = xp * u * rate / a_mean
+        out[pos] -= (amp / rate) * _af_tail(xp, a_mean, q)
     out[x == 0.0] = 0.0
     return float(out[0]) if scalar else out
 

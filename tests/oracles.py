@@ -219,3 +219,27 @@ def subset_max_exp_expectation(means):
         for idx in itertools.combinations(range(rates.size), size):
             total += sign / rates[list(idx)].sum()
     return total
+
+
+# --- best-relay selection, on numpy scalars ----------------------------------
+
+def numpy_subset_terms(snr_means, i, rho):
+    """Relay i's inclusion-exclusion selection terms (psi, phi, amp, rate),
+    written on numpy float64 scalars with numpy's own reductions. The library
+    evaluates the same expressions on Python floats, in the same order, so
+    the two agree bit for bit."""
+    m = np.asarray(snr_means, dtype=float)
+    others = [j for j in range(m.size) if j != i]
+    one_minus = 1.0 - rho * rho
+    out = []
+    for size in range(len(others) + 1):
+        for sub in itertools.combinations(others, size):
+            phi = 1.0 / m[i] + sum(1.0 / m[j] for j in sub)
+            psi = ((-1.0) ** size) / m[i]
+            d = one_minus * m[i] * phi + rho * rho
+            out.append((psi, phi, psi / d, phi / d))
+    return out
+
+
+def numpy_selection_prob(snr_means, i):
+    return float(sum(psi / phi for psi, phi, _, _ in numpy_subset_terms(snr_means, i, 0.0)))

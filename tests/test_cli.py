@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -296,6 +297,15 @@ class TestSingleQuantityCommands:
     def test_outage(self, capsys):
         assert run(["--no-mc", "outage"]) == 0
         assert "p_outage_analytic" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("p_max", ["1e-300", "1e-250", "1e-200"])
+    def test_tiny_amplifier_cap_is_certain_outage(self, p_max, capsys):
+        # the AF gain normaliser sits near the float limit here, so the
+        # outage kernel's argument overflows to inf: a zero tail, not a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["--no-mc", "--set", "policy.p_max=%s W" % p_max, "outage"]) == 0
+        assert capsys.readouterr().out.startswith("p_outage_analytic = 1  ")
 
     def test_harvest(self, capsys):
         assert run(["--no-mc", "harvest"]) == 0

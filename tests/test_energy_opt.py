@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relaysense import cli, energy_opt, fading, harvest, mcsim, sensing, transmission
+from relaysense import (cli, energy_opt, fading, harvest, mcsim, sensing, specfun,
+                        transmission)
 from relaysense.energy_opt import (
     CONSTRAINT_TOL,
     TIME_TOL,
@@ -452,6 +453,24 @@ class TestCoefficientBuilds:
         scn = scenario_from_conf(c)
         optimize_sensing_time(scn.energy_model(), scn.relay, scn.d_star)
         assert len(builds) <= 38
+
+    def test_table1_optimise_evaluates_no_e1(self, monkeypatch):
+        # a frame never reads the AF gain normaliser, the one data-phase
+        # constant that needs E1; the outage reads it, once per relay
+        c = relay_ladder_conf(ladder_conf(preset("table1"), 1.0, 4, 0.01),
+                              0.5, 0.5, 4, 0.005)
+        scn = scenario_from_conf(c)
+        model = scn.energy_model()
+        calls = []
+        for mod in (specfun, sensing, transmission):
+            real = mod.exp_scaled_gamma_upper_0
+            monkeypatch.setattr(mod, "exp_scaled_gamma_upper_0",
+                                lambda x, real=real: calls.append(x) or real(x))
+        opt = optimize_sensing_time(model, scn.relay, scn.d_star)
+        assert calls == []
+        transmission.outage_probability(scn.gamma_th, scn.links, scn.primary, scn.policy,
+                                        model.frame(opt.t_sense).p_detect, scn.rho)
+        assert len(calls) == scn.links.n_relays == 4
 
 
 # every public entry point that takes a relay index, called on relay i of m

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from relaysense import fading
 from relaysense.fading import (
     LinkSet,
     PrimaryModel,
@@ -94,6 +95,23 @@ class TestActivityMixture:
             assert w.shape == (len(rows), r)
             for row, sub in zip(w, subs):
                 assert row.tolist() == partial_fraction_weights(sub).tolist()
+
+    def test_index_rows_are_built_once_per_size_and_shared(self):
+        # every law and peak gain at one L reads the same read-only rows;
+        # only a new L builds them again, and only the last L is kept
+        fading._subset_rows.cache_clear()
+        means = [1.0, 2.0, 4.0, 8.0, 16.0]
+        laws = [activity_mixture(means, duty, 1.0) for duty in (0.3, 0.7)]
+        max_exp_expectation(means)
+        assert fading._subset_rows.cache_info().misses == 1
+        for (_, a, _), (_, b, _) in zip(*(law.groups for law in laws)):
+            assert a is b and not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1
+        activity_mixture(means[:3], 0.5, 1.0)
+        activity_mixture(means, 0.5, 1.0)
+        info = fading._subset_rows.cache_info()
+        assert (info.misses, info.currsize) == (3, 1)
 
 
 class TestHypoexp:

@@ -1,0 +1,130 @@
+"""Bit-exact pins of the sensing-time optimiser and of the outage closed form.
+
+Every value is stored as `float.hex`, so a change in the last bit of any
+output fails here. The values were written by the implementation whose
+selection terms ran on numpy scalars and whose coefficient builder derived
+the AF gain normaliser eagerly; they are the reference any rewrite of the
+data-phase chain must keep.
+"""
+
+import pytest
+
+from relaysense import energy_opt, sensing, transmission
+from relaysense.scenario import (apply_overrides, ladder_conf, preset, relay_ladder_conf,
+                                 scenario_from_conf)
+
+# (relays, primaries): (t_sense, multiplier, energy, data, constraint_active),
+# the `figure table1` cells
+TABLE1 = {
+    (1, 1): ("0x1.f59280e9815aep-19", "0x0.0p+0",
+             "0x1.79edecbb81942p-15", "0x1.2ede6470dbcc9p+6", False),
+    (1, 2): ("0x1.24d8bc97bfcfcp-19", "0x0.0p+0",
+             "0x1.ad2c0307e2afbp-16", "0x1.29ec9182e2635p+5", False),
+    (1, 3): ("0x1.ae02d17ae7e94p-20", "0x0.0p+0",
+             "0x1.37acec377f803p-16", "0x1.960ad37f10b4cp+4", False),
+    (1, 4): ("0x1.65f2a45ce0c84p-20", "0x0.0p+0",
+             "0x1.f9bcb52cf1590p-17", "0x1.13bf5b3a6b2d8p+4", False),
+    (2, 1): ("0x1.4319ac6a7ea63p-19", "0x0.0p+0",
+             "0x1.e85e153eebbd7p-16", "0x1.8f351c3d66e40p+5", False),
+    (2, 2): ("0x1.7a54e30325486p-20", "0x0.0p+0",
+             "0x1.187c06d3af8adp-16", "0x1.a15a151e32c74p+4", False),
+    (2, 3): ("0x1.186dbea93cd6ep-20", "0x0.0p+0",
+             "0x1.9c87cb1d02e28p-17", "0x1.2639e602583c5p+4", False),
+    (2, 4): ("0x1.d469118e2e0cap-21", "0x0.0p+0",
+             "0x1.536801e9a74e0p-17", "0x1.baf3afa8ec585p+3", False),
+    (3, 1): ("0x1.dc3c075d0db9ep-20", "0x0.0p+0",
+             "0x1.6b70b79f08406p-16", "0x1.37ba9b675e26bp+5", False),
+    (3, 2): ("0x1.23fc0c21c64b1p-20", "0x0.0p+0",
+             "0x1.a5233d3aae1b7p-17", "0x1.0a460597ec915p+4", False),
+    (3, 3): ("0x1.a62fdbac083c0p-21", "0x0.0p+0",
+             "0x1.36c31205fd87bp-17", "0x1.bda7b7b1d0ecdp+3", False),
+    (3, 4): ("0x1.7281ed34459b2p-21", "0x0.0p+0",
+             "0x1.03945349d4091p-17", "0x1.09ef39c1db043p+3", False),
+    (4, 1): ("0x1.85e3307baebc9p-20", "0x0.0p+0",
+             "0x1.2334a22249dfbp-16", "0x1.c28fbffb525efp+4", False),
+    (4, 2): ("0x1.cef458f8913c6p-21", "0x0.0p+0",
+             "0x1.517aa026820afp-17", "0x1.c92301fee582bp+3", False),
+    (4, 3): ("0x1.5b65524332b2ep-21", "0x0.0p+0",
+             "0x1.f5a0aace8d608p-18", "0x1.403e06c1201bdp+3", False),
+    (4, 4): ("0x1.27b763cb70120p-21", "0x0.0p+0",
+             "0x1.a369be6cd8c65p-18", "0x1.d91417422f851p+2", False),
+}
+
+# (rho, p_max dB): outage probability, the `figure fig4` grid
+FIG4 = {
+    (0.5, 0): "0x1.af5f273ec6800p-12",
+    (0.5, 2): "0x1.0f79012d5c000p-12",
+    (0.5, 4): "0x1.55ba0fc0bf000p-13",
+    (0.5, 6): "0x1.ae35d84f94000p-14",
+    (0.5, 8): "0x1.0ed5124f42000p-14",
+    (0.5, 10): "0x1.550863b9f8000p-15",
+    (0.5, 12): "0x1.ad78ff9f30000p-16",
+    (0.5, 14): "0x1.0e73157138000p-16",
+    (0.5, 16): "0x1.54a5e62e40000p-17",
+    (0.5, 18): "0x1.ad1a7f7a20000p-18",
+    (0.5, 20): "0x1.0e490bd600000p-18",
+    (0.5, 22): "0x1.5485994e40000p-19",
+    (0.5, 24): "0x1.ad0a341080000p-20",
+    (0.5, 26): "0x1.0e4d315c80000p-20",
+    (0.5, 28): "0x1.549bdb7d00000p-21",
+    (0.5, 30): "0x1.ad3a662c00000p-22",
+    (0.9, 0): "0x1.37ba568823800p-12",
+    (0.9, 2): "0x1.8798bcdc42000p-13",
+    (0.9, 4): "0x1.ec18e0eb64000p-14",
+    (0.9, 6): "0x1.354a5650ea000p-14",
+    (0.9, 8): "0x1.84e508b998000p-15",
+    (0.9, 10): "0x1.e91bdd8598000p-16",
+    (0.9, 12): "0x1.33a47a7468000p-16",
+    (0.9, 14): "0x1.8315709820000p-17",
+    (0.9, 16): "0x1.e720c0fa20000p-18",
+    (0.9, 18): "0x1.3290c54f80000p-18",
+    (0.9, 20): "0x1.81ebf3f5c0000p-19",
+    (0.9, 22): "0x1.e5e2fd0900000p-20",
+    (0.9, 24): "0x1.31e94e7100000p-20",
+    (0.9, 26): "0x1.813e98a900000p-21",
+    (0.9, 28): "0x1.e533fdc600000p-22",
+    (0.9, 30): "0x1.31942de800000p-22",
+    (1, 0): "0x1.e58de36b2e000p-13",
+    (1, 2): "0x1.303c30393d000p-13",
+    (1, 4): "0x1.7d7c1191b2000p-14",
+    (1, 6): "0x1.de9b54c9a0000p-15",
+    (1, 8): "0x1.2c5ecf91ec000p-15",
+    (1, 10): "0x1.792df31938000p-16",
+    (1, 12): "0x1.d9ce96c040000p-17",
+    (1, 14): "0x1.29b197a2a0000p-17",
+    (1, 16): "0x1.7631d02520000p-18",
+    (1, 18): "0x1.d67b0a01c0000p-19",
+    (1, 20): "0x1.27d7be0080000p-19",
+    (1, 22): "0x1.74238a0380000p-20",
+    (1, 24): "0x1.d43438d600000p-21",
+    (1, 26): "0x1.2696448600000p-21",
+    (1, 28): "0x1.72c2aeaa00000p-22",
+    (1, 30): "0x1.d2b3707400000p-23",
+}
+
+
+@pytest.mark.parametrize("n_relays, n_pu", sorted(TABLE1))
+def test_table1_optima_keep_their_bits(n_relays, n_pu):
+    conf = relay_ladder_conf(ladder_conf(preset("table1"), 1.0, n_pu, 0.01),
+                             0.5, 0.5, n_relays, 0.005)
+    scn = scenario_from_conf(conf)
+    opt = energy_opt.optimize_sensing_time(scn.energy_model(), scn.relay, scn.d_star)
+    *values, active = TABLE1[n_relays, n_pu]
+    assert [float(v).hex() for v in (opt.t_sense, opt.multiplier, opt.energy, opt.data)] \
+        == values
+    assert opt.constraint_active is active
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9, 1.0])
+def test_fig4_outage_keeps_its_bits(rho):
+    got, want = [], []
+    for db in range(0, 31, 2):
+        scn = scenario_from_conf(
+            apply_overrides(preset("fig4"), ["policy.p_max=%d dB" % db, "csi.rho=%g" % rho]))
+        p = scn.policy
+        pd = sensing.detection_probability(p.threshold, scn.n_samples, scn.links,
+                                           scn.primary, p)
+        got.append(float(transmission.outage_probability(
+            scn.gamma_th, scn.links, scn.primary, p, pd, scn.rho)).hex())
+        want.append(FIG4[rho, db])
+    assert got == want

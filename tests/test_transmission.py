@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from relaysense import specfun, transmission
 from relaysense.fading import LinkSet, PrimaryModel
 from relaysense.mcsim import mc_outage
 from relaysense.scenario import apply_overrides, preset, scenario_from_conf
 from relaysense.sensing import SecondaryPolicy, build_report_gain
 from relaysense.transmission import (
+    _subset_terms,
     build_trans_coeffs,
     outage_probability,
     relay_selection_prob,
@@ -98,6 +100,35 @@ class TestTransCoeffs:
             assert co.snr_first == tuple(co.p_src * links.gain_src_relay(i) / N0
                                          for i in range(n_relays))
 
+    @pytest.mark.parametrize("name", ["default", "fig4", "fig7", "table1"])
+    def test_fields_equal_the_accessor_expressions(self, name):
+        # the builder reads the stored gains as lists; each entry is the
+        # accessor's float, so every field keeps its bits
+        scn = scenario_from_conf(preset(name))
+        links, policy = scn.links, scn.policy
+        n0 = policy.noise_power
+        for p_detect in (0.0, 0.3, 0.95, 1.0):
+            co = build_trans_coeffs(links, scn.primary, policy, p_detect)
+            n = links.n_relays
+            assert co.snr_means == tuple(co.p_relay[i] * links.gain_relay_dst(i) / n0
+                                         for i in range(n))
+            assert co.inv_first == tuple(n0 / (co.p_src * links.gain_src_relay(i))
+                                         for i in range(n))
+            assert co.u_trans == tuple(1.0 / float(c * specfun.exp_scaled_gamma_upper_0(c))
+                                       for c in co.inv_first)
+
+    def test_gain_normaliser_is_derived_on_first_read(self, monkeypatch):
+        scn = scenario_from_conf(preset("fig7"))
+        calls = []
+        real = transmission.exp_scaled_gamma_upper_0
+        monkeypatch.setattr(transmission, "exp_scaled_gamma_upper_0",
+                            lambda c: calls.append(c) or real(c))
+        co = build_trans_coeffs(scn.links, scn.primary, scn.policy, 0.9)
+        assert calls == []
+        u = co.u_trans
+        assert calls == list(co.inv_first) and len(u) == scn.links.n_relays == 4
+        assert co.u_trans is u and len(calls) == 4
+
 
 class TestRelaySelection:
     def test_single_relay_certain(self):
@@ -130,6 +161,44 @@ class TestRelaySelection:
             emp = float(np.mean(picks == i))
             se = math.sqrt(want * (1 - want) / n)
             assert abs(emp - want) < 3.5 * se
+
+
+class TestSelectionTermBits:
+    """The selection terms run on Python floats; the numpy-scalar oracle
+    evaluates the same expressions in the same order, so every term and
+    every selection probability must be equal, not merely close."""
+
+    @staticmethod
+    def mean_sets(rng):
+        for m in range(1, 7):
+            for _ in range(25):
+                yield tuple(10.0 ** rng.uniform(-6.0, 6.0, m))
+            # ties: identically placed relays are a valid deployment
+            yield (float(10.0 ** rng.uniform(-3.0, 3.0)),) * m
+            if m > 2:
+                means = 10.0 ** rng.uniform(-3.0, 3.0, m)
+                means[1::2] = means[0]
+                yield tuple(means)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.9, 1.0])
+    def test_terms_equal_the_numpy_oracle(self, rho):
+        rng = np.random.default_rng(1717)
+        for means in self.mean_sets(rng):
+            for i in range(len(means)):
+                assert _subset_terms(means, i, rho) \
+                    == oracles.numpy_subset_terms(means, i, rho), (means, i)
+
+    def test_selection_probs_equal_the_numpy_oracle(self):
+        rng = np.random.default_rng(1718)
+        for means in self.mean_sets(rng):
+            for i in range(len(means)):
+                assert relay_selection_prob(means, i) \
+                    == oracles.numpy_selection_prob(means, i), (means, i)
+
+    @pytest.mark.parametrize("means", [(1.0, 0.0), (1.0, -2.0)])
+    def test_rejects_non_positive_means(self, means):
+        with pytest.raises(ValueError, match="must be positive"):
+            relay_selection_prob(means, 0)
 
 
 class TestTransE2eCdf:
