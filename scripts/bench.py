@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Time start-up, the special functions, the data-phase chain and every Monte
-Carlo sampler, and write a BENCH_<n>.json file.
+Carlo sampler, and write them as JSON: to `results/bench.json` by default,
+or to a new BENCH_<n>.json baseline with `--out`.
 
-    PYTHONPATH=src python3 scripts/bench.py --out BENCH_6.json
-    PYTHONPATH=src python3 scripts/bench.py --trials 65536 --out results/bench.json
+    PYTHONPATH=src python3 scripts/bench.py
+    PYTHONPATH=src python3 scripts/bench.py --out BENCH_7.json
+    PYTHONPATH=src python3 scripts/bench.py --trials 65536
     PYTHONPATH=src python3 scripts/bench.py --only startup --out results/startup.json
     PYTHONPATH=src python3 scripts/bench.py --only chain --out results/chain.json
 
@@ -19,9 +21,9 @@ with L = 1..12 primaries.
 
 `chain`: microseconds per call of the data-phase chain on the `default` (2
 relays) and `fig7` (4 relays) presets, the best of `REPEAT` timed loops:
-`LinkSet.gain_src_relay`, `transmission.build_trans_coeffs`,
-`EnergyModel.frame` at a sensing time the model has not seen (so it builds
-the frame), `transmission.outage_probability`, and `optimize_sensing_time`
+`transmission.build_trans_coeffs`, `EnergyModel.frame` at a sensing time
+the model has not seen (so it builds the frame),
+`transmission.outage_probability`, and `optimize_sensing_time`
 on a fresh `EnergyModel` (built before the timed loop). The last two of
 these, the fresh frame and the optimisation, also on the `figure table1`
 cell with 4 relays and 4 primaries (`table1-M4L4`), the largest of the 16
@@ -35,8 +37,9 @@ it draws afresh. The four stateless samplers are also timed held: the third
 consecutive call with one key, which replays the draws the second recorded
 (the first two calls are not timed). The frame simulators
 (`mc_frame_energy` with and without harvesting, `mc_ecg`) are timed twice:
-memo-cold, the first call on a fresh `EnergyModel` (it draws and stores the
-raw draws), and memo-warm, a later call at a new sensing time on the same
+memo-cold, the first call on a fresh `EnergyModel` (it draws the hit rate
+and, inside that reduction, the frame draws, and `mcsim` memoises both for
+the model), and memo-warm, a later call at a new sensing time on the same
 model (it redoes only the comparisons). Building the model is not timed.
 `mc_frame_energy` is also timed held on `fig6`, as fig6's rows run it: on a
 fresh model per call, so no memo helps, the third consecutive call replays
@@ -175,7 +178,6 @@ def chain_rows():
         # each call gets a sensing time the model has not seen yet
         fresh_t = (scn.t_sense * (1.0 + 1e-9 * k) for k in itertools.count(1))
         steps = (
-            ("LinkSet.gain_src_relay", links.gain_src_relay, lambda: 0),
             ("build_trans_coeffs", lambda p: transmission.build_trans_coeffs(
                 links, primary, policy, p), lambda: pd),
             ("EnergyModel.frame", model.frame, lambda: next(fresh_t)),
@@ -364,7 +366,7 @@ def table(rows):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--trials", type=int, default=UNIT, help="draws per sampler call")
-    ap.add_argument("--out", default="BENCH_6.json", help="output JSON path")
+    ap.add_argument("--out", default="results/bench.json", help="output JSON path")
     ap.add_argument("--only", choices=SECTIONS, action="append",
                     help="measure only this section (repeatable); default: all")
     args = ap.parse_args(argv)

@@ -161,9 +161,9 @@ class EnergyModel:
     mutating one.
 
     `frame` keeps each sensing time's fields for the model's lifetime, so
-    every reader at one sensing time shares one build. `_mc_memo` holds the
-    frame simulators' draws for the same lifetime; `mcsim` documents its
-    keys and size.
+    every reader at one sensing time shares one build. The model holds no
+    Monte Carlo state: `mcsim` memoises the frame simulators' draws, keyed
+    weakly by the model.
     """
 
     def __init__(self, links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
@@ -188,7 +188,6 @@ class EnergyModel:
         self.harvest_mean = tuple(harvest_mean_power(links, primary, policy, i)
                                   for i in range(links.n_relays))
         self._frames = {}  # t_sense -> Frame fields, filled by `frame`
-        self._mc_memo = {}  # (stream, relay, trials, seed) -> draws, filled by mcsim
 
     @property
     def n_relays(self):
@@ -205,7 +204,7 @@ class EnergyModel:
         t_sense and kept for the model's lifetime, so a later call builds
         nothing and returns an equal Frame. Only the fields are kept, not
         the Frame: it refers back to the model, and that cycle would hold
-        the model and its Monte Carlo memo until a full garbage collection.
+        the model and `mcsim`'s memo of it until a full garbage collection.
         """
         fields = self._frames.get(t_sense)
         if fields is None:

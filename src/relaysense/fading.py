@@ -126,18 +126,6 @@ class LinkSet:
         """Return relay index i if it names one of the relays (`_check_index`)."""
         return _check_index(i, self.n_relays)
 
-    def gain_src_relay(self, i):
-        return float(self.g_src_relay[self.check_relay(i)])
-
-    def gain_relay_dst(self, i):
-        return float(self.g_relay_dst[self.check_relay(i)])
-
-    def gain_pu_dst(self):
-        return self.g_pu_dst
-
-    def gain_pu_relay(self, i):
-        return self.g_pu_relay[self.check_relay(i)]
-
 
 _TINY = np.finfo(float).tiny
 

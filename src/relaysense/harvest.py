@@ -40,7 +40,7 @@ class HarvestReport:
 def harvest_mean_power(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
                        i: int) -> float:
     """Average RF power harvested by relay i while the band is observed."""
-    g = links.gain_pu_relay(i)
+    g = links.g_pu_relay[links.check_relay(i)]
     return policy.eta * primary.tx_power * primary.duty * float(np.sum(g * g))
 
 

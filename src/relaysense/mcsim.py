@@ -5,24 +5,24 @@ Estimates are built from counter-based Philox streams keyed by
 That makes every estimate bit-identical for a given seed no matter how many
 worker threads run the chunks, which the validation harness relies on.
 `_map_chunks` is the one chunk loop (and the one place threads start), and
-`_reduce` the one moment reduction on top of it.
+`_reduce` the one moment reduction on top of it, in units of a power of
+two (`_units`), so that no square overflows.
 
 The frame simulators (`mc_frame_energy`, `mc_ecg`) run on one
 `EnergyModel` across a sensing-time grid. What they draw does not depend on
-the sensing time, so they memoise it on the model, in `EnergyModel._mc_memo`,
-keyed by (stream, relay, trials, seed): the per-sample hit rate under
-(11, None, trials, seed), and under (13 or 17, relay, trials, seed) a dict
-from chunk index to that chunk's raw draws (uniforms, harvested power,
-standard selection exponentials; stream 13 for `mc_frame_energy` with and
-without harvesting, 17 for `mc_ecg`). Every later sensing time only redoes
-the comparisons that move with it, and gives the same bits as a fresh model
-would. The memo lives as long as the model, one figure run. Of its raw
-draws only the harvested power, which the geometry fixes, is the model's
-own, trials * 8 bytes per (relay, stream) key; the uniforms and
-exponentials are the held slot's tapes (below) when the slot recorded or
-replayed them, and otherwise the model's too, trials * (2 + n_relays) * 8
-bytes in all: at 1e6 trials, 48 MB for `figure fig7` (4 relays, one key)
-and 24 MB for each of the two `figure fig8` models.
+the sensing time, so `_frame_draws` memoises it in `_memos`, weakly keyed
+by the model, under (stream, relay, trials, seed): the per-sample hit rate
+under (11, None, trials, seed), and under (13 or 17, relay, trials, seed)
+each chunk's raw draws (uniforms, harvested power, standard selection
+exponentials; stream 13 for `mc_frame_energy` with and without
+harvesting, 17 for `mc_ecg`). Every later sensing time only redoes the
+comparisons that move with it, and gives the same bits as a fresh model
+would. An entry goes with its model, after one figure run. Of its raw
+draws only the harvested power is the memo's own, trials * 8 bytes per
+(relay, stream) key, when the held slot (below) recorded or replayed the
+uniforms and exponentials; otherwise they are the memo's too, trials *
+(2 + n_relays) * 8 bytes in all: at 1e6 trials, 48 MB for `figure fig7`
+(4 relays, one key) and 24 MB for each of the two `figure fig8` models.
 
 Bit identity covers the order of arithmetic as well as the draws. The
 per-chunk kernels work one column (primary or relay) at a time, because
@@ -34,22 +34,22 @@ memo-warm sensing time of `mc_frame_energy` on fig7's 4 relays costs about
 0.02 s per 2^20 draws, the comparisons and the moment sums (2-vCPU Xeon
 VM, numpy 2.4.6; `scripts/bench.py`, `BENCH_2.json`).
 
-Every row of a figure sweep (fig3's distance ladders, fig4's power
-ladders, fig6's primary distances) uses the preset's own seed, so
-consecutive calls of a sampler draw the same Philox streams and differ only
-in the geometry applied after the draws: common random numbers. One held
-slot, `_held`, keeps them across such a run. Its key is (seed, stream,
-trials, draw shape, duty), the draw shape being (L, M) for `mc_detection`
-(stream 0), (M,) for `mc_outage` (3) and (L,) for `mc_harvest` (5) and
-`mc_clipped_gain` (7), with L primaries and M relays; outage draws no
-activity and keys no duty. A frame simulator on a model without a memoised
-hit rate (a fresh model, as each fig6 row builds) takes the hit sampler's
-draws and its own frame draws through one key, (seed, (11, s), trials,
-(L, M), duty) with s its stream, 13 or 17; a model with a memoised hit
-rate does not use the slot. A call whose key is not the held one only notes
-its key and draws as usual, so a one-off call costs what it did without the
-slot. The second consecutive call with the key records every chunk's
-draws in one tape, read-only: the `random`, `standard_normal` and
+Every row of a figure sweep (fig3's distance ladders, fig4's power ladders,
+fig6's primary distances) uses the preset's own seed, so consecutive calls
+of a sampler draw the same Philox streams and differ only in the geometry
+applied after the draws: common random numbers. One held slot, `_held`,
+keeps them across such a run. Its key is (seed, stream, trials, draw shape,
+duty), the draw shape being (L, M) for `mc_detection` (stream 0), (M,) for
+`mc_outage` (3) and (L,) for `mc_harvest` (5) and `mc_clipped_gain` (7),
+with L primaries and M relays; outage draws no activity and keys no duty. A
+frame simulator on a model without a memoised hit rate (a fresh model, as
+each fig6 row builds) takes the hit sampler's draws and its own frame draws
+through one key, (seed, (11, s), trials, (L, M), duty) with s its stream,
+13 or 17; a model with a memoised hit rate does not use the slot.
+`_held_chunks` hands out plain Philox generators for a key that is not the
+held one, and notes the key, so a one-off call costs what it did without
+the slot. The second consecutive call with the key records every chunk's
+draws in one tape, read-only (`_Tape`): the `random`, `standard_normal` and
 exponential arrays (as standard draws, replayed as scale * e, which is
 Generator.exponential(scale) bit for bit) and the masked fades of
 `_masked_fade` (each fade times its 0-or-1 on-mask, which the key's duty
@@ -71,6 +71,7 @@ tested) but draw every random quantity themselves.
 from __future__ import annotations
 
 import math
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -86,6 +87,9 @@ CHUNK = 1 << 16
 _MIX_SEED = 0x9E3779B97F4A7C15
 _MIX_STREAM = 0xBF58476D1CE4E5B9
 _MASK64 = (1 << 64) - 1
+# `_units`: magnitudes below 2**this are summed and squared as they are
+_UNSCALED_EXP = 64
+_UNSCALED_SQ = 2.0 ** (2 * _UNSCALED_EXP)
 
 
 class NoDetectionError(ZeroDivisionError):
@@ -148,32 +152,52 @@ def _map_chunks(fn, trials: int, workers: int = 1):
     return [fn(ci, n) for ci, n in chunks]
 
 
+def _units(x: float) -> int:
+    """The least k >= 0 with |x| < 2**(k + _UNSCALED_EXP). Scaling by 2**-k
+    is exact, so sums and squares in units of 2**k round as the plain ones
+    would wherever those do not overflow."""
+    return max(math.frexp(x)[1] - _UNSCALED_EXP, 0)
+
+
 def _reduce(fn, trials: int, workers: int = 1):
     """Per-column sums and cross-products of fn(ci, n) -> columns over
-    `trials` draws: ([sum_a], [[sum_a*b]]) as plain floats, the per-chunk
-    partials added in chunk order."""
+    `trials` draws, ([sum_a], [[sum_a*b]], [k_a]) as plain numbers, the
+    per-chunk partials added in chunk order. Column a is summed in units of
+    2**k_a, `_units` of its largest magnitude."""
 
     def moments(ci, n):
         cols = [np.asarray(c, dtype=float) for c in fn(ci, n)]
-        return (np.array([c.sum() for c in cols]),
-                np.array([[np.dot(x, y) for y in cols] for x in cols]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            cross = np.array([[np.dot(x, y) for y in cols] for x in cols])
+        # a sum of squares below _UNSCALED_SQ proves k = 0 without a scan
+        k = [0 if cross[a, a] < _UNSCALED_SQ else _units(max(c.max(), -c.min()))
+             for a, c in enumerate(cols)]
+        if any(k):
+            cols = [np.ldexp(c, -kc) for c, kc in zip(cols, k)]
+            cross = np.array([[np.dot(x, y) for y in cols] for x in cols])
+        return k, np.array([c.sum() for c in cols]), cross
 
     partials = _map_chunks(moments, trials, workers)
-    sums = np.zeros_like(partials[0][0])
-    cross = np.zeros_like(partials[0][1])
-    for s, c in partials:
+    units = [max(ks) for ks in zip(*(k for k, _, _ in partials))]
+    sums = np.zeros(len(units))
+    cross = np.zeros((len(units), len(units)))
+    for k, s, c in partials:
+        if k != units:
+            # a chunk in smaller units joins the common ones, exactly
+            shift = np.subtract(k, units)
+            s, c = np.ldexp(s, shift), np.ldexp(c, shift[:, None] + shift)
         sums += s
         cross += c
-    return sums.tolist(), cross.tolist()
+    return sums.tolist(), cross.tolist(), units
 
 
 def _mean(fn, trials: int, workers: int):
     """Sample mean of a one-column chunk function and its standard error."""
-    (total,), ((sumsq,),) = _reduce(fn, trials, workers)
+    (total,), ((sumsq,),), (k,) = _reduce(fn, trials, workers)
     n = int(trials)
     mean = total / n
     var = max(sumsq - n * mean * mean, 0.0) / (n - 1)
-    return mean, math.sqrt(var / n)
+    return math.ldexp(mean, k), math.ldexp(math.sqrt(var / n), k)
 
 
 # --- the held slot: one sweep's draws, replayed --------------------------
@@ -191,46 +215,26 @@ def _masked_fade(rng, p, size):
     return fade
 
 
-class _Recorder:
-    """Generator stand-in that passes rng's draws through and appends each,
-    made read-only, to `tape` as (method, array). Exponentials are kept as
-    standard draws: Generator.exponential(scale, size) is scale times the
-    standard draw, bit for bit."""
+class _Tape:
+    """Generator stand-in over one chunk's tape, a list of (method, array).
+    Given an rng, it passes the rng's draws through and appends each, made
+    read-only, to the tape; given none, it hands the tape's draws back in
+    order, and a request for another method or shape raises. Exponentials
+    are kept as standard draws: Generator.exponential(scale, size) is scale
+    times the standard draw, bit for bit."""
 
-    def __init__(self, rng, tape):
-        self._rng, self._tape = rng, tape
+    def __init__(self, tape, rng=None):
+        self._tape, self._rng = tape, rng
+        self._replay = iter(tape)
 
-    def _kept(self, method, x):
-        x.flags.writeable = False
-        self._tape.append((method, x))
-        return x
-
-    def random(self, size):
-        return self._kept("random", self._rng.random(size))
-
-    def masked_fade(self, p, size):
-        return self._kept("masked_fade", _masked_fade(self._rng, p, size))
-
-    def standard_normal(self, size):
-        return self._kept("standard_normal", self._rng.standard_normal(size))
-
-    def standard_exponential(self, size):
-        return self._kept("exponential", self._rng.standard_exponential(size))
-
-    def exponential(self, scale, size):
-        return scale * self.standard_exponential(size)
-
-
-class _Replayer:
-    """Generator stand-in that hands back a `_Recorder` tape's draws in
-    order. A request for another method or shape raises."""
-
-    def __init__(self, tape):
-        self._draws = iter(tape)
-
-    def _next(self, method, size):
+    def _draw(self, method, size, draw):
+        if self._rng is not None:
+            x = draw(self._rng)
+            x.flags.writeable = False
+            self._tape.append((method, x))
+            return x
         shape = (size,) if np.isscalar(size) else tuple(size)
-        kept, x = next(self._draws, (None, None))
+        kept, x = next(self._replay, (None, None))
         if kept != method or x.shape != shape:
             raise RuntimeError("replay asked for %s%s, but the tape holds %s"
                                % (method, shape, "nothing" if x is None
@@ -238,20 +242,24 @@ class _Replayer:
         return x
 
     def random(self, size):
-        return self._next("random", size)
+        return self._draw("random", size, lambda rng: rng.random(size))
 
     def masked_fade(self, p, size):
-        return self._next("masked_fade", size)
+        return self._draw("masked_fade", size, lambda rng: _masked_fade(rng, p, size))
 
     def standard_normal(self, size):
-        return self._next("standard_normal", size)
+        return self._draw("standard_normal", size, lambda rng: rng.standard_normal(size))
 
     def standard_exponential(self, size):
-        return self._next("exponential", size)
+        return self._draw("exponential", size, lambda rng: rng.standard_exponential(size))
 
     def exponential(self, scale, size):
-        return scale * self._next("exponential", size)
+        return scale * self.standard_exponential(size)
 
+
+# model -> {(stream, relay, trials, seed): draws}, the frame simulators'
+# memo (module docstring); an entry goes when its model does
+_memos = weakref.WeakKeyDictionary()
 
 # (key, {chunk: tape}), read and replaced as one tuple, so a caller never
 # sees one key's tapes under another's. Callers on other threads may
@@ -267,14 +275,12 @@ def clear_held():
 
 def _held_chunks(seed: int, stream, trials: int, shape: tuple, duty=None):
     """One call's way through the held slot (see the module docstring):
-    (draws, commit), or (None, None) for a call whose key is not the held
-    one, which draws from the Philox streams as usual. draws(ci) gives
-    chunk ci's generator stand-ins, one per stream of (seed, s) for s in
-    `stream` (an int, or a tuple of them), and commit() ends the call once
-    every chunk has been drawn. `shape` must fix every draw asked for at a
-    given chunk size, and `duty` every threshold handed to `_masked_fade`.
-    The chunk function must ask for its draws in one fixed order, as all of
-    a chunk's streams share one tape."""
+    (draws, commit). draws(ci) gives chunk ci's generators, one per stream
+    of (seed, s) for s in `stream` (an int, or a tuple of them), plain or
+    `_Tape`s; commit() ends the call once every chunk has been drawn.
+    `shape` must fix every draw asked for at a given chunk size, and `duty`
+    every threshold handed to `_masked_fade`. The chunk function must ask
+    for its draws in one fixed order, as a chunk's streams share one tape."""
     global _held
     key = (int(seed), stream, int(trials), shape, duty)
     streams = stream if isinstance(stream, tuple) else (stream,)
@@ -282,14 +288,14 @@ def _held_chunks(seed: int, stream, trials: int, shape: tuple, duty=None):
     if held_key != key:
         # let go of the old key's draws before this call draws its own
         _held = (key, None)
-        return None, None
+        return (lambda ci: [_chunk_rng(seed, s, ci) for s in streams]), lambda: None
     if tapes is not None:
-        return (lambda ci: [_Replayer(tapes[ci])] * len(streams)), lambda: None
+        return (lambda ci: [_Tape(tapes[ci])] * len(streams)), lambda: None
     tapes = {}
 
     def record(ci):
         tapes[ci] = tape = []
-        return [_Recorder(_chunk_rng(seed, s, ci), tape) for s in streams]
+        return [_Tape(tape, _chunk_rng(seed, s, ci)) for s in streams]
 
     def commit():
         global _held
@@ -303,8 +309,6 @@ def _held_mean(sampler, seed: int, stream: int, shape: tuple, trials: int, worke
     """`_mean` of sampler(rng, n) on the Philox streams of (seed, stream),
     through the held slot (`_held_chunks`)."""
     draws, commit = _held_chunks(seed, stream, trials, shape, duty)
-    if draws is None:
-        return _mean(lambda ci, n: sampler(_chunk_rng(seed, stream, ci), n), trials, workers)
     out = _mean(lambda ci, n: sampler(draws(ci)[0], n), trials, workers)
     commit()
     return out
@@ -347,7 +351,7 @@ def _sample_exceed_sampler(links: LinkSet, primary: PrimaryModel, policy: Second
     """Per-sample detector hits; relay i forwards with gain normaliser u[i]
     over a report hop of mean SNR b[i]."""
     mix_scale = primary.tx_power / policy.noise_power
-    g_dst, g_rel = links.gain_pu_dst(), links.g_pu_relay
+    g_dst, g_rel = links.g_pu_dst, links.g_pu_relay
     duty = primary.duty
 
     def sampler(rng, n):
@@ -439,7 +443,7 @@ def mc_outage(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
 
 def _harvest_power_sampler(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
                            i: int):
-    g = links.gain_pu_relay(i)
+    g = links.g_pu_relay[links.check_relay(i)]
     duty = primary.duty
     eta_pp = policy.eta * primary.tx_power
 
@@ -473,7 +477,7 @@ def mc_clipped_gain(links: LinkSet, primary: PrimaryModel, policy: SecondaryPoli
                     workers: int = 1) -> MCEstimate:
     """Simulated mean squared gain of the clipped amplifier at relay i."""
     mix_scale = primary.tx_power / policy.noise_power
-    g = links.gain_pu_relay(i)
+    g = links.g_pu_relay[links.check_relay(i)]
     duty = primary.duty
 
     def sampler(rng, n):
@@ -509,42 +513,41 @@ def _frame_draws(model: EnergyModel, i: int, t_sense: float, trials: int, seed: 
     pays) for chunk ci of n draws, where `pays` marks the missed frames in
     which relay i wins selection and so pays the transmit slot.
 
-    Nothing drawn here depends on t_sense, so it is memoised on the model
-    (see the module docstring). Chunk ci's frame draws, its uniforms u01,
-    the harvest's masked fades and the standard selection exponentials, come
-    in that order from its own stream. A model without a memoised hit rate
-    takes its hit sampler's and frame draws through one key of the held
-    slot; when the slot records or replays them, each chunk's frame draws
-    are taken right after its hit draws, and the hit rate is reduced chunk
-    by chunk. Otherwise a chunk's frame draws come on its first use, inside
-    the reduction that consumes them. Only the comparisons move with
-    t_sense: u01 < p_det_hat and which relay has the largest exponential
-    times the frame's SNR mean (`_selects`).
+    Nothing drawn here depends on t_sense, so it is memoised per model (see
+    the module docstring). Chunk ci's frame draws, its uniforms u01, the
+    harvest's masked fades and the standard selection exponentials, come in
+    that order from its own stream. They are all drawn here, before any
+    reduction reads them: right after each chunk's hit draws, through one
+    key of the held slot, when the hit rate is new, else in one pass over
+    the stream. Only the comparisons move with t_sense: u01 < p_det_hat and
+    which relay has the largest exponential times the frame's SNR mean
+    (`_selects`).
     """
     links, primary, policy = model.links, model.primary, model.policy
     i = int(links.check_relay(i))
     trials, seed = int(trials), int(seed)
     f = model.frame(t_sense)
-    memo = model._mc_memo
-    chunks = memo.setdefault((stream, i, trials, seed), {})
+    memo = _memos.setdefault(model, {})
     harv = _harvest_power_sampler(links, primary, policy, i)
     n_relays = links.n_relays
 
     def frame_raw(rng, n):
         return rng.random(n), harv(rng, n), rng.standard_exponential((n, n_relays))
 
-    key = (11, None, trials, seed)
-    if key not in memo:
-        hit = _sample_exceed_sampler(links, primary, policy,
-                                     policy.threshold / policy.noise_power,
-                                     model.report.u_report, model.report.snr_report)
-        draws, commit = _held_chunks(seed, (11, stream), trials,
-                                     (links.n_primary, n_relays), primary.duty)
-        if draws is None:
-            # a one-off call: the frame draws come on each chunk's first use
-            memo[key] = _mean(lambda ci, n: hit(_chunk_rng(seed, 11, ci), n),
-                              trials, workers)
+    hit_key, frame_key = (11, None, trials, seed), (stream, i, trials, seed)
+    chunks = memo.get(frame_key)
+    if chunks is None:
+        if hit_key in memo:
+            chunks = _map_chunks(lambda ci, n: frame_raw(_chunk_rng(seed, stream, ci), n),
+                                 trials, workers)
         else:
+            hit = _sample_exceed_sampler(links, primary, policy,
+                                         policy.threshold / policy.noise_power,
+                                         model.report.u_report, model.report.snr_report)
+            draws, commit = _held_chunks(seed, (11, stream), trials,
+                                         (links.n_primary, n_relays), primary.duty)
+            chunks = {}
+
             def hits(ci, n):
                 rng_hit, rng_frame = draws(ci)
                 exceed = hit(rng_hit, n)
@@ -553,17 +556,16 @@ def _frame_draws(model: EnergyModel, i: int, t_sense: float, trials: int, seed: 
                 chunks[ci] = frame_raw(rng_frame, n)
                 return exceed
 
-            memo[key] = _mean(hits, trials, workers)
+            memo.setdefault(hit_key, _mean(hits, trials, workers))
             commit()
+        # a racing caller may draw them too; both read the one stored
+        chunks = memo.setdefault(frame_key, chunks)
     # the same fractional sample count as EnergyModel.miss
-    p_det_hat, se_det = _frame_lift(*memo[key], t_sense * policy.bandwidth)
+    p_det_hat, se_det = _frame_lift(*memo[hit_key], t_sense * policy.bandwidth)
     m = np.asarray(f.coeffs.snr_means, dtype=float)
 
     def draw(ci, n):
-        raw = chunks.get(ci)
-        if raw is None:
-            raw = chunks[ci] = frame_raw(_chunk_rng(seed, stream, ci), n)
-        u01, p_h, est = raw
+        u01, p_h, est = chunks[ci]
         detected = u01 < p_det_hat
         return detected, p_h, _selects(est, m, i, ~detected)
 
@@ -592,7 +594,10 @@ def mc_frame_energy(model: EnergyModel, i: int, t_sense: float, trials: int,
     mean, se = _mean(sampler, trials, workers)
     sens = f.t_data * (f.prr[i] * f.e_transmit[i]
                        + (model.harvest_mean[i] if harvesting else 0.0))
-    se_total = math.sqrt(se * se + (sens * se_det) ** 2)
+    # sqrt(se**2 + (sens * se_det)**2) in `_units`, so neither square overflows
+    k = _units(max(se, abs(sens * se_det)))
+    se, b = math.ldexp(se, -k), math.ldexp(sens * se_det, -k)
+    se_total = math.ldexp(math.sqrt(se * se + b * b), k)
     return MCEstimate(mean=mean, stderr=se_total, trials=int(trials), seed=int(seed))
 
 
@@ -613,8 +618,9 @@ def mc_ecg(model: EnergyModel, i: int, t_sense: float, trials: int, seed: int,
         harvested = np.where(detected, p_h * f.t_data, 0.0)
         return consumed, harvested
 
-    (sc, sh), ((scc, sch), (_, shh)) = _reduce(sampler, trials, workers)
+    (sc, sh), ((scc, sch), (_, shh)), (kc, kh) = _reduce(sampler, trials, workers)
     n = int(trials)
+    # consumed in units of 2**kc, harvested in 2**kh, r in 2**(kc - kh)
     cbar, hbar = sc / n, sh / n
     if hbar == 0.0:
         raise NoDetectionError("ratio denominator averaged to zero")
@@ -624,6 +630,9 @@ def mc_ecg(model: EnergyModel, i: int, t_sense: float, trials: int, seed: int,
     r = cbar / hbar
     var_r = max(var_c - 2.0 * r * cov + r * r * var_h, 0.0) / (n * hbar * hbar)
     # d r / d p_det: a detection moves the transmit cost into the harvest
-    sens = f.t_data * (f.prr[i] * f.e_transmit[i] + r * model.harvest_mean[i]) / hbar
+    sens = f.t_data * (f.prr[i] * math.ldexp(f.e_transmit[i], -kc)
+                       + r * math.ldexp(model.harvest_mean[i], -kh)) / hbar
     var_r += (sens * se_det) ** 2
-    return MCEstimate(mean=r, stderr=math.sqrt(var_r), trials=n, seed=int(seed))
+    k = kc - kh
+    return MCEstimate(mean=math.ldexp(r, k), stderr=math.ldexp(math.sqrt(var_r), k),
+                      trials=n, seed=int(seed))

@@ -141,15 +141,15 @@ def relay_reports(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy
     return (relays,
             tuple(fixed_gain_report(law) for law in relays),
             p_report,
-            tuple(p * links.gain_relay_dst(i) / policy.noise_power
-                  for i, p in enumerate(p_report)))
+            tuple(p * g / policy.noise_power
+                  for p, g in zip(p_report, links.g_relay_dst.tolist())))
 
 
 def build_report_gain(links: LinkSet, primary: PrimaryModel,
                       policy: SecondaryPolicy) -> ReportGain:
     """The whole reporting chain: the destination's interference law on top
     of `relay_reports`."""
-    direct = activity_mixture(links.gain_pu_dst(), primary.duty,
+    direct = activity_mixture(links.g_pu_dst, primary.duty,
                               primary.tx_power / policy.noise_power)
     relays, u_report, p_report, snr_report = relay_reports(links, primary, policy)
     return ReportGain(direct=direct, relays=relays, u_report=u_report,

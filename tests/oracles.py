@@ -171,7 +171,7 @@ def subset_hypoexp_cdf(x, means, scale, duty):
 
 def subset_fixed_gain_report(links, primary, policy, i):
     mix_scale = primary.tx_power / policy.noise_power
-    _, parts = subset_mixture(links.gain_pu_relay(i), primary.duty)
+    _, parts = subset_mixture(links.g_pu_relay[i], primary.duty)
     if not parts:
         return math.inf
     acc = 0.0
@@ -184,8 +184,8 @@ def subset_fixed_gain_report(links, primary, policy, i):
 def subset_report_e2e_cdf(x, links, primary, policy, i, u, p_rep):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     mix_scale = primary.tx_power / policy.noise_power
-    b = p_rep * links.gain_relay_dst(i) / policy.noise_power
-    atom, parts = subset_mixture(links.gain_pu_relay(i), primary.duty)
+    b = p_rep * float(links.g_relay_dst[i]) / policy.noise_power
+    atom, parts = subset_mixture(links.g_pu_relay[i], primary.duty)
     out = np.full_like(x, atom)
     pos = x > 0.0
     xp = x[pos]
@@ -200,7 +200,7 @@ def subset_report_e2e_cdf(x, links, primary, policy, i, u, p_rep):
 def subset_avg_clipped_gain(threshold_t, links, primary, policy, i, u):
     t = float(threshold_t)
     mix_scale = primary.tx_power / policy.noise_power
-    means = links.gain_pu_relay(i)
+    means = links.g_pu_relay[i]
     _, parts = subset_mixture(means, primary.duty)
     head = float(subset_hypoexp_cdf(t, means, mix_scale, primary.duty)[0]) / u
     tail = 0.0

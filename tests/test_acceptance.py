@@ -250,7 +250,7 @@ def test_criterion_5_energy_sign_flip():
 def test_criterion_6_distribution_sanity():
     with criterion(6, "survival-integral means, CDF limits, KS vs 1e6 empirical samples") as notes:
         scn = scenario_from_conf(ladder_conf(preset("fig3"), 0.4, 3))
-        means = scn.links.gain_pu_dst()
+        means = scn.links.g_pu_dst
         scale = scn.primary.tx_power / scn.policy.noise_power
         duty = scn.primary.duty
         atom = (1.0 - duty) ** len(means)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -283,6 +284,41 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("config error: %s must " % key)
         assert err.endswith(", got %s\n" % value) and err.count("\n") == 1
+
+
+_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)(?![\w.])")
+
+
+class TestHugePowers:
+    @pytest.mark.parametrize("override, command", [
+        # admitted powers whose Monte Carlo samples square past the float
+        # range used to end in a traceback from the simulated standard error
+        ("primary.tx_power=1e150 W", "harvest"),
+        ("primary.tx_power=1e150 W", "energy"),
+        ("policy.p_circuit_tx=1e200 W", "validate"),
+        ("policy.p_circuit_tx=1e200 W", "energy"),
+        ("policy.p_circuit_tx=1e200 W", "figure fig7"),
+        ("policy.p_circuit_rx=1e200 W", "validate"),
+        pytest.param("primary.tx_power=1e150 W", "validate", marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="the plain clipped-gain oracle misses the rare low-interference "
+                   "draws that carry its mean, so validate reports FAILED (exit 1) at "
+                   "any strong primary power, 1e10 W included")),
+    ])
+    def test_exits_0_with_finite_values_or_2_naming_a_key(self, override, command,
+                                                          tmp_path, capsys):
+        out_csv = tmp_path / "out.csv"
+        argv = ["--trials", "2048", "--out", str(out_csv), "--set", override]
+        code = run(argv + command.split())
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        assert code in (0, 2), (code, out, err)
+        if code == 2:
+            assert re.match(r"config error: [a-z_]+\.[a-z_]+ ", err) and err.count("\n") == 1
+            return
+        printed = out + (out_csv.read_text() if out_csv.exists() else "")
+        numbers = [float(x) for x in _NUMBER.findall(printed)]
+        assert numbers and all(math.isfinite(x) for x in numbers), printed
 
 
 class TestSingleQuantityCommands:

@@ -475,9 +475,7 @@ class TestCoefficientBuilds:
 
 # every public entry point that takes a relay index, called on relay i of m
 RELAY_ENTRY_POINTS = {
-    "LinkSet.gain_src_relay": lambda m, i: m.links.gain_src_relay(i),
-    "LinkSet.gain_relay_dst": lambda m, i: m.links.gain_relay_dst(i),
-    "LinkSet.gain_pu_relay": lambda m, i: m.links.gain_pu_relay(i),
+    "LinkSet.check_relay": lambda m, i: m.links.check_relay(i),
     "report_e2e_cdf": lambda m, i: sensing.report_e2e_cdf(1.0, m.report, i),
     "harvest_mean_power": lambda m, i: harvest.harvest_mean_power(
         m.links, m.primary, m.policy, i),
@@ -517,4 +515,5 @@ class TestRelayIndex:
             with pytest.raises(ValueError, match=r"relay index %d out of range: "
                                r"the network has 4 relay\(s\)" % bad):
                 call(fig7_model, bad)
-        assert not any(key[1] in (-1, fig7_model.n_relays) for key in fig7_model._mc_memo)
+        assert not any(key[1] in (-1, fig7_model.n_relays)
+                       for key in mcsim._memos.get(fig7_model, {}))

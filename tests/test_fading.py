@@ -240,12 +240,12 @@ class TestLinkSet:
 
     def test_gains(self):
         ls = self.base()
-        assert ls.gain_src_relay(0) == pytest.approx(0.1 ** -4.0, rel=1e-14)
+        assert ls.g_src_relay[0] == pytest.approx(0.1 ** -4.0, rel=1e-14)
         np.testing.assert_allclose(ls.g_pu_src, np.array([0.4, 0.41]) ** -4.0)
 
     def test_gain_arrays_are_read_only(self):
         ls = self.base()
-        for g in (ls.g_pu_src, ls.gain_pu_dst(), ls.gain_pu_relay(0), ls.gain_pu_relay(1)):
+        for g in (ls.g_pu_src, ls.g_pu_dst, ls.g_pu_relay[0], ls.g_pu_relay[1]):
             assert not g.flags.writeable
             with pytest.raises(ValueError):
                 g[0] = 1.0

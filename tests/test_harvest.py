@@ -21,7 +21,7 @@ def single_pu_setup(d_pu=0.5, duty=0.5):
 class TestHarvestMeanPower:
     def test_single_source_closed_form(self):
         links, primary, policy = single_pu_setup()
-        g = float(links.gain_pu_relay(0)[0])
+        g = float(links.g_pu_relay[0][0])
         want = policy.eta * primary.tx_power * primary.duty * g * g
         assert harvest_mean_power(links, primary, policy, 0) == pytest.approx(want, rel=1e-14)
 

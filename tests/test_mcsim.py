@@ -1,3 +1,4 @@
+import gc
 import math
 import sys
 import threading
@@ -199,8 +200,25 @@ class TestHitRateCache:
             sys.setswitchinterval(old)
         assert not any(th.is_alive() for th in threads)
         assert sorted(got) == sorted((name, want[name]) for name in list(self.SIMS) * 3)
-        assert sorted(m._mc_memo, key=repr) == sorted(
+        assert sorted(mcsim._memos[m], key=repr) == sorted(
             [(11, None, 20_000, 6), (13, 0, 20_000, 6), (17, 0, 20_000, 6)], key=repr)
+
+    def test_memo_dies_with_its_model(self):
+        # mcsim keys the memo weakly by model: the entry goes with the last
+        # reference to the model, with no reference cycle left for a full
+        # garbage collection to find
+        before = len(mcsim._memos)
+        model = scenario_from_conf(preset("fig7")).energy_model()
+        mc_frame_energy(model, 0, 0.02, 20_000, 3)
+        assert model in mcsim._memos and len(mcsim._memos) == before + 1
+        ref = weakref.ref(model)
+        gc.disable()
+        try:
+            del model
+            assert ref() is None
+            assert len(mcsim._memos) == before
+        finally:
+            gc.enable()
 
 
 class TestReducer:
@@ -211,7 +229,8 @@ class TestReducer:
             return x, 2.0 * x + rng.random(n)
 
         trials = CHUNK + 17
-        sums, cross = _reduce(_seeded(sampler, 4, 1), trials)
+        sums, cross, units = _reduce(_seeded(sampler, 4, 1), trials)
+        assert units == [0, 0]
         cols = [np.concatenate(parts) for parts in zip(*(
             sampler(_chunk_rng(4, 1, ci), n) for ci, n in ((0, CHUNK), (1, 17))))]
         assert sums == pytest.approx([c.sum() for c in cols], rel=1e-12)
@@ -219,6 +238,29 @@ class TestReducer:
             for b in range(2):
                 assert cross[a][b] == pytest.approx(float(np.dot(cols[a], cols[b])), rel=1e-12)
         assert cross[0][1] == cross[1][0]
+
+    def test_columns_that_square_past_the_float_range(self):
+        # the full chunk's first column squares past the float range, the
+        # tail chunk's does not: both are summed in one power-of-two unit
+        def sampler(rng, n):
+            x = rng.random(n)
+            return (x * 2.0 ** 600 if n == CHUNK else x), x
+
+        trials = CHUNK + 17
+        sums, cross, units = _reduce(_seeded(sampler, 4, 1), trials)
+        cols = [np.concatenate(parts) for parts in zip(*(
+            sampler(_chunk_rng(4, 1, ci), n) for ci, n in ((0, CHUNK), (1, 17))))]
+        assert units == [mcsim._units(cols[0].max()), 0] and units[0] > 0
+        scaled = [np.ldexp(cols[0], -units[0]), cols[1]]
+        assert sums == pytest.approx([c.sum() for c in scaled], rel=1e-12)
+        for a in range(2):
+            for b in range(2):
+                assert cross[a][b] == pytest.approx(float(np.dot(scaled[a], scaled[b])),
+                                                    rel=1e-12)
+        mean, se = _mean(_seeded(lambda rng, n: sampler(rng, n)[:1], 4, 1), trials, 1)
+        want_se = math.ldexp(scaled[0].std(ddof=1) / math.sqrt(trials), units[0])
+        assert mean == pytest.approx(cols[0].mean(), rel=1e-12)
+        assert math.isfinite(se) and se == pytest.approx(want_se, rel=1e-9)
 
     def test_rejects_single_trial(self):
         with pytest.raises(ValueError):

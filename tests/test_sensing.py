@@ -101,7 +101,7 @@ class TestReportPower:
     def test_never_exceeds_either_cap(self):
         links, primary, policy = fig3_setup()
         from relaysense.fading import max_exp_expectation
-        eq = max_exp_expectation(links.gain_pu_relay(0))
+        eq = max_exp_expectation(links.g_pu_relay[0])
         p = build_report_gain(links, primary, policy).p_report[0]
         assert p <= policy.p_max
         assert p * eq <= policy.interference_cap * (1 + 1e-12)
@@ -115,7 +115,7 @@ class TestFixedGainReport:
         scn = scenario_from_conf(preset(name))
         links, primary, policy, i = scn.links, scn.primary, scn.policy, scn.relay
         u = fixed_gain_report(relay_law(links, primary, policy, i))
-        q = oracles.quad_mean_inv_plus1(links.gain_pu_relay(i),
+        q = oracles.quad_mean_inv_plus1(links.g_pu_relay[i],
                                         primary.tx_power / policy.noise_power, primary.duty)
         assert u == pytest.approx(1.0 / q, rel=1e-6)
 
@@ -124,7 +124,7 @@ class TestFixedGainReport:
                         d_pu_relay=[[0.4]], d_pu_dst=[0.4])
         primary = PrimaryModel(tx_power=rel_noise_db(10.0), duty=1.0)
         policy = fig3_setup()[2]
-        c = N0 / (primary.tx_power * links.gain_pu_relay(0)[0])
+        c = N0 / (primary.tx_power * links.g_pu_relay[0][0])
         want = 1.0 / (c * exp_scaled_gamma_upper_0(c))
         assert fixed_gain_report(relay_law(links, primary, policy)) == pytest.approx(
             want, rel=1e-12)
@@ -149,7 +149,7 @@ class TestFixedGainReport:
 class TestReportE2eCdf:
     def test_atom_at_zero(self):
         links, primary, policy = fig3_setup()
-        atom = activity_mixture(links.gain_pu_relay(0), primary.duty, 1.0).atom
+        atom = activity_mixture(links.g_pu_relay[0], primary.duty, 1.0).atom
         assert relay_cdf(0.0, links, primary, policy) == atom
 
     def test_rejects_negative(self):
@@ -165,11 +165,11 @@ class TestReportE2eCdf:
         links, primary, policy = fig3_setup()
         report = build_report_gain(links, primary, policy)
         u = report.u_report[0]
-        b = report.p_report[0] * links.gain_relay_dst(0) / N0
+        b = report.p_report[0] * float(links.g_relay_dst[0]) / N0
         assert report.snr_report[0] == b
         for x in (0.01, 1.0, 30.0, 300.0, 3000.0):
             closed = report_e2e_cdf(x, report, 0)
-            quad = oracles.dualhop_report_cdf(x, links.gain_pu_relay(0),
+            quad = oracles.dualhop_report_cdf(x, links.g_pu_relay[0],
                                               primary.tx_power / N0, primary.duty,
                                               u, b)
             assert closed == pytest.approx(quad, abs=1e-8)
@@ -185,8 +185,8 @@ class TestReportE2eCdf:
 class TestDetection:
     def test_zero_threshold_consistency(self):
         links, primary, policy = fig3_setup()
-        atom_dst = activity_mixture(links.gain_pu_dst(), primary.duty, 1.0).atom
-        atom_rel = activity_mixture(links.gain_pu_relay(0), primary.duty, 1.0).atom
+        atom_dst = activity_mixture(links.g_pu_dst, primary.duty, 1.0).atom
+        atom_rel = activity_mixture(links.g_pu_relay[0], primary.duty, 1.0).atom
         miss0 = sample_miss_probability(0.0, build_report_gain(links, primary, policy))
         assert miss0 == pytest.approx(atom_dst * atom_rel, rel=1e-12)
         pd = detection_probability(0.0, 50, links, primary, policy)
@@ -194,7 +194,7 @@ class TestDetection:
 
     def test_direct_cdf_at_zero(self):
         links, primary, policy = fig3_setup()
-        atom = activity_mixture(links.gain_pu_dst(), primary.duty, 1.0).atom
+        atom = activity_mixture(links.g_pu_dst, primary.duty, 1.0).atom
         assert build_report_gain(links, primary, policy).direct.cdf(0.0) == atom
 
     def test_sample_doubling_squares_miss(self):
@@ -379,7 +379,7 @@ class TestSubsetOracle:
         xs = np.array([0.0, 0.25 * lam, lam, 4.0 * lam])
         report = build_report_gain(links, primary, policy)
         assert hexes(report.direct.cdf(xs)) \
-            == hexes(oracles.subset_hypoexp_cdf(xs, links.gain_pu_dst(), scale, primary.duty))
+            == hexes(oracles.subset_hypoexp_cdf(xs, links.g_pu_dst, scale, primary.duty))
         for i in range(links.n_relays):
             u, p_rep, law = report.u_report[i], report.p_report[i], report.relays[i]
             assert hexes(u) == hexes(oracles.subset_fixed_gain_report(links, primary, policy, i))
@@ -388,8 +388,8 @@ class TestSubsetOracle:
             for t in (0.0, lam, 10.0 * lam):
                 assert hexes(avg_clipped_gain(t, law, u)) \
                     == hexes(oracles.subset_avg_clipped_gain(t, links, primary, policy, i, u))
-            assert hexes(max_exp_expectation(links.gain_pu_relay(i))) \
-                == hexes(oracles.subset_max_exp_expectation(links.gain_pu_relay(i)))
+            assert hexes(max_exp_expectation(links.g_pu_relay[i])) \
+                == hexes(oracles.subset_max_exp_expectation(links.g_pu_relay[i]))
 
 
 class TestOneExpansionPerReceiver:

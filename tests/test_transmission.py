@@ -97,7 +97,7 @@ class TestTransCoeffs:
                             d_pu_dst=[0.4, 0.41])
             primary, policy = fig4_setup()[1:]
             co = build_trans_coeffs(links, primary, policy, float(rng.uniform()))
-            assert co.snr_first == tuple(co.p_src * links.gain_src_relay(i) / N0
+            assert co.snr_first == tuple(co.p_src * float(links.g_src_relay[i]) / N0
                                          for i in range(n_relays))
 
     @pytest.mark.parametrize("name", ["default", "fig4", "fig7", "table1"])
@@ -110,9 +110,9 @@ class TestTransCoeffs:
         for p_detect in (0.0, 0.3, 0.95, 1.0):
             co = build_trans_coeffs(links, scn.primary, policy, p_detect)
             n = links.n_relays
-            assert co.snr_means == tuple(co.p_relay[i] * links.gain_relay_dst(i) / n0
+            assert co.snr_means == tuple(co.p_relay[i] * float(links.g_relay_dst[i]) / n0
                                          for i in range(n))
-            assert co.inv_first == tuple(n0 / (co.p_src * links.gain_src_relay(i))
+            assert co.inv_first == tuple(n0 / (co.p_src * float(links.g_src_relay[i]))
                                          for i in range(n))
             assert co.u_trans == tuple(1.0 / float(c * specfun.exp_scaled_gamma_upper_0(c))
                                        for c in co.inv_first)
