@@ -8,6 +8,7 @@ or to a new BENCH_<n>.json baseline with `--out`.
     PYTHONPATH=src python3 scripts/bench.py --trials 65536
     PYTHONPATH=src python3 scripts/bench.py --only startup --out results/startup.json
     PYTHONPATH=src python3 scripts/bench.py --only chain --out results/chain.json
+    PYTHONPATH=src python3 scripts/bench.py --only held --out results/held.json
 
 `startup`: the median wall time of `STARTUP_RUNS` fresh interpreters that
 run `import relaysense.cli`, and the `-X importtime` total of one more (the
@@ -34,8 +35,9 @@ peak gains) on `default`, `fig3` and fig3's L = 12 ladder.
 a fixed seed, with 1 and 2 workers, `REPEAT` times; every time is reported
 per 2^20 draws. Each one-shot repeat starts with `mcsim`'s held slot emptied, so
 it draws afresh. The four stateless samplers are also timed held: the third
-consecutive call with one key, which replays the draws the second recorded
-(the first two calls are not timed). The frame simulators
+consecutive call with one key, which replays the draws the first call
+recorded, or the second for a tape over `mcsim.HELD_FIRST_BYTES` (the first
+two calls are not timed). The frame simulators
 (`mc_frame_energy` with and without harvesting, `mc_ecg`) are timed twice:
 memo-cold, the first call on a fresh `EnergyModel` (it draws the hit rate
 and, inside that reduction, the frame draws, and `mcsim` memoises both for
@@ -43,11 +45,32 @@ the model), and memo-warm, a later call at a new sensing time on the same
 model (it redoes only the comparisons). Building the model is not timed.
 `mc_frame_energy` is also timed held on `fig6`, as fig6's rows run it: on a
 fresh model per call, so no memo helps, the third consecutive call replays
-the hit-rate and frame draws the second recorded.
+the hit-rate and frame draws an earlier call recorded.
+
+`held`: the held slot at `HELD_TRIALS` draws per call, whatever `--trials`
+says. Per sampler (the four stateless ones on `default` and `fig7`, and
+`mc_frame_energy` on a fresh `fig6` model per call), the median time of a
+key's first, second and third consecutive call over `REPEAT` runs, each
+run starting with the slot emptied, and the bytes of the tape held after
+the third. Then the budget curve: `mcsim.HELD_FIRST_BYTES` set to each of
+`BUDGETS_MIB` against the Monte Carlo time (best of `CURVE_REPEAT`) and the
+largest tape held after any call of three sweeps, each at the trial count
+its benchmark workload uses (`HELD_SWEEPS`): fig3's detection rows, fig6's
+frame-energy rows on a fresh model per row, and one detection per primary
+count on the fig3 ladder with two relays, L = 1..12. The scenarios and
+models are built before the timed loop.
+
+`figures`: the wall time and the child's peak RSS (`ru_maxrss`) of
+`relaysense figure` for each of `FIGURES`, at `FIGURE_TRIALS` trials and
+`FIGURE_WORKERS` workers, in a fresh interpreter with the one BLAS thread
+set below, median of `REPEAT` runs. A child's `ru_maxrss` counts the memory of the process it was forked from,
+so this section runs right after start-up, and each row also gives this
+process's own peak RSS (`bench_maxrss_mb`), a floor under the child's.
+Not part of CI: each run takes seconds.
 
 The file also records the line count and SHA-256 of the imported package's
 sources and the host. A markdown table of the same numbers goes to standard
-output. The end-to-end figure timings are not measured here.
+output.
 """
 import argparse
 import gc
@@ -59,9 +82,11 @@ import math
 import os
 import platform
 import re
+import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 # One BLAS thread, so the only parallelism is the samplers' own worker
@@ -72,7 +97,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 import relaysense  # noqa: E402
-from relaysense import energy_opt, mcsim, sensing, specfun, transmission  # noqa: E402
+from relaysense import cli, energy_opt, mcsim, sensing, specfun, transmission  # noqa: E402
 from relaysense.fading import LinkSet  # noqa: E402
 from relaysense.scenario import (apply_overrides, ladder_conf, preset,  # noqa: E402
                                  relay_ladder_conf, scenario_from_conf)
@@ -82,7 +107,16 @@ PRESETS = ("default", "fig7")
 SEED = 1
 REPEAT = 3
 STARTUP_RUNS = 5
-SECTIONS = ("startup", "specfun", "chain", "mc")
+SECTIONS = ("startup", "specfun", "chain", "mc", "held", "figures")
+HELD_TRIALS = 1 << 15
+BUDGETS_MIB = (0, 1, 2, 4, 8, 16)
+# (sweep, draws per call): geometry-sweep runs 2^15, tsense-sweep 2^14
+HELD_SWEEPS = (("fig3", 1 << 15), ("fig6", 1 << 14), ("ladder", 1 << 15))
+# the budget curve's runs per point: its sweeps take 0.03-0.3 s each
+CURVE_REPEAT = 7
+FIGURES = ("fig4", "fig6")
+FIGURE_TRIALS = 1_000_000
+FIGURE_WORKERS = 2
 # (name, config) of the geometries whose LinkSet construction is timed
 LINKSETS = (("default", lambda: preset("default")), ("fig3", lambda: preset("fig3")),
             ("fig3-L12", lambda: ladder_conf(preset("fig3"), 0.4, 12)))
@@ -244,7 +278,8 @@ def _fresh(fn):
 
 
 def _replayed(fn):
-    """Time the third consecutive call of fn: it replays the second's draws."""
+    """Time the third consecutive call of fn: it replays the draws the first
+    or the second recorded."""
     mcsim.clear_held()
     fn()
     fn()
@@ -291,6 +326,136 @@ def measure(trials):
                 del model
             held.append(t)
         add("fig6", "mc_frame_energy", "held", w, held)
+    return rows
+
+
+def _held_bytes():
+    tapes = mcsim._held[1]
+    return sum(x.nbytes for tape in (tapes or {}).values() for _, x in tape)
+
+
+def _held_samplers(trials):
+    """(preset, sampler, make, fn) for every sampler that goes through the
+    held slot: fn(make()) is one call, and make() is not timed. The frame
+    simulator gets a fresh model per call, as fig6's rows do."""
+    out = []
+    for name in PRESETS:
+        scn = scenario_from_conf(apply_overrides(preset(name), ["sim.trials=%d" % trials]))
+        out += [(name, sampler, lambda: None, lambda _, fn=fn: fn(1))
+                for sampler, fn in _one_shot(scn).items()]
+    scn = scenario_from_conf(apply_overrides(preset("fig6"), ["sim.trials=%d" % trials]))
+    out.append(("fig6", "mc_frame_energy", scn.energy_model, lambda model: mcsim.mc_frame_energy(
+        model, scn.relay, scn.t_sense, trials, SEED)))
+    return out
+
+
+def held_calls(trials=HELD_TRIALS):
+    """Per sampler: seconds of a key's first, second and third consecutive
+    call (medians of REPEAT runs) and the tape bytes held after the third."""
+    rows = []
+    for name, sampler, make, fn in _held_samplers(trials):
+        runs = []
+        for _ in range(REPEAT):
+            mcsim.clear_held()
+            times = []
+            for _ in range(3):
+                arg = make()
+                times.append(_timed(lambda: fn(arg)))
+                del arg
+            runs.append(times)
+        rows.append({"preset": name, "sampler": sampler, "trials": trials,
+                     "call_s": [statistics.median(t) for t in zip(*runs)],
+                     "tape_bytes": _held_bytes()})
+    mcsim.clear_held()
+    return rows
+
+
+def _held_sweep(sweep, trials):
+    """make() -> one run of a sweep's Monte Carlo calls, as functions of no
+    arguments over scenarios built here and, for fig6, a fresh model per row
+    built by make()."""
+    conf = apply_overrides(preset("fig6" if sweep == "fig6" else "fig3"),
+                           ["sim.trials=%d" % trials])
+    if sweep == "ladder":
+        # two relays, as geometry-sweep's ladder has
+        scns = [scenario_from_conf(relay_ladder_conf(ladder_conf(conf, 0.4, n_pu),
+                                                     0.1, 0.1, 2)) for n_pu in LADDER]
+    else:
+        points = ([(d, n_pu) for n_pu in (1, 3) for d in cli._distances(10)]
+                  if sweep == "fig6" else
+                  [(d, n_pu) for n_pu in (1, 2, 3) for d in cli._distances(15)])
+        scns = [scenario_from_conf(ladder_conf(conf, d, n_pu)) for d, n_pu in points]
+
+    def make():
+        if sweep == "fig6":
+            return [lambda s=s, m=s.energy_model(): mcsim.mc_frame_energy(
+                m, s.relay, s.t_sense, trials, SEED) for s in scns]
+        return [lambda s=s: mcsim.mc_detection(s.links, s.primary, s.policy, s.policy.threshold,
+                                               s.n_samples, trials, SEED) for s in scns]
+    return make
+
+
+def budget_curve():
+    """Per (budget, sweep): the best Monte Carlo time of CURVE_REPEAT runs,
+    each starting with the slot emptied, and the largest tape held after a call.
+    The repeats go round every budget and sweep in turn, so that a drift in
+    the host's speed reaches them all alike."""
+    makes = {sweep: _held_sweep(sweep, trials) for sweep, trials in HELD_SWEEPS}
+    best, peak = {}, {}
+    default = mcsim.HELD_FIRST_BYTES
+    try:
+        for _ in range(CURVE_REPEAT):
+            for mib in BUDGETS_MIB:
+                mcsim.HELD_FIRST_BYTES = mib << 20
+                for sweep, _ in HELD_SWEEPS:
+                    mcsim.clear_held()
+                    calls = makes[sweep]()
+                    gc.collect()
+                    most = 0
+                    t0 = time.perf_counter()
+                    for call in calls:
+                        call()
+                        most = max(most, _held_bytes())
+                    t = time.perf_counter() - t0
+                    del calls
+                    best[mib, sweep] = min(best.get((mib, sweep), math.inf), t)
+                    peak[mib, sweep] = most
+    finally:
+        mcsim.HELD_FIRST_BYTES = default
+        mcsim.clear_held()
+    return [{"budget_mib": mib, "sweep": sweep, "trials": trials, "s_best": best[mib, sweep],
+             "peak_tape_bytes": peak[mib, sweep]}
+            for mib in BUDGETS_MIB for sweep, trials in HELD_SWEEPS]
+
+
+def figure_runs():
+    """Per figure: wall seconds and the child's ru_maxrss in MB of
+    `relaysense figure` at FIGURE_TRIALS trials, median of REPEAT runs,
+    with this process's own peak RSS, a floor under every child's."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(relaysense.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in FIGURES:
+            cmd = [sys.executable, "-m", "relaysense", "--trials", str(FIGURE_TRIALS),
+                   "--workers", str(FIGURE_WORKERS), "--out", os.path.join(tmp, name + ".csv"),
+                   "figure", name]
+            wall, rss = [], []
+            for _ in range(REPEAT):
+                t0 = time.perf_counter()
+                child = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
+                _, status, usage = os.wait4(child.pid, 0)
+                wall.append(time.perf_counter() - t0)
+                if os.waitstatus_to_exitcode(status) != 0:
+                    raise RuntimeError("%s exited with status %d" % (" ".join(cmd), status))
+                rss.append(usage.ru_maxrss / 1024.0)  # KiB on Linux
+            rows.append({"figure": name, "trials": FIGURE_TRIALS, "workers": FIGURE_WORKERS,
+                         "wall_s_median": statistics.median(wall),
+                         "maxrss_mb_median": statistics.median(rss),
+                         "wall_s": wall, "maxrss_mb": rss,
+                         "bench_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                         / 1024.0})
     return rows
 
 
@@ -363,6 +528,29 @@ def table(rows):
     return "\n".join(lines)
 
 
+def held_table(calls, curve):
+    lines = ["| preset | sampler | trials | 1st call, s | 2nd | 3rd | tape, MB |",
+             "|---|---|---|---|---|---|---|"]
+    lines += ["| %s | %s | %d | %.4f | %.4f | %.4f | %.2f |"
+              % ((r["preset"], r["sampler"], r["trials"]) + tuple(r["call_s"])
+                 + (r["tape_bytes"] / 1e6,)) for r in calls]
+    lines += ["", "| budget, MiB | sweep | trials | MC s (best) | peak tape, MB |",
+              "|---|---|---|---|---|"]
+    lines += ["| %d | %s | %d | %.4f | %.2f |" % (r["budget_mib"], r["sweep"], r["trials"],
+                                                   r["s_best"], r["peak_tape_bytes"] / 1e6)
+              for r in curve]
+    return "\n".join(lines)
+
+
+def figures_table(rows):
+    lines = ["| figure | trials | workers | wall s (median) | peak RSS, MB (median) |",
+             "|---|---|---|---|---|"]
+    lines += ["| %s | %d | %d | %.2f | %.1f |" % (r["figure"], r["trials"], r["workers"],
+                                                  r["wall_s_median"], r["maxrss_mb_median"])
+              for r in rows]
+    return "\n".join(lines)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--trials", type=int, default=UNIT, help="draws per sampler call")
@@ -382,6 +570,15 @@ def main(argv=None):
     if "startup" in sections:
         doc["startup"] = startup()
         out.append(startup_table(doc["startup"]))
+    # before any section that grows this process: a child's ru_maxrss
+    # counts the memory it was forked with
+    if "figures" in sections:
+        doc["figures"] = figure_runs()
+        out.append(figures_table(doc["figures"]))
+    # and before `mc`'s 2^20-draw calls have grown this process's heap
+    if "held" in sections:
+        doc["held"] = {"calls": held_calls(), "budget_curve": budget_curve()}
+        out.append(held_table(doc["held"]["calls"], doc["held"]["budget_curve"]))
     if "specfun" in sections:
         kernels, detection = specfun_rows()
         doc["specfun"] = {"kernels": kernels, "detection": detection}

@@ -6,7 +6,8 @@ That makes every estimate bit-identical for a given seed no matter how many
 worker threads run the chunks, which the validation harness relies on.
 `_map_chunks` is the one chunk loop (and the one place threads start), and
 `_reduce` the one moment reduction on top of it, in units of a power of
-two (`_units`), so that no square overflows.
+two (`_units`), so that no square overflows and the largest do not
+underflow.
 
 The frame simulators (`mc_frame_energy`, `mc_ecg`) run on one
 `EnergyModel` across a sensing-time grid. What they draw does not depend on
@@ -41,27 +42,35 @@ applied after the draws: common random numbers. One held slot, `_held`,
 keeps them across such a run. Its key is (seed, stream, trials, draw shape,
 duty), the draw shape being (L, M) for `mc_detection` (stream 0), (M,) for
 `mc_outage` (3) and (L,) for `mc_harvest` (5) and `mc_clipped_gain` (7),
-with L primaries and M relays; outage draws no activity and keys no duty. A
-frame simulator on a model without a memoised hit rate (a fresh model, as
-each fig6 row builds) takes the hit sampler's draws and its own frame draws
-through one key, (seed, (11, s), trials, (L, M), duty) with s its stream,
-13 or 17; a model with a memoised hit rate does not use the slot.
-`_held_chunks` hands out plain Philox generators for a key that is not the
-held one, and notes the key, so a one-off call costs what it did without
-the slot. The second consecutive call with the key records every chunk's
-draws in one tape, read-only (`_Tape`): the `random`, `standard_normal` and
-exponential arrays (as standard draws, replayed as scale * e, which is
-Generator.exponential(scale) bit for bit) and the masked fades of
+with L primaries and M relays; outage draws no activity and keys its CSI
+correlation rho in the duty's place. A frame simulator on a model without a
+memoised hit rate (a fresh model, as each fig6 row builds) takes the hit
+sampler's draws and its own frame draws through one key, (seed, (11, s),
+trials, (L, M), duty) with s its stream, 13 or 17; a model with a memoised
+hit rate does not use the slot. A key records every chunk's draws in one
+tape, read-only (`_Tape`), on its first call when the whole tape takes at
+most `HELD_FIRST_BYTES` (4 MiB), so a sweep replays from its second row.
+A larger tape is recorded on the key's second consecutive call: its first
+only notes the key and gets plain Philox generators. So a one-off call
+costs what it did without the slot and leaves at most the budget held.
+The tape holds the `random`
+and exponential arrays (as standard draws, replayed as scale * e, which is
+Generator.exponential(scale) bit for bit), the masked fades of
 `_masked_fade` (each fade times its 0-or-1 on-mask, which the key's duty
-fixes, in place of the uniforms and fades behind it). Every later
-consecutive call with the key replays them and skips the Philox draws. A
-new key drops the recorded draws before it draws its own. They take, per
-trial, 8L(M+1) + 8M bytes for detection, 8(4M + 1) for outage, 8L for
-harvest and clipped gain, and 8L(M+1) + 8M + 8(1 + L + M) for a frame key
-(the hit rate's, then the uniform, harvest fades and selection
-exponentials): at 1e6 trials, 56 MB for fig3's three-primary, one-relay
-rows, 72 MB for fig4's two-relay outage rows and 216 MB for fig6's
-three-primary, four-relay rows. `clear_held()` empties the slot.
+fixes, in place of the uniforms and fades behind it) and the outage's
+`_selection_powers` (each relay's halved squared channel and estimate
+magnitudes, which rho fixes, in place of the four normal arrays behind
+them). Every later consecutive call with the key replays them and skips the
+Philox draws. A new key drops the recorded draws before it draws its own.
+They take, per trial, 8L(M+1) + 8M bytes for detection, 8(2M + 1) for
+outage, 8L for harvest and clipped gain, and 8L(M+1) + 8M + 8(1 + L + M)
+for a frame key (the hit rate's, then the uniform, harvest fades and
+selection exponentials). At 1e6 trials that is 56 MB for fig3's
+three-primary, one-relay rows, 40 MB for fig4's two-relay outage rows and
+216 MB for fig6's three-primary, four-relay rows, each recorded on its
+second row. At 2^15 trials fig3's and fig4's tapes fit the budget (1.8 and
+1.3 MB), an L = 12, two-relay detection tape (10 MB) does not.
+`clear_held()` empties the slot.
 
 The simulators share the analytic layer's power allocations and gain
 constants (those are design choices of the network, not outputs being
@@ -83,11 +92,14 @@ from .sensing import SecondaryPolicy, relay_reports
 from .transmission import build_trans_coeffs
 
 CHUNK = 1 << 16
+# a held-slot key records its draws on its first call when its whole tape
+# takes at most this many bytes (module docstring)
+HELD_FIRST_BYTES = 4 << 20
 
 _MIX_SEED = 0x9E3779B97F4A7C15
 _MIX_STREAM = 0xBF58476D1CE4E5B9
 _MASK64 = (1 << 64) - 1
-# `_units`: magnitudes below 2**this are summed and squared as they are
+# `_units`: magnitudes in [2**-this, 2**this) are summed and squared as they are
 _UNSCALED_EXP = 64
 _UNSCALED_SQ = 2.0 ** (2 * _UNSCALED_EXP)
 
@@ -153,10 +165,13 @@ def _map_chunks(fn, trials: int, workers: int = 1):
 
 
 def _units(x: float) -> int:
-    """The least k >= 0 with |x| < 2**(k + _UNSCALED_EXP). Scaling by 2**-k
-    is exact, so sums and squares in units of 2**k round as the plain ones
-    would wherever those do not overflow."""
-    return max(math.frexp(x)[1] - _UNSCALED_EXP, 0)
+    """The k nearest 0 with 2**-E <= |x| / 2**k < 2**E, E = _UNSCALED_EXP,
+    and 0 for x = 0: huge magnitudes are scaled down and tiny ones up, so
+    that their squares stay normal floats. Scaling by 2**-k is exact, so sums
+    and squares in units of 2**k round as the plain ones would wherever
+    those neither overflow nor leave the normal range."""
+    e = math.frexp(x)[1]
+    return max(e - _UNSCALED_EXP, 0) + min(e + _UNSCALED_EXP - 1, 0)
 
 
 def _reduce(fn, trials: int, workers: int = 1):
@@ -169,9 +184,10 @@ def _reduce(fn, trials: int, workers: int = 1):
         cols = [np.asarray(c, dtype=float) for c in fn(ci, n)]
         with np.errstate(over="ignore", invalid="ignore"):
             cross = np.array([[np.dot(x, y) for y in cols] for x in cols])
-        # a sum of squares below _UNSCALED_SQ proves k = 0 without a scan
-        k = [0 if cross[a, a] < _UNSCALED_SQ else _units(max(c.max(), -c.min()))
-             for a, c in enumerate(cols)]
+        # a sum of n squares in [n / _UNSCALED_SQ, _UNSCALED_SQ) proves
+        # k = 0 without a scan
+        k = [0 if len(c) / _UNSCALED_SQ <= cross[a, a] < _UNSCALED_SQ
+             else _units(max(c.max(), -c.min())) for a, c in enumerate(cols)]
         if any(k):
             cols = [np.ldexp(c, -kc) for c, kc in zip(cols, k)]
             cross = np.array([[np.dot(x, y) for y in cols] for x in cols])
@@ -207,12 +223,46 @@ def _masked_fade(rng, p, size):
     the uniforms drawn first: the faded powers of primaries that are on with
     probability p. The held slot's stand-ins record and replay the product,
     which the key's duty fixes, instead of the uniforms and fades behind it."""
-    if not isinstance(rng, np.random.Generator):
+    if isinstance(rng, _Tape):
         return rng.masked_fade(p, size)
     on = rng.random(size) < p
     fade = rng.standard_exponential(size)
     fade *= on
     return fade
+
+
+def _selection_powers(rng, rho, size):
+    """The (2, n, M) array of halved squared magnitudes, for size (n, M),
+    of each relay's channel h and of its outdated estimate e = rho*h +
+    sqrt(1-rho^2)*w: 0.5*(hr^2 + hi^2) and 0.5*(er^2 + ei^2), from the
+    normals hr, hi, wr, wi drawn in that order. Built in place, two scratch
+    arrays beside the result, with each element's operations in the order
+    0.5 * (er * er + ei * ei) gives them. The held slot's stand-ins record
+    and replay the pair, which rho fixes, instead of the four normals."""
+    if isinstance(rng, _Tape):
+        return rng.selection_powers(rho, size)
+    mix = math.sqrt(max(1.0 - rho * rho, 0.0))
+    powers = np.empty((2,) + tuple(size))
+    true, est = powers
+    hr = rng.standard_normal(size)
+    hi = rng.standard_normal(size)
+    np.multiply(hr, rho, out=est)
+    np.multiply(hr, hr, out=true)
+    w = rng.standard_normal(size, out=hr)
+    w *= mix
+    est += w                           # er
+    np.multiply(hi, hi, out=w)
+    true += w
+    true *= 0.5
+    hi *= rho
+    rng.standard_normal(size, out=w)
+    w *= mix
+    hi += w                            # ei
+    est *= est
+    hi *= hi
+    est += hi
+    est *= 0.5
+    return powers
 
 
 class _Tape:
@@ -247,8 +297,9 @@ class _Tape:
     def masked_fade(self, p, size):
         return self._draw("masked_fade", size, lambda rng: _masked_fade(rng, p, size))
 
-    def standard_normal(self, size):
-        return self._draw("standard_normal", size, lambda rng: rng.standard_normal(size))
+    def selection_powers(self, rho, size):
+        return self._draw("selection_powers", (2,) + tuple(size),
+                          lambda rng: _selection_powers(rng, rho, size))
 
     def standard_exponential(self, size):
         return self._draw("exponential", size, lambda rng: rng.standard_exponential(size))
@@ -273,24 +324,28 @@ def clear_held():
     _held = (None, None)
 
 
-def _held_chunks(seed: int, stream, trials: int, shape: tuple, duty=None):
+def _held_chunks(seed: int, stream, trials: int, shape: tuple, duty, per_trial: int):
     """One call's way through the held slot (see the module docstring):
     (draws, commit). draws(ci) gives chunk ci's generators, one per stream
     of (seed, s) for s in `stream` (an int, or a tuple of them), plain or
     `_Tape`s; commit() ends the call once every chunk has been drawn.
     `shape` must fix every draw asked for at a given chunk size, and `duty`
-    every threshold handed to `_masked_fade`. The chunk function must ask
-    for its draws in one fixed order, as a chunk's streams share one tape."""
+    every parameter a recorded draw depends on (the duty handed to
+    `_masked_fade`, rho to `_selection_powers`). `per_trial` is the tape's
+    size in bytes per trial: a key records on its first call when the whole
+    tape fits `HELD_FIRST_BYTES`, else on its second consecutive call. The
+    chunk function must ask for its draws in one fixed order, as a chunk's
+    streams share one tape."""
     global _held
     key = (int(seed), stream, int(trials), shape, duty)
     streams = stream if isinstance(stream, tuple) else (stream,)
     held_key, tapes = _held
-    if held_key != key:
-        # let go of the old key's draws before this call draws its own
-        _held = (key, None)
-        return (lambda ci: [_chunk_rng(seed, s, ci) for s in streams]), lambda: None
-    if tapes is not None:
+    if held_key == key and tapes is not None:
         return (lambda ci: [_Tape(tapes[ci])] * len(streams)), lambda: None
+    # let go of the old key's draws before this call draws its own
+    _held = (key, None)
+    if not (held_key == key or int(trials) * per_trial <= HELD_FIRST_BYTES):
+        return (lambda ci: [_chunk_rng(seed, s, ci) for s in streams]), lambda: None
     tapes = {}
 
     def record(ci):
@@ -305,13 +360,20 @@ def _held_chunks(seed: int, stream, trials: int, shape: tuple, duty=None):
 
 
 def _held_mean(sampler, seed: int, stream: int, shape: tuple, trials: int, workers: int,
-               duty=None):
+               duty=None, *, per_trial: int):
     """`_mean` of sampler(rng, n) on the Philox streams of (seed, stream),
-    through the held slot (`_held_chunks`)."""
-    draws, commit = _held_chunks(seed, stream, trials, shape, duty)
+    through the held slot (`_held_chunks`), whose tape takes `per_trial`
+    bytes per trial."""
+    draws, commit = _held_chunks(seed, stream, trials, shape, duty, per_trial)
     out = _mean(lambda ci, n: sampler(draws(ci)[0], n), trials, workers)
     commit()
     return out
+
+
+def _hit_tape_bytes(n_primary: int, n_relays: int) -> int:
+    """Bytes per trial of the hit sampler's tape: L masked fades for the
+    destination and for each relay, and each relay's second-hop exponential."""
+    return 8 * (n_primary * (n_relays + 1) + n_relays)
 
 
 def _thinned(rng, n, gains, duty, weights=None):
@@ -378,8 +440,9 @@ def mc_detection(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
     """
     _, u, _, b = relay_reports(links, primary, policy)
     sampler = _sample_exceed_sampler(links, primary, policy, lam / policy.noise_power, u, b)
-    p_hit, se = _held_mean(sampler, seed, 0, (links.n_primary, links.n_relays),
-                           trials, workers, primary.duty)
+    L, M = links.n_primary, links.n_relays
+    p_hit, se = _held_mean(sampler, seed, 0, (L, M), trials, workers, primary.duty,
+                           per_trial=_hit_tape_bytes(L, M))
     if p_hit == 0.0:
         # no hits at all: quote the one-count scale, not a zero error bar
         se = 1.0 / trials
@@ -407,32 +470,29 @@ def mc_outage(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
     m, a, u = coeffs.snr_means, coeffs.snr_first, coeffs.u_trans
     x = gamma_th / policy.noise_power
     k = len(m)
-    mix = math.sqrt(max(1.0 - rho * rho, 0.0))
 
     def sampler(rng, n):
-        # relay j's (estimate, truth) pair of exponentials with mean m[j]
-        # comes from complex Gaussians with est = rho*h + sqrt(1-rho^2)*w
-        hr, hi, wr, wi = (rng.standard_normal((n, k)) for _ in range(4))
+        # relay j's (truth, estimate) pair of exponentials with mean m[j]
+        true, est = _selection_powers(rng, rho, (n, k))
         for j in range(k):
-            er = rho * hr[:, j] + mix * wr[:, j]
-            ei = rho * hi[:, j] + mix * wi[:, j]
-            true = 0.5 * (hr[:, j] * hr[:, j] + hi[:, j] * hi[:, j]) * m[j]
-            est = 0.5 * (er * er + ei * ei) * m[j]
+            est_j = est[:, j] * m[j]
+            true_j = true[:, j] * m[j]
             if j == 0:
-                best, second, a_sel, u_sel = est, true, a[0], u[0]
+                best, second, a_sel, u_sel = est_j, true_j, a[0], u[0]
                 continue
             # strictly above the best so far: ties stay with the first
             # index, as in np.argmax and `_selects`
-            win = est > best
-            best = np.where(win, est, best)
-            second = np.where(win, true, second)
+            win = est_j > best
+            best = np.where(win, est_j, best)
+            second = np.where(win, true_j, second)
             a_sel = np.where(win, a[j], a_sel)
             u_sel = np.where(win, u[j], u_sel)
-        first = rng.exponential(1.0, n) * a_sel
+        first = rng.standard_exponential(n) * a_sel
         e2e = first * second / (second + u_sel)
         return ((e2e <= x).astype(float),)
 
-    mean, se = _held_mean(sampler, seed, 3, (k,), trials, workers)
+    mean, se = _held_mean(sampler, seed, 3, (k,), trials, workers, rho,
+                          per_trial=8 * (2 * k + 1))
     if mean in (0.0, 1.0):
         # all-or-nothing outcome: one-count floor keeps z-tests meaningful
         se = max(se, 1.0 / trials)
@@ -466,7 +526,7 @@ def mc_harvest(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
         return (p_detect * base(rng, n),)
 
     mean, se = _held_mean(sampler, seed, 5, (links.n_primary,), trials, workers,
-                          primary.duty)
+                          primary.duty, per_trial=8 * links.n_primary)
     return MCEstimate(mean=mean, stderr=se, trials=int(trials), seed=int(seed))
 
 
@@ -485,7 +545,7 @@ def mc_clipped_gain(links: LinkSet, primary: PrimaryModel, policy: SecondaryPoli
         return (np.where(lvl <= threshold_t, 1.0 / u, 1.0 / (lvl + 1.0)),)
 
     mean, se = _held_mean(sampler, seed, 7, (links.n_primary,), trials, workers,
-                          duty)
+                          duty, per_trial=8 * links.n_primary)
     return MCEstimate(mean=mean, stderr=se, trials=int(trials), seed=int(seed))
 
 
@@ -544,8 +604,12 @@ def _frame_draws(model: EnergyModel, i: int, t_sense: float, trials: int, seed: 
             hit = _sample_exceed_sampler(links, primary, policy,
                                          policy.threshold / policy.noise_power,
                                          model.report.u_report, model.report.snr_report)
-            draws, commit = _held_chunks(seed, (11, stream), trials,
-                                         (links.n_primary, n_relays), primary.duty)
+            L = links.n_primary
+            # the hit sampler's tape, then the uniforms, harvest fades and
+            # standard selection exponentials
+            draws, commit = _held_chunks(seed, (11, stream), trials, (L, n_relays),
+                                         primary.duty,
+                                         _hit_tape_bytes(L, n_relays) + 8 * (1 + L + n_relays))
             chunks = {}
 
             def hits(ci, n):

@@ -320,6 +320,19 @@ class TestHugePowers:
         numbers = [float(x) for x in _NUMBER.findall(printed)]
         assert numbers and all(math.isfinite(x) for x in numbers), printed
 
+    def test_stderr_of_samples_whose_squares_underflow(self, capsys):
+        # at 1e150 W the clipped-gain samples are about 1e-167 and their
+        # squares underflow, yet the stderr is resolved: finite, positive and
+        # a few percent of the mean. The row itself still fails (see above)
+        code = run(["--trials", "2048", "--set", "primary.tx_power=1e150 W", "validate"])
+        row = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("clipped_gain"))
+        fields = dict(re.findall(r"(\w+)=\s*(\S+)", row))
+        mc, se, z = (float(fields[k]) for k in ("mc", "se", "z"))
+        assert code == 1 and row.endswith("FAIL")
+        assert 0.0 < se < math.inf and 1e-3 * mc < se < mc
+        assert math.isfinite(z)
+
 
 class TestSingleQuantityCommands:
     def test_detect(self, capsys):

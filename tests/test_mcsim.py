@@ -262,6 +262,33 @@ class TestReducer:
         assert mean == pytest.approx(cols[0].mean(), rel=1e-12)
         assert math.isfinite(se) and se == pytest.approx(want_se, rel=1e-9)
 
+    def test_columns_that_square_below_the_float_range(self):
+        # samples below 2**-560 square to 0 as they are: summed in units of
+        # a negative power of two, the mean keeps the plain sum's bits and
+        # the stderr is resolved
+        def sampler(rng, n):
+            return (rng.random(n) * 2.0 ** -560,)
+
+        trials = CHUNK + 17
+        fn = _seeded(sampler, 4, 1)
+        parts = [sampler(_chunk_rng(4, 1, ci), n)[0] for ci, n in ((0, CHUNK), (1, 17))]
+        col = np.concatenate(parts)
+        assert float(np.dot(col, col)) == 0.0
+        sums, cross, units = _reduce(fn, trials)
+        assert units == [mcsim._units(col.max())] and units[0] < 0
+        mean, se = _mean(fn, trials, 1)
+        assert mean == (parts[0].sum() + parts[1].sum()) / trials
+        want_se = math.ldexp(np.ldexp(col, -units[0]).std(ddof=1) / math.sqrt(trials), units[0])
+        assert 0.0 < se and se == pytest.approx(want_se, rel=1e-9)
+
+    def test_units_scale_both_ways(self):
+        E = mcsim._UNSCALED_EXP
+        assert mcsim._units(0.0) == 0
+        for x in (1.0, 2.0 ** -E, 2.0 ** E * (1 - 2 ** -53), 1e300, 1e-300, 5e-324):
+            k = mcsim._units(x)
+            assert 2.0 ** -E <= math.ldexp(x, -k) < 2.0 ** E, x
+            assert k == 0 or not 2.0 ** -E <= x < 2.0 ** E, x
+
     def test_rejects_single_trial(self):
         with pytest.raises(ValueError):
             _reduce(_seeded(lambda rng, n: (rng.random(n),), 1, 0), 1)
@@ -284,6 +311,15 @@ class TestStderrScaling:
                                trials=50_000, seed=2)
             assert est.stderr >= 0.0
             assert 0.0 <= est.mean <= 1.0
+
+
+    def test_stderr_of_a_detection_term_whose_square_underflows(self):
+        # at 0.1 ms on the default preset every frame detects, the samples
+        # are equal, and the stderr is the detection estimate's term alone,
+        # about 1e-183, whose square underflows unless scaled
+        scn = scenario_from_conf(preset("default"))
+        est = mc_frame_energy(scn.energy_model(), scn.relay, 1e-4, 65536, scn.seed)
+        assert 1e-190 < est.stderr < 1e-170
 
 
 class TestDegenerateCases:
@@ -519,13 +555,14 @@ class TestKernelBits:
 
 class _TiedNoise:
     """Generator stand-in whose third and fourth normal draws (mc_outage's
-    w) repeat their first column in every other row."""
+    w, drawn inside `mcsim._selection_powers`) repeat their first column in
+    every other row."""
 
     def __init__(self, rng):
         self._rng, self._normals = rng, 0
 
-    def standard_normal(self, size):
-        x = self._rng.standard_normal(size)
+    def standard_normal(self, size, out=None):
+        x = self._rng.standard_normal(size, out=out)
         self._normals += 1
         if self._normals in (3, 4):
             x[::2] = x[::2, :1]
@@ -534,12 +571,22 @@ class _TiedNoise:
     def exponential(self, scale, size):
         return self._rng.exponential(scale, size)
 
+    def standard_exponential(self, size):
+        return self._rng.standard_exponential(size)
+
 
 class TestHeldSlot:
-    """Consecutive calls with one key, (seed, stream, trials, draw shape),
-    draw once and then replay the recorded draws, bit for bit."""
+    """Consecutive calls with one key, (seed, stream, trials, draw shape,
+    duty or rho), draw once and then replay the recorded draws, bit for bit.
+    A key records on its first call when its whole tape fits
+    `mcsim.HELD_FIRST_BYTES`, else on its second consecutive call; 0 gives
+    the second-call rule to every key."""
 
     TRIALS = CHUNK + 4_000  # a full chunk and a partial tail chunk
+    # 0 makes each key wait for its second call; at TRIALS the stock budget
+    # lets fig7's harvest and clipped-gain tapes record on the first call and
+    # not the others; 1 << 40 lets every key record on its first
+    BUDGETS = (0, mcsim.HELD_FIRST_BYTES, 1 << 40)
 
     @staticmethod
     def bits(est):
@@ -563,47 +610,115 @@ class TestHeldSlot:
                                           workers=w),
         }
 
-    @pytest.mark.parametrize("stream", [0, 3, 5, 7, 11])
-    def test_fresh_recording_and_replaying_calls_agree(self, stream, rng_keys):
-        run = self.samplers()[stream]
+    @staticmethod
+    def per_trial(stream):
+        """Bytes per trial of each sampler's tape on fig7 (the module
+        docstring's formulas), L primaries and M relays."""
+        links = scenario_from_conf(preset("fig7")).links
+        L, M = links.n_primary, links.n_relays
+        hit = 8 * L * (M + 1) + 8 * M
+        return {0: hit, 3: 8 * (2 * M + 1), 5: 8 * L, 7: 8 * L,
+                11: hit + 8 * (1 + L + M)}[stream]
+
+    @staticmethod
+    def held_bytes():
+        return sum(x.nbytes for tape in mcsim._held[1].values() for _, x in tape)
+
+    def fresh_bits(self, run, monkeypatch):
+        """The bits of run(w) for w = 1 and 2 drawn afresh, with nothing held
+        and nothing recorded."""
+        monkeypatch.setattr(mcsim, "HELD_FIRST_BYTES", 0)
         fresh = set()
         for w in (1, 2):
             mcsim.clear_held()
             fresh.add(self.bits(run(w)))
         assert len(fresh) == 1
-        for workers in ((1, 2, 1, 2), (2, 1, 2, 1)):
-            mcsim.clear_held()
-            for call, w in enumerate(workers):
-                rng_keys.clear()
-                assert {self.bits(run(w))} == fresh, (call, w)
-                mine = sorted(k for k in rng_keys if k[1] == stream)
-                # noted, recorded, then replayed without opening a stream
-                assert mine == ([(3, stream, 0), (3, stream, 1)] if call < 2 else []), call
-                assert (mcsim._held[1] is None) == (call == 0), call
+        return fresh
 
-    def test_alternating_keys_never_record(self, rng_keys):
+    @pytest.mark.parametrize("stream", [0, 3, 5, 7, 11])
+    def test_fresh_recording_and_replaying_calls_agree(self, stream, rng_keys, monkeypatch):
+        run = self.samplers()[stream]
+        fresh = self.fresh_bits(run, monkeypatch)
+        for budget in self.BUDGETS:
+            monkeypatch.setattr(mcsim, "HELD_FIRST_BYTES", budget)
+            first_records = self.TRIALS * self.per_trial(stream) <= budget
+            for workers in ((1, 2, 1, 2), (2, 1, 2, 1)):
+                mcsim.clear_held()
+                for call, w in enumerate(workers):
+                    rng_keys.clear()
+                    assert {self.bits(run(w))} == fresh, (budget, call, w)
+                    mine = sorted(k for k in rng_keys if k[1] == stream)
+                    # recorded on the first call, or noted, then recorded;
+                    # then replayed without opening a stream
+                    drawn = call == 0 or (call == 1 and not first_records)
+                    assert mine == ([(3, stream, 0), (3, stream, 1)] if drawn else []), \
+                        (budget, call)
+                    assert (mcsim._held[1] is None) == (call == 0 and not first_records), \
+                        (budget, call)
+
+    @pytest.mark.parametrize("stream", [0, 3, 5, 7, 11])
+    def test_budget_decides_the_first_call(self, stream, rng_keys, monkeypatch):
+        run = self.samplers()[stream]
+        tape = self.TRIALS * self.per_trial(stream)
+        for budget, records in ((tape, True), (tape - 1, False)):
+            monkeypatch.setattr(mcsim, "HELD_FIRST_BYTES", budget)
+            mcsim.clear_held()
+            run(1)
+            key = mcsim._held[0]
+            assert key[:3] == (3, stream if stream != 11 else (11, 13), self.TRIALS)
+            if not records:
+                # over the budget the first call only notes its key
+                assert mcsim._held[1] is None
+                continue
+            # under it the first call records the whole tape, and the next
+            # call opens no Philox stream
+            assert self.held_bytes() == tape
+            rng_keys.clear()
+            run(1)
+            assert rng_keys == []
+            assert mcsim._held[0] == key
+
+    @pytest.mark.parametrize("stream", [0, 3, 5, 7, 11])
+    def test_tape_bytes_match_the_formulas(self, stream, monkeypatch):
+        monkeypatch.setattr(mcsim, "HELD_FIRST_BYTES", 1 << 40)
+        self.samplers()[stream](1)
+        assert self.held_bytes() == self.TRIALS * self.per_trial(stream)
+
+    def test_alternating_keys_never_record(self, rng_keys, monkeypatch):
+        # at 20000 trials both tapes fit the stock budget: each first call
+        # records, and the other key's next call drops it again
         run = self.samplers(trials=20_000)
         want = {}
+        monkeypatch.setattr(mcsim, "HELD_FIRST_BYTES", 0)
         for stream in (0, 5):
             mcsim.clear_held()
             want[stream] = self.bits(run[stream](1))
-        mcsim.clear_held()
-        for stream in (0, 5) * 3:
-            rng_keys.clear()
-            assert self.bits(run[stream](1)) == want[stream]
-            assert rng_keys == [(3, stream, 0)]
-            assert mcsim._held[1] is None
+        for budget in (0, mcsim.HELD_FIRST_BYTES):
+            monkeypatch.setattr(mcsim, "HELD_FIRST_BYTES", budget)
+            mcsim.clear_held()
+            for stream in (0, 5) * 3:
+                rng_keys.clear()
+                assert self.bits(run[stream](1)) == want[stream]
+                assert rng_keys == [(3, stream, 0)]
+                assert mcsim._held[0][1] == stream
+                assert (mcsim._held[1] is None) == (budget == 0), budget
 
-    def test_recorded_draws_are_read_only(self):
+    def test_recorded_draws_are_read_only(self, monkeypatch):
         def doubled(rng, n):
             x = rng.random(n)
             x *= 2.0
             return (x,)
 
-        # a one-off call gets writable draws, a recording call read-only ones
-        _held_mean(doubled, 1, 99, (), 1000, 1)
+        # a one-off call gets writable draws, a recording call read-only
+        # ones, on the second call when the budget is 0 and on the first
+        # when the tape fits it
+        monkeypatch.setattr(mcsim, "HELD_FIRST_BYTES", 0)
+        _held_mean(doubled, 1, 99, (), 1000, 1, per_trial=8)
         with pytest.raises(ValueError, match="read-only"):
-            _held_mean(doubled, 1, 99, (), 1000, 1)
+            _held_mean(doubled, 1, 99, (), 1000, 1, per_trial=8)
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="read-only"):
+            _held_mean(doubled, 1, 98, (), 1000, 1, per_trial=8)
         run = self.samplers(trials=20_000)[5]
         run(1)
         run(1)
@@ -625,7 +740,7 @@ class TestHeldSlot:
             alive.append(sum(ref() is not None for ref in held))
             return (rng.random(n),)
 
-        _held_mean(sampler, 1, 99, (), 1000, 1)
+        _held_mean(sampler, 1, 99, (), 1000, 1, per_trial=8)
         assert held and alive == [0]
 
     def test_replay_of_another_draw_raises(self):
@@ -634,16 +749,16 @@ class TestHeldSlot:
         def sampler(rng, n):
             return (ask["draw"](rng, n),)
 
-        want = [_held_mean(sampler, 1, 99, (), 1000, 1) for _ in range(2)]
+        want = [_held_mean(sampler, 1, 99, (), 1000, 1, per_trial=8) for _ in range(2)]
         assert mcsim._held[1] is not None
         for other in (lambda rng, n: rng.exponential(1.0, n),
                       lambda rng, n: rng.random((n, 1)),
                       lambda rng, n: rng.random(n) + rng.random(n)):
             ask["draw"] = other
             with pytest.raises(RuntimeError, match="replay asked for"):
-                _held_mean(sampler, 1, 99, (), 1000, 1)
+                _held_mean(sampler, 1, 99, (), 1000, 1, per_trial=8)
         ask["draw"] = lambda rng, n: rng.random(n)
-        assert _held_mean(sampler, 1, 99, (), 1000, 1) == want[0] == want[1]
+        assert _held_mean(sampler, 1, 99, (), 1000, 1, per_trial=8) == want[0] == want[1]
 
     def test_concurrent_keys_each_get_fresh_bits(self):
         # more callers than cores: three on one key, one on another, and two
@@ -700,20 +815,33 @@ class TestHeldSlot:
         held = sum(x.nbytes for tape in mcsim._held[1].values() for _, x in tape)
         assert held == self.TRIALS * (8 * L * (M + 1) + 8 * M + 8 * (1 + L + M))
 
-    def test_validate_then_energy_records_nothing(self, capsys):
-        # one preset, default, as a cli-queries pass runs it
-        argv = ["--trials", "4096"]
-        assert cli.main(argv + ["validate"]) == 0
-        assert cli.main(argv + ["energy"]) == 0
-        assert mcsim._held[1] is None
+    def test_validate_then_energy_records_nothing(self, capsys, monkeypatch):
+        # one preset, default (L = M = 2), at a cli-queries pass's trials
+        trials = 4 * CHUNK
+        argv = ["--trials", str(trials)]
+        for budget in (0, mcsim.HELD_FIRST_BYTES):
+            monkeypatch.setattr(mcsim, "HELD_FIRST_BYTES", budget)
+            mcsim.clear_held()
+            assert cli.main(argv + ["validate"]) == 0
+            # clipped gain runs last, and its tape, 8L bytes a trial, is just
+            # as large as the stock budget: recorded on its one call
+            assert mcsim._held[0][:3] == (1234, 7, trials)
+            if budget == 0:
+                assert mcsim._held[1] is None
+            else:
+                assert self.held_bytes() == trials * 8 * 2 == budget
+            assert cli.main(argv + ["energy"]) == 0
+            # the frame key's tape does not fit: energy only notes its key
+            assert mcsim._held[0][1] == (11, 13) and mcsim._held[1] is None
 
     @pytest.mark.parametrize("name", ["fig3", "fig4", "fig6", "fig8"])
     def test_figure_rows_equal_rows_drawn_afresh(self, name, tmp_path, monkeypatch):
         argv = ["--trials", "4096", "--out"]
         assert cli.main(argv + [str(tmp_path / "held.csv"), "figure", name]) == 0
-        # fig8's rows share one model per primary count, whose memo keeps the
-        # draws, so only its first row of each goes through the slot
-        assert (mcsim._held[1] is None) == (name == "fig8")
+        # every key's tape fits the budget at 4096 trials, so each records on
+        # its first row; fig8's rows share one model per primary count, whose
+        # memo keeps the draws, so only its first row of each uses the slot
+        assert mcsim._held[1] is not None
         header, points = cli.FIGURES[name]
 
         def cleared(conf, no_mc):
@@ -725,7 +853,9 @@ class TestHeldSlot:
                     return
                 yield row
 
+        # an empty slot and no first-call recording: every row draws afresh
         monkeypatch.setitem(cli.FIGURES, name, (header, cleared))
+        monkeypatch.setattr(mcsim, "HELD_FIRST_BYTES", 0)
         assert cli.main(argv + [str(tmp_path / "fresh.csv"), "figure", name]) == 0
         held = (tmp_path / "held.csv").read_bytes()
         assert held.count(b"\n") == {"fig3": 46, "fig4": 49, "fig6": 21, "fig8": 39}[name]
@@ -751,19 +881,26 @@ class TestHeldMasks:
         }
 
     @pytest.mark.parametrize("stream", [0, 5, 7, 11])
-    def test_duty_change_draws_afresh(self, stream, rng_keys):
+    def test_duty_change_draws_afresh(self, stream, rng_keys, monkeypatch):
         bits = TestHeldSlot.bits
+        monkeypatch.setattr(mcsim, "HELD_FIRST_BYTES", 0)
         fresh = bits(self.samplers(0.3)[stream]())
-        mcsim.clear_held()
-        run = self.samplers(0.5)[stream]
-        run()
-        run()
-        assert mcsim._held[1] is not None
-        rng_keys.clear()
-        # same seed, stream, trials and shape: only the duty moved
-        assert bits(self.samplers(0.3)[stream]()) == fresh
-        assert sorted(k for k in rng_keys if k[1] == stream) == [(3, stream, 0), (3, stream, 1)]
-        assert mcsim._held[0][4] == 0.3 and mcsim._held[1] is None
+        for budget in TestHeldSlot.BUDGETS:
+            monkeypatch.setattr(mcsim, "HELD_FIRST_BYTES", budget)
+            first_records = self.TRIALS * TestHeldSlot.per_trial(stream) <= budget
+            mcsim.clear_held()
+            run = self.samplers(0.5)[stream]
+            run()
+            run()
+            assert mcsim._held[1] is not None
+            rng_keys.clear()
+            # same seed, stream, trials and shape: only the duty moved
+            assert bits(self.samplers(0.3)[stream]()) == fresh
+            assert sorted(k for k in rng_keys if k[1] == stream) == [(3, stream, 0),
+                                                                     (3, stream, 1)]
+            # the new key records on this first call only if its tape fits
+            assert mcsim._held[0][4] == 0.3
+            assert (mcsim._held[1] is None) == (not first_records), budget
 
     def test_tapes_hold_one_masked_fade_per_activity_draw(self):
         scn = scenario_from_conf(preset("fig7"))
@@ -778,6 +915,53 @@ class TestHeldMasks:
         assert len(masked) == len(tapes) * (M + 1)
         held = sum(x.nbytes for tape in tapes.values() for _, x in tape)
         assert held == self.TRIALS * (8 * L * (M + 1) + 8 * M)
+
+
+class TestHeldOutage:
+    """`mc_outage` records one (2, n, M) array of selection powers per
+    chunk, the truths' and the estimates' halved squared magnitudes, which
+    rho fixes, so rho is part of its key."""
+
+    TRIALS = CHUNK + 4_000
+
+    @staticmethod
+    def run(rho, trials=TRIALS, seed=3):
+        scn = scenario_from_conf(preset("fig7"))
+        return mc_outage(scn.links, scn.primary, scn.policy, scn.gamma_th, 0.95, rho,
+                         trials, seed)
+
+    def test_rho_change_draws_afresh(self, rng_keys, monkeypatch):
+        bits = TestHeldSlot.bits
+        monkeypatch.setattr(mcsim, "HELD_FIRST_BYTES", 0)
+        fresh = bits(self.run(0.5))
+        for budget in TestHeldSlot.BUDGETS:
+            monkeypatch.setattr(mcsim, "HELD_FIRST_BYTES", budget)
+            mcsim.clear_held()
+            self.run(0.9)
+            self.run(0.9)
+            assert mcsim._held[1] is not None
+            rng_keys.clear()
+            # same seed, stream, trials and shape: only rho moved
+            assert bits(self.run(0.5)) == fresh
+            assert sorted(rng_keys) == [(3, 3, 0), (3, 3, 1)]
+            assert mcsim._held[0][4] == 0.5
+            # by its third call the new key replays its draws
+            self.run(0.5)
+            rng_keys.clear()
+            assert bits(self.run(0.5)) == fresh
+            assert rng_keys == []
+
+    def test_tape_holds_the_two_selection_powers(self, monkeypatch):
+        monkeypatch.setattr(mcsim, "HELD_FIRST_BYTES", 1 << 40)
+        M = scenario_from_conf(preset("fig7")).links.n_relays
+        self.run(0.9)
+        tapes = mcsim._held[1]
+        assert sorted(tapes) == [0, 1]
+        for ci, n in ((0, CHUNK), (1, 4_000)):
+            assert [(method, x.shape) for method, x in tapes[ci]] == [
+                ("selection_powers", (2, n, M)), ("exponential", (n,))]
+            assert not any(x.flags.writeable for _, x in tapes[ci])
+        assert TestHeldSlot.held_bytes() == self.TRIALS * 8 * (2 * M + 1)
 
 
 class TestPinnedMeans:
