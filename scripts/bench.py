@@ -4,7 +4,7 @@ Carlo sampler, and write them as JSON: to `results/bench.json` by default,
 or to a new BENCH_<n>.json baseline with `--out`.
 
     PYTHONPATH=src python3 scripts/bench.py
-    PYTHONPATH=src python3 scripts/bench.py --out BENCH_7.json
+    PYTHONPATH=src python3 scripts/bench.py --out BENCH_8.json
     PYTHONPATH=src python3 scripts/bench.py --trials 65536
     PYTHONPATH=src python3 scripts/bench.py --only startup --out results/startup.json
     PYTHONPATH=src python3 scripts/bench.py --only chain --out results/chain.json
@@ -39,13 +39,15 @@ consecutive call with one key, which replays the draws the first call
 recorded, or the second for a tape over `mcsim.HELD_FIRST_BYTES` (the first
 two calls are not timed). The frame simulators
 (`mc_frame_energy` with and without harvesting, `mc_ecg`) are timed twice:
-memo-cold, the first call on a fresh `EnergyModel` (it draws the hit rate
-and, inside that reduction, the frame draws, and `mcsim` memoises both for
-the model), and memo-warm, a later call at a new sensing time on the same
-model (it redoes only the comparisons). Building the model is not timed.
+cold, the first call on a fresh `EnergyModel` with the slot emptied (it
+draws the hit rate and, inside that reduction, the frame draws, and the
+slot keeps both with the model), and warm, the next call at a new sensing
+time on the same model and relay (it reads them from the slot and redoes
+only the comparisons). Building the model is not timed.
 `mc_frame_energy` is also timed held on `fig6`, as fig6's rows run it: on a
-fresh model per call, so no memo helps, the third consecutive call replays
-the hit-rate and frame draws an earlier call recorded.
+fresh model per call, so the slot's frame state never matches, the third
+consecutive call replays the hit-rate and frame draws an earlier call
+recorded.
 
 `held`: the held slot at `HELD_TRIALS` draws per call, whatever `--trials`
 says. Per sampler (the four stateless ones on `default` and `fig7`, and
@@ -61,16 +63,17 @@ count on the fig3 ladder with two relays, L = 1..12. The scenarios and
 models are built before the timed loop.
 
 `figures`: the wall time and the child's peak RSS (`ru_maxrss`) of
-`relaysense figure` for each of `FIGURES`, at `FIGURE_TRIALS` trials and
-`FIGURE_WORKERS` workers, in a fresh interpreter with the one BLAS thread
-set below, median of `REPEAT` runs. A child's `ru_maxrss` counts the memory of the process it was forked from,
-so this section runs right after start-up, and each row also gives this
-process's own peak RSS (`bench_maxrss_mb`), a floor under the child's.
-Not part of CI: each run takes seconds.
+`relaysense figure` for every stock figure (`FIGURES`), at `FIGURE_TRIALS`
+trials and `FIGURE_WORKERS` workers, in a fresh interpreter with the one
+BLAS thread set below, median of `REPEAT` runs. A child's `ru_maxrss`
+counts the memory of the process it was forked from, so this section runs
+right after start-up, and each row also gives this process's own peak RSS
+(`bench_maxrss_mb`), a floor under the child's. Not part of CI: each run
+takes seconds.
 
-The file also records the line count and SHA-256 of the imported package's
-sources and the host. A markdown table of the same numbers goes to standard
-output.
+The file also records the line count of each of the imported package's
+modules, their total and SHA-256, and the host. A markdown table of the
+same numbers goes to standard output.
 """
 import argparse
 import gc
@@ -114,7 +117,7 @@ BUDGETS_MIB = (0, 1, 2, 4, 8, 16)
 HELD_SWEEPS = (("fig3", 1 << 15), ("fig6", 1 << 14), ("ladder", 1 << 15))
 # the budget curve's runs per point: its sweeps take 0.03-0.3 s each
 CURVE_REPEAT = 7
-FIGURES = ("fig4", "fig6")
+FIGURES = ("fig3", "fig4", "fig6", "fig7", "fig8", "table1")
 FIGURE_TRIALS = 1_000_000
 FIGURE_WORKERS = 2
 # (name, config) of the geometries whose LinkSet construction is timed
@@ -289,9 +292,9 @@ def _replayed(fn):
 def measure(trials):
     rows = []
 
-    def add(name, sampler, memo, workers, runs):
+    def add(name, sampler, slot, workers, runs):
         per = [s * UNIT / trials for s in runs]
-        rows.append({"preset": name, "sampler": sampler, "memo": memo, "workers": workers,
+        rows.append({"preset": name, "sampler": sampler, "slot": slot, "workers": workers,
                      "s_per_2p20_median": statistics.median(per),
                      "s_per_2p20_min": min(per), "runs_s": runs})
 
@@ -307,7 +310,8 @@ def measure(trials):
                 for r in range(REPEAT):
                     model = scn.energy_model()
                     cold.append(_fresh(lambda: fn(model, scn.relay, scn.t_sense, trials, w)))
-                    # a new sensing time on the same model: only the comparisons move
+                    # a new sensing time on the same model and relay: the slot
+                    # holds the draws, and only the comparisons move
                     t_warm = scn.t_sense * (1.5 + 0.25 * r)
                     warm.append(_timed(lambda: fn(model, scn.relay, t_warm, trials, w)))
                     del model
@@ -460,14 +464,14 @@ def figure_runs():
 
 
 def src_stats():
-    """(line count, SHA-256) of the imported package's .py files."""
+    """({module file: line count}, SHA-256) of the imported package's .py files."""
     pkg = os.path.dirname(os.path.abspath(relaysense.__file__))
-    lines, digest = 0, hashlib.sha256()
+    lines, digest = {}, hashlib.sha256()
     for fname in sorted(os.listdir(pkg)):
         if fname.endswith(".py"):
             with open(os.path.join(pkg, fname), "rb") as fh:
                 text = fh.read()
-            lines += text.count(b"\n")
+            lines[fname] = text.count(b"\n")
             digest.update(fname.encode() + b"\0" + text)
     return lines, digest.hexdigest()
 
@@ -519,11 +523,11 @@ def chain_table(rows):
 
 
 def table(rows):
-    lines = ["| preset | sampler | memo | workers | s per 2^20 draws (median) | min |",
+    lines = ["| preset | sampler | slot | workers | s per 2^20 draws (median) | min |",
              "|---|---|---|---|---|---|"]
     for r in rows:
         lines.append("| %s | %s | %s | %d | %.4f | %.4f |"
-                     % (r["preset"], r["sampler"], r["memo"] or "", r["workers"],
+                     % (r["preset"], r["sampler"], r["slot"] or "", r["workers"],
                         r["s_per_2p20_median"], r["s_per_2p20_min"]))
     return "\n".join(lines)
 
@@ -562,9 +566,10 @@ def main(argv=None):
         ap.error("need --trials >= 2")
     sections = args.only or SECTIONS
 
-    loc, sha = src_stats()
+    module_loc, sha = src_stats()
+    loc = sum(module_loc.values())
     doc = {"trials": args.trials, "repeat": REPEAT, "seed": SEED, "unit_draws": UNIT,
-           "src_loc": loc, "src_sha256": sha, "host": host()}
+           "src_loc": loc, "src_module_loc": module_loc, "src_sha256": sha, "host": host()}
     out = []
     # start-up first, before this process has warmed any file cache further
     if "startup" in sections:
@@ -596,7 +601,8 @@ def main(argv=None):
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    print("src/ %d lines\n\n%s" % (loc, "\n\n".join(out)))
+    print("src/ %d lines (%s)\n\n%s" % (loc, ", ".join("%s %d" % kv for kv in module_loc.items()),
+                                          "\n\n".join(out)))
     return 0
 
 

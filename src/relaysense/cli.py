@@ -217,8 +217,9 @@ def _validate_pairs(scn: Scenario):
                  + _frame_energy(scn, model, scn.t_sense, False, harvesting=False))
 
     u0 = model.report.u_report[scn.relay]
-    if math.isinf(u0):
-        # no continuous report (duty 0): there is no amplifier level to clip
+    if not 1.0 < u0 < math.inf:
+        # no continuous report (duty 0), or one too faint to lift u above 1:
+        # there is no amplifier level to clip
         return pairs + [("clipped_gain", None, None)]
     thr = sensing.solve_saturation_gain(model.report.relays[scn.relay], u0)
     pairs.append(("clipped_gain", 1.0 / u0,

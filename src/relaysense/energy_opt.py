@@ -162,8 +162,8 @@ class EnergyModel:
 
     `frame` keeps each sensing time's fields for the model's lifetime, so
     every reader at one sensing time shares one build. The model holds no
-    Monte Carlo state: `mcsim` memoises the frame simulators' draws, keyed
-    weakly by the model.
+    Monte Carlo state: `mcsim`'s held slot keeps the frame simulators'
+    draws for the last model they ran on.
     """
 
     def __init__(self, links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
@@ -203,8 +203,9 @@ class EnergyModel:
         Its t_sense-dependent fields are computed on the first call for
         t_sense and kept for the model's lifetime, so a later call builds
         nothing and returns an equal Frame. Only the fields are kept, not
-        the Frame: it refers back to the model, and that cycle would hold
-        the model and `mcsim`'s memo of it until a full garbage collection.
+        the Frame: it refers back to the model, and that cycle would keep a
+        model, once `mcsim`'s held slot lets go of it, until the cyclic
+        garbage collector runs.
         """
         fields = self._frames.get(t_sense)
         if fields is None:

@@ -9,29 +9,13 @@ worker threads run the chunks, which the validation harness relies on.
 two (`_units`), so that no square overflows and the largest do not
 underflow.
 
-The frame simulators (`mc_frame_energy`, `mc_ecg`) run on one
-`EnergyModel` across a sensing-time grid. What they draw does not depend on
-the sensing time, so `_frame_draws` memoises it in `_memos`, weakly keyed
-by the model, under (stream, relay, trials, seed): the per-sample hit rate
-under (11, None, trials, seed), and under (13 or 17, relay, trials, seed)
-each chunk's raw draws (uniforms, harvested power, standard selection
-exponentials; stream 13 for `mc_frame_energy` with and without
-harvesting, 17 for `mc_ecg`). Every later sensing time only redoes the
-comparisons that move with it, and gives the same bits as a fresh model
-would. An entry goes with its model, after one figure run. Of its raw
-draws only the harvested power is the memo's own, trials * 8 bytes per
-(relay, stream) key, when the held slot (below) recorded or replayed the
-uniforms and exponentials; otherwise they are the memo's too, trials *
-(2 + n_relays) * 8 bytes in all: at 1e6 trials, 48 MB for `figure fig7`
-(4 relays, one key) and 24 MB for each of the two `figure fig8` models.
-
 Bit identity covers the order of arithmetic as well as the draws. The
 per-chunk kernels work one column (primary or relay) at a time, because
 numpy reductions and broadcasts over an axis of 1-4 elements cost more
 than the arithmetic, but they keep the array forms' operations: `_thinned`
 adds its columns in np.sum(axis=1)'s order, and `_selects` reproduces
-np.argmax's choice, ties to the first index. With the draws memoised, one
-memo-warm sensing time of `mc_frame_energy` on fig7's 4 relays costs about
+np.argmax's choice, ties to the first index. With the draws held (below),
+one warm sensing time of `mc_frame_energy` on fig7's 4 relays costs about
 0.02 s per 2^20 draws, the comparisons and the moment sums (2-vCPU Xeon
 VM, numpy 2.4.6; `scripts/bench.py`, `BENCH_2.json`).
 
@@ -43,18 +27,17 @@ keeps them across such a run. Its key is (seed, stream, trials, draw shape,
 duty), the draw shape being (L, M) for `mc_detection` (stream 0), (M,) for
 `mc_outage` (3) and (L,) for `mc_harvest` (5) and `mc_clipped_gain` (7),
 with L primaries and M relays; outage draws no activity and keys its CSI
-correlation rho in the duty's place. A frame simulator on a model without a
-memoised hit rate (a fresh model, as each fig6 row builds) takes the hit
-sampler's draws and its own frame draws through one key, (seed, (11, s),
-trials, (L, M), duty) with s its stream, 13 or 17; a model with a memoised
-hit rate does not use the slot. A key records every chunk's draws in one
-tape, read-only (`_Tape`), on its first call when the whole tape takes at
-most `HELD_FIRST_BYTES` (4 MiB), so a sweep replays from its second row.
-A larger tape is recorded on the key's second consecutive call: its first
-only notes the key and gets plain Philox generators. So a one-off call
-costs what it did without the slot and leaves at most the budget held.
-The tape holds the `random`
-and exponential arrays (as standard draws, replayed as scale * e, which is
+correlation rho in the duty's place. A frame simulator (`mc_frame_energy`,
+`mc_ecg`) takes the hit sampler's draws and its own frame draws through one
+key, (seed, (11, s), trials, (L, M), duty) with s its stream: 13 for
+`mc_frame_energy` with and without harvesting, 17 for `mc_ecg`. A key
+records every chunk's draws in one tape, read-only (`_Tape`), on its first
+call when the whole tape takes at most `HELD_FIRST_BYTES` (4 MiB), so a
+sweep replays from its second row. A larger tape is recorded on the key's
+second consecutive call: its first only notes the key and gets plain
+Philox generators. So a one-off call costs what it did without the slot
+and leaves at most the budget held. The tape holds the `random` and
+exponential arrays (as standard draws, replayed as scale * e, which is
 Generator.exponential(scale) bit for bit), the masked fades of
 `_masked_fade` (each fade times its 0-or-1 on-mask, which the key's duty
 fixes, in place of the uniforms and fades behind it) and the outage's
@@ -69,7 +52,19 @@ selection exponentials). At 1e6 trials that is 56 MB for fig3's
 three-primary, one-relay rows, 40 MB for fig4's two-relay outage rows and
 216 MB for fig6's three-primary, four-relay rows, each recorded on its
 second row. At 2^15 trials fig3's and fig4's tapes fit the budget (1.8 and
-1.3 MB), an L = 12, two-relay detection tape (10 MB) does not.
+1.3 MB), an L = 12, two-relay detection tape (10 MB) does not. The frame
+simulators run on one `EnergyModel` across a sensing-time grid, and what
+they draw does not depend on the sensing time. So the slot also
+holds, with a frame key, the state of that key's last call: its model and
+relay, the hit rate, and each chunk's uniforms, harvested power and
+standard selection exponentials. A call with the same key, the same model
+(`is`) and the same relay reads them and only redoes the comparisons that
+move with the sensing time, as a figure's sweep over one model does. Any
+other call draws them again, through the key's tapes when they are held,
+with the same bits. Of that state only the harvested power is the slot's
+own, trials * 8 bytes, when the key's tape is held; otherwise the uniforms
+and exponentials are too, trials * (2 + M) * 8 bytes in all: 48 MB at 1e6
+trials for `figure fig7`'s 4 relays. A call under another key drops it, and
 `clear_held()` empties the slot.
 
 The simulators share the analytic layer's power allocations and gain
@@ -80,7 +75,6 @@ tested) but draw every random quantity themselves.
 from __future__ import annotations
 
 import math
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -308,27 +302,26 @@ class _Tape:
         return scale * self.standard_exponential(size)
 
 
-# model -> {(stream, relay, trials, seed): draws}, the frame simulators'
-# memo (module docstring); an entry goes when its model does
-_memos = weakref.WeakKeyDictionary()
-
-# (key, {chunk: tape}), read and replaced as one tuple, so a caller never
-# sees one key's tapes under another's. Callers on other threads may
-# replace it between a read and a write; that can cost a replay, never a bit.
-_held = (None, None)
+# (key, {chunk: tape} or None, frame), read and replaced as one tuple, so a
+# caller never sees one key's tapes or frame under another's; frame is a
+# frame simulator's state (`_frame_draws`), else None. Callers on other
+# threads may replace it between a read and a write; that can cost a
+# replay, never a bit.
+_held = (None, None, None)
 
 
 def clear_held():
     """Empty the held slot: the next call of each sampler draws afresh."""
     global _held
-    _held = (None, None)
+    _held = (None, None, None)
 
 
 def _held_chunks(seed: int, stream, trials: int, shape: tuple, duty, per_trial: int):
     """One call's way through the held slot (see the module docstring):
     (draws, commit). draws(ci) gives chunk ci's generators, one per stream
     of (seed, s) for s in `stream` (an int, or a tuple of them), plain or
-    `_Tape`s; commit() ends the call once every chunk has been drawn.
+    `_Tape`s; commit(frame=None) ends the call once every chunk has been
+    drawn, and holds this call's tapes, if any, with `frame`.
     `shape` must fix every draw asked for at a given chunk size, and `duty`
     every parameter a recorded draw depends on (the duty handed to
     `_masked_fade`, rho to `_selection_powers`). `per_trial` is the tape's
@@ -339,24 +332,29 @@ def _held_chunks(seed: int, stream, trials: int, shape: tuple, duty, per_trial: 
     global _held
     key = (int(seed), stream, int(trials), shape, duty)
     streams = stream if isinstance(stream, tuple) else (stream,)
-    held_key, tapes = _held
-    if held_key == key and tapes is not None:
-        return (lambda ci: [_Tape(tapes[ci])] * len(streams)), lambda: None
-    # let go of the old key's draws before this call draws its own
-    _held = (key, None)
-    if not (held_key == key or int(trials) * per_trial <= HELD_FIRST_BYTES):
-        return (lambda ci: [_chunk_rng(seed, s, ci) for s in streams]), lambda: None
-    tapes = {}
+    held_key, tapes, _ = _held
+    if held_key != key:
+        tapes = None
+    # let go of the held frame, and of another key's tapes, before drawing
+    _held = (key, tapes, None)
+    if tapes is not None:
+        def draws(ci):
+            return [_Tape(tapes[ci])] * len(streams)
+    elif held_key == key or int(trials) * per_trial <= HELD_FIRST_BYTES:
+        tapes = {}
 
-    def record(ci):
-        tapes[ci] = tape = []
-        return [_Tape(tape, _chunk_rng(seed, s, ci)) for s in streams]
+        def draws(ci):
+            tapes[ci] = tape = []
+            return [_Tape(tape, _chunk_rng(seed, s, ci)) for s in streams]
+    else:
+        def draws(ci):
+            return [_chunk_rng(seed, s, ci) for s in streams]
 
-    def commit():
+    def commit(frame=None):
         global _held
-        _held = (key, tapes)
+        _held = (key, tapes, frame)
 
-    return record, commit
+    return draws, commit
 
 
 def _held_mean(sampler, seed: int, stream: int, shape: tuple, trials: int, workers: int,
@@ -573,59 +571,48 @@ def _frame_draws(model: EnergyModel, i: int, t_sense: float, trials: int, seed: 
     pays) for chunk ci of n draws, where `pays` marks the missed frames in
     which relay i wins selection and so pays the transmit slot.
 
-    Nothing drawn here depends on t_sense, so it is memoised per model (see
-    the module docstring). Chunk ci's frame draws, its uniforms u01, the
-    harvest's masked fades and the standard selection exponentials, come in
-    that order from its own stream. They are all drawn here, before any
-    reduction reads them: right after each chunk's hit draws, through one
-    key of the held slot, when the hit rate is new, else in one pass over
-    the stream. Only the comparisons move with t_sense: u01 < p_det_hat and
-    which relay has the largest exponential times the frame's SNR mean
-    (`_selects`).
+    Nothing drawn here depends on t_sense, so the held slot keeps it (see
+    the module docstring): a call with the slot's frame key, model and
+    relay reads the hit rate and draws held there. Any other call draws
+    them, through the frame key's tapes if held: chunk ci's hit draws, then
+    its frame draws, the uniforms u01, the harvest's masked fades and the
+    standard selection exponentials, in that order, all before any
+    reduction reads them. Only the comparisons move with t_sense: u01 <
+    p_det_hat and which relay has the largest exponential times the frame's
+    SNR mean (`_selects`).
     """
     links, primary, policy = model.links, model.primary, model.policy
     i = int(links.check_relay(i))
     trials, seed = int(trials), int(seed)
     f = model.frame(t_sense)
-    memo = _memos.setdefault(model, {})
-    harv = _harvest_power_sampler(links, primary, policy, i)
-    n_relays = links.n_relays
+    L, n_relays = links.n_primary, links.n_relays
+    key = (seed, (11, stream), trials, (L, n_relays), primary.duty)
+    held_key, frame = _held[::2]  # one read of the slot
+    if held_key != key or frame is None or frame[0] is not model or frame[1] != i:
+        # hold no other draws, so that the slot lets go of them before drawing
+        frame = None
+        hit = _sample_exceed_sampler(links, primary, policy,
+                                     policy.threshold / policy.noise_power,
+                                     model.report.u_report, model.report.snr_report)
+        harv = _harvest_power_sampler(links, primary, policy, i)
+        # the hit sampler's tape, then the uniforms, harvest fades and
+        # standard selection exponentials
+        draws, commit = _held_chunks(*key, _hit_tape_bytes(L, n_relays) + 8 * (1 + L + n_relays))
+        chunks = {}
 
-    def frame_raw(rng, n):
-        return rng.random(n), harv(rng, n), rng.standard_exponential((n, n_relays))
+        def hits(ci, n):
+            rng_hit, rng = draws(ci)
+            exceed = hit(rng_hit, n)
+            # once the hit sampler's arrays are freed; each chunk is one
+            # key, written by the one worker that maps it
+            chunks[ci] = rng.random(n), harv(rng, n), rng.standard_exponential((n, n_relays))
+            return exceed
 
-    hit_key, frame_key = (11, None, trials, seed), (stream, i, trials, seed)
-    chunks = memo.get(frame_key)
-    if chunks is None:
-        if hit_key in memo:
-            chunks = _map_chunks(lambda ci, n: frame_raw(_chunk_rng(seed, stream, ci), n),
-                                 trials, workers)
-        else:
-            hit = _sample_exceed_sampler(links, primary, policy,
-                                         policy.threshold / policy.noise_power,
-                                         model.report.u_report, model.report.snr_report)
-            L = links.n_primary
-            # the hit sampler's tape, then the uniforms, harvest fades and
-            # standard selection exponentials
-            draws, commit = _held_chunks(seed, (11, stream), trials, (L, n_relays),
-                                         primary.duty,
-                                         _hit_tape_bytes(L, n_relays) + 8 * (1 + L + n_relays))
-            chunks = {}
-
-            def hits(ci, n):
-                rng_hit, rng_frame = draws(ci)
-                exceed = hit(rng_hit, n)
-                # once the hit sampler's arrays are freed; each chunk is one
-                # key, written by the one worker that maps it
-                chunks[ci] = frame_raw(rng_frame, n)
-                return exceed
-
-            memo.setdefault(hit_key, _mean(hits, trials, workers))
-            commit()
-        # a racing caller may draw them too; both read the one stored
-        chunks = memo.setdefault(frame_key, chunks)
+        frame = (model, i, _mean(hits, trials, workers), chunks)
+        commit(frame)
+    _, _, hit_rate, chunks = frame
     # the same fractional sample count as EnergyModel.miss
-    p_det_hat, se_det = _frame_lift(*memo[hit_key], t_sense * policy.bandwidth)
+    p_det_hat, se_det = _frame_lift(*hit_rate, t_sense * policy.bandwidth)
     m = np.asarray(f.coeffs.snr_means, dtype=float)
 
     def draw(ci, n):

@@ -130,13 +130,18 @@ def _selected_cdf_weighted(x, u, a_mean, terms):
     scalar, x = _points(x, "SNR threshold must be non-negative")
     out = np.full_like(x, _selection_prob(terms))
     pos = x > 0.0
-    xp = x[pos]
-    for _, _, amp, rate in terms:
-        # q overflows only where u is near the float limit (a tiny amplifier
-        # cap); `_af_tail` clips an infinite q to a zero tail, so it is not warned
-        with np.errstate(over="ignore"):
-            q = xp * u * rate / a_mean
-        out[pos] -= (amp / rate) * _af_tail(xp, a_mean, q)
+    xp = x[pos][:, None]
+    rates = np.array([rate for _, _, _, rate in terms])
+    # q overflows only where u is near the float limit (a tiny amplifier
+    # cap); `_af_tail` clips an infinite q to a zero tail, so it is not warned
+    with np.errstate(over="ignore"):
+        q = xp * u * rates / a_mean
+    # one kernel call for every (x, term) pair; the terms come off in order
+    tails = _af_tail(xp, a_mean, q)
+    acc = out[pos]
+    for (_, _, amp, rate), tail in zip(terms, tails.T):
+        acc -= (amp / rate) * tail
+    out[pos] = acc
     out[x == 0.0] = 0.0
     return float(out[0]) if scalar else out
 

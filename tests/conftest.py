@@ -10,7 +10,7 @@ acceptance_lines = []
 @pytest.fixture(autouse=True)
 def empty_held_slot():
     """Each test starts with mcsim's held slot empty, so no test replays
-    draws another test left held."""
+    draws, or reads a frame simulator's state, that another test left held."""
     mcsim.clear_held()
 
 

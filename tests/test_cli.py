@@ -180,6 +180,21 @@ class TestValidateCommand:
         assert len(rows) == 1 + 8
         assert rows[-1] == "clipped_gain,,,,,n/a"
 
+    def test_faint_report_clipped_gain_not_applicable(self, tmp_path):
+        # an always-on primary this faint rounds the report gain normaliser
+        # to exactly 1, where every clipping level is a root: the check has
+        # nothing to test and must say so, in a process that exits cleanly
+        out = tmp_path / "val.csv"
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "relaysense", "--trials", "2048", "--set", "primary.duty=1",
+             "--set", "primary.tx_power=1e-40 W", "--out", str(out), "validate"],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "clipped_gain           not applicable" in proc.stdout
+        assert out.read_text().splitlines()[-1] == "clipped_gain,,,,,n/a"
+
 
 # the overrides above whose value does not convert: the message names the key
 PARSE_FAILURES = {

@@ -121,12 +121,16 @@ class TestDeterminism:
 
 
 class TestHitRateCache:
-    # one model swept over sensing times reads each draw from its memo
+    """One model swept over sensing times on one stream and relay reads its
+    hit rate and frame draws from the held slot; any other call draws them
+    again, with the same bits as a fresh model."""
+
     SIMS = {
         "harv": lambda m, i, t, **kw: mc_frame_energy(m, i, t, **kw),
         "noharv": lambda m, i, t, **kw: mc_frame_energy(m, i, t, harvesting=False, **kw),
         "ecg": lambda m, i, t, **kw: mc_ecg(m, i, t, **kw),
     }
+    STREAM = {"harv": 13, "noharv": 13, "ecg": 17}
     GRID = (1e-6, 2.5e-6, 0.005, 0.02, 0.095)
     TRIALS = CHUNK + 4_000  # a full chunk and a partial tail chunk
 
@@ -144,43 +148,70 @@ class TestHitRateCache:
         np.random.default_rng(0).shuffle(points)
         want = {p: self.fresh(*p, **run) for p in points}
         want_relay1 = {t: self.fresh("harv", t, relay=1, **run) for t in self.GRID}
-        rng_keys.clear()
-        # the fresh models above left stream 11 held; emptied, the model
+        # the fresh models above left a frame key held; emptied, the model
         # below opens each of its streams itself
         mcsim.clear_held()
 
+        # in a shuffled order: a call on the last call's stream reads the
+        # slot, one on the other stream draws both of its streams again
         m = scenario_from_conf(preset("fig7")).energy_model()
+        last = None
         for name, t in points:
+            rng_keys.clear()
             assert self.bits(self.SIMS[name](m, 0, t, **run)) == want[name, t], (name, t)
-        # harv and noharv share stream 13; each chunk of each stream opens once
-        assert sorted(rng_keys) == [(3, s, ci) for s in (11, 13, 17) for ci in (0, 1)]
+            stream = self.STREAM[name]
+            assert sorted(rng_keys) == ([] if stream == last else
+                                        [(3, s, ci) for s in (11, stream) for ci in (0, 1)])
+            last = stream
 
-        # a new relay, trial count or seed draws again; a repeated key does not
+        # back to back on one model, relay and key: one draw for the grid
+        for name in self.SIMS:
+            mcsim.clear_held()
+            rng_keys.clear()
+            for t in self.GRID:
+                assert self.bits(self.SIMS[name](m, 0, t, **run)) == want[name, t], (name, t)
+            assert sorted(rng_keys) == [(3, s, ci) for s in (11, self.STREAM[name])
+                                        for ci in (0, 1)], name
+
+        # alternating relays on one key: each call draws again, the first
+        # two from Philox (the second records the key's tape), the rest by
+        # replaying the tape
+        mcsim.clear_held()
         rng_keys.clear()
         for t in self.GRID:
-            assert self.bits(self.SIMS["harv"](m, 1, t, **run)) == want_relay1[t]
-            self.SIMS["ecg"](m, 0, t, trials=20_000, seed=3)
-            self.SIMS["noharv"](m, 0, t, trials=self.TRIALS, seed=4)
-            self.SIMS["noharv"](m, 0, t, **run)
-        assert sorted(rng_keys) == sorted(
-            [(3, 13, 0), (3, 13, 1)]                            # relay 1
-            + [(3, 11, 0), (3, 17, 0)]                          # 20000 trials
-            + [(4, s, ci) for s in (11, 13) for ci in (0, 1)])  # seed 4
+            assert self.bits(self.SIMS["harv"](m, 0, t, **run)) == want["harv", t], t
+            assert self.bits(self.SIMS["harv"](m, 1, t, **run)) == want_relay1[t], t
+        assert sorted(rng_keys) == [(3, s, ci) for s in (11, 13) for ci in (0, 1)
+                                    for _ in range(2)]
+
+        # so does each call that alternates the trial count or seed with the
+        # held key
+        for t in self.GRID:
+            for kw in (dict(trials=20_000, seed=3), dict(trials=self.TRIALS, seed=4), run):
+                rng_keys.clear()
+                self.SIMS["noharv"](m, 0, t, **kw)
+                n_chunks = 1 if kw["trials"] == 20_000 else 2
+                assert sorted(rng_keys) == [(kw["seed"], s, ci) for s in (11, 13)
+                                            for ci in range(n_chunks)], (t, kw)
 
     def test_filled_by_threads_read_serially(self):
         run = dict(trials=self.TRIALS, seed=5)
+        want = {(name, t): self.fresh(name, t, **run)
+                for name in self.SIMS for t in (0.02, 0.005)}
         m = scenario_from_conf(preset("fig7")).energy_model()
         for name in self.SIMS:
+            # emptied, so three threads draw what the serial calls read
+            mcsim.clear_held()
             self.SIMS[name](m, 0, 0.02, workers=3, **run)
-        for name in self.SIMS:
             for t in (0.02, 0.005):
                 assert self.bits(self.SIMS[name](m, 0, t, workers=1, **run)) == \
-                    self.fresh(name, t, **run), (name, t)
+                    want[name, t], (name, t)
 
-    def test_concurrent_callers_share_one_memo(self):
-        # more callers than cores race to fill the same keys on one model
+    def test_concurrent_callers_share_one_slot(self):
+        # more callers than cores race on one model, over both frame keys
         run = dict(trials=20_000, seed=6)
         want = {name: self.fresh(name, 0.02, **run) for name in self.SIMS}
+        mcsim.clear_held()
         m = scenario_from_conf(preset("fig7")).energy_model()
         got = []
 
@@ -200,23 +231,30 @@ class TestHitRateCache:
             sys.setswitchinterval(old)
         assert not any(th.is_alive() for th in threads)
         assert sorted(got) == sorted((name, want[name]) for name in list(self.SIMS) * 3)
-        assert sorted(mcsim._memos[m], key=repr) == sorted(
-            [(11, None, 20_000, 6), (13, 0, 20_000, 6), (17, 0, 20_000, 6)], key=repr)
+        # whichever caller committed last, the slot holds its key's state
+        key, _, frame = mcsim._held
+        assert key[1] in ((11, 13), (11, 17)) and key[2:4] == (20_000, (3, 4))
+        assert frame[0] is m and frame[1] == 0
 
-    def test_memo_dies_with_its_model(self):
-        # mcsim keys the memo weakly by model: the entry goes with the last
-        # reference to the model, with no reference cycle left for a full
-        # garbage collection to find
-        before = len(mcsim._memos)
-        model = scenario_from_conf(preset("fig7")).energy_model()
-        mc_frame_energy(model, 0, 0.02, 20_000, 3)
-        assert model in mcsim._memos and len(mcsim._memos) == before + 1
-        ref = weakref.ref(model)
+    def test_slot_holds_one_model_until_cleared(self):
+        # the slot keeps the last model a frame simulator ran on, and its
+        # draws, until a call on another model or clear_held(); with the
+        # collector off, each goes as soon as the slot lets go of it, with
+        # no reference cycle left for a collection to find
+        conf = ladder_conf(preset("fig6"), 0.1, 3)
+        models = [scenario_from_conf(conf).energy_model() for _ in range(2)]
+        first, second = (weakref.ref(model) for model in models)
         gc.disable()
         try:
-            del model
-            assert ref() is None
-            assert len(mcsim._memos) == before
+            for model in models:
+                mc_frame_energy(model, 0, 0.02, 20_000, 3)
+            draws = [weakref.ref(x) for x in mcsim._held[2][3][0]]
+            del model, models
+            assert first() is None and second() is mcsim._held[2][0]
+            assert all(ref() is not None for ref in draws)
+            mcsim.clear_held()
+            assert second() is None
+            assert all(ref() is None for ref in draws)
         finally:
             gc.enable()
 
@@ -605,7 +643,7 @@ class TestHeldSlot:
             5: lambda w: mc_harvest(links, primary, policy, 1, 0.9, trials, seed, workers=w),
             7: lambda w: mc_clipped_gain(links, primary, policy, 1, 5.0, 100.0,
                                          trials, seed, workers=w),
-            # a fresh model per call, so its hit rate is not read from a memo
+            # a fresh model per call, so it never reads the slot's frame state
             11: lambda w: mc_frame_energy(scn.energy_model(), 0, 0.02, trials, seed,
                                           workers=w),
         }
@@ -703,6 +741,29 @@ class TestHeldSlot:
                 assert mcsim._held[0][1] == stream
                 assert (mcsim._held[1] is None) == (budget == 0), budget
 
+    @pytest.mark.parametrize("first, second", [(5, 0), (11, 17)])
+    def test_a_call_that_records_nothing_holds_no_tapes(self, first, second, rng_keys,
+                                                        monkeypatch):
+        # key A holds its tapes; key B's first call records nothing, so B's
+        # second call records from its own Philox streams, never replaying
+        # A's tapes, and its third replays B's. 11 and 17 are the two frame
+        # simulators on a fresh model per call, whose tapes have one shape
+        scn = scenario_from_conf(preset("fig7"))
+        runs = self.samplers()
+        runs[17] = lambda w: mc_ecg(scn.energy_model(), 0, 0.02, self.TRIALS, 3, workers=w)
+        want = self.fresh_bits(runs[second], monkeypatch)
+        mcsim.clear_held()
+        runs[first](1)
+        runs[first](1)
+        assert mcsim._held[1] is not None
+        mine = {0: [0], 17: [11, 17]}[second]
+        for call in range(3):
+            rng_keys.clear()
+            assert {self.bits(runs[second](1))} == want, call
+            assert sorted({s for _, s, _ in rng_keys}) == (mine if call < 2 else []), call
+            assert mcsim._held[0][1] == (second if second != 17 else (11, 17))
+            assert (mcsim._held[1] is None) == (call == 0), call
+
     def test_recorded_draws_are_read_only(self, monkeypatch):
         def doubled(rng, n):
             x = rng.random(n)
@@ -742,6 +803,28 @@ class TestHeldSlot:
 
         _held_mean(sampler, 1, 99, (), 1000, 1, per_trial=8)
         assert held and alive == [0]
+
+    @pytest.mark.parametrize("second", [(0.5, 2), (0.6, 1)])
+    def test_new_frame_call_lets_go_of_held_frame_draws_before_drawing(self, second,
+                                                                        monkeypatch):
+        # fig8's rows: one model per primary count (another key), or another
+        # geometry on the same key; the first model's frame draws go before
+        # the second draws its own. At budget 0 both calls open their streams
+        monkeypatch.setattr(mcsim, "HELD_FIRST_BYTES", 0)
+        first, second = (scenario_from_conf(ladder_conf(preset("fig8"), d, n_pu))
+                         for d, n_pu in ((0.5, 1), second))
+        mc_ecg(first.energy_model(), 0, 0.02, 20_000, 3)
+        held = [weakref.ref(x) for x in mcsim._held[2][3][0]]
+        alive = []
+        real = mcsim._chunk_rng
+
+        def counting(seed, stream, chunk):
+            alive.append(sum(ref() is not None for ref in held))
+            return real(seed, stream, chunk)
+
+        monkeypatch.setattr(mcsim, "_chunk_rng", counting)
+        mc_ecg(second.energy_model(), 0, 0.02, 20_000, 3)
+        assert len(held) == 3 and alive == [0, 0]
 
     def test_replay_of_another_draw_raises(self):
         ask = {"draw": lambda rng, n: rng.random(n)}
@@ -839,8 +922,8 @@ class TestHeldSlot:
         argv = ["--trials", "4096", "--out"]
         assert cli.main(argv + [str(tmp_path / "held.csv"), "figure", name]) == 0
         # every key's tape fits the budget at 4096 trials, so each records on
-        # its first row; fig8's rows share one model per primary count, whose
-        # memo keeps the draws, so only its first row of each uses the slot
+        # its first row; fig8's rows share one model per primary count, so
+        # its later rows of each read the slot's frame state
         assert mcsim._held[1] is not None
         header, points = cli.FIGURES[name]
 
