@@ -4,7 +4,7 @@ Carlo sampler, and write them as JSON: to `results/bench.json` by default,
 or to a new BENCH_<n>.json baseline with `--out`.
 
     PYTHONPATH=src python3 scripts/bench.py
-    PYTHONPATH=src python3 scripts/bench.py --out BENCH_8.json
+    PYTHONPATH=src python3 scripts/bench.py --out BENCH_9.json
     PYTHONPATH=src python3 scripts/bench.py --trials 65536
     PYTHONPATH=src python3 scripts/bench.py --only startup --out results/startup.json
     PYTHONPATH=src python3 scripts/bench.py --only chain --out results/chain.json
@@ -20,16 +20,24 @@ with L primaries hands it), the best of `REPEAT` timed loops; and
 milliseconds per `sensing.detection_probability` call on the fig3 ladder
 with L = 1..12 primaries.
 
-`chain`: microseconds per call of the data-phase chain on the `default` (2
-relays) and `fig7` (4 relays) presets, the best of `REPEAT` timed loops:
+`chain`: microseconds per call of the scenario and data-phase chain on the
+`default` (2 relays) and `fig7` (4 relays) presets, the best of `REPEAT`
+timed loops: an `EnergyModel` construction on the scenario's built
+`LinkSet` (reporting chain, miss probability and harvest means),
+`sensing.build_report_gain`, `sensing.detection_probability`,
 `transmission.build_trans_coeffs`, `EnergyModel.frame` at a sensing time
 the model has not seen (so it builds the frame),
-`transmission.outage_probability`, and `optimize_sensing_time`
-on a fresh `EnergyModel` (built before the timed loop). The last two of
-these, the fresh frame and the optimisation, also on the `figure table1`
-cell with 4 relays and 4 primaries (`table1-M4L4`), the largest of the 16
-optimisations. Also the construction of a `LinkSet` (gains, checks and
-peak gains) on `default`, `fig3` and fig3's L = 12 ladder.
+`transmission.outage_probability`, and `optimize_sensing_time` on a fresh
+`EnergyModel` (built before the timed loop). The model build, the
+reporting chain, the fresh frame and the optimisation also on the `figure
+table1` cell with 4 relays and 4 primaries (`table1-M4L4`), the largest of
+the 16 optimisations. The model build and the reporting chain also on
+fig4 with every relay on a primary family of its own (`fig4-distinct`),
+where expanding each distinct family once saves nothing, so its rows show
+what the sharing costs. The reporting chain and the detection probability
+also on the benchmark's two-relay fig3 ladder at L = 12 (`ladder-L12`).
+Also the construction of a `LinkSet` (gains, checks and peak gains) on
+`default`, `fig3`, fig3's L = 12 ladder and `fig4-distinct`.
 
 `mc`: each `mcsim.mc_*` sampler runs on the `default` and `fig7` presets at
 a fixed seed, with 1 and 2 workers, `REPEAT` times; every time is reported
@@ -120,16 +128,26 @@ CURVE_REPEAT = 7
 FIGURES = ("fig3", "fig4", "fig6", "fig7", "fig8", "table1")
 FIGURE_TRIALS = 1_000_000
 FIGURE_WORKERS = 2
+# fig4 with every relay on a primary family of its own: the geometry where
+# sharing a family's expansion saves nothing (relay 0's row is the source's)
+DISTINCT = ("fig4-distinct", lambda: apply_overrides(
+    preset("fig4"), ["links.d_pu_relay=0.3, 0.32; 0.31, 0.33"]))
 # (name, config) of the geometries whose LinkSet construction is timed
 LINKSETS = (("default", lambda: preset("default")), ("fig3", lambda: preset("fig3")),
-            ("fig3-L12", lambda: ladder_conf(preset("fig3"), 0.4, 12)))
+            ("fig3-L12", lambda: ladder_conf(preset("fig3"), 0.4, 12)), DISTINCT)
 # (name, config, the steps timed or None for all) of the data-phase chain's
 # geometries; table1-M4L4 is the `figure table1` cell with 4 relays and 4
-# primaries, timed on the optimiser's two steps
+# primaries, timed on the model build and the optimiser's two steps, and
+# ladder-L12 the benchmark's two-relay fig3 ladder at L = 12
 CHAIN_CELLS = tuple((name, lambda name=name: preset(name), None) for name in PRESETS) + (
     ("table1-M4L4", lambda: relay_ladder_conf(ladder_conf(preset("table1"), 1.0, 4, 0.01),
                                               0.5, 0.5, 4, 0.005),
-     ("EnergyModel.frame", "optimize_sensing_time")),)
+     ("EnergyModel", "build_report_gain", "EnergyModel.frame", "optimize_sensing_time")),
+    DISTINCT + (("EnergyModel", "build_report_gain"),),
+    ("ladder-L12", lambda: relay_ladder_conf(ladder_conf(preset("fig3"), 0.48, 12),
+                                             0.1, 0.1, 2),
+     ("build_report_gain", "detection_probability")),
+)
 
 # (name, kernel, a typical scalar argument)
 KERNELS = (("bessel_k1_scaled", specfun.bessel_k1_scaled, 3.0),
@@ -215,6 +233,11 @@ def chain_rows():
         # each call gets a sensing time the model has not seen yet
         fresh_t = (scn.t_sense * (1.0 + 1e-9 * k) for k in itertools.count(1))
         steps = (
+            ("EnergyModel", lambda s: s.energy_model(), lambda: scn),
+            ("build_report_gain", lambda _: sensing.build_report_gain(links, primary, policy),
+             lambda: None),
+            ("detection_probability", lambda _: sensing.detection_probability(
+                policy.threshold, scn.n_samples, links, primary, policy), lambda: None),
             ("build_trans_coeffs", lambda p: transmission.build_trans_coeffs(
                 links, primary, policy, p), lambda: pd),
             ("EnergyModel.frame", model.frame, lambda: next(fresh_t)),

@@ -12,14 +12,16 @@ convex in the sensing time, which keeps the one-dimensional search and the
 multiplier bookkeeping elementary.
 
 Each sensing time the search visits costs one frame build
-(`EnergyModel.frame`): a miss probability, one `build_trans_coeffs` and
-the relays' selection odds, all on Python floats and with no special
-function, since nothing here reads the outage's AF gain normaliser.
+(`EnergyModel.frame`): a miss probability and one `build_trans_coeffs`,
+on Python floats and with no special function, since nothing here reads
+the outage's AF gain normaliser. A relay's selection odds are priced only
+when that relay is read, so an optimisation over one relay pays for one.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .fading import LinkSet, PrimaryModel
@@ -32,6 +34,28 @@ CONSTRAINT_TOL = 1e-9  # activity tolerance on the SNR-form data constraint
 LN2 = math.log(2.0)
 
 
+class _Odds(Sequence):
+    """The relays' selection probabilities at one frame, read like a tuple.
+    Relay i's is computed from the estimated SNR means on its first read
+    and kept; two threads that race on one entry compute the same value."""
+
+    __slots__ = ("_snr_means", "_odds")
+
+    def __init__(self, snr_means):
+        self._snr_means = snr_means
+        self._odds = [None] * len(snr_means)
+
+    def __len__(self):
+        return len(self._odds)
+
+    def __getitem__(self, i):
+        i = range(len(self._odds))[i]  # a tuple's index rules
+        p = self._odds[i]
+        if p is None:
+            p = self._odds[i] = relay_selection_prob(self._snr_means, i)
+        return p
+
+
 @dataclass(frozen=True)
 class Frame:
     """One frame at a fixed sensing time: every quantity of the energy and
@@ -40,8 +64,11 @@ class Frame:
 
     The transmission coefficients do not depend on the relay, so one build
     serves every relay's selection probability (prr) and transmit-slot power
-    (e_transmit, W). The frame never reads the coefficients' AF gain
-    normaliser, so building one evaluates no special function. Listening is charged in two accounts: the frame energy
+    (e_transmit, W). prr reads as a length-M sequence, but relay i's entry
+    is computed on its first read and kept with the frame's fields, so a
+    frame read for one relay prices one relay's odds. The frame never reads
+    the coefficients' AF gain normaliser, so building one evaluates no
+    special function. Listening is charged in two accounts: the frame energy
     takes e_listen (J), quadratic in t_sense (listen power times sample
     count times slot), and the ECG takes `listen_linear`, the conventional
     account linear in t_sense.
@@ -55,7 +82,7 @@ class Frame:
     miss: float
     p_detect: float
     coeffs: TransCoeffs
-    prr: tuple
+    prr: Sequence
     e_transmit: tuple
     e_listen: tuple
     model: EnergyModel = field(repr=False, compare=False)
@@ -227,8 +254,7 @@ class EnergyModel:
             miss=miss,
             p_detect=p_detect,
             coeffs=coeffs,
-            prr=tuple(relay_selection_prob(coeffs.snr_means, i)
-                      for i in range(self.n_relays)),
+            prr=_Odds(coeffs.snr_means),
             e_transmit=tuple(p + self.policy.p_circuit_tx for p in coeffs.p_relay),
             e_listen=tuple(self.e_sense * t_sense * t_sense * w + e * self.t_report * t_sense * w
                            for e in self.e_report),

@@ -6,8 +6,11 @@ a 1 km reference); `LinkSet` derives each one once, when it is built. The
 aggregate interference seen from L randomly active primary transmitters is
 a Bernoulli-thinned sum of non-identical exponentials: a mixture, over
 active subsets, of hypoexponential densities plus a point mass at zero when
-no transmitter is on. `activity_mixture` expands it once per receiver into
-an `InterferenceLaw`.
+no transmitter is on. `activity_mixture` expands it into an
+`InterferenceLaw`, once per distinct primary family: receivers whose
+primary gain rows are equal in every bit (as the shared `d_pu` ladder
+places the source, the destination and every relay) share one law, one
+fixed gain and one peak gain (`_per_family`).
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ class LinkSet:
     mean gains g_* of the five link families (g_pu_relay[i] is relay i's
     primary family) and the mean strongest primary gains E[max_l |h_l|^2]
     seen from the source (peak_pu_src) and from relay i (peak_pu_relay[i]).
+    A peak is expanded once per distinct primary family: the source and
+    the relays whose gain rows are equal in every bit share one.
     """
 
     d_src_relay: tuple
@@ -111,8 +116,9 @@ class LinkSet:
                 "%s means are not pairwise distinct at relative tolerance %g; "
                 "perturb the geometry instead of relying on tie-breaking"
                 % (labels[int(np.argmax(tied))], DISTINCT_RTOL))
-        self.peak_pu_src = max_exp_expectation(self.g_pu_src)
-        self.peak_pu_relay = tuple(max_exp_expectation(g) for g in self.g_pu_relay)
+        self.peak_pu_src, *peaks = _per_family(max_exp_expectation,
+                                               (self.g_pu_src, *self.g_pu_relay))
+        self.peak_pu_relay = tuple(peaks)
 
     @property
     def n_relays(self):
@@ -154,6 +160,18 @@ def _stored_gains(families, alpha):
                          % (key, d[first], alpha))
     g.flags.writeable = False
     return g
+
+
+def _per_family(fn, rows):
+    """[fn(row) for row in rows], with fn called once per distinct row: rows
+    equal in every bit are one primary gain family and share one result."""
+    done, out = {}, []
+    for row in rows:
+        key = row.tobytes()
+        if key not in done:
+            done[key] = fn(row)
+        out.append(done[key])
+    return out
 
 
 def _check_index(i, n_relays):

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fading import InterferenceLaw, LinkSet, PrimaryModel, _check_index, activity_mixture
+from .fading import (InterferenceLaw, LinkSet, PrimaryModel, _check_index, _per_family,
+                     activity_mixture)
 from .specfun import bessel_k1_scaled, exp_scaled_gamma_upper_0
 
 
@@ -53,7 +54,9 @@ class SecondaryPolicy:
 class ReportGain:
     """The detector side of one scenario: the interference laws at the
     destination (direct) and at each relay (relays[i]), in noise-normalised
-    SNR units, and the design constants of relay i's fixed-gain AF report:
+    SNR units, one law object per distinct primary family (receivers of
+    one family share it), and the design constants of relay i's fixed-gain
+    AF report:
     its gain normaliser u_report[i], reporting power p_report[i] (W) and the
     mean SNR snr_report[i] of its report hop at the destination."""
 
@@ -109,10 +112,15 @@ def report_e2e_cdf(x, report: ReportGain, i: int):
 
 def sample_miss_probability(lam_norm, report: ReportGain):
     """Probability that one sample's observations all stay below the
-    normalised threshold, across the direct path and every relay report."""
+    normalised threshold, across the direct path and every relay report.
+    Relays with the same law, gain normaliser and report SNR share one
+    evaluated factor; the factors still multiply in relay order."""
     miss = report.direct.cdf(lam_norm)
-    for i in range(len(report.relays)):
-        miss *= report_e2e_cdf(lam_norm, report, i)
+    factors = {}
+    for i, key in enumerate(zip(map(id, report.relays), report.u_report, report.snr_report)):
+        if key not in factors:
+            factors[key] = report_e2e_cdf(lam_norm, report, i)
+        miss *= factors[key]
     return miss
 
 
@@ -133,14 +141,19 @@ def detection_probability(lam, n_samples, links: LinkSet, primary: PrimaryModel,
 def relay_reports(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy):
     """The relay half of the reporting chain: the tuple
     (relays, u_report, p_report, snr_report) of `ReportGain`'s relay fields.
-    Expands each relay's interference law once; the reporting power meets
-    both limits with the primary taken as always on (miss = 1)."""
-    scale = primary.tx_power / policy.noise_power
-    relays = tuple(activity_mixture(g, primary.duty, scale) for g in links.g_pu_relay)
+    Expands the interference law and its fixed gain once per distinct
+    primary family: relays whose gain rows are equal in every bit share
+    both. The reporting power meets both limits with the primary taken as
+    always on (miss = 1)."""
+    duty, scale = primary.duty, primary.tx_power / policy.noise_power
+
+    def family(g):
+        law = activity_mixture(g, duty, scale)
+        return law, fixed_gain_report(law)
+
+    relays, u_report = zip(*_per_family(family, links.g_pu_relay))
     p_report = tuple(_capped_power(policy, peak) for peak in links.peak_pu_relay)
-    return (relays,
-            tuple(fixed_gain_report(law) for law in relays),
-            p_report,
+    return (relays, u_report, p_report,
             tuple(p * g / policy.noise_power
                   for p, g in zip(p_report, links.g_relay_dst.tolist())))
 
@@ -148,10 +161,15 @@ def relay_reports(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy
 def build_report_gain(links: LinkSet, primary: PrimaryModel,
                       policy: SecondaryPolicy) -> ReportGain:
     """The whole reporting chain: the destination's interference law on top
-    of `relay_reports`."""
-    direct = activity_mixture(links.g_pu_dst, primary.duty,
-                              primary.tx_power / policy.noise_power)
+    of `relay_reports`. The destination reuses a relay's law when its
+    primary gain row equals that relay's in every bit."""
     relays, u_report, p_report, snr_report = relay_reports(links, primary, policy)
+    dst = links.g_pu_dst.tobytes()
+    direct = next((law for law, g in zip(relays, links.g_pu_relay) if g.tobytes() == dst),
+                  None)
+    if direct is None:
+        direct = activity_mixture(links.g_pu_dst, primary.duty,
+                                  primary.tx_power / policy.noise_power)
     return ReportGain(direct=direct, relays=relays, u_report=u_report,
                       p_report=p_report, snr_report=snr_report)
 

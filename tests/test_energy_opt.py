@@ -1,5 +1,7 @@
 import configparser
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -471,6 +473,79 @@ class TestCoefficientBuilds:
         transmission.outage_probability(scn.gamma_th, scn.links, scn.primary, scn.policy,
                                         model.frame(opt.t_sense).p_detect, scn.rho)
         assert len(calls) == scn.links.n_relays == 4
+
+
+class TestLazyOdds:
+    """A frame prices relay i's selection odds only when relay i is read,
+    and keeps them with that sensing time's fields."""
+
+    def test_one_selection_prob_per_frame(self, monkeypatch):
+        # the table1 cell with four relays and three primaries: the
+        # optimiser reads one relay, so each frame it builds prices one
+        c = relay_ladder_conf(ladder_conf(preset("table1"), 1.0, 3, 0.01),
+                              0.5, 0.5, 4, 0.005)
+        scn = scenario_from_conf(c)
+        model = scn.energy_model()
+        calls = {"build_trans_coeffs": [], "relay_selection_prob": []}
+        for name, seen in calls.items():
+            real = getattr(energy_opt, name)
+            monkeypatch.setattr(energy_opt, name,
+                                lambda *a, real=real, seen=seen: seen.append(a) or real(*a))
+        opt = optimize_sensing_time(model, scn.relay, scn.d_star)
+        builds, odds = calls["build_trans_coeffs"], calls["relay_selection_prob"]
+        assert len(builds) > 1
+        assert len(odds) == len(builds)
+        assert all(i == scn.relay for _, i in odds)
+        f = model.frame(opt.t_sense)
+        want = tuple(transmission.relay_selection_prob(f.coeffs.snr_means, i) for i in range(4))
+        assert len(f.prr) == 4
+        assert tuple(f.prr) == want
+        assert sum(f.prr) == sum(want)
+        # the other three relays, once each, on the first read only
+        assert len(odds) == len(builds) + 3
+        list(f.prr)
+        assert len(odds) == len(builds) + 3
+
+    def test_reads_like_a_tuple(self, fig7_model):
+        f = fig7_model.frame(0.021)
+        want = tuple(transmission.relay_selection_prob(f.coeffs.snr_means, i)
+                     for i in range(fig7_model.n_relays))
+        assert f.prr[-1] == want[-1]
+        assert list(reversed(f.prr)) == list(reversed(want))
+        with pytest.raises(IndexError):
+            f.prr[fig7_model.n_relays]
+        assert fig7_model.frame(0.021).prr is f.prr
+
+    def test_threads_racing_on_fresh_odds_read_one_value(self, fig7_model):
+        # more threads than cores, switching often: every thread reads every
+        # relay's odds of the same fresh frames, and each entry that two
+        # threads fill at once holds the one value both compute
+        times = [0.03 + 1e-4 * k for k in range(40)]
+        frames = [fig7_model.frame(t) for t in times]
+        want = [tuple(transmission.relay_selection_prob(f.coeffs.snr_means, i)
+                      for i in range(fig7_model.n_relays)) for f in frames]
+        seen, errors = [], []
+
+        def read():
+            try:
+                seen.append([tuple(f.prr) for f in frames])
+            except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert seen == [want] * len(threads)
+        assert [tuple(f.prr) for f in frames] == want
 
 
 # every public entry point that takes a relay index, called on relay i of m

@@ -1,15 +1,22 @@
-"""Bit-exact pins of the sensing-time optimiser and of the outage closed form.
+"""Bit-exact pins of the sensing-time optimiser, the outage closed form, the
+reporting chain and the frame energies.
 
 Every value is stored as `float.hex`, so a change in the last bit of any
-output fails here. The values were written by the implementation whose
-selection terms ran on numpy scalars and whose coefficient builder derived
-the AF gain normaliser eagerly; they are the reference any rewrite of the
-data-phase chain must keep.
+output fails here. The optimiser and outage values were written by the
+implementation whose selection terms ran on numpy scalars and whose
+`build_trans_coeffs` derived the AF gain normaliser eagerly. The reporting
+chain, frame-energy, ECG and frame-simulator values were written by the
+implementation that expanded every receiver's interference law, fixed gain
+and peak gain on its own and priced every relay's selection odds in each
+frame build. They are the reference any rewrite of those chains must keep.
 """
+
+import contextlib
+import io
 
 import pytest
 
-from relaysense import energy_opt, sensing, transmission
+from relaysense import cli, energy_opt, mcsim, sensing, transmission
 from relaysense.scenario import (apply_overrides, ladder_conf, preset, relay_ladder_conf,
                                  scenario_from_conf)
 
@@ -128,3 +135,115 @@ def test_fig4_outage_keeps_its_bits(rho):
             scn.gamma_th, scn.links, scn.primary, p, pd, scn.rho)).hex())
         want.append(FIG4[rho, db])
     assert got == want
+
+
+# the report and peak constants a scenario fixes once: the per-sample miss
+# probability, relay i's gain normaliser and report SNR, and the peak gains
+CHAIN = {
+    "fig3": {
+        "delta": "0x1.f4525c5486609p-1",
+        "u_report": ("0x1.23dc5eaabc4a8p+7",),
+        "snr_report": ("0x1.e421c39585ae8p+7",),
+        "peak_pu_src": "0x1.0542afacb50abp+6",
+        "peak_pu_relay": ("0x1.0542afacb50abp+6",),
+    },
+    "fig4": {
+        "delta": "0x1.0abce7c6211b3p-6",
+        "u_report": ("0x1.3779922190046p+14",) * 2,
+        "snr_report": ("0x1.c869f343e5975p+7",) * 2,
+        "peak_pu_src": "0x1.5c1a9bb1491cfp+7",
+        "peak_pu_relay": ("0x1.5c1a9bb1491cfp+7",) * 2,
+    },
+    "fig6": {
+        "delta": "0x1.49d4ae07086ebp-15",
+        "u_report": ("0x1.5a40060d23a96p+51",) * 4,
+        "snr_report": ("0x1.5495fe13bd716p+56",) * 4,
+        "peak_pu_src": "0x1.0542afacb50abp+6",
+        "peak_pu_relay": ("0x1.0542afacb50abp+6",) * 4,
+    },
+    "table1-M4L3": {
+        "delta": "0x1.713b0d2b2a698p-13",
+        "u_report": ("0x1.5787dda6a6694p+8",) * 4,
+        "snr_report": ("0x1.6ab1fd11a1d42p+5", "0x1.5c8b039457de7p+5",
+                       "0x1.4f130987d3b15p+5", "0x1.424003213f340p+5"),
+        "peak_pu_src": "0x1.c384c6beb3505p+0",
+        "peak_pu_relay": ("0x1.c384c6beb3505p+0",) * 4,
+    },
+}
+
+# sensing times of the frame-energy and ECG pins, s
+T_SENSE = (0.005, 0.05, 0.09)
+# closed-form frame energy of the fig6 preset's relay
+FIG6 = ("-0x1.8112124abd42fp+2", "0x1.120daa6431900p+4", "0x1.02d5e66cbe343p+6")
+# (with, without harvesting) of the fig7 preset's relay
+FIG7 = (("-0x1.8112124abd42fp+2", "0x1.0272668b4bcdep-2"),
+        ("0x1.120daa6431900p+4", "0x1.46572a4a8eb78p+4"),
+        ("0x1.02d5e66cbe343p+6", "0x1.053c8a56aaf8ap+6"))
+# primaries: ECG of the `figure fig8` rows
+FIG8 = {1: ("0x1.3d3585cdf81b3p-3", "0x1.7c53c3b1ba742p+1", "0x1.d1e69c8684677p+4"),
+        2: ("0x1.3e5023e3f96f6p-4", "0x1.7da69df88530ap+0", "0x1.d385b4b6d65b1p+3")}
+# frame simulator: (mean, stderr) on relay 1 of fig7 at 0.02 s, 2000 trials, seed 3
+FRAME_MC = {"mc_frame_energy": ("-0x1.faadaed785dbcp+0", "0x1.f2ebdeea88de6p-4"),
+            "mc_frame_energy_noharv": ("0x1.b23ed7d34b194p+1", "0x1.895078a4d4ad0p-29"),
+            "mc_ecg": ("0x1.58550ce0ed677p-5", "0x1.006aeb057aa5cp-10")}
+ENERGY_ARGS = ["--trials", "2000", "--set", "primary.tx_power=10 dB",
+               "--set", "frame.t_sense=0.001 ms", "energy"]
+# its printed lines, without the column padding
+ENERGY_OUT = ["t_sense = 1e-06 s, p_detect = 0.983075913",
+              "relay  E_total_J      E_noharv_J     ECG            data_bits",
+              "0      1.83853e-05    1.83853e-05    5.03954e+07    83.7734",
+              "1      1.83853e-05    1.83853e-05    5.03954e+07    83.7734",
+              "relay 0 mc: E_total = 1.84228579e-05 +/- 2.53e-06 (z=+0.01)"]
+
+
+def hexes(values):
+    return tuple(float(v).hex() for v in values)
+
+
+def chain_conf(name):
+    if name == "table1-M4L3":
+        return relay_ladder_conf(ladder_conf(preset("table1"), 1.0, 3, 0.01),
+                                 0.5, 0.5, 4, 0.005)
+    return preset(name)
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN))
+def test_report_and_peak_constants_keep_their_bits(name):
+    scn = scenario_from_conf(chain_conf(name))
+    model = scn.energy_model()
+    want = CHAIN[name]
+    assert float(model.delta).hex() == want["delta"]
+    assert hexes(model.report.u_report) == want["u_report"]
+    assert hexes(model.report.snr_report) == want["snr_report"]
+    assert float(scn.links.peak_pu_src).hex() == want["peak_pu_src"]
+    assert hexes(scn.links.peak_pu_relay) == want["peak_pu_relay"]
+
+
+def test_frame_energies_and_ecg_keep_their_bits():
+    scn = scenario_from_conf(preset("fig6"))
+    m = scn.energy_model()
+    assert hexes(energy_opt.total_energy(m, scn.relay, t) for t in T_SENSE) == FIG6
+    scn = scenario_from_conf(preset("fig7"))
+    m = scn.energy_model()
+    assert tuple(hexes((energy_opt.total_energy(m, scn.relay, t),
+                        energy_opt.total_energy_nonharvesting(m, scn.relay, t)))
+                 for t in T_SENSE) == FIG7
+    for n_pu, want in FIG8.items():
+        scn = scenario_from_conf(ladder_conf(preset("fig8"), 0.5, n_pu))
+        m = scn.energy_model()
+        assert hexes(energy_opt.ecg(m, scn.relay, t) for t in T_SENSE) == want
+
+
+def test_frame_simulators_and_energy_command_keep_their_bits():
+    m = scenario_from_conf(preset("fig7")).energy_model()
+    runs = {"mc_frame_energy": lambda: mcsim.mc_frame_energy(m, 1, 0.02, 2000, 3),
+            "mc_frame_energy_noharv": lambda: mcsim.mc_frame_energy(
+                m, 1, 0.02, 2000, 3, harvesting=False),
+            "mc_ecg": lambda: mcsim.mc_ecg(m, 1, 0.02, 2000, 3)}
+    for name, run in runs.items():
+        est = run()
+        assert hexes((est.mean, est.stderr)) == FRAME_MC[name], name
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(ENERGY_ARGS) == 0
+    assert [line.rstrip() for line in out.getvalue().splitlines()] == ENERGY_OUT

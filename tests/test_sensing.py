@@ -20,7 +20,8 @@ from relaysense.sensing import (
     sample_miss_probability,
     solve_saturation_gain,
 )
-from relaysense.scenario import ladder_conf, preset, relay_ladder_conf, scenario_from_conf
+from relaysense.scenario import (apply_overrides, ladder_conf, preset, relay_ladder_conf,
+                                 scenario_from_conf)
 from relaysense.specfun import exp_scaled_gamma_upper_0
 
 import oracles
@@ -392,29 +393,50 @@ class TestSubsetOracle:
                 == hexes(oracles.subset_max_exp_expectation(links.g_pu_relay[i]))
 
 
-class TestOneExpansionPerReceiver:
-    """Each receiver's interference law is expanded from `activity_mixture`
-    once per reporting chain; every closed form then reads the built law."""
+# the geometries of the sharing contract: every stock preset and the L = 12
+# ladder, whose receivers sit on one or two primary families, and fig4 with
+# relays on families of their own (relay 0's row is still the source's)
+FAMILY_CASES = {name: (lambda name=name: scenario_from_conf(preset(name)))
+                for name in ("default", "fig3", "fig4", "fig6", "fig8", "table1")}
+FAMILY_CASES["ladder12"] = lambda: ladder_scenario(12)
+FAMILY_CASES["fig4-distinct"] = lambda: scenario_from_conf(apply_overrides(
+    preset("fig4"), ["links.d_pu_relay=0.3, 0.32; 0.31, 0.33"]))
+# (peaks, laws, fixed gains) each geometry expands: one per distinct family
+FAMILY_COUNTS = {"default": (1, 2, 1), "fig3": (1, 1, 1), "fig4": (1, 2, 1),
+                 "fig6": (1, 1, 1), "fig8": (1, 1, 1), "table1": (1, 1, 1),
+                 "ladder12": (1, 1, 1), "fig4-distinct": (2, 3, 2)}
+
+
+class TestOneExpansionPerFamily:
+    """Each distinct primary family's interference law, fixed gain and peak
+    gain are expanded once per `LinkSet` and per reporting chain, keyed on
+    the exact bytes of the family's gain row; every closed form then reads
+    the built law, and every output keeps the bits of a per-receiver
+    expansion."""
 
     @pytest.fixture
     def expansions(self, monkeypatch):
         calls = []
-        real = fading.activity_mixture
+        for mod, name in ((fading, "activity_mixture"), (sensing, "activity_mixture"),
+                          (sensing, "fixed_gain_report")):
+            real = getattr(sensing, name)
 
-        def counted(means, *args):
-            calls.append(len(means))
-            return real(means, *args)
+            # an expansion is logged with its primary count, a fixed gain
+            # (whose one argument is a law) with None
+            def counted(arg, *args, real=real, name=name):
+                calls.append((name, len(arg) if args else None))
+                return real(arg, *args)
 
-        for mod in (fading, sensing):
-            monkeypatch.setattr(mod, "activity_mixture", counted)
+            monkeypatch.setattr(mod, name, counted)
         return calls
 
     def test_detection_point(self, expansions):
         # the destination and the two relays of the L = 12 ladder point
+        # share the d_pu ladder's one family
         scn = ladder_scenario(12)
         detection_probability(scn.policy.threshold, scn.n_samples, scn.links, scn.primary,
                               scn.policy)
-        assert expansions == [12] * 3
+        assert expansions == [("activity_mixture", 12), ("fixed_gain_report", None)]
 
     def test_simulated_detection_point(self, expansions):
         # the simulation reads only the relays' report constants: no
@@ -422,16 +444,73 @@ class TestOneExpansionPerReceiver:
         scn = ladder_scenario(12)
         mc_detection(scn.links, scn.primary, scn.policy, scn.policy.threshold,
                      scn.n_samples, 4096, scn.seed)
-        assert expansions == [12] * 2
+        assert expansions == [("activity_mixture", 12), ("fixed_gain_report", None)]
 
     def test_energy_model_and_clipping_solver(self, expansions):
-        # fig6: the destination and four relays, then none for the solver
+        # fig6: the destination and four relays on one family, then none
+        # for the solver
         scn = scenario_from_conf(preset("fig6"))
         model = scn.energy_model()
-        assert expansions == [3] * 5
+        assert expansions == [("activity_mixture", 3), ("fixed_gain_report", None)]
         expansions.clear()
         solve_saturation_gain(model.report.relays[scn.relay], model.report.u_report[scn.relay])
         assert expansions == []
+
+    @pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+    def test_one_call_per_distinct_family(self, case, monkeypatch):
+        scn = FAMILY_CASES[case]()
+        links, primary, policy = scn.links, scn.primary, scn.policy
+        fields = (links.d_src_relay, links.d_relay_dst, links.d_pu_src, links.d_pu_relay,
+                  links.d_pu_dst, links.alpha)
+        calls = {}
+        for mod, name in ((fading, "max_exp_expectation"), (sensing, "activity_mixture"),
+                          (sensing, "fixed_gain_report")):
+            real = getattr(mod, name)
+
+            def counted(*args, real=real, name=name):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args)
+
+            monkeypatch.setattr(mod, name, counted)
+        built = LinkSet(*fields)
+        report = build_report_gain(built, primary, policy)
+        def distinct(*rows):
+            return len({g.tobytes() for g in rows})
+
+        want = (distinct(links.g_pu_src, *links.g_pu_relay),
+                distinct(links.g_pu_dst, *links.g_pu_relay), distinct(*links.g_pu_relay))
+        assert want == FAMILY_COUNTS[case]
+        assert (calls["max_exp_expectation"], calls["activity_mixture"],
+                calls["fixed_gain_report"]) == want
+        monkeypatch.undo()
+        self.assert_bits_of_per_receiver_expansion(built, primary, policy, report)
+
+    @staticmethod
+    def assert_bits_of_per_receiver_expansion(links, primary, policy, report):
+        scale = primary.tx_power / policy.noise_power
+        lam = policy.threshold / policy.noise_power
+        xs = np.array([0.0, 0.25 * lam, lam, 4.0 * lam, 16.0 * lam])
+        laws = [activity_mixture(g, primary.duty, scale) for g in links.g_pu_relay]
+        peaks = [max_exp_expectation(g) for g in links.g_pu_relay]
+        p_report = [1.0 / (1.0 / policy.p_max + peak / policy.interference_cap)
+                    for peak in peaks]
+        ref = ReportGain(
+            direct=activity_mixture(links.g_pu_dst, primary.duty, scale),
+            relays=tuple(laws), u_report=tuple(fixed_gain_report(law) for law in laws),
+            p_report=tuple(p_report),
+            snr_report=tuple(p * g / policy.noise_power
+                             for p, g in zip(p_report, links.g_relay_dst.tolist())))
+        assert hexes(links.peak_pu_src) == hexes(max_exp_expectation(links.g_pu_src))
+        assert hexes(links.peak_pu_relay) == hexes(peaks)
+        for name in ("u_report", "p_report", "snr_report"):
+            assert hexes(getattr(report, name)) == hexes(getattr(ref, name)), name
+        assert hexes(report.direct.cdf(xs)) == hexes(ref.direct.cdf(xs))
+        want = ref.direct.cdf(lam)
+        for i in range(links.n_relays):
+            assert hexes(report.relays[i].cdf(xs)) == hexes(ref.relays[i].cdf(xs))
+            assert hexes(report_e2e_cdf(xs, report, i)) == hexes(report_e2e_cdf(xs, ref, i))
+            want *= report_e2e_cdf(lam, ref, i)
+        assert hexes(sample_miss_probability(lam, report)) == hexes(want)
 
 
 class TestKernelCalls:
