@@ -4,7 +4,7 @@ Carlo sampler, and write them as JSON: to `results/bench.json` by default,
 or to a new BENCH_<n>.json baseline with `--out`.
 
     PYTHONPATH=src python3 scripts/bench.py
-    PYTHONPATH=src python3 scripts/bench.py --out BENCH_9.json
+    PYTHONPATH=src python3 scripts/bench.py --out BENCH_10.json
     PYTHONPATH=src python3 scripts/bench.py --trials 65536
     PYTHONPATH=src python3 scripts/bench.py --only startup --out results/startup.json
     PYTHONPATH=src python3 scripts/bench.py --only chain --out results/chain.json
@@ -40,22 +40,30 @@ Also the construction of a `LinkSet` (gains, checks and peak gains) on
 `default`, `fig3`, fig3's L = 12 ladder and `fig4-distinct`.
 
 `mc`: each `mcsim.mc_*` sampler runs on the `default` and `fig7` presets at
-a fixed seed, with 1 and 2 workers, `REPEAT` times; every time is reported
-per 2^20 draws. Each one-shot repeat starts with `mcsim`'s held slot emptied, so
-it draws afresh. The four stateless samplers are also timed held: the third
-consecutive call with one key, which replays the draws the first call
-recorded, or the second for a tape over `mcsim.HELD_FIRST_BYTES` (the first
-two calls are not timed). The frame simulators
-(`mc_frame_energy` with and without harvesting, `mc_ecg`) are timed twice:
-cold, the first call on a fresh `EnergyModel` with the slot emptied (it
-draws the hit rate and, inside that reduction, the frame draws, and the
-slot keeps both with the model), and warm, the next call at a new sensing
-time on the same model and relay (it reads them from the slot and redoes
-only the comparisons). Building the model is not timed.
+a fixed seed, with 1 and 2 workers, `MC_REPEAT` times; every row gives the
+best and the median, per 2^20 draws. Each one-shot repeat starts with
+`mcsim`'s held slot emptied, so it draws afresh. A `draws` row per sampler
+and preset makes the same Philox draws, in the same order and shapes, with
+no arithmetic on them: one untimed call of the sampler logs every call it
+makes on its chunk generators, and the row makes those calls again
+(`_draw_plan`). The one-shot row less the draws row is the sampler's
+arithmetic and reduction, as far as one run's noise lets it show. The four
+stateless samplers are also
+timed held: the third consecutive call with one key, which replays the
+draws the first call recorded, or the second for a tape over
+`mcsim.HELD_FIRST_BYTES` (the first two calls are not timed). The frame
+simulators (`mc_frame_energy` with and without harvesting, `mc_ecg`) are
+timed twice: cold, the first call on a fresh `EnergyModel` with the slot
+emptied (it draws the hit rate and, inside that reduction, the frame
+draws, and the slot keeps both with the model), and warm, the next call at
+a new sensing time on the same model and relay (it reads them from the
+slot and redoes only the comparisons). Building the model is not timed.
 `mc_frame_energy` is also timed held on `fig6`, as fig6's rows run it: on a
 fresh model per call, so the slot's frame state never matches, the third
 consecutive call replays the hit-rate and frame draws an earlier call
-recorded.
+recorded. `mc_outage` is also timed held, and its draws alone, on `fig4`
+at `FIG4_OUTAGE_TRIALS` draws per call, the size of geometry-sweep's fig4
+rows, whose tape is recorded on the first call.
 
 `held`: the held slot at `HELD_TRIALS` draws per call, whatever `--trials`
 says. Per sampler (the four stateless ones on `default` and `fig7`, and
@@ -99,6 +107,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import weakref
 
 # One BLAS thread, so the only parallelism is the samplers' own worker
 # threads. Set before numpy is first imported.
@@ -117,6 +126,11 @@ UNIT = 1 << 20
 PRESETS = ("default", "fig7")
 SEED = 1
 REPEAT = 3
+# the `mc` section's runs per row: its rows move by tens of percent run to
+# run on a shared VM, so each gives the best and the median of this many
+MC_REPEAT = 7
+# draws per call of the held fig4 outage row, as geometry-sweep's fig4 rows
+FIG4_OUTAGE_TRIALS = 1 << 15
 STARTUP_RUNS = 5
 SECTIONS = ("startup", "specfun", "chain", "mc", "held", "figures")
 HELD_TRIALS = 1 << 15
@@ -312,25 +326,94 @@ def _replayed(fn):
     return _timed(fn)
 
 
+class _LoggedRng:
+    """Generator stand-in that passes each call to rng and logs it in
+    `calls` as (generator index, method, args, kwargs). An `out=` buffer
+    that an earlier logged draw of the chunk returned is logged as that
+    draw's index, any other as its (shape, dtype)."""
+
+    def __init__(self, rng, index, calls, made):
+        self._rng, self._index, self._calls, self._made = rng, index, calls, made
+
+    def __getattr__(self, method):
+        def draw(*args, **kwargs):
+            x = getattr(self._rng, method)(*args, **kwargs)
+            out = kwargs.get("out")
+            if out is not None:
+                kept = [i for i, ref in enumerate(self._made) if ref() is out]
+                kwargs = dict(kwargs, out=kept[0] if kept else (out.shape, out.dtype))
+            self._calls.append((self._index, method, args, kwargs))
+            self._made.append(weakref.ref(x))
+            return x
+
+        return draw
+
+
+def _draw_plan(run):
+    """fn(trials, workers) making the Philox draws that run() makes, and
+    nothing else. run() is called once, untimed, on an empty held slot,
+    with every chunk generator `mcsim` makes logging its calls
+    (`_LoggedRng`); fn makes the same generators and calls again, chunk by
+    chunk, so it must be given run()'s trial count."""
+    real, log = mcsim._chunk_rng, {}
+
+    def logging_rng(seed, stream, ci):
+        gens, calls, made = log.setdefault(ci, ([], [], []))
+        gens.append((seed, stream))
+        return _LoggedRng(real(seed, stream, ci), len(gens) - 1, calls, made)
+
+    mcsim.clear_held()
+    mcsim._chunk_rng = logging_rng
+    try:
+        run()
+    finally:
+        mcsim._chunk_rng = real
+        mcsim.clear_held()
+    # the draws whose arrays a later call fills again through `out=`
+    reused = {ci: {kw["out"] for _, _, _, kw in calls if isinstance(kw.get("out"), int)}
+              for ci, (_, calls, _) in log.items()}
+
+    def chunk(ci, n):
+        gens, calls, _ = log[ci]
+        rngs = [real(seed, stream, ci) for seed, stream in gens]
+        made = {}
+        for i, (g, method, args, kwargs) in enumerate(calls):
+            out = kwargs.get("out")
+            if out is not None:
+                kwargs = dict(kwargs, out=made[out] if isinstance(out, int) else np.empty(*out))
+            x = getattr(rngs[g], method)(*args, **kwargs)
+            if i in reused[ci]:
+                made[i] = x
+
+    return lambda trials, w: mcsim._map_chunks(chunk, trials, w)
+
+
 def measure(trials):
     rows = []
 
-    def add(name, sampler, slot, workers, runs):
-        per = [s * UNIT / trials for s in runs]
+    def add(name, sampler, slot, workers, runs, n=trials):
+        per = [s * UNIT / n for s in runs]
         rows.append({"preset": name, "sampler": sampler, "slot": slot, "workers": workers,
-                     "s_per_2p20_median": statistics.median(per),
+                     "trials": n, "s_per_2p20_median": statistics.median(per),
                      "s_per_2p20_min": min(per), "runs_s": runs})
 
     for name in PRESETS:
         scn = scenario_from_conf(apply_overrides(preset(name), ["sim.trials=%d" % trials]))
         for sampler, fn in _one_shot(scn).items():
+            draws = _draw_plan(lambda: fn(1))
             for w in (1, 2):
-                add(name, sampler, None, w, [_fresh(lambda: fn(w)) for _ in range(REPEAT)])
-                add(name, sampler, "held", w, [_replayed(lambda: fn(w)) for _ in range(REPEAT)])
+                add(name, sampler, None, w, [_fresh(lambda: fn(w)) for _ in range(MC_REPEAT)])
+                add(name, sampler, "held", w,
+                    [_replayed(lambda: fn(w)) for _ in range(MC_REPEAT)])
+                add(name, sampler, "draws", w,
+                    [_timed(lambda: draws(trials, w)) for _ in range(MC_REPEAT)])
         for sampler, fn in FRAME_SIMS.items():
+            draws = _draw_plan(lambda: fn(scn.energy_model(), scn.relay, scn.t_sense, trials, 1))
             for w in (1, 2):
+                add(name, sampler, "draws", w,
+                    [_timed(lambda: draws(trials, w)) for _ in range(MC_REPEAT)])
                 cold, warm = [], []
-                for r in range(REPEAT):
+                for r in range(MC_REPEAT):
                     model = scn.energy_model()
                     cold.append(_fresh(lambda: fn(model, scn.relay, scn.t_sense, trials, w)))
                     # a new sensing time on the same model and relay: the slot
@@ -344,7 +427,7 @@ def measure(trials):
     fn = FRAME_SIMS["mc_frame_energy"]
     for w in (1, 2):
         held = []
-        for _ in range(REPEAT):
+        for _ in range(MC_REPEAT):
             mcsim.clear_held()
             # a fresh model per call, built untimed; the third call replays
             for _ in range(3):
@@ -353,6 +436,15 @@ def measure(trials):
                 del model
             held.append(t)
         add("fig6", "mc_frame_energy", "held", w, held)
+    n = FIG4_OUTAGE_TRIALS
+    scn = scenario_from_conf(apply_overrides(preset("fig4"), ["sim.trials=%d" % n]))
+    fn = _one_shot(scn)["mc_outage"]
+    draws = _draw_plan(lambda: fn(1))
+    for w in (1, 2):
+        add("fig4", "mc_outage", "held", w,
+            [_replayed(lambda: fn(w)) for _ in range(MC_REPEAT)], n)
+        add("fig4", "mc_outage", "draws", w,
+            [_timed(lambda: draws(n, w)) for _ in range(MC_REPEAT)], n)
     return rows
 
 
@@ -546,11 +638,11 @@ def chain_table(rows):
 
 
 def table(rows):
-    lines = ["| preset | sampler | slot | workers | s per 2^20 draws (median) | min |",
-             "|---|---|---|---|---|---|"]
+    lines = ["| preset | sampler | slot | workers | trials | s per 2^20 draws (median) | min |",
+             "|---|---|---|---|---|---|---|"]
     for r in rows:
-        lines.append("| %s | %s | %s | %d | %.4f | %.4f |"
-                     % (r["preset"], r["sampler"], r["slot"] or "", r["workers"],
+        lines.append("| %s | %s | %s | %d | %d | %.4f | %.4f |"
+                     % (r["preset"], r["sampler"], r["slot"] or "", r["workers"], r["trials"],
                         r["s_per_2p20_median"], r["s_per_2p20_min"]))
     return "\n".join(lines)
 
@@ -591,8 +683,9 @@ def main(argv=None):
 
     module_loc, sha = src_stats()
     loc = sum(module_loc.values())
-    doc = {"trials": args.trials, "repeat": REPEAT, "seed": SEED, "unit_draws": UNIT,
-           "src_loc": loc, "src_module_loc": module_loc, "src_sha256": sha, "host": host()}
+    doc = {"trials": args.trials, "repeat": REPEAT, "mc_repeat": MC_REPEAT, "seed": SEED,
+           "unit_draws": UNIT, "src_loc": loc, "src_module_loc": module_loc,
+           "src_sha256": sha, "host": host()}
     out = []
     # start-up first, before this process has warmed any file cache further
     if "startup" in sections:
@@ -616,8 +709,8 @@ def main(argv=None):
         out.append(chain_table(doc["chain"]))
     if "mc" in sections:
         doc["mc"] = measure(args.trials)
-        out.append("Monte Carlo samplers, %d draws per call, best-of and median of %d\n\n%s"
-                   % (args.trials, REPEAT, table(doc["mc"])))
+        out.append("Monte Carlo samplers, median and best of %d\n\n%s"
+                   % (MC_REPEAT, table(doc["mc"])))
     out_dir = os.path.dirname(args.out)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)

@@ -14,10 +14,11 @@ per-chunk kernels work one column (primary or relay) at a time, because
 numpy reductions and broadcasts over an axis of 1-4 elements cost more
 than the arithmetic, but they keep the array forms' operations: `_thinned`
 adds its columns in np.sum(axis=1)'s order, and `_selects` reproduces
-np.argmax's choice, ties to the first index. With the draws held (below),
-one warm sensing time of `mc_frame_energy` on fig7's 4 relays costs about
-0.02 s per 2^20 draws, the comparisons and the moment sums (2-vCPU Xeon
-VM, numpy 2.4.6; `scripts/bench.py`, `BENCH_2.json`).
+np.argmax's choice, ties to the first index. No kernel runs np.where, whose
+per-element branch mispredicts, on a mask about half true: the outage keeps
+its best estimate by np.maximum and its winner as a running index
+(`_outage_hits`), and indicators stay boolean for `_reduce` to count.
+np.where is left on masks that p_detect near 0 or 1 skews.
 
 Every row of a figure sweep (fig3's distance ladders, fig4's power ladders,
 fig6's primary distances) uses the preset's own seed, so consecutive calls
@@ -172,10 +173,15 @@ def _reduce(fn, trials: int, workers: int = 1):
     """Per-column sums and cross-products of fn(ci, n) -> columns over
     `trials` draws, ([sum_a], [[sum_a*b]], [k_a]) as plain numbers, the
     per-chunk partials added in chunk order. Column a is summed in units of
-    2**k_a, `_units` of its largest magnitude."""
+    2**k_a, `_units` of its largest magnitude. A lone boolean column is
+    counted: its sum and sum of squares are its count, in units of 2**0."""
 
     def moments(ci, n):
-        cols = [np.asarray(c, dtype=float) for c in fn(ci, n)]
+        cols = fn(ci, n)
+        if len(cols) == 1 and cols[0].dtype == bool:
+            count = float(np.count_nonzero(cols[0]))
+            return [0], np.array([count]), np.array([[count]])
+        cols = [np.asarray(c, dtype=float) for c in cols]
         with np.errstate(over="ignore", invalid="ignore"):
             cross = np.array([[np.dot(x, y) for y in cols] for x in cols])
         # a sum of n squares in [n / _UNSCALED_SQ, _UNSCALED_SQ) proves
@@ -395,12 +401,12 @@ def _thinned(rng, n, gains, duty, weights=None):
         if weights is not None:
             x *= weights
         return np.sum(x, axis=1)
-    total = 0.0
     for l in range(L):
         col = fade[:, l] * gains[l]
         if weights is not None:
             col *= weights[l]
-        total += col
+        # the first column's fresh product starts the sum, in place
+        total = np.add(total, col, out=total) if l else col
     return total
 
 
@@ -415,13 +421,16 @@ def _sample_exceed_sampler(links: LinkSet, primary: PrimaryModel, policy: Second
     duty = primary.duty
 
     def sampler(rng, n):
-        exceed = mix_scale * _thinned(rng, n, g_dst, duty) > lam_norm
+        level = _thinned(rng, n, g_dst, duty)
+        exceed = np.multiply(level, mix_scale, out=level) > lam_norm
         for i in range(links.n_relays):
-            first = mix_scale * _thinned(rng, n, g_rel[i], duty)
+            e2e = _thinned(rng, n, g_rel[i], duty)
+            e2e *= mix_scale
             second = rng.exponential(b[i], n)
-            e2e = first * second / (second + u[i])
+            e2e *= second                  # first * second / (second + u), in place
+            e2e /= np.add(second, u[i], out=second)
             exceed |= e2e > lam_norm
-        return (exceed.astype(float),)
+        return (exceed,)
 
     return sampler
 
@@ -459,6 +468,32 @@ def _frame_lift(p_hit: float, se: float, n_samples: float):
 
 # --- transmission ---------------------------------------------------------
 
+def _outage_hits(true, est, e, m, a, u, x):
+    """Per-trial outage indicators: the relay j with the largest estimate
+    est[:, j] * m[j] (ties to the first) is in outage when e * a[j] * t /
+    (t + u[j]) <= x, t = true[:, j] * m[j]. Branch-free (module docstring),
+    with the inf and nan that one trial at a time would give."""
+    k = len(m)
+    idx = np.min_scalar_type(k - 1).type
+    sel = np.zeros(len(e), dtype=idx)
+    best = est[:, 0] * m[0]
+    for j in range(1, k):
+        est_j = est[:, j] * m[j]
+        np.maximum(sel, (est_j > best) * idx(j), out=sel)
+        if j < k - 1:
+            np.maximum(best, est_j, out=best)
+    for j in range(k):
+        t = true[:, j] * m[j]
+        e2e = e * a[j]
+        e2e *= t
+        t += u[j]
+        e2e /= t
+        mine = e2e <= x
+        mine &= sel == j
+        hits = np.logical_or(hits, mine, out=hits) if j else mine
+    return hits
+
+
 def mc_outage(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
               gamma_th: float, p_detect: float, rho: float, trials: int,
               seed: int, workers: int = 1) -> MCEstimate:
@@ -470,24 +505,9 @@ def mc_outage(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
     k = len(m)
 
     def sampler(rng, n):
-        # relay j's (truth, estimate) pair of exponentials with mean m[j]
+        # unit-mean powers: `_outage_hits` scales relay j's by m[j] and selects
         true, est = _selection_powers(rng, rho, (n, k))
-        for j in range(k):
-            est_j = est[:, j] * m[j]
-            true_j = true[:, j] * m[j]
-            if j == 0:
-                best, second, a_sel, u_sel = est_j, true_j, a[0], u[0]
-                continue
-            # strictly above the best so far: ties stay with the first
-            # index, as in np.argmax and `_selects`
-            win = est_j > best
-            best = np.where(win, est_j, best)
-            second = np.where(win, true_j, second)
-            a_sel = np.where(win, a[j], a_sel)
-            u_sel = np.where(win, u[j], u_sel)
-        first = rng.standard_exponential(n) * a_sel
-        e2e = first * second / (second + u_sel)
-        return ((e2e <= x).astype(float),)
+        return (_outage_hits(true, est, rng.standard_exponential(n), m, a, u, x),)
 
     mean, se = _held_mean(sampler, seed, 3, (k,), trials, workers, rho,
                           per_trial=8 * (2 * k + 1))
@@ -506,7 +526,8 @@ def _harvest_power_sampler(links: LinkSet, primary: PrimaryModel, policy: Second
     eta_pp = policy.eta * primary.tx_power
 
     def sampler(rng, n):
-        return eta_pp * _thinned(rng, n, g, duty, weights=g)
+        power = _thinned(rng, n, g, duty, weights=g)
+        return np.multiply(power, eta_pp, out=power)
 
     return sampler
 
@@ -521,7 +542,8 @@ def mc_harvest(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
     base = _harvest_power_sampler(links, primary, policy, i)
 
     def sampler(rng, n):
-        return (p_detect * base(rng, n),)
+        usable = base(rng, n)
+        return (np.multiply(usable, p_detect, out=usable),)
 
     mean, se = _held_mean(sampler, seed, 5, (links.n_primary,), trials, workers,
                           primary.duty, per_trial=8 * links.n_primary)
@@ -540,6 +562,7 @@ def mc_clipped_gain(links: LinkSet, primary: PrimaryModel, policy: SecondaryPoli
 
     def sampler(rng, n):
         lvl = mix_scale * _thinned(rng, n, g, duty)
+        # np.where kept: this sampler runs only in `validate`
         return (np.where(lvl <= threshold_t, 1.0 / u, 1.0 / (lvl + 1.0)),)
 
     mean, se = _held_mean(sampler, seed, 7, (links.n_primary,), trials, workers,
@@ -636,7 +659,7 @@ def mc_frame_energy(model: EnergyModel, i: int, t_sense: float, trials: int,
 
     def sampler(ci, n):
         detected, p_h, pays = draw(ci, n)
-        # pays excludes detected frames, so the two updates never overlap
+        # np.where on masks p_detect skews; pays and detected never overlap
         val = np.where(pays, f.e_listen[i] + f.e_transmit[i] * f.t_data, f.e_listen[i])
         if harvesting:
             val = np.where(detected, f.e_listen[i] - p_h * f.t_data, val)
@@ -665,6 +688,7 @@ def mc_ecg(model: EnergyModel, i: int, t_sense: float, trials: int, seed: int,
 
     def sampler(ci, n):
         detected, p_h, pays = draw(ci, n)
+        # np.where on masks p_detect skews, so its branch predicts well
         consumed = np.where(pays, listen + f.e_transmit[i] * f.t_data, listen)
         harvested = np.where(detected, p_h * f.t_data, 0.0)
         return consumed, harvested

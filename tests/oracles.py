@@ -243,3 +243,27 @@ def numpy_subset_terms(snr_means, i, rho):
 
 def numpy_selection_prob(snr_means, i):
     return float(sum(psi / phi for psi, phi, _, _ in numpy_subset_terms(snr_means, i, 0.0)))
+
+
+# --- best-relay outage, one select per relay ---------------------------------
+
+def select_outage_hits(true, est, e, m, a, u, x):
+    """Per-trial outage indicators of the relay with the largest estimate
+    est[:, j] * m[j] (ties to the first index), carried relay by relay
+    with np.where: the winner's true power t = true[:, j] * m[j], first-hop
+    mean a[j] and gain normaliser u[j] replace the running ones where it
+    wins strictly. The trial is in outage when (e * a) * t / (t + u) <= x."""
+    for j in range(len(m)):
+        est_j = est[:, j] * m[j]
+        true_j = true[:, j] * m[j]
+        if j == 0:
+            best, second, a_sel, u_sel = est_j, true_j, a[0], u[0]
+            continue
+        win = est_j > best
+        best = np.where(win, est_j, best)
+        second = np.where(win, true_j, second)
+        a_sel = np.where(win, a[j], a_sel)
+        u_sel = np.where(win, u[j], u_sel)
+    first = e * a_sel
+    e2e = first * second / (second + u_sel)
+    return e2e <= x

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import math
 import sys
@@ -30,6 +31,7 @@ from relaysense.scenario import (apply_overrides, ladder_conf, preset, relay_lad
                                  scenario_from_conf)
 from relaysense.transmission import build_trans_coeffs, outage_probability
 
+import oracles
 from test_sensing import fig3_setup, rel_noise_db, N0
 from test_transmission import fig4_setup
 
@@ -319,6 +321,60 @@ class TestReducer:
         want_se = math.ldexp(np.ldexp(col, -units[0]).std(ddof=1) / math.sqrt(trials), units[0])
         assert 0.0 < se and se == pytest.approx(want_se, rel=1e-9)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("share", [0.0, 0.3, 1.0])
+    def test_boolean_columns_are_counted(self, share, workers):
+        # a 0/1 column's sum and sum of squares are its count: the boolean
+        # column reduces to the bits of the same column cast to 0.0/1.0,
+        # all-false, mixed and all-true, over a partial last chunk
+        def sampler(rng, n):
+            return (rng.random(n) < share,)
+
+        trials = 2 * CHUNK + 17
+        fn = _seeded(sampler, 6, 1)
+        got = _reduce(fn, trials, workers)
+        assert got == _reduce(lambda ci, n: (fn(ci, n)[0].astype(float),), trials, workers)
+        (count,), _, units = got
+        assert units == [0]
+        assert {0.0: count == 0.0, 1.0: count == trials}.get(share, 0.0 < count < trials)
+
+    def test_indicator_samplers_hand_over_boolean_columns(self, monkeypatch):
+        # detection, outage and the frame simulators' hit rate are counted;
+        # the harvest and the frame simulators' energies stay float columns
+        dtypes = []
+        real = mcsim._reduce
+
+        def recording(fn, trials, workers=1):
+            seen = set()
+            dtypes.append(seen)
+
+            def cols(ci, n):
+                out = fn(ci, n)
+                seen.update(c.dtype.name for c in out)
+                return out
+
+            return real(cols, trials, workers)
+
+        monkeypatch.setattr(mcsim, "_reduce", recording)
+        scn = scenario_from_conf(preset("fig7"))
+        links, primary, policy = scn.links, scn.primary, scn.policy
+        model = scn.energy_model()
+        runs = {
+            "mc_detection": (lambda: mc_detection(links, primary, policy, policy.threshold,
+                                                  scn.n_samples, 3000, 1), ["bool"]),
+            "mc_outage": (lambda: mc_outage(links, primary, policy, scn.gamma_th, 0.9,
+                                            scn.rho, 3000, 1), ["bool"]),
+            "mc_harvest": (lambda: mc_harvest(links, primary, policy, 0, 0.9, 3000, 1),
+                           ["float64"]),
+            "mc_frame_energy": (lambda: mc_frame_energy(model, 0, 0.01, 3000, 1),
+                                ["bool", "float64"]),
+            "mc_ecg": (lambda: mc_ecg(model, 0, 0.01, 3000, 2), ["bool", "float64"]),
+        }
+        for name, (run, want) in runs.items():
+            dtypes.clear()
+            run()
+            assert [sorted(seen) for seen in dtypes] == [[w] for w in want], name
+
     def test_units_scale_both_ways(self):
         E = mcsim._UNSCALED_EXP
         assert mcsim._units(0.0) == 0
@@ -589,6 +645,71 @@ class TestKernelBits:
             mcsim.clear_held()
             got = mc_outage(links, primary, policy, gamma, 0.95, rho, 20_000, 8)
             assert (got.mean.hex(), got.stderr.hex()) == tuple(v.hex() for v in want), rho
+
+    # (m, a, u, x) per case, the first k entries of each; at "float-limit"
+    # est * m, true * m, e * a and e * a * t overflow to inf, and inf / inf
+    # makes trials whose SNR is nan
+    OUTAGE_MEANS = {
+        "equal": ([2.0] * 4, [3.0] * 4, [0.5] * 4, 4.0),
+        "distinct": ([1.0, 3.0, 0.5, 2.0], [2.0, 1.0, 4.0, 3.0], [0.5, 2.0, 1.0, 0.25], 3.0),
+        "float-limit": ([4e307, 4e307, 2e307, 4e307], [1.0, 0.5, 2.0, 1.0],
+                        [1e307, 2e307, 1e307, 5e306], 1.0),
+    }
+
+    @pytest.mark.parametrize("means", sorted(OUTAGE_MEANS))
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_outage_selection_equals_the_select_kernel(self, k, means):
+        # estimates on a grid of four values tie exactly in many trials, and
+        # only the tie rule picks the relay
+        rng = np.random.default_rng(30 + k)
+        n = 4096
+        est = rng.integers(0, 4, (n, k)) * 1.5
+        true = rng.standard_exponential((n, k))
+        e = rng.standard_exponential(n)
+        m, a, u, x = self.OUTAGE_MEANS[means]
+        m, a, u = m[:k], a[:k], u[:k]
+        # an overflow warns, as it did in the select kernel
+        with (pytest.warns(RuntimeWarning) if means == "float-limit"
+              else contextlib.nullcontext()):
+            got = mcsim._outage_hits(true, est, e, m, a, u, x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = oracles.select_outage_hits(true, est, e, m, a, u, x)
+            scaled = est * np.asarray(m)
+        assert got.dtype == bool and np.array_equal(got, want)
+        assert 0 < want.sum() < n
+        top = scaled == scaled.max(axis=1, keepdims=True)
+        assert k == 1 or (top.sum(axis=1) > 1).any()
+        assert (means == "float-limit") == bool(np.isinf(scaled).any())
+
+    @pytest.mark.parametrize("rho", [0.5, 0.9, 1.0])
+    def test_outage_at_the_float_limit_equals_the_select_kernel(self, rho, monkeypatch):
+        # fig4 at the largest whole-dB p_max that scenario checks admit: each
+        # estimate mean is about 4e307, so est * m overflows to inf on about
+        # 1% of the draws. At gamma_th = inf a trial is in outage unless its
+        # SNR is nan, which it is where the selected truth overflows too.
+        # (e * a) * t overflows before the division, so the estimate is not
+        # the outage probability here; only its bits are held to the select
+        # kernel's, which an arithmetic select's nan would change
+        scn = scenario_from_conf(apply_overrides(
+            preset("fig4"), ["policy.p_max=3036 dB", "csi.rho=%g" % rho]))
+        m = build_trans_coeffs(scn.links, scn.primary, scn.policy, 1.0).snr_means
+        assert all(math.isinf(5.0 * float(v)) for v in m)
+
+        def run():
+            mcsim.clear_held()
+            est = mc_outage(scn.links, scn.primary, scn.policy, math.inf, 1.0, rho,
+                            1 << 15, scn.seed)
+            return est.mean.hex(), est.stderr.hex()
+
+        with pytest.warns(RuntimeWarning):
+            got = run()
+
+        def oracle(*args):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return oracles.select_outage_hits(*args)
+
+        monkeypatch.setattr(mcsim, "_outage_hits", oracle)
+        assert got == run()
 
 
 class _TiedNoise:

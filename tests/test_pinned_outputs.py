@@ -8,7 +8,10 @@ implementation whose selection terms ran on numpy scalars and whose
 chain, frame-energy, ECG and frame-simulator values were written by the
 implementation that expanded every receiver's interference law, fixed gain
 and peak gain on its own and priced every relay's selection odds in each
-frame build. They are the reference any rewrite of those chains must keep.
+frame build. The other Monte Carlo means and stderrs were written by the
+implementation whose outage carried the selected relay with one np.where
+per relay and whose indicator samplers summed 0.0/1.0 float columns. They
+are the reference any rewrite of those chains must keep.
 """
 
 import contextlib
@@ -247,3 +250,93 @@ def test_frame_simulators_and_energy_command_keep_their_bits():
     with contextlib.redirect_stdout(out):
         assert cli.main(ENERGY_ARGS) == 0
     assert [line.rstrip() for line in out.getvalue().splitlines()] == ENERGY_OUT
+
+
+# Monte Carlo (mean, stderr), each the same at 1 and 2 workers and on a
+# fresh and a held call: mc_outage on fig4 at 2^15 trials, at its own
+# threshold for p_max 0 and 14 dB and at a raised one ("busy") where that
+# gives no outage, so that every pin counts some; the rest at MC_TRIALS,
+# three chunks with a partial last one
+MC_TRIALS = 150001
+MC = {
+    "fig4/rho0.5/p0dB": ("0x1.1000000000000p-11", "0x1.07d077b6a0f4ep-13"),
+    "fig4/rho0.5/p14dB": ("0x1.8000000000000p-14", "0x1.bb6437abc32eep-15"),
+    "fig4/rho0.9/p0dB": ("0x1.0000000000000p-11", "0x1.ffe1fee2eed3bp-14"),
+    "fig4/rho0.9/p14dB": ("0x1.8000000000000p-14", "0x1.bb6437abc32eep-15"),
+    "fig4/rho1/p0dB": ("0x1.6000000000000p-12", "0x1.a876938420b43p-14"),
+    "fig4/rho1/p14dB": ("0x1.0000000000000p-14", "0x1.6a087c5a8432ep-15"),
+    "fig4-busy/rho0.5": ("0x1.6a04000000000p-1", "0x1.498a451936c17p-9"),
+    "fig4-busy/rho0.9": ("0x1.5d8c000000000p-1", "0x1.5101aec709ab2p-9"),
+    "fig4-busy/rho1": ("0x1.57ec000000000p-1", "0x1.5405a7266dc70p-9"),
+    "fig4-busy/rho0.5/p30dB": ("0x1.0e84000000000p-1", "0x1.697633c7c2849p-9"),
+    "fig4-busy/rho0.9/p30dB": ("0x1.02a8000000000p-1", "0x1.6a06533001f74p-9"),
+    "fig4-busy/rho1/p30dB": ("0x1.f958000000000p-2", "0x1.6a037b4acf529p-9"),
+    "fig7-outage-busy": ("0x1.20c4fd2dcc4ffp-1", "0x1.4fa4716c17d7dp-10"),
+    "ladder/L2": ("0x1.86e00bb8da380p-7", "0x1.03061eb38b51ap-8"),
+    "ladder/L8": ("0x1.b076aa0a8d786p-2", "0x1.002fa1eef2ee3p-6"),
+    "ladder/L12": ("0x1.8afe333134d38p-1", "0x1.4cd3ec3e05d43p-7"),
+    "fig3-harvest/L3": ("0x1.27d55251c9576p-41", "0x1.8b695f75eb7d8p-50"),
+}
+
+
+def outage_run(conf, trials):
+    """fn(workers) -> mc_outage on conf at the scenario's own threshold and
+    detection probability."""
+    scn = scenario_from_conf(conf)
+    p = scn.policy
+    pd = sensing.detection_probability(p.threshold, scn.n_samples, scn.links, scn.primary, p)
+    return lambda w: mcsim.mc_outage(scn.links, scn.primary, p, scn.gamma_th, pd, scn.rho,
+                                     trials, scn.seed, workers=w)
+
+
+def detection_run(conf):
+    scn = scenario_from_conf(conf)
+    p = scn.policy
+    return lambda w: mcsim.mc_detection(scn.links, scn.primary, p, p.threshold,
+                                        scn.n_samples, MC_TRIALS, scn.seed, workers=w)
+
+
+def harvest_run(conf):
+    scn = scenario_from_conf(conf)
+    p = scn.policy
+    pd = sensing.detection_probability(p.threshold, scn.n_samples, scn.links, scn.primary, p)
+    return lambda w: mcsim.mc_harvest(scn.links, scn.primary, p, scn.relay, pd, MC_TRIALS,
+                                      scn.seed, workers=w)
+
+
+def fig4_conf(rho, *overrides):
+    return apply_overrides(preset("fig4"), ["csi.rho=%g" % rho, *overrides])
+
+
+MC_RUNS = {
+    **{"fig4/rho%g/p%ddB" % (rho, db): lambda rho=rho, db=db: outage_run(
+        fig4_conf(rho, "policy.p_max=%d dB" % db), 1 << 15)
+       for rho in (0.5, 0.9, 1.0) for db in (0, 14)},
+    **{"fig4-busy/rho%g" % rho: lambda rho=rho: outage_run(
+        fig4_conf(rho, "traffic.gamma_th=50 dB"), 1 << 15) for rho in (0.5, 0.9, 1.0)},
+    **{"fig4-busy/rho%g/p30dB" % rho: lambda rho=rho: outage_run(
+        fig4_conf(rho, "policy.p_max=30 dB", "traffic.gamma_th=68 dB"), 1 << 15)
+       for rho in (0.5, 0.9, 1.0)},
+    # fig7 at its own threshold gives no outage
+    "fig7-outage-busy": lambda: outage_run(
+        apply_overrides(preset("fig7"), ["traffic.gamma_th=190 dB"]), MC_TRIALS),
+    # perfbench's two-relay fig3 ladder
+    **{"ladder/L%d" % n_pu: lambda n_pu=n_pu: detection_run(
+        relay_ladder_conf(ladder_conf(preset("fig3"), 0.48, n_pu), 0.1, 0.1, 2))
+       for n_pu in (2, 8, 12)},
+    "fig3-harvest/L3": lambda: harvest_run(ladder_conf(preset("fig3"), 0.4, 3)),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(MC))
+def test_mc_means_and_stderrs_keep_their_bits(name, workers):
+    run = MC_RUNS[name]()
+    mcsim.clear_held()
+    fresh, held = run(workers), run(workers)
+    assert hexes((fresh.mean, fresh.stderr)) == MC[name]
+    assert hexes((held.mean, held.stderr)) == MC[name]
+
+
+def test_every_mc_pin_has_a_run():
+    assert sorted(MC_RUNS) == sorted(MC)
