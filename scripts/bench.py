@@ -4,92 +4,91 @@ Carlo sampler, and write them as JSON: to `results/bench.json` by default,
 or to a new BENCH_<n>.json baseline with `--out`.
 
     PYTHONPATH=src python3 scripts/bench.py
-    PYTHONPATH=src python3 scripts/bench.py --out BENCH_10.json
+    PYTHONPATH=src python3 scripts/bench.py --out BENCH_11.json
     PYTHONPATH=src python3 scripts/bench.py --trials 65536
     PYTHONPATH=src python3 scripts/bench.py --only startup --out results/startup.json
     PYTHONPATH=src python3 scripts/bench.py --only chain --out results/chain.json
     PYTHONPATH=src python3 scripts/bench.py --only held --out results/held.json
 
-`startup`: the median wall time of `STARTUP_RUNS` fresh interpreters that
-run `import relaysense.cli`, and the `-X importtime` total of one more (the
-sum of every module's own import time).
+Every section is a list of cases, each a dict of labels and a function
+that makes one run and returns named measurements, and one driver
+(`drive`) times them: `REPEAT` rounds, each of which runs every case of the
+section once, in a fixed order, so that a drift in the host's speed
+reaches every row alike. Each row gives the median, the best and the runs
+of each measurement, and one writer (`table`) prints every section. A call
+of a few microseconds is timed as a loop whose length is sized once,
+untimed, to take at least 0.05 s (`per_call`).
+
+`startup`: the wall time of a fresh interpreter that runs `import
+relaysense.cli`, and the `-X importtime` total (every module's own import
+time) of another.
 
 `specfun`: microseconds per call of each special-function kernel on one
 float and on an array of L values, L = 3 and 12 (what an interference law
-with L primaries hands it), the best of `REPEAT` timed loops; and
-milliseconds per `sensing.detection_probability` call on the fig3 ladder
-with L = 1..12 primaries.
+with L primaries hands it); and milliseconds per `detection_probability`
+call on the fig3 ladder with L = 1..12 primaries.
 
 `chain`: microseconds per call of the scenario and data-phase chain on the
-`default` (2 relays) and `fig7` (4 relays) presets, the best of `REPEAT`
-timed loops: an `EnergyModel` construction on the scenario's built
-`LinkSet` (reporting chain, miss probability and harvest means),
-`sensing.build_report_gain`, `sensing.detection_probability`,
-`transmission.build_trans_coeffs`, `EnergyModel.frame` at a sensing time
-the model has not seen (so it builds the frame),
-`transmission.outage_probability`, and `optimize_sensing_time` on a fresh
-`EnergyModel` (built before the timed loop). The model build, the
-reporting chain, the fresh frame and the optimisation also on the `figure
-table1` cell with 4 relays and 4 primaries (`table1-M4L4`), the largest of
-the 16 optimisations. The model build and the reporting chain also on
-fig4 with every relay on a primary family of its own (`fig4-distinct`),
-where expanding each distinct family once saves nothing, so its rows show
-what the sharing costs. The reporting chain and the detection probability
-also on the benchmark's two-relay fig3 ladder at L = 12 (`ladder-L12`).
-Also the construction of a `LinkSet` (gains, checks and peak gains) on
+`default` (2 relays) and `fig7` (4 relays) presets: an `EnergyModel`
+construction on the scenario's built `LinkSet` (reporting chain, miss
+probability and harvest means), `sensing.build_report_gain`,
+`sensing.detection_probability`, `transmission.build_trans_coeffs`,
+`EnergyModel.frame` at a sensing time the model has not seen (so it builds
+the frame), `transmission.outage_probability`, and `optimize_sensing_time`
+on a fresh `EnergyModel` (built untimed). The model build, the reporting
+chain, the fresh frame and the optimisation also on the `figure table1`
+cell with 4 relays and 4 primaries (`table1-M4L4`), the largest of the 16
+optimisations. The model build and the reporting chain also on fig4 with
+every relay on a primary family of its own (`fig4-distinct`), where
+expanding each distinct family once saves nothing, so its rows show what
+the sharing costs. The reporting chain and the detection probability also
+on the benchmark's two-relay fig3 ladder at L = 12 (`ladder-L12`). Also
+the construction of a `LinkSet` (gains, checks and peak gains) on
 `default`, `fig3`, fig3's L = 12 ladder and `fig4-distinct`.
 
-`mc`: each `mcsim.mc_*` sampler runs on the `default` and `fig7` presets at
-a fixed seed, with 1 and 2 workers, `MC_REPEAT` times; every row gives the
-best and the median, per 2^20 draws. Each one-shot repeat starts with
-`mcsim`'s held slot emptied, so it draws afresh. A `draws` row per sampler
-and preset makes the same Philox draws, in the same order and shapes, with
-no arithmetic on them: one untimed call of the sampler logs every call it
-makes on its chunk generators, and the row makes those calls again
-(`_draw_plan`). The one-shot row less the draws row is the sampler's
-arithmetic and reduction, as far as one run's noise lets it show. The four
-stateless samplers are also
-timed held: the third consecutive call with one key, which replays the
-draws the first call recorded, or the second for a tape over
-`mcsim.HELD_FIRST_BYTES` (the first two calls are not timed). The frame
-simulators (`mc_frame_energy` with and without harvesting, `mc_ecg`) are
-timed twice: cold, the first call on a fresh `EnergyModel` with the slot
+`held` and `mc` time each sampler through `mcsim`'s held slot with one
+case per key (`held_key`): it empties the slot, then times the key's
+first, second and third consecutive calls, and gives the bytes of the tape
+held after the third. A key records its draws on its first call, or on its
+second for a tape over `mcsim.HELD_FIRST_BYTES`, and replays them later.
+The keys are the four stateless samplers on the `default` and `fig7`
+presets, and `mc_frame_energy` on `fig6` with a fresh model per call
+(built untimed), as fig6's rows run it, so that the slot's frame state
+never matches. `held` runs them at `HELD_TRIALS` draws per call, whatever
+`--trials` says, with one worker.
+
+`mc`: those cases at `--trials` draws per call with 1 and 2 workers, and
+per sampler and preset a `draws` row that makes the same Philox draws, in
+the same order and shapes, with no arithmetic on them: one untimed call of
+the sampler logs every call it makes on its chunk generators, and the row
+makes those calls again (`_draw_plan`). A call less the draws row is the
+sampler's arithmetic and reduction, as far as the runs' spread lets it
+show. The frame simulators (`mc_frame_energy` with and without
+harvesting, `mc_ecg`) are timed cold and then warm on one fresh
+`EnergyModel` per run (`cold_warm`): cold, the first call with the slot
 emptied (it draws the hit rate and, inside that reduction, the frame
 draws, and the slot keeps both with the model), and warm, the next call at
 a new sensing time on the same model and relay (it reads them from the
-slot and redoes only the comparisons). Building the model is not timed.
-`mc_frame_energy` is also timed held on `fig6`, as fig6's rows run it: on a
-fresh model per call, so the slot's frame state never matches, the third
-consecutive call replays the hit-rate and frame draws an earlier call
-recorded. `mc_outage` is also timed held, and its draws alone, on `fig4`
-at `FIG4_OUTAGE_TRIALS` draws per call, the size of geometry-sweep's fig4
-rows, whose tape is recorded on the first call.
-
-`held`: the held slot at `HELD_TRIALS` draws per call, whatever `--trials`
-says. Per sampler (the four stateless ones on `default` and `fig7`, and
-`mc_frame_energy` on a fresh `fig6` model per call), the median time of a
-key's first, second and third consecutive call over `REPEAT` runs, each
-run starting with the slot emptied, and the bytes of the tape held after
-the third. Then the budget curve: `mcsim.HELD_FIRST_BYTES` set to each of
-`BUDGETS_MIB` against the Monte Carlo time (best of `CURVE_REPEAT`) and the
-largest tape held after any call of three sweeps, each at the trial count
-its benchmark workload uses (`HELD_SWEEPS`): fig3's detection rows, fig6's
-frame-energy rows on a fresh model per row, and one detection per primary
-count on the fig3 ladder with two relays, L = 1..12. The scenarios and
-models are built before the timed loop.
+slot and redoes only the comparisons). `mc_outage` is also timed, with its
+draws row, on `fig4` at `FIG4_OUTAGE_TRIALS` draws per call, the size of
+geometry-sweep's fig4 rows.
 
 `figures`: the wall time and the child's peak RSS (`ru_maxrss`) of
 `relaysense figure` for every stock figure (`FIGURES`), at `FIGURE_TRIALS`
 trials and `FIGURE_WORKERS` workers, in a fresh interpreter with the one
-BLAS thread set below, median of `REPEAT` runs. A child's `ru_maxrss`
-counts the memory of the process it was forked from, so this section runs
-right after start-up, and each row also gives this process's own peak RSS
-(`bench_maxrss_mb`), a floor under the child's. Not part of CI: each run
-takes seconds.
+BLAS thread set below. A child's `ru_maxrss` counts the memory of the
+process it was forked from, so this section runs right after start-up, and
+each row also gives this process's own peak RSS (`bench_maxrss_mb`), a
+floor under the child's. Not part of CI: each run takes seconds.
+
+The study that set `mcsim.HELD_FIRST_BYTES` to 4 MiB, the Monte Carlo time
+and peak tape of three sweeps against budgets of 0-16 MiB, is not rerun
+here; its readings are in `BENCH_7.json` to `BENCH_10.json`
+(`held.budget_curve`).
 
 The file also records the line count of each of the imported package's
-modules, their total and SHA-256, and the host. A markdown table of the
-same numbers goes to standard output.
+modules, their total and SHA-256, and the host. A markdown table per
+section of the same numbers goes to standard output.
 """
 import argparse
 import gc
@@ -97,7 +96,6 @@ import hashlib
 import importlib.metadata
 import itertools
 import json
-import math
 import os
 import platform
 import re
@@ -105,7 +103,6 @@ import resource
 import statistics
 import subprocess
 import sys
-import tempfile
 import time
 import weakref
 
@@ -117,28 +114,22 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 import relaysense  # noqa: E402
-from relaysense import cli, energy_opt, mcsim, sensing, specfun, transmission  # noqa: E402
+from relaysense import energy_opt, mcsim, sensing, specfun, transmission  # noqa: E402
 from relaysense.fading import LinkSet  # noqa: E402
 from relaysense.scenario import (apply_overrides, ladder_conf, preset,  # noqa: E402
                                  relay_ladder_conf, scenario_from_conf)
 
-UNIT = 1 << 20
+TRIALS = 1 << 20
 PRESETS = ("default", "fig7")
 SEED = 1
-REPEAT = 3
-# the `mc` section's runs per row: its rows move by tens of percent run to
-# run on a shared VM, so each gives the best and the median of this many
-MC_REPEAT = 7
-# draws per call of the held fig4 outage row, as geometry-sweep's fig4 rows
+# every row's runs: rows of the mc and chain sections move by tens of
+# percent run to run on a shared VM, so each gives the median of this many
+REPEAT = 7
+# draws per call of the fig4 outage rows, as geometry-sweep's fig4 rows
 FIG4_OUTAGE_TRIALS = 1 << 15
-STARTUP_RUNS = 5
-SECTIONS = ("startup", "specfun", "chain", "mc", "held", "figures")
+# in the order they run (see main)
+SECTIONS = ("startup", "figures", "held", "specfun", "chain", "mc")
 HELD_TRIALS = 1 << 15
-BUDGETS_MIB = (0, 1, 2, 4, 8, 16)
-# (sweep, draws per call): geometry-sweep runs 2^15, tsense-sweep 2^14
-HELD_SWEEPS = (("fig3", 1 << 15), ("fig6", 1 << 14), ("ladder", 1 << 15))
-# the budget curve's runs per point: its sweeps take 0.03-0.3 s each
-CURVE_REPEAT = 7
 FIGURES = ("fig3", "fig4", "fig6", "fig7", "fig8", "table1")
 FIGURE_TRIALS = 1_000_000
 FIGURE_WORKERS = 2
@@ -171,108 +162,150 @@ ARRAY_SIZES = (3, 12)
 LADDER = tuple(range(1, 13))
 
 
-def startup():
-    """Fresh-interpreter import of the CLI: median wall seconds over
-    STARTUP_RUNS runs, and the -X importtime total of one more run."""
+def drive(cases):
+    """Time cases, (labels, run) pairs whose run() makes one run and returns
+    {measurement: value}: each of REPEAT rounds calls gc.collect() and then
+    every run() once, in order. One row per case: its labels and, per
+    measurement, {"median", "best", "runs"}, the best being the least."""
+    got = [{} for _ in cases]
+    for _ in range(REPEAT):
+        gc.collect()
+        for (_, run), runs in zip(cases, got):
+            for name, value in run().items():
+                runs.setdefault(name, []).append(value)
+    return [dict(labels, **{name: {"median": statistics.median(values), "best": min(values),
+                                   "runs": values} for name, values in runs.items()})
+            for (labels, _), runs in zip(cases, got)]
+
+
+def table(title, rows):
+    """A markdown table of a section's rows under title: a column per label,
+    then per measurement its median and, in brackets, its best."""
+    labels, measures = {}, {}
+    for row in rows:
+        for key, value in row.items():
+            (measures if isinstance(value, dict) else labels)[key] = None
+    lines = [title, "", "| %s |" % " | ".join(list(labels) + list(measures)),
+             "|---" * (len(labels) + len(measures)) + "|"]
+    for row in rows:
+        cells = ["" if row.get(key) is None else str(row[key]) for key in labels]
+        cells += ["%.4g (%.4g)" % (row[m]["median"], row[m]["best"]) if m in row else ""
+                  for m in measures]
+        lines.append("| %s |" % " | ".join(cells))
+    return "\n".join(lines)
+
+
+def _seconds(fn, *args, **kwargs):
+    t0 = time.perf_counter()
+    fn(*args, **kwargs)
+    return time.perf_counter() - t0
+
+
+def _child_env():
+    """This process's environment with the imported package's source first
+    on PYTHONPATH, for a fresh interpreter."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(relaysense.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+def startup_cases():
+    """Fresh-interpreter import of the CLI: wall seconds, and the -X
+    importtime total of another interpreter with its module count."""
+    env = _child_env()
     cmd = [sys.executable, "-c", "import relaysense.cli"]
-    runs = []
-    for _ in range(STARTUP_RUNS):
+
+    def importtime():
+        trace = subprocess.run(cmd[:1] + ["-X", "importtime"] + cmd[1:], env=env, check=True,
+                               capture_output=True, text=True).stderr
+        # "import time: <self us> | <cumulative us> | <module>", one line per module
+        own = [int(m) for m in re.findall(r"^import time:\s+(\d+)\s*\|", trace, re.M)]
+        return {"importtime_total_s": sum(own) * 1e-6, "modules": len(own)}
+
+    return [({"run": "import relaysense.cli"},
+             lambda: {"wall_s": _seconds(subprocess.run, cmd, env=env, check=True)}),
+            ({"run": "-X importtime"}, importtime)]
+
+
+def per_call(name, scale, fn, make):
+    """run() for `drive`: one loop of fn(make()) calls, as {name: scale *
+    seconds per call}; every make() of a loop runs before its clock starts.
+    The loop's length is sized here, untimed: the first of 1, 4, 16, ...
+    calls that takes at least 0.05 s."""
+    def loop(n):
+        args = [make() for _ in range(n)]
         t0 = time.perf_counter()
-        subprocess.run(cmd, env=env, check=True)
-        runs.append(time.perf_counter() - t0)
-    trace = subprocess.run(cmd[:1] + ["-X", "importtime"] + cmd[1:], env=env, check=True,
-                           capture_output=True, text=True).stderr
-    # "import time: <self us> | <cumulative us> | <module>", one line per module
-    own = [int(m) for m in re.findall(r"^import time:\s+(\d+)\s*\|", trace, re.M)]
-    return {"import_cli_s_median": statistics.median(runs), "runs_s": runs,
-            "importtime_total_s": sum(own) * 1e-6, "importtime_modules": len(own)}
+        for arg in args:
+            fn(arg)
+        return time.perf_counter() - t0
 
-
-def _best_per_call(fn, make):
-    """Best of REPEAT loops of fn(make()), in seconds per call; each loop
-    runs at least 0.05 s. The arguments of a loop are made before it
-    starts, so make() is not timed."""
     loops = 1
-    while True:
-        args = [make() for _ in range(loops)]
-        t0 = time.perf_counter()
-        for arg in args:
-            fn(arg)
-        if time.perf_counter() - t0 >= 0.05:
-            break
+    while loop(loops) < 0.05:
         loops *= 4
-    best = math.inf
-    for _ in range(REPEAT):
-        args = [make() for _ in range(loops)]
-        t0 = time.perf_counter()
-        for arg in args:
-            fn(arg)
-        best = min(best, (time.perf_counter() - t0) / loops)
-    return best
+    return lambda: {name: scale * loop(loops) / loops}
 
 
-def specfun_rows():
-    """(kernel rows, detection rows): us per kernel call, ms per
-    detection_probability call on the fig3 ladder."""
-    kernels = []
+def specfun_cases():
+    """us per kernel call, and ms per detection_probability call on the fig3 ladder."""
+    cases = []
     for name, fn, x in KERNELS:
-        kernels.append({"kernel": name, "size": None,
-                        "us_per_call": 1e6 * _best_per_call(fn, lambda: x)})
-        for size in ARRAY_SIZES:
-            xs = x * np.geomspace(0.1, 10.0, size)
-            kernels.append({"kernel": name, "size": size,
-                            "us_per_call": 1e6 * _best_per_call(fn, lambda: xs)})
-    detection = []
+        for size in (None,) + ARRAY_SIZES:
+            arg = x if size is None else x * np.geomspace(0.1, 10.0, size)
+            cases.append(({"kernel": name, "size": size},
+                          per_call("us_per_call", 1e6, fn, lambda arg=arg: arg)))
     for n_pu in LADDER:
         scn = scenario_from_conf(ladder_conf(preset("fig3"), 0.4, n_pu))
-        p = scn.policy
-        ms = 1e3 * _best_per_call(lambda s: sensing.detection_probability(
-            p.threshold, s.n_samples, s.links, s.primary, p), lambda: scn)
-        detection.append({"n_primary": n_pu, "ms_per_call": ms})
-    return kernels, detection
+        cases.append(({"n_primary": n_pu}, per_call("ms_per_call", 1e3, lambda s: (
+            sensing.detection_probability(s.policy.threshold, s.n_samples, s.links, s.primary,
+                                          s.policy)), lambda scn=scn: scn)))
+    return cases
 
 
-def chain_rows():
-    """us per call of each data-phase step on each preset, then of a fresh
-    frame and an optimisation on the table1 cell."""
-    rows = []
+def _chain_steps(scn):
+    """(step, fn, make) of each data-phase step on scenario scn, for `per_call`."""
+    links, primary, policy = scn.links, scn.primary, scn.policy
+    model = scn.energy_model()
+    pd = model.frame(scn.t_sense).p_detect
+    # each call gets a sensing time the model has not seen yet
+    fresh_t = (scn.t_sense * (1.0 + 1e-9 * k) for k in itertools.count(1))
+    return (
+        ("EnergyModel", lambda s: s.energy_model(), lambda: scn),
+        ("build_report_gain", lambda _: sensing.build_report_gain(links, primary, policy),
+         lambda: None),
+        ("detection_probability", lambda _: sensing.detection_probability(
+            policy.threshold, scn.n_samples, links, primary, policy), lambda: None),
+        ("build_trans_coeffs", lambda p: transmission.build_trans_coeffs(
+            links, primary, policy, p), lambda: pd),
+        ("EnergyModel.frame", model.frame, lambda: next(fresh_t)),
+        ("outage_probability", lambda p: transmission.outage_probability(
+            scn.gamma_th, links, primary, policy, p, scn.rho), lambda: pd),
+        ("optimize_sensing_time", lambda m: energy_opt.optimize_sensing_time(
+            m, scn.relay, scn.d_star), scn.energy_model),
+    )
+
+
+def chain_cases():
+    """us per call of each data-phase step on each of CHAIN_CELLS, then of a
+    LinkSet construction on each of LINKSETS."""
+    cases = []
     for name, conf, only in CHAIN_CELLS:
         scn = scenario_from_conf(conf())
-        links, primary, policy = scn.links, scn.primary, scn.policy
-        model = scn.energy_model()
-        pd = model.frame(scn.t_sense).p_detect
-        # each call gets a sensing time the model has not seen yet
-        fresh_t = (scn.t_sense * (1.0 + 1e-9 * k) for k in itertools.count(1))
-        steps = (
-            ("EnergyModel", lambda s: s.energy_model(), lambda: scn),
-            ("build_report_gain", lambda _: sensing.build_report_gain(links, primary, policy),
-             lambda: None),
-            ("detection_probability", lambda _: sensing.detection_probability(
-                policy.threshold, scn.n_samples, links, primary, policy), lambda: None),
-            ("build_trans_coeffs", lambda p: transmission.build_trans_coeffs(
-                links, primary, policy, p), lambda: pd),
-            ("EnergyModel.frame", model.frame, lambda: next(fresh_t)),
-            ("outage_probability", lambda p: transmission.outage_probability(
-                scn.gamma_th, links, primary, policy, p, scn.rho), lambda: pd),
-            ("optimize_sensing_time", lambda m: energy_opt.optimize_sensing_time(
-                m, scn.relay, scn.d_star), scn.energy_model),
-        )
-        for step, fn, make in steps:
-            if only and step not in only:
-                continue
-            rows.append({"preset": name, "relays": links.n_relays, "step": step,
-                         "us_per_call": 1e6 * _best_per_call(fn, make)})
+        cases += [({"preset": name, "relays": scn.links.n_relays, "step": step},
+                   per_call("us_per_call", 1e6, fn, make))
+                  for step, fn, make in _chain_steps(scn) if not only or step in only]
     for name, conf in LINKSETS:
         links = scenario_from_conf(conf()).links
         fields = (links.d_src_relay, links.d_relay_dst, links.d_pu_src, links.d_pu_relay,
                   links.d_pu_dst, links.alpha)
-        rows.append({"preset": name, "relays": links.n_relays, "step": "LinkSet",
-                     "us_per_call": 1e6 * _best_per_call(lambda f: LinkSet(*f),
-                                                         lambda: fields)})
-    return rows
+        cases.append(({"preset": name, "relays": links.n_relays, "step": "LinkSet"},
+                      per_call("us_per_call", 1e6, lambda f: LinkSet(*f),
+                               lambda fields=fields: fields)))
+    return cases
+
+
+def _preset(name, trials):
+    return scenario_from_conf(apply_overrides(preset(name), ["sim.trials=%d" % trials]))
 
 
 def _one_shot(scn):
@@ -304,26 +337,39 @@ FRAME_SIMS = {
 }
 
 
-def _timed(fn):
-    gc.collect()
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
+def _labels(name, sampler, workers, trials):
+    return {"preset": name, "sampler": sampler, "workers": workers, "trials": trials}
 
 
-def _fresh(fn):
-    """Time fn with the held slot emptied first, so it draws afresh."""
-    mcsim.clear_held()
-    return _timed(fn)
+def held_key(fn, make=lambda: None):
+    """run() for `drive`: empty the held slot, then time three consecutive
+    calls fn(make()), make() untimed, and give the tape bytes held after
+    the third."""
+    def run():
+        mcsim.clear_held()
+        out = {}
+        for k in (1, 2, 3):
+            arg = make()
+            out["call%d_s" % k] = _seconds(fn, arg)
+            del arg
+        tapes = mcsim._held[1] or {}
+        out["tape_bytes"] = sum(x.nbytes for tape in tapes.values() for _, x in tape)
+        return out
+
+    return run
 
 
-def _replayed(fn):
-    """Time the third consecutive call of fn: it replays the draws the first
-    or the second recorded."""
-    mcsim.clear_held()
-    fn()
-    fn()
-    return _timed(fn)
+def _held_keys(trials, w):
+    """(labels, fn, make) of each held key at trials draws and w workers,
+    for `held_key`: the four stateless samplers on PRESETS, and
+    mc_frame_energy on fig6 with a fresh model per call."""
+    keys = [(_labels(name, sampler, w, trials), lambda _, fn=fn: fn(w), lambda: None)
+            for name in PRESETS for sampler, fn in _one_shot(_preset(name, trials)).items()]
+    scn = _preset("fig6", trials)
+    keys.append((_labels("fig6", "mc_frame_energy", w, trials),
+                 lambda model: mcsim.mc_frame_energy(model, scn.relay, scn.t_sense, trials, SEED,
+                                                     workers=w), scn.energy_model))
+    return keys
 
 
 class _LoggedRng:
@@ -388,194 +434,72 @@ def _draw_plan(run):
     return lambda trials, w: mcsim._map_chunks(chunk, trials, w)
 
 
-def measure(trials):
-    rows = []
-
-    def add(name, sampler, slot, workers, runs, n=trials):
-        per = [s * UNIT / n for s in runs]
-        rows.append({"preset": name, "sampler": sampler, "slot": slot, "workers": workers,
-                     "trials": n, "s_per_2p20_median": statistics.median(per),
-                     "s_per_2p20_min": min(per), "runs_s": runs})
-
-    for name in PRESETS:
-        scn = scenario_from_conf(apply_overrides(preset(name), ["sim.trials=%d" % trials]))
-        for sampler, fn in _one_shot(scn).items():
-            draws = _draw_plan(lambda: fn(1))
-            for w in (1, 2):
-                add(name, sampler, None, w, [_fresh(lambda: fn(w)) for _ in range(MC_REPEAT)])
-                add(name, sampler, "held", w,
-                    [_replayed(lambda: fn(w)) for _ in range(MC_REPEAT)])
-                add(name, sampler, "draws", w,
-                    [_timed(lambda: draws(trials, w)) for _ in range(MC_REPEAT)])
-        for sampler, fn in FRAME_SIMS.items():
-            draws = _draw_plan(lambda: fn(scn.energy_model(), scn.relay, scn.t_sense, trials, 1))
-            for w in (1, 2):
-                add(name, sampler, "draws", w,
-                    [_timed(lambda: draws(trials, w)) for _ in range(MC_REPEAT)])
-                cold, warm = [], []
-                for r in range(MC_REPEAT):
-                    model = scn.energy_model()
-                    cold.append(_fresh(lambda: fn(model, scn.relay, scn.t_sense, trials, w)))
-                    # a new sensing time on the same model and relay: the slot
-                    # holds the draws, and only the comparisons move
-                    t_warm = scn.t_sense * (1.5 + 0.25 * r)
-                    warm.append(_timed(lambda: fn(model, scn.relay, t_warm, trials, w)))
-                    del model
-                add(name, sampler, "cold", w, cold)
-                add(name, sampler, "warm", w, warm)
-    scn = scenario_from_conf(apply_overrides(preset("fig6"), ["sim.trials=%d" % trials]))
-    fn = FRAME_SIMS["mc_frame_energy"]
-    for w in (1, 2):
-        held = []
-        for _ in range(MC_REPEAT):
-            mcsim.clear_held()
-            # a fresh model per call, built untimed; the third call replays
-            for _ in range(3):
-                model = scn.energy_model()
-                t = _timed(lambda: fn(model, scn.relay, scn.t_sense, trials, w))
-                del model
-            held.append(t)
-        add("fig6", "mc_frame_energy", "held", w, held)
-    n = FIG4_OUTAGE_TRIALS
-    scn = scenario_from_conf(apply_overrides(preset("fig4"), ["sim.trials=%d" % n]))
-    fn = _one_shot(scn)["mc_outage"]
-    draws = _draw_plan(lambda: fn(1))
-    for w in (1, 2):
-        add("fig4", "mc_outage", "held", w,
-            [_replayed(lambda: fn(w)) for _ in range(MC_REPEAT)], n)
-        add("fig4", "mc_outage", "draws", w,
-            [_timed(lambda: draws(n, w)) for _ in range(MC_REPEAT)], n)
-    return rows
+def draws_case(draws, trials, w):
+    """run() for `drive` of a `_draw_plan`."""
+    return lambda: {"draws_s": _seconds(draws, trials, w)}
 
 
-def _held_bytes():
-    tapes = mcsim._held[1]
-    return sum(x.nbytes for tape in (tapes or {}).values() for _, x in tape)
-
-
-def _held_samplers(trials):
-    """(preset, sampler, make, fn) for every sampler that goes through the
-    held slot: fn(make()) is one call, and make() is not timed. The frame
-    simulator gets a fresh model per call, as fig6's rows do."""
-    out = []
-    for name in PRESETS:
-        scn = scenario_from_conf(apply_overrides(preset(name), ["sim.trials=%d" % trials]))
-        out += [(name, sampler, lambda: None, lambda _, fn=fn: fn(1))
-                for sampler, fn in _one_shot(scn).items()]
-    scn = scenario_from_conf(apply_overrides(preset("fig6"), ["sim.trials=%d" % trials]))
-    out.append(("fig6", "mc_frame_energy", scn.energy_model, lambda model: mcsim.mc_frame_energy(
-        model, scn.relay, scn.t_sense, trials, SEED)))
-    return out
-
-
-def held_calls(trials=HELD_TRIALS):
-    """Per sampler: seconds of a key's first, second and third consecutive
-    call (medians of REPEAT runs) and the tape bytes held after the third."""
-    rows = []
-    for name, sampler, make, fn in _held_samplers(trials):
-        runs = []
-        for _ in range(REPEAT):
-            mcsim.clear_held()
-            times = []
-            for _ in range(3):
-                arg = make()
-                times.append(_timed(lambda: fn(arg)))
-                del arg
-            runs.append(times)
-        rows.append({"preset": name, "sampler": sampler, "trials": trials,
-                     "call_s": [statistics.median(t) for t in zip(*runs)],
-                     "tape_bytes": _held_bytes()})
-    mcsim.clear_held()
-    return rows
-
-
-def _held_sweep(sweep, trials):
-    """make() -> one run of a sweep's Monte Carlo calls, as functions of no
-    arguments over scenarios built here and, for fig6, a fresh model per row
-    built by make()."""
-    conf = apply_overrides(preset("fig6" if sweep == "fig6" else "fig3"),
-                           ["sim.trials=%d" % trials])
-    if sweep == "ladder":
-        # two relays, as geometry-sweep's ladder has
-        scns = [scenario_from_conf(relay_ladder_conf(ladder_conf(conf, 0.4, n_pu),
-                                                     0.1, 0.1, 2)) for n_pu in LADDER]
-    else:
-        points = ([(d, n_pu) for n_pu in (1, 3) for d in cli._distances(10)]
-                  if sweep == "fig6" else
-                  [(d, n_pu) for n_pu in (1, 2, 3) for d in cli._distances(15)])
-        scns = [scenario_from_conf(ladder_conf(conf, d, n_pu)) for d, n_pu in points]
-
-    def make():
-        if sweep == "fig6":
-            return [lambda s=s, m=s.energy_model(): mcsim.mc_frame_energy(
-                m, s.relay, s.t_sense, trials, SEED) for s in scns]
-        return [lambda s=s: mcsim.mc_detection(s.links, s.primary, s.policy, s.policy.threshold,
-                                               s.n_samples, trials, SEED) for s in scns]
-    return make
-
-
-def budget_curve():
-    """Per (budget, sweep): the best Monte Carlo time of CURVE_REPEAT runs,
-    each starting with the slot emptied, and the largest tape held after a call.
-    The repeats go round every budget and sweep in turn, so that a drift in
-    the host's speed reaches them all alike."""
-    makes = {sweep: _held_sweep(sweep, trials) for sweep, trials in HELD_SWEEPS}
-    best, peak = {}, {}
-    default = mcsim.HELD_FIRST_BYTES
-    try:
-        for _ in range(CURVE_REPEAT):
-            for mib in BUDGETS_MIB:
-                mcsim.HELD_FIRST_BYTES = mib << 20
-                for sweep, _ in HELD_SWEEPS:
-                    mcsim.clear_held()
-                    calls = makes[sweep]()
-                    gc.collect()
-                    most = 0
-                    t0 = time.perf_counter()
-                    for call in calls:
-                        call()
-                        most = max(most, _held_bytes())
-                    t = time.perf_counter() - t0
-                    del calls
-                    best[mib, sweep] = min(best.get((mib, sweep), math.inf), t)
-                    peak[mib, sweep] = most
-    finally:
-        mcsim.HELD_FIRST_BYTES = default
+def cold_warm(fn, scn, trials, w):
+    """run() for `drive` of frame simulator fn on one fresh model, built
+    untimed: its cold call with the slot emptied, then its warm call."""
+    def run():
         mcsim.clear_held()
-    return [{"budget_mib": mib, "sweep": sweep, "trials": trials, "s_best": best[mib, sweep],
-             "peak_tape_bytes": peak[mib, sweep]}
-            for mib in BUDGETS_MIB for sweep, trials in HELD_SWEEPS]
+        model = scn.energy_model()
+        cold = _seconds(fn, model, scn.relay, scn.t_sense, trials, w)
+        # a new sensing time on the same model and relay: the slot holds
+        # the draws, and only the comparisons move
+        return {"cold_s": cold, "warm_s": _seconds(fn, model, scn.relay, 1.5 * scn.t_sense,
+                                                   trials, w)}
+
+    return run
 
 
-def figure_runs():
+def mc_cases(trials):
+    """Every held key at 1 and 2 workers; per sampler and preset, its draws
+    row and, for a frame simulator, its cold and warm calls; and the fig4
+    outage with its draws row."""
+    cases = [(labels, held_key(fn, make))
+             for w in (1, 2) for labels, fn, make in _held_keys(trials, w)]
+    for name in PRESETS:
+        scn = _preset(name, trials)
+        plans = {sampler: _draw_plan(lambda: fn(1)) for sampler, fn in _one_shot(scn).items()}
+        plans.update({sampler: _draw_plan(lambda: fn(scn.energy_model(), scn.relay, scn.t_sense,
+                                                     trials, 1))
+                      for sampler, fn in FRAME_SIMS.items()})
+        for w in (1, 2):
+            cases += [(_labels(name, sampler, w, trials), draws_case(draws, trials, w))
+                      for sampler, draws in plans.items()]
+            cases += [(_labels(name, sampler, w, trials), cold_warm(fn, scn, trials, w))
+                      for sampler, fn in FRAME_SIMS.items()]
+    n = FIG4_OUTAGE_TRIALS
+    outage = _one_shot(_preset("fig4", n))["mc_outage"]
+    draws = _draw_plan(lambda: outage(1))
+    cases += [(_labels("fig4", "mc_outage", w, n), run) for w in (1, 2)
+              for run in (held_key(lambda _, w=w: outage(w)), draws_case(draws, n, w))]
+    return cases
+
+
+def figure_cases():
     """Per figure: wall seconds and the child's ru_maxrss in MB of
-    `relaysense figure` at FIGURE_TRIALS trials, median of REPEAT runs,
-    with this process's own peak RSS, a floor under every child's."""
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(relaysense.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    rows = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in FIGURES:
-            cmd = [sys.executable, "-m", "relaysense", "--trials", str(FIGURE_TRIALS),
-                   "--workers", str(FIGURE_WORKERS), "--out", os.path.join(tmp, name + ".csv"),
-                   "figure", name]
-            wall, rss = [], []
-            for _ in range(REPEAT):
-                t0 = time.perf_counter()
-                child = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
-                _, status, usage = os.wait4(child.pid, 0)
-                wall.append(time.perf_counter() - t0)
-                if os.waitstatus_to_exitcode(status) != 0:
-                    raise RuntimeError("%s exited with status %d" % (" ".join(cmd), status))
-                rss.append(usage.ru_maxrss / 1024.0)  # KiB on Linux
-            rows.append({"figure": name, "trials": FIGURE_TRIALS, "workers": FIGURE_WORKERS,
-                         "wall_s_median": statistics.median(wall),
-                         "maxrss_mb_median": statistics.median(rss),
-                         "wall_s": wall, "maxrss_mb": rss,
-                         "bench_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-                         / 1024.0})
-    return rows
+    `relaysense figure` at FIGURE_TRIALS trials, with this process's own
+    peak RSS, a floor under every child's."""
+    env = _child_env()
+
+    def run(name):
+        cmd = [sys.executable, "-m", "relaysense", "--trials", str(FIGURE_TRIALS),
+               "--workers", str(FIGURE_WORKERS), "--out", os.devnull, "figure", name]
+        t0 = time.perf_counter()
+        child = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - t0
+        if os.waitstatus_to_exitcode(status) != 0:
+            raise RuntimeError("%s exited with status %d" % (" ".join(cmd), status))
+        # ru_maxrss is in KiB on Linux
+        return {"wall_s": wall, "maxrss_mb": usage.ru_maxrss / 1024.0,
+                "bench_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
+
+    return [({"figure": name, "trials": FIGURE_TRIALS, "workers": FIGURE_WORKERS},
+             lambda name=name: run(name)) for name in FIGURES]
 
 
 def src_stats():
@@ -599,118 +523,44 @@ def host():
                         if line.startswith("model name")), cpu)
     except OSError:
         pass
-    return {"cpu": cpu, "nproc": os.cpu_count(), "platform": platform.platform(),
-            "python": platform.python_version(), "numpy": np.__version__,
-            "scipy": _version("scipy")}
-
-
-def _version(dist):
-    """Installed version of dist, or None; the package itself needs no scipy."""
     try:
-        return importlib.metadata.version(dist)
+        scipy = importlib.metadata.version("scipy")
     except importlib.metadata.PackageNotFoundError:
-        return None
-
-
-def startup_table(st):
-    return ("| start-up | seconds |\n|---|---|\n"
-            "| `import relaysense.cli`, median of %d fresh interpreters | %.3f |\n"
-            "| `-X importtime` total (%d modules) | %.3f |"
-            % (len(st["runs_s"]), st["import_cli_s_median"], st["importtime_modules"],
-               st["importtime_total_s"]))
-
-
-def specfun_table(kernels, detection):
-    lines = ["| kernel | argument | us per call |", "|---|---|---|"]
-    for r in kernels:
-        lines.append("| %s | %s | %.2f |" % (r["kernel"], "float" if r["size"] is None
-                                              else "%d values" % r["size"], r["us_per_call"]))
-    lines += ["", "| L | detection_probability, ms per call |", "|---|---|"]
-    lines += ["| %d | %.3f |" % (r["n_primary"], r["ms_per_call"]) for r in detection]
-    return "\n".join(lines)
-
-
-def chain_table(rows):
-    lines = ["| preset | relays | step | us per call |", "|---|---|---|---|"]
-    lines += ["| %s | %d | %s | %.1f |" % (r["preset"], r["relays"], r["step"], r["us_per_call"])
-              for r in rows]
-    return "\n".join(lines)
-
-
-def table(rows):
-    lines = ["| preset | sampler | slot | workers | trials | s per 2^20 draws (median) | min |",
-             "|---|---|---|---|---|---|---|"]
-    for r in rows:
-        lines.append("| %s | %s | %s | %d | %d | %.4f | %.4f |"
-                     % (r["preset"], r["sampler"], r["slot"] or "", r["workers"], r["trials"],
-                        r["s_per_2p20_median"], r["s_per_2p20_min"]))
-    return "\n".join(lines)
-
-
-def held_table(calls, curve):
-    lines = ["| preset | sampler | trials | 1st call, s | 2nd | 3rd | tape, MB |",
-             "|---|---|---|---|---|---|---|"]
-    lines += ["| %s | %s | %d | %.4f | %.4f | %.4f | %.2f |"
-              % ((r["preset"], r["sampler"], r["trials"]) + tuple(r["call_s"])
-                 + (r["tape_bytes"] / 1e6,)) for r in calls]
-    lines += ["", "| budget, MiB | sweep | trials | MC s (best) | peak tape, MB |",
-              "|---|---|---|---|---|"]
-    lines += ["| %d | %s | %d | %.4f | %.2f |" % (r["budget_mib"], r["sweep"], r["trials"],
-                                                   r["s_best"], r["peak_tape_bytes"] / 1e6)
-              for r in curve]
-    return "\n".join(lines)
-
-
-def figures_table(rows):
-    lines = ["| figure | trials | workers | wall s (median) | peak RSS, MB (median) |",
-             "|---|---|---|---|---|"]
-    lines += ["| %s | %d | %d | %.2f | %.1f |" % (r["figure"], r["trials"], r["workers"],
-                                                  r["wall_s_median"], r["maxrss_mb_median"])
-              for r in rows]
-    return "\n".join(lines)
+        scipy = None  # the package itself needs no scipy
+    return {"cpu": cpu, "nproc": os.cpu_count(), "platform": platform.platform(),
+            "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy}
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--trials", type=int, default=UNIT, help="draws per sampler call")
+    ap.add_argument("--trials", type=int, default=TRIALS, help="draws per sampler call in `mc`")
     ap.add_argument("--out", default="results/bench.json", help="output JSON path")
     ap.add_argument("--only", choices=SECTIONS, action="append",
                     help="measure only this section (repeatable); default: all")
     args = ap.parse_args(argv)
     if args.trials < 2:
         ap.error("need --trials >= 2")
-    sections = args.only or SECTIONS
+    chosen = args.only or SECTIONS
 
     module_loc, sha = src_stats()
     loc = sum(module_loc.values())
-    doc = {"trials": args.trials, "repeat": REPEAT, "mc_repeat": MC_REPEAT, "seed": SEED,
-           "unit_draws": UNIT, "src_loc": loc, "src_module_loc": module_loc,
-           "src_sha256": sha, "host": host()}
+    doc = {"trials": args.trials, "repeat": REPEAT, "seed": SEED, "src_loc": loc,
+           "src_module_loc": module_loc, "src_sha256": sha, "host": host()}
+    # start-up first, before this process has warmed any file cache
+    # further; the figures before any section that grows this process, as
+    # a child's ru_maxrss counts the memory it was forked with; and held
+    # before mc's 2^20-draw calls have grown this process's heap
+    cases = {"startup": startup_cases, "figures": figure_cases,
+             "held": lambda: [(labels, held_key(fn, make))
+                              for labels, fn, make in _held_keys(HELD_TRIALS, 1)],
+             "specfun": specfun_cases, "chain": chain_cases,
+             "mc": lambda: mc_cases(args.trials)}
     out = []
-    # start-up first, before this process has warmed any file cache further
-    if "startup" in sections:
-        doc["startup"] = startup()
-        out.append(startup_table(doc["startup"]))
-    # before any section that grows this process: a child's ru_maxrss
-    # counts the memory it was forked with
-    if "figures" in sections:
-        doc["figures"] = figure_runs()
-        out.append(figures_table(doc["figures"]))
-    # and before `mc`'s 2^20-draw calls have grown this process's heap
-    if "held" in sections:
-        doc["held"] = {"calls": held_calls(), "budget_curve": budget_curve()}
-        out.append(held_table(doc["held"]["calls"], doc["held"]["budget_curve"]))
-    if "specfun" in sections:
-        kernels, detection = specfun_rows()
-        doc["specfun"] = {"kernels": kernels, "detection": detection}
-        out.append(specfun_table(kernels, detection))
-    if "chain" in sections:
-        doc["chain"] = chain_rows()
-        out.append(chain_table(doc["chain"]))
-    if "mc" in sections:
-        doc["mc"] = measure(args.trials)
-        out.append("Monte Carlo samplers, median and best of %d\n\n%s"
-                   % (MC_REPEAT, table(doc["mc"])))
+    for section in SECTIONS:
+        if section in chosen:
+            doc[section] = drive(cases[section]())
+            out.append(table("`%s`, median (best) of %d runs" % (section, REPEAT),
+                             doc[section]))
     out_dir = os.path.dirname(args.out)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)

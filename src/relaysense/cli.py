@@ -230,7 +230,12 @@ def _validate_pairs(scn: Scenario):
 
 
 def cmd_validate(args):
+    # a bad scenario is reported first, as for every other command
     scn = _scenario(args)
+    if args.no_mc:
+        print("error: validate compares each closed form with its Monte Carlo estimate, "
+              "which --no-mc skips", file=sys.stderr)
+        return 2
     rows = []
     worst = 0.0
     for name, ana, est in _validate_pairs(scn):

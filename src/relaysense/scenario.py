@@ -9,7 +9,6 @@ floor; times, rates, frequencies and distances take the usual suffixes.
 from __future__ import annotations
 
 import configparser
-import itertools
 import math
 import re
 import sys
@@ -158,8 +157,8 @@ def scenario_from_conf(conf: dict) -> Scenario:
     shorter than one sample or beyond the listen window, a data floor that
     is negative or not finite, a trial count that is not a whole number of
     at least two, fewer than one worker, a relay index out of range, or a
-    power whose noise-normalised means leave the float range
-    (`_check_snr_range`).
+    power whose noise-normalised means leave the float range, or whose
+    products as the estimators form them overflow (`_check_snr_range`).
     """
     try:
         scn = _parse_scenario(conf)
@@ -195,6 +194,13 @@ def _normal(values) -> bool:
     return all(sys.float_info.min <= v <= 1.0 / sys.float_info.min for v in values)
 
 
+# Above every product of two draws the Monte Carlo kernels form, at any
+# trial count: numpy's ziggurat samplers give standard exponentials below
+# 44.5 and normals below 12.3 in magnitude, so an exponential times another,
+# or times a halved sum of two squared normals (below 150), stays under 6700.
+_DRAW_PRODUCT = 2.0 ** 13
+
+
 def _check_snr_range(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy):
     """Reject a power that puts a noise-normalised mean, or its reciprocal,
     outside the normal float range: the closed forms divide by both, and an
@@ -202,7 +208,8 @@ def _check_snr_range(links: LinkSet, primary: PrimaryModel, policy: SecondaryPol
     interference tx_power * g / noise_power at every receiver, and each
     secondary hop's SNR p * g / noise_power at both power limits: the cap
     p_max alone (every primary detected) and its harmonic combination with
-    the interference cap (none detected)."""
+    the interference cap (none detected). Also reject a power that lets a
+    product of two means, as the estimators form, overflow."""
     n0 = policy.noise_power
     scale = primary.tx_power / n0
     # on Python floats, which overflow to inf without a warning
@@ -213,17 +220,44 @@ def _check_snr_range(links: LinkSet, primary: PrimaryModel, policy: SecondaryPol
                           "got %g W" % primary.tx_power)
 
     def hops(miss):
+        """Each relay's first-hop SNR, then each relay's second-hop SNR."""
         p_src = _capped_power(policy, float(links.peak_pu_src), miss)
-        return itertools.chain(
-            (p_src * g / n0 for g in links.g_src_relay.tolist()),
-            (_capped_power(policy, float(peak), miss) * g / n0
-             for peak, g in zip(links.peak_pu_relay, links.g_relay_dst.tolist())))
+        return [p_src * g / n0 for g in links.g_src_relay.tolist()] + [
+            _capped_power(policy, float(peak), miss) * g / n0
+            for peak, g in zip(links.peak_pu_relay, links.g_relay_dst.tolist())]
 
+    snrs = {}
     for key, miss in (("p_max", 0.0), ("interference_cap", 1.0)):
-        if not _normal(hops(miss)):
+        snrs[miss] = hops(miss)
+        if not _normal(snrs[miss]):
             raise ConfigError("policy.%s must keep each secondary hop's mean SNR "
                               "p * g / noise_power and its reciprocal normal floats, got %g W"
                               % (key, getattr(policy, key)))
+
+    # The estimators multiply two means, and the Monte Carlo kernels two
+    # draws besides: each receiver's interference mean, summed over the L
+    # primaries, by the SNR of its report hop (1 at the destination; a
+    # relay's second hop at miss 1), and each relay's first-hop SNR by its
+    # second at p_detect = 1 (miss 0), where the powers are largest. While
+    # max(m1, 1) * max(m2, 1) * _DRAW_PRODUCT is finite, so is every partial
+    # product, and a closed-form kernel argument that overflows has a tail
+    # that rounds to 0 anyway.
+    def fits(pairs):
+        return all(max(m1, 1.0) * max(m2, 1.0) * _DRAW_PRODUCT <= sys.float_info.max
+                   for m1, m2 in pairs)
+
+    n, L = links.n_relays, links.n_primary
+    # gains holds the destination's row, then each relay's
+    sums = [scale * sum(gains[k:k + L]) for k in range(0, len(gains), L)]
+    if not fits(zip(sums, [1.0] + snrs[1.0][n:])):
+        raise ConfigError("primary.tx_power must keep each receiver's interference mean, "
+                          "summed over the primaries, times its report SNR within the float "
+                          "range, with headroom for the Monte Carlo draws, got %g W"
+                          % primary.tx_power)
+    if not fits(zip(snrs[0.0][:n], snrs[0.0][n:])):
+        raise ConfigError("policy.p_max must keep each relay's first-hop SNR times its "
+                          "second-hop SNR within the float range, with headroom for the "
+                          "Monte Carlo draws, got %g W" % policy.p_max)
 
 
 def _parse_scenario(conf: dict) -> Scenario:

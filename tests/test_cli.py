@@ -195,6 +195,15 @@ class TestValidateCommand:
         assert "clipped_gain           not applicable" in proc.stdout
         assert out.read_text().splitlines()[-1] == "clipped_gain,,,,,n/a"
 
+    def test_without_monte_carlo_exits_2(self, tmp_path, capsys):
+        # every check compares a closed form with its estimate, so there is
+        # nothing to run without one
+        out = tmp_path / "val.csv"
+        assert run(["--no-mc", "--trials", "2048", "--out", str(out), "validate"]) == 2
+        printed, err = capsys.readouterr()
+        assert printed == "" and not out.exists()
+        assert "--no-mc" in err and err.count("\n") == 1
+
 
 # the overrides above whose value does not convert: the message names the key
 PARSE_FAILURES = {
@@ -347,6 +356,61 @@ class TestHugePowers:
         assert code == 1 and row.endswith("FAIL")
         assert 0.0 < se < math.inf and 1e-3 * mc < se < mc
         assert math.isfinite(z)
+
+
+# command -> (the largest admitted power of ten or whole dB, one step above),
+# each with a threshold that scales with the power, so that the probability
+# stays between 0 and 1
+PRODUCT_EDGES = {
+    "detect": (["primary.tx_power=1e283 W", "policy.threshold=2e285 W"],
+               ["primary.tx_power=1e284 W", "policy.threshold=2e286 W"]),
+    "outage": (["policy.p_max=1481 dB", "traffic.gamma_th=5e135 W"],
+               ["policy.p_max=1482 dB", "traffic.gamma_th=6.3e135 W"]),
+}
+
+
+class TestEstimatorProducts:
+    """Powers at which a product of two noise-normalised means, as the
+    estimators form it, overflows: each receiver's interference mean times
+    its report SNR (set by primary.tx_power) and each relay's first-hop SNR
+    times its second (policy.p_max)."""
+
+    @staticmethod
+    def _sets(overrides):
+        return [arg for override in overrides for arg in ("--set", override)]
+
+    @pytest.mark.parametrize("command", sorted(PRODUCT_EDGES))
+    def test_the_admitted_edge_agrees_with_its_estimate(self, command, capsys):
+        # an overflow here used to print nan, or an estimate 360 standard
+        # errors off its closed form, with exit 0
+        argv = ["--trials", str(1 << 15)] + self._sets(PRODUCT_EDGES[command][0]) + [command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(argv) == 0
+        out = capsys.readouterr().out
+        analytic = float(re.search(r"_analytic = (\S+)", out).group(1))
+        mc, z = (float(v) for v in re.search(r"_mc +=  ?(\S+) .*\(z=(\S+)\)", out).groups())
+        assert 0.1 < analytic < 0.9 and 0.1 < mc < 0.9
+        assert abs(z) < 3.0, out
+
+    @pytest.mark.parametrize("command, overrides, key", [
+        pytest.param(command, PRODUCT_EDGES[command][1], key, id=command)
+        for command, key in (("detect", "primary.tx_power"), ("outage", "policy.p_max"))] + [
+        # the commands that showed the overflow
+        pytest.param("detect", ["primary.tx_power=1e288 W", "policy.threshold=1e288 W"],
+                     "primary.tx_power", id="detect-1e288W"),
+        pytest.param("outage", ["policy.p_max=1510 dB", "traffic.gamma_th=3.97164e+138 W"],
+                     "policy.p_max", id="outage-1510dB"),
+        # fig4's scenario (the default one) at the largest whole dB that
+        # the float-range check of each mean alone admitted: there
+        # (e * a) * t overflowed in the outage kernel
+        pytest.param("outage", ["policy.p_max=3036 dB"], "policy.p_max", id="fig4-3036dB"),
+    ])
+    def test_one_step_past_the_edge_exits_2_naming_its_key(self, command, overrides, key,
+                                                           capsys):
+        assert run(["--trials", "2048"] + self._sets(overrides) + [command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: %s must " % key) and err.count("\n") == 1
 
 
 class TestSingleQuantityCommands:

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from relaysense import cli, mcsim
+from relaysense import cli, mcsim, scenario
 from relaysense.mcsim import (
     CHUNK,
     MCEstimate,
@@ -683,15 +683,22 @@ class TestKernelBits:
 
     @pytest.mark.parametrize("rho", [0.5, 0.9, 1.0])
     def test_outage_at_the_float_limit_equals_the_select_kernel(self, rho, monkeypatch):
-        # fig4 at the largest whole-dB p_max that scenario checks admit: each
-        # estimate mean is about 4e307, so est * m overflows to inf on about
-        # 1% of the draws. At gamma_th = inf a trial is in outage unless its
-        # SNR is nan, which it is where the selected truth overflows too.
+        # fig4 at 3036 dB, the largest whole-dB p_max that the float-range
+        # check of each mean alone admits. scenario_from_conf now rejects it
+        # (first-hop times second-hop SNR overflows), so the check is off
+        # here; mc_outage itself still takes such a scenario. Each estimate
+        # mean is about 4e307, so est * m overflows to inf on about 1% of the
+        # draws. At gamma_th = inf a trial is in outage unless its SNR is
+        # nan, which it is where the selected truth overflows too.
         # (e * a) * t overflows before the division, so the estimate is not
         # the outage probability here; only its bits are held to the select
         # kernel's, which an arithmetic select's nan would change
-        scn = scenario_from_conf(apply_overrides(
-            preset("fig4"), ["policy.p_max=3036 dB", "csi.rho=%g" % rho]))
+        conf = apply_overrides(preset("fig4"), ["policy.p_max=3036 dB", "csi.rho=%g" % rho])
+        with pytest.raises(scenario.ConfigError, match="^policy.p_max must "):
+            scenario_from_conf(conf)
+        with monkeypatch.context() as patch:
+            patch.setattr(scenario, "_check_snr_range", lambda *args: None)
+            scn = scenario_from_conf(conf)
         m = build_trans_coeffs(scn.links, scn.primary, scn.policy, 1.0).snr_means
         assert all(math.isinf(5.0 * float(v)) for v in m)
 
