@@ -29,22 +29,25 @@ with L primaries hands it); and milliseconds per `detection_probability`
 call on the fig3 ladder with L = 1..12 primaries.
 
 `chain`: microseconds per call of the scenario and data-phase chain on the
-`default` (2 relays) and `fig7` (4 relays) presets: an `EnergyModel`
+`default` (2 relays) and `fig7` (4 relays) presets: `scenario_from_conf`
+on the preset's config tree (the parse, the model objects and the
+float-range check, which every CLI command pays), an `EnergyModel`
 construction on the scenario's built `LinkSet` (reporting chain, miss
 probability and harvest means), `sensing.build_report_gain`,
 `sensing.detection_probability`, `transmission.build_trans_coeffs`,
 `EnergyModel.frame` at a sensing time the model has not seen (so it builds
 the frame), `transmission.outage_probability`, and `optimize_sensing_time`
-on a fresh `EnergyModel` (built untimed). The model build, the reporting
-chain, the fresh frame and the optimisation also on the `figure table1`
-cell with 4 relays and 4 primaries (`table1-M4L4`), the largest of the 16
-optimisations. The model build and the reporting chain also on fig4 with
-every relay on a primary family of its own (`fig4-distinct`), where
-expanding each distinct family once saves nothing, so its rows show what
-the sharing costs. The reporting chain and the detection probability also
-on the benchmark's two-relay fig3 ladder at L = 12 (`ladder-L12`). Also
-the construction of a `LinkSet` (gains, checks and peak gains) on
-`default`, `fig3`, fig3's L = 12 ladder and `fig4-distinct`.
+on a fresh `EnergyModel` (built untimed). The scenario build, the model
+build, the reporting chain, the fresh frame and the optimisation also on
+the `figure table1` cell with 4 relays and 4 primaries (`table1-M4L4`),
+the largest of the 16 optimisations. The scenario build, the model build
+and the reporting chain also on fig4 with every relay on a primary family
+of its own (`fig4-distinct`), where expanding each distinct family once
+saves nothing, so its rows show what the sharing costs. The scenario
+build, the reporting chain and the detection probability also on the
+benchmark's two-relay fig3 ladder at L = 12 (`ladder-L12`). Also the
+construction of a `LinkSet` (gains, checks and peak gains) on `default`,
+`fig3`, fig3's L = 12 ladder and `fig4-distinct`.
 
 `held` and `mc` time each sampler through `mcsim`'s held slot with one
 case per key (`held_key`): it empties the slot, then times the key's
@@ -147,11 +150,12 @@ LINKSETS = (("default", lambda: preset("default")), ("fig3", lambda: preset("fig
 CHAIN_CELLS = tuple((name, lambda name=name: preset(name), None) for name in PRESETS) + (
     ("table1-M4L4", lambda: relay_ladder_conf(ladder_conf(preset("table1"), 1.0, 4, 0.01),
                                               0.5, 0.5, 4, 0.005),
-     ("EnergyModel", "build_report_gain", "EnergyModel.frame", "optimize_sensing_time")),
-    DISTINCT + (("EnergyModel", "build_report_gain"),),
+     ("scenario_from_conf", "EnergyModel", "build_report_gain", "EnergyModel.frame",
+      "optimize_sensing_time")),
+    DISTINCT + (("scenario_from_conf", "EnergyModel", "build_report_gain"),),
     ("ladder-L12", lambda: relay_ladder_conf(ladder_conf(preset("fig3"), 0.48, 12),
                                              0.1, 0.1, 2),
-     ("build_report_gain", "detection_probability")),
+     ("scenario_from_conf", "build_report_gain", "detection_probability")),
 )
 
 # (name, kernel, a typical scalar argument)
@@ -262,14 +266,17 @@ def specfun_cases():
     return cases
 
 
-def _chain_steps(scn):
-    """(step, fn, make) of each data-phase step on scenario scn, for `per_call`."""
+def _chain_steps(conf):
+    """(step, fn, make) of each data-phase step on the scenario of config
+    tree conf, for `per_call`."""
+    scn = scenario_from_conf(conf)
     links, primary, policy = scn.links, scn.primary, scn.policy
     model = scn.energy_model()
     pd = model.frame(scn.t_sense).p_detect
     # each call gets a sensing time the model has not seen yet
     fresh_t = (scn.t_sense * (1.0 + 1e-9 * k) for k in itertools.count(1))
     return (
+        ("scenario_from_conf", scenario_from_conf, lambda: conf),
         ("EnergyModel", lambda s: s.energy_model(), lambda: scn),
         ("build_report_gain", lambda _: sensing.build_report_gain(links, primary, policy),
          lambda: None),
@@ -290,10 +297,11 @@ def chain_cases():
     LinkSet construction on each of LINKSETS."""
     cases = []
     for name, conf, only in CHAIN_CELLS:
-        scn = scenario_from_conf(conf())
-        cases += [({"preset": name, "relays": scn.links.n_relays, "step": step},
+        conf = conf()
+        relays = scenario_from_conf(conf).links.n_relays
+        cases += [({"preset": name, "relays": relays, "step": step},
                    per_call("us_per_call", 1e6, fn, make))
-                  for step, fn, make in _chain_steps(scn) if not only or step in only]
+                  for step, fn, make in _chain_steps(conf) if not only or step in only]
     for name, conf in LINKSETS:
         links = scenario_from_conf(conf()).links
         fields = (links.d_src_relay, links.d_relay_dst, links.d_pu_src, links.d_pu_relay,

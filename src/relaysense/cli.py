@@ -35,10 +35,13 @@ def _fmt(v):
 
 
 def write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+    except OSError as exc:
+        raise ConfigError("cannot write %s: %s" % (path, exc.strerror)) from exc
 
 
 def _base_conf(args, figure_name=None):

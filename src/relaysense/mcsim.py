@@ -83,7 +83,7 @@ import numpy as np
 
 from .energy_opt import EnergyModel
 from .fading import LinkSet, PrimaryModel
-from .sensing import SecondaryPolicy, relay_reports
+from .sensing import ReportGain, SecondaryPolicy, build_report_gain
 from .transmission import build_trans_coeffs
 
 CHUNK = 1 << 16
@@ -413,12 +413,12 @@ def _thinned(rng, n, gains, duty, weights=None):
 # --- detection ------------------------------------------------------------
 
 def _sample_exceed_sampler(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
-                           lam_norm: float, u: tuple, b: tuple):
-    """Per-sample detector hits; relay i forwards with gain normaliser u[i]
-    over a report hop of mean SNR b[i]."""
+                           lam_norm: float, report: ReportGain):
+    """Per-sample detector hits; relay i forwards with the report's gain
+    normaliser u_report[i] over a report hop of mean SNR snr_report[i]."""
     mix_scale = primary.tx_power / policy.noise_power
     g_dst, g_rel = links.g_pu_dst, links.g_pu_relay
-    duty = primary.duty
+    duty, u, b = primary.duty, report.u_report, report.snr_report
 
     def sampler(rng, n):
         level = _thinned(rng, n, g_dst, duty)
@@ -445,8 +445,8 @@ def mc_detection(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
     to the frame level through the OR rule, with the matching delta-method
     standard error.
     """
-    _, u, _, b = relay_reports(links, primary, policy)
-    sampler = _sample_exceed_sampler(links, primary, policy, lam / policy.noise_power, u, b)
+    sampler = _sample_exceed_sampler(links, primary, policy, lam / policy.noise_power,
+                                     build_report_gain(links, primary, policy))
     L, M = links.n_primary, links.n_relays
     p_hit, se = _held_mean(sampler, seed, 0, (L, M), trials, workers, primary.duty,
                            per_trial=_hit_tape_bytes(L, M))
@@ -615,8 +615,7 @@ def _frame_draws(model: EnergyModel, i: int, t_sense: float, trials: int, seed: 
         # hold no other draws, so that the slot lets go of them before drawing
         frame = None
         hit = _sample_exceed_sampler(links, primary, policy,
-                                     policy.threshold / policy.noise_power,
-                                     model.report.u_report, model.report.snr_report)
+                                     policy.threshold / policy.noise_power, model.report)
         harv = _harvest_power_sampler(links, primary, policy, i)
         # the hit sampler's tape, then the uniforms, harvest fades and
         # standard selection exponentials

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .energy_opt import EnergyModel
 from .fading import LinkSet, PrimaryModel
-from .sensing import SecondaryPolicy, _capped_power
+from .sensing import SecondaryPolicy, _secondary_hops
 from .transmission import rho_from_doppler
 
 _UNIT_RE = re.compile(r"^\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([a-zA-Z]*)\s*$")
@@ -205,31 +205,24 @@ def _check_snr_range(links: LinkSet, primary: PrimaryModel, policy: SecondaryPol
     """Reject a power that puts a noise-normalised mean, or its reciprocal,
     outside the normal float range: the closed forms divide by both, and an
     inf or a 0 there ends in a nan or a traceback. The means are the
-    interference tx_power * g / noise_power at every receiver, and each
-    secondary hop's SNR p * g / noise_power at both power limits: the cap
-    p_max alone (every primary detected) and its harmonic combination with
-    the interference cap (none detected). Also reject a power that lets a
+    interference tx_power * g / noise_power at every receiver, and each hop
+    SNR of `sensing._secondary_hops` at both power limits: the cap p_max
+    alone (every primary detected) and its harmonic combination with the
+    interference cap (none detected). Also reject a power that lets a
     product of two means, as the estimators form, overflow."""
-    n0 = policy.noise_power
-    scale = primary.tx_power / n0
+    scale = primary.tx_power / policy.noise_power
     # on Python floats, which overflow to inf without a warning
-    gains = links.g_pu_dst.tolist() + links.g_pu_relay.ravel().tolist()
-    if not _normal(scale * g for g in gains):
+    rows = [links.g_pu_dst.tolist(), *links.g_pu_relay.tolist()]
+    if not _normal(scale * g for row in rows for g in row):
         raise ConfigError("primary.tx_power must keep each interference mean "
                           "tx_power * g / noise_power and its reciprocal normal floats, "
                           "got %g W" % primary.tx_power)
 
-    def hops(miss):
-        """Each relay's first-hop SNR, then each relay's second-hop SNR."""
-        p_src = _capped_power(policy, float(links.peak_pu_src), miss)
-        return [p_src * g / n0 for g in links.g_src_relay.tolist()] + [
-            _capped_power(policy, float(peak), miss) * g / n0
-            for peak, g in zip(links.peak_pu_relay, links.g_relay_dst.tolist())]
-
-    snrs = {}
+    snrs = {}  # miss: (first-hop SNRs, second-hop SNRs)
     for key, miss in (("p_max", 0.0), ("interference_cap", 1.0)):
-        snrs[miss] = hops(miss)
-        if not _normal(snrs[miss]):
+        _, _, first, second = _secondary_hops(links, policy, miss)
+        snrs[miss] = first, second
+        if not _normal(first + second):
             raise ConfigError("policy.%s must keep each secondary hop's mean SNR "
                               "p * g / noise_power and its reciprocal normal floats, got %g W"
                               % (key, getattr(policy, key)))
@@ -246,15 +239,13 @@ def _check_snr_range(links: LinkSet, primary: PrimaryModel, policy: SecondaryPol
         return all(max(m1, 1.0) * max(m2, 1.0) * _DRAW_PRODUCT <= sys.float_info.max
                    for m1, m2 in pairs)
 
-    n, L = links.n_relays, links.n_primary
-    # gains holds the destination's row, then each relay's
-    sums = [scale * sum(gains[k:k + L]) for k in range(0, len(gains), L)]
-    if not fits(zip(sums, [1.0] + snrs[1.0][n:])):
+    sums = [scale * sum(row) for row in rows]
+    if not fits(zip(sums, (1.0,) + snrs[1.0][1])):
         raise ConfigError("primary.tx_power must keep each receiver's interference mean, "
                           "summed over the primaries, times its report SNR within the float "
                           "range, with headroom for the Monte Carlo draws, got %g W"
                           % primary.tx_power)
-    if not fits(zip(snrs[0.0][:n], snrs[0.0][n:])):
+    if not fits(zip(*snrs[0.0])):
         raise ConfigError("policy.p_max must keep each relay's first-hop SNR times its "
                           "second-hop SNR within the float range, with headroom for the "
                           "Monte Carlo draws, got %g W" % policy.p_max)
@@ -363,9 +354,12 @@ def _whole(text: str) -> int:
 
 
 def load_config(path: str) -> dict:
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    with open(path) as fh:
-        cp.read_file(fh)
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    try:
+        with open(path) as fh:
+            cp.read_file(fh)
+    except (OSError, UnicodeError, configparser.Error) as exc:
+        raise ConfigError("cannot read %s: %s" % (path, " ".join(str(exc).split()))) from exc
     return {s: dict(cp.items(s)) for s in cp.sections()}
 
 

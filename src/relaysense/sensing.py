@@ -6,6 +6,8 @@ directly. A sample trips the detector when any of the forwarded or direct
 observations exceeds the threshold, and a frame detects when any of its
 samples trips (OR fusion). Everything here works in noise-normalised SNR
 units: absolute powers divide by the noise floor once at the boundary.
+`build_report_gain` builds the reporting chain, and `_secondary_hops` the
+secondary powers and hop SNRs that it, the data phase and the range check read.
 """
 
 from __future__ import annotations
@@ -71,13 +73,25 @@ class ReportGain:
             raise ValueError("fixed gains must be positive")
 
 
-def _capped_power(policy: SecondaryPolicy, peak: float, miss: float = 1.0) -> float:
+def _capped_power(policy: SecondaryPolicy, peak: float, miss: float) -> float:
     """Transmit power under both power limits. The amplifier cap and the
     average-interference cap combine harmonically,
     p = 1 / (1/p_max + miss * peak / cap), where peak is the mean strongest
     gain to a primary and miss the chance the primary is on unnoticed
     (1 while reporting)."""
     return 1.0 / (1.0 / policy.p_max + miss * peak / policy.interference_cap)
+
+
+def _secondary_hops(links: LinkSet, policy: SecondaryPolicy, miss: float):
+    """The one derivation of the secondary powers and hop SNRs at miss
+    probability miss: (p_src, p_relay, snr_first, snr_second), the source's
+    and the relays' powers (W) and relay i's mean first- and second-hop SNRs
+    p_src * g_sr,i / N0 and p_relay[i] * g_rd,i / N0, on Python floats."""
+    n0 = policy.noise_power
+    p_src = _capped_power(policy, float(links.peak_pu_src), miss)
+    p_relay = tuple(_capped_power(policy, float(peak), miss) for peak in links.peak_pu_relay)
+    return (p_src, p_relay, tuple(p_src * g / n0 for g in links.g_src_relay.tolist()),
+            tuple(p * g / n0 for p, g in zip(p_relay, links.g_relay_dst.tolist())))
 
 
 def fixed_gain_report(law: InterferenceLaw) -> float:
@@ -138,39 +152,22 @@ def detection_probability(lam, n_samples, links: LinkSet, primary: PrimaryModel,
     return 1.0 - delta**n_samples
 
 
-def relay_reports(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy):
-    """The relay half of the reporting chain: the tuple
-    (relays, u_report, p_report, snr_report) of `ReportGain`'s relay fields.
-    Expands the interference law and its fixed gain once per distinct
-    primary family: relays whose gain rows are equal in every bit share
-    both. The reporting power meets both limits with the primary taken as
-    always on (miss = 1)."""
-    duty, scale = primary.duty, primary.tx_power / policy.noise_power
-
-    def family(g):
-        law = activity_mixture(g, duty, scale)
-        return law, fixed_gain_report(law)
-
-    relays, u_report = zip(*_per_family(family, links.g_pu_relay))
-    p_report = tuple(_capped_power(policy, peak) for peak in links.peak_pu_relay)
-    return (relays, u_report, p_report,
-            tuple(p * g / policy.noise_power
-                  for p, g in zip(p_report, links.g_relay_dst.tolist())))
-
-
 def build_report_gain(links: LinkSet, primary: PrimaryModel,
                       policy: SecondaryPolicy) -> ReportGain:
-    """The whole reporting chain: the destination's interference law on top
-    of `relay_reports`. The destination reuses a relay's law when its
-    primary gain row equals that relay's in every bit."""
-    relays, u_report, p_report, snr_report = relay_reports(links, primary, policy)
-    dst = links.g_pu_dst.tobytes()
-    direct = next((law for law, g in zip(relays, links.g_pu_relay) if g.tobytes() == dst),
-                  None)
-    if direct is None:
-        direct = activity_mixture(links.g_pu_dst, primary.duty,
-                                  primary.tx_power / policy.noise_power)
-    return ReportGain(direct=direct, relays=relays, u_report=u_report,
+    """The whole reporting chain. One pass expands the interference laws
+    over the relays' gain rows and then the destination's, once per
+    distinct primary family: receivers whose rows are equal in every bit
+    share one law, and each distinct relay law's fixed gain is computed
+    once. The reporting power meets both limits with the primary taken as
+    always on (miss = 1)."""
+    duty, scale = primary.duty, primary.tx_power / policy.noise_power
+    *relays, direct = _per_family(lambda g: activity_mixture(g, duty, scale),
+                                  (*links.g_pu_relay, links.g_pu_dst))
+    distinct = dict(zip(map(id, relays), relays))
+    fixed = {key: fixed_gain_report(law) for key, law in distinct.items()}
+    _, p_report, _, snr_report = _secondary_hops(links, policy, 1.0)
+    return ReportGain(direct=direct, relays=tuple(relays),
+                      u_report=tuple(fixed[id(law)] for law in relays),
                       p_report=p_report, snr_report=snr_report)
 
 

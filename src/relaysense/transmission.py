@@ -8,12 +8,13 @@ SNR on the selected estimate turns each subset term into a single decaying
 exponential. The formulation never divides by mean differences, so
 identically placed relays are fine here.
 
-`build_trans_coeffs` derives every data-phase constant, in one place; the
-AF gain normaliser, the one constant that needs a special function (E1),
-is derived on its first read, which only the outage makes. `_subset_terms`
-is the one source of the selection odds and of the outage's subset terms;
-it runs on Python floats, since a frame needs a few dozen scalar terms. The
-selected relay's dual-hop tail is the detector's AF kernel, `sensing._af_tail`.
+`build_trans_coeffs` gathers every data-phase constant, in one place, from
+`sensing._secondary_hops` at miss 1 - p_detect; the AF gain normaliser, the
+one constant that needs a special function (E1), is derived on its first
+read, which only the outage makes. `_subset_terms` is the one source of the
+selection odds and of the outage's subset terms; it runs on Python floats,
+since a frame needs a few dozen scalar terms. The selected relay's dual-hop
+tail is the detector's AF kernel, `sensing._af_tail`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .fading import LinkSet, PrimaryModel, _check_index, _points
-from .sensing import SecondaryPolicy, _af_tail, _capped_power
+from .sensing import SecondaryPolicy, _af_tail, _secondary_hops
 from .specfun import bessel_j0, exp_scaled_gamma_upper_0
 
 
@@ -39,7 +40,7 @@ def rho_from_doppler(doppler_hz: float, t_diff: float) -> float:
 
 @dataclass
 class TransCoeffs:
-    """The data-phase constants, all derived by `build_trans_coeffs`: the
+    """The data-phase constants, all gathered by `build_trans_coeffs`: the
     interference-limited transmit powers p_src and p_relay (W), whose
     interference half scales with the miss probability 1 - p_detect (the
     primaries only suffer while the band is misread), and per relay i the
@@ -68,16 +69,10 @@ def build_trans_coeffs(links: LinkSet, primary: PrimaryModel, policy: SecondaryP
                        p_detect: float) -> TransCoeffs:
     if not 0.0 <= p_detect <= 1.0:
         raise ValueError("detection probability must lie in [0, 1]")
-    miss = 1.0 - p_detect
-    n0 = policy.noise_power
-    p_src = _capped_power(policy, links.peak_pu_src, miss)
-    p_rel = tuple(_capped_power(policy, peak, miss) for peak in links.peak_pu_relay)
-    g_sr = links.g_src_relay.tolist()
+    p_src, p_rel, snr_first, snr_means = _secondary_hops(links, policy, 1.0 - p_detect)
     return TransCoeffs(
-        p_src=p_src, p_relay=p_rel,
-        snr_means=tuple(p * g / n0 for p, g in zip(p_rel, links.g_relay_dst.tolist())),
-        snr_first=tuple(p_src * g / n0 for g in g_sr),
-        inv_first=tuple(n0 / (p_src * g) for g in g_sr))
+        p_src=p_src, p_relay=p_rel, snr_means=snr_means, snr_first=snr_first,
+        inv_first=tuple(policy.noise_power / (p_src * g) for g in links.g_src_relay.tolist()))
 
 
 def _subset_terms(snr_means, i, rho):

@@ -480,6 +480,52 @@ class TestSingleQuantityCommands:
         assert "p_detect_analytic" in capsys.readouterr().out
 
 
+# a complete scenario file; D and U stand for links.d_pu and primary.duty
+SCENARIO_INI = ("[links]\nd_src_relay = 0.2\nd_relay_dst = 0.2\nd_pu = D\n"
+                "[primary]\ntx_power = 20 dBm\nduty = U\n"
+                "[policy]\np_max = 20 dBm\ninterference_cap = 17 dBm\n"
+                "noise_power = -131 dBm\nbandwidth = 1 MHz\nthreshold = 17 dBm\n"
+                "eta = 0.35\np_circuit_tx = 10 dBm\np_circuit_rx = 9 dBm\n")
+
+
+def _ini(text):
+    def write(tmp_path):
+        path = tmp_path / "scn.ini"
+        path.write_text(text)
+        return str(path)
+    return write
+
+
+class TestFileErrors:
+    """A --config file that cannot be read or parsed, or an --out path that
+    cannot be written, exits 2 with one stderr line naming the path. A % in
+    a value is read as written, so the value's own check names its key."""
+
+    CONFIG = ["--config", "{}", "detect"]
+
+    @pytest.mark.parametrize("make, args, named", [
+        (lambda tmp_path: str(tmp_path / "missing.ini"), CONFIG, None),
+        (str, CONFIG, None),
+        (_ini("d_pu = 0.5\n"), CONFIG, None),
+        (_ini("[links]\nalpha = 4\n[links]\nalpha = 3\n"), CONFIG, None),
+        (_ini(SCENARIO_INI.replace("= D", "= %(x)s").replace("= U", "= 0.5")), CONFIG,
+         "links.d_pu"),
+        (_ini(SCENARIO_INI.replace("= D", "= 0.5").replace("= U", "= 50%")), CONFIG,
+         "primary.duty"),
+        (lambda tmp_path: str(tmp_path / "missing" / "x.csv"),
+         ["--out", "{}", "--no-mc", "figure", "table1"], None),
+        (str, ["--out", "{}", "--trials", "2048", "validate"], None),
+    ], ids=["config-missing", "config-directory", "config-no-section", "config-repeated-section",
+            "config-interpolation", "config-percent", "out-missing-directory", "out-directory"])
+    def test_exits_2_with_one_line(self, make, args, named, tmp_path, capsys):
+        path = make(tmp_path)
+        assert run([a.format(path) for a in args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert (named or path) in err
+
+
 class TestCalibrateThresholdScript:
     def test_reports_the_stock_threshold(self):
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))

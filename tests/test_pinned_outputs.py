@@ -10,8 +10,12 @@ implementation that expanded every receiver's interference law, fixed gain
 and peak gain on its own and priced every relay's selection odds in each
 frame build. The other Monte Carlo means and stderrs were written by the
 implementation whose outage carried the selected relay with one np.where
-per relay and whose indicator samplers summed 0.0/1.0 float columns. They
-are the reference any rewrite of those chains must keep.
+per relay and whose indicator samplers summed 0.0/1.0 float columns. The
+`fig4-distinct` values, where each relay has a primary family of its own,
+were written by the implementation that built the relays' report constants
+apart from the destination's law and derived the secondary powers in each
+reader on its own. They are the reference any rewrite of those chains must
+keep.
 """
 
 import contextlib
@@ -172,6 +176,14 @@ CHAIN = {
         "peak_pu_src": "0x1.c384c6beb3505p+0",
         "peak_pu_relay": ("0x1.c384c6beb3505p+0",) * 4,
     },
+    # each relay on a primary family of its own, the destination on a third
+    "fig4-distinct": {
+        "delta": "0x1.09c4af1bf4fc1p-6",
+        "u_report": ("0x1.3779922190046p+14", "0x1.ee19fd5b63e93p+13"),
+        "snr_report": ("0x1.c869f343e5975p+7", "0x1.2629d468bd568p+8"),
+        "peak_pu_src": "0x1.5c1a9bb1491cfp+7",
+        "peak_pu_relay": ("0x1.5c1a9bb1491cfp+7", "0x1.0ddfe3113e072p+7"),
+    },
 }
 
 # sensing times of the frame-energy and ECG pins, s
@@ -203,10 +215,16 @@ def hexes(values):
     return tuple(float(v).hex() for v in values)
 
 
+def distinct_conf():
+    return apply_overrides(preset("fig4"), ["links.d_pu_relay=0.3, 0.32; 0.31, 0.33"])
+
+
 def chain_conf(name):
     if name == "table1-M4L3":
         return relay_ladder_conf(ladder_conf(preset("table1"), 1.0, 3, 0.01),
                                  0.5, 0.5, 4, 0.005)
+    if name == "fig4-distinct":
+        return distinct_conf()
     return preset(name)
 
 
@@ -276,6 +294,7 @@ MC = {
     "ladder/L8": ("0x1.b076aa0a8d786p-2", "0x1.002fa1eef2ee3p-6"),
     "ladder/L12": ("0x1.8afe333134d38p-1", "0x1.4cd3ec3e05d43p-7"),
     "fig3-harvest/L3": ("0x1.27d55251c9576p-41", "0x1.8b695f75eb7d8p-50"),
+    "fig4-distinct/sample": ("0x1.f7df76dde8d8fp-1", "0x1.5262d2fbbcb08p-12"),
 }
 
 
@@ -289,11 +308,14 @@ def outage_run(conf, trials):
                                      trials, scn.seed, workers=w)
 
 
-def detection_run(conf):
+def detection_run(conf, n_samples=None):
+    """fn(workers) -> mc_detection on conf at its own threshold, over its
+    own sample count unless n_samples is given."""
     scn = scenario_from_conf(conf)
     p = scn.policy
-    return lambda w: mcsim.mc_detection(scn.links, scn.primary, p, p.threshold,
-                                        scn.n_samples, MC_TRIALS, scn.seed, workers=w)
+    n = scn.n_samples if n_samples is None else n_samples
+    return lambda w: mcsim.mc_detection(scn.links, scn.primary, p, p.threshold, n,
+                                        MC_TRIALS, scn.seed, workers=w)
 
 
 def harvest_run(conf):
@@ -325,6 +347,8 @@ MC_RUNS = {
         relay_ladder_conf(ladder_conf(preset("fig3"), 0.48, n_pu), 0.1, 0.1, 2))
        for n_pu in (2, 8, 12)},
     "fig3-harvest/L3": lambda: harvest_run(ladder_conf(preset("fig3"), 0.4, 3)),
+    # one sample: the preset's 200 saturate the frame rate at 1
+    "fig4-distinct/sample": lambda: detection_run(distinct_conf(), 1.0),
 }
 
 

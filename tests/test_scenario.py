@@ -13,8 +13,8 @@ from relaysense.scenario import (
     relay_ladder_conf,
     scenario_from_conf,
 )
-from relaysense import cli
-from relaysense.transmission import rho_from_doppler
+from relaysense import cli, scenario
+from relaysense.transmission import build_trans_coeffs, rho_from_doppler
 
 N0 = 10 ** (-131.0 / 10.0) * 1e-3
 
@@ -294,3 +294,28 @@ class TestLoadConfig(object):
         scn = scenario_from_conf(conf)
         assert scn.links.d_pu_src == (0.5,)
         assert scn.primary.tx_power == pytest.approx(0.1, rel=1e-12)
+
+
+STOCK_PRESETS = ("fig3", "fig4", "fig6", "fig7", "fig8", "table1", "default")
+
+
+class TestSnrRangeCheck:
+    """The float-range check bounds the very hop SNRs the estimators read."""
+
+    @pytest.mark.parametrize("name", STOCK_PRESETS)
+    def test_checks_the_data_phase_snrs_at_both_ends(self, name, monkeypatch):
+        checked = []
+        real = scenario._normal
+
+        def spy(values):
+            values = list(values)
+            checked.append(values)
+            return real(values)
+
+        monkeypatch.setattr(scenario, "_normal", spy)
+        scn = scenario_from_conf(preset(name))
+        # the interference means, then the hop SNRs at miss 0 and at miss 1
+        assert len(checked) == 3
+        for got, p_detect in zip(checked[1:], (1.0, 0.0)):
+            co = build_trans_coeffs(scn.links, scn.primary, scn.policy, p_detect)
+            assert [v.hex() for v in got] == [v.hex() for v in co.snr_first + co.snr_means]

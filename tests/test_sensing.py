@@ -439,12 +439,20 @@ class TestOneExpansionPerFamily:
         assert expansions == [("activity_mixture", 12), ("fixed_gain_report", None)]
 
     def test_simulated_detection_point(self, expansions):
-        # the simulation reads only the relays' report constants: no
-        # destination law
+        # the simulation builds the whole chain, and the destination shares
+        # the ladder's one family with the relays
         scn = ladder_scenario(12)
         mc_detection(scn.links, scn.primary, scn.policy, scn.policy.threshold,
                      scn.n_samples, 4096, scn.seed)
         assert expansions == [("activity_mixture", 12), ("fixed_gain_report", None)]
+
+    def test_simulated_detection_on_distinct_families(self, expansions):
+        # each relay's family, then the destination's third one; a fixed
+        # gain per relay family
+        scn = FAMILY_CASES["fig4-distinct"]()
+        mc_detection(scn.links, scn.primary, scn.policy, scn.policy.threshold,
+                     scn.n_samples, 4096, scn.seed)
+        assert expansions == [("activity_mixture", 2)] * 3 + [("fixed_gain_report", None)] * 2
 
     def test_energy_model_and_clipping_solver(self, expansions):
         # fig6: the destination and four relays on one family, then none

@@ -68,11 +68,18 @@ class TestTransPowers:
         assert all(p == policy.p_max for p in p_rel)
 
     def test_zero_detection_matches_reporting_power(self):
-        # with the band always misread the relay interference weighting is
-        # identical to the reporting phase, down to the last bit
-        links, primary, policy = fig4_setup()
-        p_rel = build_trans_coeffs(links, primary, policy, p_detect=0.0).p_relay
-        assert p_rel == build_report_gain(links, primary, policy).p_report
+        # with the band always misread (miss exactly 1) the relay
+        # interference weighting is the reporting phase's: the powers and
+        # report SNRs are equal down to the last bit, here and on every
+        # stock preset
+        stock = [scenario_from_conf(preset(name)) for name in
+                 ("fig3", "fig4", "fig6", "fig7", "fig8", "table1", "default")]
+        for links, primary, policy in [fig4_setup()] + [(s.links, s.primary, s.policy)
+                                                         for s in stock]:
+            co = build_trans_coeffs(links, primary, policy, p_detect=0.0)
+            report = build_report_gain(links, primary, policy)
+            assert [p.hex() for p in report.p_report] == [p.hex() for p in co.p_relay]
+            assert [b.hex() for b in report.snr_report] == [b.hex() for b in co.snr_means]
 
     def test_monotone_in_detection(self):
         links, primary, policy = fig4_setup()
