@@ -14,7 +14,7 @@ from relaysense.scenario import ladder_conf, preset, scenario_from_conf
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--target", type=float, default=0.99,
+    ap.add_argument("--target", type=float, default=0.9,
                     help="required detection probability at the anchor")
     ap.add_argument("--lo", type=int, default=20, help="first threshold, dB")
     ap.add_argument("--hi", type=int, default=45, help="last threshold, dB")

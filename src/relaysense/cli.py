@@ -14,7 +14,9 @@ with code 2.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 
 from . import energy_opt, harvest, mcsim, sensing, transmission
@@ -42,6 +44,19 @@ def write_csv(path, header, rows):
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
     except OSError as exc:
         raise ConfigError("cannot write %s: %s" % (path, exc.strerror)) from exc
+
+
+def _check_out(path):
+    """Fail as `write_csv` would, before any estimate is computed, when path
+    is a directory or its parent directory does not exist. Creates nothing:
+    a failure at write time is still `write_csv`'s to report."""
+    if os.path.isdir(path):
+        reason = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(path) or "."):
+        reason = errno.ENOENT
+    else:
+        return
+    raise ConfigError("cannot write %s: %s" % (path, os.strerror(reason)))
 
 
 def _base_conf(args, figure_name=None):
@@ -92,15 +107,16 @@ def _harvest(scn: Scenario, no_mc, p_detect):
 
 
 def _frame_energy(scn: Scenario, model, t_sense, no_mc, harvesting=True):
-    closed = energy_opt.total_energy if harvesting else energy_opt.total_energy_nonharvesting
-    return closed(model, scn.relay, t_sense), None if no_mc else mcsim.mc_frame_energy(
+    f = model.frame(t_sense)
+    closed = f.energy(scn.relay) if harvesting else f.energy_nonharvesting(scn.relay)
+    return closed, None if no_mc else mcsim.mc_frame_energy(
         model, scn.relay, t_sense, scn.trials, scn.seed, workers=scn.workers,
         harvesting=harvesting)
 
 
 def _ecg(scn: Scenario, model, t_sense, no_mc):
     # nothing is harvested (as at duty 0): the ratio is inf and has no MC estimate
-    ratio = energy_opt.ecg(model, scn.relay, t_sense)
+    ratio = model.frame(t_sense).ecg(scn.relay)
     if no_mc or math.isinf(ratio):
         return ratio, None
     try:
@@ -185,16 +201,18 @@ FIGURES = {
 
 def cmd_figure(args):
     header, points = FIGURES[args.name]
+    conf = _base_conf(args, args.name)
+    out = args.out or ("%s.csv" % args.name)
+    _check_out(out)
     rows = []
     unsimulated = 0
-    for swept, pairs in points(_base_conf(args, args.name), args.no_mc):
+    for swept, pairs in points(conf, args.no_mc):
         row = list(swept)
         for ana, est in pairs:
             row += [ana, None, None] if est is None else [ana, est.mean, est.stderr]
             if est is None and not args.no_mc and math.isfinite(ana):
                 unsimulated += 1
         rows.append(row)
-    out = args.out or ("%s.csv" % args.name)
     write_csv(out, header, rows)
     print("wrote %s (%d rows)" % (out, len(rows)))
     if unsimulated:
@@ -239,6 +257,8 @@ def cmd_validate(args):
         print("error: validate compares each closed form with its Monte Carlo estimate, "
               "which --no-mc skips", file=sys.stderr)
         return 2
+    if args.out:
+        _check_out(args.out)
     rows = []
     worst = 0.0
     for name, ana, est in _validate_pairs(scn):
@@ -272,7 +292,7 @@ def _print_mc(label, est, ref):
 def cmd_detect(args):
     scn = _scenario(args)
     pd, est = _detection(scn, args.no_mc)
-    print("p_detect_analytic = %.9g  (samples=%d, threshold=%.6g W)"
+    print("p_detect_analytic = %.9g  (samples=%.9g, threshold=%.6g W)"
           % (pd, scn.n_samples, scn.policy.threshold))
     _print_mc("p_detect_mc      ", est, pd)
     return 0
@@ -306,11 +326,10 @@ def cmd_energy(args):
     for i in range(model.n_relays):
         print("%-6d %-14.6g %-14.6g %-14.6g %-12.6g"
               % (i, f.energy(i), f.energy_nonharvesting(i), f.ecg(i), f.data(i)))
-    if not args.no_mc:
-        est = mcsim.mc_frame_energy(model, scn.relay, scn.t_sense, scn.trials, scn.seed,
-                                    workers=scn.workers)
+    closed, est = _frame_energy(scn, model, scn.t_sense, args.no_mc)
+    if est is not None:
         print("relay %d mc: E_total = %.9g +/- %.3g (z=%+.2f)"
-              % (scn.relay, est.mean, est.stderr, est.z_score(f.energy(scn.relay))))
+              % (scn.relay, est.mean, est.stderr, est.z_score(closed)))
     return 0
 
 

@@ -633,7 +633,8 @@ def _frame_draws(model: EnergyModel, i: int, t_sense: float, trials: int, seed: 
         frame = (model, i, _mean(hits, trials, workers), chunks)
         commit(frame)
     _, _, hit_rate, chunks = frame
-    # the same fractional sample count as EnergyModel.miss
+    # the package's one sample count, t_sense * W unrounded, as in EnergyModel.miss
+    # and Scenario.n_samples
     p_det_hat, se_det = _frame_lift(*hit_rate, t_sense * policy.bandwidth)
     m = np.asarray(f.coeffs.snr_means, dtype=float)
 

@@ -137,11 +137,18 @@ class Scenario:
     relay: int
 
     @property
-    def n_samples(self) -> int:
-        u = round(self.t_sense * self.policy.bandwidth)
-        if u < 1:
-            raise ValueError("sensing slot shorter than one sample period")
-        return int(u)
+    def n_samples(self) -> float:
+        """Samples in one sensing slot, t_sense * W, unrounded: the count
+        `EnergyModel.miss`, the frame simulators and the optimiser use, so
+        every command reads one p_detect at one slot. On every preset it is
+        a whole float (200.0 or 20000.0). A slot shorter than one sample
+        raises ConfigError."""
+        n = self.t_sense * self.policy.bandwidth
+        if n < 1.0:
+            raise ConfigError("frame.t_sense %g s is shorter than one sample period "
+                              "1/policy.bandwidth = %g s"
+                              % (self.t_sense, 1.0 / self.policy.bandwidth))
+        return n
 
     def energy_model(self) -> EnergyModel:
         return EnergyModel(self.links, self.primary, self.policy,

@@ -146,11 +146,25 @@ class TestScenarioFromConf:
         scn = scenario_from_conf(preset("fig3"))
         assert scn.n_samples == 200
 
-    def test_sample_count_rounds_to_nearest(self):
+    def test_sample_count_is_continuous(self):
+        # t_sense * W unrounded, the count the frame and the optimiser use
         conf = apply_overrides(preset("fig3"), ["frame.t_sense=2.6 us"])
         scn = scenario_from_conf(conf)
         assert scn.policy.bandwidth == 1e6
-        assert scn.n_samples == 3
+        assert scn.n_samples == 2.6
+
+    @pytest.mark.parametrize("name", ["fig3", "fig4", "fig6", "fig7", "fig8", "table1",
+                                      "default"])
+    @pytest.mark.parametrize("t_sense", [None, "2.5 us", "2.6 us", "12.5 us"])
+    def test_sample_count_is_the_product(self, name, t_sense):
+        conf = preset(name)
+        if t_sense is not None:
+            conf = apply_overrides(conf, ["frame.t_sense=" + t_sense])
+        scn = scenario_from_conf(conf)
+        assert scn.n_samples == scn.t_sense * scn.policy.bandwidth
+        if t_sense is None:
+            # a whole float on every preset, so the stock outputs keep their bits
+            assert scn.n_samples in (200.0, 20000.0)
 
     def test_subsample_slot_rejected(self):
         # 0.4 samples at 1 MHz: rejected when the scenario is built
