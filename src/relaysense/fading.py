@@ -82,20 +82,27 @@ class LinkSet:
         self.d_pu_src = tuple(float(d) for d in self.d_pu_src)
         self.d_pu_relay = tuple(tuple(float(d) for d in row) for row in self.d_pu_relay)
         self.d_pu_dst = tuple(float(d) for d in self.d_pu_dst)
-        if not self.d_src_relay or len(self.d_relay_dst) != len(self.d_src_relay):
-            raise ValueError("need one source->relay and one relay->destination distance per relay")
-        if not self.d_pu_src:
-            raise ValueError("need at least one primary transmitter")
-        if len(self.d_pu_relay) != len(self.d_pu_src) or len(self.d_pu_dst) != len(self.d_pu_src):
-            raise ValueError("primary-side distance lists disagree on the transmitter count")
+        n, n_pu = len(self.d_src_relay), len(self.d_pu_src)
+        if not n or len(self.d_relay_dst) != n:
+            raise ValueError("links.d_src_relay and links.d_relay_dst need one distance per "
+                             "relay each, got %d and %d" % (n, len(self.d_relay_dst)))
+        if not n_pu:
+            raise ValueError("links.d_pu_src needs at least one primary transmitter")
+        if n_pu > MAX_POPULATION:
+            raise ValueError("links.d_pu_src: exact subset enumeration capped at %d "
+                             "transmitters, got %d" % (MAX_POPULATION, n_pu))
+        if len(self.d_pu_relay) != n_pu or len(self.d_pu_dst) != n_pu:
+            raise ValueError("links.d_pu_src, links.d_pu_relay and links.d_pu_dst disagree on "
+                             "the transmitter count, got %d, %d and %d"
+                             % (n_pu, len(self.d_pu_relay), len(self.d_pu_dst)))
         for row in self.d_pu_relay:
-            if len(row) != len(self.d_src_relay):
-                raise ValueError("d_pu_relay rows must have one entry per relay")
+            if len(row) != n:
+                raise ValueError("links.d_pu_relay rows must have one entry per relay, "
+                                 "got %d for %d relays" % (len(row), n))
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError("links.alpha must be finite and positive, got %g" % self.alpha)
         if not 2.0 <= self.alpha <= 6.0:
-            warnings.warn("path-loss exponent %g outside the usual 2..6 range" % self.alpha)
-        n, n_pu = self.n_relays, self.n_primary
+            warnings.warn("links.alpha %g outside the usual 2..6 range" % self.alpha)
         # one flat array: src_relay, relay_dst, then the n + 2 primary
         # families as rows of n_pu, pu_src, pu_relay relay-major (each
         # relay's family one row) and pu_dst; every field is a view of it
@@ -110,10 +117,11 @@ class LinkSet:
         self.g_pu_src, self.g_pu_relay, self.g_pu_dst = primary[0], primary[1:-1], primary[-1]
         tied = _tied_rows(primary)
         if tied.any():
-            labels = (["primary->source"] + ["primary->relay %d" % i for i in range(n)]
-                      + ["primary->destination"])
+            labels = (["d_pu_src: primary->source"]
+                      + ["d_pu_relay: primary->relay %d" % i for i in range(n)]
+                      + ["d_pu_dst: primary->destination"])
             raise ValueError(
-                "%s means are not pairwise distinct at relative tolerance %g; "
+                "links.%s means are not pairwise distinct at relative tolerance %g; "
                 "perturb the geometry instead of relying on tie-breaking"
                 % (labels[int(np.argmax(tied))], DISTINCT_RTOL))
         self.peak_pu_src, *peaks = _per_family(max_exp_expectation,

@@ -2,6 +2,7 @@
 
 A scenario is a flat section.key tree of strings (INI file, preset, or
 command-line override) that gets parsed once into the typed model objects.
+Each key's parser and default are one row of `KEYS`.
 Powers can be given in watts, dBm, or dB relative to the configured noise
 floor; times, rates, frequencies and distances take the usual suffixes.
 """
@@ -76,45 +77,95 @@ def parse_list(text: str, noise_power: float = None):
     return [parse_quantity(p, noise_power) for p in merged]
 
 
-VALID_KEYS = {
-    "links": {"d_src_relay", "d_relay_dst", "d_pu", "d_pu_src", "d_pu_dst",
-              "d_pu_relay", "alpha"},
-    "primary": {"tx_power", "duty"},
-    "policy": {"p_max", "interference_cap", "noise_power", "bandwidth",
-               "threshold", "eta", "p_circuit_tx", "p_circuit_rx"},
-    "csi": {"rho", "doppler_hz", "t_diff"},
-    "frame": {"t_total", "t_report", "t_sense"},
-    "traffic": {"rate", "gamma_th", "d_star"},
-    "sim": {"trials", "seed", "workers", "relay"},
-}
-
-
-# the value of every optional key; preset() builds on the same tree
-DEFAULTS = {
-    "links": {"alpha": "4"},
-    "policy": {"eta": "0.35"},
-    "csi": {"rho": "0.75"},
-    "frame": {"t_total": "100 ms", "t_report": "1 ms", "t_sense": "20 ms"},
-    "traffic": {"rate": "100 kbps", "gamma_th": "3 dB", "d_star": "0"},
-    "sim": {"trials": "1000000", "seed": "1234", "workers": "1", "relay": "0"},
-}
-
-
 class ConfigError(ValueError):
     pass
 
 
+def _plain(convert):
+    """A key parser that reads no noise floor: convert(text)."""
+    return lambda text, n0: convert(text)
+
+
+def _checked(parse, ok, message):
+    """A key parser that rejects a parsed value v unless ok(v), with
+    message % v; the reader puts the key's name in front."""
+    def read(text, n0):
+        v = parse(text, n0)
+        if not ok(v):
+            raise ConfigError(message % v)
+        return v
+    return read
+
+
+def _whole(text: str) -> int:
+    """A count that may be written as a float ('1e6'), but must be whole."""
+    v = float(text)
+    if not v.is_integer():
+        raise ValueError("must be a whole number, got %s" % text)
+    return int(v)
+
+
+_FLOAT, _INT, _KM = _plain(float), _plain(int), _plain(parse_list)
+_POSITIVE = "must be positive, got %g"
+
+# Every config key: section -> key -> (parser of (text, noise floor), default
+# text), read in this order. A default of None marks a key without one: it is
+# required, apart from the d_pu ladder and its per-side keys, and the Jakes
+# pair doppler_hz and t_diff, which are read only when set. A parser raises
+# ValueError on text it cannot read, or ConfigError on a value out of range.
+KEYS = {
+    "links": {
+        "d_src_relay": (_KM, None), "d_relay_dst": (_KM, None),
+        "d_pu": (_KM, None), "d_pu_src": (_KM, None), "d_pu_dst": (_KM, None),
+        "d_pu_relay": (_plain(lambda text: [parse_list(row) for row in text.split(";")]),
+                       None),
+        "alpha": (_FLOAT, "4"),
+    },
+    "primary": {"tx_power": (parse_quantity, None), "duty": (_FLOAT, None)},
+    "policy": {
+        "p_max": (parse_quantity, None), "interference_cap": (parse_quantity, None),
+        "noise_power": (_checked(parse_quantity, lambda v: v > 0.0, _POSITIVE), None),
+        "bandwidth": (parse_quantity, None), "threshold": (parse_quantity, None),
+        "eta": (_FLOAT, "0.35"),
+        "p_circuit_tx": (parse_quantity, None), "p_circuit_rx": (parse_quantity, None),
+    },
+    "csi": {
+        "doppler_hz": (_plain(parse_quantity), None), "t_diff": (_plain(parse_quantity), None),
+        "rho": (_checked(_FLOAT, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1], got %g"),
+                "0.75"),
+    },
+    "frame": {"t_total": (parse_quantity, "100 ms"), "t_report": (parse_quantity, "1 ms"),
+              "t_sense": (parse_quantity, "20 ms")},
+    "traffic": {
+        "rate": (_checked(parse_quantity, lambda v: v > 0.0, _POSITIVE), "100 kbps"),
+        "gamma_th": (parse_quantity, "3 dB"),
+        "d_star": (_checked(_FLOAT, lambda v: 0.0 <= v < math.inf,
+                            "must be finite and non-negative, got %g"), "0"),
+    },
+    "sim": {
+        "trials": (_checked(_plain(_whole), lambda v: v >= 2, "must be at least 2, got %d"),
+                   "1000000"),
+        "seed": (_INT, "1234"),
+        "workers": (_checked(_INT, lambda v: v >= 1, "must be at least 1, got %d"), "1"),
+        "relay": (_INT, "0"),
+    },
+}
+
+# the per-side primary distances, each of which overrides the shared d_pu ladder
+_SIDES = ("d_pu_src", "d_pu_dst", "d_pu_relay")
+
+
 def _check_keys(conf: dict):
     for section, entries in conf.items():
-        if section not in VALID_KEYS:
+        if section not in KEYS:
             raise ConfigError(
                 "unknown config section %r; valid sections: %s"
-                % (section, ", ".join(sorted(VALID_KEYS))))
+                % (section, ", ".join(sorted(KEYS))))
         for key in entries:
-            if key not in VALID_KEYS[section]:
+            if key not in KEYS[section]:
                 raise ConfigError(
                     "unknown key %r in section [%s]; valid keys: %s"
-                    % (key, section, ", ".join(sorted(VALID_KEYS[section]))))
+                    % (key, section, ", ".join(sorted(KEYS[section]))))
 
 
 @dataclass
@@ -158,14 +209,12 @@ class Scenario:
 def scenario_from_conf(conf: dict) -> Scenario:
     """Build a Scenario out of a {section: {key: string}} tree.
 
-    Every bad value raises ConfigError: a quantity that does not parse, a
-    value the model objects reject, a CSI correlation outside [0, 1], a
-    report slot outside the frame, a non-positive data rate, a sensing slot
-    shorter than one sample or beyond the listen window, a data floor that
-    is negative or not finite, a trial count that is not a whole number of
-    at least two, fewer than one worker, a relay index out of range, or a
-    power whose noise-normalised means leave the float range, or whose
-    products as the estimators form them overflow (`_check_snr_range`).
+    Every bad value raises ConfigError: one that its `KEYS` row or a model
+    object rejects, a report slot outside the frame, a sensing slot shorter
+    than one sample or beyond the listen window, a relay index out of
+    range, or a power whose noise-normalised means leave the float range,
+    or whose products as the estimators form them overflow
+    (`_check_snr_range`).
     """
     try:
         scn = _parse_scenario(conf)
@@ -174,8 +223,6 @@ def scenario_from_conf(conf: dict) -> Scenario:
         if not 0.0 < scn.t_report < scn.t_total:
             raise ConfigError("need 0 < frame.t_report < frame.t_total, got %g s and %g s"
                               % (scn.t_report, scn.t_total))
-        if scn.rate <= 0.0:
-            raise ConfigError("traffic.rate must be positive, got %g" % scn.rate)
         if scn.t_sense >= scn.t_total - scn.t_report:
             raise ConfigError("frame.t_sense must lie inside the listen window (0, %g) s, "
                               "got %g s" % (scn.t_total - scn.t_report, scn.t_sense))
@@ -183,13 +230,6 @@ def scenario_from_conf(conf: dict) -> Scenario:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if not 0.0 <= scn.d_star < math.inf:
-        raise ConfigError("traffic.d_star must be finite and non-negative, got %g"
-                          % scn.d_star)
-    if scn.trials < 2:
-        raise ConfigError("sim.trials must be at least 2, got %d" % scn.trials)
-    if scn.workers < 1:
-        raise ConfigError("sim.workers must be at least 1, got %d" % scn.workers)
     if not 0 <= scn.relay < scn.links.n_relays:
         raise ConfigError("sim.relay %d out of range: the scenario has %d relay(s)"
                           % (scn.relay, scn.links.n_relays))
@@ -260,104 +300,52 @@ def _check_snr_range(links: LinkSet, primary: PrimaryModel, policy: SecondaryPol
 
 def _parse_scenario(conf: dict) -> Scenario:
     _check_keys(conf)
+    n0 = None  # the noise floor, once read: dB-relative powers are multiples of it
 
-    def get(section, key):
-        v = conf.get(section, {}).get(key, DEFAULTS.get(section, {}).get(key))
-        if v is None:
+    def read(section, key):
+        """section.key's value, or its default, parsed; a failure names the key."""
+        parse, default = KEYS[section][key]
+        text = conf.get(section, {}).get(key, default)
+        if text is None:
             raise ConfigError("missing required key %s.%s" % (section, key))
-        return v
-
-    def parsed(convert, section, key, *args):
-        """convert(section.key's value, *args); a failure names the key."""
-        text = get(section, key)
         try:
-            return convert(text, *args)
+            return parse(text, n0)
+        except ConfigError as exc:
+            raise ConfigError("%s.%s %s" % (section, key, exc)) from None
         except ValueError as exc:
             raise ConfigError("%s.%s: %s" % (section, key, exc)) from exc
 
-    n0 = parsed(parse_quantity, "policy", "noise_power")
-    if n0 <= 0.0:
-        # every dB-relative power would be zero and blamed on its own key
-        raise ConfigError("policy.noise_power must be positive, got %g" % n0)
+    def section(name):
+        return {key: read(name, key) for key in KEYS[name]}
 
-    def qty(section, key):
-        return parsed(parse_quantity, section, key, n0)
-
-    d_sr = parsed(parse_list, "links", "d_src_relay")
-    d_rd = parsed(parse_list, "links", "d_relay_dst")
-    n_relays = len(d_sr)
-    # a per-side key overrides the shared d_pu ladder
+    n0 = read("policy", "noise_power")
     given = conf.get("links", {})
-    d_pu = parsed(parse_list, "links", "d_pu") if "d_pu" in given else None
-    d_pu_src = parsed(parse_list, "links", "d_pu_src") if "d_pu_src" in given else d_pu
-    d_pu_dst = parsed(parse_list, "links", "d_pu_dst") if "d_pu_dst" in given else d_pu
-    if "d_pu_relay" in given:
-        d_pu_relay = parsed(lambda text: [parse_list(row) for row in text.split(";")],
-                            "links", "d_pu_relay")
-    else:
-        d_pu_relay = None if d_pu is None else [[d] * n_relays for d in d_pu]
-    if d_pu_src is None or d_pu_dst is None or d_pu_relay is None:
+    # the d_pu ladder and its per-side keys are read when set; a per-side key wins
+    links = {k: read("links", k) for k in KEYS["links"]
+             if k in given or k not in ("d_pu",) + _SIDES}
+    d_pu = links.pop("d_pu", None)
+    if d_pu is not None:
+        links.setdefault("d_pu_src", d_pu)
+        links.setdefault("d_pu_dst", d_pu)
+        links.setdefault("d_pu_relay", [[d] * len(links["d_src_relay"]) for d in d_pu])
+    if not links.keys() >= set(_SIDES):
         raise ConfigError("links needs d_pu or the explicit d_pu_src/d_pu_dst/d_pu_relay")
-
-    links = LinkSet(
-        d_src_relay=d_sr,
-        d_relay_dst=d_rd,
-        d_pu_src=d_pu_src,
-        d_pu_relay=d_pu_relay,
-        d_pu_dst=d_pu_dst,
-        alpha=parsed(float, "links", "alpha"),
-    )
-    primary = PrimaryModel(
-        tx_power=qty("primary", "tx_power"),
-        duty=parsed(float, "primary", "duty"),
-    )
-    policy = SecondaryPolicy(
-        p_max=qty("policy", "p_max"),
-        interference_cap=qty("policy", "interference_cap"),
-        noise_power=n0,
-        bandwidth=qty("policy", "bandwidth"),
-        threshold=qty("policy", "threshold"),
-        eta=parsed(float, "policy", "eta"),
-        p_circuit_tx=qty("policy", "p_circuit_tx"),
-        p_circuit_rx=qty("policy", "p_circuit_rx"),
-    )
+    links = LinkSet(**links)
+    primary = PrimaryModel(**section("primary"))
+    policy = SecondaryPolicy(**section("policy"))
     # an explicit csi.rho wins, then the Jakes value of doppler_hz and
     # t_diff, then the default rho
     csi = conf.get("csi", {})
-    jakes = {k: parsed(parse_quantity, "csi", k) for k in ("doppler_hz", "t_diff") if k in csi}
+    jakes = {k: read("csi", k) for k in ("doppler_hz", "t_diff") if k in csi}
     if "rho" in csi or "doppler_hz" not in jakes:
-        rho = parsed(float, "csi", "rho")
-        if not 0.0 <= rho <= 1.0:
-            raise ConfigError("csi.rho must lie in [0, 1], got %g" % rho)
+        rho = read("csi", "rho")
     elif "t_diff" not in jakes:
         raise ConfigError("missing required key csi.t_diff: csi.doppler_hz needs the "
                           "estimation lag")
     else:
-        rho = rho_from_doppler(jakes["doppler_hz"], jakes["t_diff"])
-    return Scenario(
-        links=links,
-        primary=primary,
-        policy=policy,
-        rho=rho,
-        t_total=qty("frame", "t_total"),
-        t_report=qty("frame", "t_report"),
-        t_sense=qty("frame", "t_sense"),
-        rate=qty("traffic", "rate"),
-        gamma_th=qty("traffic", "gamma_th"),
-        d_star=parsed(float, "traffic", "d_star"),
-        trials=parsed(_whole, "sim", "trials"),
-        seed=parsed(int, "sim", "seed"),
-        workers=parsed(int, "sim", "workers"),
-        relay=parsed(int, "sim", "relay"),
-    )
-
-
-def _whole(text: str) -> int:
-    """A count that may be written as a float ('1e6'), but must be whole."""
-    v = float(text)
-    if not v.is_integer():
-        raise ValueError("must be a whole number, got %s" % text)
-    return int(v)
+        rho = rho_from_doppler(**jakes)
+    return Scenario(links=links, primary=primary, policy=policy, rho=rho,
+                    **section("frame"), **section("traffic"), **section("sim"))
 
 
 def load_config(path: str) -> dict:
@@ -382,10 +370,9 @@ def merge_layer(conf: dict, layer: dict) -> dict:
     out = {s: dict(kv) for s, kv in conf.items()}
     for section, entries in layer.items():
         out.setdefault(section, {}).update(entries)
-    sides = ("d_pu_src", "d_pu_dst", "d_pu_relay")
     links = layer.get("links", {})
-    if "d_pu" in links and not links.keys() & set(sides):
-        for key in sides:
+    if "d_pu" in links and not links.keys() & set(_SIDES):
+        for key in _SIDES:
             out["links"].pop(key, None)
     csi = layer.get("csi", {})
     if "rho" not in csi and csi.keys() & {"doppler_hz", "t_diff"}:
@@ -403,12 +390,8 @@ def apply_overrides(conf: dict, pairs) -> dict:
             raise ConfigError("override %r is not of the form section.key=value" % pair)
         dotted, value = pair.split("=", 1)
         section, key = dotted.split(".", 1)
-        section, key = section.strip(), key.strip()
-        if section not in VALID_KEYS or key not in VALID_KEYS.get(section, ()):
-            valid = ", ".join(
-                "%s.%s" % (s, k) for s in sorted(VALID_KEYS) for k in sorted(VALID_KEYS[s]))
-            raise ConfigError("unknown override %s.%s; valid keys: %s" % (section, key, valid))
-        layer.setdefault(section, {})[key] = value.strip()
+        layer.setdefault(section.strip(), {})[key.strip()] = value.strip()
+    _check_keys(layer)
     return merge_layer(conf, layer)
 
 
@@ -421,7 +404,8 @@ def _ladder(start: float, step: float, n: int) -> str:
 def preset(name: str) -> dict:
     """Named parameter sets behind the stock figures and the summary table.
 
-    Every entry is an ordinary config tree, so any key can be overridden
+    Every entry is an ordinary config tree that sets what its figure sets;
+    the parse supplies every other key's default. Any key can be overridden
     from the command line.
     """
     base = {
@@ -435,7 +419,7 @@ def preset(name: str) -> dict:
     }
 
     def merged(**sections):
-        return merge_layer(merge_layer(DEFAULTS, base), sections)
+        return merge_layer(base, sections)
 
     if name == "fig3":
         # single relay reporting at 200 samples; threshold tuned so the
@@ -460,22 +444,16 @@ def preset(name: str) -> dict:
             csi={"rho": "0.9"},
         )
     if name == "fig6":
-        return merged(
-            links={"d_src_relay": "0.1, 0.1, 0.1, 0.1",
-                   "d_relay_dst": "0.1, 0.1, 0.1, 0.1",
-                   "d_pu": _ladder(0.4, 0.01, 3)},
-        )
+        return merged(links={"d_src_relay": "0.1, 0.1, 0.1, 0.1",
+                             "d_relay_dst": "0.1, 0.1, 0.1, 0.1", "d_pu": _ladder(0.4, 0.01, 3)})
     if name == "fig7":
         return preset("fig6")
     if name == "fig8":
-        return merged(
-            links={"d_src_relay": "0.2", "d_relay_dst": "0.2",
-                   "d_pu": _ladder(0.5, 0.01, 1)},
-        )
+        return merged(links={"d_src_relay": "0.2", "d_relay_dst": "0.2",
+                             "d_pu": _ladder(0.5, 0.01, 1)})
     if name == "table1":
         return merged(
-            links={"d_src_relay": "0.5", "d_relay_dst": "0.5",
-                   "d_pu": "1.0"},
+            links={"d_src_relay": "0.5", "d_relay_dst": "0.5", "d_pu": "1.0"},
             primary={"tx_power": "30 dB"},
             policy={"p_max": "30 dB", "interference_cap": "7 dB", "threshold": "7 dB"},
         )

@@ -47,7 +47,8 @@ class SecondaryPolicy:
                      "threshold", "p_circuit_tx", "p_circuit_rx"):
             value = getattr(self, name)
             if value < 0.0 or (name != "threshold" and value == 0.0):
-                raise ValueError("policy.%s must be positive, got %g" % (name, value))
+                raise ValueError("policy.%s must be %s, got %g" % (
+                    name, "non-negative" if name == "threshold" else "positive", value))
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("policy.eta must lie in (0, 1], got %g" % self.eta)
 

@@ -32,10 +32,16 @@ from .specfun import bessel_j0, exp_scaled_gamma_upper_0
 
 
 def rho_from_doppler(doppler_hz: float, t_diff: float) -> float:
-    """Jakes correlation magnitude |J0(2 pi f_D tau)| clamped into [0, 1]."""
-    if doppler_hz < 0.0 or t_diff < 0.0:
-        raise ValueError("Doppler spread and lag must be non-negative")
-    return float(min(abs(bessel_j0(2.0 * math.pi * doppler_hz * t_diff)), 1.0))
+    """Jakes correlation magnitude |J0(2 pi f_D tau)| clamped into [0, 1].
+    A failure names the config key, csi.doppler_hz or csi.t_diff."""
+    for key, value in (("doppler_hz", doppler_hz), ("t_diff", t_diff)):
+        if value < 0.0:
+            raise ValueError("csi.%s must be non-negative, got %g" % (key, value))
+    x = 2.0 * math.pi * doppler_hz * t_diff
+    if not math.isfinite(x):
+        raise ValueError("csi.doppler_hz times csi.t_diff must keep the Jakes argument "
+                         "2 pi f_D tau finite, got %g Hz and %g s" % (doppler_hz, t_diff))
+    return float(min(abs(bessel_j0(x)), 1.0))
 
 
 @dataclass

@@ -16,7 +16,7 @@ from hypothesis import Phase, example, given, settings, strategies as st
 
 from relaysense import cli
 from relaysense.harvest import HarvestReport, avg_harvested_power
-from relaysense.scenario import (FIG3_THRESHOLD_DB, VALID_KEYS, apply_overrides, preset,
+from relaysense.scenario import (FIG3_THRESHOLD_DB, KEYS, apply_overrides, preset,
                                  scenario_from_conf)
 
 
@@ -315,6 +315,39 @@ class TestBadInput:
         assert err.startswith("config error: %s must " % key)
         assert err.endswith(", got %s\n" % value) and err.count("\n") == 1
 
+    @pytest.mark.parametrize("overrides, key", [
+        # rejections that used to name no key; the shared d_pu ladder is
+        # reported against the per-side key it fills
+        (["links.d_pu=0.4, 0.4000000001"], "links.d_pu_src"),
+        (["links.d_src_relay=0.1, 0.1, 0.1"], "links.d_src_relay"),
+        (["links.d_pu_src=0.3"], "links.d_pu_src"),
+        (["links.d_pu_relay=0.3, 0.3, 0.3; 0.31, 0.31, 0.31"], "links.d_pu_relay"),
+        (["links.d_pu=" + ", ".join("%.2f" % (0.4 + 0.01 * k) for k in range(21))],
+         "links.d_pu_src"),
+        (["csi.doppler_hz=1e200", "csi.t_diff=1e200 s"], "csi.doppler_hz"),
+        (["csi.doppler_hz=5", "csi.t_diff=-1 ms"], "csi.t_diff"),
+    ], ids=["tied-ladder", "relay-count", "primary-count", "relay-columns", "21-primaries",
+            "jakes-overflow", "negative-lag"])
+    def test_rejection_names_its_key(self, overrides, key, capsys):
+        argv = ["--no-mc"] + [a for pair in overrides for a in ("--set", pair)]
+        assert run(argv + ["detect"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        section, name = key.split(".")
+        assert name in KEYS[section]
+        assert key in [m.group(0) for m in _KEY.finditer(err)]
+
+    def test_threshold_message_admits_zero(self, capsys):
+        assert run(["--no-mc", "--set", "policy.threshold=0 W", "detect"]) == 0
+        capsys.readouterr()
+        assert run(["--no-mc", "--set", "policy.threshold=-1 W", "detect"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: policy.threshold must be non-negative, got -1\n")
+
+    def test_path_loss_warning_names_its_key(self):
+        with pytest.warns(UserWarning, match=r"^links\.alpha 7 outside"):
+            scenario_from_conf(apply_overrides(preset("default"), ["links.alpha=7"]))
+
 
 _NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)(?![\w.])")
 
@@ -510,6 +543,7 @@ class TestSampleCount:
         pd = cli._detection(scn, True)[0]
         assert pd.hex() == scn.energy_model().frame(scn.t_sense).p_detect.hex()
 
+    @pytest.mark.pin
     def test_detect_and_energy_print_one_p_detect(self, capsys):
         assert run(["--no-mc", "--set", "frame.t_sense=2.5us", "detect"]) == 0
         assert "p_detect_analytic = 0.999966181  (samples=2.5, " in capsys.readouterr().out
@@ -532,7 +566,7 @@ def test_near_tied_primaries_print_a_probability(capsys):
 
 # a probability the commands print: the value after p_detect or p_outage
 _PROBABILITY = re.compile(r"\bp_\w*\s*=\s*([^\s,)]+)")
-_KEY = re.compile(r"\b(%s)\.\w+" % "|".join(VALID_KEYS))
+_KEY = re.compile(r"\b(%s)\.\w+" % "|".join(KEYS))
 
 
 def _run_quietly(argv):

@@ -1175,6 +1175,7 @@ class TestHeldOutage:
         assert TestHeldSlot.held_bytes() == self.TRIALS * 8 * (2 * M + 1)
 
 
+@pytest.mark.pin
 class TestPinnedMeans:
     """Every mc_* mean keeps its bits for a fixed seed (float.hex recorded
     before the column-wise kernels). The stderrs are pinned to 1e-9

@@ -27,6 +27,8 @@ from relaysense import cli, energy_opt, mcsim, sensing, transmission
 from relaysense.scenario import (apply_overrides, ladder_conf, preset, relay_ladder_conf,
                                  scenario_from_conf)
 
+pytestmark = pytest.mark.pin
+
 # (relays, primaries): (t_sense, multiplier, energy, data, constraint_active),
 # the `figure table1` cells
 TABLE1 = {

@@ -1,4 +1,6 @@
 import math
+import pathlib
+import re
 
 import pytest
 
@@ -333,3 +335,23 @@ class TestSnrRangeCheck:
         for got, p_detect in zip(checked[1:], (1.0, 0.0)):
             co = build_trans_coeffs(scn.links, scn.primary, scn.policy, p_detect)
             assert [v.hex() for v in got] == [v.hex() for v in co.snr_first + co.snr_means]
+
+
+class TestReadmeConfigTable:
+    """README's Configuration table is the `KEYS` table: the same keys, in
+    the same order, with the same defaults."""
+
+    def test_rows_match_the_keys(self):
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        rows = {}
+        for line in section.splitlines():
+            m = re.match(r"\| `(\w+)\.(\w+)` \| ([^|]+) \|", line)
+            if m:
+                rows.setdefault(m.group(1), {})[m.group(2)] = m.group(3).strip()
+        assert [(s, list(keys)) for s, keys in rows.items()] == \
+            [(s, list(keys)) for s, keys in scenario.KEYS.items()]
+        for s, keys in scenario.KEYS.items():
+            for key, (_, default) in keys.items():
+                want = ("required", "none") if default is None else ("`%s`" % default,)
+                assert rows[s][key] in want, (s, key)

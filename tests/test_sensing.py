@@ -205,6 +205,7 @@ class TestDetection:
         m2 = 1.0 - detection_probability(lam, 200, links, primary, policy)
         assert m2 == pytest.approx(m1**2, rel=1e-10)
 
+    @pytest.mark.pin
     def test_anchor_operating_point(self):
         links, primary, policy = fig3_setup()
         pd = detection_probability(policy.threshold, 200, links, primary, policy)

@@ -274,6 +274,7 @@ class TestOutage:
         assert outage_probability(1e9 * N0, links, primary, policy, 0.95, 0.9) \
             == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.pin
     def test_frozen_operating_point(self):
         links, primary, policy = fig4_setup()
         got = outage_probability(rel_noise_db(3.0), links, primary, policy, 0.95, 0.9)
