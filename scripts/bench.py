@@ -25,8 +25,10 @@ time) of another.
 
 `specfun`: microseconds per call of each special-function kernel on one
 float and on an array of L values, L = 3 and 12 (what an interference law
-with L primaries hands it); and milliseconds per `detection_probability`
-call on the fig3 ladder with L = 1..12 primaries.
+with L primaries hands it); microseconds per `InterferenceLaw.cdf` call at
+the detection threshold on the fig3 ladder's law with L = 3, 12 and 16
+primaries; and milliseconds per `detection_probability` call on the fig3
+ladder with L = 1..16 primaries.
 
 `chain`: microseconds per call of the scenario and data-phase chain on the
 `default` (2 relays) and `fig7` (4 relays) presets: `scenario_from_conf`
@@ -163,7 +165,8 @@ KERNELS = (("bessel_k1_scaled", specfun.bessel_k1_scaled, 3.0),
            ("exp_scaled_gamma_upper_0", specfun.exp_scaled_gamma_upper_0, 0.5),
            ("bessel_j0", specfun.bessel_j0, 2.0))
 ARRAY_SIZES = (3, 12)
-LADDER = tuple(range(1, 13))
+CDF_LADDER = (3, 12, 16)
+LADDER = tuple(range(1, 17))
 
 
 def drive(cases):
@@ -251,13 +254,20 @@ def per_call(name, scale, fn, make):
 
 
 def specfun_cases():
-    """us per kernel call, and ms per detection_probability call on the fig3 ladder."""
+    """us per kernel call and per interference-law CDF call, and ms per
+    detection_probability call on the fig3 ladder."""
     cases = []
     for name, fn, x in KERNELS:
         for size in (None,) + ARRAY_SIZES:
             arg = x if size is None else x * np.geomspace(0.1, 10.0, size)
             cases.append(({"kernel": name, "size": size},
                           per_call("us_per_call", 1e6, fn, lambda arg=arg: arg)))
+    for n_pu in CDF_LADDER:
+        scn = scenario_from_conf(ladder_conf(preset("fig3"), 0.4, n_pu))
+        law = sensing.build_report_gain(scn.links, scn.primary, scn.policy).direct
+        lam = scn.policy.threshold / scn.policy.noise_power
+        cases.append(({"kernel": "InterferenceLaw.cdf", "size": n_pu},
+                      per_call("us_per_call", 1e6, law.cdf, lambda lam=lam: lam)))
     for n_pu in LADDER:
         scn = scenario_from_conf(ladder_conf(preset("fig3"), 0.4, n_pu))
         cases.append(({"n_primary": n_pu}, per_call("ms_per_call", 1e3, lambda s: (

@@ -10,8 +10,7 @@ from .harvest import HarvestReport, avg_harvested_power
 from .transmission import (TransCoeffs, build_trans_coeffs, outage_probability,
                            relay_selection_prob, rho_from_doppler)
 from .energy_opt import (EnergyModel, InfeasibleDataError, SensingOptimum, ecg,
-                         necessary_condition, optimize_sensing_time, total_energy,
-                         total_energy_nonharvesting)
+                         optimize_sensing_time, total_energy, total_energy_nonharvesting)
 from .mcsim import (MCEstimate, mc_clipped_gain, mc_detection, mc_ecg,
                     mc_frame_energy, mc_harvest, mc_outage)
 from .scenario import Scenario, preset, scenario_from_conf

@@ -341,7 +341,7 @@ def cmd_optimize(args):
     except energy_opt.InfeasibleDataError as exc:
         print("infeasible: %s" % exc)
         return 1
-    ok = energy_opt.necessary_condition(model, scn.relay, opt.t_sense)
+    ok = model.frame(opt.t_sense).necessary_condition(scn.relay)
     print("t_sense_star = %.9g s" % opt.t_sense)
     print("multiplier   = %.9g" % opt.multiplier)
     print("energy_min   = %.9g J" % opt.energy)

@@ -15,13 +15,14 @@ Each sensing time the search visits costs one frame build
 (`EnergyModel.frame`): a miss probability and one `build_trans_coeffs`,
 on Python floats and with no special function, since nothing here reads
 the outage's AF gain normaliser. A relay's selection odds are priced only
-when that relay is read, so an optimisation over one relay pays for one.
+when that relay is read (`Frame.prr`), so an optimisation over one relay
+pays for one. `Frame.necessary_condition` is the paper's per-node
+condition on the optimum, the sign of the energy slope.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .fading import LinkSet, PrimaryModel
@@ -34,28 +35,6 @@ CONSTRAINT_TOL = 1e-9  # activity tolerance on the SNR-form data constraint
 LN2 = math.log(2.0)
 
 
-class _Odds(Sequence):
-    """The relays' selection probabilities at one frame, read like a tuple.
-    Relay i's is computed from the estimated SNR means on its first read
-    and kept; two threads that race on one entry compute the same value."""
-
-    __slots__ = ("_snr_means", "_odds")
-
-    def __init__(self, snr_means):
-        self._snr_means = snr_means
-        self._odds = [None] * len(snr_means)
-
-    def __len__(self):
-        return len(self._odds)
-
-    def __getitem__(self, i):
-        i = range(len(self._odds))[i]  # a tuple's index rules
-        p = self._odds[i]
-        if p is None:
-            p = self._odds[i] = relay_selection_prob(self._snr_means, i)
-        return p
-
-
 @dataclass(frozen=True)
 class Frame:
     """One frame at a fixed sensing time: every quantity of the energy and
@@ -63,9 +42,10 @@ class Frame:
     ledger of per-relay figures read from them.
 
     The transmission coefficients do not depend on the relay, so one build
-    serves every relay's selection probability (prr) and transmit-slot power
-    (e_transmit, W). prr reads as a length-M sequence, but relay i's entry
-    is computed on its first read and kept with the frame's fields, so a
+    serves every relay's selection probability (`prr`) and transmit-slot
+    power (e_transmit, W). `prr(i)` prices relay i's odds on its first read
+    and keeps them in `odds`, a dict that lives in the sensing time's stored
+    fields, so every frame at one sensing time shares one priced value and a
     frame read for one relay prices one relay's odds. The frame never reads
     the coefficients' AF gain normaliser, so building one evaluates no
     special function. Listening is charged in two accounts: the frame energy
@@ -82,15 +62,24 @@ class Frame:
     miss: float
     p_detect: float
     coeffs: TransCoeffs
-    prr: Sequence
+    odds: dict
     e_transmit: tuple
     e_listen: tuple
     model: EnergyModel = field(repr=False, compare=False)
 
+    def prr(self, i: int) -> float:
+        """Selection probability of relay i, priced from the estimated SNR
+        means on its first read and kept in `odds`; two threads that race on
+        one relay compute the same value and both return the one stored."""
+        p = self.odds.get(self.model.links.check_relay(i))
+        if p is None:
+            p = self.odds.setdefault(i, relay_selection_prob(self.coeffs.snr_means, i))
+        return p
+
     def energy_nonharvesting(self, i: int) -> float:
         """Expected frame energy of relay i with the harvester disabled."""
         self.model.links.check_relay(i)
-        return self.e_listen[i] + self.miss * self.prr[i] * self.e_transmit[i] * self.t_data
+        return self.e_listen[i] + self.miss * self.prr(i) * self.e_transmit[i] * self.t_data
 
     def energy(self, i: int) -> float:
         """Expected frame energy of relay i, harvesting credited on detection."""
@@ -100,7 +89,7 @@ class Frame:
     def data(self, i: int) -> float:
         """Expected bits moved through relay i in one frame."""
         self.model.links.check_relay(i)
-        return self.miss * self.prr[i] * self.model.rate * self.t_data
+        return self.miss * self.prr(i) * self.model.rate * self.t_data
 
     def listen_linear(self, i: int) -> float:
         """Sensing-plus-reporting energy of relay i, linear in t_sense."""
@@ -117,7 +106,7 @@ class Frame:
         if harvested == 0.0:
             return math.inf
         consumed = (self.listen_linear(i)
-                    + (1.0 - self.p_detect) * self.prr[i] * self.e_transmit[i] * self.t_data)
+                    + (1.0 - self.p_detect) * self.prr(i) * self.e_transmit[i] * self.t_data)
         return consumed / harvested
 
     def slope(self, i: int) -> float:
@@ -134,7 +123,18 @@ class Frame:
             bracket = self.miss * (1.0 - self.t_data * w * m.log_delta)
         return (2.0 * m.e_sense * self.t_sense * w
                 + m.e_report[i] * m.t_report * w
-                + h - (self.prr[i] * self.e_transmit[i] + h) * bracket)
+                + h - (self.prr(i) * self.e_transmit[i] + h) * bracket)
+
+    def necessary_condition(self, i: int) -> bool:
+        """The paper's necessary condition on relay i's optimum: the
+        transmit-side pull must not exceed the sensing-side push,
+
+            h + prr*e_transmit <= delta**(-t_sense*W)
+                                  * (h + 2*e_sense*t_sense*W + e_report*t_report*W)
+                                  / (1 - t_data*W*ln(delta)),
+
+        with h the mean harvested power. That is the sign of `slope`."""
+        return self.slope(i) >= 0.0
 
     def constraint(self, i: int, d_star: float) -> float:
         """SNR-form data constraint of relay i; non-positive iff the expected data
@@ -149,7 +149,7 @@ class Frame:
         if m.delta <= 0.0:
             return math.inf
         w = m.policy.bandwidth
-        ln_g = (math.log(d_star) - math.log(self.t_data * w * self.prr[i])
+        ln_g = (math.log(d_star) - math.log(self.t_data * w * self.prr(i))
                 - self.t_sense * w * m.log_delta)
         if ln_g > 700.0:
             return math.inf
@@ -160,18 +160,20 @@ class Frame:
             return math.inf
 
     def multiplier(self, i: int, d_star: float) -> float:
-        """Multiplier of relay i's active data constraint (stationarity identity)."""
+        """Multiplier mu >= 0 of relay i's active data constraint, from
+        stationarity of energy + mu * constraint: mu = -slope / constraint'
+        (Boyd & Vandenberghe 2004, sec. 5.5), with pref = 1 / constraint'."""
         self.model.links.check_relay(i)
         w = self.model.policy.bandwidth
         if self.miss == 0.0:
             return 0.0
-        g = d_star / (self.miss * self.t_data * w * self.prr[i])
+        g = d_star / (self.miss * self.t_data * w * self.prr(i))
         if g > 1e6:
             # 2**-g underflows far before this; the constraint cannot be active here
             return 0.0
-        pref = (2.0 ** (-g) * self.miss * self.prr[i] * self.t_data * self.t_data * w
+        pref = (2.0 ** (-g) * self.miss * self.prr(i) * self.t_data * self.t_data * w
                 / (d_star * LN2 * (1.0 - self.t_data * w * self.model.log_delta)))
-        return pref * self.slope(i)
+        return -pref * self.slope(i)
 
 
 class EnergyModel:
@@ -199,6 +201,10 @@ class EnergyModel:
             raise ValueError("need 0 < t_report < t_total")
         if rate <= 0.0:
             raise ValueError("data rate must be positive")
+        for key, value in (("frame.t_total", t_total), ("frame.t_report", t_report),
+                           ("traffic.rate", rate)):
+            if not math.isfinite(value):
+                raise ValueError("%s must be finite, got %g" % (key, value))
         self.links = links
         self.primary = primary
         self.policy = policy
@@ -254,7 +260,7 @@ class EnergyModel:
             miss=miss,
             p_detect=p_detect,
             coeffs=coeffs,
-            prr=_Odds(coeffs.snr_means),
+            odds={},
             e_transmit=tuple(p + self.policy.p_circuit_tx for p in coeffs.p_relay),
             e_listen=tuple(self.e_sense * t_sense * t_sense * w + e * self.t_report * t_sense * w
                            for e in self.e_report),
@@ -269,18 +275,6 @@ def total_energy_nonharvesting(model: EnergyModel, i: int, t_sense: float) -> fl
 def total_energy(model: EnergyModel, i: int, t_sense: float) -> float:
     """Expected frame energy of relay i, harvesting credited on detection."""
     return model.frame(t_sense).energy(i)
-
-
-def necessary_condition(model: EnergyModel, i: int, t_sense: float) -> bool:
-    """Closed-form check that the energy slope is non-negative at t_sense:
-    the transmit-side pull must not exceed the sensing-side push,
-
-        h + prr*e_transmit <= delta**(-t_sense*W)
-                              * (h + 2*e_sense*t_sense*W + e_report*t_report*W)
-                              / (1 - t_data*W*ln(delta)),
-
-    with h the mean harvested power. That is the sign of `Frame.slope`."""
-    return model.frame(t_sense).slope(i) >= 0.0
 
 
 def ecg(model: EnergyModel, i: int, t_sense: float) -> float:

@@ -7,10 +7,10 @@ aggregate interference seen from L randomly active primary transmitters is
 a Bernoulli-thinned sum of non-identical exponentials: a mixture, over
 active subsets, of hypoexponential densities plus a point mass at zero when
 no transmitter is on. `activity_mixture` expands it into an
-`InterferenceLaw`, once per distinct primary family: receivers whose
-primary gain rows are equal in every bit (as the shared `d_pu` ladder
-places the source, the destination and every relay) share one law, one
-fixed gain and one peak gain (`_per_family`).
+`InterferenceLaw`, once per primary family: receivers whose primary gain
+rows are equal in every bit (as the shared `d_pu` ladder places the source,
+the destination and every relay) are one family, which `LinkSet` finds once
+and which shares one law, one fixed gain and one peak gain.
 """
 
 from __future__ import annotations
@@ -58,8 +58,10 @@ class LinkSet:
     mean gains g_* of the five link families (g_pu_relay[i] is relay i's
     primary family) and the mean strongest primary gains E[max_l |h_l|^2]
     seen from the source (peak_pu_src) and from relay i (peak_pu_relay[i]).
-    A peak is expanded once per distinct primary family: the source and
-    the relays whose gain rows are equal in every bit share one.
+    The primary families are found here and nowhere else: family[k] numbers
+    the family of receiver k (source, relays, destination) by first
+    appearance, family_gains[f] is family f's gain row, rows equal in every
+    bit are one family, and a peak is expanded per source or relay family.
     """
 
     d_src_relay: tuple
@@ -75,6 +77,8 @@ class LinkSet:
     g_pu_dst: np.ndarray = field(init=False, repr=False, compare=False)
     peak_pu_src: float = field(init=False, repr=False, compare=False)
     peak_pu_relay: tuple = field(init=False, repr=False, compare=False)
+    family: tuple = field(init=False, repr=False, compare=False)
+    family_gains: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.d_src_relay = tuple(float(d) for d in self.d_src_relay)
@@ -124,9 +128,12 @@ class LinkSet:
                 "links.%s means are not pairwise distinct at relative tolerance %g; "
                 "perturb the geometry instead of relying on tie-breaking"
                 % (labels[int(np.argmax(tied))], DISTINCT_RTOL))
-        self.peak_pu_src, *peaks = _per_family(max_exp_expectation,
-                                               (self.g_pu_src, *self.g_pu_relay))
-        self.peak_pu_relay = tuple(peaks)
+        families = {}
+        self.family = tuple(families.setdefault(row.tobytes(), len(families)) for row in primary)
+        self.family_gains = tuple(primary[self.family.index(f)] for f in range(len(families)))
+        peak = {f: max_exp_expectation(self.family_gains[f]) for f in set(self.family[:-1])}
+        self.peak_pu_src = peak[self.family[0]]
+        self.peak_pu_relay = tuple(peak[f] for f in self.family[1:-1])
 
     @property
     def n_relays(self):
@@ -170,18 +177,6 @@ def _stored_gains(families, alpha):
     return g
 
 
-def _per_family(fn, rows):
-    """[fn(row) for row in rows], with fn called once per distinct row: rows
-    equal in every bit are one primary gain family and share one result."""
-    done, out = {}, []
-    for row in rows:
-        key = row.tobytes()
-        if key not in done:
-            done[key] = fn(row)
-        out.append(done[key])
-    return out
-
-
 def _check_index(i, n_relays):
     """Return relay index i if it names one of n_relays relays, else raise
     ValueError: a negative index would silently alias a relay from the end
@@ -203,6 +198,8 @@ class PrimaryModel:
     def __post_init__(self):
         if self.tx_power <= 0.0:
             raise ValueError("primary.tx_power must be positive, got %g" % self.tx_power)
+        if not math.isfinite(self.tx_power):
+            raise ValueError("primary.tx_power must be finite, got %g" % self.tx_power)
         if not 0.0 <= self.duty <= 1.0:
             raise ValueError("primary.duty must lie in [0, 1], got %g" % self.duty)
 

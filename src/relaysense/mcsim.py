@@ -666,7 +666,7 @@ def mc_frame_energy(model: EnergyModel, i: int, t_sense: float, trials: int,
         return (val,)
 
     mean, se = _mean(sampler, trials, workers)
-    sens = f.t_data * (f.prr[i] * f.e_transmit[i]
+    sens = f.t_data * (f.prr(i) * f.e_transmit[i]
                        + (model.harvest_mean[i] if harvesting else 0.0))
     # sqrt(se**2 + (sens * se_det)**2) in `_units`, so neither square overflows
     k = _units(max(se, abs(sens * se_det)))
@@ -705,7 +705,7 @@ def mc_ecg(model: EnergyModel, i: int, t_sense: float, trials: int, seed: int,
     r = cbar / hbar
     var_r = max(var_c - 2.0 * r * cov + r * r * var_h, 0.0) / (n * hbar * hbar)
     # d r / d p_det: a detection moves the transmit cost into the harvest
-    sens = f.t_data * (f.prr[i] * math.ldexp(f.e_transmit[i], -kc)
+    sens = f.t_data * (f.prr(i) * math.ldexp(f.e_transmit[i], -kc)
                        + r * math.ldexp(model.harvest_mean[i], -kh)) / hbar
     var_r += (sens * se_det) ** 2
     k = kc - kh

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fading import (InterferenceLaw, LinkSet, PrimaryModel, _check_index, _per_family,
-                     activity_mixture)
+from .fading import InterferenceLaw, LinkSet, PrimaryModel, _check_index, activity_mixture
 from .specfun import bessel_k1_scaled, exp_scaled_gamma_upper_0
 
 
@@ -49,6 +48,8 @@ class SecondaryPolicy:
             if value < 0.0 or (name != "threshold" and value == 0.0):
                 raise ValueError("policy.%s must be %s, got %g" % (
                     name, "non-negative" if name == "threshold" else "positive", value))
+            if not math.isfinite(value):
+                raise ValueError("policy.%s must be finite, got %g" % (name, value))
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("policy.eta must lie in (0, 1], got %g" % self.eta)
 
@@ -128,11 +129,12 @@ def report_e2e_cdf(x, report: ReportGain, i: int):
 def sample_miss_probability(lam_norm, report: ReportGain):
     """Probability that one sample's observations all stay below the
     normalised threshold, across the direct path and every relay report.
-    Relays with the same law, gain normaliser and report SNR share one
-    evaluated factor; the factors still multiply in relay order."""
+    Relays with one law object (so one gain normaliser) and one report SNR
+    share one evaluated factor; the factors still multiply in relay order."""
     miss = report.direct.cdf(lam_norm)
     factors = {}
-    for i, key in enumerate(zip(map(id, report.relays), report.u_report, report.snr_report)):
+    for i, (law, b) in enumerate(zip(report.relays, report.snr_report)):
+        key = (next(j for j, other in enumerate(report.relays) if other is law), b)
         if key not in factors:
             factors[key] = report_e2e_cdf(lam_norm, report, i)
         miss *= factors[key]
@@ -155,20 +157,19 @@ def detection_probability(lam, n_samples, links: LinkSet, primary: PrimaryModel,
 
 def build_report_gain(links: LinkSet, primary: PrimaryModel,
                       policy: SecondaryPolicy) -> ReportGain:
-    """The whole reporting chain. One pass expands the interference laws
-    over the relays' gain rows and then the destination's, once per
-    distinct primary family: receivers whose rows are equal in every bit
-    share one law, and each distinct relay law's fixed gain is computed
-    once. The reporting power meets both limits with the primary taken as
-    always on (miss = 1)."""
+    """The whole reporting chain. It expands one interference law per
+    relay or destination family of `LinkSet.family`, relays first and then
+    the destination, and one fixed gain per relay family: receivers of one
+    family share one law object and one gain normaliser. The reporting
+    power meets both limits with the primary taken as always on (miss = 1)."""
     duty, scale = primary.duty, primary.tx_power / policy.noise_power
-    *relays, direct = _per_family(lambda g: activity_mixture(g, duty, scale),
-                                  (*links.g_pu_relay, links.g_pu_dst))
-    distinct = dict(zip(map(id, relays), relays))
-    fixed = {key: fixed_gain_report(law) for key, law in distinct.items()}
+    relay_family, dst_family = links.family[1:-1], links.family[-1]
+    laws = {f: activity_mixture(links.family_gains[f], duty, scale)
+            for f in dict.fromkeys((*relay_family, dst_family))}
+    fixed = {f: fixed_gain_report(laws[f]) for f in dict.fromkeys(relay_family)}
     _, p_report, _, snr_report = _secondary_hops(links, policy, 1.0)
-    return ReportGain(direct=direct, relays=tuple(relays),
-                      u_report=tuple(fixed[id(law)] for law in relays),
+    return ReportGain(direct=laws[dst_family], relays=tuple(laws[f] for f in relay_family),
+                      u_report=tuple(fixed[f] for f in relay_family),
                       p_report=p_report, snr_report=snr_report)
 
 

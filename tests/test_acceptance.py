@@ -158,7 +158,7 @@ def test_criterion_2_table_reproduction():
             # optimality suite even when it disagrees with the printed table
             assert opt.multiplier >= 0.0
             assert opt.data >= scn.d_star
-            assert energy_opt.necessary_condition(model, scn.relay, opt.t_sense)
+            assert model.frame(opt.t_sense).necessary_condition(scn.relay)
             grid = np.linspace(1e-6, model.t_listen - 1e-5, 160)
             vals = [energy_opt.total_energy(model, scn.relay, t) for t in grid]
             scale = max(abs(v) for v in vals)

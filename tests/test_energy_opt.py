@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 import math
 import sys
 import threading
@@ -15,7 +16,6 @@ from relaysense.energy_opt import (
     EnergyModel,
     InfeasibleDataError,
     ecg,
-    necessary_condition,
     optimize_sensing_time,
     total_energy,
     total_energy_nonharvesting,
@@ -73,6 +73,27 @@ class TestEnergyModel:
         with pytest.raises(ValueError):
             EnergyModel(scn.links, scn.primary, scn.policy, 0.1, 0.001, 0.0)
 
+    # an infinite t_report is rejected earlier, as not below t_total
+    @pytest.mark.parametrize("key, value", [
+        (key, value) for key in (
+            "policy.p_max", "policy.interference_cap", "policy.noise_power",
+            "policy.bandwidth", "policy.threshold", "policy.p_circuit_tx",
+            "policy.p_circuit_rx", "primary.tx_power", "frame.t_total", "frame.t_report",
+            "traffic.rate")
+        for value in (math.nan, math.inf) if (key, value) != ("frame.t_report", math.inf)])
+    def test_rejects_non_finite_inputs(self, key, value):
+        # a nan passes every `<=` check, and would reach the closed forms
+        scn = scenario_from_conf(preset("table1"))
+        args = {"primary": scn.primary, "policy": scn.policy,
+                "frame.t_total": 0.1, "frame.t_report": 0.001, "traffic.rate": 1e5}
+        section, name = key.split(".")
+        with pytest.raises(ValueError, match=r"^%s must be finite, got %s$" % (key, value)):
+            if section in args:
+                args[section] = dataclasses.replace(args[section], **{name: value})
+            else:
+                args[key] = value
+            EnergyModel(scn.links, *args.values())
+
     def test_per_sample_miss_in_unit_interval(self, table1_model):
         assert 0.0 < table1_model.delta < 1.0
 
@@ -89,8 +110,8 @@ class TestEnergyModel:
 
     def test_one_coefficient_set_serves_every_relay(self, fig7_model):
         f = fig7_model.frame(0.02)
-        assert len(f.prr) == len(f.e_transmit) == fig7_model.n_relays
-        assert sum(f.prr) == pytest.approx(1.0, rel=1e-12)
+        assert len(f.e_transmit) == fig7_model.n_relays
+        assert sum(f.prr(i) for i in range(fig7_model.n_relays)) == pytest.approx(1.0, rel=1e-12)
         p_tx = fig7_model.policy.p_circuit_tx
         assert f.e_transmit == tuple(p + p_tx for p in f.coeffs.p_relay)
 
@@ -117,7 +138,7 @@ class TestTotalEnergy:
         w = m.policy.bandwidth
         f = m.frame(t)
         want = (m.e_sense * t * t * w + m.e_report[0] * m.t_report * t * w
-                + f.miss * f.prr[0] * f.e_transmit[0] * f.t_data)
+                + f.miss * f.prr(0) * f.e_transmit[0] * f.t_data)
         assert total_energy_nonharvesting(m, 0, t) == pytest.approx(want, rel=1e-14)
 
     def test_harvesting_never_costs(self, fig7_model):
@@ -146,7 +167,7 @@ class TestExpectedData:
     def test_formula(self, table1_model):
         m = table1_model
         t = 2e-6
-        want = m.miss(t) * m.frame(t).prr[0] * m.rate * (m.t_listen - t)
+        want = m.miss(t) * m.frame(t).prr(0) * m.rate * (m.t_listen - t)
         assert m.frame(t).data(0) == pytest.approx(want, rel=1e-14)
 
     def test_vanishes_with_data_slot(self, table1_model):
@@ -212,7 +233,7 @@ class TestEnergySlope:
             s = m.frame(t).slope(0)
             if abs(s) < 1e-9 * scale:
                 continue
-            assert necessary_condition(m, 0, t) == (s >= 0.0), f"t = {t}"
+            assert m.frame(t).necessary_condition(0) == (s >= 0.0), f"t = {t}"
 
     def test_always_detecting_band(self):
         # duty 1 with a zero threshold: every sample sees an active primary
@@ -220,7 +241,7 @@ class TestEnergySlope:
         m = model_for("table1", ["primary.duty=1", "policy.threshold=0 W"])
         assert m.delta == 0.0
         assert m.frame(1e-6).p_detect == 1.0
-        assert necessary_condition(m, 0, 1e-5)
+        assert m.frame(1e-5).necessary_condition(0)
         assert m.frame(1e-5).slope(0) > 0.0
 
 
@@ -254,6 +275,22 @@ class TestOptimize:
         assert abs(c) <= 1e-6
         assert opt.multiplier != 0.0
         assert abs(opt.multiplier * c) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_multiplier_is_the_kkt_multiplier(self, n):
+        # a floor at the data of half the free optimum is active, and its
+        # multiplier is mu = -dE/dc > 0 (Boyd & Vandenberghe 2004, sec. 5.5)
+        c = relay_ladder_conf(ladder_conf(preset("table1"), 1.0, n, 0.01), 0.5, 0.5, n, 0.005)
+        scn = scenario_from_conf(c)
+        m, i = scn.energy_model(), scn.relay
+        d_star = m.frame(0.5 * optimize_sensing_time(m, i, 0.0).t_sense).data(i)
+        opt = optimize_sensing_time(m, i, d_star)
+        assert opt.constraint_active
+        lo, hi = m.frame(opt.t_sense * (1.0 - 1e-4)), m.frame(opt.t_sense * (1.0 + 1e-4))
+        want = -((hi.energy(i) - lo.energy(i))
+                 / (hi.constraint(i, d_star) - lo.constraint(i, d_star)))
+        assert opt.multiplier > 0.0
+        assert opt.multiplier == pytest.approx(want, rel=1e-4)
 
     def test_slack_floor_changes_nothing(self, table1_model):
         m = table1_model
@@ -290,7 +327,7 @@ class TestEcg:
         t_data = m.t_listen - t
         f = m.frame(t)
         consumed = (m.e_sense * t + m.e_report[0] * m.t_report * t * m.policy.bandwidth
-                    + (1.0 - pd) * f.prr[0] * f.e_transmit[0] * t_data)
+                    + (1.0 - pd) * f.prr(0) * f.e_transmit[0] * t_data)
         want = consumed / (pd * m.harvest_mean[0] * t_data)
         assert ecg(m, 0, t) == pytest.approx(want, rel=1e-14)
 
@@ -382,8 +419,9 @@ class TestCoefficientBuilds:
         # the model keeps each frame's fields: every later reader at 0.02 s shares them
         m = model_for("fig7")
         f = m.frame(0.02)
-        for fn in (total_energy, ecg, necessary_condition):
+        for fn in (total_energy, ecg):
             fn(m, 0, 0.02)
+        m.frame(0.02).necessary_condition(0)
         for fn in (mcsim.mc_frame_energy, mcsim.mc_ecg):
             fn(m, 0, 0.02, trials=1000, seed=1)
         assert m.frame(0.02) == f
@@ -498,23 +536,20 @@ class TestLazyOdds:
         assert all(i == scn.relay for _, i in odds)
         f = model.frame(opt.t_sense)
         want = tuple(transmission.relay_selection_prob(f.coeffs.snr_means, i) for i in range(4))
-        assert len(f.prr) == 4
-        assert tuple(f.prr) == want
-        assert sum(f.prr) == sum(want)
+        assert tuple(f.prr(i) for i in range(4)) == want
+        assert sum(f.prr(i) for i in range(4)) == sum(want)
         # the other three relays, once each, on the first read only
         assert len(odds) == len(builds) + 3
-        list(f.prr)
+        for i in range(4):
+            f.prr(i)
         assert len(odds) == len(builds) + 3
 
     def test_reads_like_a_tuple(self, fig7_model):
         f = fig7_model.frame(0.021)
         want = tuple(transmission.relay_selection_prob(f.coeffs.snr_means, i)
                      for i in range(fig7_model.n_relays))
-        assert f.prr[-1] == want[-1]
-        assert list(reversed(f.prr)) == list(reversed(want))
-        with pytest.raises(IndexError):
-            f.prr[fig7_model.n_relays]
-        assert fig7_model.frame(0.021).prr is f.prr
+        assert tuple(f.prr(i) for i in range(fig7_model.n_relays)) == want
+        assert fig7_model.frame(0.021).odds is f.odds
 
     def test_threads_racing_on_fresh_odds_read_one_value(self, fig7_model):
         # more threads than cores, switching often: every thread reads every
@@ -528,7 +563,8 @@ class TestLazyOdds:
 
         def read():
             try:
-                seen.append([tuple(f.prr) for f in frames])
+                seen.append([tuple(f.prr(i) for i in range(fig7_model.n_relays))
+                             for f in frames])
             except Exception as exc:  # noqa: BLE001 - reported by the assertion below
                 errors.append(exc)
 
@@ -545,7 +581,7 @@ class TestLazyOdds:
         assert not any(t.is_alive() for t in threads)
         assert errors == []
         assert seen == [want] * len(threads)
-        assert [tuple(f.prr) for f in frames] == want
+        assert [tuple(f.prr(i) for i in range(fig7_model.n_relays)) for f in frames] == want
 
 
 # every public entry point that takes a relay index, called on relay i of m
@@ -574,7 +610,8 @@ RELAY_ENTRY_POINTS = {
     "Frame.slope": lambda m, i: m.frame(0.02).slope(i),
     "Frame.constraint": lambda m, i: m.frame(0.02).constraint(i, 1.0),
     "Frame.multiplier": lambda m, i: m.frame(0.02).multiplier(i, 1.0),
-    "necessary_condition": lambda m, i: necessary_condition(m, i, 0.02),
+    "Frame.necessary_condition": lambda m, i: m.frame(0.02).necessary_condition(i),
+    "Frame.prr": lambda m, i: m.frame(0.02).prr(i),
     "optimize_sensing_time": lambda m, i: optimize_sensing_time(m, i, 0.0),
     "ecg": lambda m, i: ecg(m, i, 0.02),
 }

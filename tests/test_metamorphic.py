@@ -5,8 +5,9 @@ The Monte Carlo oracles take the model from the same code as the closed
 forms, so a modelling choice is checked by neither. These relations check
 the model from the outside (Chen et al., ACM Computing Surveys 51(1), 2018):
 relabelling the relays or the primaries, moving the noise floor under
-powers given in dB over it, and adding a relay or a primary too far away to
-matter. Every scenario is a stock preset with config overrides.
+powers given in dB over it, adding a relay or a primary too far away to
+matter, moving the duty towards 0 or 1, and making the relays identical.
+Every scenario is a stock preset with config overrides.
 
 Where a relation holds in exact arithmetic but the float sums run in input
 order, the outputs agree to rounding (`assert_agree`), and a strict xfail
@@ -19,7 +20,7 @@ import math
 import pytest
 
 from relaysense import harvest, sensing, transmission
-from relaysense.scenario import apply_overrides, preset, scenario_from_conf
+from relaysense.scenario import apply_overrides, preset, relay_ladder_conf, scenario_from_conf
 
 
 def closed_forms(name, overrides=()):
@@ -150,6 +151,48 @@ class TestFarRelay:
         # rises 1.2e-17 more than the odds, 5.1e-14
         assert abs(p_out_far - p_out) <= odds + 4 * math.ulp(1.0)
         assert odds < 1e-10
+
+
+def with_frame_energy(name, duty):
+    """`closed_forms` at primary.duty=duty, with the frame energy of the
+    scenario's relay at its sensing time appended."""
+    vals, scn = closed_forms(name, ["primary.duty=%r" % duty])
+    return vals + [scn.energy_model().frame(scn.t_sense).energy(scn.relay)]
+
+
+class TestDutyContinuity:
+    # every output is smooth in the duty up to its ends, so the gap to the
+    # end's value is linear in the distance eps: it shrinks about 1000-fold
+    # from eps = 1e-12 to 1e-15, less the rounding of `assert_agree`. fig6's
+    # outage reads -8.9e-16 at duty 1e-15 (ROADMAP item 4's cancellation),
+    # so only the gap is asserted, not the unit interval
+    @pytest.mark.parametrize("end", [0.0, 1.0])
+    @pytest.mark.parametrize("name", ["fig3", "default", "fig6"])
+    def test_gap_to_the_end_is_linear_in_the_distance(self, name, end):
+        want = with_frame_energy(name, end)
+        near, nearer = ([abs(a - b) for a, b in zip(with_frame_energy(name, abs(end - eps)),
+                                                    want)] for eps in (1e-12, 1e-15))
+        rounding = [4 * math.ulp(1.0)] * 2 + [4 * math.ulp(v) for v in want[2:]]
+        for k, (a, b, r) in enumerate(zip(near, nearer, rounding)):
+            assert b <= 1.25e-3 * a + r, (k, a, b)
+
+
+class TestIdenticalRelays:
+    # fig6's geometry with M relays at one distance: one primary family for
+    # every receiver, and selection odds of the i.i.d. order statistic, 1/M
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_relays_are_interchangeable(self, n):
+        scn = scenario_from_conf(relay_ladder_conf(preset("fig6"), 0.1, 0.1, n, 0.0))
+        assert scn.links.family == (0,) * (n + 2)
+        m = scn.energy_model()
+        assert all(law is m.report.relays[0] for law in m.report.relays)
+        f = m.frame(scn.t_sense)
+        for i in range(n):
+            assert f.prr(i) == pytest.approx(1.0 / n, rel=0.0, abs=4 * math.ulp(1.0))
+        rows = [(f.prr(i), f.energy(i), f.energy_nonharvesting(i), f.data(i),
+                 f.listen_linear(i), f.ecg(i), f.slope(i), f.constraint(i, 100.0),
+                 f.multiplier(i, 100.0), f.necessary_condition(i)) for i in range(n)]
+        assert rows == [rows[0]] * n
 
 
 @pytest.mark.pin

@@ -212,8 +212,9 @@ class TestScenarioFromConf:
         assert scenario_from_conf(load_config(str(path))).rho == 0.3
 
     def test_later_doppler_replaces_inherited_rho(self, tmp_path):
-        # every preset spells out a rho; a later layer that sets the Doppler
-        # inputs without a rho must get the Jakes value, not that rho
+        # default and fig4 spell out a rho, and the others inherit the
+        # `csi.rho` default; a later layer that sets the Doppler inputs
+        # without a rho must get the Jakes value, not either rho
         jakes = rho_from_doppler(100.0, 1e-3)
         doppler = ["csi.doppler_hz=100 Hz", "csi.t_diff=1 ms"]
         for name in ("default", "fig3", "fig4", "fig6"):

@@ -522,6 +522,40 @@ class TestOneExpansionPerFamily:
         assert hexes(sample_miss_probability(lam, report)) == hexes(want)
 
 
+# each receiver's family (source, relays, destination) by first appearance
+FAMILY_PARTITIONS = {"default": (0, 0, 0, 1), "fig3": (0, 0, 0), "fig4": (0, 0, 0, 1),
+                     "fig6": (0,) * 6, "fig7": (0,) * 6, "fig8": (0, 0, 0),
+                     "table1": (0, 0, 0), "ladder12": (0,) * 4, "fig4-distinct": (0, 0, 1, 2)}
+
+
+class TestFamilyMap:
+    """`LinkSet.family` is the one partition of the receivers into primary
+    families, and every shared object follows it: receivers share a law
+    object, and relays a fixed gain and a peak, if and only if they share
+    a family."""
+
+    @staticmethod
+    def assert_shared_as_the_map_says(objects, families):
+        for (a, fa), (b, fb) in itertools.combinations(zip(objects, families), 2):
+            assert (a is b) == (fa == fb)
+
+    @pytest.mark.parametrize("case", sorted(FAMILY_PARTITIONS))
+    def test_shared_objects_follow_the_map(self, case):
+        scn = {**FAMILY_CASES, "fig7": lambda: scenario_from_conf(preset("fig7"))}[case]()
+        links = scn.links
+        family = links.family
+        assert family == FAMILY_PARTITIONS[case]
+        rows = (links.g_pu_src, *links.g_pu_relay, links.g_pu_dst)
+        assert [row.tobytes() for row in rows] \
+            == [links.family_gains[f].tobytes() for f in family]
+        assert len({g.tobytes() for g in links.family_gains}) == len(links.family_gains)
+        report = build_report_gain(links, scn.primary, scn.policy)
+        self.assert_shared_as_the_map_says((*report.relays, report.direct), family[1:])
+        self.assert_shared_as_the_map_says(report.u_report, family[1:-1])
+        self.assert_shared_as_the_map_says((links.peak_pu_src, *links.peak_pu_relay),
+                                           family[:-1])
+
+
 class TestKernelCalls:
     """The mixture is evaluated one array operation per active count, so a
     report quantity calls its special-function kernel at most L times, not
