@@ -79,9 +79,11 @@ draws row, on `fig4` at `FIG4_OUTAGE_TRIALS` draws per call, the size of
 geometry-sweep's fig4 rows.
 
 `figures`: the wall time and the child's peak RSS (`ru_maxrss`) of
-`relaysense figure` for every stock figure (`FIGURES`), at `FIGURE_TRIALS`
-trials and `FIGURE_WORKERS` workers, in a fresh interpreter with the one
-BLAS thread set below. A child's `ru_maxrss` counts the memory of the
+`relaysense figure` for every stock figure (`FIGURES`), once with Monte
+Carlo and once with `--no-mc` (rows `mc` yes and no, side by side), and of
+`relaysense validate` on `default`, at `FIGURE_TRIALS` trials and
+`FIGURE_WORKERS` workers, in a fresh interpreter with the one BLAS thread
+set below. A child's `ru_maxrss` counts the memory of the
 process it was forked from, so this section runs right after start-up, and
 each row also gives this process's own peak RSS (`bench_maxrss_mb`), a
 floor under the child's. Not part of CI: each run takes seconds.
@@ -498,14 +500,15 @@ def mc_cases(trials):
 
 
 def figure_cases():
-    """Per figure: wall seconds and the child's ru_maxrss in MB of
-    `relaysense figure` at FIGURE_TRIALS trials, with this process's own
-    peak RSS, a floor under every child's."""
+    """Per figure with and without Monte Carlo, then `validate` on default:
+    wall seconds and the child's ru_maxrss in MB at FIGURE_TRIALS trials,
+    with this process's own peak RSS, a floor under every child's."""
     env = _child_env()
 
-    def run(name):
+    def run(command, mc):
         cmd = [sys.executable, "-m", "relaysense", "--trials", str(FIGURE_TRIALS),
-               "--workers", str(FIGURE_WORKERS), "--out", os.devnull, "figure", name]
+               "--workers", str(FIGURE_WORKERS), "--out", os.devnull,
+               *(() if mc else ("--no-mc",)), *command.split()]
         t0 = time.perf_counter()
         child = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
         _, status, usage = os.wait4(child.pid, 0)
@@ -516,8 +519,10 @@ def figure_cases():
         return {"wall_s": wall, "maxrss_mb": usage.ru_maxrss / 1024.0,
                 "bench_maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
 
-    return [({"figure": name, "trials": FIGURE_TRIALS, "workers": FIGURE_WORKERS},
-             lambda name=name: run(name)) for name in FIGURES]
+    runs = [("figure " + name, mc) for name in FIGURES for mc in (True, False)]
+    return [({"command": command, "mc": "yes" if mc else "no", "trials": FIGURE_TRIALS,
+              "workers": FIGURE_WORKERS}, lambda command=command, mc=mc: run(command, mc))
+            for command, mc in runs + [("validate", True)]]
 
 
 def src_stats():

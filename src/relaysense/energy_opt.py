@@ -31,7 +31,6 @@ from .sensing import SecondaryPolicy, build_report_gain, sample_miss_probability
 from .transmission import TransCoeffs, build_trans_coeffs, relay_selection_prob
 
 TIME_TOL = 1e-7       # sensing-time resolution, s
-CONSTRAINT_TOL = 1e-9  # activity tolerance on the SNR-form data constraint
 LN2 = math.log(2.0)
 
 
@@ -141,8 +140,8 @@ class Frame:
         per frame reaches d_star bits. Strictly increasing and convex in t_sense."""
         m = self.model
         m.links.check_relay(i)
-        if d_star < 0.0:
-            raise ValueError("data floor must be non-negative")
+        if not 0.0 <= d_star:
+            raise ValueError("data floor must be non-negative, got %g" % d_star)
         gamma_rate = math.expm1(LN2 * m.rate / m.policy.bandwidth)
         if d_star == 0.0:
             return -gamma_rate
@@ -164,6 +163,8 @@ class Frame:
         stationarity of energy + mu * constraint: mu = -slope / constraint'
         (Boyd & Vandenberghe 2004, sec. 5.5), with pref = 1 / constraint'."""
         self.model.links.check_relay(i)
+        if not 0.0 <= d_star:
+            raise ValueError("data floor must be non-negative, got %g" % d_star)
         w = self.model.policy.bandwidth
         if self.miss == 0.0:
             return 0.0
@@ -316,8 +317,8 @@ def optimize_sensing_time(model: EnergyModel, i: int, d_star: float) -> SensingO
     feasible set is an interval (0, t_max]; the energy objective is convex
     there, so golden-section search suffices.
     """
-    if d_star < 0.0:
-        raise ValueError("data floor must be non-negative")
+    if not 0.0 <= d_star:
+        raise ValueError("data floor must be non-negative, got %g" % d_star)
     lo = TIME_TOL
     hi = model.t_listen - TIME_TOL
     if hi <= lo:
@@ -370,10 +371,8 @@ def optimize_sensing_time(model: EnergyModel, i: int, d_star: float) -> SensingO
                 break
 
     f = model.frame(t_star)
-    active = (d_star > 0.0
-              and t_max < hi
-              and abs(f.constraint(i, d_star)) <= max(
-                  CONSTRAINT_TOL, 1e-6 * abs(model.frame(lo).constraint(i, d_star))))
+    # the floor binds when it cut the bracket short and the optimum sits on that end
+    active = t_max < hi and t_star == t_max
     mu = f.multiplier(i, d_star) if active else 0.0
     return SensingOptimum(
         t_sense=t_star,

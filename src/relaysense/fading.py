@@ -10,7 +10,8 @@ no transmitter is on. `activity_mixture` expands it into an
 `InterferenceLaw`, once per primary family: receivers whose primary gain
 rows are equal in every bit (as the shared `d_pu` ladder places the source,
 the destination and every relay) are one family, which `LinkSet` finds once
-and which shares one law, one fixed gain and one peak gain.
+and which shares one law, one fixed gain and one peak gain. The law's CDF
+answers one threshold at a time, as every caller asks for one operating point.
 """
 
 from __future__ import annotations
@@ -220,12 +221,12 @@ def partial_fraction_weights(means):
     return np.prod(ratios, axis=-1)
 
 
-def _points(x, message):
-    """(whether x is a scalar, x as a 1-D float array); negative x raise `message`."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(arr < 0.0):
-        raise ValueError(message)
-    return np.ndim(x) == 0, arr
+def _threshold(x):
+    """One SNR threshold x as a Python float; a negative or nan x raises."""
+    x = float(x)
+    if not 0.0 <= x:
+        raise ValueError("SNR threshold must be non-negative, got %g" % x)
+    return x
 
 
 def _positive_means(means):
@@ -261,11 +262,9 @@ def _subset_rows(n):
 
 
 def _add_in_order(total, terms):
-    """total + terms[..., 0] + terms[..., 1] + ..., one addition at a time:
+    """total + terms[0] + terms[1] + ..., one addition at a time, as a float:
     np.sum adds pairwise, which moves the last bits of a saturated 1 - delta**n."""
-    total = np.asarray(total, dtype=float)[..., None]
-    running = np.add.accumulate(np.concatenate((total, terms), axis=-1), axis=-1)
-    return running[..., -1][()]
+    return float(np.add.accumulate(np.concatenate(([total], terms)))[-1])
 
 
 def _exp_survival(x, mm):
@@ -285,22 +284,17 @@ class InterferenceLaw(NamedTuple):
     groups: tuple
 
     def cdf(self, x, survival=_exp_survival):
-        """P[Y <= x], x >= 0, for a Y that is 0 when nothing is active and
-        has survival(x, mm) per exponential component of mean mm; the default
-        makes Y the interference. survival is evaluated once per positive
-        point and mean, as an (n, L) array, so the CDF at 0 is exactly the
-        atom."""
-        scalar, x = _points(x, "SNR threshold must be non-negative")
-        out = np.full_like(x, self.atom)
-        pos = x > 0.0
-        if self.groups:
-            surv = survival(x[pos][:, None], self.means)
+        """P[Y <= x] at one threshold x >= 0, as a Python float, for a Y that is 0
+        when nothing is active and has survival(x, mm) per exponential component
+        of mean mm (by default, the interference). survival is evaluated on the
+        L means, and only at x > 0, so the CDF at 0 is exactly the atom."""
+        x = _threshold(x)
+        total = float(self.atom)
+        if x > 0.0 and self.groups:
+            surv = survival(x, self.means)
             for prob, idx, w in self.groups:
-                # gathered into a C-ordered (n, C(L, r), r) array: np.sum's
-                # pairwise order at r >= 8 depends on the layout
-                s = np.ascontiguousarray(surv[:, idx])
-                out[pos] = _add_in_order(out[pos], prob * (1.0 - np.sum(w * s, axis=-1)))
-        return float(out[0]) if scalar else out
+                total = _add_in_order(total, prob * (1.0 - np.sum(w * surv[idx], axis=-1)))
+        return total
 
     def expect(self, term, kernel):
         """E[g(X); X > 0] over the continuous part. kernel(means) gives a
@@ -313,7 +307,7 @@ class InterferenceLaw(NamedTuple):
             for prob, idx, w in self.groups:
                 total = _add_in_order(
                     total, prob * np.sum(term(w, *(a[idx] for a in per_mean)), axis=-1))
-        return float(total)
+        return total
 
 
 def activity_mixture(means, duty, scale):

@@ -445,6 +445,8 @@ def mc_detection(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
     to the frame level through the OR rule, with the matching delta-method
     standard error.
     """
+    if not 0.0 < n_samples < math.inf:
+        raise ValueError("need a positive finite sample count, got %g" % n_samples)
     sampler = _sample_exceed_sampler(links, primary, policy, lam / policy.noise_power,
                                      build_report_gain(links, primary, policy))
     L, M = links.n_primary, links.n_relays
@@ -499,6 +501,8 @@ def mc_outage(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
               seed: int, workers: int = 1) -> MCEstimate:
     """Simulated outage probability of best-estimate relay selection with
     outdated CSI. gamma_th is the absolute threshold in watts."""
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError("correlation rho must lie in [0, 1], got %g" % rho)
     coeffs = build_trans_coeffs(links, primary, policy, p_detect)
     m, a, u = coeffs.snr_means, coeffs.snr_first, coeffs.u_trans
     x = gamma_th / policy.noise_power
@@ -556,6 +560,8 @@ def mc_clipped_gain(links: LinkSet, primary: PrimaryModel, policy: SecondaryPoli
                     i: int, threshold_t: float, u: float, trials: int, seed: int,
                     workers: int = 1) -> MCEstimate:
     """Simulated mean squared gain of the clipped amplifier at relay i."""
+    if not 0.0 <= threshold_t:
+        raise ValueError("clipping threshold must be non-negative, got %g" % threshold_t)
     mix_scale = primary.tx_power / policy.noise_power
     g = links.g_pu_relay[links.check_relay(i)]
     duty = primary.duty

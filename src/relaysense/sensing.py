@@ -114,10 +114,10 @@ def _af_tail(x, a, q):
     return np.exp(-x / a - s) * s * bessel_k1_scaled(s)
 
 
-def report_e2e_cdf(x, report: ReportGain, i: int):
-    """CDF of the end-to-end forwarded interference SNR of relay i, at x in
-    noise-normalised units: the all-off atom at zero plus a continuous part
-    shaped by the dual-hop fixed-gain chain."""
+def report_e2e_cdf(x, report: ReportGain, i: int) -> float:
+    """CDF of the end-to-end forwarded interference SNR of relay i, at one
+    threshold x in noise-normalised units: the all-off atom at zero plus a
+    continuous part shaped by the dual-hop fixed-gain chain."""
     i = _check_index(i, len(report.relays))
     u, b = report.u_report[i], report.snr_report[i]
     # an overflow here (u = inf, or a finite u near the float limit: nothing
@@ -148,8 +148,8 @@ def detection_probability(lam, n_samples, links: LinkSet, primary: PrimaryModel,
     lam is the absolute threshold in watts; n_samples may be fractional
     (the optimiser treats the sample count as continuous).
     """
-    if n_samples <= 0:
-        raise ValueError("need a positive sample count")
+    if not 0.0 < n_samples < math.inf:
+        raise ValueError("need a positive finite sample count, got %g" % n_samples)
     delta = sample_miss_probability(lam / policy.noise_power,
                                     build_report_gain(links, primary, policy))
     return 1.0 - delta**n_samples
@@ -184,7 +184,7 @@ def avg_clipped_gain(threshold_t, law: InterferenceLaw, u: float):
     non-negative.
     """
     t = float(threshold_t)
-    if t < 0.0:
+    if not 0.0 <= t:
         raise ValueError("clipping threshold must be non-negative, got %g" % t)
 
     return law.cdf(t) / u + law.expect(

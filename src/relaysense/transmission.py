@@ -14,7 +14,8 @@ one constant that needs a special function (E1), is derived on its first
 read, which only the outage makes. `_subset_terms` is the one source of the
 selection odds and of the outage's subset terms; it runs on Python floats,
 since a frame needs a few dozen scalar terms. The selected relay's dual-hop
-tail is the detector's AF kernel, `sensing._af_tail`.
+tail is the detector's AF kernel, `sensing._af_tail`, evaluated once per
+term at the one threshold `outage_probability` takes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fading import LinkSet, PrimaryModel, _check_index, _points
+from .fading import LinkSet, PrimaryModel, _check_index, _threshold
 from .sensing import SecondaryPolicy, _af_tail, _secondary_hops
 from .specfun import bessel_j0, exp_scaled_gamma_upper_0
 
@@ -127,32 +128,29 @@ def relay_selection_prob(snr_means, i: int) -> float:
 
 
 def _selected_cdf_weighted(x, u, a_mean, terms):
-    # Pr[selected] * CDF of the end-to-end SNR given selection, at x >= 0
-    scalar, x = _points(x, "SNR threshold must be non-negative")
-    out = np.full_like(x, _selection_prob(terms))
-    pos = x > 0.0
-    xp = x[pos][:, None]
+    # Pr[selected] * CDF of the end-to-end SNR given selection, at one x >= 0
+    if x == 0.0:
+        return 0.0
     rates = np.array([rate for _, _, _, rate in terms])
     # q overflows only where u is near the float limit (a tiny amplifier
     # cap); `_af_tail` clips an infinite q to a zero tail, so it is not warned
     with np.errstate(over="ignore"):
-        q = xp * u * rates / a_mean
-    # one kernel call for every (x, term) pair; the terms come off in order
-    tails = _af_tail(xp, a_mean, q)
-    acc = out[pos]
-    for (_, _, amp, rate), tail in zip(terms, tails.T):
+        q = x * u * rates / a_mean
+    acc = _selection_prob(terms)
+    for (_, _, amp, rate), tail in zip(terms, _af_tail(x, a_mean, q).tolist()):
         acc -= (amp / rate) * tail
-    out[pos] = acc
-    out[x == 0.0] = 0.0
-    return float(out[0]) if scalar else out
+    return acc
 
 
 def outage_probability(gamma_th, links: LinkSet, primary: PrimaryModel,
                        policy: SecondaryPolicy, p_detect: float, rho: float) -> float:
     """Probability that the selected relay's end-to-end SNR falls below the
-    absolute threshold gamma_th (W at the detector input)."""
+    absolute threshold gamma_th (W at the detector input), for estimates of
+    correlation rho in [0, 1] with the truth."""
     coeffs = build_trans_coeffs(links, primary, policy, p_detect)
-    x = gamma_th / policy.noise_power
+    x = _threshold(gamma_th / policy.noise_power)
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError("correlation rho must lie in [0, 1], got %g" % rho)
     total = 0.0
     for i in range(links.n_relays):
         terms = _subset_terms(coeffs.snr_means, i, rho)

@@ -267,3 +267,27 @@ def select_outage_hits(true, est, e, m, a, u, x):
     first = e * a_sel
     e2e = first * second / (second + u_sel)
     return e2e <= x
+
+
+# --- best-relay outage under perfect CSI, by quadrature ------------------------
+
+def perfect_csi_outage(x, m, a, u):
+    """Outage of selection by the true second hop (rho = 1): relay i is picked
+    when its Exp(m[i]) second-hop SNR y is the largest, and is out when its
+    dual-hop SNR g*y/(y+u[i]), g ~ Exp(a[i]), stays at or below x. One
+    quadrature over y per relay, on y = e^s, since the SNR means are large."""
+    total = 0.0
+    for i in range(len(m)):
+        def integrand(s, i=i):
+            y = math.exp(s)
+            p = y * math.exp(-y / m[i]) / m[i]
+            for j in range(len(m)):
+                if j != i:
+                    p *= -math.expm1(-y / m[j])
+            return p * -math.expm1(-x * (y + u[i]) / (a[i] * y))
+
+        # past 60 means the weight e^(-y/m[i]) is below 1e-26
+        hi = math.log(60.0 * m[i])
+        total += integrate.quad(integrand, hi - 80.0, hi, limit=600,
+                                epsabs=0.0, epsrel=1e-12)[0]
+    return total

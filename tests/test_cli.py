@@ -500,6 +500,14 @@ class TestSingleQuantityCommands:
                     "--set", "links.d_pu_relay=1.0, 1.0; 1.01, 1.01",
                     "optimize"]) in (0, 1)
 
+    def test_active_floor_is_checked_by_dual_feasibility(self, capsys):
+        # the floor binds at 100 bits on default: the energy slope is negative
+        # there, and the check is the multiplier's sign instead
+        assert run(["--no-mc", "--set", "traffic.d_star=100", "optimize"]) == 0
+        out = capsys.readouterr().out
+        assert "constraint   = active" in out
+        assert "slope_check  = satisfied" in out
+
     def test_optimize_infeasible_floor(self, capsys):
         rc = run(["--no-mc", "--set", "traffic.d_star=1e15", "optimize"])
         assert rc == 1

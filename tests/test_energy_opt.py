@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from relaysense import (cli, energy_opt, fading, harvest, mcsim, sensing, specfun,
                         transmission)
 from relaysense.energy_opt import (
-    CONSTRAINT_TOL,
     TIME_TOL,
     EnergyModel,
     InfeasibleDataError,
@@ -630,3 +629,53 @@ class TestRelayIndex:
         # a frame simulator's state in the held slot is the valid call's
         frame = mcsim._held[2]
         assert frame is None or frame[1] == fig7_model.n_relays - 1
+
+
+# (entry point, argument, bad value) -> (call on model m with the bad value,
+# the message it raises); nan once passed every `x < lo` check below, and
+# nothing checked rho
+SCALAR_CHECKS = {
+    ("detection_probability", "lam", math.nan): (lambda m, v: sensing.detection_probability(
+        v, 10.0, m.links, m.primary, m.policy), "SNR threshold must be non-negative"),
+    ("detection_probability", "n_samples", math.nan): (
+        lambda m, v: sensing.detection_probability(m.policy.threshold, v, m.links,
+                                                   m.primary, m.policy), "sample count"),
+    ("detection_probability", "n_samples", math.inf): (
+        lambda m, v: sensing.detection_probability(m.policy.threshold, v, m.links,
+                                                   m.primary, m.policy), "sample count"),
+    ("mc_detection", "n_samples", math.nan): (lambda m, v: mcsim.mc_detection(
+        m.links, m.primary, m.policy, m.policy.threshold, v, trials=100, seed=1),
+        "sample count"),
+    ("InterferenceLaw.cdf", "x", math.nan): (lambda m, v: m.report.direct.cdf(v),
+                                              "SNR threshold must be non-negative"),
+    ("report_e2e_cdf", "x", math.nan): (lambda m, v: sensing.report_e2e_cdf(v, m.report, 0),
+                                         "SNR threshold must be non-negative"),
+    ("avg_clipped_gain", "threshold_t", math.nan): (lambda m, v: sensing.avg_clipped_gain(
+        v, m.report.relays[0], m.report.u_report[0]), "clipping threshold"),
+    ("mc_clipped_gain", "threshold_t", math.nan): (lambda m, v: mcsim.mc_clipped_gain(
+        m.links, m.primary, m.policy, 0, v, 2.0, trials=100, seed=1), "clipping threshold"),
+    ("outage_probability", "gamma_th", math.nan): (
+        lambda m, v: transmission.outage_probability(v, m.links, m.primary, m.policy,
+                                                     0.9, 0.5),
+        "SNR threshold must be non-negative"),
+    **{("outage_probability", "rho", rho): (
+        lambda m, v: transmission.outage_probability(m.policy.threshold, m.links, m.primary,
+                                                     m.policy, 0.9, v),
+        r"rho must lie in \[0, 1\]") for rho in (math.nan, -0.5, 2.0)},
+    **{("mc_outage", "rho", rho): (lambda m, v: mcsim.mc_outage(
+        m.links, m.primary, m.policy, m.policy.threshold, 0.9, v, trials=100, seed=1),
+        r"rho must lie in \[0, 1\]") for rho in (math.nan, -0.5, 2.0)},
+    ("optimize_sensing_time", "d_star", math.nan): (
+        lambda m, v: optimize_sensing_time(m, 0, v), "data floor must be non-negative"),
+    ("Frame.constraint", "d_star", math.nan): (lambda m, v: m.frame(0.02).constraint(0, v),
+                                                "data floor must be non-negative"),
+    ("Frame.multiplier", "d_star", math.nan): (lambda m, v: m.frame(0.02).multiplier(0, v),
+                                                "data floor must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("case", list(SCALAR_CHECKS), ids=lambda c: "%s-%s=%g" % c)
+def test_nan_and_out_of_range_scalars_are_rejected(case, fig7_model):
+    call, message = SCALAR_CHECKS[case]
+    with pytest.raises(ValueError, match=message):
+        call(fig7_model, case[2])

@@ -123,7 +123,6 @@ class TestHypoexp:
         law = activity_mixture(1.2 ** np.arange(6), 1.0, 1.0)
         assert law.atom == 0.0
         assert law.cdf(0.0) == law.atom
-        assert thinned_cdf(np.zeros(3), [1.0, 2.0, 3.0], duty=0.3).tolist() == [0.7**3] * 3
 
     def test_survival_integrates_to_mean(self):
         # E[X] = duty * sum(means) for the thinned sum
@@ -168,12 +167,6 @@ class TestHypoexp:
     def test_rejects_negative_argument(self):
         with pytest.raises(ValueError):
             thinned_cdf(-0.1, [1.0, 2.0], duty=0.5)
-
-    def test_vector_argument(self):
-        x = np.array([0.0, 1.0, 2.0])
-        out = thinned_cdf(x, [1.0, 2.0], duty=0.5)
-        assert out.shape == (3,)
-        assert out[0] == pytest.approx(0.25)
 
 
 class TestMaxExp:

@@ -6,8 +6,10 @@ forms, so a modelling choice is checked by neither. These relations check
 the model from the outside (Chen et al., ACM Computing Surveys 51(1), 2018):
 relabelling the relays or the primaries, moving the noise floor under
 powers given in dB over it, adding a relay or a primary too far away to
-matter, moving the duty towards 0 or 1, and making the relays identical.
-Every scenario is a stock preset with config overrides.
+matter, moving the duty towards 0 or 1, making the relays identical, and
+making the estimates exact (rho = 1). Every scenario is a stock preset with
+config overrides. A data floor below the free optimum's data must leave the
+optimum alone; that one is a strict xfail (ROADMAP item 7).
 
 Where a relation holds in exact arithmetic but the float sums run in input
 order, the outputs agree to rounding (`assert_agree`), and a strict xfail
@@ -20,7 +22,11 @@ import math
 import pytest
 
 from relaysense import harvest, sensing, transmission
-from relaysense.scenario import apply_overrides, preset, relay_ladder_conf, scenario_from_conf
+from relaysense.energy_opt import optimize_sensing_time
+from relaysense.scenario import (apply_overrides, ladder_conf, preset, relay_ladder_conf,
+                                 scenario_from_conf)
+
+import oracles
 
 
 def closed_forms(name, overrides=()):
@@ -193,6 +199,47 @@ class TestIdenticalRelays:
                  f.listen_linear(i), f.ecg(i), f.slope(i), f.constraint(i, 100.0),
                  f.multiplier(i, 100.0), f.necessary_condition(i)) for i in range(n)]
         assert rows == [rows[0]] * n
+
+
+class TestPerfectCsi:
+    # at rho = 1 the estimate is the truth, so selection picks the largest
+    # true second hop: one quadrature per relay, with no selection terms
+    @pytest.mark.parametrize("p_max", ["10 dB", "20 dB"])
+    @pytest.mark.parametrize("gamma_th", ["3 dB", "20 dB"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_outage_is_selection_by_the_true_channel(self, n, gamma_th, p_max):
+        (pd, p_out, *_), scn = closed_forms("fig4", relay_overrides(RELAYS[:n]) + [
+            "csi.rho=1", "traffic.gamma_th=" + gamma_th, "policy.p_max=" + p_max])
+        co = transmission.build_trans_coeffs(scn.links, scn.primary, scn.policy, pd)
+        want = oracles.perfect_csi_outage(scn.gamma_th / scn.policy.noise_power,
+                                          co.snr_means, co.snr_first, co.u_trans)
+        assert p_out == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+SLACK_FLOOR_CASES = {
+    "default": lambda: scenario_from_conf(preset("default")),
+    "table1-M2-L2": lambda: scenario_from_conf(relay_ladder_conf(
+        ladder_conf(preset("table1"), 1.0, 2, 0.01), 0.5, 0.5, 2, 0.005)),
+}
+
+
+# on default, floors at 0.25, 0.5 and 0.99 of the free data move t* from
+# 1.33346e-6 s to 1.30979e-6, 1.32711e-6 and 1.30146e-6 s; table1 M2/L2 at
+# 0.99 calls its slack floor active
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 7: the golden-section search stops at an absolute "
+                          "1e-7 s, so a slack floor that shortens its bracket moves the "
+                          "optimum it finds")
+@pytest.mark.parametrize("case, fraction", [("default", 0.25), ("default", 0.5),
+                                            ("default", 0.99), ("table1-M2-L2", 0.99)])
+def test_slack_data_floor_leaves_the_optimum(case, fraction):
+    scn = SLACK_FLOOR_CASES[case]()
+    model = scn.energy_model()
+    free = optimize_sensing_time(model, scn.relay, 0.0)
+    opt = optimize_sensing_time(model, scn.relay, fraction * free.data)
+    assert not opt.constraint_active
+    assert opt.t_sense == free.t_sense
+    assert opt.energy == free.energy
 
 
 @pytest.mark.pin

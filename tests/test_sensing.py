@@ -50,6 +50,11 @@ def relay_cdf(x, links, primary, policy, i=0):
     return report_e2e_cdf(x, build_report_gain(links, primary, policy), i)
 
 
+def each(f, xs):
+    """f at every point of xs, one threshold per call, as an array."""
+    return np.array([f(x) for x in xs])
+
+
 def relay_law(links, primary, policy, i=0):
     """Relay i's interference law, as the scenario's reporting chain holds it."""
     return build_report_gain(links, primary, policy).relays[i]
@@ -178,7 +183,7 @@ class TestReportE2eCdf:
     def test_monotone_grid(self):
         links, primary, policy = fig3_setup()
         xs = np.geomspace(1e-3, 1e6, 40)
-        vals = relay_cdf(xs, links, primary, policy)
+        vals = each(lambda x: relay_cdf(x, links, primary, policy), xs)
         assert np.all(np.diff(vals) >= -1e-12)
         assert np.all((vals >= 0.0) & (vals <= 1.0 + 1e-12))
 
@@ -380,12 +385,12 @@ class TestSubsetOracle:
         lam = policy.threshold / policy.noise_power
         xs = np.array([0.0, 0.25 * lam, lam, 4.0 * lam])
         report = build_report_gain(links, primary, policy)
-        assert hexes(report.direct.cdf(xs)) \
+        assert hexes(each(report.direct.cdf, xs)) \
             == hexes(oracles.subset_hypoexp_cdf(xs, links.g_pu_dst, scale, primary.duty))
         for i in range(links.n_relays):
             u, p_rep, law = report.u_report[i], report.p_report[i], report.relays[i]
             assert hexes(u) == hexes(oracles.subset_fixed_gain_report(links, primary, policy, i))
-            assert hexes(report_e2e_cdf(xs, report, i)) \
+            assert hexes(each(lambda x: report_e2e_cdf(x, report, i), xs)) \
                 == hexes(oracles.subset_report_e2e_cdf(xs, links, primary, policy, i, u, p_rep))
             for t in (0.0, lam, 10.0 * lam):
                 assert hexes(avg_clipped_gain(t, law, u)) \
@@ -513,11 +518,12 @@ class TestOneExpansionPerFamily:
         assert hexes(links.peak_pu_relay) == hexes(peaks)
         for name in ("u_report", "p_report", "snr_report"):
             assert hexes(getattr(report, name)) == hexes(getattr(ref, name)), name
-        assert hexes(report.direct.cdf(xs)) == hexes(ref.direct.cdf(xs))
+        assert hexes(each(report.direct.cdf, xs)) == hexes(each(ref.direct.cdf, xs))
         want = ref.direct.cdf(lam)
         for i in range(links.n_relays):
-            assert hexes(report.relays[i].cdf(xs)) == hexes(ref.relays[i].cdf(xs))
-            assert hexes(report_e2e_cdf(xs, report, i)) == hexes(report_e2e_cdf(xs, ref, i))
+            assert hexes(each(report.relays[i].cdf, xs)) == hexes(each(ref.relays[i].cdf, xs))
+            assert hexes(each(lambda x: report_e2e_cdf(x, report, i), xs)) \
+                == hexes(each(lambda x: report_e2e_cdf(x, ref, i), xs))
             want *= report_e2e_cdf(lam, ref, i)
         assert hexes(sample_miss_probability(lam, report)) == hexes(want)
 
@@ -582,7 +588,7 @@ class TestKernelCalls:
         fixed_gain_report(report.relays[0])
         assert 1 <= len(kernel_calls) <= n_pu
         kernel_calls.clear()
-        report_e2e_cdf(np.array([1.0, 10.0]), report, 0)
+        report_e2e_cdf(10.0, report, 0)
         assert 1 <= len(kernel_calls) <= n_pu
 
 
@@ -617,13 +623,13 @@ class TestMixtureProperties:
     def test_cancellation_noise_is_visible(self):
         means = 1.2 ** np.arange(6)
         xs = np.concatenate([[0.0], np.geomspace(1e-3, 50.0 * means.sum(), 2000)])
-        assert_cdf(activity_mixture(means, 1.0, 1.0).cdf(xs), tol=0.0)
+        assert_cdf(each(activity_mixture(means, 1.0, 1.0).cdf, xs), tol=0.0)
 
     @given(well_separated_means, any_duty)
     @settings(max_examples=80, deadline=None)
     def test_hypoexp_cdf_is_a_cdf(self, means, duty):
         xs = np.concatenate([[0.0], np.geomspace(1e-3 * min(means), 50.0 * sum(means), 60)])
-        assert_cdf(activity_mixture(means, duty, 1.0).cdf(xs))
+        assert_cdf(each(activity_mixture(means, duty, 1.0).cdf, xs))
 
     @given(well_separated_distances, any_duty)
     # a finite fixed gain near the float limit: the report kernel's argument
@@ -641,4 +647,4 @@ class TestMixtureProperties:
         if duty == 0.0:
             assert u == math.inf
         xs = np.concatenate([[0.0], np.geomspace(1e-3, 1e7, 60)])
-        assert_cdf(report_e2e_cdf(xs, report, 0))
+        assert_cdf(each(lambda x: report_e2e_cdf(x, report, 0), xs))

@@ -252,14 +252,16 @@ class TestTransE2eCdf:
     def test_full_correlation_continuity(self):
         links, primary, policy = fig4_setup()
         xs = np.geomspace(0.01, 100.0, 30) * N0
-        at_one = outage_probability(xs, links, primary, policy, 0.95, 1.0)
-        near_one = outage_probability(xs, links, primary, policy, 0.95, 1.0 - 1e-6)
+        at_one = np.array([outage_probability(x, links, primary, policy, 0.95, 1.0)
+                           for x in xs])
+        near_one = np.array([outage_probability(x, links, primary, policy, 0.95, 1.0 - 1e-6)
+                             for x in xs])
         assert float(np.max(np.abs(at_one - near_one))) < 1e-4
 
     def test_monotone_grid(self):
         links, primary, policy = fig4_setup()
         xs = np.geomspace(1e-3, 1e5, 50) * N0
-        vals = outage_probability(xs, links, primary, policy, 0.95, 0.9)
+        vals = np.array([outage_probability(x, links, primary, policy, 0.95, 0.9) for x in xs])
         assert np.all(np.diff(vals) >= -1e-12)
         assert np.all((vals >= -1e-15) & (vals <= 1.0 + 1e-12))
 
