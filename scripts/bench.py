@@ -49,7 +49,10 @@ saves nothing, so its rows show what the sharing costs. The scenario
 build, the reporting chain and the detection probability also on the
 benchmark's two-relay fig3 ladder at L = 12 (`ladder-L12`). Also the
 construction of a `LinkSet` (gains, checks and peak gains) on `default`,
-`fig3`, fig3's L = 12 ladder and `fig4-distinct`.
+`fig3`, fig3's L = 12 ladder and `fig4-distinct`. Last, a command's fixed
+cost: a `cli.build_parser()` call (what `cli.main` pays once per process),
+and an in-process `cli.main(["--no-mc", command])` on `default`, its
+standard output captured, for each of `CLI_COMMANDS`.
 
 `held` and `mc` time each sampler through `mcsim`'s held slot with one
 case per key (`held_key`): it empties the slot, then times the key's
@@ -98,9 +101,11 @@ modules, their total and SHA-256, and the host. A markdown table per
 section of the same numbers goes to standard output.
 """
 import argparse
+import contextlib
 import gc
 import hashlib
 import importlib.metadata
+import io
 import itertools
 import json
 import os
@@ -121,7 +126,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 import relaysense  # noqa: E402
-from relaysense import energy_opt, mcsim, sensing, specfun, transmission  # noqa: E402
+from relaysense import cli, energy_opt, mcsim, sensing, specfun, transmission  # noqa: E402
 from relaysense.fading import LinkSet  # noqa: E402
 from relaysense.scenario import (apply_overrides, ladder_conf, preset,  # noqa: E402
                                  relay_ladder_conf, scenario_from_conf)
@@ -161,6 +166,8 @@ CHAIN_CELLS = tuple((name, lambda name=name: preset(name), None) for name in PRE
                                              0.1, 0.1, 2),
      ("scenario_from_conf", "build_report_gain", "detection_probability")),
 )
+# the single-quantity commands whose in-process `cli.main` call is timed
+CLI_COMMANDS = ("detect", "outage", "harvest", "energy", "optimize")
 
 # (name, kernel, a typical scalar argument)
 KERNELS = (("bessel_k1_scaled", specfun.bessel_k1_scaled, 3.0),
@@ -305,8 +312,9 @@ def _chain_steps(conf):
 
 
 def chain_cases():
-    """us per call of each data-phase step on each of CHAIN_CELLS, then of a
-    LinkSet construction on each of LINKSETS."""
+    """us per call of each data-phase step on each of CHAIN_CELLS, of a
+    LinkSet construction on each of LINKSETS, of a parser build, and of each
+    of CLI_COMMANDS through `cli.main` on default."""
     cases = []
     for name, conf, only in CHAIN_CELLS:
         conf = conf()
@@ -321,7 +329,22 @@ def chain_cases():
         cases.append(({"preset": name, "relays": links.n_relays, "step": "LinkSet"},
                       per_call("us_per_call", 1e6, lambda f: LinkSet(*f),
                                lambda fields=fields: fields)))
+    cases.append(({"step": "build_parser"},
+                  per_call("us_per_call", 1e6, lambda _: cli.build_parser(), lambda: None)))
+    relays = scenario_from_conf(preset("default")).links.n_relays
+    cases += [({"preset": "default", "relays": relays, "step": "cli.main " + command},
+               per_call("us_per_call", 1e6, _cli_main, lambda command=command: command))
+              for command in CLI_COMMANDS]
     return cases
+
+
+def _cli_main(command):
+    """cli.main(["--no-mc", command]) on default, its standard output
+    captured; a command that fails raises."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["--no-mc", command])
+    if rc != 0:
+        raise RuntimeError("relaysense --no-mc %s exited with status %d" % (command, rc))
 
 
 def _preset(name, trials):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import math
 import os
 import sys
@@ -381,8 +382,17 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """The parser every `main` call uses, built on the first call, not at
+    import: a build costs more than most `--no-mc` commands, and
+    `parse_args` leaves no state on the parser, so each call parses only
+    its own argv."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -166,7 +166,8 @@ class Frame:
         if not 0.0 <= d_star:
             raise ValueError("data floor must be non-negative, got %g" % d_star)
         w = self.model.policy.bandwidth
-        if self.miss == 0.0:
+        if self.miss == 0.0 or d_star == 0.0:
+            # no data ever leaves, or a zero floor: the constraint is slack
             return 0.0
         g = d_star / (self.miss * self.t_data * w * self.prr(i))
         if g > 1e6:

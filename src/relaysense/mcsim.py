@@ -82,7 +82,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy_opt import EnergyModel
-from .fading import LinkSet, PrimaryModel
+from .fading import LinkSet, PrimaryModel, _threshold
 from .sensing import ReportGain, SecondaryPolicy, build_report_gain
 from .transmission import build_trans_coeffs
 
@@ -447,7 +447,8 @@ def mc_detection(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
     """
     if not 0.0 < n_samples < math.inf:
         raise ValueError("need a positive finite sample count, got %g" % n_samples)
-    sampler = _sample_exceed_sampler(links, primary, policy, lam / policy.noise_power,
+    sampler = _sample_exceed_sampler(links, primary, policy,
+                                     _threshold(lam / policy.noise_power),
                                      build_report_gain(links, primary, policy))
     L, M = links.n_primary, links.n_relays
     p_hit, se = _held_mean(sampler, seed, 0, (L, M), trials, workers, primary.duty,
@@ -503,9 +504,9 @@ def mc_outage(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
     outdated CSI. gamma_th is the absolute threshold in watts."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError("correlation rho must lie in [0, 1], got %g" % rho)
+    x = _threshold(gamma_th / policy.noise_power)
     coeffs = build_trans_coeffs(links, primary, policy, p_detect)
     m, a, u = coeffs.snr_means, coeffs.snr_first, coeffs.u_trans
-    x = gamma_th / policy.noise_power
     k = len(m)
 
     def sampler(rng, n):

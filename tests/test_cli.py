@@ -527,6 +527,36 @@ class TestSingleQuantityCommands:
         assert "p_detect_analytic" in capsys.readouterr().out
 
 
+class TestSharedParser:
+    def test_no_option_carries_over_between_calls(self, capsys, monkeypatch):
+        # `main` parses every call with one parser: each call's options are
+        # its own, whatever ran before it in the process
+        seen = []
+        real = cli._base_conf
+
+        def spy(args, figure_name=None):
+            seen.append((args.set, args.seed, args.no_mc))
+            return real(args, figure_name)
+
+        monkeypatch.setattr(cli, "_base_conf", spy)
+        first = ["--no-mc", "--set", "primary.duty=0.3", "--seed", "7", "detect"]
+        assert run(first) == 0
+        once = capsys.readouterr().out
+        assert run(["detect"]) == 0
+        assert "p_detect_mc" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            run(["nosuch"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        assert exc.value.code == 0
+        capsys.readouterr()
+        assert run(first) == 0
+        assert capsys.readouterr().out == once
+        assert seen == [(["primary.duty=0.3"], 7, True), (None, None, False),
+                        (["primary.duty=0.3"], 7, True)]
+
+
 class TestSampleCount:
     """Every command counts t_sense * W samples, unrounded, as the frame does."""
 

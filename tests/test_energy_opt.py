@@ -291,6 +291,14 @@ class TestOptimize:
         assert opt.multiplier > 0.0
         assert opt.multiplier == pytest.approx(want, rel=1e-4)
 
+    def test_zero_floor_has_a_zero_multiplier(self):
+        # a zero floor is slack at every sensing time, also where the band is
+        # sometimes missed: the multiplier once divided by the floor
+        m = model_for("default")
+        f = m.frame(1e-6)
+        assert f.miss > 0.0
+        assert [f.multiplier(i, 0.0) for i in range(m.n_relays)] == [0.0] * m.n_relays
+
     def test_slack_floor_changes_nothing(self, table1_model):
         m = table1_model
         free = optimize_sensing_time(m, 0, 0.0)
@@ -633,7 +641,7 @@ class TestRelayIndex:
 
 # (entry point, argument, bad value) -> (call on model m with the bad value,
 # the message it raises); nan once passed every `x < lo` check below, and
-# nothing checked rho
+# nothing checked rho or the samplers' thresholds
 SCALAR_CHECKS = {
     ("detection_probability", "lam", math.nan): (lambda m, v: sensing.detection_probability(
         v, 10.0, m.links, m.primary, m.policy), "SNR threshold must be non-negative"),
@@ -669,6 +677,12 @@ SCALAR_CHECKS = {
         lambda m, v: optimize_sensing_time(m, 0, v), "data floor must be non-negative"),
     ("Frame.constraint", "d_star", math.nan): (lambda m, v: m.frame(0.02).constraint(0, v),
                                                 "data floor must be non-negative"),
+    **{("mc_detection", "lam", lam): (lambda m, v: mcsim.mc_detection(
+        m.links, m.primary, m.policy, v, 10.0, trials=100, seed=1),
+        "SNR threshold must be non-negative") for lam in (math.nan, -1.0)},
+    **{("mc_outage", "gamma_th", gamma): (lambda m, v: mcsim.mc_outage(
+        m.links, m.primary, m.policy, v, 0.9, 0.5, trials=100, seed=1),
+        "SNR threshold must be non-negative") for gamma in (math.nan, -1.0)},
     ("Frame.multiplier", "d_star", math.nan): (lambda m, v: m.frame(0.02).multiplier(0, v),
                                                 "data floor must be non-negative"),
 }
