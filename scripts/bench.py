@@ -9,6 +9,7 @@ or to a new BENCH_<n>.json baseline with `--out`.
     PYTHONPATH=src python3 scripts/bench.py --only startup --out results/startup.json
     PYTHONPATH=src python3 scripts/bench.py --only chain --out results/chain.json
     PYTHONPATH=src python3 scripts/bench.py --only held --out results/held.json
+    PYTHONPATH=src python3 scripts/bench.py --only tier1 --out results/tier1.json
 
 Every section is a list of cases, each a dict of labels and a function
 that makes one run and returns named measurements, and one driver
@@ -91,6 +92,14 @@ process it was forked from, so this section runs right after start-up, and
 each row also gives this process's own peak RSS (`bench_maxrss_mb`), a
 floor under the child's. Not part of CI: each run takes seconds.
 
+`tier1`: the wall time of the tier-1 command (`TIER1`) from the repository
+root in a fresh interpreter, with pytest's cache off so that no run reads
+what an earlier one left, one run per round. It runs
+under the caller's BLAS-thread settings, not the one thread set below:
+some stored standard errors were taken under numpy's default threads, and
+their tests fail at one. A failing suite raises. Not part of CI: each run
+takes 30-60 s.
+
 The study that set `mcsim.HELD_FIRST_BYTES` to 4 MiB, the Monte Carlo time
 and peak tape of three sweeps against budgets of 0-16 MiB, is not rerun
 here; its readings are in `BENCH_7.json` to `BENCH_10.json`
@@ -119,8 +128,11 @@ import time
 import weakref
 
 # One BLAS thread, so the only parallelism is the samplers' own worker
-# threads. Set before numpy is first imported.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+# threads. Set before numpy is first imported; `tier1` restores the
+# caller's settings.
+_CALLER_BLAS = {var: os.environ.get(var)
+                for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+for _var in _CALLER_BLAS:
     os.environ[_var] = "1"
 
 import numpy as np  # noqa: E402
@@ -140,11 +152,13 @@ REPEAT = 7
 # draws per call of the fig4 outage rows, as geometry-sweep's fig4 rows
 FIG4_OUTAGE_TRIALS = 1 << 15
 # in the order they run (see main)
-SECTIONS = ("startup", "figures", "held", "specfun", "chain", "mc")
+SECTIONS = ("startup", "figures", "tier1", "held", "specfun", "chain", "mc")
 HELD_TRIALS = 1 << 15
 FIGURES = ("fig3", "fig4", "fig6", "fig7", "fig8", "table1")
 FIGURE_TRIALS = 1_000_000
 FIGURE_WORKERS = 2
+# the tier-1 command's arguments after the interpreter
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
 # fig4 with every relay on a primary family of its own: the geometry where
 # sharing a family's expansion saves nothing (relay 0's row is the source's)
 DISTINCT = ("fig4-distinct", lambda: apply_overrides(
@@ -548,6 +562,21 @@ def figure_cases():
             for command, mc in runs + [("validate", True)]]
 
 
+def tier1_cases():
+    """Wall seconds of the tier-1 suite in a fresh interpreter, under the
+    caller's BLAS-thread settings; a failing suite raises."""
+    env = _child_env()
+    for var, value in _CALLER_BLAS.items():
+        if value is None:
+            env.pop(var, None)
+        else:
+            env[var] = value
+    cmd = [sys.executable, *TIER1]
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return [({"run": "tier-1"}, lambda: {"wall_s": _seconds(
+        subprocess.run, cmd, env=env, cwd=root, check=True, stdout=subprocess.DEVNULL)})]
+
+
 def src_stats():
     """({module file: line count}, SHA-256) of the imported package's .py files."""
     pkg = os.path.dirname(os.path.abspath(relaysense.__file__))
@@ -596,7 +625,7 @@ def main(argv=None):
     # further; the figures before any section that grows this process, as
     # a child's ru_maxrss counts the memory it was forked with; and held
     # before mc's 2^20-draw calls have grown this process's heap
-    cases = {"startup": startup_cases, "figures": figure_cases,
+    cases = {"startup": startup_cases, "figures": figure_cases, "tier1": tier1_cases,
              "held": lambda: [(labels, held_key(fn, make))
                               for labels, fn, make in _held_keys(HELD_TRIALS, 1)],
              "specfun": specfun_cases, "chain": chain_cases,

@@ -372,13 +372,12 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
     fig = sub.add_parser("figure", help="regenerate a stock figure CSV")
     fig.add_argument("name", choices=FIGURES)
-    fig.set_defaults(func=cmd_figure)
-    sub.add_parser("validate", help="run every analytic/MC pair").set_defaults(func=cmd_validate)
-    sub.add_parser("optimize", help="optimise the sensing time").set_defaults(func=cmd_optimize)
-    sub.add_parser("detect", help="detection probability").set_defaults(func=cmd_detect)
-    sub.add_parser("outage", help="outage probability").set_defaults(func=cmd_outage)
-    sub.add_parser("harvest", help="harvested power").set_defaults(func=cmd_harvest)
-    sub.add_parser("energy", help="frame energy breakdown").set_defaults(func=cmd_energy)
+    sub.add_parser("validate", help="run every analytic/MC pair")
+    sub.add_parser("optimize", help="optimise the sensing time")
+    sub.add_parser("detect", help="detection probability")
+    sub.add_parser("outage", help="outage probability")
+    sub.add_parser("harvest", help="harvested power")
+    sub.add_parser("energy", help="frame energy breakdown")
     return p
 
 
@@ -394,7 +393,9 @@ def _parser():
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, not bound into the parser, so that a wrapped
+        # `cmd_<command>` (a tracer's) is the one that runs
+        return globals()["cmd_" + args.command](args)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

@@ -13,12 +13,13 @@ Bit identity covers the order of arithmetic as well as the draws. The
 per-chunk kernels work one column (primary or relay) at a time, because
 numpy reductions and broadcasts over an axis of 1-4 elements cost more
 than the arithmetic, but they keep the array forms' operations: `_thinned`
-adds its columns in np.sum(axis=1)'s order, and `_selects` reproduces
-np.argmax's choice, ties to the first index. No kernel runs np.where, whose
-per-element branch mispredicts, on a mask about half true: the outage keeps
-its best estimate by np.maximum and its winner as a running index
-(`_outage_hits`), and indicators stay boolean for `_reduce` to count.
-np.where is left on masks that p_detect near 0 or 1 skews.
+adds its columns in np.sum(axis=1)'s order, and `_selects`, the one relay
+selection of the outage and the frame simulators, reproduces np.argmax's
+choice, ties to the first index. No kernel runs np.where, whose branch
+mispredicts, on a mask about half true: the outage keeps each relay's
+indicator where `_selects` picks it (`_outage_hits`), and indicators stay
+boolean for `_reduce` to count. np.where is left on masks that p_detect
+near 0 or 1 skews.
 
 Every row of a figure sweep (fig3's distance ladders, fig4's power ladders,
 fig6's primary distances) uses the preset's own seed, so consecutive calls
@@ -471,28 +472,31 @@ def _frame_lift(p_hit: float, se: float, n_samples: float):
 
 # --- transmission ---------------------------------------------------------
 
+def _selects(est, m, i, mask):
+    """mask & (np.argmax(est * m, axis=1) == i) for est of shape (n, M), by
+    M - 1 column comparisons in place on the boolean mask. Ties go to the
+    first index, as in argmax: relay i wins when its column is strictly
+    above every earlier one and at least equal to every later one."""
+    mine = est[:, i] * m[i]
+    for j in range(len(m)):
+        if j != i:
+            other = est[:, j] * m[j]
+            mask &= mine > other if j < i else mine >= other
+    return mask
+
+
 def _outage_hits(true, est, e, m, a, u, x):
-    """Per-trial outage indicators: the relay j with the largest estimate
-    est[:, j] * m[j] (ties to the first) is in outage when e * a[j] * t /
-    (t + u[j]) <= x, t = true[:, j] * m[j]. Branch-free (module docstring),
-    with the inf and nan that one trial at a time would give."""
-    k = len(m)
-    idx = np.min_scalar_type(k - 1).type
-    sel = np.zeros(len(e), dtype=idx)
-    best = est[:, 0] * m[0]
-    for j in range(1, k):
-        est_j = est[:, j] * m[j]
-        np.maximum(sel, (est_j > best) * idx(j), out=sel)
-        if j < k - 1:
-            np.maximum(best, est_j, out=best)
-    for j in range(k):
+    """Per-trial outage indicators: relay j is in outage when e * a[j] * t /
+    (t + u[j]) <= x, t = true[:, j] * m[j], kept where `_selects` picks j,
+    and the kept ones ORed. Branch-free (module docstring), with the inf and
+    nan that one trial at a time would give."""
+    for j in range(len(m)):
         t = true[:, j] * m[j]
         e2e = e * a[j]
         e2e *= t
         t += u[j]
         e2e /= t
-        mine = e2e <= x
-        mine &= sel == j
+        mine = _selects(est, m, j, e2e <= x)
         hits = np.logical_or(hits, mine, out=hits) if j else mine
     return hits
 
@@ -578,19 +582,6 @@ def mc_clipped_gain(links: LinkSet, primary: PrimaryModel, policy: SecondaryPoli
 
 
 # --- frame energy ---------------------------------------------------------
-
-def _selects(est, m, i, mask):
-    """mask & (np.argmax(est * m, axis=1) == i) for est of shape (n, M), by
-    M - 1 column comparisons in place on the boolean mask. Ties go to the
-    first index, as in argmax: relay i wins when its column is strictly
-    above every earlier one and at least equal to every later one."""
-    mine = est[:, i] * m[i]
-    for j in range(m.size):
-        if j != i:
-            other = est[:, j] * m[j]
-            mask &= mine > other if j < i else mine >= other
-    return mask
-
 
 def _frame_draws(model: EnergyModel, i: int, t_sense: float, trials: int, seed: int,
                  workers: int, stream: int):

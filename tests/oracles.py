@@ -124,6 +124,23 @@ def ks_distance(samples, cdf, atom0=0.0):
     return float(max(np.max(np.abs(f - ecdf_hi)), np.max(np.abs(f_left - ecdf_lo))))
 
 
+def ks_bound(samples, cdf, knots, dip=1e-12):
+    """An upper bound on `ks_distance` for non-negative samples, from the
+    reference CDF at 0 and at `knots` sample quantiles g_k only. F and the
+    ECDF F_n are non-decreasing, so on [g_k, g_{k+1}) the distance is at
+    most max(F(g_{k+1}) - F_n(g_k), F_n(g_{k+1}-) - F(g_k)); past the largest
+    sample, F_n = 1 and it is at most 1 - F there. `dip` covers a computed
+    F that falls by up to that much between knots. The bound exceeds the
+    distance by at most the largest cell's mass, about 1/knots."""
+    x = np.sort(np.asarray(samples, dtype=float))
+    n = x.size
+    g = np.unique(np.append(0.0, x[np.linspace(0, n - 1, knots).astype(int)]))
+    f = np.append(np.asarray(cdf(g), dtype=float), 1.0)
+    at = np.searchsorted(x, g, side="right") / n
+    below = np.append(np.searchsorted(x, g, side="left") / n, 1.0)
+    return float(np.max(np.maximum(f[1:] - at, below[1:] - f[:-1]))) + dip
+
+
 # --- the interference mixture, one active subset at a time -------------------
 # Literal loops over the 2^L - 1 active subsets, adding each subset's term to
 # the running total in itertools.combinations order. The library groups the

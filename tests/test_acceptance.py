@@ -23,6 +23,8 @@ from relaysense.scenario import (apply_overrides, ladder_conf, preset,
 MC_TRIALS = 10**6
 Z_GATE = 3.0
 FIGURE_BUDGET_S = 300.0
+# sample quantiles at which criterion 6 evaluates the interference CDF
+KS_KNOTS = 20000
 
 
 @contextmanager
@@ -278,16 +280,18 @@ def test_criterion_6_distribution_sanity():
         n = 10**6
         ks_crit = 1.6276 / math.sqrt(n)
         rng = np.random.default_rng(20240915)
-        ks_sum = oracles.ks_distance(
+        # an upper bound on the distance from KS_KNOTS CDF calls, in place
+        # of a call at each of the ~875000 distinct draws
+        ks_sum = oracles.ks_bound(
             oracles.sample_thinned_sum(rng, n, means, scale, duty),
-            lambda xs: [law.cdf(x) for x in xs], atom0=atom)
+            lambda xs: [law.cdf(x) for x in xs], KS_KNOTS)
         assert ks_sum < ks_crit
 
         ks_max = oracles.ks_distance(
             oracles.sample_max_exp(rng, n, mmax),
             lambda x: np.prod(1.0 - np.exp(-x[:, None] / mmax), axis=-1))
         assert ks_max < ks_crit
-        notes.append("KS %.2e / %.2e vs critical %.2e" % (ks_sum, ks_max, ks_crit))
+        notes.append("KS bound %.2e / KS %.2e vs critical %.2e" % (ks_sum, ks_max, ks_crit))
 
 
 # --- 7: convexity and complementary slackness ---------------------------------

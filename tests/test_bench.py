@@ -3,6 +3,7 @@ calls and return fixed numbers: nothing here is timed."""
 import importlib.util
 import os
 import pathlib
+import sys
 
 import pytest
 
@@ -30,6 +31,24 @@ def bench():
 
 def test_import_leaves_the_environment_alone(bench):
     assert {var: os.environ.get(var) for var in BLAS} == BLAS
+
+
+def test_tier1_runs_the_suite_under_the_callers_blas_threads(bench, monkeypatch):
+    # one run per round, in a fresh interpreter at the repository root, with
+    # pytest's cache off and the BLAS variables as they were before the
+    # script pinned them
+    runs = []
+    monkeypatch.setattr(bench.gc, "collect", lambda: None)
+    monkeypatch.setattr(bench.subprocess, "run", lambda cmd, **kw: runs.append((cmd, kw)))
+    monkeypatch.setattr(bench, "REPEAT", 2)
+    (row,) = bench.drive(bench.tier1_cases())
+    assert row["run"] == "tier-1" and len(row["wall_s"]["runs"]) == 2
+    assert len(runs) == 2 and runs[0] == runs[1]
+    cmd, kw = runs[0]
+    assert cmd == [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+                   "-p", "no:cacheprovider"]
+    assert os.path.samefile(kw["cwd"], BENCH.parents[1]) and kw["check"]
+    assert {var: kw["env"].get(var) for var in BLAS} == BLAS
 
 
 def _fake_cases(log):

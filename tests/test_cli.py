@@ -556,6 +556,24 @@ class TestSharedParser:
         assert seen == [(["primary.duty=0.3"], 7, True), (None, None, False),
                         (["primary.duty=0.3"], 7, True)]
 
+    def test_a_handler_wrapped_after_the_first_call_runs(self, capsys, monkeypatch):
+        # the parser is built once per process, so it must not bind the
+        # handlers it saw then: a wrapper set later, as a tracer sets one,
+        # is what the next call runs
+        assert run(["--no-mc", "detect"]) == 0
+        once = capsys.readouterr().out
+        calls = []
+        real = cli.cmd_detect
+
+        def wrapper(args):
+            calls.append(args.command)
+            return real(args)
+
+        monkeypatch.setattr(cli, "cmd_detect", wrapper)
+        assert run(["--no-mc", "detect"]) == 0
+        assert calls == ["detect"]
+        assert capsys.readouterr().out == once
+
 
 class TestSampleCount:
     """Every command counts t_sense * W samples, unrounded, as the frame does."""

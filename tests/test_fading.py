@@ -113,6 +113,28 @@ class TestActivityMixture:
         info = fading._subset_rows.cache_info()
         assert (info.misses, info.currsize) == (3, 1)
 
+    @pytest.mark.parametrize("shift", [0.9, 1.0, 1.1])
+    @pytest.mark.parametrize("knots", [2, 50, 1000])
+    def test_ks_bound_exceeds_the_distance_by_at_most_a_cell(self, knots, shift):
+        # criterion 6 asserts `oracles.ks_bound` in place of the exact
+        # Kolmogorov distance; the draws' exact zeros meet the law's atom,
+        # and draws of a narrower or wider law put the ECDF on one side of
+        # the CDF, where one of the bound's two terms must cover the gap
+        means, duty, scale = [1.0, 2.0, 4.0], 0.4, 3.0
+        law = activity_mixture(means, duty, scale)
+
+        def cdf(xs):
+            return [law.cdf(x) for x in xs]
+
+        n = 4000
+        x = oracles.sample_thinned_sum(np.random.default_rng(knots), n, means, scale * shift,
+                                       duty)
+        exact = oracles.ks_distance(x, cdf, atom0=(1.0 - duty) ** len(means))
+        bound = oracles.ks_bound(x, cdf, knots)
+        # a cell holds at most this many draws strictly inside it
+        cell = math.ceil((n - 1) / (knots - 1)) - 1
+        assert exact <= bound <= exact + cell / n + 1e-12
+
 
 class TestHypoexp:
     def test_cdf_at_zero_equals_atom(self):

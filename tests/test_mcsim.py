@@ -650,14 +650,16 @@ class TestKernelBits:
     # est * m, true * m, e * a and e * a * t overflow to inf, and inf / inf
     # makes trials whose SNR is nan
     OUTAGE_MEANS = {
-        "equal": ([2.0] * 4, [3.0] * 4, [0.5] * 4, 4.0),
-        "distinct": ([1.0, 3.0, 0.5, 2.0], [2.0, 1.0, 4.0, 3.0], [0.5, 2.0, 1.0, 0.25], 3.0),
-        "float-limit": ([4e307, 4e307, 2e307, 4e307], [1.0, 0.5, 2.0, 1.0],
-                        [1e307, 2e307, 1e307, 5e306], 1.0),
+        "equal": ([2.0] * 6, [3.0] * 6, [0.5] * 6, 4.0),
+        "distinct": ([1.0, 3.0, 0.5, 2.0, 1.5, 0.75], [2.0, 1.0, 4.0, 3.0, 1.5, 2.5],
+                     [0.5, 2.0, 1.0, 0.25, 1.5, 0.75], 3.0),
+        "float-limit": ([4e307, 4e307, 2e307, 4e307, 3e307, 4e307],
+                        [1.0, 0.5, 2.0, 1.0, 1.5, 0.5],
+                        [1e307, 2e307, 1e307, 5e306, 2e307, 1e307], 1.0),
     }
 
     @pytest.mark.parametrize("means", sorted(OUTAGE_MEANS))
-    @pytest.mark.parametrize("k", range(1, 5))
+    @pytest.mark.parametrize("k", range(1, 7))
     def test_outage_selection_equals_the_select_kernel(self, k, means):
         # estimates on a grid of four values tie exactly in many trials, and
         # only the tie rule picks the relay
