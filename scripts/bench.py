@@ -106,7 +106,10 @@ here; its readings are in `BENCH_7.json` to `BENCH_10.json`
 (`held.budget_curve`).
 
 The file also records the line count of each of the imported package's
-modules, their total and SHA-256, and the host. A markdown table per
+modules, their total and SHA-256, and the host: its CPU, platform and
+versions, numpy's SIMD baseline, dispatch targets and the targets found
+in use, numpy's BLAS library, and the caller's BLAS-thread variables next
+to the one thread the script pins. A markdown table per
 section of the same numbers goes to standard output.
 """
 import argparse
@@ -136,6 +139,7 @@ for _var in _CALLER_BLAS:
     os.environ[_var] = "1"
 
 import numpy as np  # noqa: E402
+from numpy._core import _multiarray_umath as _umath  # noqa: E402
 
 import relaysense  # noqa: E402
 from relaysense import cli, energy_opt, mcsim, sensing, specfun, transmission  # noqa: E402
@@ -602,8 +606,18 @@ def host():
         scipy = importlib.metadata.version("scipy")
     except importlib.metadata.PackageNotFoundError:
         scipy = None  # the package itself needs no scipy
+    # the SIMD loops numpy dispatches to and the BLAS it calls both move
+    # last bits; "found" is the dispatch targets this process may use, less
+    # any that NPY_DISABLE_CPU_FEATURES switched off
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"cpu": cpu, "nproc": os.cpu_count(), "platform": platform.platform(),
-            "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy}
+            "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy,
+            "numpy_simd": {"baseline": list(_umath.__cpu_baseline__),
+                           "dispatch": list(_umath.__cpu_dispatch__),
+                           "found": [f for f in _umath.__cpu_dispatch__
+                                     if _umath.__cpu_features__[f]]},
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "blas_threads": {"caller": dict(_CALLER_BLAS), "pinned": 1}}
 
 
 def main(argv=None):

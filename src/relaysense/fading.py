@@ -11,7 +11,8 @@ no transmitter is on. `activity_mixture` expands it into an
 rows are equal in every bit (as the shared `d_pu` ladder places the source,
 the destination and every relay) are one family, which `LinkSet` finds once
 and which shares one law, one fixed gain and one peak gain. The law's CDF
-answers one threshold at a time, as every caller asks for one operating point.
+answers one threshold at a time. It and the peak gain take a receiver's means
+in descending order (`_positive_means`), so relabelling keeps every bit.
 """
 
 from __future__ import annotations
@@ -30,14 +31,6 @@ MAX_POPULATION = 20
 
 # relative gap under which two means are treated as a tie and rejected
 DISTINCT_RTOL = 1e-9
-
-
-def mean_channel_gain(d, alpha):
-    """Mean squared channel magnitude of a link of length d km."""
-    d = np.asarray(d, dtype=float)
-    if (d <= 0.0).any():
-        raise ValueError("link distance must be positive")
-    return d ** (-alpha)
 
 
 def _tied_rows(means):
@@ -162,7 +155,7 @@ def _stored_gains(families, alpha):
     bad = ~(d > 0.0)
     if not bad.any():
         with np.errstate(over="ignore", under="ignore"):
-            g = mean_channel_gain(d, alpha)
+            g = d ** (-alpha)
             sq = g * g
         bad = ~(np.isfinite(sq) & (sq >= _TINY))
     if bad.any():
@@ -230,6 +223,7 @@ def _threshold(x):
 
 
 def _positive_means(means):
+    """The checked means in descending order, the order every sum over them takes."""
     m = np.asarray(means, dtype=float)
     if m.size == 0:
         raise ValueError("need at least one mean")
@@ -237,13 +231,7 @@ def _positive_means(means):
         raise ValueError("exact subset enumeration capped at %d transmitters" % MAX_POPULATION)
     if np.any(m <= 0.0):
         raise ValueError("means must be positive")
-    return m
-
-
-def _subsets(n, size):
-    """Index rows of the size-subsets of range(n), size >= 1, in
-    itertools.combinations order; read-only, shared by every caller."""
-    return _subset_rows(n)[size - 1]
+    return -np.sort(-m)
 
 
 @functools.lru_cache(maxsize=1)
@@ -315,21 +303,20 @@ def activity_mixture(means, duty, scale):
     hypoexponential parts.
 
     Returns the InterferenceLaw (atom, means, groups): atom is the
-    probability that nothing is active, means is scale times the L means,
-    and groups holds one (prob, index, weights) per active count r with
-    positive probability (none at duty 0, only r = L at duty 1). prob is the
-    probability of each r-subset; index (rows of indices into means) and
-    weights are (C(L, r), r), one row per subset in itertools.combinations
-    order.
+    probability that nothing is active, means is scale times the L means in
+    descending order, and groups holds one (prob, index, weights) per active
+    count r with positive probability (none at duty 0, only r = L at duty
+    1). prob is the probability of each r-subset; index (rows of indices
+    into means) and weights are (C(L, r), r), one row per subset in
+    itertools.combinations order.
     """
     m = _positive_means(means)
     n = m.size
     groups = []
-    for size in range(1, n + 1):
+    for size, idx in enumerate(_subset_rows(n), start=1):
         p_sub = duty**size * (1.0 - duty) ** (n - size)
         if p_sub == 0.0:
             continue
-        idx = _subsets(n, size)
         groups.append((p_sub, idx, partial_fraction_weights(m[idx])))
     return InterferenceLaw((1.0 - duty) ** n, scale * m, tuple(groups))
 
@@ -338,7 +325,7 @@ def max_exp_expectation(means):
     """Mean of the maximum of independent exponentials by inclusion-exclusion."""
     rates = 1.0 / _positive_means(means)
     total = 0.0
-    for size in range(1, rates.size + 1):
+    for size, idx in enumerate(_subset_rows(rates.size), start=1):
         sign = 1.0 if size % 2 == 1 else -1.0
-        total = _add_in_order(total, sign / rates[_subsets(rates.size, size)].sum(axis=-1))
+        total = _add_in_order(total, sign / rates[idx].sum(axis=-1))
     return total

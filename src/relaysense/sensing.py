@@ -130,15 +130,14 @@ def sample_miss_probability(lam_norm, report: ReportGain):
     """Probability that one sample's observations all stay below the
     normalised threshold, across the direct path and every relay report.
     Relays with one law object (so one gain normaliser) and one report SNR
-    share one evaluated factor; the factors still multiply in relay order."""
-    miss = report.direct.cdf(lam_norm)
-    factors = {}
-    for i, (law, b) in enumerate(zip(report.relays, report.snr_report)):
-        key = (next(j for j, other in enumerate(report.relays) if other is law), b)
+    share one evaluated factor. The relays' factors multiply in ascending
+    order, so a relabelling of the relays keeps every bit."""
+    factors, per_relay = {}, []
+    for i, key in enumerate(zip(map(id, report.relays), report.snr_report)):
         if key not in factors:
             factors[key] = report_e2e_cdf(lam_norm, report, i)
-        miss *= factors[key]
-    return miss
+        per_relay.append(factors[key])
+    return math.prod(sorted(per_relay), start=report.direct.cdf(lam_norm))
 
 
 def detection_probability(lam, n_samples, links: LinkSet, primary: PrimaryModel,

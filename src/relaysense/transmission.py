@@ -15,7 +15,9 @@ read, which only the outage makes. `_subset_terms` is the one source of the
 selection odds and of the outage's subset terms; it runs on Python floats,
 since a frame needs a few dozen scalar terms. The selected relay's dual-hop
 tail is the detector's AF kernel, `sensing._af_tail`, evaluated once per
-term at the one threshold `outage_probability` takes.
+term at the one threshold `outage_probability` takes. Competitors add by
+ascending inverse mean and the outage's relays by descending data-phase
+constants, so relabelling the relays keeps every bit.
 """
 
 from __future__ import annotations
@@ -85,19 +87,19 @@ def build_trans_coeffs(links: LinkSet, primary: PrimaryModel, policy: SecondaryP
 def _subset_terms(snr_means, i, rho):
     """Inclusion-exclusion terms of relay i's selection event.
 
-    Yields (psi, phi, amp, rate) per subset of competitors, in
-    itertools.combinations order, where the selected-then-decorrelated
-    density contribution is amp * exp(-rate * x). Stable for rho in [0, 1]
-    including both endpoints. Works on Python floats, with each inverse
-    mean taken once and each competitor sum added left to right from 0
-    (written out: `sum` compensates float sums from Python 3.12 on).
+    Yields (psi, phi, amp, rate) per subset of competitors, taken by
+    ascending inverse mean in itertools.combinations order, where the
+    selected-then-decorrelated density contribution is amp * exp(-rate * x).
+    Stable for rho in [0, 1] including both endpoints. Works on Python
+    floats: each inverse mean is taken once, and each competitor sum is
+    added left to right from 0 (`sum` compensates from Python 3.12 on).
     """
     m = [float(v) for v in snr_means]
     if any(v <= 0.0 for v in m):
         raise ValueError("estimated SNR means must be positive")
     _check_index(i, len(m))
     inv = [1.0 / v for v in m]
-    others = inv[:i] + inv[i + 1:]
+    others = sorted(inv[:i] + inv[i + 1:])
     m_i, inv_i = m[i], inv[i]
     rho2 = rho * rho
     one_minus = 1.0 - rho2
@@ -152,7 +154,7 @@ def outage_probability(gamma_th, links: LinkSet, primary: PrimaryModel,
     if not 0.0 <= rho <= 1.0:
         raise ValueError("correlation rho must lie in [0, 1], got %g" % rho)
     total = 0.0
-    for i in range(links.n_relays):
-        terms = _subset_terms(coeffs.snr_means, i, rho)
-        total += _selected_cdf_weighted(x, coeffs.u_trans[i], coeffs.snr_first[i], terms)
+    for _, a, u, i in sorted(zip(coeffs.snr_means, coeffs.snr_first, coeffs.u_trans,
+                                 range(links.n_relays)), reverse=True):
+        total += _selected_cdf_weighted(x, u, a, _subset_terms(coeffs.snr_means, i, rho))
     return total

@@ -242,11 +242,12 @@ def subset_max_exp_expectation(means):
 
 def numpy_subset_terms(snr_means, i, rho):
     """Relay i's inclusion-exclusion selection terms (psi, phi, amp, rate),
-    written on numpy float64 scalars with numpy's own reductions. The library
-    evaluates the same expressions on Python floats, in the same order, so
-    the two agree bit for bit."""
+    written on numpy float64 scalars with numpy's own reductions, over the
+    competitors by ascending inverse mean. The library evaluates the same
+    expressions on Python floats, in the same order, so the two agree bit
+    for bit."""
     m = np.asarray(snr_means, dtype=float)
-    others = [j for j in range(m.size) if j != i]
+    others = sorted((j for j in range(m.size) if j != i), key=lambda j: 1.0 / m[j])
     one_minus = 1.0 - rho * rho
     out = []
     for size in range(len(others) + 1):

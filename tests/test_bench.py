@@ -51,6 +51,17 @@ def test_tier1_runs_the_suite_under_the_callers_blas_threads(bench, monkeypatch)
     assert {var: kw["env"].get(var) for var in BLAS} == BLAS
 
 
+def test_host_records_the_simd_targets_blas_and_threads(bench):
+    # what moves last bits between hosts: numpy's SIMD loops, its BLAS and
+    # the BLAS thread count; nothing here is timed
+    host = bench.host()
+    simd = host["numpy_simd"]
+    assert set(simd) == {"baseline", "dispatch", "found"}
+    assert simd["baseline"] and set(simd["found"]) <= set(simd["dispatch"])
+    assert set(host["blas"]) == {"name", "version"} and host["blas"]["name"]
+    assert host["blas_threads"] == {"caller": BLAS, "pinned": 1}
+
+
 def _fake_cases(log):
     """Three cases: "a" and "c" return one measurement from a fixed run
     sequence, "b" two; every run logs its case's name."""

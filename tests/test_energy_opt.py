@@ -481,9 +481,10 @@ class TestCoefficientBuilds:
         scn = scenario_from_conf(preset("fig7"))
         links, primary, policy = scn.links, scn.primary, scn.policy
         calls = []
-        real = fading.mean_channel_gain
-        monkeypatch.setattr(fading, "mean_channel_gain",
-                            lambda d, alpha: calls.append(d) or real(d, alpha))
+        real = fading._stored_gains
+        monkeypatch.setattr(fading, "_stored_gains",
+                            lambda families, alpha: calls.append(families)
+                            or real(families, alpha))
         m = scn.energy_model()
         for t in (0.01, 0.02, 0.05):
             pd = m.frame(t).p_detect

@@ -12,7 +12,6 @@ from relaysense.fading import (
     PrimaryModel,
     activity_mixture,
     max_exp_expectation,
-    mean_channel_gain,
     partial_fraction_weights,
 )
 
@@ -28,21 +27,6 @@ distinct_means = st.lists(
 def thinned_cdf(x, means, scale=1.0, duty=1.0):
     """CDF of the thinned interference sum, through its expanded law."""
     return activity_mixture(means, duty, scale).cdf(x)
-
-
-class TestMeanChannelGain:
-    def test_unit_distance(self):
-        assert mean_channel_gain(1.0, 4.0) == 1.0
-
-    def test_inverse_power(self):
-        assert mean_channel_gain(0.5, 4.0) == pytest.approx(16.0, rel=1e-14)
-        assert mean_channel_gain(2.0, 3.0) == pytest.approx(0.125, rel=1e-14)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            mean_channel_gain(0.0, 4.0)
-        with pytest.raises(ValueError):
-            mean_channel_gain(-1.0, 4.0)
 
 
 class TestPartialFractionWeights:
@@ -80,12 +64,14 @@ class TestActivityMixture:
         assert len(law.groups) == 1
         p, idx, _ = law.groups[0]
         assert p == pytest.approx(1.0)
-        assert law.means[idx].tolist() == [[1.0, 2.0]]
+        # the law holds its means in descending order, whatever the input order
+        assert law.means[idx].tolist() == [[2.0, 1.0]]
 
     def test_groups_follow_combinations_order(self):
-        # the means come scaled; the weights are those of the raw means
-        means = [1.0, 2.0, 4.0, 8.0]
-        law = activity_mixture(means, 0.3, 3.0)
+        # the means come scaled and in descending order; the weights are
+        # those of the raw means, over the subsets of that order
+        law = activity_mixture([1.0, 2.0, 4.0, 8.0], 0.3, 3.0)
+        means = [8.0, 4.0, 2.0, 1.0]
         assert law.means.tolist() == [3.0 * m for m in means]
         for r, (_, idx, w) in enumerate(law.groups, start=1):
             rows = list(itertools.combinations(range(len(means)), r))
@@ -257,6 +243,20 @@ class TestLinkSet:
         ls = self.base()
         assert ls.g_src_relay[0] == pytest.approx(0.1 ** -4.0, rel=1e-14)
         np.testing.assert_allclose(ls.g_pu_src, np.array([0.4, 0.41]) ** -4.0)
+
+    def test_unit_distance_gain(self):
+        assert self.base(d_src_relay=[1.0, 0.12]).g_src_relay[0] == 1.0
+
+    def test_inverse_power_gain(self):
+        assert self.base(d_src_relay=[0.5, 0.12]).g_src_relay[0] \
+            == pytest.approx(16.0, rel=1e-14)
+        assert self.base(d_src_relay=[2.0, 0.12], alpha=3.0).g_src_relay[0] \
+            == pytest.approx(0.125, rel=1e-14)
+
+    def test_rejects_nonpositive_distance(self):
+        for d in (0.0, -1.0):
+            with pytest.raises(ValueError, match=r"links\.d_src_relay"):
+                self.base(d_src_relay=[d, 0.12])
 
     def test_gain_arrays_are_read_only(self):
         ls = self.base()

@@ -11,9 +11,10 @@ making the estimates exact (rho = 1). Every scenario is a stock preset with
 config overrides. A data floor below the free optimum's data must leave the
 optimum alone; that one is a strict xfail (ROADMAP item 7).
 
-Where a relation holds in exact arithmetic but the float sums run in input
-order, the outputs agree to rounding (`assert_agree`), and a strict xfail
-records that they do not keep every bit.
+The closed forms sum primaries and relays in one canonical order, not in
+input order (README, "Canonical summation order"), so a relabelling keeps
+every bit. Relations that hold in exact arithmetic only, such as moving the
+noise floor, agree to rounding (`assert_agree`).
 """
 
 import itertools
@@ -76,17 +77,10 @@ def relabelled_relays(threshold):
             yield want, got[:2] + [got[2 + order.index(i)] for i in range(n)]
 
 
-_SUMS_IN_INPUT_ORDER = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="ROADMAP item 14: the closed forms sum in input order, so a relabelling "
-           "can move an output by a few ulps")
-
-
 class TestRelayPermutation:
     # fig4 detects with certainty at 3 dB, with p_detect 0.11 at 55 dB and
     # 4.2e-9 at 60 dB, where the interference cap sets the data powers
-    @pytest.mark.parametrize("threshold", ["3 dB", "55 dB",
-                                           pytest.param("60 dB", marks=_SUMS_IN_INPUT_ORDER)])
+    @pytest.mark.parametrize("threshold", ["3 dB", "55 dB", "60 dB"])
     def test_every_relabelling_keeps_every_bit(self, threshold):
         for want, got in relabelled_relays(threshold):
             assert got == want
@@ -115,16 +109,69 @@ class TestPrimaryPermutation:
                                         "links.d_pu_dst=0.41, 0.4"])[0]
         assert swapped == closed_forms("fig4")[0]
 
-    @_SUMS_IN_INPUT_ORDER
     def test_every_fig3_order_keeps_every_bit(self):
-        # orders (1, 2, 0) and (2, 1, 0) move p_detect by 2 ulps and the
-        # harvest by 1
         for want, got in relabelled_fig3_primaries():
             assert got == want
 
     def test_every_fig3_order_agrees_to_rounding(self):
         for want, got in relabelled_fig3_primaries():
             assert_agree(got, want)
+
+
+# fig6 with relays and primaries of their own distances: per relay
+# (d_src_relay, d_relay_dst), per primary (d_pu_src, d_pu_dst), and primary l
+# to relay k at grid_pu_relay(l, k), so every relay is its own primary family
+GRID_RELAYS = ((0.1, 0.11), (0.12, 0.08), (0.09, 0.13), (0.14, 0.1))
+GRID_PRIMARIES = ((0.4, 0.45), (0.43, 0.47), (0.41, 0.46))
+
+
+def grid_pu_relay(l, k):
+    return 0.38 + 0.011 * l + 0.004 * k + 0.0007 * l * k
+
+
+def grid_closed_forms(relays, primaries, extra):
+    """Every closed form of the fig6 grid geometry with the relays and the
+    primaries listed in the given orders of their indices: the per-sample
+    miss, p_detect and the outage, then per relay, in the relays' original
+    order, its usable harvest, frame energies, selection odds and ECG."""
+    def row(values):
+        return ", ".join(repr(v) for v in values)
+    overrides = [
+        "links.d_src_relay=" + row(GRID_RELAYS[k][0] for k in relays),
+        "links.d_relay_dst=" + row(GRID_RELAYS[k][1] for k in relays),
+        "links.d_pu_src=" + row(GRID_PRIMARIES[l][0] for l in primaries),
+        "links.d_pu_dst=" + row(GRID_PRIMARIES[l][1] for l in primaries),
+        "links.d_pu_relay=" + "; ".join(row(grid_pu_relay(l, k) for k in relays)
+                                        for l in primaries)]
+    (pd, p_out, *usable), scn = closed_forms("fig6", overrides + list(extra))
+    m = scn.energy_model()
+    f = m.frame(scn.t_sense)
+    per_relay = [(usable[j], f.energy(j), f.energy_nonharvesting(j), f.prr(j), f.ecg(j))
+                 for j in range(len(relays))]
+    return [m.delta, pd, f.p_detect, p_out] + [per_relay[relays.index(k)]
+                                              for k in range(len(relays))]
+
+
+class TestCanonicalOrder:
+    # every relabelling of the relays and the primaries together, on 3 and
+    # 4 relays and 3 primaries, with fig4's power limits. At fig6's primary
+    # power each report factor sits near its all-off atom; at -20 dB they
+    # spread from 0.21 to 0.97, and the per-sample miss moves with the order
+    # its factors multiply in. At gamma_th 40 dB the outage reads 0.2156,
+    # and moves with the order its relays add in
+    @pytest.mark.parametrize("extra", [
+        ["policy.threshold=3 dB"], ["policy.threshold=55 dB"],
+        ["policy.threshold=60 dB", "traffic.gamma_th=40 dB"],
+        ["policy.threshold=40 dB", "primary.duty=0.3", "traffic.gamma_th=40 dB"],
+        ["policy.threshold=-10 dB", "primary.tx_power=-20 dB", "traffic.gamma_th=40 dB"],
+        ["policy.threshold=3 dB", "primary.tx_power=-20 dB"]], ids=" ".join)
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_every_relabelling_keeps_every_bit(self, n, extra):
+        extra = ["policy.p_max=10 dB", "policy.interference_cap=6 dB"] + extra
+        want = grid_closed_forms(tuple(range(n)), (0, 1, 2), extra)
+        for relays in itertools.permutations(range(n)):
+            for primaries in itertools.permutations(range(3)):
+                assert grid_closed_forms(relays, primaries, extra) == want, (relays, primaries)
 
 
 class TestNoiseFloor:
