@@ -10,15 +10,17 @@ or to a new BENCH_<n>.json baseline with `--out`.
     PYTHONPATH=src python3 scripts/bench.py --only chain --out results/chain.json
     PYTHONPATH=src python3 scripts/bench.py --only held --out results/held.json
     PYTHONPATH=src python3 scripts/bench.py --only tier1 --out results/tier1.json
+    PYTHONPATH=src python3 scripts/bench.py --only chain --against ../parent
 
 Every section is a list of cases, each a dict of labels and a function
 that makes one run and returns named measurements, and one driver
-(`drive`) times them: `REPEAT` rounds, each of which runs every case of the
-section once, in a fixed order, so that a drift in the host's speed
-reaches every row alike. Each row gives the median, the best and the runs
-of each measurement, and one writer (`table`) prints every section. A call
-of a few microseconds is timed as a loop whose length is sized once,
-untimed, to take at least 0.05 s (`per_call`).
+(`drive`) times them: `--repeat` rounds (by default `REPEAT`), each of
+which runs every case of the section once, in a fixed order, so that a
+drift in the host's speed reaches every row alike. Each row gives the
+median, the best and the runs of each measurement, and one writer
+(`table`) prints every section. A call of a few microseconds is timed as a
+loop whose length is sized once, untimed, to take at least 0.05 s
+(`per_call`).
 
 `startup`: the wall time of a fresh interpreter that runs `import
 relaysense.cli`, and the `-X importtime` total (every module's own import
@@ -34,26 +36,29 @@ ladder with L = 1..16 primaries.
 `chain`: microseconds per call of the scenario and data-phase chain on the
 `default` (2 relays) and `fig7` (4 relays) presets: `scenario_from_conf`
 on the preset's config tree (the parse, the model objects and the
-float-range check, which every CLI command pays), an `EnergyModel`
-construction on the scenario's built `LinkSet` (reporting chain, miss
-probability and harvest means), `sensing.build_report_gain`,
-`sensing.detection_probability`, `transmission.build_trans_coeffs`,
-`EnergyModel.frame` at a sensing time the model has not seen (so it builds
-the frame), `transmission.outage_probability`, and `optimize_sensing_time`
-on a fresh `EnergyModel` (built untimed). The scenario build, the model
-build, the reporting chain, the fresh frame and the optimisation also on
-the `figure table1` cell with 4 relays and 4 primaries (`table1-M4L4`),
-the largest of the 16 optimisations. The scenario build, the model build
+float-range check, which every CLI command pays), a `LinkSet`
+construction on the scenario's distances (gains, checks, family map and
+peak gains), an `EnergyModel` construction on the scenario's built
+`LinkSet` (reporting chain, miss probability and harvest means),
+`sensing.build_report_gain`, `sensing.detection_probability`,
+`transmission.build_trans_coeffs`, `EnergyModel.frame` at a sensing time
+the model has not seen (so it builds the frame),
+`transmission.outage_probability`, and `optimize_sensing_time` on a fresh
+`EnergyModel` (built untimed). The scenario build, the model build, the
+reporting chain, the fresh frame and the optimisation also on the `figure
+table1` cell with 4 relays and 4 primaries (`table1-M4L4`), the largest of
+the 16 optimisations. The scenario build, the `LinkSet`, the model build
 and the reporting chain also on fig4 with every relay on a primary family
 of its own (`fig4-distinct`), where expanding each distinct family once
 saves nothing, so its rows show what the sharing costs. The scenario
-build, the reporting chain and the detection probability also on the
-benchmark's two-relay fig3 ladder at L = 12 (`ladder-L12`). Also the
-construction of a `LinkSet` (gains, checks and peak gains) on `default`,
-`fig3`, fig3's L = 12 ladder and `fig4-distinct`. Last, a command's fixed
-cost: a `cli.build_parser()` call (what `cli.main` pays once per process),
-and an in-process `cli.main(["--no-mc", command])` on `default`, its
-standard output captured, for each of `CLI_COMMANDS`.
+build, the `LinkSet`, the reporting chain and the detection probability on
+the fig3 ladder at L = 3 (`fig3-L3`), the shape of a geometry-sweep point.
+The scenario build, the reporting chain and the detection probability on
+the benchmark's two-relay fig3 ladder at L = 12 (`ladder-L12`), and the
+`LinkSet` of the one-relay fig3 ladder at L = 12 (`fig3-L12`). Last, a
+command's fixed cost: a `cli.build_parser()` call (what `cli.main` pays
+once per process), and an in-process `cli.main(["--no-mc", command])` on
+`default`, its standard output captured, for each of `CLI_COMMANDS`.
 
 `held` and `mc` time each sampler through `mcsim`'s held slot with one
 case per key (`held_key`): it empties the slot, then times the key's
@@ -100,6 +105,16 @@ some stored standard errors were taken under numpy's default threads, and
 their tests fail at one. A failing suite raises. Not part of CI: each run
 takes 30-60 s.
 
+`--against DIR` compares this tree with a second checkout DIR (say, a
+`git worktree` of the parent commit) on the in-process sections, `specfun`
+and `chain` (`IN_PROCESS`). Each of `--repeat` rounds runs this script
+once per tree, in a fresh interpreter that imports relaysense from that
+tree's `src` and times one run of every case, and the order of the two
+trees alternates between rounds (`against`). Each row then gives both
+trees' medians and the median over rounds of the paired ratio, this tree
+over DIR, with a bootstrap 95% interval (`ratio_interval`). A ratio under
+1 means this tree is faster.
+
 The study that set `mcsim.HELD_FIRST_BYTES` to 4 MiB, the Monte Carlo time
 and peak tape of three sweeps against budgets of 0-16 MiB, is not rerun
 here; its readings are in `BENCH_7.json` to `BENCH_10.json`
@@ -125,8 +140,10 @@ import platform
 import re
 import resource
 import statistics
+import random
 import subprocess
 import sys
+import tempfile
 import time
 import weakref
 
@@ -157,6 +174,10 @@ REPEAT = 7
 FIG4_OUTAGE_TRIALS = 1 << 15
 # in the order they run (see main)
 SECTIONS = ("startup", "figures", "tier1", "held", "specfun", "chain", "mc")
+# the sections `--against` times: those whose cases run in this process
+IN_PROCESS = ("specfun", "chain")
+# resamples of each row's paired ratios for its bootstrap interval
+BOOTSTRAP_DRAWS = 2000
 HELD_TRIALS = 1 << 15
 FIGURES = ("fig3", "fig4", "fig6", "fig7", "fig8", "table1")
 FIGURE_TRIALS = 1_000_000
@@ -167,22 +188,24 @@ TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cach
 # sharing a family's expansion saves nothing (relay 0's row is the source's)
 DISTINCT = ("fig4-distinct", lambda: apply_overrides(
     preset("fig4"), ["links.d_pu_relay=0.3, 0.32; 0.31, 0.33"]))
-# (name, config) of the geometries whose LinkSet construction is timed
-LINKSETS = (("default", lambda: preset("default")), ("fig3", lambda: preset("fig3")),
-            ("fig3-L12", lambda: ladder_conf(preset("fig3"), 0.4, 12)), DISTINCT)
 # (name, config, the steps timed or None for all) of the data-phase chain's
 # geometries; table1-M4L4 is the `figure table1` cell with 4 relays and 4
-# primaries, timed on the model build and the optimiser's two steps, and
-# ladder-L12 the benchmark's two-relay fig3 ladder at L = 12
+# primaries, timed on the model build and the optimiser's two steps,
+# fig3-L3 the shape of a geometry-sweep point (the fig3 ladder at L = 3),
+# ladder-L12 the benchmark's two-relay fig3 ladder at L = 12, and fig3-L12
+# the one-relay ladder at L = 12, timed on its LinkSet alone
 CHAIN_CELLS = tuple((name, lambda name=name: preset(name), None) for name in PRESETS) + (
     ("table1-M4L4", lambda: relay_ladder_conf(ladder_conf(preset("table1"), 1.0, 4, 0.01),
                                               0.5, 0.5, 4, 0.005),
      ("scenario_from_conf", "EnergyModel", "build_report_gain", "EnergyModel.frame",
       "optimize_sensing_time")),
-    DISTINCT + (("scenario_from_conf", "EnergyModel", "build_report_gain"),),
+    DISTINCT + (("scenario_from_conf", "LinkSet", "EnergyModel", "build_report_gain"),),
+    ("fig3-L3", lambda: ladder_conf(preset("fig3"), 0.4, 3),
+     ("scenario_from_conf", "LinkSet", "build_report_gain", "detection_probability")),
     ("ladder-L12", lambda: relay_ladder_conf(ladder_conf(preset("fig3"), 0.48, 12),
                                              0.1, 0.1, 2),
      ("scenario_from_conf", "build_report_gain", "detection_probability")),
+    ("fig3-L12", lambda: ladder_conf(preset("fig3"), 0.4, 12), ("LinkSet",)),
 )
 # the single-quantity commands whose in-process `cli.main` call is timed
 CLI_COMMANDS = ("detect", "outage", "harvest", "energy", "optimize")
@@ -196,13 +219,14 @@ CDF_LADDER = (3, 12, 16)
 LADDER = tuple(range(1, 17))
 
 
-def drive(cases):
+def drive(cases, repeat=None):
     """Time cases, (labels, run) pairs whose run() makes one run and returns
-    {measurement: value}: each of REPEAT rounds calls gc.collect() and then
-    every run() once, in order. One row per case: its labels and, per
-    measurement, {"median", "best", "runs"}, the best being the least."""
+    {measurement: value}: each of repeat (by default REPEAT) rounds calls
+    gc.collect() and then every run() once, in order. One row per case: its
+    labels and, per measurement, {"median", "best", "runs"}, the best being
+    the least."""
     got = [{} for _ in cases]
-    for _ in range(REPEAT):
+    for _ in range(repeat or REPEAT):
         gc.collect()
         for (_, run), runs in zip(cases, got):
             for name, value in run().items():
@@ -212,13 +236,19 @@ def drive(cases):
             for (labels, _), runs in zip(cases, got)]
 
 
-def table(title, rows):
-    """A markdown table of a section's rows under title: a column per label,
-    then per measurement its median and, in brackets, its best."""
+def _columns(rows):
+    """The label keys and the measurement keys of rows, in first-seen order."""
     labels, measures = {}, {}
     for row in rows:
         for key, value in row.items():
             (measures if isinstance(value, dict) else labels)[key] = None
+    return labels, measures
+
+
+def table(title, rows):
+    """A markdown table of a section's rows under title: a column per label,
+    then per measurement its median and, in brackets, its best."""
+    labels, measures = _columns(rows)
     lines = [title, "", "| %s |" % " | ".join(list(labels) + list(measures)),
              "|---" * (len(labels) + len(measures)) + "|"]
     for row in rows:
@@ -308,12 +338,15 @@ def _chain_steps(conf):
     tree conf, for `per_call`."""
     scn = scenario_from_conf(conf)
     links, primary, policy = scn.links, scn.primary, scn.policy
+    fields = (links.d_src_relay, links.d_relay_dst, links.d_pu_src, links.d_pu_relay,
+              links.d_pu_dst, links.alpha)
     model = scn.energy_model()
     pd = model.frame(scn.t_sense).p_detect
     # each call gets a sensing time the model has not seen yet
     fresh_t = (scn.t_sense * (1.0 + 1e-9 * k) for k in itertools.count(1))
     return (
         ("scenario_from_conf", scenario_from_conf, lambda: conf),
+        ("LinkSet", lambda f: LinkSet(*f), lambda: fields),
         ("EnergyModel", lambda s: s.energy_model(), lambda: scn),
         ("build_report_gain", lambda _: sensing.build_report_gain(links, primary, policy),
          lambda: None),
@@ -331,8 +364,8 @@ def _chain_steps(conf):
 
 def chain_cases():
     """us per call of each data-phase step on each of CHAIN_CELLS, of a
-    LinkSet construction on each of LINKSETS, of a parser build, and of each
-    of CLI_COMMANDS through `cli.main` on default."""
+    parser build, and of each of CLI_COMMANDS through `cli.main` on
+    default."""
     cases = []
     for name, conf, only in CHAIN_CELLS:
         conf = conf()
@@ -340,13 +373,6 @@ def chain_cases():
         cases += [({"preset": name, "relays": relays, "step": step},
                    per_call("us_per_call", 1e6, fn, make))
                   for step, fn, make in _chain_steps(conf) if not only or step in only]
-    for name, conf in LINKSETS:
-        links = scenario_from_conf(conf()).links
-        fields = (links.d_src_relay, links.d_relay_dst, links.d_pu_src, links.d_pu_relay,
-                  links.d_pu_dst, links.alpha)
-        cases.append(({"preset": name, "relays": links.n_relays, "step": "LinkSet"},
-                      per_call("us_per_call", 1e6, lambda f: LinkSet(*f),
-                               lambda fields=fields: fields)))
     cases.append(({"step": "build_parser"},
                   per_call("us_per_call", 1e6, lambda _: cli.build_parser(), lambda: None)))
     relays = scenario_from_conf(preset("default")).links.n_relays
@@ -581,9 +607,109 @@ def tier1_cases():
         subprocess.run, cmd, env=env, cwd=root, check=True, stdout=subprocess.DEVNULL)})]
 
 
-def src_stats():
-    """({module file: line count}, SHA-256) of the imported package's .py files."""
-    pkg = os.path.dirname(os.path.abspath(relaysense.__file__))
+def _tree_src(tree):
+    """The src directory of checkout tree, whose relaysense a child imports."""
+    src = os.path.join(os.path.abspath(tree), "src")
+    if not os.path.isfile(os.path.join(src, "relaysense", "__init__.py")):
+        raise SystemExit("%s has no src/relaysense package" % tree)
+    return src
+
+
+def _child_round(src, sections):
+    """One round of sections, timed by this script in a fresh interpreter
+    that imports relaysense from src: {"src_sha256", section: rows}."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    fd, path = tempfile.mkstemp(suffix=".json")
+    os.close(fd)
+    try:
+        subprocess.run([sys.executable, os.path.abspath(__file__), "--repeat", "1",
+                        "--out", path] + [a for s in sections for a in ("--only", s)],
+                       env=env, check=True, stdout=subprocess.DEVNULL)
+        with open(path) as fh:
+            return json.load(fh)
+    finally:
+        os.remove(path)
+
+
+def against(srcs, sections, repeat=None, run=_child_round):
+    """Time sections on two trees, {"this": src, "against": src}: repeat (by
+    default REPEAT) rounds, each of which runs one child per tree (run),
+    this tree first in even rounds and the other first in odd ones, so that
+    a drift in the host's speed reaches both alike. Each child must have
+    imported its own tree (its `src_sha256`). Returns {section: paired
+    rows} (`paired`)."""
+    want = {tree: src_stats(os.path.join(src, "relaysense"))[1] for tree, src in srcs.items()}
+    rounds = {tree: [] for tree in srcs}
+    for k in range(repeat or REPEAT):
+        for tree in (("this", "against") if k % 2 == 0 else ("against", "this")):
+            got = run(srcs[tree], sections)
+            if got["src_sha256"] != want[tree]:
+                raise RuntimeError("the %s child imported another relaysense than %s"
+                                   % (tree, srcs[tree]))
+            rounds[tree].append(got)
+    return {section: paired([r[section] for r in rounds["this"]],
+                            [r[section] for r in rounds["against"]]) for section in sections}
+
+
+def paired(this, other):
+    """One row per case out of the per-round rows of each tree (lists of
+    `drive` rows of one run each, round by round): its labels and, per
+    measurement, each tree's median and runs, and the median over rounds of
+    this tree's run over the other's, with a bootstrap 95% interval
+    (`ratio_interval`)."""
+    rows = []
+    for k, first in enumerate(this[0]):
+        labels = {key: v for key, v in first.items() if not isinstance(v, dict)}
+        if any({key: r[k].get(key) for key in labels} != labels for r in other):
+            raise RuntimeError("the trees' rows differ at %r" % labels)
+        row = dict(labels)
+        for name in (key for key in first if key not in labels):
+            a = [r[k][name]["runs"][0] for r in this]
+            b = [r[k][name]["runs"][0] for r in other]
+            row[name] = {"this": {"median": statistics.median(a), "runs": a},
+                         "against": {"median": statistics.median(b), "runs": b},
+                         "ratio": ratio_interval(a, b)}
+        rows.append(row)
+    return rows
+
+
+def ratio_interval(a, b, draws=BOOTSTRAP_DRAWS, seed=SEED):
+    """{"median", "lo", "hi"}: the median of the paired ratios a[k] / b[k],
+    and the 2.5% and 97.5% points of that median over draws resamples of
+    the pairs with replacement, from a seeded generator."""
+    ratios = [x / y for x, y in zip(a, b)]
+    rng = random.Random(seed)
+    meds = sorted(statistics.median(rng.choices(ratios, k=len(ratios))) for _ in range(draws))
+    return {"median": statistics.median(ratios), "lo": meds[int(0.025 * draws)],
+            "hi": meds[int(0.975 * draws) - 1]}
+
+
+def paired_table(title, rows):
+    """A markdown table of paired rows under title: a column per label,
+    then per measurement this tree's median, the other's, and the ratio
+    with its interval."""
+    labels, measures = _columns(rows)
+    heads = [h for m in measures for h in (m, m + " against", "ratio [95%]")]
+    lines = [title, "", "| %s |" % " | ".join(list(labels) + heads),
+             "|---" * (len(labels) + len(heads)) + "|"]
+    for row in rows:
+        cells = ["" if row.get(key) is None else str(row[key]) for key in labels]
+        for m in measures:
+            if m in row:
+                r = row[m]["ratio"]
+                cells += ["%.4g" % row[m]["this"]["median"], "%.4g" % row[m]["against"]["median"],
+                          "%.3f [%.3f, %.3f]" % (r["median"], r["lo"], r["hi"])]
+            else:
+                cells += ["", "", ""]
+        lines.append("| %s |" % " | ".join(cells))
+    return "\n".join(lines)
+
+
+def src_stats(pkg=None):
+    """({module file: line count}, SHA-256) of the .py files of package
+    directory pkg, by default the imported relaysense's."""
+    pkg = pkg or os.path.dirname(os.path.abspath(relaysense.__file__))
     lines, digest = {}, hashlib.sha256()
     for fname in sorted(os.listdir(pkg)):
         if fname.endswith(".py"):
@@ -626,30 +752,53 @@ def main(argv=None):
     ap.add_argument("--out", default="results/bench.json", help="output JSON path")
     ap.add_argument("--only", choices=SECTIONS, action="append",
                     help="measure only this section (repeatable); default: all")
+    ap.add_argument("--repeat", type=int, default=REPEAT,
+                    help="rounds per section; with --against, rounds of one child per tree")
+    ap.add_argument("--against", metavar="DIR",
+                    help="a second checkout: time the in-process sections (%s) on it and on "
+                         "this tree in alternated child processes" % ", ".join(IN_PROCESS))
     args = ap.parse_args(argv)
     if args.trials < 2:
         ap.error("need --trials >= 2")
+    if args.repeat < 1:
+        ap.error("need --repeat >= 1")
     chosen = args.only or SECTIONS
+    if args.against and not set(chosen) <= set(IN_PROCESS):
+        ap.error("--against times only the in-process sections: give --only %s"
+                 % " or --only ".join(IN_PROCESS))
 
     module_loc, sha = src_stats()
     loc = sum(module_loc.values())
-    doc = {"trials": args.trials, "repeat": REPEAT, "seed": SEED, "src_loc": loc,
+    doc = {"trials": args.trials, "repeat": args.repeat, "seed": SEED, "src_loc": loc,
            "src_module_loc": module_loc, "src_sha256": sha, "host": host()}
-    # start-up first, before this process has warmed any file cache
-    # further; the figures before any section that grows this process, as
-    # a child's ru_maxrss counts the memory it was forked with; and held
-    # before mc's 2^20-draw calls have grown this process's heap
-    cases = {"startup": startup_cases, "figures": figure_cases, "tier1": tier1_cases,
-             "held": lambda: [(labels, held_key(fn, make))
-                              for labels, fn, make in _held_keys(HELD_TRIALS, 1)],
-             "specfun": specfun_cases, "chain": chain_cases,
-             "mc": lambda: mc_cases(args.trials)}
     out = []
-    for section in SECTIONS:
-        if section in chosen:
-            doc[section] = drive(cases[section]())
-            out.append(table("`%s`, median (best) of %d runs" % (section, REPEAT),
-                             doc[section]))
+    if args.against:
+        other_loc, other_sha = src_stats(os.path.join(_tree_src(args.against), "relaysense"))
+        doc["against"] = {"src_loc": sum(other_loc.values()), "src_module_loc": other_loc,
+                          "src_sha256": other_sha}
+        this = os.path.dirname(os.path.dirname(os.path.abspath(relaysense.__file__)))
+        sections = [section for section in SECTIONS if section in chosen]
+        got = against({"this": this, "against": _tree_src(args.against)}, sections,
+                      args.repeat)
+        for section in sections:
+            doc[section] = got[section]
+            out.append(paired_table("`%s`, medians of %d alternated rounds, this tree then %s"
+                                    % (section, args.repeat, args.against), got[section]))
+    else:
+        # start-up first, before this process has warmed any file cache
+        # further; the figures before any section that grows this process,
+        # as a child's ru_maxrss counts the memory it was forked with; and
+        # held before mc's 2^20-draw calls have grown this process's heap
+        cases = {"startup": startup_cases, "figures": figure_cases, "tier1": tier1_cases,
+                 "held": lambda: [(labels, held_key(fn, make))
+                                  for labels, fn, make in _held_keys(HELD_TRIALS, 1)],
+                 "specfun": specfun_cases, "chain": chain_cases,
+                 "mc": lambda: mc_cases(args.trials)}
+        for section in SECTIONS:
+            if section in chosen:
+                doc[section] = drive(cases[section](), args.repeat)
+                out.append(table("`%s`, median (best) of %d runs" % (section, args.repeat),
+                                 doc[section]))
     out_dir = os.path.dirname(args.out)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)

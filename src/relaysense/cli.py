@@ -176,12 +176,21 @@ def _fig8(conf, no_mc):
             yield (t_s, n_pu), [_ecg(scn, model, t_s, no_mc)]
 
 
+def _optimum(scn: Scenario, model):
+    """`optimize_sensing_time` for scn's relay and data floor on model; a
+    listen window too short to search is a config error."""
+    try:
+        return energy_opt.optimize_sensing_time(model, scn.relay, scn.d_star)
+    except energy_opt.ShortListenWindowError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _table1(conf, no_mc):
     for n_relays in (1, 2, 3, 4):
         for n_pu in (1, 2, 3, 4):
             scn = scenario_from_conf(relay_ladder_conf(ladder_conf(conf, 1.0, n_pu, 0.01),
                                                        0.5, 0.5, n_relays, 0.005))
-            opt = energy_opt.optimize_sensing_time(scn.energy_model(), scn.relay, scn.d_star)
+            opt = _optimum(scn, scn.energy_model())
             yield (n_relays, n_pu, opt.t_sense, opt.multiplier, opt.energy, opt.data,
                    opt.constraint_active), []
 
@@ -338,7 +347,7 @@ def cmd_optimize(args):
     scn = _scenario(args)
     model = scn.energy_model()
     try:
-        opt = energy_opt.optimize_sensing_time(model, scn.relay, scn.d_star)
+        opt = _optimum(scn, model)
     except energy_opt.InfeasibleDataError as exc:
         print("infeasible: %s" % exc)
         return 1

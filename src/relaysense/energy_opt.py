@@ -299,6 +299,18 @@ class InfeasibleDataError(ValueError):
             "are available as the sensing slot shrinks to zero" % (d_star, max_data))
 
 
+class ShortListenWindowError(ValueError):
+    """Raised when the listen window leaves the sensing-time search no room:
+    the search keeps TIME_TOL clear of both ends of the window."""
+
+    def __init__(self, t_listen):
+        self.t_listen = t_listen
+        super().__init__(
+            "frame.t_total - frame.t_report = %g s is too short to optimise the sensing "
+            "time in: the search needs a listen window longer than 2 * TIME_TOL = %g s"
+            % (t_listen, 2.0 * TIME_TOL))
+
+
 @dataclass
 class SensingOptimum:
     """Result of the sensing-time optimisation for one relay."""
@@ -316,14 +328,15 @@ def optimize_sensing_time(model: EnergyModel, i: int, d_star: float) -> SensingO
 
     The data side is strictly decreasing in the sensing time, so the
     feasible set is an interval (0, t_max]; the energy objective is convex
-    there, so golden-section search suffices.
+    there, so golden-section search suffices. A listen window no longer
+    than 2 * TIME_TOL leaves it no room and raises ShortListenWindowError.
     """
     if not 0.0 <= d_star:
         raise ValueError("data floor must be non-negative, got %g" % d_star)
     lo = TIME_TOL
     hi = model.t_listen - TIME_TOL
     if hi <= lo:
-        raise ValueError("listen window too short to split")
+        raise ShortListenWindowError(model.t_listen)
     t_max = hi
     if d_star > 0.0:
         d_lo = model.frame(lo).data(i)

@@ -11,8 +11,10 @@ no transmitter is on. `activity_mixture` expands it into an
 rows are equal in every bit (as the shared `d_pu` ladder places the source,
 the destination and every relay) are one family, which `LinkSet` finds once
 and which shares one law, one fixed gain and one peak gain. The law's CDF
-answers one threshold at a time. It and the peak gain take a receiver's means
-in descending order (`_positive_means`), so relabelling keeps every bit.
+answers one threshold at a time. It and the peak gain sum a receiver's means
+in descending order, so relabelling keeps every bit: `LinkSet` sorts each
+family's row into that order once (`LinkSet.canonical_gains`), and
+`_positive_means` passes such a row through without sorting it again.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -31,12 +34,6 @@ MAX_POPULATION = 20
 
 # relative gap under which two means are treated as a tie and rejected
 DISTINCT_RTOL = 1e-9
-
-
-def _tied_rows(means):
-    """Which rows of the (k, L) means are not pairwise distinct at DISTINCT_RTOL."""
-    m = np.sort(means, axis=-1)
-    return np.any(np.diff(m, axis=-1) <= DISTINCT_RTOL * m[..., 1:], axis=-1)
 
 
 @dataclass
@@ -52,10 +49,14 @@ class LinkSet:
     mean gains g_* of the five link families (g_pu_relay[i] is relay i's
     primary family) and the mean strongest primary gains E[max_l |h_l|^2]
     seen from the source (peak_pu_src) and from relay i (peak_pu_relay[i]).
-    The primary families are found here and nowhere else: family[k] numbers
-    the family of receiver k (source, relays, destination) by first
-    appearance, family_gains[f] is family f's gain row, rows equal in every
-    bit are one family, and a peak is expanded per source or relay family.
+    The primary families are found here and nowhere else, in one pass over
+    the n + 2 primary rows: family[k] numbers the family of receiver k
+    (source, relays, destination) by first appearance, rows equal in every
+    bit are one family, and family_gains[f] is family f's gain row in input
+    order. canonical_gains[f] is the same row in descending order, the one
+    order every closed form sums a receiver's primaries in: it is sorted
+    once here, the tie check reads it, and the interference laws, the peaks
+    (one per source or relay family) and the harvest read it as it is.
     """
 
     d_src_relay: tuple
@@ -73,13 +74,14 @@ class LinkSet:
     peak_pu_relay: tuple = field(init=False, repr=False, compare=False)
     family: tuple = field(init=False, repr=False, compare=False)
     family_gains: tuple = field(init=False, repr=False, compare=False)
+    canonical_gains: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.d_src_relay = tuple(float(d) for d in self.d_src_relay)
-        self.d_relay_dst = tuple(float(d) for d in self.d_relay_dst)
-        self.d_pu_src = tuple(float(d) for d in self.d_pu_src)
-        self.d_pu_relay = tuple(tuple(float(d) for d in row) for row in self.d_pu_relay)
-        self.d_pu_dst = tuple(float(d) for d in self.d_pu_dst)
+        self.d_src_relay = tuple(map(float, self.d_src_relay))
+        self.d_relay_dst = tuple(map(float, self.d_relay_dst))
+        self.d_pu_src = tuple(map(float, self.d_pu_src))
+        self.d_pu_relay = tuple(tuple(map(float, row)) for row in self.d_pu_relay)
+        self.d_pu_dst = tuple(map(float, self.d_pu_dst))
         n, n_pu = len(self.d_src_relay), len(self.d_pu_src)
         if not n or len(self.d_relay_dst) != n:
             raise ValueError("links.d_src_relay and links.d_relay_dst need one distance per "
@@ -113,19 +115,31 @@ class LinkSet:
         self.g_src_relay, self.g_relay_dst = g[:n], g[n:2 * n]
         primary = g[2 * n:].reshape(n + 2, n_pu)
         self.g_pu_src, self.g_pu_relay, self.g_pu_dst = primary[0], primary[1:-1], primary[-1]
-        tied = _tied_rows(primary)
-        if tied.any():
-            labels = (["d_pu_src: primary->source"]
-                      + ["d_pu_relay: primary->relay %d" % i for i in range(n)]
-                      + ["d_pu_dst: primary->destination"])
-            raise ValueError(
-                "links.%s means are not pairwise distinct at relative tolerance %g; "
-                "perturb the geometry instead of relying on tie-breaking"
-                % (labels[int(np.argmax(tied))], DISTINCT_RTOL))
-        families = {}
-        self.family = tuple(families.setdefault(row.tobytes(), len(families)) for row in primary)
-        self.family_gains = tuple(primary[self.family.index(f)] for f in range(len(families)))
-        peak = {f: max_exp_expectation(self.family_gains[f]) for f in set(self.family[:-1])}
+        # the one pass over the primary rows, on Python floats: positive
+        # normal floats are equal exactly when their bits are, and a - b and
+        # RTOL * a round as numpy's elementwise operations do
+        families, family, first, canonical = {}, [], [], []
+        for k, row in enumerate(primary.tolist()):
+            family.append(families.setdefault(tuple(row), len(families)))
+            if family[-1] == len(first):
+                row.sort(reverse=True)
+                if any(a - b <= DISTINCT_RTOL * a for a, b in zip(row, row[1:])):
+                    label = ("d_pu_src: primary->source" if k == 0 else
+                             "d_pu_dst: primary->destination" if k == n + 1 else
+                             "d_pu_relay: primary->relay %d" % (k - 1))
+                    raise ValueError(
+                        "links.%s means are not pairwise distinct at relative tolerance %g; "
+                        "perturb the geometry instead of relying on tie-breaking"
+                        % (label, DISTINCT_RTOL))
+                first.append(k)
+                canonical.append(row)
+        self.family = tuple(family)
+        self.family_gains = tuple([primary[k] for k in first])
+        canonical = np.array(canonical)
+        canonical.flags.writeable = False
+        self.canonical_gains = tuple(canonical)
+        peak = {f: max_exp_expectation(self.canonical_gains[f])
+                for f in dict.fromkeys(self.family[:-1])}
         self.peak_pu_src = peak[self.family[0]]
         self.peak_pu_relay = tuple(peak[f] for f in self.family[1:-1])
 
@@ -142,7 +156,7 @@ class LinkSet:
         return _check_index(i, self.n_relays)
 
 
-_TINY = np.finfo(float).tiny
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
 
 
 def _stored_gains(families, alpha):
@@ -151,15 +165,16 @@ def _stored_gains(families, alpha):
     gain and its square (the harvest sums g**2) must be a positive normal
     float, or a nan or inf follows; the error names the first family with a
     distance that breaks this, and its first such distance."""
-    d = np.array([x for _, _, ds in families for x in ds], dtype=float)
-    bad = ~(d > 0.0)
-    if not bad.any():
+    d = [x for _, _, ds in families for x in ds]
+    # the checks run on Python floats, whose products round as numpy's do
+    first = next((k for k, x in enumerate(d) if not x > 0.0), None)
+    if first is None:
         with np.errstate(over="ignore", under="ignore"):
-            g = d ** (-alpha)
-            sq = g * g
-        bad = ~(np.isfinite(sq) & (sq >= _TINY))
-    if bad.any():
-        first, end = int(np.argmax(bad)), 0
+            g = np.array(d) ** (-alpha)
+        first = next((k for k, x in enumerate(g.tolist()) if not _TINY <= x * x <= _HUGE),
+                     None)
+    if first is not None:
+        end = 0
         for count, key, _ in families:
             end += count
             if first < end:
@@ -211,7 +226,7 @@ def partial_fraction_weights(means):
     diff.reshape(-1, r * r)[:, :: r + 1] = 1.0  # every diagonal, through a view
     ratios = m[..., :, None] / diff
     ratios.reshape(-1, r * r)[:, :: r + 1] = 1.0
-    return np.prod(ratios, axis=-1)
+    return np.multiply.reduce(ratios, axis=-1)
 
 
 def _threshold(x):
@@ -223,12 +238,18 @@ def _threshold(x):
 
 
 def _positive_means(means):
-    """The checked means in descending order, the order every sum over them takes."""
+    """The checked means in descending order, the order every sum over them
+    takes. A row already strictly descending and positive, as each of
+    `LinkSet.canonical_gains` is, comes back as it is, without a sort."""
     m = np.asarray(means, dtype=float)
     if m.size == 0:
         raise ValueError("need at least one mean")
     if m.size > MAX_POPULATION:
         raise ValueError("exact subset enumeration capped at %d transmitters" % MAX_POPULATION)
+    if m.ndim == 1:
+        v = m.tolist()
+        if v[-1] > 0.0 and all(a > b for a, b in zip(v, v[1:])):
+            return m
     if np.any(m <= 0.0):
         raise ValueError("means must be positive")
     return -np.sort(-m)
@@ -249,10 +270,11 @@ def _subset_rows(n):
     return tuple(rows)
 
 
-def _add_in_order(total, terms):
-    """total + terms[0] + terms[1] + ..., one addition at a time, as a float:
-    np.sum adds pairwise, which moves the last bits of a saturated 1 - delta**n."""
-    return float(np.add.accumulate(np.concatenate(([total], terms)))[-1])
+def _add_in_order(total, groups):
+    """total plus every term of every array of groups, one addition at a
+    time, in order, as a float: np.sum adds pairwise, which moves the last
+    bits of a saturated 1 - delta**n."""
+    return float(np.add.accumulate(np.concatenate(([total], *groups)))[-1])
 
 
 def _exp_survival(x, mm):
@@ -265,7 +287,8 @@ class InterferenceLaw(NamedTuple):
     expands it: the all-off atom, the L scaled means and the groups. `cdf`
     and `expect` are the only readers of the groups. Both evaluate their
     kernels once per mean and gather the values to each group's subsets,
-    then add the per-subset terms one at a time, in subset order."""
+    then add every group's per-subset terms one at a time, in subset order,
+    in one accumulate (`_add_in_order`)."""
 
     atom: float
     means: np.ndarray
@@ -277,25 +300,23 @@ class InterferenceLaw(NamedTuple):
         of mean mm (by default, the interference). survival is evaluated on the
         L means, and only at x > 0, so the CDF at 0 is exactly the atom."""
         x = _threshold(x)
-        total = float(self.atom)
-        if x > 0.0 and self.groups:
-            surv = survival(x, self.means)
-            for prob, idx, w in self.groups:
-                total = _add_in_order(total, prob * (1.0 - np.sum(w * surv[idx], axis=-1)))
-        return total
+        if not (x > 0.0 and self.groups):
+            return float(self.atom)
+        surv = survival(x, self.means)
+        return _add_in_order(self.atom, [
+            prob * (1.0 - np.add.reduce(w * surv[idx], axis=-1)) for prob, idx, w in self.groups])
 
     def expect(self, term, kernel):
         """E[g(X); X > 0] over the continuous part. kernel(means) gives a
         tuple of per-mean arrays on the L scaled means; term(w, *arrays),
         with the arrays gathered to a group's subsets, gives w * E[g(Exp(mm))]
         for each component mm of the group."""
-        total = 0.0
-        if self.groups:
-            per_mean = kernel(self.means)
-            for prob, idx, w in self.groups:
-                total = _add_in_order(
-                    total, prob * np.sum(term(w, *(a[idx] for a in per_mean)), axis=-1))
-        return total
+        if not self.groups:
+            return 0.0
+        per_mean = kernel(self.means)
+        return _add_in_order(0.0, [
+            prob * np.add.reduce(term(w, *(a[idx] for a in per_mean)), axis=-1)
+            for prob, idx, w in self.groups])
 
 
 def activity_mixture(means, duty, scale):
@@ -324,8 +345,6 @@ def activity_mixture(means, duty, scale):
 def max_exp_expectation(means):
     """Mean of the maximum of independent exponentials by inclusion-exclusion."""
     rates = 1.0 / _positive_means(means)
-    total = 0.0
-    for size, idx in enumerate(_subset_rows(rates.size), start=1):
-        sign = 1.0 if size % 2 == 1 else -1.0
-        total = _add_in_order(total, sign / rates[idx].sum(axis=-1))
-    return total
+    return _add_in_order(0.0, [
+        (1.0 if size % 2 == 1 else -1.0) / np.add.reduce(rates[idx], axis=-1)
+        for size, idx in enumerate(_subset_rows(rates.size), start=1)])

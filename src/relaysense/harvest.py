@@ -40,8 +40,9 @@ class HarvestReport:
 def harvest_mean_power(links: LinkSet, primary: PrimaryModel, policy: SecondaryPolicy,
                        i: int) -> float:
     """Average RF power harvested by relay i while the band is observed. Its
-    squared gains add in descending order, so relabelling keeps every bit."""
-    g = -np.sort(-links.g_pu_relay[links.check_relay(i)])
+    squared gains add in descending order, its family's row of
+    `LinkSet.canonical_gains`, so relabelling keeps every bit."""
+    g = links.canonical_gains[links.family[1 + links.check_relay(i)]]
     return policy.eta * primary.tx_power * primary.duty * float(np.sum(g * g))
 
 

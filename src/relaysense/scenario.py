@@ -14,6 +14,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .energy_opt import EnergyModel
 from .fading import LinkSet, PrimaryModel
@@ -21,6 +22,8 @@ from .sensing import SecondaryPolicy, _secondary_hops
 from .transmission import rho_from_doppler
 
 _UNIT_RE = re.compile(r"^\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([a-zA-Z]*)\s*$")
+_LIST_SEP = re.compile(r"[,\s]+")
+_UNIT_WORD = re.compile(r"[a-zA-Z]+")
 
 _SCALES = {
     "": 1.0,
@@ -40,38 +43,43 @@ def parse_quantity(text: str, noise_power: float = None) -> float:
     that is not finite ('1e999', '4000 dBW') is rejected.
     """
     m = _UNIT_RE.match(str(text))
-    if not m:
+    if m is None:
         raise ValueError("cannot parse quantity %r" % text)
-    val = float(m.group(1))
-    unit = m.group(2).lower()
-    try:
-        if unit == "dbm":
-            out = 10.0 ** ((val - 30.0) / 10.0)
-        elif unit == "dbw":
-            out = 10.0 ** (val / 10.0)
-        elif unit == "db":
-            if noise_power is None:
-                raise ValueError("dB values are relative to the noise floor, "
-                                 "which is not set yet")
-            out = noise_power * 10.0 ** (val / 10.0)
-        elif unit in _SCALES:
-            out = val * _SCALES[unit]
-        else:
-            raise ValueError("unknown unit %r in %r" % (m.group(2), text))
-    except OverflowError:
-        out = math.inf
+    number, unit = m.groups()
+    val = float(number)
+    key = unit.lower()
+    scale = _SCALES.get(key)
+    if scale is not None:
+        out = val * scale
+    else:
+        try:
+            if key == "dbm":
+                out = 10.0 ** ((val - 30.0) / 10.0)
+            elif key == "dbw":
+                out = 10.0 ** (val / 10.0)
+            elif key == "db":
+                if noise_power is None:
+                    raise ValueError("dB values are relative to the noise floor, "
+                                     "which is not set yet")
+                out = noise_power * 10.0 ** (val / 10.0)
+            else:
+                raise ValueError("unknown unit %r in %r" % (unit, text))
+        except OverflowError:
+            out = math.inf
     if not (math.isfinite(val) and math.isfinite(out)):
         raise ValueError("quantity %r is not finite" % text)
     return out
 
 
 def parse_list(text: str, noise_power: float = None):
-    items = [p for p in re.split(r"[,\s]+", str(text).strip()) if p]
-    # re-join number+unit pairs split by whitespace ('0.4 km, 0.5 km')
+    """Parse a comma- or space-separated list of quantities; a unit split
+    from its number by spaces ('0.4 km, 0.5 km') joins the item before it."""
     merged = []
-    for p in items:
-        if merged and re.fullmatch(r"[a-zA-Z]+", p):
-            merged[-1] = merged[-1] + " " + p
+    for p in _LIST_SEP.split(str(text).strip()):
+        if not p:
+            continue
+        if merged and _UNIT_WORD.fullmatch(p):
+            merged[-1] += " " + p
         else:
             merged.append(p)
     return [parse_quantity(p, noise_power) for p in merged]
@@ -81,20 +89,17 @@ class ConfigError(ValueError):
     pass
 
 
-def _plain(convert):
-    """A key parser that reads no noise floor: convert(text)."""
-    return lambda text, n0: convert(text)
+class _Parser(NamedTuple):
+    """How a key's text becomes its value: convert(text), or convert(text,
+    n0) with the noise floor n0 for a quantity that may be given in dB over
+    it (floor). A converter raises ValueError on text it cannot read. Then,
+    if check is set, a value v for which check(v) is false is rejected with
+    message % v."""
 
-
-def _checked(parse, ok, message):
-    """A key parser that rejects a parsed value v unless ok(v), with
-    message % v; the reader puts the key's name in front."""
-    def read(text, n0):
-        v = parse(text, n0)
-        if not ok(v):
-            raise ConfigError(message % v)
-        return v
-    return read
+    convert: Callable
+    floor: bool = False
+    check: Callable = None
+    message: str = None
 
 
 def _whole(text: str) -> int:
@@ -105,48 +110,52 @@ def _whole(text: str) -> int:
     return int(v)
 
 
-_FLOAT, _INT, _KM = _plain(float), _plain(int), _plain(parse_list)
+def _km_rows(text: str):
+    """The ';'-separated rows of a distance matrix, each a `parse_list`."""
+    return [parse_list(row) for row in text.split(";")]
+
+
+_FLOAT, _INT, _KM = _Parser(float), _Parser(int), _Parser(parse_list)
+_QUANTITY = _Parser(parse_quantity, floor=True)
 _POSITIVE = "must be positive, got %g"
 
-# Every config key: section -> key -> (parser of (text, noise floor), default
-# text), read in this order. A default of None marks a key without one: it is
-# required, apart from the d_pu ladder and its per-side keys, and the Jakes
-# pair doppler_hz and t_diff, which are read only when set. A parser raises
-# ValueError on text it cannot read, or ConfigError on a value out of range.
+# Every config key: section -> key -> (parser, default text), read in this
+# order. A default of None marks a key without one: it is required, apart
+# from the d_pu ladder and its per-side keys, and the Jakes pair doppler_hz
+# and t_diff, which are read only when set.
 KEYS = {
     "links": {
         "d_src_relay": (_KM, None), "d_relay_dst": (_KM, None),
         "d_pu": (_KM, None), "d_pu_src": (_KM, None), "d_pu_dst": (_KM, None),
-        "d_pu_relay": (_plain(lambda text: [parse_list(row) for row in text.split(";")]),
-                       None),
+        "d_pu_relay": (_Parser(_km_rows), None),
         "alpha": (_FLOAT, "4"),
     },
-    "primary": {"tx_power": (parse_quantity, None), "duty": (_FLOAT, None)},
+    "primary": {"tx_power": (_QUANTITY, None), "duty": (_FLOAT, None)},
     "policy": {
-        "p_max": (parse_quantity, None), "interference_cap": (parse_quantity, None),
-        "noise_power": (_checked(parse_quantity, lambda v: v > 0.0, _POSITIVE), None),
-        "bandwidth": (parse_quantity, None), "threshold": (parse_quantity, None),
+        "p_max": (_QUANTITY, None), "interference_cap": (_QUANTITY, None),
+        "noise_power": (_Parser(parse_quantity, True, lambda v: v > 0.0, _POSITIVE), None),
+        "bandwidth": (_QUANTITY, None), "threshold": (_QUANTITY, None),
         "eta": (_FLOAT, "0.35"),
-        "p_circuit_tx": (parse_quantity, None), "p_circuit_rx": (parse_quantity, None),
+        "p_circuit_tx": (_QUANTITY, None), "p_circuit_rx": (_QUANTITY, None),
     },
     "csi": {
-        "doppler_hz": (_plain(parse_quantity), None), "t_diff": (_plain(parse_quantity), None),
-        "rho": (_checked(_FLOAT, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1], got %g"),
+        "doppler_hz": (_Parser(parse_quantity), None), "t_diff": (_Parser(parse_quantity), None),
+        "rho": (_Parser(float, False, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1], got %g"),
                 "0.75"),
     },
-    "frame": {"t_total": (parse_quantity, "100 ms"), "t_report": (parse_quantity, "1 ms"),
-              "t_sense": (parse_quantity, "20 ms")},
+    "frame": {"t_total": (_QUANTITY, "100 ms"), "t_report": (_QUANTITY, "1 ms"),
+              "t_sense": (_QUANTITY, "20 ms")},
     "traffic": {
-        "rate": (_checked(parse_quantity, lambda v: v > 0.0, _POSITIVE), "100 kbps"),
-        "gamma_th": (parse_quantity, "3 dB"),
-        "d_star": (_checked(_FLOAT, lambda v: 0.0 <= v < math.inf,
-                            "must be finite and non-negative, got %g"), "0"),
+        "rate": (_Parser(parse_quantity, True, lambda v: v > 0.0, _POSITIVE), "100 kbps"),
+        "gamma_th": (_QUANTITY, "3 dB"),
+        "d_star": (_Parser(float, False, lambda v: 0.0 <= v < math.inf,
+                           "must be finite and non-negative, got %g"), "0"),
     },
     "sim": {
-        "trials": (_checked(_plain(_whole), lambda v: v >= 2, "must be at least 2, got %d"),
+        "trials": (_Parser(_whole, False, lambda v: v >= 2, "must be at least 2, got %d"),
                    "1000000"),
         "seed": (_INT, "1234"),
-        "workers": (_checked(_INT, lambda v: v >= 1, "must be at least 1, got %d"), "1"),
+        "workers": (_Parser(int, False, lambda v: v >= 1, "must be at least 1, got %d"), "1"),
         "relay": (_INT, "0"),
     },
 }
@@ -236,9 +245,13 @@ def scenario_from_conf(conf: dict) -> Scenario:
     return scn
 
 
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
+_TINY_RECIPROCAL = 1.0 / _TINY
+
+
 def _normal(values) -> bool:
     """Whether each value and its reciprocal are positive normal floats."""
-    return all(sys.float_info.min <= v <= 1.0 / sys.float_info.min for v in values)
+    return all(_TINY <= v <= _TINY_RECIPROCAL for v in values)
 
 
 # Above every product of two draws the Monte Carlo kernels form, at any
@@ -258,9 +271,13 @@ def _check_snr_range(links: LinkSet, primary: PrimaryModel, policy: SecondaryPol
     interference cap (none detected). Also reject a power that lets a
     product of two means, as the estimators form, overflow."""
     scale = primary.tx_power / policy.noise_power
-    # on Python floats, which overflow to inf without a warning
-    rows = [links.g_pu_dst.tolist(), *links.g_pu_relay.tolist()]
-    if not _normal(scale * g for row in rows for g in row):
+    # once per family of the destination and the relays, on Python floats,
+    # which overflow to inf without a warning. A product with scale rounds
+    # monotonically, so the ends of a family's descending row bound the
+    # rest; the sums run in input order, as each receiver's row lists them
+    families = set(links.family[1:])
+    rows = [links.canonical_gains[f].tolist() for f in families]
+    if not _normal([scale * row[0] for row in rows] + [scale * row[-1] for row in rows]):
         raise ConfigError("primary.tx_power must keep each interference mean "
                           "tx_power * g / noise_power and its reciprocal normal floats, "
                           "got %g W" % primary.tx_power)
@@ -278,51 +295,62 @@ def _check_snr_range(links: LinkSet, primary: PrimaryModel, policy: SecondaryPol
     # draws besides: each receiver's interference mean, summed over the L
     # primaries, by the SNR of its report hop (1 at the destination; a
     # relay's second hop at miss 1), and each relay's first-hop SNR by its
-    # second at p_detect = 1 (miss 0), where the powers are largest. While
-    # max(m1, 1) * max(m2, 1) * _DRAW_PRODUCT is finite, so is every partial
-    # product, and a closed-form kernel argument that overflows has a tail
-    # that rounds to 0 anyway.
-    def fits(pairs):
-        return all(max(m1, 1.0) * max(m2, 1.0) * _DRAW_PRODUCT <= sys.float_info.max
-                   for m1, m2 in pairs)
-
-    sums = [scale * sum(row) for row in rows]
-    if not fits(zip(sums, (1.0,) + snrs[1.0][1])):
+    # second at p_detect = 1 (miss 0), where the powers are largest.
+    sums = {f: scale * sum(links.family_gains[f].tolist()) for f in families}
+    if not _fits(zip([sums[f] for f in links.family[-1:] + links.family[1:-1]],
+                     (1.0,) + snrs[1.0][1])):
         raise ConfigError("primary.tx_power must keep each receiver's interference mean, "
                           "summed over the primaries, times its report SNR within the float "
                           "range, with headroom for the Monte Carlo draws, got %g W"
                           % primary.tx_power)
-    if not fits(zip(*snrs[0.0])):
+    if not _fits(zip(*snrs[0.0])):
         raise ConfigError("policy.p_max must keep each relay's first-hop SNR times its "
                           "second-hop SNR within the float range, with headroom for the "
                           "Monte Carlo draws, got %g W" % policy.p_max)
 
 
-def _parse_scenario(conf: dict) -> Scenario:
-    _check_keys(conf)
-    n0 = None  # the noise floor, once read: dB-relative powers are multiples of it
+def _fits(pairs) -> bool:
+    """Whether max(m1, 1) * max(m2, 1) * _DRAW_PRODUCT is finite for each
+    pair of means: then so is every partial product, and a closed-form
+    kernel argument that overflows has a tail that rounds to 0 anyway."""
+    return all(max(m1, 1.0) * max(m2, 1.0) * _DRAW_PRODUCT <= _HUGE for m1, m2 in pairs)
 
-    def read(section, key):
-        """section.key's value, or its default, parsed; a failure names the key."""
-        parse, default = KEYS[section][key]
-        text = conf.get(section, {}).get(key, default)
+
+# the keys read only when set: the d_pu ladder and its per-side keys
+_LADDER = ("d_pu",) + _SIDES
+# the policy keys after the noise floor, which is read first
+_POLICY = tuple(k for k in KEYS["policy"] if k != "noise_power")
+
+
+def _read(conf: dict, section: str, keys, n0) -> dict:
+    """{key: value} for each of keys, in order: section.key's text in conf,
+    or the key's `KEYS` default, read by its row's `_Parser` with noise
+    floor n0. A missing required key, a failed parse or a rejected value
+    raises a ConfigError that names section.key."""
+    given, rows, out = conf.get(section, {}), KEYS[section], {}
+    for key in keys:
+        (convert, floor, check, message), default = rows[key]
+        text = given.get(key, default)
         if text is None:
             raise ConfigError("missing required key %s.%s" % (section, key))
         try:
-            return parse(text, n0)
-        except ConfigError as exc:
-            raise ConfigError("%s.%s %s" % (section, key, exc)) from None
+            value = convert(text, n0) if floor else convert(text)
         except ValueError as exc:
             raise ConfigError("%s.%s: %s" % (section, key, exc)) from exc
+        if check is not None and not check(value):
+            raise ConfigError("%s.%s %s" % (section, key, message % value))
+        out[key] = value
+    return out
 
-    def section(name):
-        return {key: read(name, key) for key in KEYS[name]}
 
-    n0 = read("policy", "noise_power")
-    given = conf.get("links", {})
+def _parse_scenario(conf: dict) -> Scenario:
+    _check_keys(conf)
+    # the noise floor first: dB-relative powers are multiples of it
+    n0 = _read(conf, "policy", ("noise_power",), None)["noise_power"]
     # the d_pu ladder and its per-side keys are read when set; a per-side key wins
-    links = {k: read("links", k) for k in KEYS["links"]
-             if k in given or k not in ("d_pu",) + _SIDES}
+    given = conf.get("links", {})
+    links = _read(conf, "links", [k for k in KEYS["links"] if k in given or k not in _LADDER],
+                  n0)
     d_pu = links.pop("d_pu", None)
     if d_pu is not None:
         links.setdefault("d_pu_src", d_pu)
@@ -331,21 +359,23 @@ def _parse_scenario(conf: dict) -> Scenario:
     if not links.keys() >= set(_SIDES):
         raise ConfigError("links needs d_pu or the explicit d_pu_src/d_pu_dst/d_pu_relay")
     links = LinkSet(**links)
-    primary = PrimaryModel(**section("primary"))
-    policy = SecondaryPolicy(**section("policy"))
+    primary = PrimaryModel(**_read(conf, "primary", KEYS["primary"], n0))
+    policy = SecondaryPolicy(noise_power=n0, **_read(conf, "policy", _POLICY, n0))
     # an explicit csi.rho wins, then the Jakes value of doppler_hz and
     # t_diff, then the default rho
     csi = conf.get("csi", {})
-    jakes = {k: read("csi", k) for k in ("doppler_hz", "t_diff") if k in csi}
+    jakes = _read(conf, "csi", [k for k in ("doppler_hz", "t_diff") if k in csi], n0)
     if "rho" in csi or "doppler_hz" not in jakes:
-        rho = read("csi", "rho")
+        rho = _read(conf, "csi", ("rho",), n0)["rho"]
     elif "t_diff" not in jakes:
         raise ConfigError("missing required key csi.t_diff: csi.doppler_hz needs the "
                           "estimation lag")
     else:
         rho = rho_from_doppler(**jakes)
     return Scenario(links=links, primary=primary, policy=policy, rho=rho,
-                    **section("frame"), **section("traffic"), **section("sim"))
+                    **_read(conf, "frame", KEYS["frame"], n0),
+                    **_read(conf, "traffic", KEYS["traffic"], n0),
+                    **_read(conf, "sim", KEYS["sim"], n0))
 
 
 def load_config(path: str) -> dict:

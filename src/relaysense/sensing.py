@@ -90,10 +90,10 @@ def _secondary_hops(links: LinkSet, policy: SecondaryPolicy, miss: float):
     and the relays' powers (W) and relay i's mean first- and second-hop SNRs
     p_src * g_sr,i / N0 and p_relay[i] * g_rd,i / N0, on Python floats."""
     n0 = policy.noise_power
-    p_src = _capped_power(policy, float(links.peak_pu_src), miss)
-    p_relay = tuple(_capped_power(policy, float(peak), miss) for peak in links.peak_pu_relay)
-    return (p_src, p_relay, tuple(p_src * g / n0 for g in links.g_src_relay.tolist()),
-            tuple(p * g / n0 for p, g in zip(p_relay, links.g_relay_dst.tolist())))
+    p_src = _capped_power(policy, links.peak_pu_src, miss)
+    p_relay = tuple([_capped_power(policy, peak, miss) for peak in links.peak_pu_relay])
+    return (p_src, p_relay, tuple([p_src * g / n0 for g in links.g_src_relay.tolist()]),
+            tuple([p * g / n0 for p, g in zip(p_relay, links.g_relay_dst.tolist())]))
 
 
 def fixed_gain_report(law: InterferenceLaw) -> float:
@@ -163,7 +163,7 @@ def build_report_gain(links: LinkSet, primary: PrimaryModel,
     power meets both limits with the primary taken as always on (miss = 1)."""
     duty, scale = primary.duty, primary.tx_power / policy.noise_power
     relay_family, dst_family = links.family[1:-1], links.family[-1]
-    laws = {f: activity_mixture(links.family_gains[f], duty, scale)
+    laws = {f: activity_mixture(links.canonical_gains[f], duty, scale)
             for f in dict.fromkeys((*relay_family, dst_family))}
     fixed = {f: fixed_gain_report(laws[f]) for f in dict.fromkeys(relay_family)}
     _, p_report, _, snr_report = _secondary_hops(links, policy, 1.0)

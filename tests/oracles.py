@@ -2,11 +2,15 @@
 
 Everything here recomputes target quantities by generic quadrature or brute
 force, never by the closed forms under test. Nothing in this module is
-imported by the library.
+imported by the library. `reference_parse_quantity` and
+`reference_parse_list` are a plain, unoptimised config parser, the
+reference for every float and error message of `scenario.parse_quantity`
+and `scenario.parse_list`.
 """
 
 import itertools
 import math
+import re
 
 import numpy as np
 from scipy import integrate
@@ -309,3 +313,57 @@ def perfect_csi_outage(x, m, a, u):
         total += integrate.quad(integrand, hi - 80.0, hi, limit=600,
                                 epsabs=0.0, epsrel=1e-12)[0]
     return total
+
+
+_REFERENCE_UNIT_RE = re.compile(r"^\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([a-zA-Z]*)\s*$")
+
+REFERENCE_SCALES = {
+    "": 1.0,
+    "w": 1.0, "mw": 1e-3, "uw": 1e-6, "nw": 1e-9, "pw": 1e-12,
+    "s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9,
+    "hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9,
+    "km": 1.0, "m": 1e-3,
+    "bps": 1.0, "kbps": 1e3, "mbps": 1e6, "gbps": 1e9,
+}
+
+
+def reference_parse_quantity(text, noise_power=None):
+    """'20 dBm', '3 dB' (over noise_power), '100 kbps', '0.4 km' or a bare
+    number, in km or SI base units; ValueError on anything else."""
+    m = _REFERENCE_UNIT_RE.match(str(text))
+    if not m:
+        raise ValueError("cannot parse quantity %r" % text)
+    val = float(m.group(1))
+    unit = m.group(2).lower()
+    try:
+        if unit == "dbm":
+            out = 10.0 ** ((val - 30.0) / 10.0)
+        elif unit == "dbw":
+            out = 10.0 ** (val / 10.0)
+        elif unit == "db":
+            if noise_power is None:
+                raise ValueError("dB values are relative to the noise floor, "
+                                 "which is not set yet")
+            out = noise_power * 10.0 ** (val / 10.0)
+        elif unit in REFERENCE_SCALES:
+            out = val * REFERENCE_SCALES[unit]
+        else:
+            raise ValueError("unknown unit %r in %r" % (m.group(2), text))
+    except OverflowError:
+        out = math.inf
+    if not (math.isfinite(val) and math.isfinite(out)):
+        raise ValueError("quantity %r is not finite" % text)
+    return out
+
+
+def reference_parse_list(text, noise_power=None):
+    """The quantities of a comma- or space-separated list; a unit split from
+    its number by spaces joins the item before it."""
+    items = [p for p in re.split(r"[,\s]+", str(text).strip()) if p]
+    merged = []
+    for p in items:
+        if merged and re.fullmatch(r"[a-zA-Z]+", p):
+            merged[-1] = merged[-1] + " " + p
+        else:
+            merged.append(p)
+    return [reference_parse_quantity(p, noise_power) for p in merged]

@@ -119,3 +119,72 @@ def test_one_table_writes_every_row(bench, monkeypatch):
     assert lines[4:] == ["| a | default | 2 (1) |  |  |",
                          "| b |  | 2 (2) | 5 (2) |  |",
                          "| c |  |  |  | 20 (10) |"]
+
+
+def _fake_children(log, values):
+    """run(src, sections) for `against`: logs src and returns, as a child of
+    that tree would, its src_sha256 and one `drive` row of one run per
+    section, the next of values[src]."""
+    left = {src: iter(v) for src, v in values.items()}
+
+    def run(src, sections):
+        log.append(src)
+        x = next(left[src])
+        return {"src_sha256": "sha:" + src,
+                **{section: [{"preset": "fig3-L3", "step": "LinkSet",
+                              "us_per_call": {"median": x, "best": x, "runs": [x]}}]
+                   for section in sections}}
+
+    return run
+
+
+@pytest.fixture
+def fake_trees(bench, monkeypatch):
+    monkeypatch.setattr(bench, "src_stats",
+                        lambda pkg=None: ({}, "sha:" + os.path.dirname(pkg)))
+    return {"this": "new", "against": "old"}
+
+
+def test_against_alternates_which_tree_runs_first(bench, fake_trees):
+    log = []
+    values = {"new": [1.0] * 5, "old": [2.0] * 5}
+    bench.against(fake_trees, ["chain"], 5, run=_fake_children(log, values))
+    assert log == ["new", "old", "old", "new", "new", "old", "old", "new", "new", "old"]
+
+
+def test_against_pairs_each_round_and_gives_the_median_ratio(bench, fake_trees):
+    values = {"new": [3.0, 1.0, 2.0, 8.0], "old": [4.0, 4.0, 2.0, 4.0]}
+    got = bench.against(fake_trees, ["chain", "specfun"], 4,
+                        run=_fake_children([], values))
+    assert list(got) == ["chain", "specfun"]
+    (row,) = got["chain"]
+    assert {k: row[k] for k in ("preset", "step")} == {"preset": "fig3-L3", "step": "LinkSet"}
+    cell = row["us_per_call"]
+    assert cell["this"] == {"median": 2.5, "runs": [3.0, 1.0, 2.0, 8.0]}
+    assert cell["against"] == {"median": 4.0, "runs": [4.0, 4.0, 2.0, 4.0]}
+    # the paired ratios are 0.75, 0.25, 1 and 2: their median, not the
+    # ratio of the medians (0.625)
+    ratio = cell["ratio"]
+    assert ratio["median"] == 0.875
+    assert 0.25 <= ratio["lo"] <= ratio["median"] <= ratio["hi"] <= 2.0
+    assert ratio == bench.ratio_interval([3.0, 1.0, 2.0, 8.0], [4.0, 4.0, 2.0, 4.0])
+
+
+def test_ratio_interval_of_a_constant_ratio_is_that_ratio(bench):
+    assert bench.ratio_interval([1.0, 2.0, 3.0], [2.0, 4.0, 6.0]) \
+        == {"median": 0.5, "lo": 0.5, "hi": 0.5}
+
+
+def test_ratio_interval_is_the_bootstrap_of_the_median(bench):
+    # two pairs resample to medians of 1, 2 or 3, with 1 and 3 each about a
+    # quarter of the draws
+    got = bench.ratio_interval([1.0, 3.0], [1.0, 1.0], draws=400)
+    assert got == {"median": 2.0, "lo": 1.0, "hi": 3.0}
+
+
+def test_a_child_of_another_tree_is_refused(bench, fake_trees):
+    def run(src, sections):
+        return {"src_sha256": "sha:new", "chain": []}
+
+    with pytest.raises(RuntimeError, match="the against child imported another relaysense"):
+        bench.against(fake_trees, ["chain"], 2, run=run)

@@ -513,6 +513,23 @@ class TestSingleQuantityCommands:
         assert rc == 1
         assert "infeasible" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", [["optimize"], ["figure", "table1"]],
+                             ids=["optimize", "table1"])
+    def test_short_listen_window_exits_2_naming_the_frame_keys(self, command, tmp_path,
+                                                               capsys):
+        # a 0.15 us listen window holds a 10-sample slot at 100 MHz, but the
+        # search keeps TIME_TOL = 0.1 us clear of both of its ends
+        out = tmp_path / "table1.csv"
+        sets = ["frame.t_total=1.15 us", "frame.t_report=1 us", "frame.t_sense=0.1 us",
+                "policy.bandwidth=100 MHz"]
+        argv = ["--no-mc", "--out", str(out)] + [a for s in sets for a in ("--set", s)]
+        assert run(argv + command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert {"frame.t_total", "frame.t_report"} <= {m.group(0) for m in _KEY.finditer(err)}
+        assert "longer than 2 * TIME_TOL = 2e-07 s" in err
+        assert not out.exists()
+
     def test_config_file_loads(self, tmp_path, capsys):
         path = tmp_path / "scn.ini"
         path.write_text(

@@ -265,6 +265,19 @@ class TestLinkSet:
             with pytest.raises(ValueError):
                 g[0] = 1.0
 
+    def test_canonical_rows_are_the_family_rows_sorted_once(self):
+        # the source's row lists relay 0's and the destination's primaries
+        # the other way round: a family of its own, with the same sorted row
+        ls = self.base(d_pu_src=[0.41, 0.4], d_pu_relay=[[0.4, 0.43], [0.41, 0.42]])
+        assert ls.family == (0, 1, 2, 1)
+        assert len(ls.canonical_gains) == len(ls.family_gains) == 3
+        for row, canon in zip(ls.family_gains, ls.canonical_gains):
+            assert canon.tolist() == sorted(row.tolist(), reverse=True)
+            assert not canon.flags.writeable
+            # the closed forms read a canonical row as it is
+            assert fading._positive_means(canon) is canon
+        assert ls.canonical_gains[0].tobytes() == ls.canonical_gains[1].tobytes()
+
     def test_rejects_negative_distance(self):
         with pytest.raises(ValueError):
             self.base(d_src_relay=[0.1, -0.12])

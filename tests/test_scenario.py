@@ -3,7 +3,9 @@ import pathlib
 import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from relaysense.scenario import (
     ConfigError,
     apply_overrides,
@@ -71,6 +73,67 @@ class TestParseList:
 
     def test_single_item(self):
         assert parse_list("1.0") == [1.0]
+
+
+def _outcome(parse, text, noise_power):
+    """What parse makes of text: the float.hex of its value or values, or
+    the type and message of the ValueError it raises."""
+    try:
+        got = parse(text, noise_power)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [v.hex() for v in got] if isinstance(got, list) else got.hex()
+
+
+def _mixed_case(word, flips):
+    return "".join(c.upper() if flip else c for c, flip in zip(word, flips + [False] * len(word)))
+
+
+_UNITS = sorted(oracles.REFERENCE_SCALES) + ["db", "dbm", "dbw", "parsecs", "x", "e", "µw",
+                                             "ｍs", "é"]
+# signed numbers with an optional fraction and exponent, three draws in
+# four; else a malformed number or a string that float() accepts and a
+# quantity must not: nan, inf, an overflowing exponent, underscores and
+# non-ASCII digits
+_NUMBER = st.builds("{}{}{}{}".format, st.sampled_from(["", "-", "+"]),
+                    st.text("0123456789", min_size=1, max_size=4),
+                    st.sampled_from(["", ".", ".25", ".0"]),
+                    st.sampled_from(["", "e3", "E-7", "e+12", "E308", "e999", "e-400"]))
+_NUMBERS = st.one_of(_NUMBER, _NUMBER, _NUMBER, st.sampled_from(
+    ["nan", "-inf", "inf", "Infinity", "1_000", "١٢", "５", "0x10", "1.2.3", "--1", "..1",
+     "1e", "1E-", ".", "+", ""]))
+_UNIT_TEXT = st.builds(_mixed_case, st.sampled_from(_UNITS), st.lists(st.booleans(), max_size=5))
+_SPACE = st.sampled_from(["", " ", "  ", "\t", "\u00a0", "\n"])
+_QUANTITIES = st.builds("{}{}{}{}{}".format, _SPACE, _NUMBERS, _SPACE, _UNIT_TEXT, _SPACE)
+_LISTS = st.builds(
+    lambda items, seps: "".join(i + s for i, s in zip(items, seps + [""] * len(items))),
+    st.lists(_QUANTITIES, min_size=1, max_size=4),
+    st.lists(st.sampled_from([",", " ", ", ", ",,", " , ", "\t", ";"]), min_size=4,
+             max_size=4))
+_ANY_TEXT = st.text(" ,.+-eE0123456789kmsWdBµé_\t", max_size=12)
+
+
+class TestParserMatchesReference:
+    """`parse_quantity` and `parse_list` give the reference parser's bits,
+    or its ValueError with the same message, on any text."""
+
+    @given(text=st.one_of(_QUANTITIES, _ANY_TEXT), noise_power=st.sampled_from([None, N0]))
+    @example(text="20 dBm", noise_power=None)
+    @example(text="3 dB", noise_power=None)
+    @example(text=" -4000 DBW ", noise_power=N0)
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    def test_quantity(self, text, noise_power):
+        assert _outcome(parse_quantity, text, noise_power) \
+            == _outcome(oracles.reference_parse_quantity, text, noise_power)
+
+    @given(text=st.one_of(_LISTS, _ANY_TEXT), noise_power=st.sampled_from([None, N0]))
+    @example(text="0.4 km, 0.5 km", noise_power=None)
+    @example(text="0.4 , km 500 M", noise_power=None)
+    @example(text=" , ", noise_power=None)
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    def test_list(self, text, noise_power):
+        assert _outcome(parse_list, text, noise_power) \
+            == _outcome(oracles.reference_parse_list, text, noise_power)
 
 
 class TestOverrides:
