@@ -11,6 +11,8 @@ or to a new BENCH_<n>.json baseline with `--out`.
     PYTHONPATH=src python3 scripts/bench.py --only held --out results/held.json
     PYTHONPATH=src python3 scripts/bench.py --only tier1 --out results/tier1.json
     PYTHONPATH=src python3 scripts/bench.py --only chain --against ../parent
+    PYTHONPATH=src python3 scripts/bench.py --perfbench tsense-sweep --against ../parent \
+        --pairs 10 --out results/pairs.json
 
 Every section is a list of cases, each a dict of labels and a function
 that makes one run and returns named measurements, and one driver
@@ -47,7 +49,13 @@ the model has not seen (so it builds the frame),
 `EnergyModel` (built untimed). The scenario build, the model build, the
 reporting chain, the fresh frame and the optimisation also on the `figure
 table1` cell with 4 relays and 4 primaries (`table1-M4L4`), the largest of
-the 16 optimisations. The scenario build, the `LinkSet`, the model build
+the 16 optimisations, and the model build, the fresh frame and the
+optimisation on the cells with 1 relay and 1 primary (`table1-M1L1`) and 2
+and 2 (`table1-M2L2`). Each optimisation row also gives two counts of one
+optimisation on a fresh model, which the search fixes and which must read
+alike on two trees that search alike: the frames it builds
+(`frame_builds`) and its `build_trans_coeffs` calls (`coeff_builds`). The
+scenario build, the `LinkSet`, the model build
 and the reporting chain also on fig4 with every relay on a primary family
 of its own (`fig4-distinct`), where expanding each distinct family once
 saves nothing, so its rows show what the sharing costs. The scenario
@@ -115,6 +123,18 @@ trees' medians and the median over rounds of the paired ratio, this tree
 over DIR, with a bootstrap 95% interval (`ratio_interval`). A ratio under
 1 means this tree is faster.
 
+`--perfbench WORKLOAD --against DIR` times the benchmark end to end
+instead: `--pairs` pairs of `perfbench/run.py --workload WORKLOAD --trace
+0` runs, one of this tree and one of DIR per pair, both on the pair's
+fresh random seed (the output records the seeds), with
+`--seconds` (by default `PERFBENCH_SECONDS`) and `--size`, and the order of
+the two trees alternating between pairs (`perfbench_pairs`). Each run
+imports relaysense from its own tree, and a run that reports an incorrect
+output raises. Per end-to-end metric it gives both trees' medians, DIR's
+interquartile range, the pairs this tree wins (in the direction
+BENCHMARK.json gives), and the median paired ratio, this tree over DIR,
+with its bootstrap 95% interval.
+
 The study that set `mcsim.HELD_FIRST_BYTES` to 4 MiB, the Monte Carlo time
 and peak tape of three sweeps against budgets of 0-16 MiB, is not rerun
 here; its readings are in `BENCH_7.json` to `BENCH_10.json`
@@ -178,6 +198,8 @@ SECTIONS = ("startup", "figures", "tier1", "held", "specfun", "chain", "mc")
 IN_PROCESS = ("specfun", "chain")
 # resamples of each row's paired ratios for its bootstrap interval
 BOOTSTRAP_DRAWS = 2000
+# each perfbench run's --seconds in `--perfbench` pairs, as BENCHMARK.json runs it
+PERFBENCH_SECONDS = 20.0
 HELD_TRIALS = 1 << 15
 FIGURES = ("fig3", "fig4", "fig6", "fig7", "fig8", "table1")
 FIGURE_TRIALS = 1_000_000
@@ -194,11 +216,21 @@ DISTINCT = ("fig4-distinct", lambda: apply_overrides(
 # fig3-L3 the shape of a geometry-sweep point (the fig3 ladder at L = 3),
 # ladder-L12 the benchmark's two-relay fig3 ladder at L = 12, and fig3-L12
 # the one-relay ladder at L = 12, timed on its LinkSet alone
+def _table1_cell(n_relays, n_pu):
+    """The config tree of the `figure table1` cell with n_relays relays and
+    n_pu primaries."""
+    return relay_ladder_conf(ladder_conf(preset("table1"), 1.0, n_pu, 0.01),
+                             0.5, 0.5, n_relays, 0.005)
+
+
+# the steps timed on the table1 cells besides table1-M4L4
+OPTIMISER_STEPS = ("EnergyModel", "EnergyModel.frame", "optimize_sensing_time")
 CHAIN_CELLS = tuple((name, lambda name=name: preset(name), None) for name in PRESETS) + (
-    ("table1-M4L4", lambda: relay_ladder_conf(ladder_conf(preset("table1"), 1.0, 4, 0.01),
-                                              0.5, 0.5, 4, 0.005),
+    ("table1-M4L4", lambda: _table1_cell(4, 4),
      ("scenario_from_conf", "EnergyModel", "build_report_gain", "EnergyModel.frame",
       "optimize_sensing_time")),
+    ("table1-M1L1", lambda: _table1_cell(1, 1), OPTIMISER_STEPS),
+    ("table1-M2L2", lambda: _table1_cell(2, 2), OPTIMISER_STEPS),
     DISTINCT + (("scenario_from_conf", "LinkSet", "EnergyModel", "build_report_gain"),),
     ("fig3-L3", lambda: ladder_conf(preset("fig3"), 0.4, 3),
      ("scenario_from_conf", "LinkSet", "build_report_gain", "detection_probability")),
@@ -362,17 +394,37 @@ def _chain_steps(conf):
     )
 
 
+def _optimiser_counts(conf):
+    """{"frame_builds", "coeff_builds"} of one optimisation on a fresh model
+    of config tree conf: the sensing times it built a frame for, and its
+    `build_trans_coeffs` calls through `energy_opt`. Both are fixed by the
+    search, so they read the same on any two trees that search alike."""
+    scn = scenario_from_conf(conf)
+    model, calls = scn.energy_model(), []
+    real = energy_opt.build_trans_coeffs
+    energy_opt.build_trans_coeffs = lambda *a: calls.append(a) or real(*a)
+    try:
+        energy_opt.optimize_sensing_time(model, scn.relay, scn.d_star)
+    finally:
+        energy_opt.build_trans_coeffs = real
+    return {"frame_builds": len(model._frames), "coeff_builds": len(calls)}
+
+
 def chain_cases():
-    """us per call of each data-phase step on each of CHAIN_CELLS, of a
-    parser build, and of each of CLI_COMMANDS through `cli.main` on
-    default."""
+    """us per call of each data-phase step on each of CHAIN_CELLS, with the
+    optimiser's counts (`_optimiser_counts`) on its rows, of a parser build,
+    and of each of CLI_COMMANDS through `cli.main` on default."""
     cases = []
     for name, conf, only in CHAIN_CELLS:
         conf = conf()
         relays = scenario_from_conf(conf).links.n_relays
-        cases += [({"preset": name, "relays": relays, "step": step},
-                   per_call("us_per_call", 1e6, fn, make))
-                  for step, fn, make in _chain_steps(conf) if not only or step in only]
+        for step, fn, make in _chain_steps(conf):
+            if only and step not in only:
+                continue
+            run = per_call("us_per_call", 1e6, fn, make)
+            if step == "optimize_sensing_time":
+                run = lambda run=run, counts=_optimiser_counts(conf): dict(run(), **counts)
+            cases.append(({"preset": name, "relays": relays, "step": step}, run))
     cases.append(({"step": "build_parser"},
                   per_call("us_per_call", 1e6, lambda _: cli.build_parser(), lambda: None)))
     relays = scenario_from_conf(preset("default")).links.n_relays
@@ -706,6 +758,77 @@ def paired_table(title, rows):
     return "\n".join(lines)
 
 
+def _perfbench_run(tree, workload, seed, seconds, size):
+    """{metric: value} of the end-to-end metrics of one `perfbench/run.py
+    --trace 0` run of checkout tree on seed, which imports relaysense from
+    its own tree; a run whose outputs are not all correct raises."""
+    cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0", "--size", size]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run(cmd, cwd=tree, env=env, check=True, capture_output=True,
+                         text=True).stdout
+    last = json.loads(out.strip().splitlines()[-1])
+    if last.get("correct") is not True or last.get("failed") != 0:
+        raise RuntimeError("%s: correct %r, failed %r" % (" ".join(cmd), last.get("correct"),
+                                                         last.get("failed")))
+    return {name: m["value"] for name, m in last["metrics"].items()}
+
+
+def _better():
+    """{metric: "lower" or "higher"} of the end-to-end metrics that the
+    repository's BENCHMARK.json declares, or {} without one."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "BENCHMARK.json")
+    try:
+        with open(path) as fh:
+            return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    except OSError:
+        return {}
+
+
+def perfbench_pairs(trees, workload, seeds, seconds, size="full", run=_perfbench_run,
+                    better=None):
+    """Pairs of perfbench runs of workload on two trees, {"this": path,
+    "against": path}: one pair per seed, both runs of a pair on its seed,
+    this tree first in even pairs and the other first in odd ones. One row
+    per end-to-end metric: both trees' medians and runs, the other tree's
+    interquartile range, the pairs this tree wins (by `better`, by default
+    BENCHMARK.json's directions, lower where it names none), and the median
+    paired ratio, this tree over the other, with its bootstrap 95% interval
+    (`ratio_interval`; None where the other tree read 0)."""
+    better = _better() if better is None else better
+    runs = {tree: [] for tree in trees}
+    for k, seed in enumerate(seeds):
+        for tree in (("this", "against") if k % 2 == 0 else ("against", "this")):
+            runs[tree].append(run(trees[tree], workload, seed, seconds, size))
+    rows = []
+    for name in runs["this"][0]:
+        a = [r[name] for r in runs["this"]]
+        b = [r[name] for r in runs["against"]]
+        q1, _, q3 = statistics.quantiles(b, n=4, method="inclusive") if len(b) > 1 \
+            else (b[0],) * 3
+        sign = -1.0 if better.get(name, "lower") == "higher" else 1.0
+        rows.append({"metric": name,
+                     "this": {"median": statistics.median(a), "runs": a},
+                     "against": {"median": statistics.median(b), "iqr": q3 - q1, "runs": b},
+                     "wins": sum(sign * x < sign * y for x, y in zip(a, b)), "pairs": len(a),
+                     "ratio": ratio_interval(a, b) if all(b) else None})
+    return rows
+
+
+def perfbench_table(title, rows):
+    """A markdown table of `perfbench_pairs` rows under title."""
+    lines = [title, "", "| metric | this | against | against IQR | wins | ratio [95%] |",
+             "|---|---|---|---|---|---|"]
+    for row in rows:
+        r = row["ratio"]
+        lines.append("| %s | %.4g | %.4g | %.4g | %d of %d | %s |" % (
+            row["metric"], row["this"]["median"], row["against"]["median"],
+            row["against"]["iqr"], row["wins"], row["pairs"],
+            "" if r is None else "%.3f [%.3f, %.3f]" % (r["median"], r["lo"], r["hi"])))
+    return "\n".join(lines)
+
+
 def src_stats(pkg=None):
     """({module file: line count}, SHA-256) of the .py files of package
     directory pkg, by default the imported relaysense's."""
@@ -757,13 +880,26 @@ def main(argv=None):
     ap.add_argument("--against", metavar="DIR",
                     help="a second checkout: time the in-process sections (%s) on it and on "
                          "this tree in alternated child processes" % ", ".join(IN_PROCESS))
+    ap.add_argument("--perfbench", metavar="WORKLOAD",
+                    help="with --against: alternate perfbench/run.py runs of WORKLOAD "
+                         "between this tree and DIR instead of timing sections")
+    ap.add_argument("--pairs", type=int, default=10,
+                    help="with --perfbench: runs per tree, one pair per fresh seed")
+    ap.add_argument("--seconds", type=float, default=PERFBENCH_SECONDS,
+                    help="with --perfbench: each run's --seconds")
+    ap.add_argument("--size", choices=("full", "tiny"), default="full",
+                    help="with --perfbench: each run's --size")
     args = ap.parse_args(argv)
     if args.trials < 2:
         ap.error("need --trials >= 2")
     if args.repeat < 1:
         ap.error("need --repeat >= 1")
     chosen = args.only or SECTIONS
-    if args.against and not set(chosen) <= set(IN_PROCESS):
+    if args.perfbench and not args.against:
+        ap.error("--perfbench needs --against DIR")
+    if args.perfbench and (args.only or args.pairs < 1):
+        ap.error("--perfbench takes no --only, and needs --pairs >= 1")
+    if args.against and not args.perfbench and not set(chosen) <= set(IN_PROCESS):
         ap.error("--against times only the in-process sections: give --only %s"
                  % " or --only ".join(IN_PROCESS))
 
@@ -772,7 +908,19 @@ def main(argv=None):
     doc = {"trials": args.trials, "repeat": args.repeat, "seed": SEED, "src_loc": loc,
            "src_module_loc": module_loc, "src_sha256": sha, "host": host()}
     out = []
-    if args.against:
+    if args.perfbench:
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        other = os.path.dirname(_tree_src(args.against))
+        seeds = random.SystemRandom().sample(range(1, 1 << 31), args.pairs)
+        rows = perfbench_pairs({"this": root, "against": other}, args.perfbench, seeds,
+                               args.seconds, args.size)
+        doc["perfbench"] = {"workload": args.perfbench, "seconds": args.seconds,
+                            "size": args.size, "seeds": seeds, "against": other, "rows": rows}
+        out.append(perfbench_table(
+            "perfbench `%s`, %d alternated pairs of `--seconds %g --size %s --trace 0` runs, "
+            "this tree then %s, medians" % (args.perfbench, args.pairs, args.seconds, args.size,
+                                          args.against), rows))
+    elif args.against:
         other_loc, other_sha = src_stats(os.path.join(_tree_src(args.against), "relaysense"))
         doc["against"] = {"src_loc": sum(other_loc.values()), "src_module_loc": other_loc,
                           "src_sha256": other_sha}

@@ -14,71 +14,109 @@ multiplier bookkeeping elementary.
 Each sensing time the search visits costs one frame build
 (`EnergyModel.frame`): a miss probability and one `build_trans_coeffs`,
 on Python floats and with no special function, since nothing here reads
-the outage's AF gain normaliser. A relay's selection odds are priced only
-when that relay is read (`Frame.prr`), so an optimisation over one relay
-pays for one. `Frame.necessary_condition` is the paper's per-node
-condition on the optimum, the sign of the energy slope.
+the outage's AF gain normaliser. What no sensing time moves (the report
+energies, the listen power, the bandwidth, the harvest means) is computed
+once, when the `EnergyModel` is built, and a frame is a light view of the
+model and that sensing time's stored fields. A relay's own figures, and
+its selection odds (`Frame.prr`), are evaluated only when that relay is
+read, so an optimisation over one relay pays for one.
+`Frame.necessary_condition` is the paper's per-node condition on the
+optimum, the sign of the energy slope.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .fading import LinkSet, PrimaryModel
+from .fading import LinkSet, PrimaryModel, _check_index
 from .harvest import harvest_mean_power
 from .sensing import SecondaryPolicy, build_report_gain, sample_miss_probability
-from .transmission import TransCoeffs, build_trans_coeffs, relay_selection_prob
+from .transmission import build_trans_coeffs, relay_selection_prob
 
 TIME_TOL = 1e-7       # sensing-time resolution, s
 LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
 class Frame:
     """One frame at a fixed sensing time: every quantity of the energy and
     data expressions that moves with t_sense, evaluated once, and the one
     ledger of per-relay figures read from them.
 
-    The transmission coefficients do not depend on the relay, so one build
-    serves every relay's selection probability (`prr`) and transmit-slot
-    power (e_transmit, W). `prr(i)` prices relay i's odds on its first read
-    and keeps them in `odds`, a dict that lives in the sensing time's stored
-    fields, so every frame at one sensing time shares one priced value and a
-    frame read for one relay prices one relay's odds. The frame never reads
-    the coefficients' AF gain normaliser, so building one evaluates no
-    special function. Listening is charged in two accounts: the frame energy
-    takes e_listen (J), quadratic in t_sense (listen power times sample
-    count times slot), and the ECG takes `listen_linear`, the conventional
-    account linear in t_sense.
+    A frame build (`EnergyModel.frame`) holds only what moves with t_sense
+    and every relay reads: the miss probability 1 - p_detect and p_detect,
+    the data slot t_data and one `build_trans_coeffs` at that p_detect.
+    Everything else a method reads is the model's, computed once when the
+    model is built, and a relay's own figures are evaluated when that relay
+    is read: its transmit-slot power (W, its transmit power plus its
+    circuit power; `e_transmit` gives every relay's) and its listening
+    energy (J, quadratic in t_sense: listen power times sample count times
+    slot; `e_listen`). The transmission coefficients do not depend on the
+    relay, so one build serves every relay's selection probability (`prr`)
+    and transmit-slot power. `prr(i)` prices relay i's odds on its first
+    read and keeps them in `odds`, a dict that lives in the sensing time's
+    stored fields, so every frame at one sensing time shares one priced
+    value and a frame read for one relay prices one relay's odds. The frame
+    never reads the coefficients' AF gain normaliser, so building one
+    evaluates no special function. The ECG charges listening in the
+    conventional account linear in t_sense, `listen_linear`.
 
-    Each method checks its relay index first, as the per-relay tuples would
-    alias a negative one.
+    A frame is a light view: the model's stored fields for its sensing time
+    and the model itself. Two frames are equal when their fields are. Each
+    method checks its relay index first, as the per-relay tuples would alias
+    a negative one.
     """
 
-    t_sense: float
-    t_data: float
-    miss: float
-    p_detect: float
-    coeffs: TransCoeffs
-    odds: dict
-    e_transmit: tuple
-    e_listen: tuple
-    model: EnergyModel = field(repr=False, compare=False)
+    __slots__ = ("model", "t_sense", "t_data", "miss", "p_detect", "coeffs", "odds")
+
+    def __init__(self, model: EnergyModel, fields: tuple):
+        self.model = model
+        self.t_sense, self.t_data, self.miss, self.p_detect, self.coeffs, self.odds = fields
+
+    def _fields(self):
+        return (self.t_sense, self.t_data, self.miss, self.p_detect, self.coeffs, self.odds)
+
+    def __eq__(self, other):
+        if other.__class__ is not Frame:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return "Frame(%s)" % ", ".join("%s=%r" % kv for kv in zip(
+            Frame.__slots__[1:], self._fields()))
+
+    def _transmit(self, i):
+        # relay i's transmit-slot power, for an index already checked
+        return self.coeffs.p_relay[i] + self.model._p_tx
+
+    def _listen(self, i):
+        # relay i's listening energy, for an index already checked
+        m, t = self.model, self.t_sense
+        return m.e_sense * t * t * m._w + m._report_t[i] * t * m._w
+
+    @property
+    def e_transmit(self) -> tuple:
+        """Every relay's transmit-slot power (W)."""
+        return tuple([self._transmit(i) for i in range(self.model.n_relays)])
+
+    @property
+    def e_listen(self) -> tuple:
+        """Every relay's listening energy (J)."""
+        return tuple([self._listen(i) for i in range(self.model.n_relays)])
 
     def prr(self, i: int) -> float:
         """Selection probability of relay i, priced from the estimated SNR
         means on its first read and kept in `odds`; two threads that race on
         one relay compute the same value and both return the one stored."""
-        p = self.odds.get(self.model.links.check_relay(i))
+        p = self.odds.get(_check_index(i, self.model.n_relays))
         if p is None:
             p = self.odds.setdefault(i, relay_selection_prob(self.coeffs.snr_means, i))
         return p
 
     def energy_nonharvesting(self, i: int) -> float:
         """Expected frame energy of relay i with the harvester disabled."""
-        self.model.links.check_relay(i)
-        return self.e_listen[i] + self.miss * self.prr(i) * self.e_transmit[i] * self.t_data
+        p = self.prr(i)
+        return self._listen(i) + self.miss * p * self._transmit(i) * self.t_data
 
     def energy(self, i: int) -> float:
         """Expected frame energy of relay i, harvesting credited on detection."""
@@ -87,25 +125,23 @@ class Frame:
 
     def data(self, i: int) -> float:
         """Expected bits moved through relay i in one frame."""
-        self.model.links.check_relay(i)
         return self.miss * self.prr(i) * self.model.rate * self.t_data
 
     def listen_linear(self, i: int) -> float:
         """Sensing-plus-reporting energy of relay i, linear in t_sense."""
         m = self.model
-        m.links.check_relay(i)
         return (m.e_sense * self.t_sense
-                + m.e_report[i] * m.t_report * self.t_sense * m.policy.bandwidth)
+                + m._report_t[_check_index(i, m.n_relays)] * self.t_sense * m._w)
 
     def ecg(self, i: int) -> float:
         """Consumed-to-harvested energy ratio of relay i; inf when nothing is
         harvested, as at p_detect == 0."""
-        self.model.links.check_relay(i)
-        harvested = self.p_detect * self.model.harvest_mean[i] * self.t_data
+        m = self.model
+        harvested = self.p_detect * m.harvest_mean[_check_index(i, m.n_relays)] * self.t_data
         if harvested == 0.0:
             return math.inf
         consumed = (self.listen_linear(i)
-                    + (1.0 - self.p_detect) * self.prr(i) * self.e_transmit[i] * self.t_data)
+                    + (1.0 - self.p_detect) * self.prr(i) * self._transmit(i) * self.t_data)
         return consumed / harvested
 
     def slope(self, i: int) -> float:
@@ -113,16 +149,15 @@ class Frame:
         detection-dependent transmit power and selection odds at their local
         values (the stationarity form the multiplier identity is built on)."""
         m = self.model
-        m.links.check_relay(i)
-        w = m.policy.bandwidth
-        h = m.harvest_mean[i]
+        w = m._w
+        h = m.harvest_mean[_check_index(i, m.n_relays)]
         if self.miss == 0.0:
             bracket = 0.0
         else:
             bracket = self.miss * (1.0 - self.t_data * w * m.log_delta)
         return (2.0 * m.e_sense * self.t_sense * w
-                + m.e_report[i] * m.t_report * w
-                + h - (self.prr(i) * self.e_transmit[i] + h) * bracket)
+                + m._report_t[i] * w
+                + h - (self.prr(i) * self._transmit(i) + h) * bracket)
 
     def necessary_condition(self, i: int) -> bool:
         """The paper's necessary condition on relay i's optimum: the
@@ -139,15 +174,15 @@ class Frame:
         """SNR-form data constraint of relay i; non-positive iff the expected data
         per frame reaches d_star bits. Strictly increasing and convex in t_sense."""
         m = self.model
-        m.links.check_relay(i)
+        _check_index(i, m.n_relays)
         if not 0.0 <= d_star:
             raise ValueError("data floor must be non-negative, got %g" % d_star)
-        gamma_rate = math.expm1(LN2 * m.rate / m.policy.bandwidth)
+        w = m._w
+        gamma_rate = math.expm1(LN2 * m.rate / w)
         if d_star == 0.0:
             return -gamma_rate
         if m.delta <= 0.0:
             return math.inf
-        w = m.policy.bandwidth
         ln_g = (math.log(d_star) - math.log(self.t_data * w * self.prr(i))
                 - self.t_sense * w * m.log_delta)
         if ln_g > 700.0:
@@ -162,10 +197,11 @@ class Frame:
         """Multiplier mu >= 0 of relay i's active data constraint, from
         stationarity of energy + mu * constraint: mu = -slope / constraint'
         (Boyd & Vandenberghe 2004, sec. 5.5), with pref = 1 / constraint'."""
-        self.model.links.check_relay(i)
+        m = self.model
+        _check_index(i, m.n_relays)
         if not 0.0 <= d_star:
             raise ValueError("data floor must be non-negative, got %g" % d_star)
-        w = self.model.policy.bandwidth
+        w = m._w
         if self.miss == 0.0 or d_star == 0.0:
             # no data ever leaves, or a zero floor: the constraint is slack
             return 0.0
@@ -174,21 +210,23 @@ class Frame:
             # 2**-g underflows far before this; the constraint cannot be active here
             return 0.0
         pref = (2.0 ** (-g) * self.miss * self.prr(i) * self.t_data * self.t_data * w
-                / (d_star * LN2 * (1.0 - self.t_data * w * self.model.log_delta)))
+                / (d_star * LN2 * (1.0 - self.t_data * w * m.log_delta)))
         return -pref * self.slope(i)
 
 
 class EnergyModel:
     """Scenario-level cache for the frame-energy expressions.
 
-    Holds what does not move with the sensing time (miss probability per
-    sample, report powers and gains, harvest means); `frame` evaluates the
-    t_sense-dependent pieces, so detection-dependent transmit powers and
-    selection odds are always taken at the same sensing time as the energy
-    they enter.
+    Holds, computed once when it is built, what no sensing time moves: the
+    miss probability per sample (`delta`) and its log, the reporting chain,
+    the report powers e_report (W, report plus circuit power) and their
+    products with t_report, the listen power e_sense, the bandwidth, the
+    relay count and the harvest means, all as Python floats. `frame`
+    evaluates only the t_sense-dependent pieces on them, so detection-
+    dependent transmit powers and selection odds are always taken at the
+    same sensing time as the energy they enter.
 
-    The inputs are fixed after construction: `delta`, `report` and
-    `harvest_mean` are computed once here. Build a new model rather than
+    The inputs are fixed after construction. Build a new model rather than
     mutating one.
 
     `frame` keeps each sensing time's fields for the model's lifetime, so
@@ -210,6 +248,7 @@ class EnergyModel:
         self.links = links
         self.primary = primary
         self.policy = policy
+        self.n_relays = links.n_relays
         self.t_total = float(t_total)
         self.t_report = float(t_report)
         self.t_listen = float(t_total) - float(t_report)
@@ -222,14 +261,14 @@ class EnergyModel:
         self.e_report = tuple(p + policy.p_circuit_tx for p in self.report.p_report)
         self.harvest_mean = tuple(harvest_mean_power(links, primary, policy, i)
                                   for i in range(links.n_relays))
+        self._w = policy.bandwidth
+        self._p_tx = policy.p_circuit_tx
+        # e_report[i] * t_report, the first product of every listening charge
+        self._report_t = tuple([e * self.t_report for e in self.e_report])
         self._frames = {}  # t_sense -> Frame fields, filled by `frame`
 
-    @property
-    def n_relays(self):
-        return self.links.n_relays
-
     def miss(self, t_sense: float) -> float:
-        return self.delta ** (t_sense * self.policy.bandwidth)
+        return self.delta ** (t_sense * self._w)
 
     def frame(self, t_sense: float) -> Frame:
         """The frame at sensing time t_sense, which must lie strictly inside
@@ -237,10 +276,10 @@ class EnergyModel:
 
         Its t_sense-dependent fields are computed on the first call for
         t_sense and kept for the model's lifetime, so a later call builds
-        nothing and returns an equal Frame. Only the fields are kept, not
-        the Frame: it refers back to the model, and that cycle would keep a
-        model, once `mcsim`'s held slot lets go of it, until the cyclic
-        garbage collector runs.
+        nothing and returns an equal Frame over the same fields. Only the
+        fields are kept, not the Frame: it refers back to the model, and
+        that cycle would keep a model, once `mcsim`'s held slot lets go of
+        it, until the cyclic garbage collector runs.
         """
         fields = self._frames.get(t_sense)
         if fields is None:
@@ -249,24 +288,15 @@ class EnergyModel:
                                  % self.t_listen)
             # a racing thread may compute them too; both read the one stored
             fields = self._frames.setdefault(t_sense, self._frame_fields(t_sense))
-        return Frame(model=self, **fields)
+        return Frame(self, fields)
 
-    def _frame_fields(self, t_sense: float) -> dict:
+    def _frame_fields(self, t_sense: float) -> tuple:
+        """(t_sense, t_data, miss, p_detect, coeffs, odds) at t_sense, the
+        fields of a `Frame`."""
         miss = self.miss(t_sense)
         p_detect = 1.0 - miss
-        coeffs = build_trans_coeffs(self.links, self.primary, self.policy, p_detect)
-        w = self.policy.bandwidth
-        return dict(
-            t_sense=t_sense,
-            t_data=self.t_listen - t_sense,
-            miss=miss,
-            p_detect=p_detect,
-            coeffs=coeffs,
-            odds={},
-            e_transmit=tuple(p + self.policy.p_circuit_tx for p in coeffs.p_relay),
-            e_listen=tuple(self.e_sense * t_sense * t_sense * w + e * self.t_report * t_sense * w
-                           for e in self.e_report),
-        )
+        return (t_sense, self.t_listen - t_sense, miss, p_detect,
+                build_trans_coeffs(self.links, self.primary, self.policy, p_detect), {})
 
 
 def total_energy_nonharvesting(model: EnergyModel, i: int, t_sense: float) -> float:

@@ -49,14 +49,17 @@ class LinkSet:
     mean gains g_* of the five link families (g_pu_relay[i] is relay i's
     primary family) and the mean strongest primary gains E[max_l |h_l|^2]
     seen from the source (peak_pu_src) and from relay i (peak_pu_relay[i]).
-    The primary families are found here and nowhere else, in one pass over
-    the n + 2 primary rows: family[k] numbers the family of receiver k
-    (source, relays, destination) by first appearance, rows equal in every
-    bit are one family, and family_gains[f] is family f's gain row in input
-    order. canonical_gains[f] is the same row in descending order, the one
-    order every closed form sums a receiver's primaries in: it is sorted
-    once here, the tie check reads it, and the interference laws, the peaks
-    (one per source or relay family) and the harvest read it as it is.
+    relay_rows[i] is relay i's (peak_pu_relay[i], g_src_relay[i],
+    g_relay_dst[i]) as Python floats, the one row the secondary powers and
+    hop SNRs are derived from. The primary families are found here and
+    nowhere else, in one pass over the n + 2 primary rows: family[k]
+    numbers the family of receiver k (source, relays, destination) by first
+    appearance, rows equal in every bit are one family, and family_gains[f]
+    is family f's gain row in input order. canonical_gains[f] is the same
+    row in descending order, the one order every closed form sums a
+    receiver's primaries in: it is sorted once here, the tie check reads it,
+    and the interference laws, the peaks (one per source or relay family)
+    and the harvest read it as it is.
     """
 
     d_src_relay: tuple
@@ -72,6 +75,7 @@ class LinkSet:
     g_pu_dst: np.ndarray = field(init=False, repr=False, compare=False)
     peak_pu_src: float = field(init=False, repr=False, compare=False)
     peak_pu_relay: tuple = field(init=False, repr=False, compare=False)
+    relay_rows: tuple = field(init=False, repr=False, compare=False)
     family: tuple = field(init=False, repr=False, compare=False)
     family_gains: tuple = field(init=False, repr=False, compare=False)
     canonical_gains: tuple = field(init=False, repr=False, compare=False)
@@ -142,6 +146,7 @@ class LinkSet:
                 for f in dict.fromkeys(self.family[:-1])}
         self.peak_pu_src = peak[self.family[0]]
         self.peak_pu_relay = tuple(peak[f] for f in self.family[1:-1])
+        self.relay_rows = tuple(zip(self.peak_pu_relay, g[:n].tolist(), g[n:2 * n].tolist()))
 
     @property
     def n_relays(self):

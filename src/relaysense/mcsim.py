@@ -66,7 +66,10 @@ other call draws them again, through the key's tapes when they are held,
 with the same bits. Of that state only the harvested power is the slot's
 own, trials * 8 bytes, when the key's tape is held; otherwise the uniforms
 and exponentials are too, trials * (2 + M) * 8 bytes in all: 48 MB at 1e6
-trials for `figure fig7`'s 4 relays. A call under another key drops it, and
+trials for `figure fig7`'s 4 relays. A call that draws anew drops it: before
+its draws when it takes more than `HELD_FIRST_BYTES`, so that the two
+states never add up, else after them, since freeing a small state first
+made tsense-sweep's new draws take about four times the minor page faults.
 `clear_held()` empties the slot.
 
 The simulators share the analytic layer's power allocations and gain
@@ -583,6 +586,13 @@ def mc_clipped_gain(links: LinkSet, primary: PrimaryModel, policy: SecondaryPoli
 
 # --- frame energy ---------------------------------------------------------
 
+def _state_bytes(frame) -> int:
+    """Bytes of the arrays a frame simulator's held state (`_frame_draws`)
+    keeps per chunk: its uniforms, harvested power and selection
+    exponentials."""
+    return sum(x.nbytes for arrays in frame[3].values() for x in arrays)
+
+
 def _frame_draws(model: EnergyModel, i: int, t_sense: float, trials: int, seed: int,
                  workers: int, stream: int):
     """Set-up shared by the frame-level simulators of relay i.
@@ -595,7 +605,10 @@ def _frame_draws(model: EnergyModel, i: int, t_sense: float, trials: int, seed: 
     Nothing drawn here depends on t_sense, so the held slot keeps it (see
     the module docstring): a call with the slot's frame key, model and
     relay reads the hit rate and draws held there. Any other call draws
-    them, through the frame key's tapes if held: chunk ci's hit draws, then
+    them, through the frame key's tapes if held, and lets go of the slot's
+    old state: before drawing when it takes more than `HELD_FIRST_BYTES`,
+    else once the new state is drawn (module docstring). Chunk ci's hit
+    draws come first, then
     its frame draws, the uniforms u01, the harvest's masked fades and the
     standard selection exponentials, in that order, all before any
     reduction reads them. Only the comparisons move with t_sense: u01 <
@@ -610,7 +623,9 @@ def _frame_draws(model: EnergyModel, i: int, t_sense: float, trials: int, seed: 
     key = (seed, (11, stream), trials, (L, n_relays), primary.duty)
     held_key, frame = _held[::2]  # one read of the slot
     if held_key != key or frame is None or frame[0] is not model or frame[1] != i:
-        # hold no other draws, so that the slot lets go of them before drawing
+        # the slot holds no other draws from here on; a small old state
+        # lives on here until the new one is drawn
+        old = frame if frame is not None and _state_bytes(frame) <= HELD_FIRST_BYTES else None
         frame = None
         hit = _sample_exceed_sampler(links, primary, policy,
                                      policy.threshold / policy.noise_power, model.report)
@@ -630,6 +645,7 @@ def _frame_draws(model: EnergyModel, i: int, t_sense: float, trials: int, seed: 
 
         frame = (model, i, _mean(hits, trials, workers), chunks)
         commit(frame)
+        del old
     _, _, hit_rate, chunks = frame
     # the package's one sample count, t_sense * W unrounded, as in EnergyModel.miss
     # and Scenario.n_samples
@@ -655,16 +671,18 @@ def mc_frame_energy(model: EnergyModel, i: int, t_sense: float, trials: int,
     """
     f, _, se_det, draw = _frame_draws(model, i, t_sense, trials, seed, workers, stream=13)
 
+    listen, transmit = f.e_listen[i], f.e_transmit[i]
+
     def sampler(ci, n):
         detected, p_h, pays = draw(ci, n)
         # np.where on masks p_detect skews; pays and detected never overlap
-        val = np.where(pays, f.e_listen[i] + f.e_transmit[i] * f.t_data, f.e_listen[i])
+        val = np.where(pays, listen + transmit * f.t_data, listen)
         if harvesting:
-            val = np.where(detected, f.e_listen[i] - p_h * f.t_data, val)
+            val = np.where(detected, listen - p_h * f.t_data, val)
         return (val,)
 
     mean, se = _mean(sampler, trials, workers)
-    sens = f.t_data * (f.prr(i) * f.e_transmit[i]
+    sens = f.t_data * (f.prr(i) * transmit
                        + (model.harvest_mean[i] if harvesting else 0.0))
     # sqrt(se**2 + (sens * se_det)**2) in `_units`, so neither square overflows
     k = _units(max(se, abs(sens * se_det)))
@@ -682,12 +700,12 @@ def mc_ecg(model: EnergyModel, i: int, t_sense: float, trials: int, seed: int,
                                               stream=17)
     if p_det_hat == 0.0:
         raise NoDetectionError("no detections in simulation: ratio is infinite")
-    listen = f.listen_linear(i)
+    listen, transmit = f.listen_linear(i), f.e_transmit[i]
 
     def sampler(ci, n):
         detected, p_h, pays = draw(ci, n)
         # np.where on masks p_detect skews, so its branch predicts well
-        consumed = np.where(pays, listen + f.e_transmit[i] * f.t_data, listen)
+        consumed = np.where(pays, listen + transmit * f.t_data, listen)
         harvested = np.where(detected, p_h * f.t_data, 0.0)
         return consumed, harvested
 
@@ -703,7 +721,7 @@ def mc_ecg(model: EnergyModel, i: int, t_sense: float, trials: int, seed: int,
     r = cbar / hbar
     var_r = max(var_c - 2.0 * r * cov + r * r * var_h, 0.0) / (n * hbar * hbar)
     # d r / d p_det: a detection moves the transmit cost into the harvest
-    sens = f.t_data * (f.prr(i) * math.ldexp(f.e_transmit[i], -kc)
+    sens = f.t_data * (f.prr(i) * math.ldexp(transmit, -kc)
                        + r * math.ldexp(model.harvest_mean[i], -kh)) / hbar
     var_r += (sens * se_det) ** 2
     k = kc - kh

@@ -75,25 +75,26 @@ class ReportGain:
             raise ValueError("fixed gains must be positive")
 
 
-def _capped_power(policy: SecondaryPolicy, peak: float, miss: float) -> float:
-    """Transmit power under both power limits. The amplifier cap and the
-    average-interference cap combine harmonically,
-    p = 1 / (1/p_max + miss * peak / cap), where peak is the mean strongest
-    gain to a primary and miss the chance the primary is on unnoticed
-    (1 while reporting)."""
-    return 1.0 / (1.0 / policy.p_max + miss * peak / policy.interference_cap)
-
-
 def _secondary_hops(links: LinkSet, policy: SecondaryPolicy, miss: float):
     """The one derivation of the secondary powers and hop SNRs at miss
     probability miss: (p_src, p_relay, snr_first, snr_second), the source's
     and the relays' powers (W) and relay i's mean first- and second-hop SNRs
-    p_src * g_sr,i / N0 and p_relay[i] * g_rd,i / N0, on Python floats."""
-    n0 = policy.noise_power
-    p_src = _capped_power(policy, links.peak_pu_src, miss)
-    p_relay = tuple([_capped_power(policy, peak, miss) for peak in links.peak_pu_relay])
-    return (p_src, p_relay, tuple([p_src * g / n0 for g in links.g_src_relay.tolist()]),
-            tuple([p * g / n0 for p, g in zip(p_relay, links.g_relay_dst.tolist())]))
+    p_src * g_sr,i / N0 and p_relay[i] * g_rd,i / N0. Each power meets both
+    limits: the amplifier cap and the average-interference cap combine
+    harmonically, p = 1 / (1/p_max + miss * peak / cap), where peak is the
+    mean strongest gain to a primary and miss the chance the primary is on
+    unnoticed (1 while reporting). One pass over `LinkSet.relay_rows`, on
+    Python floats."""
+    n0, cap = policy.noise_power, policy.interference_cap
+    inv_max = 1.0 / policy.p_max
+    p_src = 1.0 / (inv_max + miss * links.peak_pu_src / cap)
+    p_relay, first, second = [], [], []
+    for peak, g_sr, g_rd in links.relay_rows:
+        p = 1.0 / (inv_max + miss * peak / cap)
+        p_relay.append(p)
+        first.append(p_src * g_sr / n0)
+        second.append(p * g_rd / n0)
+    return p_src, tuple(p_relay), tuple(first), tuple(second)
 
 
 def fixed_gain_report(law: InterferenceLaw) -> float:

@@ -9,15 +9,19 @@ exponential. The formulation never divides by mean differences, so
 identically placed relays are fine here.
 
 `build_trans_coeffs` gathers every data-phase constant, in one place, from
-`sensing._secondary_hops` at miss 1 - p_detect; the AF gain normaliser, the
-one constant that needs a special function (E1), is derived on its first
-read, which only the outage makes. `_subset_terms` is the one source of the
-selection odds and of the outage's subset terms; it runs on Python floats,
-since a frame needs a few dozen scalar terms. The selected relay's dual-hop
-tail is the detector's AF kernel, `sensing._af_tail`, evaluated once per
-term at the one threshold `outage_probability` takes. Competitors add by
-ascending inverse mean and the outage's relays by descending data-phase
-constants, so relabelling the relays keeps every bit.
+`sensing._secondary_hops` at miss 1 - p_detect, in one pass over the
+relays' Python floats; the AF gain normaliser, the one constant that needs
+a special function (E1), is derived on its first read, which only the
+outage makes. `_subset_terms` is the one subset expansion: one (psi, phi)
+row per subset of competitors. `relay_selection_prob` sums psi / phi over
+the rows as they are, and the outage forms each row's exponential term
+from them at its correlation rho (`_outage_terms`), so neither pays for
+the other's arithmetic. The expansion runs on Python floats, since a frame
+needs a few dozen scalar terms. The selected relay's dual-hop tail is the
+detector's AF kernel, `sensing._af_tail`, evaluated once per term at the
+one threshold `outage_probability` takes. Competitors add by ascending
+inverse mean and the outage's relays by descending data-phase constants,
+so relabelling the relays keeps every bit.
 """
 
 from __future__ import annotations
@@ -79,67 +83,82 @@ def build_trans_coeffs(links: LinkSet, primary: PrimaryModel, policy: SecondaryP
     if not 0.0 <= p_detect <= 1.0:
         raise ValueError("detection probability must lie in [0, 1]")
     p_src, p_rel, snr_first, snr_means = _secondary_hops(links, policy, 1.0 - p_detect)
-    return TransCoeffs(
-        p_src=p_src, p_relay=p_rel, snr_means=snr_means, snr_first=snr_first,
-        inv_first=tuple(policy.noise_power / (p_src * g) for g in links.g_src_relay.tolist()))
+    n0 = policy.noise_power
+    return TransCoeffs(p_src, p_rel, snr_means, snr_first,
+                       tuple([n0 / (p_src * g) for _, g, _ in links.relay_rows]))
 
 
-def _subset_terms(snr_means, i, rho):
-    """Inclusion-exclusion terms of relay i's selection event.
-
-    Yields (psi, phi, amp, rate) per subset of competitors, taken by
-    ascending inverse mean in itertools.combinations order, where the
-    selected-then-decorrelated density contribution is amp * exp(-rate * x).
-    Stable for rho in [0, 1] including both endpoints. Works on Python
-    floats: each inverse mean is taken once, and each competitor sum is
-    added left to right from 0 (`sum` compensates from Python 3.12 on).
+def _subset_terms(snr_means, i):
+    """Inclusion-exclusion rows (psi, phi) of relay i's selection event, one
+    per subset of competitors, taken by ascending inverse mean in
+    itertools.combinations order: psi = +-1/m_i by the subset's size and
+    phi = 1/m_i plus the subset's inverse means. Relay i is selected with
+    probability sum(psi / phi), and `_outage_terms` forms the outage's
+    exponential terms from the rows. Works on Python floats: each inverse
+    mean is taken once, and each competitor sum is added left to right
+    (`sum` compensates from Python 3.12 on).
     """
-    m = [float(v) for v in snr_means]
-    if any(v <= 0.0 for v in m):
-        raise ValueError("estimated SNR means must be positive")
-    _check_index(i, len(m))
-    inv = [1.0 / v for v in m]
-    others = sorted(inv[:i] + inv[i + 1:])
-    m_i, inv_i = m[i], inv[i]
-    rho2 = rho * rho
-    one_minus = 1.0 - rho2
-    out = []
-    for size in range(len(others) + 1):
-        psi = -inv_i if size % 2 else inv_i
-        for sub in itertools.combinations(others, size):
-            total = 0
-            for v in sub:
+    others = []
+    for v in snr_means:
+        v = float(v)
+        if v <= 0.0:
+            raise ValueError("estimated SNR means must be positive")
+        others.append(1.0 / v)
+    _check_index(i, len(others))
+    inv_i = others.pop(i)
+    others.sort()
+    psi = -inv_i
+    rows = [(inv_i, inv_i)]
+    rows += [(psi, inv_i + v) for v in others]
+    for size in range(2, len(others) + 1):
+        psi = -psi
+        for total, *rest in itertools.combinations(others, size):
+            for v in rest:
                 total += v
-            phi = inv_i + total
-            d = one_minus * m_i * phi + rho2
-            out.append((psi, phi, psi / d, phi / d))
-    return out
+            rows.append((psi, inv_i + total))
+    return rows
 
 
-def _selection_prob(terms):
-    """Sum of psi / phi over the terms, left to right from 0."""
+def _selection_prob(rows):
+    """Sum of psi / phi over the (psi, phi) rows, left to right from 0."""
     total = 0
-    for psi, phi, _, _ in terms:
+    for psi, phi in rows:
         total += psi / phi
     return float(total)
 
 
 def relay_selection_prob(snr_means, i: int) -> float:
     """Probability that relay i has the largest estimated SNR."""
-    return _selection_prob(_subset_terms(snr_means, i, 0.0))
+    return _selection_prob(_subset_terms(snr_means, i))
 
 
-def _selected_cdf_weighted(x, u, a_mean, terms):
+def _outage_terms(m_i, rows, rho):
+    """(amps, rates) of the selected relay's (psi, phi) rows at estimate
+    correlation rho, for its estimated SNR mean m_i: each row's selected-
+    then-decorrelated density term is amp * exp(-rate * x), with amp = psi /
+    d, rate = phi / d and d = (1 - rho**2) * m_i * phi + rho**2. Stable for
+    rho in [0, 1] including both endpoints."""
+    rho2 = rho * rho
+    one_minus = 1.0 - rho2
+    amps, rates = [], []
+    for psi, phi in rows:
+        d = one_minus * m_i * phi + rho2
+        amps.append(psi / d)
+        rates.append(phi / d)
+    return amps, rates
+
+
+def _selected_cdf_weighted(x, u, a_mean, m_i, rows, rho):
     # Pr[selected] * CDF of the end-to-end SNR given selection, at one x >= 0
     if x == 0.0:
         return 0.0
-    rates = np.array([rate for _, _, _, rate in terms])
+    amps, rates = _outage_terms(m_i, rows, rho)
     # q overflows only where u is near the float limit (a tiny amplifier
     # cap); `_af_tail` clips an infinite q to a zero tail, so it is not warned
     with np.errstate(over="ignore"):
-        q = x * u * rates / a_mean
-    acc = _selection_prob(terms)
-    for (_, _, amp, rate), tail in zip(terms, _af_tail(x, a_mean, q).tolist()):
+        q = x * u * np.array(rates) / a_mean
+    acc = _selection_prob(rows)
+    for amp, rate, tail in zip(amps, rates, _af_tail(x, a_mean, q).tolist()):
         acc -= (amp / rate) * tail
     return acc
 
@@ -153,8 +172,9 @@ def outage_probability(gamma_th, links: LinkSet, primary: PrimaryModel,
     x = _threshold(gamma_th / policy.noise_power)
     if not 0.0 <= rho <= 1.0:
         raise ValueError("correlation rho must lie in [0, 1], got %g" % rho)
+    m = coeffs.snr_means
     total = 0.0
-    for _, a, u, i in sorted(zip(coeffs.snr_means, coeffs.snr_first, coeffs.u_trans,
-                                 range(links.n_relays)), reverse=True):
-        total += _selected_cdf_weighted(x, u, a, _subset_terms(coeffs.snr_means, i, rho))
+    for m_i, a, u, i in sorted(zip(m, coeffs.snr_first, coeffs.u_trans,
+                                   range(links.n_relays)), reverse=True):
+        total += _selected_cdf_weighted(x, u, a, float(m_i), _subset_terms(m, i), rho)
     return total

@@ -11,10 +11,12 @@ and `scenario.parse_list`.
 import itertools
 import math
 import re
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
 
+from relaysense.fading import _check_index
 from relaysense.specfun import bessel_k1_scaled, exp_scaled_gamma_upper_0
 
 
@@ -367,3 +369,151 @@ def reference_parse_list(text, noise_power=None):
         else:
             merged.append(p)
     return [reference_parse_quantity(p, noise_power) for p in merged]
+
+
+# --- the frame ledger, plainly -------------------------------------------------
+
+def reference_secondary_hops(links, policy, miss):
+    """(p_src, p_relay, snr_first, snr_second) at miss probability miss."""
+    def capped(peak):
+        return 1.0 / (1.0 / policy.p_max + miss * peak / policy.interference_cap)
+
+    n0 = policy.noise_power
+    p_src = capped(links.peak_pu_src)
+    p_relay = tuple([capped(peak) for peak in links.peak_pu_relay])
+    return (p_src, p_relay, tuple([p_src * g / n0 for g in links.g_src_relay.tolist()]),
+            tuple([p * g / n0 for p, g in zip(p_relay, links.g_relay_dst.tolist())]))
+
+
+def reference_subset_terms(snr_means, i, rho):
+    """(psi, phi, amp, rate) per subset of relay i's competitors, taken by
+    ascending inverse mean in itertools.combinations order; the outage's
+    term of a subset is amp * exp(-rate * x)."""
+    m = [float(v) for v in snr_means]
+    if any(v <= 0.0 for v in m):
+        raise ValueError("estimated SNR means must be positive")
+    _check_index(i, len(m))
+    inv = [1.0 / v for v in m]
+    others = sorted(inv[:i] + inv[i + 1:])
+    m_i, inv_i = m[i], inv[i]
+    rho2 = rho * rho
+    one_minus = 1.0 - rho2
+    out = []
+    for size in range(len(others) + 1):
+        psi = -inv_i if size % 2 else inv_i
+        for sub in itertools.combinations(others, size):
+            total = 0
+            for v in sub:
+                total += v
+            phi = inv_i + total
+            d = one_minus * m_i * phi + rho2
+            out.append((psi, phi, psi / d, phi / d))
+    return out
+
+
+def reference_relay_selection_prob(snr_means, i):
+    total = 0
+    for psi, phi, _, _ in reference_subset_terms(snr_means, i, 0.0):
+        total += psi / phi
+    return float(total)
+
+
+def reference_frame_fields(model, t_sense):
+    """The fields of `ReferenceFrame` at t_sense on an `EnergyModel`."""
+    w = model.policy.bandwidth
+    miss = model.delta ** (t_sense * w)
+    p_detect = 1.0 - miss
+    p_relay, snr_means = reference_secondary_hops(model.links, model.policy,
+                                                  1.0 - p_detect)[1::2]
+    return dict(
+        t_sense=t_sense,
+        t_data=model.t_listen - t_sense,
+        miss=miss,
+        p_detect=p_detect,
+        snr_means=snr_means,
+        e_transmit=tuple(p + model.policy.p_circuit_tx for p in p_relay),
+        e_listen=tuple(model.e_sense * t_sense * t_sense * w + e * model.t_report * t_sense * w
+                       for e in model.e_report),
+    )
+
+
+@dataclass(frozen=True)
+class ReferenceFrame:
+    """A frame's per-relay figures at one sensing time, read from the
+    model's per-scenario constants, each method on its own."""
+
+    t_sense: float
+    t_data: float
+    miss: float
+    p_detect: float
+    snr_means: tuple
+    e_transmit: tuple
+    e_listen: tuple
+    model: object = field(repr=False, compare=False)
+
+    @classmethod
+    def at(cls, model, t_sense):
+        return cls(model=model, **reference_frame_fields(model, t_sense))
+
+    def prr(self, i):
+        return reference_relay_selection_prob(self.snr_means, i)
+
+    def energy_nonharvesting(self, i):
+        return self.e_listen[i] + self.miss * self.prr(i) * self.e_transmit[i] * self.t_data
+
+    def energy(self, i):
+        return (self.energy_nonharvesting(i)
+                - self.p_detect * self.model.harvest_mean[i] * self.t_data)
+
+    def data(self, i):
+        return self.miss * self.prr(i) * self.model.rate * self.t_data
+
+    def listen_linear(self, i):
+        m = self.model
+        return (m.e_sense * self.t_sense
+                + m.e_report[i] * m.t_report * self.t_sense * m.policy.bandwidth)
+
+    def ecg(self, i):
+        harvested = self.p_detect * self.model.harvest_mean[i] * self.t_data
+        if harvested == 0.0:
+            return math.inf
+        consumed = (self.listen_linear(i)
+                    + (1.0 - self.p_detect) * self.prr(i) * self.e_transmit[i] * self.t_data)
+        return consumed / harvested
+
+    def slope(self, i):
+        m = self.model
+        w = m.policy.bandwidth
+        h = m.harvest_mean[i]
+        bracket = 0.0 if self.miss == 0.0 else self.miss * (1.0 - self.t_data * w * m.log_delta)
+        return (2.0 * m.e_sense * self.t_sense * w
+                + m.e_report[i] * m.t_report * w
+                + h - (self.prr(i) * self.e_transmit[i] + h) * bracket)
+
+    def constraint(self, i, d_star):
+        m = self.model
+        gamma_rate = math.expm1(math.log(2.0) * m.rate / m.policy.bandwidth)
+        if d_star == 0.0:
+            return -gamma_rate
+        if m.delta <= 0.0:
+            return math.inf
+        w = m.policy.bandwidth
+        ln_g = (math.log(d_star) - math.log(self.t_data * w * self.prr(i))
+                - self.t_sense * w * m.log_delta)
+        if ln_g > 700.0:
+            return math.inf
+        try:
+            return math.expm1(math.log(2.0) * math.exp(ln_g)) - gamma_rate
+        except OverflowError:
+            return math.inf
+
+    def multiplier(self, i, d_star):
+        w = self.model.policy.bandwidth
+        if self.miss == 0.0 or d_star == 0.0:
+            return 0.0
+        g = d_star / (self.miss * self.t_data * w * self.prr(i))
+        if g > 1e6:
+            return 0.0
+        pref = (2.0 ** (-g) * self.miss * self.prr(i) * self.t_data * self.t_data * w
+                / (d_star * math.log(2.0) * (1.0 - self.t_data * w * self.model.log_delta)))
+        return -pref * self.slope(i)

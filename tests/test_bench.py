@@ -188,3 +188,113 @@ def test_a_child_of_another_tree_is_refused(bench, fake_trees):
 
     with pytest.raises(RuntimeError, match="the against child imported another relaysense"):
         bench.against(fake_trees, ["chain"], 2, run=run)
+
+
+def _fake_perfbench(log, values):
+    """run(tree, workload, seed, seconds, size) for `perfbench_pairs`: logs
+    its arguments and returns, as a run of that tree would, the next of
+    values[tree], a {metric: value} dict."""
+    left = {tree: iter(v) for tree, v in values.items()}
+
+    def run(tree, workload, seed, seconds, size):
+        log.append((tree, workload, seed, seconds, size))
+        return next(left[tree])
+
+    return run
+
+
+PERFBENCH_TREES = {"this": "new", "against": "old"}
+
+
+def test_perfbench_pairs_alternate_and_share_each_seed(bench):
+    log = []
+    values = {tree: [{"wall_s": 1.0}] * 4 for tree in ("new", "old")}
+    bench.perfbench_pairs(PERFBENCH_TREES, "tsense-sweep", [11, 12, 13, 14], 20.0, "tiny",
+                          run=_fake_perfbench(log, values), better={})
+    assert [(tree, seed) for tree, _, seed, _, _ in log] == [
+        ("new", 11), ("old", 11), ("old", 12), ("new", 12),
+        ("new", 13), ("old", 13), ("old", 14), ("new", 14)]
+    assert {(w, s, z) for _, w, _, s, z in log} == {("tsense-sweep", 20.0, "tiny")}
+
+
+def test_perfbench_rows_give_medians_iqr_wins_and_the_paired_ratio(bench):
+    new = [3.0, 1.0, 2.0, 8.0, 2.0]
+    old = [4.0, 4.0, 2.0, 4.0, 6.0]
+    values = {"new": [{"analytic_s": x, "pass_ratio": 1.0} for x in new],
+              "old": [{"analytic_s": x, "pass_ratio": y} for x, y in zip(old, (1, 1, 0.5, 1, 1))]}
+    rows = bench.perfbench_pairs(PERFBENCH_TREES, "w", [1, 2, 3, 4, 5], 1.0,
+                                 run=_fake_perfbench([], values),
+                                 better={"analytic_s": "lower", "pass_ratio": "higher"})
+    analytic, ratio = rows
+    assert analytic["metric"] == "analytic_s" and analytic["pairs"] == 5
+    assert analytic["this"] == {"median": 2.0, "runs": new}
+    assert analytic["against"] == {"median": 4.0, "iqr": 0.0, "runs": old}
+    # lower wins: 3 < 4, 1 < 4, 2 < 6; 2 == 2 is no win, 8 > 4 is a loss
+    assert analytic["wins"] == 3
+    assert analytic["ratio"] == bench.ratio_interval(new, old)
+    # the paired ratios 0.75, 0.25, 1, 2 and 1/3
+    assert analytic["ratio"]["median"] == 0.75
+    # higher wins: only the pair where the other tree read 0.5
+    assert ratio["wins"] == 1 and ratio["against"]["iqr"] == 0.0
+    table = bench.perfbench_table("t", rows).splitlines()
+    assert table[2] == "| metric | this | against | against IQR | wins | ratio [95%] |"
+    assert table[4].startswith("| analytic_s | 2 | 4 | 0 | 3 of 5 | 0.750 [")
+
+
+def test_perfbench_iqr_is_the_other_trees_inclusive_quartiles(bench):
+    old = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]
+    values = {"new": [{"x": 1.0}] * 9, "old": [{"x": v} for v in old]}
+    (row,) = bench.perfbench_pairs(PERFBENCH_TREES, "w", list(range(9)), 1.0,
+                                   run=_fake_perfbench([], values), better={})
+    # quartiles 3 and 7 of 1..9
+    assert row["against"]["iqr"] == 4.0 and row["wins"] == 8
+
+
+def test_perfbench_ratio_is_none_where_the_other_tree_read_zero(bench):
+    values = {"new": [{"mc_s": 0.0}] * 2, "old": [{"mc_s": 0.0}, {"mc_s": 1.0}]}
+    (row,) = bench.perfbench_pairs(PERFBENCH_TREES, "w", [1, 2], 1.0,
+                                   run=_fake_perfbench([], values), better={})
+    assert row["ratio"] is None
+    assert bench.perfbench_table("t", [row]).splitlines()[-1].endswith("| 1 of 2 |  |")
+
+
+def test_perfbench_directions_come_from_benchmark_json(bench):
+    better = bench._better()
+    assert better["pass_ratio"] == "higher" and better["analytic_s"] == "lower"
+
+
+def test_a_perfbench_run_that_is_not_correct_raises(bench, monkeypatch):
+    class Done:
+        stdout = 'a line\n{"correct": false, "failed": 2, "metrics": {}}\n'
+
+    seen = []
+    monkeypatch.setattr(bench.subprocess, "run", lambda cmd, **kw: seen.append((cmd, kw))
+                        or Done())
+    with pytest.raises(RuntimeError, match="correct False, failed 2"):
+        bench._perfbench_run("/tree", "cli-queries", 7, 20.0, "full")
+    cmd, kw = seen[0]
+    assert cmd[1:] == ["/tree/perfbench/run.py", "--workload", "cli-queries", "--seed", "7",
+                       "--seconds", "20.0", "--trace", "0", "--size", "full"]
+    assert kw["cwd"] == "/tree" and "PYTHONPATH" not in kw["env"]
+
+
+def test_a_correct_perfbench_run_gives_its_metric_values(bench, monkeypatch):
+    class Done:
+        stdout = ('{"detail": {}}\n{"correct": true, "failed": 0, "metrics": '
+                  '{"wall_s": {"value": 0.5, "unit": "s"}}}\n')
+
+    monkeypatch.setattr(bench.subprocess, "run", lambda cmd, **kw: Done())
+    assert bench._perfbench_run("/tree", "w", 1, 1.0, "tiny") == {"wall_s": 0.5}
+
+
+def test_optimiser_rows_count_frames_and_coefficient_builds(bench):
+    # the stock table1 cells: the search builds 34 frames, one coefficient
+    # build each, and puts the real builder back
+    real = bench.energy_opt.build_trans_coeffs
+    for n_relays, n_pu in ((1, 1), (2, 2), (4, 4)):
+        assert bench._optimiser_counts(bench._table1_cell(n_relays, n_pu)) \
+            == {"frame_builds": 34, "coeff_builds": 34}
+    assert bench.energy_opt.build_trans_coeffs is real
+    cells = {name: only for name, _, only in bench.CHAIN_CELLS}
+    assert cells["table1-M1L1"] == cells["table1-M2L2"] \
+        == ("EnergyModel", "EnergyModel.frame", "optimize_sensing_time")

@@ -1,12 +1,13 @@
 import configparser
 import dataclasses
+import functools
 import math
 import sys
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from relaysense import (cli, energy_opt, fading, harvest, mcsim, sensing, specfun,
                         transmission)
@@ -21,6 +22,8 @@ from relaysense.energy_opt import (
 )
 from relaysense.scenario import (apply_overrides, ladder_conf, preset,
                                  relay_ladder_conf, scenario_from_conf)
+
+import oracles
 
 
 def model_for(name, overrides=()):
@@ -404,6 +407,88 @@ class TestFrameLedger:
         printed = capsys.readouterr().out.splitlines()
         assert printed[0] == "t_sense = %.6g s, p_detect = %.9g" % (t, f.p_detect)
         assert printed[2:] == rows
+
+
+# every stock preset and the 16 `figure table1` cells, by name
+TABLE1_CELLS = {"table1-M%dL%d" % (n_relays, n_pu): (n_relays, n_pu)
+                for n_relays in (1, 2, 3, 4) for n_pu in (1, 2, 3, 4)}
+REFERENCE_MODELS = STOCK_PRESETS + tuple(TABLE1_CELLS)
+FRAME_FIGURES = ("energy", "energy_nonharvesting", "data", "ecg", "slope", "prr")
+
+
+@functools.lru_cache(maxsize=None)
+def reference_model(name):
+    """The model of a stock preset or a table1 cell, built once per name;
+    no test mutates a model, and a frame read only fills its stored fields."""
+    if name in TABLE1_CELLS:
+        n_relays, n_pu = TABLE1_CELLS[name]
+        conf = relay_ladder_conf(ladder_conf(preset("table1"), 1.0, n_pu, 0.01),
+                                 0.5, 0.5, n_relays, 0.005)
+    else:
+        conf = preset(name)
+    return scenario_from_conf(conf).energy_model()
+
+
+def log_uniform_time(m, u):
+    """A sensing time log-uniform over [TIME_TOL, t_listen) at u in [0, 1)."""
+    return TIME_TOL * (m.t_listen / TIME_TOL) ** u
+
+
+def frame_figures(f, i, d_star):
+    """float.hex of every per-relay figure of frame f at relay i."""
+    return {**{name: getattr(f, name)(i).hex() for name in FRAME_FIGURES},
+            "constraint": f.constraint(i, d_star).hex(),
+            "multiplier": f.multiplier(i, d_star).hex()}
+
+
+class TestFrameMatchesReference:
+    """Every figure of a frame keeps its bits against the plain ledger of
+    `oracles.ReferenceFrame`, which evaluates each expression on its own
+    from the model's inputs, on every preset and table1 cell."""
+
+    @given(name=st.sampled_from(REFERENCE_MODELS),
+           u=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+           floor=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e3)))
+    @example(name="table1-M4L4", u=0.5, floor=1.0)
+    @example(name="fig7", u=0.0, floor=0.0)
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_every_figure_keeps_its_bits(self, name, u, floor):
+        m = reference_model(name)
+        t = log_uniform_time(m, u)
+        assume(t < m.t_listen)
+        ref = oracles.ReferenceFrame.at(m, t)
+        f = m.frame(t)
+        for attr in ("t_data", "miss", "p_detect"):
+            assert getattr(f, attr).hex() == getattr(ref, attr).hex(), attr
+        for attr in ("e_transmit", "e_listen"):
+            assert list(map(float.hex, getattr(f, attr))) \
+                == list(map(float.hex, getattr(ref, attr))), attr
+        assert f.coeffs.snr_means == ref.snr_means
+        for i in range(m.n_relays):
+            d_star = floor * ref.data(i)
+            want = {name: getattr(ref, name)(i).hex() for name in FRAME_FIGURES}
+            want["constraint"] = ref.constraint(i, d_star).hex()
+            want["multiplier"] = ref.multiplier(i, d_star).hex()
+            assert frame_figures(f, i, d_star) == want, (name, t, i)
+
+    def test_hop_powers_at_the_frames_miss_would_show(self):
+        # the slip of deriving the hop powers at the frame's miss instead of
+        # 1 - p_detect moves bits that the comparison above reads
+        moved = 0
+        for name in REFERENCE_MODELS:
+            m = reference_model(name)
+            for u in np.linspace(0.0, 1.0, 40, endpoint=False):
+                t = float(log_uniform_time(m, u))
+                fields = oracles.reference_frame_fields(m, t)
+                p_relay, snr_means = oracles.reference_secondary_hops(
+                    m.links, m.policy, fields["miss"])[1::2]
+                slipped = oracles.ReferenceFrame(
+                    model=m, **dict(fields, snr_means=snr_means, e_transmit=tuple(
+                        p + m.policy.p_circuit_tx for p in p_relay)))
+                f = m.frame(t)
+                moved += sum(frame_figures(f, i, 0.0) != frame_figures(slipped, i, 0.0)
+                             for i in range(m.n_relays))
+        assert moved > 0
 
 
 class TestCoefficientBuilds:

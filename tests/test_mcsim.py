@@ -956,6 +956,30 @@ class TestHeldSlot:
         mc_ecg(second.energy_model(), 0, 0.02, 20_000, 3)
         assert len(held) == 3 and alive == [0, 0]
 
+    def test_new_frame_call_keeps_a_small_held_frame_state_through_its_draw(self,
+                                                                            monkeypatch):
+        # under the budget, the first model's frame draws stay alive while
+        # the second model, on another key, draws its own, and go after
+        first, second = (scenario_from_conf(ladder_conf(preset("fig8"), 0.5, n_pu))
+                         for n_pu in (1, 2))
+        mc_ecg(first.energy_model(), 0, 0.02, 20_000, 3)
+        assert mcsim._state_bytes(mcsim._held[2]) <= mcsim.HELD_FIRST_BYTES
+        held = [weakref.ref(x) for x in mcsim._held[2][3][0]]
+        alive = []
+        real = mcsim._chunk_rng
+
+        def counting(seed, stream, chunk):
+            alive.append(sum(ref() is not None for ref in held))
+            return real(seed, stream, chunk)
+
+        monkeypatch.setattr(mcsim, "_chunk_rng", counting)
+        got = mc_ecg(second.energy_model(), 0, 0.02, 20_000, 3)
+        assert len(held) == 3 and alive == [3, 3]
+        assert [ref() for ref in held] == [None] * 3
+        mcsim.clear_held()
+        monkeypatch.setattr(mcsim, "_chunk_rng", real)
+        assert mc_ecg(second.energy_model(), 0, 0.02, 20_000, 3) == got
+
     def test_replay_of_another_draw_raises(self):
         ask = {"draw": lambda rng, n: rng.random(n)}
 

@@ -9,6 +9,7 @@ from relaysense.mcsim import mc_outage
 from relaysense.scenario import apply_overrides, preset, scenario_from_conf
 from relaysense.sensing import SecondaryPolicy, build_report_gain
 from relaysense.transmission import (
+    _outage_terms,
     _subset_terms,
     build_trans_coeffs,
     outage_probability,
@@ -170,6 +171,14 @@ class TestRelaySelection:
             assert abs(emp - want) < 3.5 * se
 
 
+def outage_terms(means, i, rho):
+    """(psi, phi, amp, rate) per subset: `_subset_terms`' rows with the
+    outage terms `_outage_terms` forms from them."""
+    rows = _subset_terms(means, i)
+    amps, rates = _outage_terms(float(means[i]), rows, rho)
+    return [row + term for row, term in zip(rows, zip(amps, rates))]
+
+
 class TestSelectionTermBits:
     """The selection terms run on Python floats; the numpy-scalar oracle
     evaluates the same expressions in the same order, so every term and
@@ -192,8 +201,24 @@ class TestSelectionTermBits:
         rng = np.random.default_rng(1717)
         for means in self.mean_sets(rng):
             for i in range(len(means)):
-                assert _subset_terms(means, i, rho) \
+                assert outage_terms(means, i, rho) \
                     == oracles.numpy_subset_terms(means, i, rho), (means, i)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.37, 1.0])
+    def test_rows_and_outage_terms_equal_the_reference(self, rho):
+        # the (psi, phi) rows, the outage terms formed from them and the
+        # selection odds, against the plain expansion on 1-6 relays, ties
+        # included, in float.hex
+        rng = np.random.default_rng(3301)
+        for means in self.mean_sets(rng):
+            for i in range(len(means)):
+                want = oracles.reference_subset_terms(means, i, rho)
+                got = outage_terms(means, i, rho)
+                assert [tuple(map(float.hex, t)) for t in got] \
+                    == [tuple(map(float.hex, t)) for t in want], (means, i)
+                assert _subset_terms(means, i) == [t[:2] for t in want]
+                assert relay_selection_prob(means, i).hex() \
+                    == oracles.reference_relay_selection_prob(means, i).hex()
 
     def test_selection_probs_equal_the_numpy_oracle(self):
         rng = np.random.default_rng(1718)
